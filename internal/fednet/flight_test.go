@@ -60,6 +60,10 @@ func TestFlightHeaderRoundTrip(t *testing.T) {
 	if err := wall.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The handler records the headers after the agent has answered, so the
+	// client can be back before the second record exists; Close waits for
+	// the handler to return.
+	ts.Close()
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"adaptivefl/internal/nn"
 )
@@ -55,16 +56,28 @@ type Artifact struct {
 const DefaultArtifactCap = 16
 
 // ArtifactStore memoises encoded dispatch artifacts by key with LRU
-// eviction. Get holds the store lock across the encode, so each key is
-// encoded exactly once per residency no matter how many dispatch workers
-// race on it — the encode-once invariant the scheduler bench pins.
+// eviction. Residency is per key: the first Get of a key inserts a pending
+// entry under the store lock and encodes outside it, later Gets of the
+// same key wait on that entry — so each key is encoded exactly once per
+// residency no matter how many dispatch workers race on it (the
+// encode-once invariant the scheduler bench pins), while workers that miss
+// on different keys encode side by side.
 type ArtifactStore struct {
 	mu      sync.Mutex
 	capn    int
 	index   map[ArtifactKey]*list.Element
-	lru     *list.List // front = most recently used; value is *Artifact
-	encodes int64
-	hits    int64
+	lru     *list.List // front = most recently used; value is *artEntry
+	encodes atomic.Int64
+	hits    atomic.Int64
+}
+
+// artEntry is one key's residency. art and err are written once, before
+// ready is closed, and read only after it.
+type artEntry struct {
+	key   ArtifactKey
+	ready chan struct{}
+	art   *Artifact
+	err   error
 }
 
 // NewArtifactStore builds a store holding at most capn artifacts
@@ -78,16 +91,52 @@ func NewArtifactStore(capn int) *ArtifactStore {
 
 // Get returns the artifact for key, encoding it at most once: on a miss,
 // stateFn supplies the state dict and c encodes it refless. Concurrent
-// callers of the same key serialise on the store lock, so the second
-// caller finds the first one's artifact instead of re-encoding.
+// callers of the same key wait for the first one's artifact instead of
+// re-encoding, and share its error if it fails; a failed entry is dropped,
+// so the next Get tries again.
 func (s *ArtifactStore) Get(key ArtifactKey, c Codec, stateFn func() (nn.State, error)) (*Artifact, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if el, ok := s.index[key]; ok {
 		s.lru.MoveToFront(el)
-		s.hits++
-		return el.Value.(*Artifact), nil
+		s.mu.Unlock()
+		e := el.Value.(*artEntry)
+		<-e.ready
+		if e.err != nil {
+			return nil, e.err
+		}
+		s.hits.Add(1)
+		return e.art, nil
 	}
+	e := &artEntry{key: key, ready: make(chan struct{})}
+	el := s.lru.PushFront(e)
+	s.index[key] = el
+	// Evicting a pending entry is harmless: its waiters hold the entry, not
+	// the index slot.
+	for s.lru.Len() > s.capn {
+		back := s.lru.Back()
+		delete(s.index, back.Value.(*artEntry).key)
+		s.lru.Remove(back)
+	}
+	s.mu.Unlock()
+
+	e.art, e.err = encodeArtifact(key, c, stateFn)
+	if e.err != nil {
+		s.mu.Lock()
+		if s.index[key] == el {
+			delete(s.index, key)
+			s.lru.Remove(el)
+		}
+		s.mu.Unlock()
+	} else {
+		s.encodes.Add(1)
+	}
+	close(e.ready)
+	return e.art, e.err
+}
+
+// encodeArtifact builds the artifact for key: the refless encode of
+// stateFn's state and its decoded round-trip.
+func encodeArtifact(key ArtifactKey, c Codec, stateFn func() (nn.State, error)) (*Artifact, error) {
 	st, err := stateFn()
 	if err != nil {
 		return nil, err
@@ -100,45 +149,42 @@ func (s *ArtifactStore) Get(key ArtifactKey, c Codec, stateFn func() (nn.State, 
 	if err != nil {
 		return nil, err
 	}
-	s.encodes++
-	art := &Artifact{Key: key, Bytes: b, State: dec}
-	s.index[key] = s.lru.PushFront(art)
-	for s.lru.Len() > s.capn {
-		el := s.lru.Back()
-		delete(s.index, el.Value.(*Artifact).Key)
-		s.lru.Remove(el)
-	}
-	return art, nil
+	return &Artifact{Key: key, Bytes: b, State: dec}, nil
 }
 
 // Lookup returns the cached artifact for key without encoding on a miss.
+// A key whose encode is still in flight counts as a miss.
 func (s *ArtifactStore) Lookup(key ArtifactKey) (*Artifact, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	el, ok := s.index[key]
+	if ok {
+		s.lru.MoveToFront(el)
+	}
+	s.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	s.lru.MoveToFront(el)
-	s.hits++
-	return el.Value.(*Artifact), true
+	e := el.Value.(*artEntry)
+	select {
+	case <-e.ready:
+	default:
+		return nil, false
+	}
+	if e.err != nil {
+		return nil, false
+	}
+	s.hits.Add(1)
+	return e.art, true
 }
 
 // Encodes reports how many artifacts the store has encoded (misses).
-func (s *ArtifactStore) Encodes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.encodes
-}
+func (s *ArtifactStore) Encodes() int64 { return s.encodes.Load() }
 
 // Hits reports how many Get/Lookup calls were served from cache.
-func (s *ArtifactStore) Hits() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
-}
+func (s *ArtifactStore) Hits() int64 { return s.hits.Load() }
 
-// Len reports the artifacts currently resident.
+// Len reports the artifacts currently resident, counting those whose
+// encode is in flight.
 func (s *ArtifactStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

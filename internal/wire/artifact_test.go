@@ -3,10 +3,13 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"adaptivefl/internal/nn"
+	"adaptivefl/internal/tensor"
 )
 
 func artKey(snap uint64, member int, tag string) ArtifactKey {
@@ -134,6 +137,8 @@ func TestArtifactStoreEviction(t *testing.T) {
 	}
 }
 
+// A failed stateFn or encode leaves no poisoned entry: callers that were
+// waiting on it share the error, and the next Get of the key starts over.
 func TestArtifactStateFnError(t *testing.T) {
 	c, _ := ByTag(TagRaw)
 	s := NewArtifactStore(0)
@@ -144,5 +149,84 @@ func TestArtifactStateFnError(t *testing.T) {
 	}
 	if s.Len() != 0 || s.Encodes() != 0 {
 		t.Fatal("failed encode left residue")
+	}
+
+	// A second caller that reaches Get while the failing call is inside
+	// stateFn either queues behind the failing entry (and shares wantErr)
+	// or arrives after it was dropped (and encodes for itself). It must
+	// not hang, and must not get a nil artifact without an error.
+	inside, calling := make(chan struct{}), make(chan struct{})
+	type result struct {
+		art *Artifact
+		err error
+	}
+	second := make(chan result, 1)
+	go func() {
+		<-inside
+		close(calling)
+		art, err := s.Get(artKey(1, 0, TagRaw), c, func() (nn.State, error) { return randState(10), nil })
+		second <- result{art, err}
+	}()
+	_, err = s.Get(artKey(1, 0, TagRaw), c, func() (nn.State, error) {
+		close(inside)
+		<-calling
+		return nil, wantErr
+	})
+	if err != wantErr {
+		t.Fatalf("err = %v", err)
+	}
+	if r := <-second; (r.err == nil) == (r.art == nil) || (r.err != nil && r.err != wantErr) {
+		t.Fatalf("second caller: art = %v, err = %v", r.art, r.err)
+	}
+
+	// An encode failure (Q8 refuses NaN) is dropped the same way.
+	q8, _ := ByTag(TagQ8)
+	bad := nn.State{"w": tensor.FromSlice([]float64{1, math.NaN()}, 2)}
+	if _, err := s.Get(artKey(2, 0, TagQ8), q8, func() (nn.State, error) { return bad, nil }); err == nil {
+		t.Fatal("NaN state encoded")
+	}
+	if _, ok := s.Lookup(artKey(2, 0, TagQ8)); ok {
+		t.Fatal("failed encode is resident")
+	}
+	art, err := s.Get(artKey(2, 0, TagQ8), q8, func() (nn.State, error) { return randState(10), nil })
+	if err != nil || art == nil || len(art.Bytes) == 0 {
+		t.Fatalf("retry after failure: art = %v, err = %v", art, err)
+	}
+}
+
+// Misses on different keys must not serialise: both callers are inside
+// their stateFn at the same time, and the counters stay readable meanwhile.
+func TestArtifactDistinctKeysEncodeConcurrently(t *testing.T) {
+	st := randState(11)
+	c, _ := ByTag(TagF32)
+	s := NewArtifactStore(0)
+	var inside sync.WaitGroup
+	inside.Add(2)
+	both := make(chan struct{})
+	go func() { inside.Wait(); close(both) }()
+	var wg sync.WaitGroup
+	for member := 0; member < 2; member++ {
+		member := member
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := s.Get(artKey(7, member, TagF32), c, func() (nn.State, error) {
+				inside.Done()
+				select {
+				case <-both:
+					_ = s.Hits() + s.Encodes() + int64(s.Len()) // must not block on a pending encode
+					return st, nil
+				case <-time.After(10 * time.Second):
+					return nil, fmt.Errorf("member %d: the other key never entered stateFn", member)
+				}
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if s.Encodes() != 2 || s.Len() != 2 {
+		t.Fatalf("Encodes() = %d, Len() = %d, want 2, 2", s.Encodes(), s.Len())
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/persist"
-	"adaptivefl/internal/tensor"
 )
 
 // Raw is the compatibility baseline: the persist v1 gzip/gob float64
@@ -49,80 +48,39 @@ func (Raw) EstimateSize(params int64) int64 { return 8*params + estimateHeadroom
 // float32 ulp: |err| ≤ |v|·2⁻²⁴.
 type F32 struct{}
 
-// f32Payload is F32's wire form.
-type f32Payload struct {
-	Head header
-	Data [][]float32
-}
-
 // Tag implements Codec.
 func (F32) Tag() string { return TagF32 }
 
 // UsesRef implements Codec.
 func (F32) UsesRef() bool { return false }
 
-// EstimateSize implements SizeEstimator: 4 bytes per value.
-func (F32) EstimateSize(params int64) int64 { return 4*params + estimateHeadroom }
+// EstimateSize implements SizeEstimator: the sign+exponent plane of
+// trained weights deflates to about a third of a byte per value and the
+// three mantissa planes not at all, so a value costs ~3.4 bytes.
+func (F32) EstimateSize(params int64) int64 { return f32WireBytes(params) + estimateHeadroom }
+
+// f32WireBytes is the framed size of n float32 values, 3.4 bytes each.
+func f32WireBytes(n int64) int64 { return n * 17 / 5 }
 
 // Encode implements Codec.
 func (F32) Encode(st, _ nn.State) ([]byte, error) {
-	head, ts := makeHeader(st)
-	p := f32Payload{Head: head, Data: make([][]float32, len(ts))}
-	for i, t := range ts {
-		row := make([]float32, len(t.Data))
-		for j, v := range t.Data {
-			row[j] = float32(v)
+	return encodeFrame(func(w *frameWriter) error {
+		for _, name := range st.Names() {
+			w.dense(name, st[name])
 		}
-		p.Data[i] = row
-	}
-	return gobGzip(p)
+		return nil
+	})
 }
 
 // Decode implements Codec.
 func (F32) Decode(data []byte, _ nn.State) (nn.State, error) {
-	var p f32Payload
-	if err := unGobGzip(data, &p); err != nil {
-		return nil, err
-	}
-	counts, err := p.Head.validate()
-	if err != nil {
-		return nil, err
-	}
-	if len(p.Data) != len(counts) {
-		return nil, fmt.Errorf("wire: f32 payload has %d tensors for %d names", len(p.Data), len(counts))
-	}
-	st := make(nn.State, len(counts))
-	for i, name := range p.Head.Names {
-		if len(p.Data[i]) != counts[i] {
-			return nil, fmt.Errorf("wire: f32 %q has %d values for shape %v", name, len(p.Data[i]), p.Head.Shapes[i])
-		}
-		vals := make([]float64, counts[i])
-		for j, v := range p.Data[i] {
-			// float32 carries its own Inf/NaN encodings: a corrupt or
-			// diverged payload must not decode into the aggregate silently.
-			if f := float64(v); math.IsInf(f, 0) || math.IsNaN(f) {
-				return nil, fmt.Errorf("wire: f32 %q has non-finite value at index %d", name, j)
-			}
-			vals[j] = float64(v)
-		}
-		st[name] = tensor.FromSlice(vals, p.Head.Shapes[i]...)
-	}
-	return st, nil
+	return decodeFrame(TagF32, data, nil, 1<<kindDense)
 }
 
 // Q8 applies per-tensor symmetric int8 quantization: each tensor stores
 // one float64 scale (max|v|/127) and one byte per value. Error per value
 // is half a quantization step: |err| ≤ max|v|/254 over the tensor.
 type Q8 struct{}
-
-// q8Payload is Q8's wire form. Data stores the signed level biased by
-// +128 so gob serialises it as raw bytes (one byte per value) instead of
-// per-element varints.
-type q8Payload struct {
-	Head   header
-	Scales []float64
-	Data   [][]byte
-}
 
 // Tag implements Codec.
 func (Q8) Tag() string { return TagQ8 }
@@ -135,81 +93,50 @@ func (Q8) UsesRef() bool { return false }
 // forecast, so the estimate is the uncompressed level stream).
 func (Q8) EstimateSize(params int64) int64 { return params + estimateHeadroom }
 
-// Encode implements Codec.
+// Encode implements Codec. A level travels as the signed level biased by
+// +128, one byte per value.
 func (Q8) Encode(st, _ nn.State) ([]byte, error) {
-	head, ts := makeHeader(st)
-	p := q8Payload{Head: head, Scales: make([]float64, len(ts)), Data: make([][]byte, len(ts))}
-	for i, t := range ts {
-		maxAbs := 0.0
-		for j, v := range t.Data {
-			// Inf makes the scale infinite (the decoder rejects it as
-			// corruption) and NaN slips past the max (NaN compares false)
-			// into an unspecified int conversion — reject both here, where
-			// the error can name the diverged tensor.
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return nil, fmt.Errorf("wire: q8 %q: non-finite value at index %d (diverged state?)", head.Names[i], j)
-			}
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		scale := maxAbs / 127
-		p.Scales[i] = scale
-		row := make([]byte, len(t.Data))
-		if scale > 0 {
+	return encodeFrame(func(w *frameWriter) error {
+		for _, name := range st.Names() {
+			t := st[name]
+			maxAbs := 0.0
 			for j, v := range t.Data {
-				q := math.Round(v / scale)
-				if q > 127 {
-					q = 127
-				} else if q < -127 {
-					q = -127
+				// Inf makes the scale infinite (the decoder rejects it as
+				// corruption) and NaN slips past the max (NaN compares false)
+				// into an unspecified int conversion — reject both here, where
+				// the error can name the diverged tensor.
+				if math.IsInf(v, 0) || math.IsNaN(v) {
+					return fmt.Errorf("wire: q8 %q: non-finite value at index %d (diverged state?)", name, j)
 				}
-				row[j] = byte(int(q) + 128)
+				if a := math.Abs(v); a > maxAbs {
+					maxAbs = a
+				}
 			}
-		} else {
-			for j := range row {
-				row[j] = 128
+			scale := maxAbs / 127
+			row := w.q8(name, t.Shape, scale, len(t.Data))
+			if scale > 0 {
+				for j, v := range t.Data {
+					q := math.Round(v / scale)
+					if q > 127 {
+						q = 127
+					} else if q < -127 {
+						q = -127
+					}
+					row[j] = byte(int(q) + 128)
+				}
+			} else {
+				for j := range row {
+					row[j] = 128
+				}
 			}
 		}
-		p.Data[i] = row
-	}
-	return gobGzip(p)
+		return nil
+	})
 }
 
 // Decode implements Codec.
 func (Q8) Decode(data []byte, _ nn.State) (nn.State, error) {
-	var p q8Payload
-	if err := unGobGzip(data, &p); err != nil {
-		return nil, err
-	}
-	counts, err := p.Head.validate()
-	if err != nil {
-		return nil, err
-	}
-	if len(p.Data) != len(counts) || len(p.Scales) != len(counts) {
-		return nil, fmt.Errorf("wire: q8 payload has %d tensors, %d scales for %d names", len(p.Data), len(p.Scales), len(counts))
-	}
-	st := make(nn.State, len(counts))
-	for i, name := range p.Head.Names {
-		if len(p.Data[i]) != counts[i] {
-			return nil, fmt.Errorf("wire: q8 %q has %d values for shape %v", name, len(p.Data[i]), p.Head.Shapes[i])
-		}
-		scale := p.Scales[i]
-		// Encode never produces a negative or non-finite scale, so either
-		// is wire corruption — and a NaN scale would otherwise decode the
-		// whole tensor to NaN with no diagnostic. A huge finite scale is
-		// equally corrupt: dequantising level ±128 against it overflows to
-		// Inf (Encode's scale is max|v|/127, far below this).
-		if scale < 0 || math.IsInf(scale, 0) || math.IsNaN(scale) || scale > math.MaxFloat64/128 {
-			return nil, fmt.Errorf("wire: q8 %q has corrupt scale %v", name, scale)
-		}
-		vals := make([]float64, counts[i])
-		for j, b := range p.Data[i] {
-			vals[j] = float64(int(b)-128) * scale
-		}
-		st[name] = tensor.FromSlice(vals, p.Head.Shapes[i]...)
-	}
-	return st, nil
+	return decodeFrame(TagQ8, data, nil, 1<<kindQ8)
 }
 
 // DeltaTopK encodes the k largest-magnitude changes of each tensor versus
@@ -226,8 +153,9 @@ type DeltaTopK struct {
 	// Density is the kept fraction per tensor, in (0,1].
 	Density float64
 	// DenseCutoff switches a tensor to dense float32 when the kept
-	// fraction reaches it; index+value pairs cost ~2× a dense value, so
-	// sparsity above ~0.5 loses money.
+	// fraction reaches it: a kept coordinate pays an index gap on top of
+	// its value and a sparse tensor still needs its reference, so little
+	// is left to gain past ~0.5.
 	DenseCutoff float64
 }
 
@@ -281,34 +209,24 @@ func kthLargest(a []float64, k int) float64 {
 	return a[target]
 }
 
-// deltaPayload is DeltaTopK's wire form. Per tensor, IsDense selects
-// between Dense[i] (dense float32 values) and Index[i]/Value[i] (the
-// sparse delta). An explicit flag is used because gob cannot distinguish
-// a nil slice from an empty one.
-type deltaPayload struct {
-	Head    header
-	IsDense []bool
-	Dense   [][]float32
-	Index   [][]uint32
-	Value   [][]float32
-}
-
 // Tag implements Codec.
 func (DeltaTopK) Tag() string { return TagDelta }
 
 // UsesRef implements Codec.
 func (DeltaTopK) UsesRef() bool { return true }
 
-// EstimateSize implements SizeEstimator: Density of the values kept as
-// (uint32 index, float32 value) pairs, capped at the dense-float32
-// fallback the encoder switches to when sparsity would not pay.
+// EstimateSize implements SizeEstimator: Density of the values kept, each
+// a one-byte index gap (gaps average 1/Density, below 128 for any density
+// above ~1%) plus a float32 delta, capped at the dense-float32 fallback
+// the encoder switches to when sparsity would not pay.
 func (d DeltaTopK) EstimateSize(params int64) int64 {
 	density := d.Density
 	if density <= 0 || density > 1 {
 		density = 1
 	}
-	sparse := int64(math.Ceil(density*float64(params))) * 8
-	if dense := 4 * params; sparse > dense {
+	kept := int64(math.Ceil(density * float64(params)))
+	sparse := kept + f32WireBytes(kept)
+	if dense := f32WireBytes(params); sparse > dense {
 		sparse = dense
 	}
 	return sparse + estimateHeadroom
@@ -324,128 +242,67 @@ func (d DeltaTopK) Encode(st, ref nn.State) ([]byte, error) {
 	if cutoff <= 0 {
 		cutoff = 0.5
 	}
-	head, ts := makeHeader(st)
-	p := deltaPayload{
-		Head:    head,
-		IsDense: make([]bool, len(ts)),
-		Dense:   make([][]float32, len(ts)),
-		Index:   make([][]uint32, len(ts)),
-		Value:   make([][]float32, len(ts)),
-	}
-	for i, t := range ts {
-		base := refBlock(ref, head.Names[i], t.Shape)
-		n := len(t.Data)
-		k := int(math.Ceil(density * float64(n)))
-		if n == 0 || base == nil || float64(k) >= cutoff*float64(n) {
-			row := make([]float32, n)
+	return encodeFrame(func(w *frameWriter) error {
+		for _, name := range st.Names() {
+			t := st[name]
+			base := refBlock(ref, name, t.Shape)
+			n := len(t.Data)
+			k := int(math.Ceil(density * float64(n)))
+			if n == 0 || base == nil || float64(k) >= cutoff*float64(n) {
+				w.dense(name, t)
+				continue
+			}
+			mags := w.scratch(n)
 			for j, v := range t.Data {
-				row[j] = float32(v)
+				d := v - base.Data[j]
+				// NaN magnitudes poison the threshold sort (every comparison
+				// is false), silently dropping valid deltas — reject here.
+				if math.IsNaN(d) {
+					return fmt.Errorf("wire: delta %q: NaN delta at index %d (diverged state?)", name, j)
+				}
+				mags[j] = math.Abs(d)
 			}
-			p.IsDense[i] = true
-			p.Dense[i] = row
-			continue
-		}
-		delta := make([]float64, n)
-		mags := make([]float64, n)
-		for j, v := range t.Data {
-			d := v - base.Data[j]
-			// NaN magnitudes poison the threshold sort (every comparison
-			// is false), silently dropping valid deltas — reject here.
-			if math.IsNaN(d) {
-				return nil, fmt.Errorf("wire: delta %q: NaN delta at index %d (diverged state?)", head.Names[i], j)
+			thresh := kthLargest(mags, k)
+			// Everything strictly above the k-th magnitude is kept (at most
+			// k-1 entries); the remaining slots go to threshold ties in index
+			// order — a >=-scan capped at k could exhaust the budget on early
+			// ties and drop strictly larger deltas later in the tensor.
+			// kthLargest permuted mags, which does not change the count.
+			ties := k
+			for _, m := range mags {
+				if m > thresh {
+					ties--
+				}
 			}
-			delta[j] = d
-			mags[j] = math.Abs(d)
-		}
-		thresh := kthLargest(mags, k)
-		idx := make([]uint32, 0, k)
-		val := make([]float32, 0, k)
-		// Keep everything strictly above the k-th magnitude first (there
-		// are at most k-1 such entries), then fill the remaining slots
-		// with threshold ties in index order — a single >=-scan capped at
-		// k could exhaust the budget on early ties and drop strictly
-		// larger deltas later in the tensor.
-		for j := 0; j < n; j++ {
-			if math.Abs(delta[j]) > thresh {
-				idx = append(idx, uint32(j))
-				val = append(val, float32(delta[j]))
-			}
-		}
-		for j := 0; j < n && len(idx) < k; j++ {
-			if math.Abs(delta[j]) == thresh {
-				idx = append(idx, uint32(j))
-				val = append(val, float32(delta[j]))
-			}
-		}
-		for j, v := range val {
-			// Inf here is either an infinite delta or a float32 overflow
-			// of a huge finite one; the decoder rejects both, so fail at
-			// the source with a clearer error.
-			if math.IsInf(float64(v), 0) {
-				return nil, fmt.Errorf("wire: delta %q: delta at index %d overflows float32 (diverged state?)", head.Names[i], idx[j])
+			at, prev := w.sparse(name, t.Shape, k), -1
+			for j, v := range t.Data {
+				d := v - base.Data[j]
+				if m := math.Abs(d); m < thresh {
+					continue
+				} else if m == thresh {
+					if ties == 0 {
+						continue
+					}
+					ties--
+				}
+				f := float32(d)
+				// Inf here is either an infinite delta or a float32 overflow
+				// of a huge finite one; the decoder rejects both, so fail at
+				// the source with a clearer error.
+				if math.IsInf(float64(f), 0) {
+					return fmt.Errorf("wire: delta %q: delta at index %d overflows float32 (diverged state?)", name, j)
+				}
+				w.gap(j - prev)
+				prev = j
+				w.setValue(at, f)
+				at++
 			}
 		}
-		p.Index[i] = idx
-		p.Value[i] = val
-	}
-	return gobGzip(p)
+		return nil
+	})
 }
 
 // Decode implements Codec.
 func (d DeltaTopK) Decode(data []byte, ref nn.State) (nn.State, error) {
-	var p deltaPayload
-	if err := unGobGzip(data, &p); err != nil {
-		return nil, err
-	}
-	counts, err := p.Head.validate()
-	if err != nil {
-		return nil, err
-	}
-	if len(p.IsDense) != len(counts) || len(p.Dense) != len(counts) || len(p.Index) != len(counts) || len(p.Value) != len(counts) {
-		return nil, fmt.Errorf("wire: delta payload tensor counts do not match %d names", len(counts))
-	}
-	st := make(nn.State, len(counts))
-	for i, name := range p.Head.Names {
-		shape := p.Head.Shapes[i]
-		if p.IsDense[i] {
-			if len(p.Dense[i]) != counts[i] {
-				return nil, fmt.Errorf("wire: delta %q has %d dense values for shape %v", name, len(p.Dense[i]), shape)
-			}
-			vals := make([]float64, counts[i])
-			for j, v := range p.Dense[i] {
-				// Same rule as the sparse path below: non-finite wire values
-				// are corruption, never data.
-				if f := float64(v); math.IsInf(f, 0) || math.IsNaN(f) {
-					return nil, fmt.Errorf("wire: delta %q has non-finite dense value at index %d", name, j)
-				}
-				vals[j] = float64(v)
-			}
-			st[name] = tensor.FromSlice(vals, shape...)
-			continue
-		}
-		base := refBlock(ref, name, shape)
-		if base == nil {
-			return nil, fmt.Errorf("wire: delta %q is sparse but the reference state has no matching tensor", name)
-		}
-		if len(p.Index[i]) != len(p.Value[i]) {
-			return nil, fmt.Errorf("wire: delta %q has %d indices for %d values", name, len(p.Index[i]), len(p.Value[i]))
-		}
-		vals := make([]float64, counts[i])
-		copy(vals, base.Data)
-		for j, idx := range p.Index[i] {
-			if int(idx) >= counts[i] {
-				return nil, fmt.Errorf("wire: delta %q index %d outside %d elements", name, idx, counts[i])
-			}
-			v := float64(p.Value[i][j])
-			// A non-finite delta (wire corruption, or a float32 overflow
-			// of a diverged upload) would poison the aggregate silently;
-			// fail with the tensor name instead.
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return nil, fmt.Errorf("wire: delta %q has non-finite value at index %d", name, idx)
-			}
-			vals[idx] = base.Data[idx] + v
-		}
-		st[name] = tensor.FromSlice(vals, shape...)
-	}
-	return st, nil
+	return decodeFrame(TagDelta, data, ref, 1<<kindDense|1<<kindSparse)
 }

@@ -127,12 +127,12 @@ func TestHeaderRejectsOverflowShapes(t *testing.T) {
 		{1 << 31, 1 << 31, 1 << 31},
 		{maxWireElems + 1},
 	} {
-		h := header{Names: []string{"w"}, Shapes: [][]int{shape}}
+		h := header{names: []string{"w"}, shapes: [][]int{shape}}
 		if _, err := h.validate(); err == nil {
 			t.Fatalf("shape %v passed validation", shape)
 		}
 	}
-	h := header{Names: []string{"w"}, Shapes: [][]int{{16, 3, 3, 3}}}
+	h := header{names: []string{"w"}, shapes: [][]int{{16, 3, 3, 3}}}
 	if _, err := h.validate(); err != nil {
 		t.Fatalf("sane shape rejected: %v", err)
 	}
@@ -141,7 +141,9 @@ func TestHeaderRejectsOverflowShapes(t *testing.T) {
 // FuzzDecoders is the go-native fuzz entry: any byte string through any
 // codec must error or produce finite values — never panic. The seed
 // corpus covers valid payloads of each codec so mutation starts from
-// structurally interesting bytes.
+// structurally interesting bytes. (Mutations of a whole payload rarely
+// survive the gzip checksum; TestFrameRejections and
+// TestFrameTruncatedEverywhere reach the parser behind it.)
 func FuzzDecoders(f *testing.F) {
 	ref := randState(21)
 	st := perturb(ref, 22, 0.01)
@@ -151,6 +153,24 @@ func FuzzDecoders(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(ci, payload)
+	}
+	// The refless delta payload (all tensors dense), a frame that mixes
+	// dense and sparse tensors, and a payload in the gob container the
+	// codecs used before the frame.
+	deltaAt := len(allCodecs()) - 1
+	noRef, err := NewDeltaTopK().Encode(st, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(deltaAt, noRef)
+	partial := nn.State{"block2.conv.weight": ref["block2.conv.weight"]}
+	mixed, err := NewDeltaTopK().Encode(st, partial)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(deltaAt, mixed)
+	for ci := range allCodecs() {
+		f.Add(ci, gobPayload(f))
 	}
 	f.Fuzz(func(t *testing.T, ci int, payload []byte) {
 		codecs := allCodecs()

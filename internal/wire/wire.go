@@ -6,31 +6,36 @@
 //
 //   - raw   — the persist v1 gzip/gob float64 envelope, bit-exact; the
 //     compatibility baseline every peer understands.
-//   - f32   — float32 truncation; |err| ≤ |v|·2⁻²⁴ per value, ~2× smaller.
+//   - f32   — float32 truncation; |err| ≤ |v|·2⁻²⁴ per value, ~0.41× raw.
 //   - q8    — per-tensor symmetric int8 quantization with a stored scale;
-//     |err| ≤ max|v|/254 per tensor, ~8× smaller.
+//     |err| ≤ max|v|/254 per tensor, ~0.10× raw.
 //   - delta — sparse top-k of the change versus a reference state (the
-//     dispatched model), index+value encoded; kept coordinates are exact
-//     to float32 rounding, dropped coordinates keep the reference value.
-//     Falls back to dense float32 when no reference is available or the
-//     kept fraction would not pay for the index overhead.
+//     dispatched model), index-gap+value encoded; kept coordinates are
+//     exact to float32 rounding, dropped coordinates keep the reference
+//     value. Falls back to dense float32 when no reference is available or
+//     the kept fraction would not pay for the index overhead.
+//
+// The three non-raw codecs share one payload container (frame.go): a
+// format byte, a length-prefixed header, then flat little-endian sections
+// — float32 values split into four byte planes, q8 levels, uvarint index
+// gaps — in a single Huffman-only gzip member whose CRC-32 guards every
+// byte. The header fixes the inflated length, and a decoder reads exactly
+// that much.
 //
 // Codecs are registered by tag so transports can negotiate: the server
 // stamps each request with the codec tag and the device answers in kind.
-// See docs/WIRE.md for the envelope format and compatibility rules.
+// See docs/WIRE.md for the envelope and frame formats and the
+// compatibility rules.
 package wire
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"sort"
 
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/persist"
-	"adaptivefl/internal/tensor"
 )
 
 // Codec serialises a state dict. ref, when non-nil, is the reference
@@ -93,10 +98,11 @@ const (
 // mode), so it must be a pure function of the parameter count — no state,
 // no randomness — or estimate-mode runs lose their determinism.
 //
-// Estimates are deliberately coarse (they ignore gzip's behaviour on the
-// particular values and the per-tensor header overhead beyond a flat
-// allowance); the round ledger records the estimated-vs-actual delta so a
-// run can audit how much pricing fidelity the laziness cost.
+// Estimates are deliberately coarse (they price a typical trained-weight
+// value, not the particular values, and the per-tensor header overhead
+// only as a flat allowance); the round ledger records the
+// estimated-vs-actual delta so a run can audit how much pricing fidelity
+// the laziness cost.
 type SizeEstimator interface {
 	// EstimateSize forecasts Encode's output length for a state dict of
 	// the given total trainable-parameter count.
@@ -178,106 +184,4 @@ func LoadState(path string) (nn.State, error) {
 		return nil, err
 	}
 	return DecodeEnvelope(b, nil)
-}
-
-// header is the name/shape metadata shared by the non-raw payloads.
-type header struct {
-	Names  []string
-	Shapes [][]int
-}
-
-// makeHeader flattens st into sorted name/shape arrays.
-func makeHeader(st nn.State) (header, []*tensor.Tensor) {
-	names := st.Names()
-	h := header{Names: names, Shapes: make([][]int, len(names))}
-	ts := make([]*tensor.Tensor, len(names))
-	for i, name := range names {
-		h.Shapes[i] = st[name].Shape
-		ts[i] = st[name]
-	}
-	return h, ts
-}
-
-// validate checks a decoded header and returns the element count of each
-// tensor. Wire data is untrusted, so corruption must surface as an error.
-func (h header) validate() ([]int, error) {
-	if len(h.Names) != len(h.Shapes) {
-		return nil, fmt.Errorf("wire: corrupt header (%d names, %d shapes)", len(h.Names), len(h.Shapes))
-	}
-	if !sort.StringsAreSorted(h.Names) {
-		return nil, fmt.Errorf("wire: corrupt header (names not sorted)")
-	}
-	counts := make([]int, len(h.Names))
-	for i, shape := range h.Shapes {
-		n := 1
-		for _, d := range shape {
-			if d < 0 {
-				return nil, fmt.Errorf("wire: negative dimension in %q", h.Names[i])
-			}
-			// Corrupt dimensions must not overflow the element count (a
-			// wrapped-negative count defeats every later length check) or
-			// drive a decoder into an absurd allocation.
-			if d > 0 && n > maxWireElems/d {
-				return nil, fmt.Errorf("wire: shape %v of %q exceeds %d elements", shape, h.Names[i], maxWireElems)
-			}
-			n *= d
-		}
-		counts[i] = n
-	}
-	return counts, nil
-}
-
-// maxWireElems bounds a single decoded tensor (2²⁸ elements = 2 GiB of
-// float64 — far beyond any model this transport moves). Wire data is
-// untrusted: without a cap, a corrupt shape turns into an enormous
-// allocation before any payload-length check can catch it (the delta
-// decoder allocates the full dense tensor for a sparse payload).
-const maxWireElems = 1 << 28
-
-// refBlock returns the prefix block of ref[name] matching shape, or nil
-// when ref has no compatible tensor. Uploads are often pruned below the
-// dispatched widths, so the reference is sliced the same way the model
-// was (width-wise prefix blocks).
-func refBlock(ref nn.State, name string, shape []int) *tensor.Tensor {
-	if ref == nil {
-		return nil
-	}
-	g, ok := ref[name]
-	if !ok {
-		return nil
-	}
-	probe := &tensor.Tensor{Shape: shape}
-	if !tensor.PrefixFits(probe, g) {
-		return nil
-	}
-	if tensor.SameShape(probe, g) {
-		return g
-	}
-	return tensor.ExtractPrefix(g, shape)
-}
-
-// gobGzip encodes v with gob and compresses the result.
-func gobGzip(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(v); err != nil {
-		return nil, fmt.Errorf("wire: encode: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// unGobGzip reverses gobGzip into v.
-func unGobGzip(b []byte, v any) error {
-	zr, err := gzip.NewReader(bytes.NewReader(b))
-	if err != nil {
-		return fmt.Errorf("wire: gzip: %w", err)
-	}
-	defer zr.Close()
-	if err := gob.NewDecoder(zr).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
 }

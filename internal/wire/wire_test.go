@@ -32,7 +32,8 @@ func randState(seed int64) nn.State {
 func perturb(st nn.State, seed int64, scale float64) nn.State {
 	rng := rand.New(rand.NewSource(seed))
 	out := st.Clone()
-	for _, t := range out {
+	for _, name := range out.Names() { // name order: the draw sequence must not follow map order
+		t := out[name]
 		for i := range t.Data {
 			t.Data[i] += scale * rng.NormFloat64()
 		}
@@ -313,18 +314,16 @@ func TestQ8RejectsNonFiniteState(t *testing.T) {
 // TestQ8RejectsCorruptScale: a payload whose per-tensor scale is not a
 // finite non-negative number must error, not decode a NaN tensor.
 func TestQ8RejectsCorruptScale(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
-		p := q8Payload{
-			Head:   header{Names: []string{"w"}, Shapes: [][]int{{2}}},
-			Scales: []float64{bad},
-			Data:   [][]byte{{128, 130}},
-		}
-		b, err := gobGzip(p)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1, math.MaxFloat64 / 64} {
+		b, err := encodeFrame(func(w *frameWriter) error {
+			copy(w.q8("w", []int{2}, bad, 2), []byte{128, 130})
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (Q8{}).Decode(b, nil); err == nil {
-			t.Fatalf("scale %v accepted", bad)
+		if _, err := (Q8{}).Decode(b, nil); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Fatalf("scale %v: err = %v", bad, err)
 		}
 	}
 }
@@ -334,19 +333,17 @@ func TestQ8RejectsCorruptScale(t *testing.T) {
 func TestDeltaRejectsNonFiniteValue(t *testing.T) {
 	ref := nn.State{"w": tensor.Full(1, 4)}
 	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(-1))} {
-		p := deltaPayload{
-			Head:    header{Names: []string{"w"}, Shapes: [][]int{{4}}},
-			IsDense: []bool{false},
-			Dense:   [][]float32{nil},
-			Index:   [][]uint32{{2}},
-			Value:   [][]float32{{bad}},
-		}
-		b, err := gobGzip(p)
+		b, err := encodeFrame(func(w *frameWriter) error {
+			at := w.sparse("w", []int{4}, 1)
+			w.gap(3) // index 2
+			w.setValue(at, bad)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewDeltaTopK().Decode(b, ref); err == nil {
-			t.Fatalf("value %v accepted", bad)
+		if _, err := NewDeltaTopK().Decode(b, ref); err == nil || !strings.Contains(err.Error(), `"w" has non-finite value`) {
+			t.Fatalf("value %v: err = %v", bad, err)
 		}
 	}
 }
