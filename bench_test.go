@@ -331,6 +331,23 @@ func BenchmarkConv2DBatched(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DStage4Backward measures the backward pass of a ResNet-18
+// stage-4 convolution at quick scale (51→51 channels on 4×4 planes, batch
+// 10): GEMMs with a 16-element n or k, where a kernel that is entered per
+// vector spends its time on the calls.
+func BenchmarkConv2DStage4Backward(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	conv := nn.NewConv2D(rng, "c", 51, 51, 3, 1, 1, false)
+	x := tensor.Randn(rng, 1, 10, 51, 4, 4)
+	grad := tensor.Randn(rng, 1, 10, 51, 4, 4)
+	conv.Forward(x, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.Backward(grad)
+	}
+}
+
 // BenchmarkDepthwiseForward measures the tap-vectorized depthwise kernel
 // on a MobileNetV2-like block.
 func BenchmarkDepthwiseForward(b *testing.B) {
@@ -396,6 +413,7 @@ func BenchmarkLocalTrainEpoch(b *testing.B) {
 	train, _ := data.Generate(dcfg)
 	ds := train.Subset(seqInts(sc.SamplesPerClient))
 	rng := rand.New(rand.NewSource(3))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.TrainLocal(mcfg, nil, global, ds, sc.TrainConfig(), rng); err != nil {

@@ -1,9 +1,12 @@
 package baselines
 
 import (
+	"slices"
+
 	"adaptivefl/internal/core"
 	"adaptivefl/internal/data"
 	"adaptivefl/internal/eval"
+	"adaptivefl/internal/prune"
 )
 
 // Adaptive adapts core.Server (AdaptiveFL itself) to the Runner interface
@@ -32,8 +35,17 @@ func (a *Adaptive) Name() string { return a.Label }
 // Round implements Runner.
 func (a *Adaptive) Round() error { return a.Srv.Round() }
 
+// fullIsL1 reports whether the pool's L1 member is the unpruned model: the
+// same widths as the global model, hence the same weights once extracted.
+func fullIsL1(pool *prune.Pool, fullWidths []int) bool {
+	l := pool.Largest()
+	return l.Name() == "L1" && slices.Equal(l.Widths, fullWidths)
+}
+
 // Evaluate reports the full global model plus the L1/M1/S1 pool members
-// extracted from it.
+// extracted from it. When L1 is the unpruned model — every pool this repo
+// builds — "full" is reported as its accuracy, as the other baselines do,
+// instead of evaluating the most expensive head twice.
 func (a *Adaptive) Evaluate(test *data.Dataset, batch int) (map[string]float64, error) {
 	out := map[string]float64{}
 	full, err := a.Srv.GlobalModel()
@@ -41,7 +53,12 @@ func (a *Adaptive) Evaluate(test *data.Dataset, batch int) (map[string]float64, 
 		return nil, err
 	}
 	out["full"] = eval.Accuracy(full, test, batch)
-	for _, name := range []string{"S1", "M1", "L1"} {
+	names := []string{"S1", "M1", "L1"}
+	if fullIsL1(a.Srv.Pool(), full.Widths) {
+		out["L1"] = out["full"]
+		names = names[:2]
+	}
+	for _, name := range names {
 		m, err := a.Srv.SubmodelByName(name)
 		if err != nil {
 			// Coarse pools (P=1) still expose S1/M1/L1; other pool shapes

@@ -7,6 +7,7 @@ import (
 
 	"adaptivefl/internal/core"
 	"adaptivefl/internal/data"
+	"adaptivefl/internal/eval"
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
@@ -261,6 +262,66 @@ func TestAdaptiveRunner(t *testing.T) {
 	}
 	if w := a.Waste(); w < 0 || w > 1 {
 		t.Fatalf("waste %v outside [0,1]", w)
+	}
+}
+
+// TestAdaptiveEvaluateFullOnce: "full" and "L1" are the same weights at
+// the same widths, so Evaluate runs that head once — and still returns,
+// key for key and value for value, what evaluating all four heads
+// separately (the previous behaviour) returns.
+func TestAdaptiveEvaluateFullOnce(t *testing.T) {
+	setup, _, test := testSetup(t, 6)
+	a, err := NewAdaptive(core.Config{
+		Model: setup.Model, Pool: prune.Config{P: 3},
+		ClientsPerRound: setup.K, Train: setup.Train, Seed: setup.Seed,
+	}, setup.Clients, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Round(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.Evaluate(test, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	full, err := a.Srv.GlobalModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"full": eval.Accuracy(full, test, 30)}
+	for _, name := range []string{"S1", "M1", "L1"} {
+		m, err := a.Srv.SubmodelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = eval.Accuracy(m, test, 30)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Evaluate returned %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Fatalf("Evaluate[%q] = %v (present %v), want %v", k, g, ok, v)
+		}
+	}
+
+	// The shortcut is taken for the pool the server built, and only for a
+	// pool whose L1 really is the unpruned model.
+	pool := a.Srv.Pool()
+	if !fullIsL1(pool, full.Widths) {
+		t.Fatal("the built pool's largest member must be recognised as the full model")
+	}
+	narrower := append([]int(nil), full.Widths...)
+	narrower[len(narrower)-1]--
+	for name, p := range map[string]*prune.Pool{
+		"largest is not L1":    {Members: []prune.Submodel{{Level: prune.LevelM, Sub: 1, Widths: full.Widths}}},
+		"L1 is not full width": {Members: []prune.Submodel{{Level: prune.LevelL, Sub: 1, Widths: narrower}}},
+	} {
+		if fullIsL1(p, full.Widths) {
+			t.Fatalf("%s: must evaluate L1 on its own", name)
+		}
 	}
 }
 

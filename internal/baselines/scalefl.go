@@ -173,6 +173,15 @@ func (m multiExitLayer) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	panic("baselines: use backwardAll on multiExit")
 }
 func (m multiExitLayer) Params() []*nn.Param { return m.me.params() }
+func (m multiExitLayer) SetWorkspace(ws *tensor.Workspace) {
+	for _, group := range [][][]nn.Layer{m.me.segments, m.me.heads} {
+		for _, ls := range group {
+			for _, l := range ls {
+				nn.SetWorkspace(l, ws)
+			}
+		}
+	}
+}
 
 // buildNet constructs the multi-exit network for one level: a backbone at
 // the level's widths truncated to its exit count, with fresh-named heads.
@@ -255,15 +264,21 @@ func (sf *ScaleFL) trainLocal(lv scaleLevel, ds *data.Dataset, seed int64) (nn.S
 	}
 	rng := rand.New(rand.NewSource(seed))
 	opt := nn.NewSGD(sf.setup.Train.LR, sf.setup.Train.Momentum, sf.setup.Train.WeightDecay)
+	// One step workspace for this training: every exit's logits and
+	// gradients live until the Reset at the top of the next batch, and
+	// only the state dict (a copy) leaves.
+	ws := &tensor.Workspace{}
+	wrapper.SetWorkspace(ws)
 	for epoch := 0; epoch < sf.setup.Train.LocalEpochs; epoch++ {
 		for _, batch := range ds.Batches(rng, sf.setup.Train.BatchSize) {
+			ws.Reset()
 			x, labels := ds.Gather(batch)
 			nn.ZeroGrads(wrapper)
 			outs := me.forwardAll(x, true)
 			grads := make([]*tensor.Tensor, len(outs))
 			deepest := outs[len(outs)-1]
 			for i, logits := range outs {
-				_, g := nn.CrossEntropy(logits, labels)
+				_, g := nn.CrossEntropyIn(ws, logits, labels)
 				if i < len(outs)-1 {
 					_, kd := nn.DistillKL(logits, deepest, sf.temp)
 					g.AddScaled(sf.kdW, kd)

@@ -9,6 +9,7 @@ import (
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/obs"
+	"adaptivefl/internal/tensor"
 )
 
 // Executor bounds concurrent local-training executions. The synchronous
@@ -75,8 +76,16 @@ func (x *Executor) run(task func()) {
 // overwritten by LoadState, the gradients zeroed by the per-batch
 // ZeroGrads, and the momentum zeroed by SGD.Reset — so reuse is
 // bit-identical to building from scratch (pinned by TestArenaReuseExact).
-// Arenas follow rent/return semantics like tensor's scratch pool: at most
-// one goroutine owns an arena at a time, and steady-state concurrency N
+//
+// What a training step creates and drops — layer outputs, gradients,
+// im2col blocks, masks — is not per model at all: the arena owns one
+// tensor.Workspace, binds every model it builds to it, and TrainLocal
+// resets it once per batch. An arena's resident step memory is therefore
+// one slab sized to the largest (model, batch) it has trained, however
+// many of its cached models were used.
+//
+// Arenas follow rent/return semantics: at most one goroutine owns an
+// arena (and so its workspace) at a time, and steady-state concurrency N
 // keeps N arenas alive.
 
 // arenaKey identifies one model construction.
@@ -99,9 +108,11 @@ type arenaEntry struct {
 const arenaMaxEntries = 12
 
 // trainArena caches built models and optimizer state across the local
-// trainings one worker executes.
+// trainings one worker executes, and owns the one step workspace all of
+// them draw their per-batch tensors from.
 type trainArena struct {
 	entries map[arenaKey]*arenaEntry
+	ws      *tensor.Workspace
 }
 
 func widthsSig(widths []int) string {
@@ -126,6 +137,7 @@ func (a *trainArena) modelFor(cfg models.Config, widths []int, tc TrainConfig) (
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	m.SetWorkspace(a.ws)
 	if len(a.entries) >= arenaMaxEntries {
 		for k := range a.entries {
 			delete(a.entries, k)
@@ -139,9 +151,11 @@ func (a *trainArena) modelFor(cfg models.Config, widths []int, tc TrainConfig) (
 
 // arenaPool recycles training arenas process-wide. sync.Pool may drop
 // arenas under GC pressure; losing one only costs a rebuild.
-var arenaPool = sync.Pool{New: func() any {
-	return &trainArena{entries: map[arenaKey]*arenaEntry{}}
-}}
+var arenaPool = sync.Pool{New: func() any { return newTrainArena() }}
+
+func newTrainArena() *trainArena {
+	return &trainArena{entries: map[arenaKey]*arenaEntry{}, ws: &tensor.Workspace{}}
+}
 
 func rentArena() *trainArena    { return arenaPool.Get().(*trainArena) }
 func returnArena(a *trainArena) { arenaPool.Put(a) }

@@ -40,6 +40,8 @@ func (tc *TrainConfig) validate() error {
 // gradient and momentum tensors instead of rebuilding them per dispatch —
 // bit-identical to a fresh build (LoadState overwrites every parameter and
 // buffer, gradients are zeroed per batch, SGD.Reset zeroes the momentum).
+// Each batch's activations and gradients live in the arena's workspace,
+// reset at the top of the batch; the returned state is a copy.
 func TrainLocal(mcfg models.Config, widths []int, st nn.State, ds *data.Dataset, tc TrainConfig, rng *rand.Rand) (nn.State, error) {
 	if err := tc.validate(); err != nil {
 		return nil, err
@@ -59,10 +61,11 @@ func TrainLocal(mcfg models.Config, widths []int, st nn.State, ds *data.Dataset,
 	}
 	for epoch := 0; epoch < tc.LocalEpochs; epoch++ {
 		for _, batch := range ds.Batches(rng, tc.BatchSize) {
+			a.ws.Reset()
 			x, labels := ds.Gather(batch)
 			nn.ZeroGradParams(params)
 			logits := model.Forward(x, true)
-			_, grad := nn.CrossEntropy(logits, labels)
+			_, grad := nn.CrossEntropyIn(a.ws, logits, labels)
 			model.Backward(grad)
 			opt.Step(params)
 		}

@@ -7,13 +7,22 @@ package eval
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"adaptivefl/internal/data"
 	"adaptivefl/internal/nn"
+	"adaptivefl/internal/tensor"
 )
 
+// workspaces recycles the step workspaces of Accuracy calls: the heads of
+// one Evaluate run back to back and share a slab, while an idle process
+// holds none (a sync.Pool empties under GC).
+var workspaces = sync.Pool{New: func() any { return &tensor.Workspace{} }}
+
 // Accuracy evaluates a model on a dataset in evaluation mode, batching to
-// bound memory. It returns the top-1 accuracy in [0, 1].
+// bound memory. It returns the top-1 accuracy in [0, 1]. For the length
+// of the call the model's activations live in a workspace reset per
+// batch; on return the model is unbound again and pins no batch buffers.
 func Accuracy(model nn.Layer, ds *data.Dataset, batchSize int) float64 {
 	if ds.Len() == 0 {
 		return 0
@@ -21,15 +30,20 @@ func Accuracy(model nn.Layer, ds *data.Dataset, batchSize int) float64 {
 	if batchSize < 1 {
 		batchSize = 64
 	}
+	ws := workspaces.Get().(*tensor.Workspace)
+	nn.SetWorkspace(model, ws)
+	defer func() {
+		nn.SetWorkspace(model, nil)
+		ws.Reset()
+		workspaces.Put(ws)
+	}()
 	correct := 0
+	idx := make([]int, 0, batchSize)
 	for lo := 0; lo < ds.Len(); lo += batchSize {
-		hi := lo + batchSize
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
+		ws.Reset()
+		idx = idx[:0]
+		for i := lo; i < min(lo+batchSize, ds.Len()); i++ {
+			idx = append(idx, i)
 		}
 		x, labels := ds.Gather(idx)
 		logits := model.Forward(x, false)

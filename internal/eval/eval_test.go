@@ -138,3 +138,33 @@ func seq(n int) []int {
 	}
 	return s
 }
+
+// TestAccuracyLeavesModelUnbound: Accuracy runs the model through a step
+// workspace of its own, must compute what an unbound forward computes, and
+// must hand the model back unbound — a forward after the call returns
+// fresh memory, not a view into a slab Accuracy has recycled.
+func TestAccuracyLeavesModelUnbound(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	model := nn.NewSequential(
+		nn.NewConv2D(rng, "c", 1, 4, 3, 1, 1, true),
+		nn.NewBatchNorm2D("bn", 4),
+		nn.NewReLU(),
+		nn.NewGlobalAvgPool2D(),
+		nn.NewFlatten(),
+		nn.NewLinear(rng, "fc", 4, 3, true),
+	)
+	ds := &data.Dataset{X: tensor.Randn(rng, 1, 23, 1, 6, 6), Labels: make([]int, 23), NumClasses: 3}
+	for i := range ds.Labels {
+		ds.Labels[i] = rng.Intn(3)
+	}
+	want := nn.Accuracy(model.Forward(ds.X, false), ds.Labels)
+	for _, batch := range []int{23, 5} { // one batch; several, the last one short
+		if got := Accuracy(model, ds, batch); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("batch %d: accuracy %v through the workspace, %v without", batch, got, want)
+		}
+	}
+	a, b := model.Forward(ds.X, false), model.Forward(ds.X, false)
+	if &a.Data[0] == &b.Data[0] {
+		t.Fatal("the model is still bound to Accuracy's workspace")
+	}
+}

@@ -57,13 +57,14 @@ func TestFlightHeaderRoundTrip(t *testing.T) {
 	if _, err := trainer.TrainDispatch(0, pool.Members[0], global, 99); err != nil {
 		t.Fatal(err)
 	}
+	// The handler records the headers — and the agent its wall record —
+	// after the agent has answered, so the client can be back before the
+	// second of either exists; Close waits for the handler to return, and
+	// only then is the wall log complete.
+	ts.Close()
 	if err := wall.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The handler records the headers after the agent has answered, so the
-	// client can be back before the second record exists; Close waits for
-	// the handler to return.
-	ts.Close()
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -110,10 +110,21 @@ func (b *invertedResidual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		g = b.expand.Backward(g)
 	}
 	if b.residual {
-		g = g.Clone()
+		// g is the gradient a layer of this block just produced, so no
+		// one else holds it: the shortcut's share is added in place.
 		g.AddInPlace(grad)
 	}
 	return g
+}
+
+func (b *invertedResidual) SetWorkspace(ws *tensor.Workspace) {
+	ls := []nn.Layer{b.dw, b.dwBN, b.dwRL, b.project, b.projBN}
+	if b.expand != nil {
+		ls = append(ls, b.expand, b.expandBN, b.expandRL)
+	}
+	for _, l := range ls {
+		nn.SetWorkspace(l, ws)
+	}
 }
 
 func (b *invertedResidual) Params() []*nn.Param {

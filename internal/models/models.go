@@ -128,6 +128,13 @@ func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// SetWorkspace binds every layer of the chain to ws (see nn.SetWorkspace).
+func (m *Model) SetWorkspace(ws *tensor.Workspace) {
+	for _, l := range m.Layers {
+		nn.SetWorkspace(l, ws)
+	}
+}
+
 // Params concatenates all layer parameters.
 func (m *Model) Params() []*nn.Param {
 	var ps []*nn.Param

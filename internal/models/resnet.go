@@ -34,8 +34,6 @@ type basicBlock struct {
 	relu1, relu2 *nn.ReLU
 	proj         *nn.Conv2D
 	projBN       *nn.BatchNorm2D
-
-	shortcutIn *tensor.Tensor
 }
 
 func newBasicBlock(rng *rand.Rand, name string, in, out, stride int, hasProj bool) *basicBlock {
@@ -55,7 +53,6 @@ func newBasicBlock(rng *rand.Rand, name string, in, out, stride int, hasProj boo
 }
 
 func (b *basicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	b.shortcutIn = x
 	y := b.conv1.Forward(x, train)
 	y = b.bn1.Forward(y, train)
 	y = b.relu1.Forward(y, train)
@@ -89,6 +86,16 @@ func (b *basicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		dx.AddInPlace(g)
 	}
 	return dx
+}
+
+func (b *basicBlock) SetWorkspace(ws *tensor.Workspace) {
+	ls := []nn.Layer{b.conv1, b.bn1, b.relu1, b.conv2, b.bn2, b.relu2}
+	if b.proj != nil {
+		ls = append(ls, b.proj, b.projBN)
+	}
+	for _, l := range ls {
+		nn.SetWorkspace(l, ws)
+	}
 }
 
 func (b *basicBlock) Params() []*nn.Param {

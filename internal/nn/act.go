@@ -11,7 +11,8 @@ import (
 type ReLU struct {
 	ClampAt float64 // 0 means no upper clamp
 
-	mask []bool
+	stepAlloc
+	in *tensor.Tensor // train-mode input; Backward reads the pass mask off it
 }
 
 // NewReLU returns a standard rectifier.
@@ -20,31 +21,42 @@ func NewReLU() *ReLU { return &ReLU{} }
 // NewReLU6 returns the MobileNet-style clipped rectifier.
 func NewReLU6() *ReLU { return &ReLU{ClampAt: 6} }
 
-// Forward applies the rectifier element-wise.
+// passes reports whether the rectifier is the identity at v: strictly
+// positive and not above the clamp.
+func (r *ReLU) passes(v float64) bool {
+	return v > 0 && !(r.ClampAt > 0 && v > r.ClampAt)
+}
+
+// Forward applies the rectifier element-wise, in one pass over the input.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
-		pass := v > 0
-		if pass && r.ClampAt > 0 && v > r.ClampAt {
+	out := r.ws.Alloc(x.Shape...)
+	for i, v := range x.Data {
+		switch {
+		case r.passes(v):
+			out.Data[i] = v
+		case v > 0:
 			out.Data[i] = r.ClampAt
-			pass = false
-		} else if !pass {
+		default:
 			out.Data[i] = 0
 		}
-		r.mask[i] = pass
+	}
+	r.in = nil
+	if train {
+		r.in = x
 	}
 	return out
 }
 
 // Backward zeroes gradient where the forward pass saturated.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	for i := range out.Data {
-		if !r.mask[i] {
+	if r.in == nil {
+		panic("nn: ReLU Backward without a train-mode Forward")
+	}
+	out := r.ws.Alloc(grad.Shape...)
+	for i, v := range r.in.Data {
+		if r.passes(v) {
+			out.Data[i] = grad.Data[i]
+		} else {
 			out.Data[i] = 0
 		}
 	}
@@ -60,7 +72,8 @@ type Dropout struct {
 	P   float64
 	rng *rand.Rand
 
-	mask []bool
+	stepAlloc
+	keep []float64 // 1 where the unit survived, 0 where it was dropped; nil after a no-op forward
 }
 
 // NewDropout builds a dropout layer with drop probability p.
@@ -69,22 +82,17 @@ func NewDropout(rng *rand.Rand, p float64) *Dropout { return &Dropout{P: p, rng:
 // Forward applies dropout in training mode.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.P <= 0 {
-		d.mask = d.mask[:0]
+		d.keep = nil
 		return x
 	}
-	out := x.Clone()
-	if cap(d.mask) < len(out.Data) {
-		d.mask = make([]bool, len(out.Data))
-	}
-	d.mask = d.mask[:len(out.Data)]
+	out := d.ws.Alloc(x.Shape...)
+	d.keep = d.kept(len(x.Data))
 	scale := 1 / (1 - d.P)
-	for i := range out.Data {
+	for i, v := range x.Data {
 		if d.rng.Float64() < d.P {
-			out.Data[i] = 0
-			d.mask[i] = false
+			out.Data[i], d.keep[i] = 0, 0
 		} else {
-			out.Data[i] *= scale
-			d.mask[i] = true
+			out.Data[i], d.keep[i] = v*scale, 1
 		}
 	}
 	return out
@@ -92,14 +100,14 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward routes gradient only through surviving units.
 func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if len(d.mask) == 0 {
+	if d.keep == nil {
 		return grad
 	}
-	out := grad.Clone()
+	out := d.ws.Alloc(grad.Shape...)
 	scale := 1 / (1 - d.P)
-	for i := range out.Data {
-		if d.mask[i] {
-			out.Data[i] *= scale
+	for i, g := range grad.Data {
+		if d.keep[i] != 0 {
+			out.Data[i] = g * scale
 		} else {
 			out.Data[i] = 0
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"adaptivefl/internal/tensor"
 )
@@ -14,21 +15,23 @@ import (
 // OH*OW] block feeds one GEMM whose destination is a view straight into
 // the [N, OutC, OH, OW] output, so no scatter copy reorders the result
 // (and backward's gradient gather disappears symmetrically — the grad's
-// per-sample [OutC, OH*OW] blocks are already GEMM-shaped). Per-element
-// accumulation order matches the former whole-batch forward GEMM exactly
-// (dot products over the same K·K·InC reduction), so forward results are
-// bitwise unchanged. Weight layout is [OutC, InC, K, K]; input batches
-// are [N, InC, H, W].
+// per-sample [OutC, OH*OW] blocks are already GEMM-shaped). A pointwise
+// convolution (1×1, stride 1, no padding) skips the unfolding altogether:
+// a sample's [InC, H*W] plane already is its column block, and backward
+// writes the column gradient straight into dX. Weight layout is [OutC,
+// InC, K, K]; input batches are [N, InC, H, W].
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 	UseBias                   bool
 
 	weight, bias *Param
+	stepAlloc
 
-	// forward cache, retained only for train-mode forwards; eval-mode
-	// forwards release it so inference does not pin the column buffer.
+	// forward cache, set by train-mode forwards only: an eval-mode
+	// forward clears it, so inference pins neither the input nor the
+	// column blocks and a Backward after it fails loudly.
 	in     *tensor.Tensor
-	cols   *tensor.Tensor // im2col blocks [N, InC*K*K, OH*OW]
+	cols   []float64 // N column blocks of InC*K*K × OH*OW; in.Data when pointwise
 	oh, ow int
 }
 
@@ -45,6 +48,8 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int, bias 
 	return c
 }
 
+func (c *Conv2D) pointwise() bool { return c.K == 1 && c.Stride == 1 && c.Pad == 0 }
+
 // Forward computes the convolution over a batch.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, ci, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -53,74 +58,74 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	c.oh = tensor.ConvOutSize(h, c.K, c.Stride, c.Pad)
 	c.ow = tensor.ConvOutSize(w, c.K, c.Stride, c.Pad)
-	spatial := c.oh * c.ow
-	rows := c.InC * c.K * c.K
+	spatial, rows := c.oh*c.ow, c.InC*c.K*c.K
+	inSz, colSz, outSz := ci*h*w, rows*spatial, c.OutC*spatial
+	pointwise := c.pointwise()
 
-	var cols *tensor.Tensor
+	// Samples touch disjoint column and output blocks, so up to Parallelism
+	// workers take them one at a time off a shared counter (each element
+	// is still computed by exactly one fixed code path, so results stay
+	// bitwise independent of who computed it). Everything the workers
+	// need is taken from the workspace here, before they start: it serves
+	// one goroutine at a time.
+	par := max(1, min(tensor.Parallelism(), n))
+	out := c.ws.Alloc(n, c.OutC, c.oh, c.ow)
+	var cols []float64
+	switch {
+	case pointwise:
+		cols = x.Data
+	case train:
+		cols = c.kept(n * colSz) // for Backward
+	default:
+		cols = c.kept(par * colSz) // one block per worker
+	}
+	c.in, c.cols = nil, nil
 	if train {
-		if c.cols == nil || c.cols.Shape[0] != n || c.cols.Shape[1] != rows || c.cols.Shape[2] != spatial {
-			c.cols = tensor.New(n, rows, spatial)
-		}
-		cols = c.cols
-		c.in = x
-	} else {
-		// Eval-mode forwards don't keep column blocks for a backward pass,
-		// so one scratch block from the size-keyed pool is reused for
-		// every sample instead of allocating per call.
-		cols = tensor.GetScratch(rows, spatial)
-		c.in, c.cols = nil, nil
+		c.in, c.cols = x, cols
 	}
-
-	// One GEMM per sample, written straight into the sample's [OutC,
-	// spatial] block of the output — the GEMM destination IS the final
-	// layout, so nothing is scattered afterwards. Samples touch disjoint
-	// cols and output blocks, so they run concurrently when workers are
-	// available (each element is still computed by exactly one fixed code
-	// path, so results stay bitwise independent of the parallelism).
-	wm := c.weight.Val.Reshape(c.OutC, rows)
-	out := tensor.New(n, c.OutC, c.oh, c.ow)
-	doSample := func(s int, colsS *tensor.Tensor) {
-		xs := tensor.FromSlice(x.Data[s*ci*h*w:(s+1)*ci*h*w], ci, h, w)
-		tensor.Im2Col(xs, c.K, c.K, c.Stride, c.Pad, colsS)
-		outS := tensor.FromSlice(out.Data[s*c.OutC*spatial:(s+1)*c.OutC*spatial], c.OutC, spatial)
-		tensor.Gemm(false, false, 1, wm, colsS, 0, outS)
-	}
-	trainCols := func(s int) *tensor.Tensor {
-		return tensor.FromSlice(cols.Data[s*rows*spatial:(s+1)*rows*spatial], rows, spatial)
-	}
-	if par := tensor.Parallelism(); par > 1 && n > 1 {
-		if par > n {
-			par = n
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, par)
-		for s := 0; s < n; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if train {
-					doSample(s, trainCols(s))
-					return
-				}
-				colsS := tensor.GetScratch(rows, spatial)
-				doSample(s, colsS)
-				tensor.PutScratch(colsS)
-			}(s)
-		}
-		wg.Wait()
-	} else {
-		for s := 0; s < n; s++ {
-			if train {
-				doSample(s, trainCols(s))
-			} else {
-				doSample(s, cols)
+	if n > 0 {
+		// One GEMM per sample, written straight into the sample's [OutC,
+		// spatial] block of the output — the GEMM destination IS the
+		// final layout. A worker re-points its three views per sample.
+		wm := c.ws.View(c.weight.Val.Data, c.OutC, rows)
+		type views struct{ x, cols, out *tensor.Tensor }
+		workers := make([]views, par)
+		for i := range workers {
+			workers[i] = views{
+				cols: c.ws.View(cols[:colSz], rows, spatial),
+				out:  c.ws.View(out.Data[:outSz], c.OutC, spatial),
+			}
+			if !pointwise {
+				workers[i].x = c.ws.View(x.Data[:inSz], ci, h, w)
 			}
 		}
-	}
-	if !train {
-		tensor.PutScratch(cols)
+		var next atomic.Int64
+		run := func(wk int) {
+			v := workers[wk]
+			for s := int(next.Add(1)) - 1; s < n; s = int(next.Add(1)) - 1 {
+				block := s
+				if !train && !pointwise {
+					block = wk
+				}
+				v.cols.Data = cols[block*colSz : (block+1)*colSz]
+				if !pointwise {
+					v.x.Data = x.Data[s*inSz : (s+1)*inSz]
+					tensor.Im2Col(v.x, c.K, c.K, c.Stride, c.Pad, v.cols)
+				}
+				v.out.Data = out.Data[s*outSz : (s+1)*outSz]
+				tensor.Gemm(false, false, 1, wm, v.cols, 0, v.out)
+			}
+		}
+		var wg sync.WaitGroup
+		for wk := 1; wk < par; wk++ {
+			wg.Add(1)
+			go func(wk int) {
+				defer wg.Done()
+				run(wk)
+			}(wk)
+		}
+		run(0)
+		wg.Wait()
 	}
 	if c.UseBias {
 		for s := 0; s < n; s++ {
@@ -138,30 +143,49 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates dW (and db) and returns dX. The grad's per-sample
 // [OutC, spatial] blocks are used as GEMM operands in place — the layout
-// Forward writes is exactly the layout backward needs, so the former
-// [OutC, N*spatial] gather buffer is gone.
+// Forward writes is exactly the layout backward needs.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.in == nil || c.cols == nil {
+	if c.in == nil {
 		panic(fmt.Sprintf("nn: conv %s Backward without a train-mode Forward", c.weight.Name))
 	}
 	n := grad.Shape[0]
-	spatial := c.oh * c.ow
-	rows := c.InC * c.K * c.K
+	spatial, rows := c.oh*c.ow, c.InC*c.K*c.K
 	h, w := c.in.Shape[2], c.in.Shape[3]
+	inSz, colSz, outSz := c.InC*h*w, rows*spatial, c.OutC*spatial
+	pointwise := c.pointwise()
 
-	dwm := c.weight.Grad.Reshape(c.OutC, rows)
-	wm := c.weight.Val.Reshape(c.OutC, rows)
-	dx := tensor.New(n, c.InC, h, w)
-	dcols := tensor.GetScratch(rows, spatial)
+	// dX needs no zero fill: Col2Im clears each sample's plane before it
+	// folds into it, and the pointwise GEMM (beta 0) overwrites it.
+	dx := c.ws.Alloc(n, c.InC, h, w)
+	if n == 0 {
+		return dx
+	}
+	dwm := c.ws.View(c.weight.Grad.Data, c.OutC, rows)
+	wm := c.ws.View(c.weight.Val.Data, c.OutC, rows)
+	gS := c.ws.View(grad.Data[:outSz], c.OutC, spatial)
+	colsS := c.ws.View(c.cols[:colSz], rows, spatial)
+	var dcols, dxS *tensor.Tensor
+	if pointwise {
+		dcols = c.ws.View(dx.Data[:inSz], rows, spatial)
+	} else {
+		dcols = c.ws.Alloc(rows, spatial)
+		dxS = c.ws.View(dx.Data[:inSz], c.InC, h, w)
+	}
 	for s := 0; s < n; s++ {
-		gS := tensor.FromSlice(grad.Data[s*c.OutC*spatial:(s+1)*c.OutC*spatial], c.OutC, spatial)
-		colsS := tensor.FromSlice(c.cols.Data[s*rows*spatial:(s+1)*rows*spatial], rows, spatial)
+		gS.Data = grad.Data[s*outSz : (s+1)*outSz]
+		colsS.Data = c.cols[s*colSz : (s+1)*colSz]
 		// dW += g_s · cols_sᵀ
 		tensor.Gemm(false, true, 1, gS, colsS, 1, dwm)
-		// dcols_s = Wᵀ · g_s, folded back into the sample's dX plane.
+		// dcols_s = Wᵀ · g_s: the sample's dX plane itself when pointwise,
+		// folded back into it otherwise.
+		if pointwise {
+			dcols.Data = dx.Data[s*inSz : (s+1)*inSz]
+		}
 		tensor.Gemm(true, false, 1, wm, gS, 0, dcols)
-		dxS := tensor.FromSlice(dx.Data[s*c.InC*h*w:(s+1)*c.InC*h*w], c.InC, h, w)
-		tensor.Col2Im(dcols, c.InC, h, w, c.K, c.K, c.Stride, c.Pad, dxS)
+		if !pointwise {
+			dxS.Data = dx.Data[s*inSz : (s+1)*inSz]
+			tensor.Col2Im(dcols, c.InC, h, w, c.K, c.K, c.Stride, c.Pad, dxS)
+		}
 		if c.UseBias {
 			for o := 0; o < c.OutC; o++ {
 				row := gS.Data[o*spatial : (o+1)*spatial]
@@ -173,7 +197,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	tensor.PutScratch(dcols)
 	return dx
 }
 
@@ -196,8 +219,9 @@ type DepthwiseConv2D struct {
 	UseBias           bool
 
 	weight, bias *Param
-	in           *tensor.Tensor
-	oh, ow       int
+	stepAlloc
+	in     *tensor.Tensor
+	oh, ow int
 }
 
 // NewDepthwiseConv2D builds a depthwise convolution layer.
@@ -241,7 +265,14 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d.oh = tensor.ConvOutSize(h, d.K, d.Stride, d.Pad)
 	d.ow = tensor.ConvOutSize(w, d.K, d.Stride, d.Pad)
-	out := tensor.New(n, c, d.oh, d.ow)
+	// The taps accumulate into the output: it starts from the bias where
+	// there is one, from zero otherwise.
+	var out *tensor.Tensor
+	if d.UseBias {
+		out = d.ws.Alloc(n, c, d.oh, d.ow)
+	} else {
+		out = d.ws.Zeros(n, c, d.oh, d.ow)
+	}
 	for s := 0; s < n; s++ {
 		for ch := 0; ch < c; ch++ {
 			xIn := x.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
@@ -292,7 +323,7 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	n, c := grad.Shape[0], grad.Shape[1]
 	h, w := d.in.Shape[2], d.in.Shape[3]
-	dx := tensor.New(n, c, h, w)
+	dx := d.ws.Zeros(n, c, h, w) // the taps accumulate into it
 	for s := 0; s < n; s++ {
 		for ch := 0; ch < c; ch++ {
 			xIn := d.in.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]

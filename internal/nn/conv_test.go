@@ -97,6 +97,8 @@ func TestConv2DBatchedMatchesNaive(t *testing.T) {
 		{"3x3-pad1-bias", 5, 3, 8, 3, 1, 1, 9, 9, true},
 		{"3x3-stride2", 4, 2, 5, 3, 2, 1, 8, 10, false},
 		{"1x1", 3, 4, 6, 1, 1, 0, 7, 5, true},
+		{"1x1-nobias", 6, 5, 3, 1, 1, 0, 4, 4, false},  // pointwise: no im2col
+		{"1x1-stride2", 3, 4, 6, 1, 2, 0, 8, 6, false}, // a 1×1 that still unfolds
 		{"5x5-pad2", 2, 2, 3, 5, 1, 2, 6, 6, false},
 		{"batch1", 1, 3, 4, 3, 1, 1, 8, 8, true},
 	} {
@@ -183,9 +185,9 @@ func TestConvEvalReleasesCache(t *testing.T) {
 	}
 }
 
-// TestConvEvalScratchReuse: repeated eval-mode forwards must not grow a
-// fresh column matrix per call — the size-keyed scratch pool hands the
-// same slab back, so steady-state inference allocates only the output.
+// TestConvEvalScratchReuse: repeated eval-mode forwards of an unbound layer
+// must not grow a fresh column matrix per call — the layer recycles its
+// own column buffer, so steady-state inference allocates only the output.
 func TestConvEvalScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates per-call heap bytes past the threshold")
@@ -194,7 +196,7 @@ func TestConvEvalScratchReuse(t *testing.T) {
 	conv := NewConv2D(rng, "c", 4, 8, 3, 1, 1, false)
 	x := tensor.Randn(rng, 1, 2, 4, 8, 8)
 	want := conv.Forward(x, false)
-	// Warm the pool, then measure steady-state allocated bytes. The column
+	// Warm the scratch, then measure steady-state allocated bytes. The column
 	// matrix (4·3·3 × 2·8·8 = 4608 floats ≈ 37 KB) dwarfs the 8 KB output
 	// tensor, so reuse shows up as a large drop in bytes per call.
 	runtime.GC()
@@ -206,15 +208,55 @@ func TestConvEvalScratchReuse(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perCall := (m1.TotalAlloc - m0.TotalAlloc) / calls
-	// The output tensor plus headers is ~9 KB; without the pool the column
+	// The output tensor plus headers is ~9 KB; without the scratch the column
 	// matrix and GEMM buffer add another ~38 KB every call.
 	if perCall > 20000 {
-		t.Fatalf("eval forward allocates %d bytes per call; scratch pool not engaged", perCall)
+		t.Fatalf("eval forward allocates %d bytes per call; column scratch not engaged", perCall)
 	}
 	got := conv.Forward(x, false)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatal("scratch reuse changed the forward result")
+		}
+	}
+}
+
+// TestConvEvalWorkspaceReuse: bound to a workspace that is reset between
+// calls, eval-mode forwards settle into no heap bytes at all for the
+// output and the column block alike — both come from the slab — without
+// changing the result.
+func TestConvEvalWorkspaceReuse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates per-call heap bytes past the threshold")
+	}
+	rng := rand.New(rand.NewSource(46))
+	conv := NewConv2D(rng, "c", 4, 8, 3, 1, 1, false)
+	x := tensor.Randn(rng, 1, 2, 4, 8, 8)
+	want := conv.Forward(x, false)
+	defer tensor.SetParallelism(tensor.SetParallelism(1)) // no goroutines: count the layer's own bytes
+
+	ws := &tensor.Workspace{}
+	conv.SetWorkspace(ws)
+	conv.Forward(x, false) // warm-up: sizes the slab
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const calls = 50
+	for i := 0; i < calls; i++ {
+		ws.Reset()
+		conv.Forward(x, false)
+	}
+	runtime.ReadMemStats(&m1)
+	// The output alone is 8 KB; what remains is the worker bookkeeping
+	// (views, closure, WaitGroup).
+	if perCall := (m1.TotalAlloc - m0.TotalAlloc) / calls; perCall > 1024 {
+		t.Fatalf("eval forward allocates %d bytes per call with a workspace", perCall)
+	}
+	ws.Reset()
+	got := conv.Forward(x, false)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatal("workspace reuse changed the forward result")
 		}
 	}
 }

@@ -7,6 +7,12 @@
 // dense layers take [N,F]. A layer caches whatever its Backward pass needs
 // during Forward, so the usual usage is strictly
 // Forward → Backward → optimizer step.
+//
+// Every tensor a step creates — outputs, input gradients, im2col blocks,
+// masks, views — comes from the tensor.Workspace the layer is bound to
+// (SetWorkspace) and is valid until that workspace's next Reset; whoever
+// owns the workspace resets it once per step. An unbound layer returns
+// freshly allocated tensors, so a layer built alone needs no workspace.
 package nn
 
 import (
@@ -46,6 +52,45 @@ type Layer interface {
 	Params() []*Param
 }
 
+// stepAlloc is embedded by every layer that creates per-step tensors: ws
+// is where they come from. A nil ws (the zero value) allocates.
+type stepAlloc struct {
+	ws  *tensor.Workspace
+	own []float64 // see kept
+}
+
+// SetWorkspace binds the layer to ws; nil unbinds it.
+func (a *stepAlloc) SetWorkspace(ws *tensor.Workspace) { a.ws, a.own = ws, nil }
+
+// kept returns n elements, contents undefined, for what a Forward keeps
+// inside the layer for its Backward and never hands to a caller: column
+// blocks, normalised activations, argmax tables. A bound layer takes them
+// from ws like everything else. An unbound layer owes its callers fresh
+// tensors, but these it may recycle, so it keeps one buffer of its own —
+// an unbound training loop (a test, a probe) should not pay for a
+// zero-filled column matrix per convolution per step.
+func (a *stepAlloc) kept(n int) []float64 {
+	if a.ws != nil {
+		return a.ws.Alloc(n).Data
+	}
+	if cap(a.own) < n {
+		a.own = make([]float64, n)
+	}
+	return a.own[:n]
+}
+
+// SetWorkspace binds l — and, through the composite layers' own
+// SetWorkspace methods, every layer beneath it — to ws, so that all of
+// the model's per-step tensors share one slab. A workspace serves one
+// goroutine at a time, which makes it the property of whoever drives the
+// model: a training arena, an evaluation call. Layers without the method
+// keep allocating.
+func SetWorkspace(l Layer, ws *tensor.Workspace) {
+	if u, ok := l.(interface{ SetWorkspace(*tensor.Workspace) }); ok {
+		u.SetWorkspace(ws)
+	}
+}
+
 // Sequential chains layers. It implements Layer.
 type Sequential struct {
 	Layers []Layer
@@ -71,6 +116,13 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// SetWorkspace binds every layer of the chain to ws.
+func (s *Sequential) SetWorkspace(ws *tensor.Workspace) {
+	for _, l := range s.Layers {
+		SetWorkspace(l, ws)
+	}
 }
 
 // Params returns the concatenated parameters of all layers.

@@ -15,7 +15,8 @@ type Linear struct {
 	UseBias bool
 
 	weight, bias *Param
-	in           *tensor.Tensor
+	stepAlloc
+	in *tensor.Tensor // train-mode input, for Backward
 }
 
 // NewLinear builds a dense layer with He-initialised weights.
@@ -34,9 +35,12 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Shape[1] != l.In {
 		panic(fmt.Sprintf("nn: linear %s expects %d features, got %d", l.weight.Name, l.In, x.Shape[1]))
 	}
-	l.in = x
+	l.in = nil
+	if train {
+		l.in = x
+	}
 	n := x.Shape[0]
-	y := tensor.New(n, l.Out)
+	y := l.ws.Alloc(n, l.Out)
 	tensor.Gemm(false, true, 1, x, l.weight.Val, 0, y)
 	if l.UseBias {
 		for s := 0; s < n; s++ {
@@ -51,6 +55,9 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates dW = dYᵀ·X, db = Σ dY, and returns dX = dY·W.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if l.in == nil {
+		panic(fmt.Sprintf("nn: linear %s Backward without a train-mode Forward", l.weight.Name))
+	}
 	n := grad.Shape[0]
 	tensor.Gemm(true, false, 1, grad, l.in, 1, l.weight.Grad)
 	if l.UseBias {
@@ -61,7 +68,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	dx := tensor.New(n, l.In)
+	dx := l.ws.Alloc(n, l.In)
 	tensor.Gemm(false, false, 1, grad, l.weight.Val, 0, dx)
 	return dx
 }
@@ -79,6 +86,7 @@ func (l *Linear) Params() []*Param {
 // channel-prefix of the conv output maps to a contiguous feature prefix —
 // the property AdaptiveFL's width pruning relies on at the conv→FC seam.
 type Flatten struct {
+	stepAlloc
 	inShape []int
 }
 
@@ -88,12 +96,16 @@ func NewFlatten() *Flatten { return &Flatten{} }
 // Forward flattens all trailing dimensions.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f.inShape = append(f.inShape[:0], x.Shape...)
-	return x.Reshape(x.Shape[0], -1)
+	features := 1
+	for _, d := range x.Shape[1:] {
+		features *= d
+	}
+	return f.ws.View(x.Data, x.Shape[0], features)
 }
 
 // Backward restores the cached input shape.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.inShape...)
+	return f.ws.View(grad.Data, f.inShape...)
 }
 
 // Params returns nil; Flatten has no parameters.

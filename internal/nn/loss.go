@@ -8,8 +8,11 @@ import (
 
 // Softmax writes row-wise softmax of logits [N,K] into a new tensor.
 func Softmax(logits *tensor.Tensor) *tensor.Tensor {
+	return softmaxInto(tensor.New(logits.Shape...), logits)
+}
+
+func softmaxInto(out, logits *tensor.Tensor) *tensor.Tensor {
 	n, k := logits.Shape[0], logits.Shape[1]
-	out := tensor.New(n, k)
 	for s := 0; s < n; s++ {
 		row := logits.Data[s*k : (s+1)*k]
 		max := math.Inf(-1)
@@ -36,13 +39,18 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 // integer labels, returning the loss and dLoss/dLogits (already divided by
 // the batch size, ready to feed Backward).
 func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	return CrossEntropyIn(nil, logits, labels)
+}
+
+// CrossEntropyIn is CrossEntropy with the gradient taken from ws: a
+// per-step tensor like a layer's, valid until ws is next Reset.
+func CrossEntropyIn(ws *tensor.Workspace, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	n, k := logits.Shape[0], logits.Shape[1]
-	probs := Softmax(logits)
-	grad := probs.Clone()
+	grad := softmaxInto(ws.Alloc(n, k), logits) // the probabilities, until the labels are subtracted
 	loss := 0.0
 	invN := 1 / float64(n)
 	for s := 0; s < n; s++ {
-		p := probs.Data[s*k+labels[s]]
+		p := grad.Data[s*k+labels[s]]
 		loss -= math.Log(math.Max(p, 1e-12))
 		grad.Data[s*k+labels[s]] -= 1
 	}

@@ -32,6 +32,8 @@ func TestConv2DGradients(t *testing.T) {
 		{"3x3-pad1-bias", 3, 4, 3, 1, 1, true},
 		{"3x3-stride2", 2, 3, 3, 2, 1, false},
 		{"1x1", 4, 2, 1, 1, 0, true},
+		{"1x1-nobias", 3, 5, 1, 1, 0, false},
+		{"1x1-stride2", 3, 2, 1, 2, 0, false},
 		{"5x5-pad2", 2, 2, 5, 1, 2, false},
 	} {
 		layer := NewConv2D(rng, "c", cfg.inC, cfg.outC, cfg.k, cfg.stride, cfg.pad, cfg.bias)

@@ -18,10 +18,10 @@ type BatchNorm2D struct {
 
 	gamma, beta             *Param
 	runningMean, runningVar *Param
+	stepAlloc
 
-	// forward cache
-	in     *tensor.Tensor
-	xhat   *tensor.Tensor
+	// forward cache, set by train-mode forwards only
+	xhat   []float64
 	invStd []float64
 }
 
@@ -42,22 +42,14 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if c != b.C {
 		panic(fmt.Sprintf("nn: batchnorm %s expects %d channels, got %d", b.gamma.Name, b.C, c))
 	}
-	out := tensor.New(n, c, h, w)
+	out := b.ws.Alloc(n, c, h, w) // every element is written below
 	spatial := h * w
 	m := float64(n * spatial)
 
+	b.xhat, b.invStd = nil, nil
 	if train {
-		b.in = x
-		// Reuse the normalised-activation cache across steps (and across
-		// the dispatches of an arena-recycled model): every element is
-		// overwritten below before Backward reads it.
-		if b.xhat == nil || !tensor.SameShape(b.xhat, x) {
-			b.xhat = tensor.New(n, c, h, w)
-		}
-		if cap(b.invStd) < c {
-			b.invStd = make([]float64, c)
-		}
-		b.invStd = b.invStd[:c]
+		buf := b.kept(len(x.Data) + c)
+		b.xhat, b.invStd = buf[:len(x.Data)], buf[len(x.Data):]
 		for ch := 0; ch < c; ch++ {
 			mean, sq := 0.0, 0.0
 			for s := 0; s < n; s++ {
@@ -80,7 +72,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				base := (s*c + ch) * spatial
 				for i := 0; i < spatial; i++ {
 					xh := (x.Data[base+i] - mean) * inv
-					b.xhat.Data[base+i] = xh
+					b.xhat[base+i] = xh
 					out.Data[base+i] = g*xh + bt
 				}
 			}
@@ -106,10 +98,13 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements the standard batch-norm gradient.
 func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if b.xhat == nil {
+		panic(fmt.Sprintf("nn: batchnorm %s Backward without a train-mode Forward", b.gamma.Name))
+	}
 	n, c, h, w := grad.Shape[0], grad.Shape[1], grad.Shape[2], grad.Shape[3]
 	spatial := h * w
 	m := float64(n * spatial)
-	dx := tensor.New(n, c, h, w)
+	dx := b.ws.Alloc(n, c, h, w)
 	for ch := 0; ch < c; ch++ {
 		g := b.gamma.Val.Data[ch]
 		inv := b.invStd[ch]
@@ -119,7 +114,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for i := 0; i < spatial; i++ {
 				dy := grad.Data[base+i]
 				sumDy += dy
-				sumDyXhat += dy * b.xhat.Data[base+i]
+				sumDyXhat += dy * b.xhat[base+i]
 			}
 		}
 		b.beta.Grad.Data[ch] += sumDy
@@ -129,7 +124,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			base := (s*c + ch) * spatial
 			for i := 0; i < spatial; i++ {
 				dy := grad.Data[base+i]
-				xh := b.xhat.Data[base+i]
+				xh := b.xhat[base+i]
 				dx.Data[base+i] = k1 * (m*dy - sumDy - xh*sumDyXhat)
 			}
 		}

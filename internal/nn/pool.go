@@ -10,7 +10,11 @@ import (
 type MaxPool2D struct {
 	K, Stride int
 
-	argmax  []int
+	stepAlloc
+	// argmax holds each window's winning input index, as float64 (exact:
+	// an index is far below 2^53) so that it lives in the step workspace
+	// like every other per-step buffer. Train-mode forwards only.
+	argmax  []float64
 	inShape []int
 }
 
@@ -23,11 +27,11 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutSize(h, p.K, p.Stride, 0)
 	ow := tensor.ConvOutSize(w, p.K, p.Stride, 0)
 	p.inShape = append(p.inShape[:0], x.Shape...)
-	out := tensor.New(n, c, oh, ow)
-	if cap(p.argmax) < out.Numel() {
-		p.argmax = make([]int, out.Numel())
+	out := p.ws.Alloc(n, c, oh, ow)
+	p.argmax = nil
+	if train {
+		p.argmax = p.kept(len(out.Data))
 	}
-	p.argmax = p.argmax[:out.Numel()]
 	idx := 0
 	for s := 0; s < n; s++ {
 		for ch := 0; ch < c; ch++ {
@@ -51,7 +55,9 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						}
 					}
 					out.Data[idx] = best
-					p.argmax[idx] = bestAt
+					if train {
+						p.argmax[idx] = float64(bestAt)
+					}
 					idx++
 				}
 			}
@@ -62,9 +68,12 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward routes each output gradient to its window's argmax.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(p.inShape...)
+	if p.argmax == nil {
+		panic("nn: MaxPool2D Backward without a train-mode Forward")
+	}
+	dx := p.ws.Zeros(p.inShape...) // overlapping windows accumulate
 	for i, at := range p.argmax {
-		dx.Data[at] += grad.Data[i]
+		dx.Data[int(at)] += grad.Data[i]
 	}
 	return dx
 }
@@ -75,6 +84,7 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 // GlobalAvgPool2D averages each channel's spatial map to a single value,
 // producing [N, C, 1, 1].
 type GlobalAvgPool2D struct {
+	stepAlloc
 	inShape []int
 }
 
@@ -85,7 +95,7 @@ func NewGlobalAvgPool2D() *GlobalAvgPool2D { return &GlobalAvgPool2D{} }
 func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	p.inShape = append(p.inShape[:0], x.Shape...)
-	out := tensor.New(n, c, 1, 1)
+	out := p.ws.Alloc(n, c, 1, 1)
 	spatial := h * w
 	for i := 0; i < n*c; i++ {
 		s := 0.0
@@ -99,7 +109,7 @@ func (p *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward spreads each gradient uniformly over its spatial map.
 func (p *GlobalAvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(p.inShape...)
+	dx := p.ws.Alloc(p.inShape...)
 	spatial := p.inShape[2] * p.inShape[3]
 	inv := 1 / float64(spatial)
 	for i := 0; i < p.inShape[0]*p.inShape[1]; i++ {
@@ -118,6 +128,7 @@ func (p *GlobalAvgPool2D) Params() []*Param { return nil }
 type AvgPool2D struct {
 	K, Stride int
 
+	stepAlloc
 	inShape []int
 }
 
@@ -130,7 +141,7 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutSize(h, p.K, p.Stride, 0)
 	ow := tensor.ConvOutSize(w, p.K, p.Stride, 0)
 	p.inShape = append(p.inShape[:0], x.Shape...)
-	out := tensor.New(n, c, oh, ow)
+	out := p.ws.Alloc(n, c, oh, ow)
 	inv := 1 / float64(p.K*p.K)
 	idx := 0
 	for s := 0; s < n; s++ {
@@ -158,7 +169,7 @@ func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3]
 	oh := tensor.ConvOutSize(h, p.K, p.Stride, 0)
 	ow := tensor.ConvOutSize(w, p.K, p.Stride, 0)
-	dx := tensor.New(p.inShape...)
+	dx := p.ws.Zeros(p.inShape...) // overlapping windows accumulate
 	inv := 1 / float64(p.K*p.K)
 	idx := 0
 	for s := 0; s < n; s++ {

@@ -1,9 +1,13 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package tensor
 
-func axpy2x2Accel(u0, u1, v0, v1 float64, b0, b1, c0, c1 []float64) int { return 0 }
+// Without the assembly kernels every row kernel runs its Go twin.
 
-func axpy2x1Accel(u0, u1 float64, b0, b1, c0 []float64) int { return 0 }
+func axpyRows2Accel(u0, u1, b []float64, ldb int, c0, c1 []float64) int { return 0 }
 
-func dotLanesAccel(a, b []float64) dotLanes { return dotLanesGeneric(a, b) }
+func axpyRows1Accel(u0, b []float64, ldb int, c0 []float64) int { return 0 }
+
+func dotRows2Accel(a0, a1, b []float64, alpha float64, c0, c1 []float64) bool { return false }
+
+func dotRows1Accel(a0, b []float64, alpha float64, c0 []float64) bool { return false }

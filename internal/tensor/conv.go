@@ -12,14 +12,17 @@ func ConvOutSize(in, kernel, stride, pad int) int {
 // bounds taps (padding) contribute zeros. The result is written into cols,
 // which must have shape [C*kh*kw, N*oh*ow]. Stride-1 rows are bulk-copied.
 func Im2ColBatch(x *Tensor, kh, kw, stride, pad int, cols *Tensor) {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	im2col(x.Data, x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], kh, kw, stride, pad, cols)
+}
+
+func im2col(xd []float64, n, c, h, w, kh, kw, stride, pad int, cols *Tensor) {
 	oh := ConvOutSize(h, kh, stride, pad)
 	ow := ConvOutSize(w, kw, stride, pad)
 	total := n * oh * ow
 	if cols.Shape[0] != c*kh*kw || cols.Shape[1] != total {
-		panic("tensor: Im2ColBatch cols shape mismatch")
+		panic("tensor: Im2Col cols shape mismatch")
 	}
-	xd, cd := x.Data, cols.Data
+	cd := cols.Data
 	row := 0
 	for ch := 0; ch < c; ch++ {
 		for ki := 0; ki < kh; ki++ {
@@ -76,18 +79,21 @@ func Im2ColBatch(x *Tensor, kh, kw, stride, pad int, cols *Tensor) {
 // gradient of shape [N,C,H,W], accumulating overlapping taps. dst is
 // zeroed first.
 func Col2ImBatch(cols *Tensor, c, h, w, kh, kw, stride, pad int, dst *Tensor) {
-	n := dst.Shape[0]
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	total := n * oh * ow
 	if dst.Shape[1] != c || dst.Shape[2] != h || dst.Shape[3] != w {
 		panic("tensor: Col2ImBatch dst shape mismatch")
 	}
-	if cols.Shape[0] != c*kh*kw || cols.Shape[1] != total {
-		panic("tensor: Col2ImBatch cols shape mismatch")
+	col2im(cols, dst.Shape[0], c, h, w, kh, kw, stride, pad, dst.Data)
+}
+
+func col2im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int, dd []float64) {
+	oh := ConvOutSize(h, kh, stride, pad)
+	ow := ConvOutSize(w, kw, stride, pad)
+	total := n * oh * ow
+	if cols.Shape[0] != c*kh*kw || cols.Shape[1] != total || len(dd) != n*c*h*w {
+		panic("tensor: Col2Im shape mismatch")
 	}
-	dst.Zero()
-	cd, dd := cols.Data, dst.Data
+	clear(dd)
+	cd := cols.Data
 	row := 0
 	for ch := 0; ch < c; ch++ {
 		for ki := 0; ki < kh; ki++ {
@@ -155,13 +161,15 @@ func clipWindow(off, ow, w int) (lo, hi int) {
 // Im2Col unfolds a single image x of shape [C,H,W] into a matrix of shape
 // [C*kh*kw, oh*ow]. It is the N==1 special case of Im2ColBatch.
 func Im2Col(x *Tensor, kh, kw, stride, pad int, cols *Tensor) {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	Im2ColBatch(x.Reshape(1, c, h, w), kh, kw, stride, pad, cols)
+	im2col(x.Data, 1, x.Shape[0], x.Shape[1], x.Shape[2], kh, kw, stride, pad, cols)
 }
 
 // Col2Im folds cols of shape [C*kh*kw, oh*ow] back into an image gradient
 // of shape [C,H,W], accumulating overlapping taps. dst is zeroed first. It
 // is the N==1 special case of Col2ImBatch.
 func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int, dst *Tensor) {
-	Col2ImBatch(cols, c, h, w, kh, kw, stride, pad, dst.Reshape(1, c, h, w))
+	if dst.Shape[0] != c || dst.Shape[1] != h || dst.Shape[2] != w {
+		panic("tensor: Col2Im dst shape mismatch")
+	}
+	col2im(cols, 1, c, h, w, kh, kw, stride, pad, dst.Data)
 }

@@ -23,9 +23,14 @@ func SetParallelism(n int) int {
 // Parallelism reports the current GEMM worker cap.
 func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
 
-// serialThreshold is the FLOP count below which GEMM stays single-threaded;
-// task fan-out costs more than it saves on small matrices.
-const serialThreshold = 1 << 16
+// serialThreshold is the FLOP count below which GEMM stays single-threaded:
+// handing a chunk to the pool costs a goroutine wake-up, tens of
+// microseconds when the other core is idle, and the row kernels get
+// through a million FLOPs in about 70 µs — below that the caller waits for
+// the wake-up longer than the chunk would have taken it. (The per-sample
+// GEMMs of a quick-scale convolution, ≤ 0.7 MFLOP, sit under it; their
+// parallelism is the sample fan-out of Conv2D.Forward.)
+const serialThreshold = 1 << 20
 
 // Gemm used to spawn fresh goroutines on every call, which dominated the
 // cost of the many small batched GEMMs a training step issues. Work is now
@@ -58,12 +63,15 @@ func trySubmit(task func()) bool {
 	}
 }
 
-// Tiling parameters for the blocked kernel. A j-panel of nTile columns
-// keeps the active C segment and four B row segments (~40 KB) L1/L2
-// resident; a k-panel of kTile rows bounds the slab of B streamed per
-// output row. Panel boundaries are fixed by matrix shape alone, so the
-// floating-point accumulation order — and therefore the bitwise result —
-// is identical whether the row chunks run serially or on the pool.
+// Tiling parameters for the blocked kernel (NN and TN). One row-kernel
+// call covers a kTile×nTile panel of B for a pair of C rows: the k-panel
+// bounds the slab of B streamed per row pair (and the coefficient buffer
+// gemmBlock keeps on its stack), the j-panel how much of B must stay cache
+// resident while the row pairs take their turns over it. kTile is even,
+// so k is grouped into the same pairs whatever the panel; panel boundaries
+// are fixed by matrix shape alone, so the floating-point accumulation
+// order — and therefore the bitwise result — is identical whether the row
+// chunks run serially or on the pool.
 const (
 	kTile = 256
 	nTile = 1024
@@ -71,7 +79,7 @@ const (
 
 // minJChunk is the narrowest j-span worth handing to a worker when the
 // grid splits columns: wide enough to amortise task dispatch and keep
-// axpy passes on long contiguous runs.
+// the row kernels on long contiguous runs.
 const minJChunk = 256
 
 // MatMul returns C = A·B for A of shape [m,k] and B of shape [k,n].
@@ -85,15 +93,16 @@ func MatMul(a, b *Tensor) *Tensor {
 // transposes its argument. A, B and C must be rank-2. Shapes after op must
 // satisfy op(A):[m,k], op(B):[k,n], C:[m,n].
 //
-// The kernel is register-blocked 2×2: two C rows by two B rows per inner
-// pass (axpy2x2), with a single-row tail that keeps the identical 2-wise
-// k grouping, and large operands are tiled into kTile×nTile panels. Rows
-// of C are partitioned across the persistent worker pool; each row is
-// owned by exactly one worker and accumulated in a fixed order, so
-// results are bitwise independent of the parallelism setting. Any future
-// kernel variant must preserve the per-row accumulation grouping (2-wise
-// over k, panels fixed by shape) or the serial/parallel/AVX paths stop
-// being bitwise identical — see TestGemmSerialParallelBitwise.
+// The work is done by the row kernels of axpy.go, two C rows per call
+// (one for the last row of an odd block, in the identical k grouping),
+// with large operands tiled into kTile×nTile panels. Rows of C are
+// partitioned across the persistent worker pool; each row is owned by
+// exactly one worker and accumulated in a fixed order, so results are
+// bitwise independent of the parallelism setting. Any future kernel
+// variant must preserve the per-element accumulation grouping (2-wise
+// over k for NN/TN, the 16-stripe tree for NT) or the serial/parallel/
+// AVX paths stop being bitwise identical — see
+// TestGemmSerialParallelBitwise and TestGemmAccelMatchesGeneric.
 func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Tensor) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(c.Shape) != 2 {
 		panic("tensor: Gemm requires rank-2 tensors")
@@ -184,109 +193,74 @@ func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Ten
 }
 
 // gemmBlock accumulates the C block rows [lo,hi) × columns [jLo,jHi)
-// with the blocked kernel. The loop order keeps the innermost access
-// contiguous whenever the operand layout permits, and the per-element
-// accumulation order — always a fixed 2-wise grouping over k — depends
-// only on the matrix shapes, never on the block bounds, so any grid
-// partition of C reproduces the serial result bitwise.
+// with the row kernels of axpy.go. The per-element accumulation order —
+// k taken in pairs with a single trailing step for NN and TN, the fixed
+// 16-stripe tree for NT — depends only on the matrix shapes, never on the
+// block bounds or on which kernel form (pair or single row) processed the
+// element, so any grid partition of C reproduces the serial result
+// bitwise.
 func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo, jHi, k int) {
-	n := c.Shape[1]
+	m, n := c.Shape[0], c.Shape[1]
 	ad, bd, cd := a.Data, b.Data, c.Data
 	switch {
-	case !transA && !transB:
-		// C[i,j] += alpha * A[i,p] * B[p,j], tiled j-then-k, k unrolled 4x.
+	case !transB:
+		// C[i,j] += alpha * op(A)[i,p] * B[p,j], tiled j-then-k. A kernel
+		// call takes one kTile panel of a C row pair, k in pairs; kTile is
+		// even, so the pairs are the same (0,1),(2,3),… whatever the
+		// panel. The panel's scaled A coefficients are gathered first —
+		// along a row of A, or down two adjacent columns when A is
+		// transposed — which is all that differs between NN and TN.
+		var ubuf [2 * kTile]float64
 		for j0 := jLo; j0 < jHi; j0 += nTile {
-			j1 := j0 + nTile
-			if j1 > jHi {
-				j1 = jHi
-			}
+			nj := min(nTile, jHi-j0)
 			for p0 := 0; p0 < k; p0 += kTile {
-				p1 := p0 + kTile
-				if p1 > k {
-					p1 = k
-				}
-				nj := j1 - j0
+				kp := min(kTile, k-p0)
+				u0, u1 := ubuf[:kp], ubuf[kTile:kTile+kp]
+				bp := bd[p0*n+j0:]
 				i := lo
 				for ; i+2 <= hi; i += 2 {
-					c0 := cd[i*n+j0:][:nj]
-					c1 := cd[(i+1)*n+j0:][:nj]
-					a0 := ad[i*k : i*k+k]
-					a1 := ad[(i+1)*k : (i+1)*k+k]
-					p := p0
-					for ; p+2 <= p1; p += 2 {
-						axpy2x2(alpha*a0[p], alpha*a0[p+1], alpha*a1[p], alpha*a1[p+1],
-							bd[p*n+j0:][:nj], bd[(p+1)*n+j0:][:nj], c0, c1)
-					}
-					for ; p < p1; p++ {
-						u := alpha * a0[p]
-						v := alpha * a1[p]
-						bp := bd[p*n+j0:][:nj]
-						for j := range c0 {
-							bv := bp[j]
-							c0[j] += u * bv
-							c1[j] += v * bv
+					if transA {
+						for p := range u0 {
+							ap := ad[(p0+p)*m+i:][:2]
+							u0[p], u1[p] = alpha*ap[0], alpha*ap[1]
+						}
+					} else {
+						a0, a1 := ad[i*k+p0:][:kp], ad[(i+1)*k+p0:][:kp]
+						for p := range u0 {
+							u0[p], u1[p] = alpha*a0[p], alpha*a1[p]
 						}
 					}
+					axpyRows2(u0, u1, bp, n, cd[i*n+j0:][:nj], cd[(i+1)*n+j0:][:nj])
 				}
-				// The single-row tail mirrors the pair path's 2-wise k
-				// grouping exactly, so a row's accumulation order does not
-				// depend on which path (or worker chunk) processed it.
-				for ; i < hi; i++ {
-					ci := cd[i*n+j0:][:nj]
-					ai := ad[i*k : i*k+k]
-					p := p0
-					for ; p+2 <= p1; p += 2 {
-						axpy2x1(alpha*ai[p], alpha*ai[p+1],
-							bd[p*n+j0:][:nj], bd[(p+1)*n+j0:][:nj], ci)
-					}
-					for ; p < p1; p++ {
-						av := alpha * ai[p]
-						bp := bd[p*n+j0:][:nj]
-						for j := range ci {
-							ci[j] += av * bp[j]
+				if i < hi {
+					if transA {
+						for p := range u0 {
+							u0[p] = alpha * ad[(p0+p)*m+i]
+						}
+					} else {
+						ai := ad[i*k+p0:][:kp]
+						for p := range u0 {
+							u0[p] = alpha * ai[p]
 						}
 					}
+					axpyRows1(u0, bp, n, cd[i*n+j0:][:nj])
 				}
 			}
 		}
-	case !transA && transB:
+	case !transA:
 		// C[i,j] += alpha * A[i,p] * B[j,p]: a dot of two rows with the
-		// fixed 16-stripe reduction tree (see dot).
-		for i := lo; i < hi; i++ {
-			ai := ad[i*k : i*k+k]
-			ci := cd[i*n : i*n+n]
-			for j := jLo; j < jHi; j++ {
-				ci[j] += alpha * dot(ai, bd[j*k:j*k+k])
-			}
-		}
-	case transA && !transB:
-		// C[i,j] += alpha * A[p,i] * B[p,j], k unrolled 2x so each pass
-		// over a C row covers two B rows.
-		m := c.Shape[0]
+		// fixed 16-stripe reduction tree (see dot). One kernel call takes
+		// every B row of the span against a pair of A rows.
 		nj := jHi - jLo
-		p := 0
-		for ; p+2 <= k; p += 2 {
-			ap0 := ad[p*m : p*m+m]
-			ap1 := ad[(p+1)*m : (p+1)*m+m]
-			bp0 := bd[p*n+jLo:][:nj]
-			bp1 := bd[(p+1)*n+jLo:][:nj]
-			for i := lo; i < hi; i++ {
-				axpy2x1(alpha*ap0[i], alpha*ap1[i], bp0, bp1, cd[i*n+jLo:][:nj])
-			}
+		bs := bd[jLo*k : jHi*k]
+		i := lo
+		for ; i+2 <= hi; i += 2 {
+			dotRows2(ad[i*k:][:k], ad[(i+1)*k:][:k], bs, alpha, cd[i*n+jLo:][:nj], cd[(i+1)*n+jLo:][:nj])
 		}
-		for ; p < k; p++ {
-			ap := ad[p*m : p*m+m]
-			bp := bd[p*n+jLo:][:nj]
-			for i := lo; i < hi; i++ {
-				av := alpha * ap[i]
-				ci := cd[i*n+jLo:][:nj]
-				for j := range ci {
-					ci[j] += av * bp[j]
-				}
-			}
+		if i < hi {
+			dotRows1(ad[i*k:][:k], bs, alpha, cd[i*n+jLo:][:nj])
 		}
 	default: // transA && transB
-		m := c.Shape[0]
 		for i := lo; i < hi; i++ {
 			ci := cd[i*n : i*n+n]
 			for j := jLo; j < jHi; j++ {

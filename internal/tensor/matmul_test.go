@@ -71,48 +71,138 @@ func TestGemmSerialParallelBitwise(t *testing.T) {
 	}
 }
 
-// TestGemmAccelMatchesGeneric pins the AVX micro-kernels to the portable
-// Go implementations: identical bits, not just close values.
+// TestGemmGridBitwise repeats the serial/parallel contract on shapes whose
+// FLOP counts clear the fan-out threshold with room to spare, so that the
+// row split, the j-split and a ragged j-split are each exercised through
+// the pool whatever the threshold is tuned to.
+func TestGemmGridBitwise(t *testing.T) {
+	defer SetParallelism(SetParallelism(1))
+	for _, sh := range []struct{ m, k, n int }{
+		{65, 300, 129}, // row split, odd everything
+		{1, 600, 2048}, // j-split carries all parallelism
+		{2, 520, 1100}, // j-split with a ragged final column chunk
+		{3, 260, 4099}, // j-split across nTile panels, odd n
+	} {
+		if 2*sh.m*sh.k*sh.n < 2*serialThreshold {
+			t.Fatalf("m=%d k=%d n=%d no longer clears the fan-out threshold", sh.m, sh.k, sh.n)
+		}
+		for _, transA := range []bool{false, true} {
+			for _, transB := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(sh.m + sh.k + sh.n)))
+				a, b := gemmOperands(rng, sh.m, sh.k, sh.n, transA, transB)
+				cInit := Randn(rng, 1, sh.m, sh.n)
+
+				SetParallelism(1)
+				serial := cInit.Clone()
+				Gemm(transA, transB, -1.25, a, b, 0.5, serial)
+
+				SetParallelism(4)
+				par := cInit.Clone()
+				Gemm(transA, transB, -1.25, a, b, 0.5, par)
+
+				for i := range serial.Data {
+					if serial.Data[i] != par.Data[i] {
+						t.Fatalf("m=%d k=%d n=%d transA=%v transB=%v: parallel differs at %d: %v vs %v",
+							sh.m, sh.k, sh.n, transA, transB, i, serial.Data[i], par.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmAccelMatchesGeneric pins the row kernels to the arithmetic they
+// replaced: identical bits, not just close values. Over the shapes
+// training issues (the 6-to-51-channel convolutions of a quick-scale
+// ResNet-18, their 16-to-1024-pixel planes, odd sizes that exercise every
+// pair/single and strip/tail path), all four transpose cases and three
+// alpha/beta settings, a block computed by gemmBlock — the AVX kernels
+// where the build has them, their Go twins under -tags purego — must
+// equal the frozen per-vector loops of matmul_ref_test.go, both for the
+// whole matrix and for a span that starts mid-row.
 func TestGemmAccelMatchesGeneric(t *testing.T) {
+	ms := []int{1, 2, 5, 6, 13, 51}
+	ks := []int{1, 4, 15, 16, 27, 54, 459, 1024}
+	ns := []int{1, 3, 4, 16, 17, 64, 1024}
+	cases := []struct{ alpha, beta float64 }{{1, 0}, {1, 1}, {-0.5, 0.25}}
+	for _, m := range ms {
+		for _, k := range ks {
+			for _, n := range ns {
+				if testing.Short() && m*k*n > 1<<20 {
+					continue
+				}
+				for _, transA := range []bool{false, true} {
+					for _, transB := range []bool{false, true} {
+						rng := rand.New(rand.NewSource(int64(7*m + 13*k + 29*n)))
+						a, b := gemmOperands(rng, m, k, n, transA, transB)
+						cInit := Randn(rng, 1, m, n)
+						for _, ab := range cases {
+							// Whole matrix, then the lower rows × columns
+							// [jLo,n) with jLo off the strip boundaries.
+							for _, span := range [][4]int{{0, m, 0, n}, {m / 2, m, n / 3, n}} {
+								lo, hi, jLo, jHi := span[0], span[1], span[2], span[3]
+								got, want := cInit.Clone(), cInit.Clone()
+								got.Scale(ab.beta)
+								want.Scale(ab.beta)
+								gemmBlock(transA, transB, ab.alpha, a, b, got, lo, hi, jLo, jHi, k)
+								refGemmBlock(transA, transB, ab.alpha, a, b, want, lo, hi, jLo, jHi, k)
+								for i := range want.Data {
+									if got.Data[i] != want.Data[i] {
+										t.Fatalf("m=%d k=%d n=%d transA=%v transB=%v alpha=%v beta=%v span=%v: differs at %d: %v vs %v",
+											m, k, n, transA, transB, ab.alpha, ab.beta, span, i, got.Data[i], want.Data[i])
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowKernelsMatchTwins runs each accelerated row kernel against its
+// Go twin directly, at lengths around every strip and stripe boundary.
+func TestRowKernelsMatchTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	for _, n := range []int{1, 3, 4, 7, 8, 15, 16, 31, 64, 100} {
-		b0 := Randn(rng, 1, n).Data
-		b1 := Randn(rng, 1, n).Data
-		base := Randn(rng, 1, n).Data
+	for _, kp := range []int{1, 2, 3, 16, 17, 33} {
+		for _, nj := range []int{1, 3, 4, 7, 8, 15, 16, 19, 20, 31, 36, 100} {
+			ldb := nj + 5
+			u0, u1 := Randn(rng, 1, kp).Data, Randn(rng, 1, kp).Data
+			b := Randn(rng, 1, kp*ldb).Data
+			base0, base1 := Randn(rng, 1, nj).Data, Randn(rng, 1, nj).Data
 
-		got0 := append([]float64(nil), base...)
-		got1 := append([]float64(nil), base...)
-		axpy2x2(1.5, -0.25, 0.75, 2, b0, b1, got0, got1)
-		want0 := append([]float64(nil), base...)
-		want1 := append([]float64(nil), base...)
-		for j := 0; j < n; j++ {
-			want0[j] += 1.5*b0[j] + -0.25*b1[j]
-			want1[j] += 0.75*b0[j] + 2*b1[j]
-		}
-		for j := 0; j < n; j++ {
-			if got0[j] != want0[j] || got1[j] != want1[j] {
-				t.Fatalf("axpy2x2 n=%d differs at %d", n, j)
+			got0, got1 := append([]float64(nil), base0...), append([]float64(nil), base1...)
+			want0, want1 := append([]float64(nil), base0...), append([]float64(nil), base1...)
+			axpyRows2(u0, u1, b, ldb, got0, got1)
+			axpyRows2Generic(u0, u1, b, ldb, want0, want1)
+			got := append([]float64(nil), base0...)
+			want := append([]float64(nil), base0...)
+			axpyRows1(u0, b, ldb, got)
+			axpyRows1Generic(u0, b, ldb, want)
+			for j := 0; j < nj; j++ {
+				if got0[j] != want0[j] || got1[j] != want1[j] || got[j] != want[j] {
+					t.Fatalf("axpyRows kp=%d nj=%d differs at column %d", kp, nj, j)
+				}
 			}
-		}
 
-		got := append([]float64(nil), base...)
-		axpy2x1(0.5, -3, b0, b1, got)
-		want := append([]float64(nil), base...)
-		for j := 0; j < n; j++ {
-			want[j] += 0.5*b0[j] + -3*b1[j]
-		}
-		for j := 0; j < n; j++ {
-			if got[j] != want[j] {
-				t.Fatalf("axpy2x1 n=%d differs at %d", n, j)
-			}
-		}
-
-		if n >= 16 {
-			n16 := n &^ 15
-			gotLanes := dotLanesAccel(b0[:n16], b1[:n16])
-			wantLanes := dotLanesGeneric(b0[:n16], b1[:n16])
-			if gotLanes != wantLanes {
-				t.Fatalf("dotLanes n=%d: %v vs %v", n16, gotLanes, wantLanes)
+			// The same sizes as a dot: nj B rows of length kp... and the
+			// roles swapped, so both k and the row count cross 16.
+			for _, d := range [][2]int{{kp, nj}, {nj, kp}} {
+				k, nb := d[0], d[1]
+				a0, a1 := Randn(rng, 1, k).Data, Randn(rng, 1, k).Data
+				bm := Randn(rng, 1, nb*k).Data
+				c := Randn(rng, 1, nb).Data
+				g0, g1, g := append([]float64(nil), c...), append([]float64(nil), c...), append([]float64(nil), c...)
+				dotRows2(a0, a1, bm, -0.5, g0, g1)
+				dotRows1(a0, bm, -0.5, g)
+				for j := 0; j < nb; j++ {
+					bj := bm[j*k : j*k+k]
+					w0, w1 := c[j]+-0.5*dot(a0, bj), c[j]+-0.5*dot(a1, bj)
+					if g0[j] != w0 || g1[j] != w1 || g[j] != w0 {
+						t.Fatalf("dotRows k=%d nb=%d differs at row %d", k, nb, j)
+					}
+				}
 			}
 		}
 	}

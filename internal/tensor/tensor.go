@@ -1,8 +1,10 @@
 // Package tensor provides dense, row-major, float64 tensors and the small
 // set of linear-algebra kernels a CPU deep-learning stack needs: GEMM with
 // optional transposes, im2col/col2im for convolutions, element-wise
-// arithmetic, and N-dimensional prefix-block copies (the primitive behind
-// AdaptiveFL's width-wise pruning and heterogeneous aggregation).
+// arithmetic, N-dimensional prefix-block copies (the primitive behind
+// AdaptiveFL's width-wise pruning and heterogeneous aggregation), and a
+// bump-allocated Workspace for the tensors a training step creates and
+// drops together.
 //
 // Tensors are plain values: Shape describes the logical dimensions and
 // Data holds len = prod(Shape) contiguous elements. The zero Tensor is
@@ -23,27 +25,31 @@ type Tensor struct {
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
+	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, numel(shape))}
+}
+
+// numel returns the element count of shape, rejecting negative
+// dimensions. The panic formats a copy, so that shape itself does not
+// escape and callers' variadic slices stay on their stacks.
+func numel(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+	return n
 }
 
 // FromSlice wraps data in a tensor with the given shape. The slice is used
 // directly, not copied. It panics if len(data) does not match the shape.
 func FromSlice(data []float64, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
+	t := &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	if n := numel(t.Shape); n != len(data) {
+		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", t.Shape, n, len(data)))
 	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", shape, n, len(data)))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	return t
 }
 
 // Full returns a tensor with every element set to v.
