@@ -399,9 +399,17 @@ func BenchmarkGemmSkinny(b *testing.B) {
 	}
 }
 
-func BenchmarkLocalTrainEpoch(b *testing.B) {
+// BenchmarkLocalTrainEpoch times one local epoch of a full-width ResNet-18
+// through a training arena, with its heap traffic.
+func BenchmarkLocalTrainEpoch(b *testing.B) { benchLocalTrainEpoch(b, models.ResNet18) }
+
+// BenchmarkLocalTrainEpochMobileNet is the same epoch on MobileNetV2, whose
+// step is mostly depthwise convolution and fused BN→ReLU6 rather than GEMM.
+func BenchmarkLocalTrainEpochMobileNet(b *testing.B) { benchLocalTrainEpoch(b, models.MobileNetV2) }
+
+func benchLocalTrainEpoch(b *testing.B, arch models.Arch) {
 	sc := benchScale()
-	mcfg, err := exp.ModelConfig(models.ResNet18, "cifar10", sc)
+	mcfg, err := exp.ModelConfig(arch, "cifar10", sc)
 	if err != nil {
 		b.Fatal(err)
 	}

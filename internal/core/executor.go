@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"adaptivefl/internal/models"
@@ -86,7 +85,7 @@ func (x *Executor) run(task func()) {
 //
 // Arenas follow rent/return semantics: at most one goroutine owns an
 // arena (and so its workspace) at a time, and steady-state concurrency N
-// keeps N arenas alive.
+// keeps N arenas alive, up to GOMAXPROCS of them idle (tensor.FreeList).
 
 // arenaKey identifies one model construction.
 type arenaKey struct {
@@ -149,13 +148,12 @@ func (a *trainArena) modelFor(cfg models.Config, widths []int, tc TrainConfig) (
 	return e.model, e.params, e.opt, nil
 }
 
-// arenaPool recycles training arenas process-wide. sync.Pool may drop
-// arenas under GC pressure; losing one only costs a rebuild.
-var arenaPool = sync.Pool{New: func() any { return newTrainArena() }}
+// arenas recycles training arenas process-wide.
+var arenas = tensor.FreeList[*trainArena]{New: newTrainArena}
 
 func newTrainArena() *trainArena {
 	return &trainArena{entries: map[arenaKey]*arenaEntry{}, ws: &tensor.Workspace{}}
 }
 
-func rentArena() *trainArena    { return arenaPool.Get().(*trainArena) }
-func returnArena(a *trainArena) { arenaPool.Put(a) }
+func rentArena() *trainArena    { return arenas.Get() }
+func returnArena(a *trainArena) { arenas.Put(a) }

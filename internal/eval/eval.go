@@ -7,7 +7,6 @@ package eval
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"adaptivefl/internal/data"
 	"adaptivefl/internal/nn"
@@ -15,9 +14,8 @@ import (
 )
 
 // workspaces recycles the step workspaces of Accuracy calls: the heads of
-// one Evaluate run back to back and share a slab, while an idle process
-// holds none (a sync.Pool empties under GC).
-var workspaces = sync.Pool{New: func() any { return &tensor.Workspace{} }}
+// one Evaluate run back to back and share a slab.
+var workspaces = tensor.FreeList[*tensor.Workspace]{New: func() *tensor.Workspace { return &tensor.Workspace{} }}
 
 // Accuracy evaluates a model on a dataset in evaluation mode, batching to
 // bound memory. It returns the top-1 accuracy in [0, 1]. For the length
@@ -30,7 +28,7 @@ func Accuracy(model nn.Layer, ds *data.Dataset, batchSize int) float64 {
 	if batchSize < 1 {
 		batchSize = 64
 	}
-	ws := workspaces.Get().(*tensor.Workspace)
+	ws := workspaces.Get()
 	nn.SetWorkspace(model, ws)
 	defer func() {
 		nn.SetWorkspace(model, nil)

@@ -51,14 +51,13 @@ func mobilenetSpec(cfg Config) Spec {
 // invertedResidual is MobileNetV2's block: 1×1 expansion (skipped when
 // t == 1), 3×3 depthwise, 1×1 linear projection, with a residual add when
 // stride is 1 and input and output widths agree (decided structurally, so
-// full and pruned models have identical topology).
+// full and pruned models have identical topology). The ReLU6 after the
+// expansion and the depthwise convolution is fused into their batch norms.
 type invertedResidual struct {
 	expand   *nn.Conv2D // nil when t == 1
 	expandBN *nn.BatchNorm2D
-	expandRL *nn.ReLU
 	dw       *nn.DepthwiseConv2D
 	dwBN     *nn.BatchNorm2D
-	dwRL     *nn.ReLU
 	project  *nn.Conv2D
 	projBN   *nn.BatchNorm2D
 	residual bool
@@ -69,12 +68,10 @@ func newInvertedResidual(rng *rand.Rand, name string, in, out, stride, expand in
 	b := &invertedResidual{residual: residual}
 	if expand != 1 {
 		b.expand = nn.NewConv2D(rng, name+".expand", in, hidden, 1, 1, 0, false)
-		b.expandBN = nn.NewBatchNorm2D(name+".expandbn", hidden)
-		b.expandRL = nn.NewReLU6()
+		b.expandBN = nn.NewBatchNorm2D(name+".expandbn", hidden).Rectify(nn.NewReLU6())
 	}
 	b.dw = nn.NewDepthwiseConv2D(rng, name+".dw", hidden, 3, stride, 1, false)
-	b.dwBN = nn.NewBatchNorm2D(name+".dwbn", hidden)
-	b.dwRL = nn.NewReLU6()
+	b.dwBN = nn.NewBatchNorm2D(name+".dwbn", hidden).Rectify(nn.NewReLU6())
 	b.project = nn.NewConv2D(rng, name+".project", hidden, out, 1, 1, 0, false)
 	b.projBN = nn.NewBatchNorm2D(name+".projbn", out)
 	return b
@@ -85,11 +82,9 @@ func (b *invertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor 
 	if b.expand != nil {
 		y = b.expand.Forward(y, train)
 		y = b.expandBN.Forward(y, train)
-		y = b.expandRL.Forward(y, train)
 	}
 	y = b.dw.Forward(y, train)
 	y = b.dwBN.Forward(y, train)
-	y = b.dwRL.Forward(y, train)
 	y = b.project.Forward(y, train)
 	y = b.projBN.Forward(y, train)
 	if b.residual {
@@ -101,11 +96,9 @@ func (b *invertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor 
 func (b *invertedResidual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g := b.projBN.Backward(grad)
 	g = b.project.Backward(g)
-	g = b.dwRL.Backward(g)
 	g = b.dwBN.Backward(g)
 	g = b.dw.Backward(g)
 	if b.expand != nil {
-		g = b.expandRL.Backward(g)
 		g = b.expandBN.Backward(g)
 		g = b.expand.Backward(g)
 	}
@@ -118,9 +111,9 @@ func (b *invertedResidual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 func (b *invertedResidual) SetWorkspace(ws *tensor.Workspace) {
-	ls := []nn.Layer{b.dw, b.dwBN, b.dwRL, b.project, b.projBN}
+	ls := []nn.Layer{b.dw, b.dwBN, b.project, b.projBN}
 	if b.expand != nil {
-		ls = append(ls, b.expand, b.expandBN, b.expandRL)
+		ls = append(ls, b.expand, b.expandBN)
 	}
 	for _, l := range ls {
 		nn.SetWorkspace(l, ws)
@@ -160,8 +153,7 @@ func buildMobileNet(rng *rand.Rand, cfg Config, spec Spec, widths []int) *Model 
 	stemW := widths[0]
 	m.Layers = append(m.Layers,
 		nn.NewConv2D(rng, "stem.conv", cfg.InChannels, stemW, 3, 1, 1, false),
-		nn.NewBatchNorm2D("stem.bn", stemW),
-		nn.NewReLU6(),
+		nn.NewBatchNorm2D("stem.bn", stemW).Rectify(nn.NewReLU6()),
 	)
 	spatial := cfg.InputSize
 	in := stemW
@@ -187,8 +179,7 @@ func buildMobileNet(rng *rand.Rand, cfg Config, spec Spec, widths []int) *Model 
 	lastW := widths[8]
 	m.Layers = append(m.Layers,
 		nn.NewConv2D(rng, "head.conv", in, lastW, 1, 1, 0, false),
-		nn.NewBatchNorm2D("head.bn", lastW),
-		nn.NewReLU6(),
+		nn.NewBatchNorm2D("head.bn", lastW).Rectify(nn.NewReLU6()),
 		nn.NewGlobalAvgPool2D(),
 		nn.NewFlatten(),
 		nn.NewLinear(rng, "classifier.fc", lastW, cfg.NumClasses, true),

@@ -25,13 +25,14 @@ func resnetSpec(cfg Config) Spec {
 }
 
 // basicBlock is the ResNet-18 residual block: two 3×3 conv+BN with an
-// identity or 1×1-projection shortcut. Projection existence is decided by
+// identity or 1×1-projection shortcut; bn1 carries the first rectifier
+// fused. Projection existence is decided by
 // the *full-width* architecture, so a pruned model never introduces
 // parameters the full model lacks.
 type basicBlock struct {
 	conv1, conv2 *nn.Conv2D
 	bn1, bn2     *nn.BatchNorm2D
-	relu1, relu2 *nn.ReLU
+	relu2        *nn.ReLU
 	proj         *nn.Conv2D
 	projBN       *nn.BatchNorm2D
 }
@@ -39,8 +40,7 @@ type basicBlock struct {
 func newBasicBlock(rng *rand.Rand, name string, in, out, stride int, hasProj bool) *basicBlock {
 	b := &basicBlock{
 		conv1: nn.NewConv2D(rng, name+".conv1", in, out, 3, stride, 1, false),
-		bn1:   nn.NewBatchNorm2D(name+".bn1", out),
-		relu1: nn.NewReLU(),
+		bn1:   nn.NewBatchNorm2D(name+".bn1", out).Rectify(nn.NewReLU()),
 		conv2: nn.NewConv2D(rng, name+".conv2", out, out, 3, 1, 1, false),
 		bn2:   nn.NewBatchNorm2D(name+".bn2", out),
 		relu2: nn.NewReLU(),
@@ -55,7 +55,6 @@ func newBasicBlock(rng *rand.Rand, name string, in, out, stride int, hasProj boo
 func (b *basicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := b.conv1.Forward(x, train)
 	y = b.bn1.Forward(y, train)
-	y = b.relu1.Forward(y, train)
 	y = b.conv2.Forward(y, train)
 	y = b.bn2.Forward(y, train)
 	var sc *tensor.Tensor
@@ -74,7 +73,6 @@ func (b *basicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// Residual branch.
 	gb := b.bn2.Backward(g)
 	gb = b.conv2.Backward(gb)
-	gb = b.relu1.Backward(gb)
 	gb = b.bn1.Backward(gb)
 	dx := b.conv1.Backward(gb)
 	// Shortcut branch.
@@ -89,7 +87,7 @@ func (b *basicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 func (b *basicBlock) SetWorkspace(ws *tensor.Workspace) {
-	ls := []nn.Layer{b.conv1, b.bn1, b.relu1, b.conv2, b.bn2, b.relu2}
+	ls := []nn.Layer{b.conv1, b.bn1, b.conv2, b.bn2, b.relu2}
 	if b.proj != nil {
 		ls = append(ls, b.proj, b.projBN)
 	}
@@ -126,8 +124,7 @@ func buildResNet(rng *rand.Rand, cfg Config, spec Spec, widths []int) *Model {
 	w1 := widths[0]
 	m.Layers = append(m.Layers,
 		nn.NewConv2D(rng, "stem.conv", cfg.InChannels, w1, 3, 1, 1, false),
-		nn.NewBatchNorm2D("stem.bn", w1),
-		nn.NewReLU(),
+		nn.NewBatchNorm2D("stem.bn", w1).Rectify(nn.NewReLU()),
 	)
 	spatial := cfg.InputSize
 	in := w1

@@ -40,8 +40,7 @@ func buildVGG(rng *rand.Rand, cfg Config, spec Spec, widths []int) *Model {
 		name := fmt.Sprintf("features.conv%d", i+1)
 		m.Layers = append(m.Layers,
 			nn.NewConv2D(rng, name, in, out, 3, 1, 1, false),
-			nn.NewBatchNorm2D(fmt.Sprintf("features.bn%d", i+1), out),
-			nn.NewReLU(),
+			nn.NewBatchNorm2D(fmt.Sprintf("features.bn%d", i+1), out).Rectify(nn.NewReLU()),
 		)
 		in = out
 		if vggPoolAfter[i] {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"adaptivefl/internal/tensor"
@@ -21,24 +22,51 @@ func NewReLU() *ReLU { return &ReLU{} }
 // NewReLU6 returns the MobileNet-style clipped rectifier.
 func NewReLU6() *ReLU { return &ReLU{ClampAt: 6} }
 
-// passes reports whether the rectifier is the identity at v: strictly
-// positive and not above the clamp.
-func (r *ReLU) passes(v float64) bool {
-	return v > 0 && !(r.ClampAt > 0 && v > r.ClampAt)
+// rectifier is a ReLU's upper bound as float bits: those of the clamp, or
+// of +Inf when there is none. Its pass test is one unsigned compare,
+// bits(v)−1 < hi: on non-negative floats the bit order is the value
+// order, +0 wraps to the top, and every sign-bit pattern and every NaN
+// lands at or above hi — so exactly the strictly positive values up to
+// the bound pass, and no branch depends on the data.
+type rectifier uint64
+
+func (r *ReLU) rectifier() rectifier {
+	if r.ClampAt > 0 {
+		return rectifier(math.Float64bits(r.ClampAt))
+	}
+	return rectifier(math.Float64bits(math.Inf(1)))
 }
+
+// mask is all ones where the rectifier is the identity at v, zero
+// elsewhere.
+func (hi rectifier) mask(v float64) uint64 {
+	var m uint64
+	if math.Float64bits(v)-1 < uint64(hi) {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// apply rectifies v: v where it passes, the clamp above it, +0 everywhere
+// else. On the strictly positive non-NaN floats — bits(v)−1 < bits(+Inf) —
+// the result is the smaller of v and the bound, compared as bits.
+func (hi rectifier) apply(v float64) float64 {
+	u := math.Float64bits(v)
+	out := min(u, uint64(hi))
+	if u-1 >= infBits {
+		out = 0
+	}
+	return math.Float64frombits(out)
+}
+
+const infBits = 0x7ff0000000000000
 
 // Forward applies the rectifier element-wise, in one pass over the input.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := r.ws.Alloc(x.Shape...)
+	hi := r.rectifier()
 	for i, v := range x.Data {
-		switch {
-		case r.passes(v):
-			out.Data[i] = v
-		case v > 0:
-			out.Data[i] = r.ClampAt
-		default:
-			out.Data[i] = 0
-		}
+		out.Data[i] = hi.apply(v)
 	}
 	r.in = nil
 	if train {
@@ -53,12 +81,10 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: ReLU Backward without a train-mode Forward")
 	}
 	out := r.ws.Alloc(grad.Shape...)
+	hi := r.rectifier()
+	g := grad.Data[:len(r.in.Data)]
 	for i, v := range r.in.Data {
-		if r.passes(v) {
-			out.Data[i] = grad.Data[i]
-		} else {
-			out.Data[i] = 0
-		}
+		out.Data[i] = math.Float64frombits(math.Float64bits(g[i]) & hi.mask(v))
 	}
 	return out
 }

@@ -210,10 +210,13 @@ func (c *Conv2D) Params() []*Param {
 
 // DepthwiseConv2D applies one K×K filter per channel (groups == channels),
 // the building block of MobileNetV2. Weight layout is [C, 1, K, K].
-// Each (sample, channel) plane is convolved tap-by-tap over row-contiguous
-// slices: the kernel taps form the outer loops and the inner loop runs
-// along output rows with the bounds hoisted, instead of a 6-deep scalar
-// loop with per-element padding branches.
+// Each (sample, channel) plane is swept once per kernel row: a row kernel
+// applies one kernel row's taps to a whole output row (forward, filter
+// gradient) or gathers them into a whole input row (input gradient), with
+// the padding-free span of the row hoisted out of the per-element bounds.
+// Every output and input-gradient element still sums its taps in (ki, kj)
+// order, starting from the bias or from +0, and every filter tap its
+// products in (oi, oj) order — the arithmetic of a tap-by-tap loop.
 type DepthwiseConv2D struct {
 	C, K, Stride, Pad int
 	UseBias           bool
@@ -235,23 +238,6 @@ func NewDepthwiseConv2D(rng *rand.Rand, name string, c, k, stride, pad int, bias
 	return d
 }
 
-// tapRange returns the output index range [lo,hi) along one axis for which
-// the input index oi*stride - pad + k stays inside [0, in).
-func tapRange(k, stride, pad, in, out int) (lo, hi int) {
-	lo = 0
-	if pad > k {
-		lo = (pad - k + stride - 1) / stride
-	}
-	hi = out
-	if m := (in - 1 + pad - k) / stride; m+1 < hi {
-		hi = m + 1
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
 // Forward computes the per-channel convolution.
 func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -263,57 +249,116 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		d.in = nil
 	}
-	d.oh = tensor.ConvOutSize(h, d.K, d.Stride, d.Pad)
-	d.ow = tensor.ConvOutSize(w, d.K, d.Stride, d.Pad)
-	// The taps accumulate into the output: it starts from the bias where
-	// there is one, from zero otherwise.
-	var out *tensor.Tensor
-	if d.UseBias {
-		out = d.ws.Alloc(n, c, d.oh, d.ow)
-	} else {
-		out = d.ws.Zeros(n, c, d.oh, d.ow)
-	}
+	K, S, P := d.K, d.Stride, d.Pad
+	d.oh = tensor.ConvOutSize(h, K, S, P)
+	d.ow = tensor.ConvOutSize(w, K, S, P)
+	lo, hi := fullSpan(K, S, P, w, d.ow)
+	// No zero fill: the first kernel row that reaches an output row writes
+	// it, starting from the bias or from +0.
+	out := d.ws.Alloc(n, c, d.oh, d.ow)
 	for s := 0; s < n; s++ {
 		for ch := 0; ch < c; ch++ {
 			xIn := x.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
-			ker := d.weight.Val.Data[ch*d.K*d.K : (ch+1)*d.K*d.K]
+			ker := d.weight.Val.Data[ch*K*K : (ch+1)*K*K]
 			yOut := out.Data[(s*c+ch)*d.oh*d.ow : (s*c+ch+1)*d.oh*d.ow]
+			init := 0.0
 			if d.UseBias {
-				b := d.bias.Val.Data[ch]
-				for i := range yOut {
-					yOut[i] = b
-				}
+				init = d.bias.Val.Data[ch]
 			}
-			for ki := 0; ki < d.K; ki++ {
-				oiLo, oiHi := tapRange(ki, d.Stride, d.Pad, h, d.oh)
-				for kj := 0; kj < d.K; kj++ {
-					kv := ker[ki*d.K+kj]
-					ojLo, ojHi := tapRange(kj, d.Stride, d.Pad, w, d.ow)
-					if ojHi <= ojLo {
-						continue
+			for oi := 0; oi < d.oh; oi++ {
+				yRow := yOut[oi*d.ow : (oi+1)*d.ow]
+				i0 := oi*S - P
+				kiLo, kiHi := max(0, -i0), min(K, h-i0)
+				if K == 3 && kiHi-kiLo == 3 {
+					dwForward3(yRow, init, xIn[i0*w:(i0+3)*w], ker, S, P, lo, hi)
+					continue
+				}
+				if kiLo >= kiHi {
+					for j := range yRow {
+						yRow[j] = init
 					}
-					for oi := oiLo; oi < oiHi; oi++ {
-						ii := oi*d.Stride - d.Pad + ki
-						yRow := yOut[oi*d.ow : (oi+1)*d.ow]
-						if d.Stride == 1 {
-							xSeg := xIn[ii*w+ojLo+kj-d.Pad : ii*w+ojHi+kj-d.Pad]
-							ySeg := yRow[ojLo:ojHi]
-							for j, v := range xSeg {
-								ySeg[j] += kv * v
-							}
-							continue
-						}
-						jj := ojLo*d.Stride - d.Pad + kj
-						for oj := ojLo; oj < ojHi; oj++ {
-							yRow[oj] += kv * xIn[ii*w+jj]
-							jj += d.Stride
-						}
-					}
+				}
+				for ki := kiLo; ki < kiHi; ki++ {
+					dwForwardRow(yRow, ki == kiLo, init, xIn[(i0+ki)*w:(i0+ki+1)*w], ker[ki*K:(ki+1)*K], S, P, lo, hi)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// fullSpan returns the outputs [lo, hi) of a row at which all K taps land
+// inside an input row of width w.
+func fullSpan(k, stride, pad, w, out int) (lo, hi int) {
+	lo = (pad + stride - 1) / stride
+	if w+pad >= k {
+		hi = min(out, (w+pad-k)/stride+1)
+	}
+	return lo, max(lo, hi)
+}
+
+// dwForwardRow adds one kernel row's taps k into the output row y, in kj
+// order, from the input row x: y[oj] += k[kj]·x[oj·stride−pad+kj] over the
+// taps that land inside x, which is all of them on [lo, hi). The first
+// kernel row to reach y starts it from init instead of reading it.
+func dwForwardRow(y []float64, first bool, init float64, x, k []float64, stride, pad, lo, hi int) {
+	K, w := len(k), len(x)
+	for oj := 0; oj < len(y); oj++ {
+		j0 := oj*stride - pad
+		if oj == lo && K == 3 && hi > lo {
+			k0, k1, k2 := k[0], k[1], k[2]
+			for ; oj < hi; oj++ {
+				acc := init
+				if !first {
+					acc = y[oj]
+				}
+				xs := x[j0 : j0+3 : j0+3]
+				y[oj] = acc + k0*xs[0] + k1*xs[1] + k2*xs[2]
+				j0 += stride
+			}
+			oj--
+			continue
+		}
+		acc := init
+		if !first {
+			acc = y[oj]
+		}
+		for kj := max(0, -j0); kj < min(K, w-j0); kj++ {
+			acc += k[kj] * x[j0+kj]
+		}
+		y[oj] = acc
+	}
+}
+
+// dwForward3 is dwForwardRow for all three rows of a 3×3 kernel at once,
+// x holding the three input rows: each output is written once, from init
+// and its taps in (ki, kj) order.
+func dwForward3(y []float64, init float64, x, k []float64, stride, pad, lo, hi int) {
+	w := len(x) / 3
+	for oj := 0; oj < len(y); oj++ {
+		if oj == lo && hi > lo {
+			oj = hi - 1
+			continue
+		}
+		j0 := oj*stride - pad
+		kjLo, kjHi := max(0, -j0), min(3, w-j0)
+		acc := init
+		for ki := 0; ki < 3; ki++ {
+			for kj := kjLo; kj < kjHi; kj++ {
+				acc += k[ki*3+kj] * x[ki*w+j0+kj]
+			}
+		}
+		y[oj] = acc
+	}
+	k = k[:9]
+	k0, k1, k2, k3, k4, k5, k6, k7, k8 := k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[7], k[8]
+	r0, r1, r2 := x[:w], x[w:2*w], x[2*w:3*w]
+	j0 := lo*stride - pad
+	for oj := lo; oj < hi; oj++ {
+		a, b, c := r0[j0:j0+3:j0+3], r1[j0:j0+3:j0+3], r2[j0:j0+3:j0+3]
+		y[oj] = init + k0*a[0] + k1*a[1] + k2*a[2] + k3*b[0] + k4*b[1] + k5*b[2] + k6*c[0] + k7*c[1] + k8*c[2]
+		j0 += stride
+	}
 }
 
 // Backward accumulates per-channel filter gradients and returns dX.
@@ -323,46 +368,112 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	n, c := grad.Shape[0], grad.Shape[1]
 	h, w := d.in.Shape[2], d.in.Shape[3]
-	dx := d.ws.Zeros(n, c, h, w) // the taps accumulate into it
+	K, S, P := d.K, d.Stride, d.Pad
+	lo, hi := fullSpan(K, S, P, w, d.ow)
+	// With stride 1, every tap of the input-gradient elements in
+	// [dlo, dhi) of a row lands inside the output row.
+	dlo, dhi := max(0, K-1-P), min(w, d.ow-P)
+	dhi = max(dlo, dhi)
+	// No zero fill: every input row is written by the first kernel row
+	// that reaches it, or zeroed when none does.
+	dx := d.ws.Alloc(n, c, h, w)
+	zeroRow := d.ws.Zeros(d.ow).Data
+	// One accumulator per filter tap and plane. A tap whose column range
+	// is empty (not live) never adds its (+0) sum to the gradient.
+	var buf [16]float64
+	var liveBuf [4]bool
+	acc, live := buf[:0], liveBuf[:0]
+	if K*K > len(buf) {
+		acc, live = make([]float64, 0, K*K), make([]bool, 0, K)
+	}
+	acc = acc[:K*K]
+	for kj := 0; kj < K; kj++ {
+		lo, hi := tapRange(kj, S, P, w, d.ow)
+		live = append(live, hi > lo)
+	}
+	// q0, r0 = P / S, P % S start the walk down each plane's input rows:
+	// at row ii, (q, r) = ((ii+P) / S, (ii+P) % S), and the kernel rows
+	// that reach it are ki = r, r+S, … at output rows q, q−1, …
+	q0, r0 := P/S, P%S
 	for s := 0; s < n; s++ {
 		for ch := 0; ch < c; ch++ {
 			xIn := d.in.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
 			g := grad.Data[(s*c+ch)*d.oh*d.ow : (s*c+ch+1)*d.oh*d.ow]
-			ker := d.weight.Val.Data[ch*d.K*d.K : (ch+1)*d.K*d.K]
-			dker := d.weight.Grad.Data[ch*d.K*d.K : (ch+1)*d.K*d.K]
+			ker := d.weight.Val.Data[ch*K*K : (ch+1)*K*K]
+			dker := d.weight.Grad.Data[ch*K*K : (ch+1)*K*K]
 			dxs := dx.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
-			for ki := 0; ki < d.K; ki++ {
-				oiLo, oiHi := tapRange(ki, d.Stride, d.Pad, h, d.oh)
-				for kj := 0; kj < d.K; kj++ {
-					kv := ker[ki*d.K+kj]
-					ojLo, ojHi := tapRange(kj, d.Stride, d.Pad, w, d.ow)
-					if ojHi <= ojLo {
-						continue
+			clear(acc)
+			for oi := 0; oi < d.oh; oi++ {
+				gRow := g[oi*d.ow : (oi+1)*d.ow]
+				i0 := oi*S - P
+				kiLo, kiHi := max(0, -i0), min(K, h-i0)
+				if K == 3 && kiHi-kiLo >= 2 {
+					// A kernel row that falls off the plane is stood in for
+					// by its neighbour, and its three sums are put back
+					// afterwards: no other sum reads them.
+					var r [3][]float64
+					for ki := range r {
+						ii := i0 + min(max(ki, kiLo), kiHi-1)
+						r[ki] = xIn[ii*w : (ii+1)*w]
 					}
-					acc := 0.0
-					for oi := oiLo; oi < oiHi; oi++ {
-						ii := oi*d.Stride - d.Pad + ki
-						gRow := g[oi*d.ow : (oi+1)*d.ow]
-						if d.Stride == 1 {
-							off := ii*w + kj - d.Pad
-							xSeg := xIn[off+ojLo : off+ojHi]
-							dxSeg := dxs[off+ojLo : off+ojHi]
-							gSeg := gRow[ojLo:ojHi]
-							for j, gv := range gSeg {
-								acc += gv * xSeg[j]
-								dxSeg[j] += gv * kv
-							}
-							continue
-						}
-						jj := ojLo*d.Stride - d.Pad + kj
-						for oj := ojLo; oj < ojHi; oj++ {
-							gv := gRow[oj]
-							acc += gv * xIn[ii*w+jj]
-							dxs[ii*w+jj] += gv * kv
-							jj += d.Stride
+					off := 0
+					if kiLo == 0 {
+						off = 6
+					}
+					saved := [3]float64(acc[off : off+3])
+					dwFilter3(acc, gRow, r[0], r[1], r[2], S, P, lo, hi)
+					if kiHi-kiLo == 2 {
+						copy(acc[off:off+3], saved[:])
+					}
+					continue
+				}
+				for ki := kiLo; ki < kiHi; ki++ {
+					dwFilterRow(acc[ki*K:(ki+1)*K], gRow, xIn[(i0+ki)*w:(i0+ki+1)*w], S, P)
+				}
+			}
+			for t := 0; t < K*K; t += K {
+				for kj, ok := range live {
+					if ok {
+						dker[t+kj] += acc[t+kj]
+					}
+				}
+			}
+			q, r := q0, r0
+			for ii := 0; ii < h; ii++ {
+				dxRow := dxs[ii*w : (ii+1)*w]
+				if S == 1 && K == 3 && q >= 1 && q <= d.oh && d.oh >= 2 {
+					// Kernel row ki reaches output row q−ki. One that falls
+					// off the plane gathers a zero row through a zeroed
+					// filter row instead: its products are exact +0s, and
+					// a sum that starts from +0 is never −0, so adding
+					// them changes no bit.
+					k9 := [9]float64(ker)
+					ga, gb, gc := zeroRow, g[(q-1)*d.ow:q*d.ow], zeroRow
+					if q < d.oh {
+						ga = g[q*d.ow : (q+1)*d.ow]
+					} else {
+						clear(k9[:3])
+					}
+					if q >= 2 {
+						gc = g[(q-2)*d.ow : (q-1)*d.ow]
+					} else {
+						clear(k9[6:])
+					}
+					dwInput3(dxRow, ga, gb, gc, k9[:], P, dlo, dhi)
+				} else {
+					first := true
+					for ki, oi := r, q; ki < K && oi >= 0; ki, oi = ki+S, oi-1 {
+						if oi < d.oh {
+							dwInputRow(dxRow, first, g[oi*d.ow:(oi+1)*d.ow], ker[ki*K:(ki+1)*K], S, P)
+							first = false
 						}
 					}
-					dker[ki*d.K+kj] += acc
+					if first {
+						clear(dxRow)
+					}
+				}
+				if r++; r == S {
+					q, r = q+1, 0
 				}
 			}
 			if d.UseBias {
@@ -375,6 +486,180 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dx
+}
+
+// tapRange returns the output index range [lo,hi) along one axis for which
+// the input index oi*stride - pad + k stays inside [0, in).
+func tapRange(k, stride, pad, in, out int) (lo, hi int) {
+	lo = 0
+	if pad > k {
+		lo = (pad - k + stride - 1) / stride
+	}
+	hi = out
+	if last := in - 1 + pad - k; last < 0 {
+		hi = 0
+	} else if last/stride+1 < hi {
+		hi = last/stride + 1
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
+// dwFilterRow adds, for each tap kj of one kernel row, the products
+// g[oj]·x[oj·stride−pad+kj] over the output row g to acc[kj], oj
+// ascending, skipping taps that land outside the input row x.
+func dwFilterRow(acc, g, x []float64, stride, pad int) {
+	K, w := len(acc), len(x)
+	for oj, gv := range g {
+		j0 := oj*stride - pad
+		for kj := max(0, -j0); kj < min(K, w-j0); kj++ {
+			acc[kj] += gv * x[j0+kj]
+		}
+	}
+}
+
+// dwFilter3 is dwFilterRow for all three rows of a 3×3 kernel at once,
+// from the input rows r0, r1 and r2: nine independent chains, each still
+// summing over oj in ascending order. On [lo, hi) the chains live in
+// registers; outside it a column of taps is skipped where it leaves the
+// rows.
+func dwFilter3(acc, g, r0, r1, r2 []float64, stride, pad, lo, hi int) {
+	w := len(r0)
+	r1, r2 = r1[:w], r2[:w]
+	acc = acc[:9]
+	edge := func(oj int) {
+		gv, j0 := g[oj], oj*stride-pad
+		for kj := max(0, -j0); kj < min(3, w-j0); kj++ {
+			acc[kj] += gv * r0[j0+kj]
+			acc[3+kj] += gv * r1[j0+kj]
+			acc[6+kj] += gv * r2[j0+kj]
+		}
+	}
+	for oj := 0; oj < min(lo, len(g)); oj++ {
+		edge(oj)
+	}
+	if hi > lo {
+		a0, a1, a2, a3, a4, a5, a6, a7, a8 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7], acc[8]
+		j0 := lo*stride - pad
+		for _, gv := range g[lo:hi] {
+			p, q, r := r0[j0:j0+3:j0+3], r1[j0:j0+3:j0+3], r2[j0:j0+3:j0+3]
+			a0 += gv * p[0]
+			a1 += gv * p[1]
+			a2 += gv * p[2]
+			a3 += gv * q[0]
+			a4 += gv * q[1]
+			a5 += gv * q[2]
+			a6 += gv * r[0]
+			a7 += gv * r[1]
+			a8 += gv * r[2]
+			j0 += stride
+		}
+		acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7], acc[8] = a0, a1, a2, a3, a4, a5, a6, a7, a8
+	}
+	for oj := max(hi, lo); oj < len(g); oj++ {
+		edge(oj)
+	}
+}
+
+// dwInputRow gathers one kernel row's taps k into the input-gradient row
+// dx, in kj order, from the output-gradient row g: dx[jj] += g[oj]·k[kj]
+// over the taps with oj·stride = jj+pad−kj inside g. The first kernel row
+// to reach dx starts it from +0 instead of reading it.
+func dwInputRow(dx []float64, first bool, g, k []float64, stride, pad int) {
+	K, ow := len(k), len(g)
+	if K == 3 && stride == 2 && pad == 1 {
+		dwInputRowS2(dx, first, g, k)
+		return
+	}
+	// q, r = (jj+pad) / stride, (jj+pad) % stride, carried along jj: the
+	// taps that reach jj are kj = r, r+stride, … at oj = q, q−1, …; those
+	// with oj ≥ ow are stepped over, and the walk stops at oj < 0.
+	q, r := pad/stride, pad%stride
+	for jj := range dx {
+		var acc float64
+		if !first {
+			acc = dx[jj]
+		}
+		kj, oj := r, q
+		if oj >= ow {
+			kj, oj = kj+(oj-ow+1)*stride, ow-1
+		}
+		for end := min(K, jj+pad+1); kj < end; kj, oj = kj+stride, oj-1 {
+			acc += g[oj] * k[kj]
+		}
+		dx[jj] = acc
+		if r++; r == stride {
+			q, r = q+1, 0
+		}
+	}
+}
+
+// dwInputRowS2 is dwInputRow for MobileNetV2's downsampling shape, a 3×3
+// kernel at stride 2 with padding 1: the element 2m takes tap 1 from
+// output m, the element 2m+1 taps 0 and 2 from outputs m+1 and m.
+func dwInputRowS2(dx []float64, first bool, g, k []float64) {
+	k0, k1, k2 := k[0], k[1], k[2]
+	ow := len(g)
+	for m := 0; 2*m < len(dx); m++ {
+		var acc float64
+		if !first {
+			acc = dx[2*m]
+		}
+		if m < ow {
+			acc += g[m] * k1
+		}
+		dx[2*m] = acc
+		if 2*m+1 == len(dx) {
+			break
+		}
+		acc = 0
+		if !first {
+			acc = dx[2*m+1]
+		}
+		if m+1 < ow {
+			acc += g[m+1] * k0
+		}
+		if m < ow {
+			acc += g[m] * k2
+		}
+		dx[2*m+1] = acc
+	}
+}
+
+// dwInput3 gathers all three rows of a 3×3 kernel at stride 1 into the
+// input-gradient row dx from ga, gb and gc, the output-gradient rows the
+// kernel rows 0, 1 and 2 reach: each element is written once, from +0 and
+// its taps in (ki, kj) order. Every tap of the elements in [lo, hi) lands
+// inside the rows.
+func dwInput3(dx, ga, gb, gc, k []float64, pad, lo, hi int) {
+	ow := len(ga)
+	gb, gc, k = gb[:ow], gc[:ow], k[:9]
+	for jj := 0; jj < len(dx); jj++ {
+		if jj == lo && hi > lo {
+			jj = hi - 1
+			continue
+		}
+		var acc float64
+		for kj := max(0, jj+pad-ow+1); kj < min(3, jj+pad+1); kj++ {
+			acc += ga[jj+pad-kj] * k[kj]
+		}
+		for kj := max(0, jj+pad-ow+1); kj < min(3, jj+pad+1); kj++ {
+			acc += gb[jj+pad-kj] * k[3+kj]
+		}
+		for kj := max(0, jj+pad-ow+1); kj < min(3, jj+pad+1); kj++ {
+			acc += gc[jj+pad-kj] * k[6+kj]
+		}
+		dx[jj] = acc
+	}
+	k0, k1, k2, k3, k4, k5, k6, k7, k8 := k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[7], k[8]
+	var zero float64
+	for jj := lo; jj < hi; jj++ {
+		o := jj + pad - 2
+		a, b, c := ga[o:o+3:o+3], gb[o:o+3:o+3], gc[o:o+3:o+3]
+		dx[jj] = zero + a[2]*k0 + a[1]*k1 + a[0]*k2 + b[2]*k3 + b[1]*k4 + b[0]*k5 + c[2]*k6 + c[1]*k7 + c[0]*k8
+	}
 }
 
 // Params returns the weight (and bias) parameters.

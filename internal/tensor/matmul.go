@@ -273,21 +273,3 @@ func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo,
 		}
 	}
 }
-
-// MatVec returns y = A·x for A [m,n] and x of length n.
-func MatVec(a *Tensor, x []float64) []float64 {
-	m, n := a.Shape[0], a.Shape[1]
-	if len(x) != n {
-		panic("tensor: MatVec length mismatch")
-	}
-	y := make([]float64, m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : i*n+n]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}

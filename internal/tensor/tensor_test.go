@@ -221,14 +221,6 @@ func TestGemmParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := MatVec(a, []float64{1, 1, 1})
-	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("MatVec = %v", y)
-	}
-}
-
 // naiveConv computes a direct convolution for validating im2col+GEMM.
 func naiveConv(x, w *Tensor, stride, pad int) *Tensor {
 	c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2]

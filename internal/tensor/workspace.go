@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+)
 
 // Workspace is a bump allocator for the tensors one training or inference
 // step creates and drops together: layer outputs, input gradients, im2col
@@ -101,4 +105,41 @@ func (w *Workspace) Cap() int {
 		return 0
 	}
 	return len(w.slab)
+}
+
+// FreeList recycles the idle owners of step slabs — training arenas,
+// evaluation workspaces — between the calls that rent them. Get hands out
+// the most recently returned value, or a new one; Put keeps at most
+// GOMAXPROCS idle values and drops the rest. Unlike a sync.Pool it keeps
+// them through garbage collection and hands any idle value to any
+// goroutine, so a process that rents one at a time builds one.
+type FreeList[T any] struct {
+	New func() T
+
+	mu   sync.Mutex
+	idle []T
+}
+
+// Get returns an idle value, or a new one when none is idle.
+func (f *FreeList[T]) Get() T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.idle)
+	if n == 0 {
+		return f.New()
+	}
+	v := f.idle[n-1]
+	var zero T
+	f.idle[n-1] = zero
+	f.idle = f.idle[:n-1]
+	return v
+}
+
+// Put returns v to the list.
+func (f *FreeList[T]) Put(v T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.idle) < runtime.GOMAXPROCS(0) {
+		f.idle = append(f.idle, v)
+	}
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -113,5 +114,32 @@ func TestWorkspaceNil(t *testing.T) {
 			}()
 			ws.View(make([]float64, 5), 2, 3)
 		}()
+	}
+}
+
+// TestFreeListKeepsIdleThroughGC: a value returned to a FreeList is the
+// one the next Get hands out, garbage collections in between, and the
+// list keeps no more than GOMAXPROCS idle values.
+func TestFreeListKeepsIdleThroughGC(t *testing.T) {
+	built := 0
+	f := FreeList[*Workspace]{New: func() *Workspace { built++; return &Workspace{} }}
+	ws := f.Get()
+	for i := 0; i < 5; i++ {
+		f.Put(ws)
+		runtime.GC()
+		runtime.GC()
+		if got := f.Get(); got != ws {
+			t.Fatalf("round %d: Get built a new value after a GC instead of reusing the idle one", i)
+		}
+	}
+	if built != 1 {
+		t.Fatalf("built %d values for one renter, want 1", built)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	for i := 0; i < procs+3; i++ {
+		f.Put(&Workspace{})
+	}
+	if len(f.idle) != procs {
+		t.Fatalf("%d idle values kept, want GOMAXPROCS = %d", len(f.idle), procs)
 	}
 }
