@@ -17,27 +17,19 @@
 //
 //	flbench -pop 'mix:n=1000000,weak=0.6,churn=30' -sched semiasync -edges 8
 //
-// With -bench-json the scheduler policies are measured (ns/round,
-// allocs/round) instead; -bench-baseline diffs the fresh numbers against a
-// committed baseline and exits non-zero past -bench-tol regression.
+// Performance is measured by bench/run.sh (docs/BENCH.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"adaptivefl/internal/core"
 	"adaptivefl/internal/exp"
 	"adaptivefl/internal/models"
-	"adaptivefl/internal/prune"
-	"adaptivefl/internal/tensor"
-	"adaptivefl/internal/wire"
 )
 
 func main() {
@@ -48,9 +40,6 @@ func main() {
 		datasets  = flag.String("datasets", "cifar10,cifar100,femnist", "Table 2 datasets (comma separated)")
 		archs     = flag.String("archs", "vgg16,resnet18", "Table 2 architectures (comma separated)")
 		dists     = flag.String("dists", "iid,dir0.6,dir0.3", "Table 2 distributions (comma separated)")
-		benchOut  = flag.String("bench-json", "", "measure the scheduler policies (ns/round, allocs/round) and write the results to this JSON file instead of running experiments")
-		benchBase = flag.String("bench-baseline", "", "with -bench-json: compare the fresh measurements against this committed baseline and fail on regression")
-		benchTol  = flag.Float64("bench-tol", 0.25, "with -bench-baseline: allowed relative ns/round regression before failing (0.25 = +25%)")
 		popSpec   = flag.String("pop", "", "parametric population spec (core.ParsePopulation grammar, e.g. 'mix:n=1000000,weak=0.6,churn=30'); runs a lazy-population simulation instead of the experiment tables")
 		edges     = flag.Int("edges", 1, "with -pop: number of edge aggregators in the two-tier hierarchy (1 = flat)")
 		simSecs   = flag.Float64("sim-seconds", 86400, "with -pop: virtual-time horizon of the simulation (default one simulated day)")
@@ -71,18 +60,6 @@ func main() {
 	}
 	defer obsDone()
 	sc.Observer = obsv
-	if *benchOut != "" {
-		fresh, err := writeSchedBench(*benchOut, sc)
-		if err != nil {
-			fatal(err)
-		}
-		if *benchBase != "" {
-			if err := compareSchedBench(*benchBase, fresh, *benchTol); err != nil {
-				fatal(err)
-			}
-		}
-		return
-	}
 	if *popSpec != "" {
 		sc.Sched = shared.Sched
 		if err := runPopSim(*popSpec, sc, *edges, *simSecs, *timeScale, shared.LedgerOut); err != nil {
@@ -197,340 +174,6 @@ func table2Cells(datasets, archs, dists string) []exp.Cell {
 		}
 	}
 	return cells
-}
-
-// schedBenchResult is one policy's measured cost per engine aggregation.
-type schedBenchResult struct {
-	NsPerRound     int64 `json:"ns_per_round"`
-	AllocsPerRound int64 `json:"allocs_per_round"`
-	BytesPerRound  int64 `json:"bytes_per_round"`
-	Rounds         int   `json:"rounds"`
-}
-
-// schedBenchFile is the BENCH_sched.json schema: a perf baseline future
-// changes can diff against, recorded with the parallelism knobs that
-// produced it.
-type schedBenchFile struct {
-	GOMAXPROCS  int                         `json:"gomaxprocs"`
-	Parallelism int                         `json:"parallelism"`
-	Scale       string                      `json:"scale"`
-	Policies    map[string]schedBenchResult `json:"policies"`
-}
-
-// compareSchedBench diffs a fresh measurement against a committed
-// baseline: any policy present in both whose ns/round grew by more than
-// tol (relative) fails the run. Policies only in the fresh file (a newly
-// added policy has no baseline yet) are reported but never fail. A
-// GOMAXPROCS mismatch makes the whole comparison advisory — the two
-// numbers were produced by different machine configurations, so a hard
-// gate would measure the hardware delta, not a code regression; the gate
-// arms itself again once the baseline is re-recorded at the runner's
-// configuration.
-func compareSchedBench(baselinePath string, fresh schedBenchFile, tol float64) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench baseline: %w", err)
-	}
-	var base schedBenchFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("bench baseline %s: %w", baselinePath, err)
-	}
-	advisory := base.GOMAXPROCS != fresh.GOMAXPROCS
-	if advisory {
-		fmt.Fprintf(os.Stderr, "flbench: baseline recorded at GOMAXPROCS=%d, fresh run at %d — cross-configuration, comparison is advisory only (re-record the baseline to arm the gate)\n",
-			base.GOMAXPROCS, fresh.GOMAXPROCS)
-	}
-	var failures []string
-	for _, policy := range exp.SchedPolicies {
-		f, ok := fresh.Policies[policy]
-		if !ok {
-			continue
-		}
-		b, ok := base.Policies[policy]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "flbench: %-14s no baseline entry (new policy) — %d ns/round recorded, not compared\n",
-				policy, f.NsPerRound)
-			continue
-		}
-		ratio := float64(f.NsPerRound) / float64(b.NsPerRound)
-		fmt.Fprintf(os.Stderr, "flbench: %-14s %12d ns/round vs baseline %12d (%.2fx)\n",
-			policy, f.NsPerRound, b.NsPerRound, ratio)
-		if ratio > 1+tol {
-			failures = append(failures, fmt.Sprintf("%s regressed %.0f%% (limit %.0f%%)",
-				policy, (ratio-1)*100, tol*100))
-		}
-	}
-	if len(failures) > 0 {
-		if advisory {
-			fmt.Fprintf(os.Stderr, "flbench: would have failed at matched GOMAXPROCS: %s\n", strings.Join(failures, "; "))
-			return nil
-		}
-		return fmt.Errorf("bench regression: %s", strings.Join(failures, "; "))
-	}
-	return nil
-}
-
-// benchRounds is the fixed per-policy measurement window: one warmup
-// aggregation (pipeline fill, arena warm) then this many timed ones.
-// A fixed window keeps runs comparable — testing.Benchmark's adaptive
-// iteration count used to time semiasync over 4 rounds one run and 1 the
-// next, and the first aggregation's fill cost made those incomparable.
-const benchRounds = 4
-
-// writeSchedBench benchmarks one engine aggregation per policy on the
-// Table 5 platform federation (the same cell TableSched runs) and writes
-// the results as JSON.
-func writeSchedBench(path string, sc exp.Scale) (schedBenchFile, error) {
-	s := sc
-	s.Clients = 17
-	s.K = 5
-	if s.Trace == "" {
-		s.Trace = "straggler"
-	}
-	if s.Sched == "" {
-		s.Sched = "sync"
-	}
-	out := schedBenchFile{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Parallelism: s.Parallelism,
-		Scale:       s.Name,
-		Policies:    map[string]schedBenchResult{},
-	}
-	for _, policy := range exp.SchedPolicies {
-		run := s
-		run.Sched = policy
-		fed, err := exp.BuildFederation(models.MobileNetV2, "widar", exp.Natural, [3]float64{4, 10, 3}, run)
-		if err != nil {
-			return out, err
-		}
-		r, err := exp.NewRunner("AdaptiveFL", fed, run)
-		if err != nil {
-			return out, err
-		}
-		if err := r.Round(); err != nil { // warmup
-			return out, fmt.Errorf("%s: %w", policy, err)
-		}
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		for i := 0; i < benchRounds; i++ {
-			if err := r.Round(); err != nil {
-				return out, fmt.Errorf("%s: %w", policy, err)
-			}
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		res := schedBenchResult{
-			NsPerRound:     elapsed.Nanoseconds() / benchRounds,
-			AllocsPerRound: int64(m1.Mallocs-m0.Mallocs) / benchRounds,
-			BytesPerRound:  int64(m1.TotalAlloc-m0.TotalAlloc) / benchRounds,
-			Rounds:         benchRounds,
-		}
-		out.Policies[policy] = res
-		fmt.Fprintf(os.Stderr, "flbench: %-14s %12d ns/round %8d allocs/round (%d rounds)\n",
-			policy, res.NsPerRound, res.AllocsPerRound, res.Rounds)
-	}
-	if err := benchMillionClients(&out, s); err != nil {
-		return out, err
-	}
-	if err := benchDownlinkFanout(&out, s); err != nil {
-		return out, err
-	}
-	benchGemm(&out)
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return out, err
-	}
-	return out, os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// popBenchSimSeconds is the virtual window of the clients=1e6 bench row:
-// long enough for a handful of global commits, short enough to keep the
-// wall cost a small fraction of the policy sweep.
-const popBenchSimSeconds = 240
-
-// benchMillionClients records the lazy-population fleet at full scale as
-// an extra row of the bench file: a million-client spec driven through
-// the semiasync engine for a short simulated window, cost reported per
-// commit. The "clients=1e6" key is not in exp.SchedPolicies, so
-// compareSchedBench records it in the artifact without ever gating on it
-// — the row tracks the scaling path's cost over time, advisory only.
-func benchMillionClients(out *schedBenchFile, s exp.Scale) error {
-	spec, err := core.ParsePopulation("mix:n=1000000,weak=0.6,churn=30")
-	if err != nil {
-		return err
-	}
-	run := s
-	run.Sched = "semiasync"
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	res, err := exp.RunPopSim(nil, spec, run, 1, popBenchSimSeconds, 0)
-	if err != nil {
-		return fmt.Errorf("clients=1e6: %w", err)
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	n := int64(res.Commits)
-	if n < 1 {
-		n = 1
-	}
-	row := schedBenchResult{
-		NsPerRound:     elapsed.Nanoseconds() / n,
-		AllocsPerRound: int64(m1.Mallocs-m0.Mallocs) / n,
-		BytesPerRound:  int64(m1.TotalAlloc-m0.TotalAlloc) / n,
-		Rounds:         res.Commits,
-	}
-	out.Policies["clients=1e6"] = row
-	fmt.Fprintf(os.Stderr, "flbench: %-14s %12d ns/commit %8d allocs/commit (%d commits, live=%d made=%d)\n",
-		"clients=1e6", row.NsPerRound, row.AllocsPerRound, res.Commits, res.Live, res.TotalMade)
-	return nil
-}
-
-// downlinkIters fixes each downlink-fanout row's measurement window (one
-// warmup round then this many timed ones).
-const downlinkIters = 8
-
-// benchDownlinkFanout records the encode-once dispatch fan-out as extra
-// advisory rows: for each cohort size, the wall cost of planning one
-// round's whole downlink — RL selection, artifact-store extract+encode
-// for each distinct pool member, store hits for every further client.
-// The "downlink=N" keys are not in exp.SchedPolicies, so compareSchedBench
-// records them without gating; the point of the series is that
-// BytesPerRound (bytes actually pushed through the codec per round) stays
-// flat while N grows, and ns/round grows only with the per-client
-// planning bookkeeping — the store encodes each (snapshot, member, codec)
-// exactly once per commit no matter how wide the cohort fans out.
-func benchDownlinkFanout(out *schedBenchFile, s exp.Scale) error {
-	for _, n := range []int{8, 32, 128} {
-		run := s
-		run.Clients = n
-		run.K = n
-		fed, err := exp.BuildFederation(models.MobileNetV2, "widar", exp.Natural, [3]float64{4, 10, 3}, run)
-		if err != nil {
-			return err
-		}
-		srv, err := core.NewServer(core.Config{
-			Model: fed.Model, Pool: prune.Config{P: 3}, ClientsPerRound: n,
-			Train: run.TrainConfig(), Seed: run.Seed, Codec: wire.Q8{},
-		}, fed.Clients)
-		if err != nil {
-			return err
-		}
-		key := fmt.Sprintf("downlink=%d", n)
-		plan := func() (int64, error) {
-			// One round's downlink, no training: plan every flight so the
-			// store serves each artifact and the ledger prices real bytes.
-			slots := srv.PlanSlots(n, nil)
-			trainer, err := srv.RoundTrainer(slots)
-			if err != nil {
-				return 0, err
-			}
-			var bytes int64
-			encoded := map[int]bool{} // members whose encode this round paid
-			for _, sl := range slots {
-				f := srv.OpenFlight(sl)
-				pl, err := srv.Plan(trainer, f)
-				if err != nil {
-					return 0, err
-				}
-				if !encoded[sl.Sent.Index] {
-					encoded[sl.Sent.Index] = true
-					bytes += pl.SentBytes
-				}
-				srv.SkipFlight(f)
-				srv.Release(f)
-			}
-			// Advance the snapshot so the next iteration re-encodes like a
-			// fresh commit instead of replaying warm store hits: the key is
-			// content-addressed, so the weights must actually move.
-			st := srv.Global().Clone()
-			for _, ten := range st {
-				ten.Data[0] += 1e-6
-				break
-			}
-			srv.SyncGlobal(st)
-			return bytes, nil
-		}
-		if _, err := plan(); err != nil { // warmup
-			return fmt.Errorf("%s: %w", key, err)
-		}
-		var bytes int64
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		for i := 0; i < downlinkIters; i++ {
-			b, err := plan()
-			if err != nil {
-				return fmt.Errorf("%s: %w", key, err)
-			}
-			bytes = b
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		row := schedBenchResult{
-			NsPerRound:     elapsed.Nanoseconds() / downlinkIters,
-			AllocsPerRound: int64(m1.Mallocs-m0.Mallocs) / downlinkIters,
-			BytesPerRound:  bytes,
-			Rounds:         downlinkIters,
-		}
-		out.Policies[key] = row
-		fmt.Fprintf(os.Stderr, "flbench: %-14s %12d ns/round %8d allocs/round (%d encoded bytes/round, %d clients)\n",
-			key, row.NsPerRound, row.AllocsPerRound, row.BytesPerRound, n)
-	}
-	return nil
-}
-
-// gemmIters fixes each GEMM row's measurement window (one warmup pass
-// then this many timed ones) — the same fixed-window rationale as
-// benchRounds.
-const gemmIters = 30
-
-// benchGemm records the multi-core GEMM kernel at the repository
-// benchmark shapes as extra advisory rows: the cache-panel square sizes
-// (BenchmarkGemmTiled) and the skinny-m/huge-n conv shape whose j-split
-// keeps the worker pool busy (BenchmarkGemmSkinny). The "gemm=…" keys are
-// not in exp.SchedPolicies, so compareSchedBench records them in the
-// artifact without ever gating on them — they track how the kernels scale
-// with the runner's GOMAXPROCS over time.
-func benchGemm(out *schedBenchFile) {
-	shapes := []struct {
-		key     string
-		m, k, n int
-	}{
-		{"gemm=tiled128", 128, 128, 128},
-		{"gemm=tiled256", 256, 256, 256},
-		{"gemm=skinny-m2", 2, 72, 16384},
-		{"gemm=skinny-m8", 8, 72, 16384},
-	}
-	for _, sh := range shapes {
-		rng := rand.New(rand.NewSource(1))
-		x := tensor.Randn(rng, 1, sh.m, sh.k)
-		y := tensor.Randn(rng, 1, sh.k, sh.n)
-		c := tensor.New(sh.m, sh.n)
-		tensor.Gemm(false, false, 1, x, y, 0, c) // warmup (pool spin-up)
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		for i := 0; i < gemmIters; i++ {
-			tensor.Gemm(false, false, 1, x, y, 0, c)
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		row := schedBenchResult{
-			NsPerRound:     elapsed.Nanoseconds() / gemmIters,
-			AllocsPerRound: int64(m1.Mallocs-m0.Mallocs) / gemmIters,
-			BytesPerRound:  int64(m1.TotalAlloc-m0.TotalAlloc) / gemmIters,
-			Rounds:         gemmIters,
-		}
-		out.Policies[sh.key] = row
-		fmt.Fprintf(os.Stderr, "flbench: %-14s %12d ns/op %8d allocs/op (%d iters)\n",
-			sh.key, row.NsPerRound, row.AllocsPerRound, row.Rounds)
-	}
 }
 
 // runPopSim parses a population spec and drives it through the lazy

@@ -259,8 +259,7 @@ func CutAdversary(composite string) (string, AdversarySpec, error) {
 // free ride) to a trained state against its dispatched reference. The
 // stateful behaviors — StaleReplay (needs a per-client cache) and Corrupt
 // (acts on the encoded payload) — are the caller's to handle; Mutate
-// passes them through unchanged. Shared by the in-process trainer and the
-// fednet agent so both paths tamper bit-identically.
+// passes them through unchanged; DeviceStep handles both.
 func (a AdversarySpec) Mutate(b Behavior, trained, sent nn.State) nn.State {
 	switch b {
 	case SignFlip:

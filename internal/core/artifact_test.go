@@ -106,6 +106,9 @@ func TestNotModifiedOnUnchangedSnapshot(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for _, sl := range slots {
 			f := srv.OpenFlight(sl)
+			if _, err := srv.Plan(trainer, f); err != nil {
+				t.Fatal(err)
+			}
 			srv.Execute(trainer, f)
 			f.Wait()
 			srv.Release(f)

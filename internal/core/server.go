@@ -35,8 +35,9 @@ type Config struct {
 	// Executor, which the event-driven scheduler shares by default.
 	Parallelism int
 	// Trainer overrides how dispatches are executed. Nil uses in-process
-	// training on the client's dataset; internal/fednet provides an
-	// HTTP-backed implementation for networked device agents.
+	// training on the client's dataset (Server.Plan, then DeviceStep);
+	// internal/fednet provides an HTTP-backed implementation for networked
+	// device agents.
 	Trainer Trainer
 	// Codec, when set, routes the in-process training path through the
 	// wire encoding both ways — dispatches train on the decoded (possibly
@@ -97,21 +98,33 @@ type TrainResult struct {
 	Rejected bool
 }
 
-// Trainer executes Steps 4-5 of Algorithm 1 for one dispatch: on-device
-// resource-aware pruning of the received submodel followed by local
-// training. sentState is the dispatched weight slice.
-type Trainer interface {
-	TrainDispatch(clientID int, sent prune.Submodel, sentState nn.State, seed int64) (TrainResult, error)
+// TrainRequest is one dispatch handed to a Trainer.
+type TrainRequest struct {
+	// Flight is the dispatch's flight ID (Flight.ID); 0 means the
+	// request was made outside a flight. It is observability metadata only
+	// (fednet's Fednet-Flight header), never an input to training.
+	Flight int64
+	Client int
+	// Sent is the dispatched pool member and State its weight slice.
+	Sent  prune.Submodel
+	State nn.State
+	// Snapshot is the content hash of the global snapshot State was cut
+	// from (0 when the server is not hashing). A trainer that
+	// content-addresses its dispatches keys its artifacts by it, so they
+	// agree with the server's dispatch attribution; it is a cache key,
+	// never an input to training.
+	Snapshot uint64
+	// Seed makes local training reproducible.
+	Seed int64
 }
 
-// RoundStarter is an optional Trainer capability: RoundStart is invoked
-// whenever the server hands the trainer a fresh global snapshot (once per
-// synchronous round; once per aggregation under the event engine), with
-// the snapshot's version. Trainers that key derived state by snapshot
-// content (ArtifactTrainer implementations) don't need it; it remains for
-// trainers that cache per-version state with no content key to evict by.
-type RoundStarter interface {
-	RoundStart(version int)
+// Trainer executes Steps 4-5 of Algorithm 1 for one dispatch on a device
+// the server does not simulate (internal/fednet's HTTP agents): on-device
+// resource-aware pruning of the received submodel followed by local
+// training. The device owns the pruning decision, so a trainer's flights
+// cannot be planned.
+type Trainer interface {
+	Train(req TrainRequest) (TrainResult, error)
 }
 
 // Dispatch records one slot of one round, for communication accounting.
@@ -304,12 +317,9 @@ type Server struct {
 	// legacy weighted-mean path with no per-update clipping).
 	aggPolicy agg.Policy
 	clip      *agg.Clipper
-	// advPrev caches each adversarial stale-replay client's previous
-	// trained state (in-process path; fednet agents keep their own).
-	// Clients train one flight at a time, so per-client order is
-	// deterministic; the mutex only guards cross-client map access.
-	advMu   sync.Mutex
-	advPrev map[int]nn.State
+	// replays is the in-process stale-replay memory (fednet agents keep
+	// their own).
+	replays Replays
 }
 
 // NewServer validates the configuration, builds the model pool, the RL
@@ -359,7 +369,6 @@ func NewServerPopulation(cfg Config, pop Population) (*Server, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		inflight: map[int64]*Flight{},
 		exec:     NewExecutor(cfg.Parallelism),
-		advPrev:  map[int]nn.State{},
 	}
 	if cfg.Agg != "" {
 		pol, clip, err := agg.ParsePolicy(cfg.Agg)
@@ -692,29 +701,36 @@ func (s *Server) PlanSlots(k int, eligible func(int) bool) []Slot {
 }
 
 // RoundTrainer returns the Trainer that will execute the given slots: the
-// configured one if set, otherwise the in-process trainer. The in-process
-// trainer serves every dispatch from the server's content-addressed
-// artifact store: each distinct (snapshot, member, codec) is encoded
-// exactly once — here for the planned slots, on first use for members
-// dispatched later — and the warm encode survives across trainers of the
-// same snapshot. The trainer captures the current snapshot (weights and
-// hash), so build a fresh one after every aggregation.
+// configured one, or nil for in-process execution. In-process dispatches
+// are served from the server's content-addressed artifact store: each
+// distinct (snapshot, member, codec) is encoded exactly once — here for
+// the given slots at the current snapshot, on first use for members
+// dispatched later.
 func (s *Server) RoundTrainer(slots []Slot) (Trainer, error) {
-	if s.cfg.Trainer != nil {
-		if rs, ok := s.cfg.Trainer.(RoundStarter); ok {
-			rs.RoundStart(s.version)
-		}
-		return s.cfg.Trainer, nil
-	}
-	lt := localTrainer{s: s, snap: s.snap, global: s.global}
-	if s.cfg.Codec != nil {
+	if s.cfg.Trainer == nil && s.cfg.Codec != nil {
 		for _, sl := range slots {
-			if _, err := lt.preFor(sl.Sent); err != nil {
+			if _, err := s.artifact(s.snap, s.global, sl.Sent); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return lt, nil
+	return s.cfg.Trainer, nil
+}
+
+// artifact returns the dispatch artifact for a pool member of the given
+// snapshot from the server's content-addressed store, extracting and
+// encoding exactly once per (snapshot, member, codec) across all flights
+// and dispatch workers. Only valid with a codec configured.
+func (s *Server) artifact(snap uint64, global nn.State, sub prune.Submodel) (*wire.Artifact, error) {
+	c := s.cfg.Codec
+	key := wire.ArtifactKey{Snapshot: snap, Member: sub.Index, Codec: c.Tag()}
+	art, err := s.artifacts.Get(key, c, func() (nn.State, error) {
+		return s.pool.ExtractState(global, sub)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dispatch %s: %w", sub.Name(), err)
+	}
+	return art, nil
 }
 
 // OpenFlight registers a dispatch in the in-flight set and anchors its
@@ -756,7 +772,7 @@ func (s *Server) OpenFlight(sl Slot) *Flight {
 
 // FlightPlan is the pre-training forecast of a dispatch's ledger shape:
 // everything the cost model and the ledger can know before (or without)
-// running local training. The in-process trainer resolves it from the
+// running local training. In-process execution resolves it from the
 // device's capacity draw; networked trainers cannot (the pruning decision
 // happens on the device), so planning is an in-process capability.
 type FlightPlan struct {
@@ -780,14 +796,14 @@ type FlightPlan struct {
 	UpBytesEst int64
 }
 
-// Plan resolves a flight's on-device pruning decision ahead of training,
-// consuming the device's capacity draw exactly where the eager path would
-// (one draw per dispatch, in dispatch order). A planned flight's Execute
-// reuses the decision instead of drawing again. Returns (nil, nil) when
-// the trainer cannot preflight — custom trainers own the capacity draw.
+// Plan resolves an in-process flight's on-device pruning decision ahead
+// of training: one capacity draw per dispatch, in dispatch order, on the
+// opener's goroutine. Execute trains the member the plan resolved, so
+// every in-process flight must be planned before it executes. Returns
+// (nil, nil) for a custom trainer (RoundTrainer's non-nil result), which
+// owns the capacity draw.
 func (s *Server) Plan(trainer Trainer, f *Flight) (*FlightPlan, error) {
-	lt, ok := trainer.(localTrainer)
-	if !ok {
+	if trainer != nil {
 		return nil, nil
 	}
 	client := s.pop.Client(f.Slot.Client)
@@ -798,7 +814,7 @@ func (s *Server) Plan(trainer Trainer, f *Flight) (*FlightPlan, error) {
 	}
 	if s.cfg.Codec != nil {
 		pl.Codec = s.cfg.Codec.Tag()
-		art, err := lt.preFor(f.Slot.Sent)
+		art, err := s.artifact(f.snap, f.global, f.Slot.Sent)
 		if err != nil {
 			return nil, err
 		}
@@ -839,15 +855,15 @@ func (f *Flight) planResult(skipped bool) localResult {
 		codec: pl.Codec, skipped: skipped && !pl.Failed}
 }
 
-// Execute runs the flight's local training (Steps 4-5 of Algorithm 1).
-// Distinct flights may execute concurrently. A planned flight trains the
-// member its plan resolved; an unplanned one defers the whole decision to
-// the trainer.
+// Execute runs the flight's local training (Steps 4-5 of Algorithm 1)
+// with RoundTrainer's result: in-process (nil) on the member the flight's
+// plan resolved, otherwise on the trainer. Distinct flights may execute
+// concurrently.
 func (s *Server) Execute(trainer Trainer, f *Flight) {
-	if lt, ok := trainer.(localTrainer); ok && f.plan != nil {
-		f.res = s.trainPlanned(lt, f)
+	if trainer == nil {
+		f.res = s.trainPlanned(f)
 	} else {
-		f.res = s.trainSlot(trainer, f)
+		f.res = s.trainRemote(trainer, f)
 	}
 	f.resolved = true
 }
@@ -1104,8 +1120,8 @@ func (s *Server) PushStats(st RoundStats) {
 // weights are sliced per dispatch), random model selection, RL client
 // selection, parallel local training with on-device pruning, RL table
 // updates, and heterogeneous aggregation. It is the synchronous
-// composition of the reentrant steps above: plan, open, execute in
-// parallel, then collect at a barrier in slot order.
+// composition of the reentrant steps above: select, open, plan, execute
+// in parallel, then collect at a barrier in slot order.
 func (s *Server) Round() error {
 	round := s.NextRound()
 	slots := s.PlanSlots(s.cfg.ClientsPerRound, nil)
@@ -1116,6 +1132,14 @@ func (s *Server) Round() error {
 	flights := make([]*Flight, len(slots))
 	for i, sl := range slots {
 		flights[i] = s.OpenFlight(sl)
+	}
+	for _, f := range flights {
+		if _, err := s.Plan(trainer, f); err != nil {
+			for _, f := range flights {
+				s.Release(f)
+			}
+			return fmt.Errorf("core: round %d %w", round, err)
+		}
 	}
 	for _, f := range flights {
 		s.ExecuteAsync(s.exec, trainer, f)
@@ -1174,80 +1198,51 @@ func (s *Server) Round() error {
 	return nil
 }
 
-// preDecodedTrainer is an optional Trainer capability: a trainer that
-// already holds the dispatch state for a pool member reports it here so
-// the server skips an extraction the trainer would discard unread.
-// Wrapping trainers should forward this method to preserve the skip.
-type preDecodedTrainer interface {
-	PreDecodedFor(memberIndex int) bool
+// request builds the flight's TrainRequest around its dispatched state.
+func (f *Flight) request(st nn.State) TrainRequest {
+	return TrainRequest{Flight: f.ID, Client: f.Slot.Client, Sent: f.Slot.Sent,
+		State: st, Snapshot: f.snap, Seed: f.Slot.Seed}
 }
 
-// FlightTrainer is an optional Trainer capability: a trainer that can
-// carry the flight ID alongside a dispatch implements it to correlate its
-// own transport-level records (e.g. fednet's Fednet-Flight header and
-// wall-clock logs) with the deterministic flight span. The ID is
-// observability metadata only — TrainFlight must behave exactly like
-// TrainDispatch for the same arguments.
-type FlightTrainer interface {
-	TrainFlight(flightID int64, clientID int, sent prune.Submodel, sentState nn.State, seed int64) (TrainResult, error)
-}
-
-// ArtifactTrainer is an optional Trainer capability: a trainer that
-// content-addresses its dispatches (fednet's encode-once downlink with
-// ETag revalidation) receives the flight's snapshot hash alongside the
-// flight ID, so its artifact keys agree with the server's dispatch
-// attribution. The hash is a cache key, never an input to training —
-// TrainArtifact must behave exactly like TrainDispatch for the same
-// dispatch arguments.
-type ArtifactTrainer interface {
-	TrainArtifact(flightID int64, clientID int, sent prune.Submodel, sentState nn.State, snap uint64, seed int64) (TrainResult, error)
-}
-
-// trainSlot performs Step 4/5 for one dispatch, delegating to the given
-// Trainer (built once per round). The dispatch state comes from the
-// flight's captured snapshot, so lazily executed flights train on the
-// weights they were cut from even if later aggregations have moved the
-// server's state on.
-func (s *Server) trainSlot(trainer Trainer, f *Flight) localResult {
-	clientID, sent, seed := f.Slot.Client, f.Slot.Sent, f.Slot.Seed
-	var st nn.State
-	if pd, ok := trainer.(preDecodedTrainer); !ok || !pd.PreDecodedFor(sent.Index) {
-		var err error
-		if st, err = s.pool.ExtractState(f.global, sent); err != nil {
-			return localResult{err: err}
-		}
+// trainRemote hands one dispatch to a custom Trainer. The dispatch state
+// comes from the flight's captured snapshot, so lazily executed flights
+// train on the weights they were cut from even if later aggregations have
+// moved the server's state on.
+func (s *Server) trainRemote(trainer Trainer, f *Flight) localResult {
+	st, err := s.pool.ExtractState(f.global, f.Slot.Sent)
+	if err != nil {
+		return localResult{err: err}
 	}
-	var res TrainResult
-	var err error
-	switch tr := trainer.(type) {
-	case ArtifactTrainer:
-		res, err = tr.TrainArtifact(f.ID, clientID, sent, st, f.snap, seed)
-	case FlightTrainer:
-		res, err = tr.TrainFlight(f.ID, clientID, sent, st, seed)
-	default:
-		res, err = trainer.TrainDispatch(clientID, sent, st, seed)
-	}
+	res, err := trainer.Train(f.request(st))
 	if err != nil {
 		return localResult{err: err}
 	}
 	if res.Failed {
-		return localResult{failed: true, got: sent, sentBytes: res.SentBytes, codec: res.CodecTag}
+		return localResult{failed: true, got: f.Slot.Sent, sentBytes: res.SentBytes, codec: res.CodecTag}
 	}
 	return localResult{state: res.State, samples: res.Samples, got: res.Got,
 		sentBytes: res.SentBytes, gotBytes: res.GotBytes, codec: res.CodecTag,
 		rejected: res.Rejected}
 }
 
-// trainPlanned executes a planned flight: the capacity draw already
-// happened at Plan time, so training goes straight to the resolved member.
-func (s *Server) trainPlanned(lt localTrainer, f *Flight) localResult {
+// trainPlanned executes an in-process flight: the capacity draw already
+// happened at Plan time, so the device step goes straight to the resolved
+// member. With a codec configured, the dispatch and upload both
+// round-trip through the wire encoding — the dispatch state is the
+// artifact's decode, shared by every flight of the member — so the run
+// trains on, and aggregates, exactly what a networked device would see,
+// and the ledger carries the real encoded sizes.
+func (s *Server) trainPlanned(f *Flight) localResult {
 	pl := f.plan
+	if pl == nil {
+		return localResult{err: fmt.Errorf("core: flight %d executed without a plan", f.ID)}
+	}
 	if pl.Failed {
 		return localResult{failed: true, got: f.Slot.Sent, sentBytes: pl.SentBytes, codec: pl.Codec}
 	}
 	var sentState nn.State
 	if s.cfg.Codec != nil {
-		art, err := lt.preFor(f.Slot.Sent)
+		art, err := s.artifact(f.snap, f.global, f.Slot.Sent)
 		if err != nil {
 			return localResult{err: err}
 		}
@@ -1258,142 +1253,27 @@ func (s *Server) trainPlanned(lt localTrainer, f *Flight) localResult {
 			return localResult{err: err}
 		}
 	}
-	state, gotBytes, samples, rejected, err := lt.trainGot(f.Slot.Client, pl.Got, sentState, f.Slot.Seed)
+	client := s.pop.Client(f.Slot.Client)
+	step := DeviceStep{Model: s.cfg.Model, Train: s.cfg.Train, Adversary: s.cfg.Adversary,
+		Codec: s.cfg.Codec, Replays: &s.replays}
+	trained, up, err := step.Run(f.request(sentState), pl.Got, client.Data)
 	if err != nil {
 		return localResult{err: err}
 	}
-	return localResult{state: state, samples: samples, got: pl.Got,
-		sentBytes: pl.SentBytes, gotBytes: gotBytes, gotBytesEst: pl.UpBytesEst,
-		codec: pl.Codec, rejected: rejected}
-}
-
-// localTrainer is the default in-process Trainer: it reads the client's
-// device capacity, prunes to the largest derivable pool member, and trains
-// on the client's local shard.
-type localTrainer struct {
-	s *Server
-	// snap / global are the snapshot the trainer dispatches from, captured
-	// at build time: the hash keys the artifact store, the weights feed the
-	// extraction on a store miss. RoundTrainer's contract is a fresh
-	// trainer per aggregation, so both stay consistent for its lifetime.
-	snap   uint64
-	global nn.State
-}
-
-// PreDecodedFor implements preDecodedTrainer: with a codec configured the
-// trainer always sources the dispatch state from the artifact store (it
-// can re-extract from its captured snapshot on a miss, even after an LRU
-// eviction), so a server-side extraction would be discarded unread.
-func (lt localTrainer) PreDecodedFor(memberIndex int) bool {
-	return lt.s.cfg.Codec != nil
-}
-
-// preFor returns the dispatch artifact for a pool member from the
-// server's content-addressed store, extracting and encoding exactly once
-// per (snapshot, member, codec) across all trainers and dispatch workers.
-// Only valid with a codec configured.
-func (lt localTrainer) preFor(sub prune.Submodel) (*wire.Artifact, error) {
-	c := lt.s.cfg.Codec
-	key := wire.ArtifactKey{Snapshot: lt.snap, Member: sub.Index, Codec: c.Tag()}
-	art, err := lt.s.artifacts.Get(key, c, func() (nn.State, error) {
-		return lt.s.pool.ExtractState(lt.global, sub)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dispatch %s: %w", sub.Name(), err)
-	}
-	return art, nil
-}
-
-// applyBehavior transforms a client's trained state according to its
-// adversarial behavior. Corrupt is handled at the wire layer (trainGot),
-// not here. The stale-replay cache is keyed per client under advMu; a
-// client trains at most one flight at a time, so the cache order — and
-// with it the replayed state — is deterministic.
-func (s *Server) applyBehavior(clientID int, b Behavior, trained, sent nn.State) nn.State {
-	if b == StaleReplay {
-		s.advMu.Lock()
-		prev := s.advPrev[clientID]
-		s.advPrev[clientID] = trained.Clone()
-		s.advMu.Unlock()
-		if prev != nil {
-			return prev
-		}
-		return trained
-	}
-	return s.cfg.Adversary.Mutate(b, trained, sent)
-}
-
-// trainGot runs local training of the resolved pool member and, with a
-// codec configured, round-trips the upload through the wire encoding.
-// Adversarial behaviors inject here — after training, before the wire —
-// exactly where a compromised device would tamper. The fourth return
-// reports a rejected upload: the payload arrived (bytes counted) but
-// failed to decode, so the server must ledger a rejection rather than
-// fail the flight.
-func (lt localTrainer) trainGot(clientID int, got prune.Submodel, sentState nn.State, seed int64) (nn.State, int64, int, bool, error) {
-	client := lt.s.pop.Client(clientID)
-	rng := rand.New(rand.NewSource(seed))
-	trained, err := TrainLocal(lt.s.cfg.Model, got.Widths, sentState, client.Data, lt.s.cfg.Train, rng)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	behavior := lt.s.cfg.Adversary.BehaviorOf(clientID)
-	trained = lt.s.applyBehavior(clientID, behavior, trained, sentState)
-	var gotBytes int64
-	if c := lt.s.cfg.Codec; c != nil {
+	res := localResult{samples: client.Data.Len(), got: pl.Got, sentBytes: pl.SentBytes,
+		gotBytes: int64(len(up)), gotBytesEst: pl.UpBytesEst, codec: pl.Codec}
+	if s.cfg.Codec != nil {
 		// The uplink reference is the decoded dispatched state — the same
-		// tensor a device agent would diff against.
-		enc, err := c.Encode(trained, sentState)
-		if err != nil {
-			return nil, 0, 0, false, err
+		// tensor a device agent diffs against. A garbage payload still
+		// crossed the uplink: the bytes are real, the update is not, so a
+		// decode failure is a ledgered rejection, not a run error.
+		if trained, err = s.cfg.Codec.Decode(up, sentState); err != nil {
+			res.rejected = true
+			return res
 		}
-		if behavior == Corrupt {
-			lt.s.cfg.Adversary.CorruptPayload(clientID, enc)
-		}
-		gotBytes = int64(len(enc))
-		if trained, err = c.Decode(enc, sentState); err != nil {
-			// A garbage payload still crossed the uplink: the bytes are
-			// real, the update is not. Graceful rejection, not a run error.
-			return nil, gotBytes, client.Data.Len(), true, nil
-		}
-	} else if behavior == Corrupt {
-		// No wire encoding to flip bits in — poison the raw state instead;
-		// the record-time finiteness guard turns it into the same rejection.
-		trained = poisonState(trained)
 	}
-	return trained, gotBytes, client.Data.Len(), false, nil
-}
-
-// TrainDispatch implements Trainer. With a codec configured, the dispatch
-// and upload both round-trip through the wire encoding so the in-process
-// run trains on — and aggregates — exactly what a networked device would
-// see, and the ledger carries the real encoded sizes. The dispatch side
-// comes from the artifact store (sentState is ignored then — the server
-// skips the extraction via PreDecodedFor), so slots sharing a member
-// share one encode.
-func (lt localTrainer) TrainDispatch(clientID int, sent prune.Submodel, sentState nn.State, seed int64) (TrainResult, error) {
-	var sentBytes int64
-	var tag string
-	if c := lt.s.cfg.Codec; c != nil {
-		art, err := lt.preFor(sent)
-		if err != nil {
-			return TrainResult{}, err
-		}
-		sentBytes, sentState = int64(len(art.Bytes)), art.State
-		tag = c.Tag()
-	}
-	client := lt.s.pop.Client(clientID)
-	capacity := client.Device.Capacity()
-	got, ok := lt.s.pool.LargestFit(sent, capacity)
-	if !ok {
-		return TrainResult{Failed: true, SentBytes: sentBytes, CodecTag: tag}, nil
-	}
-	state, gotBytes, samples, rejected, err := lt.trainGot(clientID, got, sentState, seed)
-	if err != nil {
-		return TrainResult{}, err
-	}
-	return TrainResult{State: state, Samples: samples, Got: got,
-		SentBytes: sentBytes, GotBytes: gotBytes, CodecTag: tag, Rejected: rejected}, nil
+	res.state = trained
+	return res
 }
 
 // Run executes rounds and invokes cb (if non-nil) after each; cb returning

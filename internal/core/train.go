@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"adaptivefl/internal/data"
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
+	"adaptivefl/internal/wire"
 )
 
 // TrainConfig holds the local-training hyperparameters. The paper's
@@ -71,4 +73,79 @@ func TrainLocal(mcfg models.Config, widths []int, st nn.State, ds *data.Dataset,
 		}
 	}
 	return nn.StateDict(model), nil
+}
+
+// DeviceStep is a device's side of one dispatch once its pruning decision
+// is made (Steps 4-5 of Algorithm 1): local training of the resolved
+// member, the client's adversarial behavior, and the uplink encode. The
+// in-process server and every fednet agent run it, so both paths train and
+// tamper bit-identically. Adversarial behaviors inject after training,
+// before the wire, exactly where a compromised device would tamper.
+type DeviceStep struct {
+	Model     models.Config
+	Train     TrainConfig
+	Adversary AdversarySpec
+	// Codec encodes the upload against the dispatched state; nil returns
+	// the raw trained state (the in-process path without a wire codec).
+	Codec wire.Codec
+	// Replays is the stale-replay behavior's memory; required whenever
+	// the adversary mix includes stale replay.
+	Replays *Replays
+}
+
+// Replays holds each stale-replay client's previous trained state, keyed
+// by client. A client trains at most one flight at a time, so the replayed
+// state is deterministic; the mutex only guards cross-client map access.
+// The zero value is ready to use.
+type Replays struct {
+	mu   sync.Mutex
+	prev map[int]nn.State
+}
+
+// Run trains got from the request's dispatched state on the client's
+// shard. With a codec it returns the encoded upload, whose bytes a corrupt
+// client has bit-flipped; without one it returns the trained state, which
+// a corrupt client has poisoned with NaNs instead.
+func (d DeviceStep) Run(req TrainRequest, got prune.Submodel, shard *data.Dataset) (nn.State, []byte, error) {
+	trained, err := TrainLocal(d.Model, got.Widths, req.State, shard, d.Train, rand.New(rand.NewSource(req.Seed)))
+	if err != nil {
+		return nil, nil, err
+	}
+	b := d.Adversary.BehaviorOf(req.Client)
+	trained = d.applyBehavior(req.Client, b, trained, req.State)
+	if d.Codec == nil {
+		if b == Corrupt {
+			trained = poisonState(trained)
+		}
+		return trained, nil, nil
+	}
+	up, err := d.Codec.Encode(trained, req.State)
+	if err != nil {
+		return nil, nil, err
+	}
+	if b == Corrupt {
+		d.Adversary.CorruptPayload(req.Client, up)
+	}
+	return nil, up, nil
+}
+
+// applyBehavior transforms a client's trained state according to its
+// adversarial behavior: stateless transforms through Mutate, stale replay
+// through the Replays cache. Corrupt acts on the upload (Run), not here.
+func (d DeviceStep) applyBehavior(client int, b Behavior, trained, sent nn.State) nn.State {
+	if b != StaleReplay {
+		return d.Adversary.Mutate(b, trained, sent)
+	}
+	r := d.Replays
+	r.mu.Lock()
+	if r.prev == nil {
+		r.prev = map[int]nn.State{}
+	}
+	prev := r.prev[client]
+	r.prev[client] = trained.Clone()
+	r.mu.Unlock()
+	if prev != nil {
+		return prev
+	}
+	return trained
 }

@@ -73,26 +73,6 @@ func (d *Dataset) Batches(rng *rand.Rand, batchSize int) [][]int {
 	return out
 }
 
-// Concat concatenates datasets with identical shapes and class counts.
-func Concat(parts ...*Dataset) *Dataset {
-	if len(parts) == 0 {
-		panic("data: Concat of nothing")
-	}
-	c, h, w := parts[0].X.Shape[1], parts[0].X.Shape[2], parts[0].X.Shape[3]
-	n := 0
-	for _, p := range parts {
-		n += p.Len()
-	}
-	out := &Dataset{X: tensor.New(n, c, h, w), Labels: make([]int, 0, n), NumClasses: parts[0].NumClasses}
-	off := 0
-	for _, p := range parts {
-		copy(out.X.Data[off:], p.X.Data)
-		off += p.X.Numel()
-		out.Labels = append(out.Labels, p.Labels...)
-	}
-	return out
-}
-
 // ClassCounts returns per-class sample counts.
 func (d *Dataset) ClassCounts() []int {
 	counts := make([]int, d.NumClasses)

@@ -106,18 +106,6 @@ func TestBatchesCoverDatasetOnce(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a, _ := Generate(CIFAR10Like(10, 5, 4))
-	b, _ := Generate(CIFAR10Like(20, 5, 5))
-	c := Concat(a, b)
-	if c.Len() != 30 {
-		t.Fatalf("Concat len %d", c.Len())
-	}
-	if c.Labels[10] != b.Labels[0] {
-		t.Fatal("Concat label order wrong")
-	}
-}
-
 func TestPartitionIIDProperty(t *testing.T) {
 	f := func(nRaw, cRaw uint8) bool {
 		n := int(nRaw)%200 + 20

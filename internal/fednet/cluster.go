@@ -25,7 +25,7 @@ import (
 // The agents share the caller's *core.Client values (data shard + device),
 // mirroring the paper's test-bed where the device owns its resource state:
 // capacity draws happen inside the agent, one per dispatch, exactly where
-// the in-process trainer's preflight plan would draw them.
+// an in-process flight's plan (core.Server.Plan) would draw them.
 type Cluster struct {
 	Agents  []*Agent
 	URLs    []string

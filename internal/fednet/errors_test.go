@@ -19,7 +19,7 @@ func fakeAgent(t *testing.T, handler http.HandlerFunc) *httptest.Server {
 	return ts
 }
 
-// dispatchTo runs one TrainDispatch against the given endpoint with a
+// dispatchTo runs one dispatch against the given endpoint with a
 // real encoded state.
 func dispatchTo(t *testing.T, url string) (core.TrainResult, error) {
 	t.Helper()
@@ -35,7 +35,7 @@ func dispatchTo(t *testing.T, url string) (core.TrainResult, error) {
 		t.Fatal(err)
 	}
 	tr := NewHTTPTrainer([]string{url}, pool, quickTrain())
-	return tr.TrainDispatch(0, l1, st, 1)
+	return tr.Train(core.TrainRequest{Client: 0, Sent: l1, State: st, Seed: 1})
 }
 
 // TestTrainerRejectsMalformedUpload: an agent answering a well-formed

@@ -46,8 +46,8 @@ const instanceHeader = "Fednet-Instance"
 // the cross-process correlation contract: the same ID appears in the
 // deterministic flight span (-trace-out), so agent- and server-side
 // wall-clock records (-wall-out) join back to the simulated flight in
-// `fltrace join`. Absent (or 0) when the trainer was driven without a
-// flight — e.g. a bare TrainDispatch.
+// `fltrace join`. Absent when the request carries flight 0 (the trainer
+// was driven outside a flight).
 const FlightHeader = "Fednet-Flight"
 
 // errCodecNotAccepted marks a dispatch whose codec the agent refuses;
@@ -130,10 +130,6 @@ type Agent struct {
 	// Codecs restricts which wire codecs this agent accepts, in order of
 	// preference. Nil accepts every registered codec, preferring raw.
 	Codecs []string
-	// ErrorFeedback carries each upload's quantization residual into the
-	// next upload (wire.ErrorFeedback). Sender-side only: the stream stays
-	// wire-compatible, so the server needs no configuration.
-	ErrorFeedback bool
 	// Metrics, when set, times every served request (route, latency,
 	// payload bytes) and adds a GET /metrics endpoint to this agent in
 	// Prometheus text format — live introspection of a running device
@@ -154,13 +150,8 @@ type Agent struct {
 	// instance identifies this agent construction; a restarted agent gets
 	// a fresh ID, which is how the server notices its negotiation is stale.
 	instance string
-	// advMu/advPrev hold the stale-replay behavior's previous trained
-	// state (the agent serves exactly one client).
-	advMu   sync.Mutex
-	advPrev nn.State
-	// ef holds this agent's residual streams, one per codec tag.
-	efMu sync.Mutex
-	ef   map[string]*wire.ErrorFeedback
+	// replays is the stale-replay behavior's memory of this agent's client.
+	replays core.Replays
 	// arts is the decoded-artifact cache (FIFO, agentArtifactCap entries,
 	// newest last): the agent's side of the ETag contract. Entries are the
 	// agent's decode of a full-body dispatch, keyed by its ETag, and are
@@ -221,27 +212,6 @@ func NewAgent(client *core.Client, mcfg models.Config, pcfg prune.Config) (*Agen
 
 // Instance returns the agent's per-construction instance ID.
 func (a *Agent) Instance() string { return a.instance }
-
-// uplinkCodec returns the codec the agent answers with: the negotiated one,
-// wrapped with this agent's persistent error-feedback stream when enabled.
-// Residual streams are per codec tag and live as long as the agent — a
-// restart naturally resets them along with the instance ID.
-func (a *Agent) uplinkCodec(c wire.Codec) wire.Codec {
-	if !a.ErrorFeedback {
-		return c
-	}
-	a.efMu.Lock()
-	defer a.efMu.Unlock()
-	if a.ef == nil {
-		a.ef = map[string]*wire.ErrorFeedback{}
-	}
-	ef, ok := a.ef[c.Tag()]
-	if !ok {
-		ef = wire.NewErrorFeedback(c)
-		a.ef[c.Tag()] = ef
-	}
-	return ef
-}
 
 // SupportedCodecs returns the codec tags this agent accepts, in
 // preference order.
@@ -390,7 +360,8 @@ func (a *Agent) serveTrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // Train executes one dispatch on this device: resource-aware pruning of
-// the received model, local SGD, and state upload.
+// the received model, then the shared device step (core.DeviceStep: local
+// SGD, adversarial behavior, upload encoded in the request's codec).
 func (a *Agent) Train(req TrainRequest) (TrainResponse, error) {
 	if req.SentIndex < 0 || req.SentIndex >= len(a.Pool.Members) {
 		return TrainResponse{}, fmt.Errorf("fednet: sent index %d outside pool", req.SentIndex)
@@ -428,44 +399,16 @@ func (a *Agent) Train(req TrainRequest) (TrainResponse, error) {
 			a.holdArtifact(req.ETag, st)
 		}
 	}
-	rng := rand.New(rand.NewSource(req.Seed))
-	trained, err := core.TrainLocal(a.Model, got.Widths, st, a.Client.Data, req.Train, rng)
-	if err != nil {
-		return TrainResponse{}, err
-	}
-	behavior := a.Adversary.BehaviorOf(a.Client.ID)
-	trained = a.applyBehavior(behavior, trained, st)
 	// The upload diffs against the dispatched state as this device
 	// decoded it — the reference the server reconstructs the same way.
-	up, err := a.uplinkCodec(codec).Encode(trained, st)
+	step := core.DeviceStep{Model: a.Model, Train: req.Train, Adversary: a.Adversary,
+		Codec: codec, Replays: &a.replays}
+	_, up, err := step.Run(core.TrainRequest{Client: a.Client.ID, Sent: sent, State: st, Seed: req.Seed},
+		got, a.Client.Data)
 	if err != nil {
 		return TrainResponse{}, err
 	}
-	if behavior == core.Corrupt {
-		// Bit-flip the encoded payload exactly as the in-process path
-		// does — the envelope stays well-formed, the inner state does not.
-		a.Adversary.CorruptPayload(a.Client.ID, up)
-	}
 	return TrainResponse{GotIndex: got.Index, Codec: codec.Tag(), State: up, Samples: a.Client.Data.Len()}, nil
-}
-
-// applyBehavior mirrors the in-process trainer's post-training injection:
-// stateless transforms go through core.AdversarySpec.Mutate; stale-replay
-// keeps the previous trained state in this agent (one agent = one client,
-// and a client trains at most one flight at a time, so the replay order
-// is deterministic).
-func (a *Agent) applyBehavior(b core.Behavior, trained, sent nn.State) nn.State {
-	if b == core.StaleReplay {
-		a.advMu.Lock()
-		prev := a.advPrev
-		a.advPrev = trained.Clone()
-		a.advMu.Unlock()
-		if prev != nil {
-			return prev
-		}
-		return trained
-	}
-	return a.Adversary.Mutate(b, trained, sent)
 }
 
 // HTTPTrainer implements core.Trainer by POSTing dispatches to per-client
@@ -475,8 +418,8 @@ type HTTPTrainer struct {
 	URLs []string
 	// Pool resolves returned member indices.
 	Pool *prune.Pool
-	// Train is forwarded to agents.
-	Train core.TrainConfig
+	// TrainConfig is forwarded to agents.
+	TrainConfig core.TrainConfig
 	// HTTPClient defaults to a client with a 5-minute timeout.
 	HTTPClient *http.Client
 	// Codec encodes dispatches (nil means raw). Negotiate can override it
@@ -488,9 +431,8 @@ type HTTPTrainer struct {
 	// so it never perturbs the simulation's virtual-time determinism.
 	Metrics *obs.Metrics
 	// Wall, when set, appends one obs.WallRecord per dispatch round trip
-	// (side "server"), keyed by flight ID when the dispatch came through
-	// TrainFlight. Like Metrics, it observes wall time only and never
-	// perturbs virtual-time determinism.
+	// (side "server"), keyed by the request's flight ID. Like Metrics, it
+	// observes wall time only and never perturbs virtual-time determinism.
 	Wall *obs.JSONLWriter
 	// FullDownlinks disables If-None-Match revalidation: every dispatch
 	// carries the full encoded body even when the agent should already
@@ -592,7 +534,7 @@ func (t *HTTPTrainer) forgetDelivered(clientID int, etag string) {
 // NewHTTPTrainer builds a trainer for the given agent endpoints.
 func NewHTTPTrainer(urls []string, pool *prune.Pool, train core.TrainConfig) *HTTPTrainer {
 	return &HTTPTrainer{
-		URLs: urls, Pool: pool, Train: train,
+		URLs: urls, Pool: pool, TrainConfig: train,
 		HTTPClient: &http.Client{Timeout: 5 * time.Minute},
 	}
 }
@@ -686,43 +628,32 @@ func (t *HTTPTrainer) noteInstance(clientID int, instance string) (restarted boo
 	return known && prev != "" && prev != instance
 }
 
-// TrainDispatch implements core.Trainer over HTTP. If the agent answers
-// 415 (it restarted with a different codec set and no longer speaks the
-// negotiated encoding), the trainer re-negotiates that one client and
-// retries the dispatch once with the freshly agreed codec.
-func (t *HTTPTrainer) TrainDispatch(clientID int, sent prune.Submodel, sentState nn.State, seed int64) (core.TrainResult, error) {
-	return t.TrainArtifact(0, clientID, sent, sentState, 0, seed)
-}
-
-// TrainFlight implements core.FlightTrainer: identical to TrainDispatch,
-// except the flight ID rides along as the Fednet-Flight request header so
-// agent-side wall records correlate with the deterministic flight span.
-// flightID 0 means "no flight" and omits the header.
-func (t *HTTPTrainer) TrainFlight(flightID int64, clientID int, sent prune.Submodel, sentState nn.State, seed int64) (core.TrainResult, error) {
-	return t.TrainArtifact(flightID, clientID, sent, sentState, 0, seed)
-}
-
-// TrainArtifact implements core.ArtifactTrainer: the server passes the
-// snapshot hash its dispatch attribution used, so the trainer's artifact
-// keys (and ETags) agree with the ledger's encode-once accounting. snap 0
-// (a bare TrainDispatch) falls back to hashing the dispatched state —
-// still a sound content address, since extraction is deterministic.
-func (t *HTTPTrainer) TrainArtifact(flightID int64, clientID int, sent prune.Submodel, sentState nn.State, snap uint64, seed int64) (core.TrainResult, error) {
-	if clientID < 0 || clientID >= len(t.URLs) {
-		return core.TrainResult{}, fmt.Errorf("fednet: no agent URL for client %d", clientID)
+// Train implements core.Trainer over HTTP. The request's flight ID rides
+// along as the Fednet-Flight header (omitted for flight 0), so agent-side
+// wall records correlate with the deterministic flight span. Its snapshot
+// hash keys the downlink artifact, so the trainer's ETags agree with the
+// ledger's encode-once accounting; snapshot 0 falls back to hashing the
+// dispatched state — still a sound content address, since extraction is
+// deterministic. If the agent answers 415 (it restarted with a different
+// codec set and no longer speaks the negotiated encoding), the trainer
+// re-negotiates that one client and retries the dispatch once with the
+// freshly agreed codec.
+func (t *HTTPTrainer) Train(req core.TrainRequest) (core.TrainResult, error) {
+	if req.Client < 0 || req.Client >= len(t.URLs) {
+		return core.TrainResult{}, fmt.Errorf("fednet: no agent URL for client %d", req.Client)
 	}
-	if snap == 0 {
-		snap = nn.HashState(sentState)
+	if req.Snapshot == 0 {
+		req.Snapshot = nn.HashState(req.State)
 	}
-	res, status, err := t.dispatchOnce(flightID, clientID, sent, sentState, snap, seed, true)
+	res, status, err := t.dispatchOnce(req, true)
 	if status == http.StatusPreconditionFailed {
 		// The agent lost the artifact we believed delivered (dispatchOnce
 		// already forgot the mirror entry): resend with the full body.
-		res, status, err = t.dispatchOnce(flightID, clientID, sent, sentState, snap, seed, false)
+		res, status, err = t.dispatchOnce(req, false)
 	}
 	if status == http.StatusUnsupportedMediaType {
-		t.negotiateClient(clientID)
-		res, _, err = t.dispatchOnce(flightID, clientID, sent, sentState, snap, seed, true)
+		t.negotiateClient(req.Client)
+		res, _, err = t.dispatchOnce(req, true)
 	}
 	return res, err
 }
@@ -732,18 +663,19 @@ func (t *HTTPTrainer) TrainArtifact(flightID int64, clientID int, sent prune.Sub
 // body comes from the artifact store — one encode per (snapshot, member,
 // codec), shared by every client — and goes out bodyless (If-None-Match)
 // when allowCond is set and the client is believed to hold the artifact.
-func (t *HTTPTrainer) dispatchOnce(flightID int64, clientID int, sent prune.Submodel, sentState nn.State, snap uint64, seed int64, allowCond bool) (core.TrainResult, int, error) {
+func (t *HTTPTrainer) dispatchOnce(req core.TrainRequest, allowCond bool) (core.TrainResult, int, error) {
+	clientID := req.Client
 	codec := t.codecFor(clientID)
-	key := wire.ArtifactKey{Snapshot: snap, Member: sent.Index, Codec: codec.Tag()}
-	art, err := t.artStore().Get(key, codec, func() (nn.State, error) { return sentState, nil })
+	key := wire.ArtifactKey{Snapshot: req.Snapshot, Member: req.Sent.Index, Codec: codec.Tag()}
+	art, err := t.artStore().Get(key, codec, func() (nn.State, error) { return req.State, nil })
 	if err != nil {
 		return core.TrainResult{}, 0, err
 	}
 	etag := key.ETag()
 	conditional := allowCond && !t.FullDownlinks && t.deliveredHas(clientID, etag)
 	treq := TrainRequest{
-		SentIndex: sent.Index, Codec: codec.Tag(), ETag: etag,
-		Train: t.Train, Seed: seed,
+		SentIndex: req.Sent.Index, Codec: codec.Tag(), ETag: etag,
+		Train: t.TrainConfig, Seed: req.Seed,
 	}
 	if conditional {
 		treq.NotModified = true
@@ -754,19 +686,19 @@ func (t *HTTPTrainer) dispatchOnce(flightID int64, clientID int, sent prune.Subm
 	if err != nil {
 		return core.TrainResult{}, 0, err
 	}
-	req, err := http.NewRequest(http.MethodPost, t.URLs[clientID], bytes.NewReader(reqBody))
+	httpReq, err := http.NewRequest(http.MethodPost, t.URLs[clientID], bytes.NewReader(reqBody))
 	if err != nil {
 		return core.TrainResult{}, 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set("Content-Type", "application/json")
 	if conditional {
-		req.Header.Set("If-None-Match", etag)
+		httpReq.Header.Set("If-None-Match", etag)
 	}
-	if flightID > 0 {
-		req.Header.Set(FlightHeader, strconv.FormatInt(flightID, 10))
+	if req.Flight > 0 {
+		httpReq.Header.Set(FlightHeader, strconv.FormatInt(req.Flight, 10))
 	}
 	start := time.Now()
-	httpResp, err := t.HTTPClient.Do(req)
+	httpResp, err := t.HTTPClient.Do(httpReq)
 	if err != nil {
 		return core.TrainResult{}, 0, fmt.Errorf("fednet: dispatch to client %d: %w", clientID, err)
 	}
@@ -783,7 +715,7 @@ func (t *HTTPTrainer) dispatchOnce(flightID int64, clientID int, sent prune.Subm
 					respBytes = 0 // chunked: length unknown at the header
 				}
 				_ = t.Wall.Record(obs.WallRecord{
-					Kind: obs.WallKind, Flight: flightID, Side: "server", Route: "train",
+					Kind: obs.WallKind, Flight: req.Flight, Side: "server", Route: "train",
 					Client: clientID, Instance: httpResp.Header.Get(instanceHeader),
 					Seconds: secs, ReqBytes: int64(len(reqBody)),
 					RespBytes: respBytes, Status: httpResp.StatusCode,
@@ -873,5 +805,3 @@ func (t *HTTPTrainer) dispatchOnce(flightID int64, clientID int, sent prune.Subm
 }
 
 var _ core.Trainer = (*HTTPTrainer)(nil)
-var _ core.FlightTrainer = (*HTTPTrainer)(nil)
-var _ core.ArtifactTrainer = (*HTTPTrainer)(nil)

@@ -202,7 +202,7 @@ func TestHTTPTrainerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewHTTPTrainer([]string{"http://127.0.0.1:1"}, pool, quickTrain())
-	if _, err := tr.TrainDispatch(5, pool.Largest(), nil, 1); err == nil {
+	if _, err := tr.Train(core.TrainRequest{Client: 5, Sent: pool.Largest(), Seed: 1}); err == nil {
 		t.Fatal("missing URL accepted")
 	}
 }
@@ -397,7 +397,7 @@ func TestDownlinkRefCachedPerRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := tr.TrainDispatch(0, sent, st, int64(100+i)); err != nil {
+		if _, err := tr.Train(core.TrainRequest{Client: 0, Sent: sent, State: st, Seed: int64(100 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -427,7 +427,7 @@ func TestDownlinkRefCachedPerRound(t *testing.T) {
 		ten.Data[0] += 0.5
 		break
 	}
-	if _, err := tr.TrainDispatch(0, sent, st2, 200); err != nil {
+	if _, err := tr.Train(core.TrainRequest{Client: 0, Sent: sent, State: st2, Seed: 200}); err != nil {
 		t.Fatal(err)
 	}
 	if got := atomic.LoadInt32(&decodes); got != 2 {

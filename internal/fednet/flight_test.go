@@ -10,14 +10,15 @@ import (
 	"sync"
 	"testing"
 
+	"adaptivefl/internal/core"
 	"adaptivefl/internal/obs"
 	"adaptivefl/internal/prune"
 )
 
 // TestFlightHeaderRoundTrip pins the cross-process correlation contract:
-// TrainFlight sends the flight ID as the Fednet-Flight request header, the
+// a request's flight ID goes out as the Fednet-Flight request header, the
 // agent echoes it on the response, both sides log a wall record carrying
-// that ID, and a plain TrainDispatch sends no header at all.
+// that ID, and a request with flight 0 sends no header at all.
 func TestFlightHeaderRoundTrip(t *testing.T) {
 	mcfg := testModelCfg()
 	pcfg := prune.Config{P: 3}
@@ -51,10 +52,10 @@ func TestFlightHeaderRoundTrip(t *testing.T) {
 	agent.Wall = wall
 
 	global := buildGlobal(t, mcfg)
-	if _, err := trainer.TrainFlight(7, 0, pool.Members[0], global, 99); err != nil {
+	if _, err := trainer.Train(core.TrainRequest{Flight: 7, Client: 0, Sent: pool.Members[0], State: global, Seed: 99}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trainer.TrainDispatch(0, pool.Members[0], global, 99); err != nil {
+	if _, err := trainer.Train(core.TrainRequest{Client: 0, Sent: pool.Members[0], State: global, Seed: 99}); err != nil {
 		t.Fatal(err)
 	}
 	// The handler records the headers — and the agent its wall record —
@@ -78,8 +79,8 @@ func TestFlightHeaderRoundTrip(t *testing.T) {
 		t.Fatalf("flightless dispatch got an echoed header: %q", respHeaders[1])
 	}
 
-	// Both sides logged the flight-7 dispatch under its ID; the bare
-	// TrainDispatch logged with flight 0.
+	// Both sides logged the flight-7 dispatch under its ID; the request
+	// with flight 0 logged with flight 0.
 	byKey := map[string]int{}
 	for _, line := range strings.Split(strings.TrimSpace(wallBuf.String()), "\n") {
 		var rec obs.WallRecord

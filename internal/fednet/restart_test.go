@@ -152,7 +152,7 @@ func TestRestartDetectedOnSuccessfulDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := trainer.TrainDispatch(0, pool.Smallest(), st, 5)
+	res, err := trainer.Train(core.TrainRequest{Client: 0, Sent: pool.Smallest(), State: st, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,46 +161,5 @@ func TestRestartDetectedOnSuccessfulDispatch(t *testing.T) {
 	}
 	if trainer.instances[0] != second.Instance() {
 		t.Fatalf("instance record %q not refreshed to %q", trainer.instances[0], second.Instance())
-	}
-}
-
-// TestAgentErrorFeedbackInterops: an agent carrying uplink residuals must
-// stay wire-compatible — the server decodes its uploads with the plain
-// negotiated codec.
-func TestAgentErrorFeedbackInterops(t *testing.T) {
-	mcfg := testModelCfg()
-	pcfg := prune.Config{P: 3}
-	clients := buildClients(t, 1)
-	clients[0].Device.Jitter = 0
-
-	agent, err := NewAgent(clients[0], mcfg, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent.ErrorFeedback = true
-	ts := httptest.NewServer(agent)
-	defer ts.Close()
-
-	pool, err := prune.BuildPool(mcfg, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainer := NewHTTPTrainer([]string{ts.URL}, pool, quickTrain())
-	trainer.Negotiate(wire.Q8{})
-	st, err := pool.ExtractState(serverGlobal(t, mcfg, pcfg, clients), pool.Smallest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ { // second round carries a residual
-		res, err := trainer.TrainDispatch(0, pool.Smallest(), st, int64(9+round))
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if res.Failed || res.State == nil {
-			t.Fatalf("round %d: no state back", round)
-		}
-		if res.CodecTag != wire.TagQ8 {
-			t.Fatalf("round %d: codec %q, want q8", round, res.CodecTag)
-		}
 	}
 }

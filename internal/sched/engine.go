@@ -125,12 +125,6 @@ type Engine struct {
 	// next commit merges and clears it. Their ledger entries accumulate in
 	// accum alongside it.
 	bank []agg.Update
-	// trainer is the cached per-version trainer for one-at-a-time
-	// dispatches: RoundTrainer snapshots the global weights, so it stays
-	// valid (and keeps memoizing codec pre-encodes) until the next
-	// aggregation bumps the version.
-	trainer    core.Trainer
-	trainerVer int
 }
 
 // New builds an engine around a server. cost is required; a nil trace
@@ -312,7 +306,7 @@ func (e *Engine) trainEnd(c int, t, work float64) (end float64, dropped bool) {
 // slot order, at the current virtual time. Pricing is staged around what
 // is knowable without the trained result:
 //
-//   - A plannable flight (in-process trainer) prices its download and
+//   - A planned flight (in-process execution) prices its download and
 //     training phases from the plan alone. If the client drops before the
 //     upload, the fate is sealed and training is skipped entirely — the
 //     eager engine used to train these and discard the result unread.
@@ -768,19 +762,6 @@ func (e *Engine) stepDeadline(reuse bool) (Commit, error) {
 	return e.commitRecorded(round, stats, updates)
 }
 
-// currentTrainer returns the trainer for one-at-a-time dispatches,
-// rebuilding it only when an aggregation has moved the global weights.
-func (e *Engine) currentTrainer() (core.Trainer, error) {
-	if e.trainer == nil || e.trainerVer != e.srv.Version() {
-		trainer, err := e.srv.RoundTrainer(nil)
-		if err != nil {
-			return nil, err
-		}
-		e.trainer, e.trainerVer = trainer, e.srv.Version()
-	}
-	return e.trainer, nil
-}
-
 // refill tops the in-flight set back up to K, one planned dispatch at a
 // time, among currently eligible clients. The burst's flights are opened
 // in plan order (deterministic IDs, rng stream identical to one-at-a-time
@@ -788,17 +769,10 @@ func (e *Engine) currentTrainer() (core.Trainer, error) {
 // the executor instead of serialising the refill.
 func (e *Engine) refill() error {
 	var open []*core.Flight
-	var trainer core.Trainer
 	for e.srv.InFlight() < e.cfg.K {
 		slots := e.srv.PlanSlots(1, e.eligible)
 		if len(slots) == 0 {
 			break // nobody dispatchable right now
-		}
-		if trainer == nil {
-			var err error
-			if trainer, err = e.currentTrainer(); err != nil {
-				return fmt.Errorf("sched: t=%.3f %w", e.clock, err)
-			}
 		}
 		// Mark the client busy immediately so the next PlanSlots cannot
 		// re-pick it (launchFlights marks it again, idempotently).
@@ -808,7 +782,11 @@ func (e *Engine) refill() error {
 	if len(open) == 0 {
 		return nil
 	}
-	_, err := e.launchFlights(trainer, open)
+	trainer, err := e.srv.RoundTrainer(nil)
+	if err != nil {
+		return fmt.Errorf("sched: t=%.3f %w", e.clock, err)
+	}
+	_, err = e.launchFlights(trainer, open)
 	return err
 }
 
