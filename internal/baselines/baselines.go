@@ -9,7 +9,6 @@ package baselines
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"adaptivefl/internal/core"
@@ -35,7 +34,7 @@ func (s *Setup) validate() error {
 	if s.K < 1 || s.K > len(s.Clients) {
 		return fmt.Errorf("baselines: K=%d outside [1,%d]", s.K, len(s.Clients))
 	}
-	return nil
+	return s.Train.Validate()
 }
 
 // Runner is a federated algorithm under test: it advances one round at a
@@ -70,9 +69,4 @@ func runParallel(k, par int, fn func(i int)) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-// pickClients selects k distinct client indices uniformly at random.
-func pickClients(rng *rand.Rand, n, k int) []int {
-	return rng.Perm(n)[:k]
 }

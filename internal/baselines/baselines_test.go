@@ -58,11 +58,11 @@ func TestAllLargeRoundAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := a.Global().Clone()
+	before := a.globals[0].Clone()
 	if err := a.Round(); err != nil {
 		t.Fatal(err)
 	}
-	if !changed(before, a.Global()) {
+	if !changed(before, a.globals[0]) {
 		t.Fatal("All-Large round did not change the global model")
 	}
 	acc, err := a.Evaluate(test, 30)
@@ -101,15 +101,19 @@ func TestDecoupledLevelsIsolated(t *testing.T) {
 }
 
 func TestDecoupledAssignsByClass(t *testing.T) {
-	if levelFor(core.Strong) != 2 || levelFor(core.Medium) != 1 || levelFor(core.Weak) != 0 {
+	setup, pool, _ := testSetup(t, 4)
+	d, err := NewDecoupled(setup, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.levels[core.Strong].global != 2 || d.levels[core.Medium].global != 1 || d.levels[core.Weak].global != 0 {
 		t.Fatal("class->level mapping wrong")
 	}
 }
 
 func TestHeteroFLNestedSizes(t *testing.T) {
 	setup, _, _ := testSetup(t, 6)
-	h, err := NewHeteroFL(setup)
-	if err != nil {
+	if _, err := NewHeteroFL(setup); err != nil {
 		t.Fatal(err)
 	}
 	// Width rates sqrt(0.25), sqrt(0.5), 1 should give ~0.25/0.5/1.0
@@ -118,11 +122,11 @@ func TestHeteroFLNestedSizes(t *testing.T) {
 	spec := fullCfg.Spec()
 	fullSize := models.CountStats(fullCfg, nil).Params
 	for i, want := range []float64{0.25, 0.5} {
-		widths := prune.PlanWidths(spec.FullWidths, h.rates[i], 0)
+		widths := prune.PlanWidths(spec.FullWidths, heteroFLRates[i], 0)
 		size := models.CountStats(fullCfg, widths).Params
 		ratio := float64(size) / float64(fullSize)
 		if ratio < want-0.05 || ratio > want+0.05 {
-			t.Errorf("HeteroFL rate %.3f gives size ratio %.3f, want ~%.2f", h.rates[i], ratio, want)
+			t.Errorf("HeteroFL rate %.3f gives size ratio %.3f, want ~%.2f", heteroFLRates[i], ratio, want)
 		}
 	}
 }
@@ -133,11 +137,11 @@ func TestHeteroFLRoundAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := h.global.Clone()
+	before := h.globals[0].Clone()
 	if err := h.Round(); err != nil {
 		t.Fatal(err)
 	}
-	if !changed(before, h.global) {
+	if !changed(before, h.globals[0]) {
 		t.Fatal("HeteroFL round did not change the global model")
 	}
 	acc, err := h.Evaluate(test, 30)
@@ -159,7 +163,7 @@ func TestScaleFLMultiExitGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	me, err := sf.buildNet(sf.levels[2])
+	me, err := buildNet(setup.Model, sf.levels[core.Strong])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +209,11 @@ func TestScaleFLRoundAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sf.global.Clone()
+	before := sf.globals[0].Clone()
 	if err := sf.Round(); err != nil {
 		t.Fatal(err)
 	}
-	if !changed(before, sf.global) {
+	if !changed(before, sf.globals[0]) {
 		t.Fatal("ScaleFL round did not change the global model")
 	}
 	acc, err := sf.Evaluate(test, 30)
@@ -230,7 +234,7 @@ func TestScaleFLGlobalIncludesExitHeads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"exit1.fc.weight", "exit2.fc.weight"} {
-		if _, ok := sf.global[name]; !ok {
+		if _, ok := sf.globals[0][name]; !ok {
 			t.Fatalf("ScaleFL global missing %s", name)
 		}
 	}
@@ -340,5 +344,20 @@ func TestSetupValidate(t *testing.T) {
 	setup.K = 99
 	if _, err := NewHeteroFL(setup); err == nil {
 		t.Fatal("K > clients accepted")
+	}
+	// A zero batch size would make ScaleFL's local loop batch forever and
+	// the other baselines fail only inside local training: every
+	// constructor must refuse it.
+	setup, pool, _ := testSetup(t, 4)
+	setup.Train.BatchSize = 0
+	for name, build := range map[string]func() (Runner, error){
+		"All-Large": func() (Runner, error) { return NewAllLarge(setup) },
+		"Decoupled": func() (Runner, error) { return NewDecoupled(setup, pool) },
+		"HeteroFL":  func() (Runner, error) { return NewHeteroFL(setup) },
+		"ScaleFL":   func() (Runner, error) { return NewScaleFL(setup) },
+	} {
+		if _, err := build(); err == nil {
+			t.Fatalf("%s accepted BatchSize 0", name)
+		}
 	}
 }

@@ -4,74 +4,34 @@ import (
 	"fmt"
 	"math/rand"
 
-	"adaptivefl/internal/agg"
-	"adaptivefl/internal/core"
 	"adaptivefl/internal/data"
-	"adaptivefl/internal/eval"
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
 	"adaptivefl/internal/tensor"
 )
 
-// ScaleFL is Ilhan et al.'s two-dimensional scaling baseline: submodels
-// shrink both in width and in depth, truncated models classify through
-// early-exit heads, and larger models distil knowledge from their deepest
-// exit into the earlier ones during local training (self-distillation).
-// This is a re-implementation from the paper's description; see DESIGN.md
-// §5.
-type ScaleFL struct {
-	setup Setup
-	// Per level (S, M, L): width rate, number of exits kept, widths.
-	levels []scaleLevel
-	global nn.State
-	rng    *rand.Rand
-	temp   float64 // distillation temperature
-	kdW    float64 // distillation loss weight
-}
+// ScaleFL's self-distillation temperature and distillation loss weight.
+const (
+	scaleFLTemp = 3
+	scaleFLKDW  = 0.5
+)
 
-type scaleLevel struct {
-	name   string
-	width  float64
-	exits  int // how many exits the level keeps (1 = first exit only)
-	widths []int
+// NewScaleFL builds Ilhan et al.'s two-dimensional scaling baseline:
+// submodels shrink both in width and in depth, truncated models classify
+// through early-exit heads, and larger models distil knowledge from their
+// deepest exit into the earlier ones during local training
+// (self-distillation). Its levels keep 1, 2 and 3 exits (depth ≈1/3, ≈2/3
+// and 1) at width rates chosen so they weigh roughly 0.25×, 0.5× and 1.0×
+// of the full model. This is a re-implementation from the paper's
+// description; see docs/FIDELITY.md.
+func NewScaleFL(s Setup) (*Static, error) {
+	var levels [3]level
+	for i, width := range [3]float64{0.60, 0.80, 1.00} {
+		levels[i] = level{name: levelNames[i], widths: prune.PlanWidths(s.Model.Spec().FullWidths, width, 0), exits: i + 1}
+	}
+	return newStatic("ScaleFL", s, levels, buildScaleFL, trainScaleFL)
 }
-
-// NewScaleFL builds the baseline with depth fractions ≈1/3 and ≈2/3 for
-// the small and medium levels and width rates chosen so the three levels
-// weigh roughly 0.25×, 0.5× and 1.0× of the full model.
-func NewScaleFL(s Setup) (*ScaleFL, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	spec := s.Model.Spec()
-	sf := &ScaleFL{setup: s, rng: rand.New(rand.NewSource(s.Seed)), temp: 3, kdW: 0.5}
-	for _, lv := range []struct {
-		name  string
-		width float64
-		exits int
-	}{
-		{"S1", 0.60, 1},
-		{"M1", 0.80, 2},
-		{"L1", 1.00, 3},
-	} {
-		sf.levels = append(sf.levels, scaleLevel{
-			name:   lv.name,
-			width:  lv.width,
-			exits:  lv.exits,
-			widths: prune.PlanWidths(spec.FullWidths, lv.width, 0),
-		})
-	}
-	full, err := sf.buildNet(sf.levels[2])
-	if err != nil {
-		return nil, err
-	}
-	sf.global = nn.StateDict(multiExitLayer{full})
-	return sf, nil
-}
-
-// Name implements Runner.
-func (sf *ScaleFL) Name() string { return "ScaleFL" }
 
 // cutPoints picks the two early-exit attachment points at ≈1/3 and ≈2/3 of
 // the backbone's exit candidates.
@@ -185,19 +145,19 @@ func (m multiExitLayer) SetWorkspace(ws *tensor.Workspace) {
 
 // buildNet constructs the multi-exit network for one level: a backbone at
 // the level's widths truncated to its exit count, with fresh-named heads.
-func (sf *ScaleFL) buildNet(lv scaleLevel) (*multiExit, error) {
-	m, err := models.Build(sf.setup.Model, lv.widths)
+func buildNet(mcfg models.Config, lv level) (*multiExit, error) {
+	m, err := models.Build(mcfg, lv.widths)
 	if err != nil {
 		return nil, err
 	}
 	cuts := cutPoints(m)
 	me := &multiExit{}
-	rng := rand.New(rand.NewSource(sf.setup.Model.Seed + 1000))
+	rng := rand.New(rand.NewSource(mcfg.Seed + 1000))
 	addHead := func(idx int, ep models.ExitPoint) {
 		head := []nn.Layer{
 			nn.NewGlobalAvgPool2D(),
 			nn.NewFlatten(),
-			nn.NewLinear(rng, fmt.Sprintf("exit%d.fc", idx+1), ep.Channels, sf.setup.Model.NumClasses, true),
+			nn.NewLinear(rng, fmt.Sprintf("exit%d.fc", idx+1), ep.Channels, mcfg.NumClasses, true),
 		}
 		me.heads = append(me.heads, head)
 	}
@@ -209,7 +169,7 @@ func (sf *ScaleFL) buildNet(lv scaleLevel) (*multiExit, error) {
 		head := []nn.Layer{
 			nn.NewGlobalAvgPool2D(),
 			nn.NewFlatten(),
-			nn.NewLinear(rng, "exit1.fc", cuts[0].Channels, sf.setup.Model.NumClasses, true),
+			nn.NewLinear(rng, "exit1.fc", cuts[0].Channels, mcfg.NumClasses, true),
 		}
 		me.segments[0] = append(append([]nn.Layer(nil), me.segments[0]...), head...)
 	case 2:
@@ -217,7 +177,7 @@ func (sf *ScaleFL) buildNet(lv scaleLevel) (*multiExit, error) {
 			m.Layers[:cuts[0].LayerIdx+1],
 			append(append([]nn.Layer(nil), m.Layers[cuts[0].LayerIdx+1:cuts[1].LayerIdx+1]...),
 				nn.NewGlobalAvgPool2D(), nn.NewFlatten(),
-				nn.NewLinear(rng, "exit2.fc", cuts[1].Channels, sf.setup.Model.NumClasses, true)),
+				nn.NewLinear(rng, "exit2.fc", cuts[1].Channels, mcfg.NumClasses, true)),
 		}
 		addHead(0, cuts[0])
 	case 3:
@@ -234,28 +194,25 @@ func (sf *ScaleFL) buildNet(lv scaleLevel) (*multiExit, error) {
 	return me, nil
 }
 
-// levelFor maps device classes to ScaleFL levels (resource info is known
-// to ScaleFL, as in its paper).
-func (sf *ScaleFL) levelFor(class core.DeviceClass) scaleLevel {
-	switch class {
-	case core.Strong:
-		return sf.levels[2]
-	case core.Medium:
-		return sf.levels[1]
-	default:
-		return sf.levels[0]
+// buildScaleFL is ScaleFL's model builder: the level's multi-exit network.
+func buildScaleFL(mcfg models.Config, lv level) (nn.Layer, error) {
+	me, err := buildNet(mcfg, lv)
+	if err != nil {
+		return nil, err
 	}
+	return multiExitLayer{me}, nil
 }
 
-// trainLocal runs the multi-exit local objective: cross-entropy at every
-// exit plus distillation from the deepest exit into the earlier ones.
-func (sf *ScaleFL) trainLocal(lv scaleLevel, ds *data.Dataset, seed int64) (nn.State, error) {
-	me, err := sf.buildNet(lv)
+// trainScaleFL runs the multi-exit local objective from the given global:
+// cross-entropy at every exit plus distillation from the deepest exit into
+// the earlier ones.
+func trainScaleFL(s Setup, lv level, global nn.State, ds *data.Dataset, seed int64) (nn.State, error) {
+	me, err := buildNet(s.Model, lv)
 	if err != nil {
 		return nil, err
 	}
 	wrapper := multiExitLayer{me}
-	st, err := prune.ExtractForModel(sf.global, wrapper)
+	st, err := prune.ExtractForModel(global, wrapper)
 	if err != nil {
 		return nil, err
 	}
@@ -263,14 +220,14 @@ func (sf *ScaleFL) trainLocal(lv scaleLevel, ds *data.Dataset, seed int64) (nn.S
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	opt := nn.NewSGD(sf.setup.Train.LR, sf.setup.Train.Momentum, sf.setup.Train.WeightDecay)
+	opt := nn.NewSGD(s.Train.LR, s.Train.Momentum, s.Train.WeightDecay)
 	// One step workspace for this training: every exit's logits and
 	// gradients live until the Reset at the top of the next batch, and
 	// only the state dict (a copy) leaves.
 	ws := &tensor.Workspace{}
 	wrapper.SetWorkspace(ws)
-	for epoch := 0; epoch < sf.setup.Train.LocalEpochs; epoch++ {
-		for _, batch := range ds.Batches(rng, sf.setup.Train.BatchSize) {
+	for epoch := 0; epoch < s.Train.LocalEpochs; epoch++ {
+		for _, batch := range ds.Batches(rng, s.Train.BatchSize) {
 			ws.Reset()
 			x, labels := ds.Gather(batch)
 			nn.ZeroGrads(wrapper)
@@ -280,8 +237,8 @@ func (sf *ScaleFL) trainLocal(lv scaleLevel, ds *data.Dataset, seed int64) (nn.S
 			for i, logits := range outs {
 				_, g := nn.CrossEntropyIn(ws, logits, labels)
 				if i < len(outs)-1 {
-					_, kd := nn.DistillKL(logits, deepest, sf.temp)
-					g.AddScaled(sf.kdW, kd)
+					_, kd := nn.DistillKL(logits, deepest, scaleFLTemp)
+					g.AddScaled(scaleFLKDW, kd)
 				}
 				g.Scale(1 / float64(len(outs)))
 				grads[i] = g
@@ -291,59 +248,4 @@ func (sf *ScaleFL) trainLocal(lv scaleLevel, ds *data.Dataset, seed int64) (nn.S
 		}
 	}
 	return nn.StateDict(wrapper), nil
-}
-
-// Round selects K clients uniformly; each trains its class's ScaleFL level
-// with the multi-exit distillation objective.
-func (sf *ScaleFL) Round() error {
-	sel := pickClients(sf.rng, len(sf.setup.Clients), sf.setup.K)
-	states := make([]nn.State, len(sel))
-	errs := make([]error, len(sel))
-	seeds := make([]int64, len(sel))
-	for i := range sel {
-		seeds[i] = sf.rng.Int63()
-	}
-	runParallel(len(sel), sf.setup.Parallelism, func(i int) {
-		client := sf.setup.Clients[sel[i]]
-		states[i], errs[i] = sf.trainLocal(sf.levelFor(client.Device.Class), client.Data, seeds[i])
-	})
-	var updates []agg.Update
-	for i := range sel {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		updates = append(updates, agg.Update{State: states[i], Weight: float64(sf.setup.Clients[sel[i]].Data.Len())})
-	}
-	next, err := agg.Aggregate(sf.global, updates)
-	if err != nil {
-		return err
-	}
-	sf.global = next
-	return nil
-}
-
-// Evaluate reports each level's accuracy through its own deepest exit;
-// "full" is the L level's final classifier.
-func (sf *ScaleFL) Evaluate(test *data.Dataset, batch int) (map[string]float64, error) {
-	out := map[string]float64{}
-	for _, lv := range sf.levels {
-		me, err := sf.buildNet(lv)
-		if err != nil {
-			return nil, err
-		}
-		wrapper := multiExitLayer{me}
-		st, err := prune.ExtractForModel(sf.global, wrapper)
-		if err != nil {
-			return nil, err
-		}
-		if err := nn.LoadState(wrapper, st); err != nil {
-			return nil, err
-		}
-		acc := eval.Accuracy(wrapper, test, batch)
-		out[lv.name] = acc
-		if lv.name == "L1" {
-			out["full"] = acc
-		}
-	}
-	return out, nil
 }

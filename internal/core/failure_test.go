@@ -151,7 +151,7 @@ func TestRunCallbackStopsEarly(t *testing.T) {
 	}
 }
 
-// TestLiteralL1BonusChangesSelection exercises the DESIGN.md §5 deviation
+// TestLiteralL1BonusChangesSelection exercises the docs/FIDELITY.md deviation
 // switch end to end.
 func TestLiteralL1BonusChangesSelection(t *testing.T) {
 	pool := testPool(t)

@@ -345,7 +345,7 @@ func NewServerPopulation(cfg Config, pop Population) (*Server, error) {
 	if cfg.ClientsPerRound > pop.Len() {
 		return nil, fmt.Errorf("core: ClientsPerRound %d exceeds population %d", cfg.ClientsPerRound, pop.Len())
 	}
-	if err := cfg.Train.validate(); err != nil {
+	if err := cfg.Train.Validate(); err != nil {
 		return nil, err
 	}
 	pool, err := prune.BuildPool(cfg.Model, cfg.Pool)

@@ -27,7 +27,9 @@ func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{LocalEpochs: 5, BatchSize: 50, LR: 0.01, Momentum: 0.5}
 }
 
-func (tc *TrainConfig) validate() error {
+// Validate rejects a configuration local training cannot run: no epochs, a
+// batch size below one, or a non-positive learning rate.
+func (tc *TrainConfig) Validate() error {
 	if tc.LocalEpochs < 1 || tc.BatchSize < 1 || tc.LR <= 0 {
 		return fmt.Errorf("core: invalid train config %+v", *tc)
 	}
@@ -45,7 +47,7 @@ func (tc *TrainConfig) validate() error {
 // Each batch's activations and gradients live in the arena's workspace,
 // reset at the top of the batch; the returned state is a copy.
 func TrainLocal(mcfg models.Config, widths []int, st nn.State, ds *data.Dataset, tc TrainConfig, rng *rand.Rand) (nn.State, error) {
-	if err := tc.validate(); err != nil {
+	if err := tc.Validate(); err != nil {
 		return nil, err
 	}
 	a := rentArena()

@@ -1,11 +1,11 @@
 // Package data provides the datasets and partitioners the AdaptiveFL
 // evaluation needs. The environment is offline, so CIFAR-10, CIFAR-100,
 // FEMNIST and Widar are replaced by synthetic class-conditional generators
-// with the same shapes, class counts and non-IID structure (see DESIGN.md
-// §4): each class has a smooth random prototype, samples are noisy shifted
-// copies, CIFAR-100-like classes share superclass structure, FEMNIST-like
-// samples carry per-writer styles, and Widar-like samples carry per-user
-// domain shifts.
+// with the same shapes, class counts and non-IID structure (see
+// docs/FIDELITY.md): each class has a smooth random prototype, samples are
+// noisy shifted copies, CIFAR-100-like classes share superclass structure,
+// FEMNIST-like samples carry per-writer styles, and Widar-like samples
+// carry per-user domain shifts.
 package data
 
 import (

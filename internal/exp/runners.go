@@ -79,7 +79,7 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 	}
 	switch name {
 	case "AdaptiveFL+LiteralRL":
-		// DESIGN.md §5 deviation ablation: apply Algorithm 1 line 18
+		// docs/FIDELITY.md deviation ablation: apply Algorithm 1 line 18
 		// exactly as printed (the p−1 bonus lands on the L_1 row).
 		return adaptiveRL(rl.ModeCS, false, 3, rl.Config{LiteralL1Bonus: true}, name)
 	case "All-Large":

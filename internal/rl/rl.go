@@ -21,7 +21,7 @@ type Config struct {
 	// LiteralL1Bonus applies Algorithm 1 line 18 exactly as printed
 	// (T_r[L_1] += p−1 after an unpruned return). The default false uses
 	// the symmetric reading T_r[m] += p−1, which preserves the capacity
-	// signal; see DESIGN.md §5.
+	// signal; see docs/FIDELITY.md.
 	LiteralL1Bonus bool
 }
 
