@@ -197,8 +197,11 @@ func RunPopSim(w io.Writer, spec core.PopulationSpec, sc Scale, edges int, simSe
 	adv.Seed = spec.Seed
 
 	res := &PopSimResult{Clients: spec.N, Edges: edges, Mix: spec.MixCounts(min(spec.N, 10_000))}
+	// Engines train on their server's executor (sc.Parallelism wide); a
+	// hierarchy puts every edge on edge 0's, so the overlapping edge steps
+	// share one bound on live trainings.
 	engCfg := func(k int) sched.Config {
-		return sched.Config{Policy: pol, K: k, Epochs: sc.LocalEpochs, Parallelism: sc.Parallelism}
+		return sched.Config{Policy: pol, K: k, Epochs: sc.LocalEpochs}
 	}
 
 	if edges == 1 {
@@ -310,11 +313,4 @@ func progress(w io.Writer, clock, horizon float64, commits int, pop *core.LazyPo
 	}
 	live, total := pop.Materialized()
 	fmt.Fprintf(w, "t=%.0fs/%.0fs commits=%d live=%d made=%d\n", clock, horizon, commits, live, total)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -9,9 +9,9 @@
 //     download → train → upload → merge/cancel/late-reuse), per commit,
 //     per hierarchy edge/global merge, per LRU materialise/evict. Every
 //     field of a span is a deterministic function of the run's seed, trace
-//     and cost model, and spans are emitted on the event-loop goroutine in
-//     event order, so the JSONL trace of two same-seed runs is
-//     byte-identical.
+//     and cost model, and spans are emitted by the engine's control code,
+//     one goroutine at a time, in event order, so the JSONL trace of two
+//     same-seed runs is byte-identical.
 //   - Metrics carry *live* facts — counters, gauges and histograms fed
 //     from the spans plus wall-clock timings (codec encode/decode, fednet
 //     request latency) and executor/LRU occupancy. Metrics are for a

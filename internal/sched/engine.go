@@ -88,6 +88,10 @@ type Engine struct {
 	// lazily and the arrival event joins the result, so the virtual clock
 	// advances while workers train (see launchFlights).
 	exec *core.Executor
+	// yield, when set, runs before every join (see join): a Hierarchy
+	// suspends the edge's step there so other edges plan and launch their
+	// trainings meanwhile. Flat engines leave it nil.
+	yield func()
 
 	clock  float64
 	seq    int64
@@ -376,9 +380,8 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*fl
 	}
 	for i, cf := range open {
 		if needJoin[i] {
-			cf.Wait()
-			if err := cf.Err(); err != nil {
-				return nil, fmt.Errorf("sched: t=%.3f client %d: %w", e.clock, cf.Slot.Client, err)
+			if err := e.join(cf, cf.Slot.Client); err != nil {
+				return nil, err
 			}
 			d := cf.Dispatch()
 			cl := e.srv.ClientAt(d.Client)
@@ -420,11 +423,16 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*fl
 
 // join waits for a flight's pending training (a no-op for skipped or
 // already-joined flights) and surfaces its error. Events that consume the
-// trained result call it before recording.
-func (e *Engine) join(fl *flight) error {
-	fl.f.Wait()
-	if err := fl.f.Err(); err != nil {
-		return fmt.Errorf("sched: t=%.3f client %d: %w", e.clock, fl.d.Client, err)
+// trained result call it before recording; it is the engine's only wait
+// on a flight, and it yields first when the engine runs under a
+// Hierarchy.
+func (e *Engine) join(f *core.Flight, client int) error {
+	if e.yield != nil {
+		e.yield()
+	}
+	f.Wait()
+	if err := f.Err(); err != nil {
+		return fmt.Errorf("sched: t=%.3f client %d: %w", e.clock, client, err)
 	}
 	return nil
 }
@@ -527,7 +535,7 @@ func (e *Engine) finishResidual(ev *event) {
 // aggregation, weighted by the staleness discount 1/(1+s)^α anchored to
 // the version the dispatch was cut from.
 func (e *Engine) bankResidual(fl *flight) error {
-	if err := e.join(fl); err != nil {
+	if err := e.join(fl.f, fl.d.Client); err != nil {
 		return err
 	}
 	e.release(fl)
@@ -628,7 +636,7 @@ func (e *Engine) stepSync() (Commit, error) {
 	for remaining := len(fls); remaining > 0; remaining-- {
 		ev := e.pop()
 		e.clock = ev.t
-		if err := e.join(ev.fl); err != nil {
+		if err := e.join(ev.fl.f, ev.fl.d.Client); err != nil {
 			return Commit{}, err
 		}
 		e.release(ev.fl)
@@ -709,7 +717,7 @@ func (e *Engine) stepDeadline(reuse bool) (Commit, error) {
 			}
 			continue
 		}
-		if err := e.join(ev.fl); err != nil {
+		if err := e.join(ev.fl.f, ev.fl.d.Client); err != nil {
 			return Commit{}, err
 		}
 		e.release(ev.fl)
@@ -825,7 +833,7 @@ func (e *Engine) stepSemiAsync() (Commit, error) {
 			e.emitFlight(ev.fl, d, core.Dropped)
 			continue
 		}
-		if err := e.join(ev.fl); err != nil {
+		if err := e.join(ev.fl.f, ev.fl.d.Client); err != nil {
 			return Commit{}, err
 		}
 		stale := e.srv.Staleness(ev.fl.f)

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"sort"
 
 	"adaptivefl/internal/agg"
 	"adaptivefl/internal/core"
@@ -28,6 +29,14 @@ type Edge struct {
 	// pendingSync marks that a global merge happened since the edge last
 	// ran; the next step down-syncs the edge's model first.
 	pendingSync bool
+
+	// The edge's running step (see Hierarchy.advance): ord is its begin
+	// ordinal (0 while the edge is idle), wake resumes it from a join,
+	// and commit/err hold what Engine.Step returned.
+	ord    int64
+	wake   chan struct{}
+	commit Commit
+	err    error
 }
 
 // HierConfig tunes the global tier.
@@ -93,14 +102,22 @@ func (h *arrivalHeap) Pop() any {
 // merge under sched.StalenessDiscount once GlobalBuffer of them are in.
 //
 // The merge is a conservative discrete-event composition: the hierarchy
-// always advances the edge whose virtual clock is smallest (ties break on
-// edge index), and an in-transit edge update is only folded into the
-// global buffer once every edge clock has passed its arrival time — by
-// then no edge can emit an earlier-arriving update, so global merges
-// happen in true virtual-time order and each edge's next down-sync is
-// causally valid (its clock is already past the merge). Every decision is
-// a deterministic function of the edge seeds, so the same configuration
-// replays the same nested event log and the same global weights.
+// always advances the edge with the smallest key, and an in-transit edge
+// update is only folded into the global buffer once every key has passed
+// its arrival time — by then no edge can emit an earlier-arriving update,
+// so global merges happen in true virtual-time order and each edge's next
+// down-sync is causally valid (its clock is already past the merge).
+//
+// Edge steps run as coroutines: each Engine.Step runs on its own
+// goroutine and yields back to the hierarchy at every join, so while one
+// edge's training runs on the shared executor, every edge whose clock is
+// earlier plans and launches its own. A suspended step's key is its
+// clock (the join's event time), winning ties in begin order; an idle
+// edge's key is its clock, then its index. Control code runs on one
+// goroutine at a time, handed over through channels, so every decision
+// is still a deterministic function of the edge seeds: the same
+// configuration replays the same nested event logs and global weights as
+// running one whole edge step at a time would.
 type Hierarchy struct {
 	cfg   HierConfig
 	cost  CostModel
@@ -109,7 +126,6 @@ type Hierarchy struct {
 	global   nn.State
 	version  int
 	clock    float64
-	seq      int64
 	arrivals arrivalHeap
 	buffer   []agg.Update
 	buffered int // edge commits currently in the buffer
@@ -120,11 +136,19 @@ type Hierarchy struct {
 	// folded into the global buffer — the global-tier anchor for the trace
 	// auditor's discount reconciliation (mirrors Engine.DiscountSum).
 	discountSum float64
+
+	// begun counts edge steps started; park carries a running step's
+	// hand-back: false at a join, true once Engine.Step returned.
+	begun int64
+	park  chan bool
 }
 
 // NewHierarchy builds the two-tier topology over prepared edges. cost
 // prices the edge→cloud uplink; the initial global model is edge 0's
-// (all edges are built from the same model config, so they agree).
+// (all edges are built from the same model config, so they agree). Every
+// edge engine trains on edge 0's executor, so at most its width of
+// trainings (and training arenas) are live across the topology however
+// many edge steps overlap.
 func NewHierarchy(edges []*Edge, cost CostModel, cfg HierConfig) (*Hierarchy, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("sched: hierarchy needs at least one edge")
@@ -133,10 +157,6 @@ func NewHierarchy(edges []*Edge, cost CostModel, cfg HierConfig) (*Hierarchy, er
 		if ed == nil || ed.Srv == nil || ed.Eng == nil {
 			return nil, fmt.Errorf("sched: edge %d is missing its server or engine", i)
 		}
-		ed.id = i
-		// Tag the edge engine's spans so a shared trace sink can group
-		// flights and commits per edge.
-		ed.Eng.SetSpanEdge(i)
 	}
 	if cost == nil {
 		return nil, fmt.Errorf("sched: hierarchy needs a cost model")
@@ -156,7 +176,21 @@ func NewHierarchy(edges []*Edge, cost CostModel, cfg HierConfig) (*Hierarchy, er
 	if cfg.Epochs < 1 {
 		cfg.Epochs = 1
 	}
-	return &Hierarchy{cfg: cfg, cost: cost, edges: edges, global: edges[0].Srv.Global()}, nil
+	h := &Hierarchy{cfg: cfg, cost: cost, edges: edges, global: edges[0].Srv.Global(), park: make(chan bool)}
+	for i, ed := range edges {
+		ed.id = i
+		// Tag the edge engine's spans so a shared trace sink can group
+		// flights and commits per edge.
+		ed.Eng.SetSpanEdge(i)
+		ed.Eng.exec = edges[0].Eng.exec
+		wake := make(chan struct{})
+		ed.wake = wake
+		ed.Eng.yield = func() {
+			h.park <- false
+			<-wake
+		}
+	}
+	return h, nil
 }
 
 // Clock returns the global tier's virtual time (the arrival time of the
@@ -192,26 +226,30 @@ func (h *Hierarchy) logf(format string, args ...any) {
 	h.log = append(h.log, fmt.Sprintf(format, args...))
 }
 
-// minEdge returns the edge with the smallest virtual clock (ties break on
-// index — deterministic).
-func (h *Hierarchy) minEdge() *Edge {
+// next returns the edge to advance: the smallest key, where a suspended
+// step's key is its clock and wins ties in begin order, and an idle
+// edge's key is its clock, then its index.
+func (h *Hierarchy) next() *Edge {
 	best := h.edges[0]
 	for _, ed := range h.edges[1:] {
-		if ed.Eng.Clock() < best.Eng.Clock() {
+		c, bc := ed.Eng.Clock(), best.Eng.Clock()
+		if c < bc || c == bc && ed.ord != 0 && (best.ord == 0 || ed.ord < best.ord) {
 			best = ed
 		}
 	}
 	return best
 }
 
+// minClock is the smallest key: no edge can emit an update arriving
+// before it.
 func (h *Hierarchy) minClock() float64 {
-	min := math.Inf(1)
+	lo := math.Inf(1)
 	for _, ed := range h.edges {
-		if c := ed.Eng.Clock(); c < min {
-			min = c
+		if c := ed.Eng.Clock(); c < lo {
+			lo = c
 		}
 	}
-	return min
+	return lo
 }
 
 // uplinkTime prices one edge→cloud model upload: the full global-size
@@ -224,11 +262,83 @@ func (h *Hierarchy) uplinkTime(ed *Edge) float64 {
 	return up
 }
 
+// advance runs ed's step — beginning it if the edge is idle — on the
+// step's goroutine until its next join or its end, and reports whether
+// it ended. The hierarchy waits meanwhile, so only one goroutine ever
+// runs control code.
+func (h *Hierarchy) advance(ed *Edge) bool {
+	if ed.ord == 0 {
+		h.begun++
+		ed.ord = h.begun
+		go func() {
+			ed.commit, ed.err = ed.Eng.Step()
+			h.park <- true
+		}()
+	} else {
+		ed.wake <- struct{}{}
+	}
+	return <-h.park
+}
+
+// finish settles an ended step: the edge goes idle and its commit, if it
+// merged anything, enters transit to the global tier. The step's begin
+// ordinal is the arrival's tie-break, so equal arrival times resolve in
+// the order the steps began.
+func (h *Hierarchy) finish(ed *Edge) error {
+	ord := ed.ord
+	ed.ord = 0
+	if ed.err != nil {
+		return fmt.Errorf("sched: edge %d: %w", ed.id, ed.err)
+	}
+	c := ed.commit
+	if c.Merged > 0 {
+		at := ed.Eng.Clock() + h.uplinkTime(ed)
+		heap.Push(&h.arrivals, &arrival{t: at, seq: ord, edge: ed.id,
+			state: ed.Srv.Global(), weight: float64(c.Merged), anchor: ed.anchor})
+		h.logf("%.3f edge-commit edge=%d round=%d merged=%d arrive=%.3f",
+			ed.Eng.Clock(), ed.id, c.Round, c.Merged, at)
+		if h.cfg.Observer.Enabled() {
+			h.cfg.Observer.Span(obs.Span{Kind: obs.KindEdgeCommit,
+				Time: ed.Eng.Clock(), Client: -1, Edge: ed.id,
+				Round: c.Round, Merged: c.Merged, End: at})
+		}
+	}
+	return nil
+}
+
+// drain runs every suspended step to its end, in begin order, and
+// returns the first error among them.
+func (h *Hierarchy) drain() error {
+	var running []*Edge
+	for _, ed := range h.edges {
+		if ed.ord != 0 {
+			running = append(running, ed)
+		}
+	}
+	sort.Slice(running, func(i, j int) bool { return running[i].ord < running[j].ord })
+	var first error
+	for _, ed := range running {
+		for !h.advance(ed) {
+		}
+		if err := h.finish(ed); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // Step advances the topology until the next global merge and returns it.
-func (h *Hierarchy) Step() (GlobalCommit, error) {
+// No edge step is left suspended when it returns, with or without an
+// error.
+func (h *Hierarchy) Step() (gc GlobalCommit, err error) {
+	defer func() {
+		if derr := h.drain(); err == nil && derr != nil {
+			gc, err = GlobalCommit{}, derr
+		}
+	}()
 	for {
-		ed := h.minEdge()
-		if ed.pendingSync {
+		ed := h.next()
+		if ed.ord == 0 && ed.pendingSync {
 			// The edge's clock is past the merge that set the flag (the
 			// conservative drain guarantees it), so syncing now is a causal
 			// downlink, not time travel.
@@ -241,63 +351,59 @@ func (h *Hierarchy) Step() (GlobalCommit, error) {
 					Time: ed.Eng.Clock(), Client: -1, Edge: ed.id, Round: h.version})
 			}
 		}
-		c, err := ed.Eng.Step()
-		if err != nil {
-			return GlobalCommit{}, fmt.Errorf("sched: edge %d: %w", ed.id, err)
-		}
-		if c.Merged > 0 {
-			at := ed.Eng.Clock() + h.uplinkTime(ed)
-			h.seq++
-			heap.Push(&h.arrivals, &arrival{t: at, seq: h.seq, edge: ed.id,
-				state: ed.Srv.Global(), weight: float64(c.Merged), anchor: ed.anchor})
-			h.logf("%.3f edge-commit edge=%d round=%d merged=%d arrive=%.3f",
-				ed.Eng.Clock(), ed.id, c.Round, c.Merged, at)
-			if h.cfg.Observer.Enabled() {
-				h.cfg.Observer.Span(obs.Span{Kind: obs.KindEdgeCommit,
-					Time: ed.Eng.Clock(), Client: -1, Edge: ed.id,
-					Round: c.Round, Merged: c.Merged, End: at})
+		if h.advance(ed) {
+			if err := h.finish(ed); err != nil {
+				return GlobalCommit{}, err
 			}
 		}
-		// Fold every in-transit update that no edge can beat anymore.
-		safe := h.minClock()
-		for len(h.arrivals) > 0 && h.arrivals[0].t <= safe {
-			a := heap.Pop(&h.arrivals).(*arrival)
-			h.clock = a.t
-			stale := h.version - a.anchor
-			h.buffer = append(h.buffer, agg.Update{
-				State:  a.state,
-				Weight: a.weight * StalenessDiscount(stale, h.cfg.StalenessExp),
-			})
-			h.discountSum += StalenessDiscount(stale, h.cfg.StalenessExp)
-			h.buffered++
-			h.logf("%.3f global-arrive edge=%d stale=%d", a.t, a.edge, stale)
-			if h.cfg.Observer.Enabled() {
-				h.cfg.Observer.Span(obs.Span{Kind: obs.KindGlobalArrive,
-					Time: a.t, Client: -1, Edge: a.edge, Staleness: stale})
-			}
-			if h.buffered < h.cfg.GlobalBuffer {
-				continue
-			}
-			next, err := agg.Aggregate(h.global, h.buffer)
-			if err != nil {
-				return GlobalCommit{}, fmt.Errorf("sched: global merge: %w", err)
-			}
-			h.global = next
-			h.version++
-			gc := GlobalCommit{Round: h.version, Time: h.clock, Merged: h.buffered}
-			h.buffer, h.buffered = nil, 0
-			for _, e := range h.edges {
-				e.pendingSync = true
-			}
-			h.commits = append(h.commits, gc)
-			h.logf("%.3f global-commit version=%d merged=%d", gc.Time, gc.Round, gc.Merged)
-			if h.cfg.Observer.Enabled() {
-				h.cfg.Observer.Span(obs.Span{Kind: obs.KindGlobalMerge,
-					Time: gc.Time, Client: -1, Round: gc.Round, Merged: gc.Merged})
-			}
-			return gc, nil
+		if gc, merged, err := h.fold(); merged || err != nil {
+			return gc, err
 		}
 	}
+}
+
+// fold moves every in-transit update no edge can beat anymore into the
+// global buffer, and merges once the buffer is full.
+func (h *Hierarchy) fold() (GlobalCommit, bool, error) {
+	safe := h.minClock()
+	for len(h.arrivals) > 0 && h.arrivals[0].t <= safe {
+		a := heap.Pop(&h.arrivals).(*arrival)
+		h.clock = a.t
+		stale := h.version - a.anchor
+		h.buffer = append(h.buffer, agg.Update{
+			State:  a.state,
+			Weight: a.weight * StalenessDiscount(stale, h.cfg.StalenessExp),
+		})
+		h.discountSum += StalenessDiscount(stale, h.cfg.StalenessExp)
+		h.buffered++
+		h.logf("%.3f global-arrive edge=%d stale=%d", a.t, a.edge, stale)
+		if h.cfg.Observer.Enabled() {
+			h.cfg.Observer.Span(obs.Span{Kind: obs.KindGlobalArrive,
+				Time: a.t, Client: -1, Edge: a.edge, Staleness: stale})
+		}
+		if h.buffered < h.cfg.GlobalBuffer {
+			continue
+		}
+		next, err := agg.Aggregate(h.global, h.buffer)
+		if err != nil {
+			return GlobalCommit{}, false, fmt.Errorf("sched: global merge: %w", err)
+		}
+		h.global = next
+		h.version++
+		gc := GlobalCommit{Round: h.version, Time: h.clock, Merged: h.buffered}
+		h.buffer, h.buffered = nil, 0
+		for _, e := range h.edges {
+			e.pendingSync = true
+		}
+		h.commits = append(h.commits, gc)
+		h.logf("%.3f global-commit version=%d merged=%d", gc.Time, gc.Round, gc.Merged)
+		if h.cfg.Observer.Enabled() {
+			h.cfg.Observer.Span(obs.Span{Kind: obs.KindGlobalMerge,
+				Time: gc.Time, Client: -1, Round: gc.Round, Merged: gc.Merged})
+		}
+		return gc, true, nil
+	}
+	return GlobalCommit{}, false, nil
 }
 
 // Run performs n global merges, invoking cb (if non-nil) after each; cb
