@@ -171,3 +171,48 @@ func TestAggregateConvexHullProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAdmissionErrorDeterministic(t *testing.T) {
+	// Update 1 carries several bad tensors and an unknown parameter, and
+	// update 2 a zero weight: the error must always name update 1's first
+	// bad parameter in sorted order, whatever the map iteration order or
+	// the fan-out width. At one index a bad weight comes first.
+	global := nn.State{}
+	for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		global[name] = tensor.New(2, 3)
+	}
+	good := func() nn.State {
+		st := nn.State{}
+		for name := range global {
+			st[name] = tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+		}
+		return st
+	}
+	bad := good()
+	bad["d"].Data[5] = math.NaN()
+	bad["c"].Data[0] = math.Inf(-1)
+	bad["f"] = tensor.New(3, 3)
+	bad["zz"] = tensor.New(1)
+	cases := []struct {
+		updates []Update
+		want    string
+	}{
+		{[]Update{{good(), 1}, {bad, 1}, {good(), 0}},
+			`agg: update 1 parameter "c" contains a non-finite value`},
+		{[]Update{{good(), 1}, {good(), 1}, {bad, 0}},
+			`agg: update 2 has non-positive weight 0`},
+		{[]Update{{good(), 1}, {nn.State{"zz": tensor.New(1), "e": tensor.New(3, 3)}, 1}, {bad, 1}},
+			`agg: update 1 parameter "e" shape [3 3] does not fit global [2 3]`},
+	}
+	defer tensor.SetParallelism(tensor.SetParallelism(4))
+	for _, tc := range cases {
+		for _, p := range []Policy{Mean{}, TrimmedMean{Frac: 0.2}, Krum{Frac: 0.2, M: 1}} {
+			for i := 0; i < 50; i++ {
+				_, err := p.Aggregate(global, tc.updates)
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("%s call %d: error %v, want %q", p.Name(), i, err, tc.want)
+				}
+			}
+		}
+	}
+}

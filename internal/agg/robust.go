@@ -61,117 +61,116 @@ func (p TrimmedMean) Aggregate(global nn.State, updates []Update) (nn.State, err
 	if p.Frac < 0 || p.Frac >= 0.5 {
 		return nil, fmt.Errorf("agg: trim fraction %v outside [0, 0.5)", p.Frac)
 	}
-	if err := validateUpdates(global, updates); err != nil {
-		return nil, err
-	}
-	out := make(nn.State, len(global))
-	vals := make([]float64, 0, len(updates))
 	// The trim count comes from the full update count, not per-element
 	// coverage: an attacker controls ⌊Frac·n⌋ of the n updates wherever
 	// they reach, so elements fewer than 2t+1 updates cover cannot be
 	// trimmed safely and fall back to the weighted mean.
 	trim := int(p.Frac * float64(len(updates)))
-	for name, g := range global {
+	return perTensor(global, updates, func(g *tensor.Tensor, covering []coveredTensor) *tensor.Tensor {
 		res := g.Clone()
-		covering := coveringTensors(name, updates)
-		if len(covering) == 0 {
-			out[name] = res
-			continue
+		ts := make([]*tensor.Tensor, 1, 1+len(covering))
+		ts[0] = res
+		for _, cv := range covering {
+			ts = append(ts, cv.t)
 		}
-		gs := g.Strides()
-		var walk func(off int, shape, strides []int, pos []int)
-		walk = func(off int, shape, strides []int, pos []int) {
-			if len(shape) == 0 {
+		vals := make([]float64, 0, len(covering))
+		eachRow(ts, func(rows [][]float64) {
+			dst := rows[0]
+			for j := range dst {
 				vals = vals[:0]
 				var wsum, wval float64
-				for _, cv := range covering {
-					if v, ok := cv.at(pos); ok {
+				for k, r := range rows[1:] {
+					if j < len(r) {
+						v, w := r[j], covering[k].weight
 						vals = append(vals, v)
-						wsum += cv.weight
-						wval += cv.weight * v
+						wsum += w
+						wval += w * v
 					}
 				}
 				if len(vals) == 0 {
-					return
+					continue
 				}
 				if 2*trim >= len(vals) {
 					// Coverage too thin to trim: weighted mean, exactly
 					// what Aggregate computes for this element.
-					res.Data[off] = wval / wsum
-					return
+					dst[j] = wval / wsum
+					continue
 				}
 				sort.Float64s(vals)
 				sum := 0.0
 				for _, v := range vals[trim : len(vals)-trim] {
 					sum += v
 				}
-				res.Data[off] = sum / float64(len(vals)-2*trim)
-				return
+				dst[j] = sum / float64(len(vals)-2*trim)
 			}
-			for i := 0; i < shape[0]; i++ {
-				walk(off+i*strides[0], shape[1:], strides[1:], append(pos, i))
-			}
-		}
-		walk(0, g.Shape, gs, make([]int, 0, len(g.Shape)))
-		out[name] = res
+		})
+		return res
+	})
+}
+
+// eachRow sweeps the first tensor's rows — every index of all dimensions
+// but the last, in row-major order — and calls fn with the matching row
+// of every tensor, nil where the row lies outside a tensor's prefix
+// block. The others must be prefix-compatible with the first: each no
+// larger, or each no smaller, in every dimension. Trailing dimensions
+// every tensor holds whole fold into the row first, so a conv kernel
+// pruned on channels only sweeps rows of kh·kw elements, and a parameter
+// every tensor holds whole is one row.
+func eachRow(ts []*tensor.Tensor, fn func(rows [][]float64)) {
+	// Each tensor's shape behind a leading 1 (so a scalar is one row of
+	// one), carved from one allocation.
+	rank := len(ts[0].Shape) + 1
+	flat := make([]int, len(ts)*rank)
+	dims := make([][]int, len(ts))
+	for k, t := range ts {
+		dims[k] = flat[k*rank : (k+1)*rank]
+		dims[k][0] = 1
+		copy(dims[k][1:], t.Shape)
 	}
-	return out, nil
-}
-
-// coveredTensor is one update's view of a global tensor, with enough
-// geometry to answer point queries over the prefix block it covers.
-type coveredTensor struct {
-	t       *tensor.Tensor
-	strides []int
-	weight  float64
-}
-
-// at returns the update's value at the global position pos, if covered.
-func (cv coveredTensor) at(pos []int) (float64, bool) {
-	off := 0
-	for i, p := range pos {
-		if p >= cv.t.Shape[i] {
-			return 0, false
-		}
-		off += p * cv.strides[i]
-	}
-	return cv.t.Data[off], true
-}
-
-// coveringTensors collects the updates holding tensor name.
-func coveringTensors(name string, updates []Update) []coveredTensor {
-	var out []coveredTensor
-	for _, u := range updates {
-		if v, ok := u.State[name]; ok {
-			out = append(out, coveredTensor{t: v, strides: v.Strides(), weight: u.Weight})
+	for l := len(dims[0]) - 1; l > 1 && sameDim(dims, l); l-- {
+		for k, d := range dims {
+			d[l-1] *= d[l]
+			dims[k] = d[:l]
 		}
 	}
-	return out
-}
-
-// validateUpdates runs Aggregate's shape/weight/finiteness admission
-// checks without aggregating.
-func validateUpdates(global nn.State, updates []Update) error {
-	for ui, u := range updates {
-		if u.Weight <= 0 {
-			return fmt.Errorf("agg: update %d has non-positive weight %v", ui, u.Weight)
-		}
-		for name, v := range u.State {
-			g, ok := global[name]
-			if !ok {
-				return fmt.Errorf("agg: update %d has unknown parameter %q", ui, name)
-			}
-			if !tensor.PrefixFits(v, g) {
-				return fmt.Errorf("agg: update %d parameter %q shape %v does not fit global %v", ui, name, v.Shape, g.Shape)
-			}
-			for _, x := range v.Data {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					return fmt.Errorf("agg: update %d parameter %q contains a non-finite value", ui, name)
+	lead := dims[0][:len(dims[0])-1]
+	pos := make([]int, len(lead))
+	rows := make([][]float64, len(ts))
+	for {
+		for k, d := range dims {
+			r, ext := 0, d[len(d)-1]
+			for i, p := range pos {
+				if p >= d[i] {
+					r = -1
+					break
 				}
+				r = r*d[i] + p
+			}
+			rows[k] = nil
+			if r >= 0 {
+				rows[k] = ts[k].Data[r*ext : (r+1)*ext]
 			}
 		}
+		fn(rows)
+		i := len(pos) - 1
+		for ; i >= 0 && pos[i]+1 >= lead[i]; i-- {
+			pos[i] = 0
+		}
+		if i < 0 {
+			return
+		}
+		pos[i]++
 	}
-	return nil
+}
+
+// sameDim reports whether every tensor has the first one's dimension l.
+func sameDim(dims [][]int, l int) bool {
+	for _, d := range dims {
+		if d[l] != dims[0][l] {
+			return false
+		}
+	}
+	return true
 }
 
 // Krum scores every update by the summed squared distances to its
@@ -280,20 +279,13 @@ func stateDistance(a, b nn.State) float64 {
 				continue
 			}
 		}
-		bs := big.Strides()
-		var walk func(offS, offB int, shape, stridesS, stridesB []int)
-		walk = func(offS, offB int, shape, stridesS, stridesB []int) {
-			if len(shape) == 0 {
-				d := small.Data[offS] - big.Data[offB]
+		eachRow([]*tensor.Tensor{small, big}, func(rows [][]float64) {
+			for j, x := range rows[0] {
+				d := x - rows[1][j]
 				sum += d * d
-				count++
-				return
 			}
-			for i := 0; i < shape[0]; i++ {
-				walk(offS+i*stridesS[0], offB+i*stridesB[0], shape[1:], stridesS[1:], stridesB[1:])
-			}
-		}
-		walk(0, 0, small.Shape, small.Strides(), bs)
+			count += int64(len(rows[0]))
+		})
 	}
 	if count == 0 {
 		return 0

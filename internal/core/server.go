@@ -12,6 +12,7 @@ import (
 	"adaptivefl/internal/obs"
 	"adaptivefl/internal/prune"
 	"adaptivefl/internal/rl"
+	"adaptivefl/internal/tensor"
 	"adaptivefl/internal/wire"
 )
 
@@ -703,18 +704,39 @@ func (s *Server) PlanSlots(k int, eligible func(int) bool) []Slot {
 // RoundTrainer returns the Trainer that will execute the given slots: the
 // configured one, or nil for in-process execution. In-process dispatches
 // are served from the server's content-addressed artifact store: each
-// distinct (snapshot, member, codec) is encoded exactly once — here for
-// the given slots at the current snapshot, on first use for members
-// dispatched later.
+// distinct (snapshot, member, codec) is encoded exactly once — on first
+// use for members dispatched later, and here for the given slots at the
+// current snapshot, whose artifacts are encoded side by side, at most the
+// executor's width at once. Of several failures it returns the first
+// slot's.
 func (s *Server) RoundTrainer(slots []Slot) (Trainer, error) {
-	if s.cfg.Trainer == nil && s.cfg.Codec != nil {
-		for _, sl := range slots {
-			if _, err := s.artifact(s.snap, s.global, sl.Sent); err != nil {
-				return nil, err
-			}
+	if s.cfg.Trainer != nil || s.cfg.Codec == nil {
+		return s.cfg.Trainer, nil
+	}
+	// Each member's first slot goes ahead of its repeats, so the workers
+	// encode distinct members rather than wait on one key in flight; every
+	// slot still makes one store Get, so the hit count is the serial one.
+	order, repeats := make([]int, 0, len(slots)), []int(nil)
+	seen := make(map[int]bool, len(slots))
+	for i, sl := range slots {
+		if seen[sl.Sent.Index] {
+			repeats = append(repeats, i)
+			continue
+		}
+		seen[sl.Sent.Index] = true
+		order = append(order, i)
+	}
+	order = append(order, repeats...)
+	errs := make([]error, len(slots))
+	tensor.ForEach(len(order), s.exec.Width(), func(n int) {
+		_, errs[order[n]] = s.artifact(s.snap, s.global, slots[order[n]].Sent)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return s.cfg.Trainer, nil
+	return nil, nil
 }
 
 // artifact returns the dispatch artifact for a pool member of the given

@@ -23,6 +23,29 @@ func SetParallelism(n int) int {
 // Parallelism reports the current GEMM worker cap.
 func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
 
+// ForEach calls fn(i) for every i in [0, n) on up to width goroutines,
+// the caller's included, which take indices in order off a shared
+// counter; it returns when every call has. A caller whose calls write
+// only their own index's results gets the same results at any width.
+func ForEach(n, width int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(width, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // serialThreshold is the FLOP count below which GEMM stays single-threaded:
 // handing a chunk to the pool costs a goroutine wake-up, tens of
 // microseconds when the other core is idle, and the row kernels get

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -215,5 +216,19 @@ func TestMatMulEmpty(t *testing.T) {
 	c := MatMul(a, b)
 	if c.Shape[0] != 0 || c.Shape[1] != 3 || len(c.Data) != 0 {
 		t.Fatalf("MatMul empty result shape %v", c.Shape)
+	}
+}
+
+func TestForEachCallsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 64} {
+		for _, width := range []int{0, 1, 2, 4, 100} {
+			calls := make([]atomic.Int32, n)
+			ForEach(n, width, func(i int) { calls[i].Add(1) })
+			for i := range calls {
+				if got := calls[i].Load(); got != 1 {
+					t.Fatalf("n=%d width=%d: index %d called %d times", n, width, i, got)
+				}
+			}
+		}
 	}
 }
