@@ -78,11 +78,6 @@ func main() {
 	} else if shared.Trace != "" {
 		fatal(fmt.Errorf("-trace requires -sched"))
 	}
-	if shared.WireEstimate && *useFednet {
-		// Real agents answer with real payloads; there is nothing lazy
-		// to unlock and the plan-time estimate path is in-process only.
-		fatal(fmt.Errorf("-wire-estimate applies to in-process runs, not -fednet"))
-	}
 
 	if *wallOut != "" && !*useFednet {
 		fatal(fmt.Errorf("-wall-out requires -fednet (wall records time real HTTP round trips)"))
@@ -203,15 +198,6 @@ func main() {
 			fmt.Printf("wire bytes (codec=%s): %.2f MB down, %.2f MB up\n",
 				sc.Codec, float64(sent)/1e6, float64(back)/1e6)
 		}
-		if sc.EstimateUp {
-			var est int64
-			for _, st := range adaptive.Srv.Stats() {
-				est += st.ReturnedBytesEst
-			}
-			_, back := core.TotalWireBytes(adaptive.Srv.Stats())
-			fmt.Printf("uplink pricing: %.2f MB estimated vs %.2f MB actual (%+.1f%%)\n",
-				float64(est)/1e6, float64(back)/1e6, pctDelta(est, back))
-		}
 		if *ledgerOut != "" {
 			ledger := analyze.SummarizeStats(adaptive.Srv.Stats())
 			ledger.Policy = "legacy"
@@ -227,14 +213,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "adaptivefl: ledger summary written to %s\n", *ledgerOut)
 		}
 	}
-}
-
-// pctDelta returns the estimate's relative error versus actual, in percent.
-func pctDelta(est, actual int64) float64 {
-	if actual == 0 {
-		return 0
-	}
-	return 100 * (float64(est) - float64(actual)) / float64(actual)
 }
 
 func fatal(err error) {

@@ -7,7 +7,7 @@
 //	flbench -exp table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|sched|byzantine|all \
 //	        -scale quick|small|paper [-dataset cifar10,...] [-arch vgg16,...] \
 //	        [-sched sync|deadline|deadline-reuse|semiasync] \
-//	        [-trace straggler|churn|always] [-codec q8 [-wire-estimate]] \
+//	        [-trace straggler|churn|always] [-codec q8] \
 //	        [-agg trim:frac=0.45] [-adversary mix:frac=0.3,signflip=1,scale=1]
 //
 // With -pop a parametric population spec replaces the experiment tables:

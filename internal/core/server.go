@@ -59,16 +59,6 @@ type Config struct {
 	// instead (fednet.Cluster.SetAdversary) with the same spec and seed,
 	// so both paths corrupt the same clients identically.
 	Adversary AdversarySpec
-	// EstimateUpBytes, with a Codec configured, lets flight plans forecast
-	// the uplink size from the codec's wire.SizeEstimator instead of
-	// waiting for the trained payload's actual encoded length. An
-	// event-driven scheduler can then price and schedule a codec flight's
-	// whole timeline at launch and keep its training lazy; the ledger
-	// records both the estimate used for pricing (Dispatch.GotBytesEst)
-	// and the actual bytes, so the pricing error stays auditable. No
-	// effect without a codec (the parameter estimate already prices those
-	// flights) or with a custom Trainer (planning is in-process only).
-	EstimateUpBytes bool
 	// Observer receives flight/commit spans and occupancy metrics
 	// (internal/obs). Nil disables observability at zero cost on the hot
 	// path; an attached observer is a pure sink and never perturbs the
@@ -174,10 +164,9 @@ type Dispatch struct {
 	// moved models through a wire codec (0 otherwise). testbed.Sim
 	// prefers these over parameter-count estimates.
 	SentBytes, GotBytes int64
-	// GotBytesEst is the codec's forecast of the uplink size
-	// (Config.EstimateUpBytes): the value the scheduler priced the upload
-	// with before training had produced the actual payload. 0 when the
-	// dispatch was priced from actual bytes or the parameter estimate.
+	// GotBytesEst is retired and always zero. It stays only because
+	// TestGoldenHierarchy digests the ledger's %+v text, which names
+	// every field; it goes when that golden is next re-recorded.
 	GotBytesEst int64
 }
 
@@ -192,11 +181,8 @@ type RoundStats struct {
 	// SentBytes / ReturnedBytes sum the encoded payload sizes (0 when no
 	// codec was in play).
 	SentBytes, ReturnedBytes int64
-	// ReturnedBytesEst sums the estimated uplink sizes the scheduler
-	// priced with (estimate mode), over the dispatches that also produced
-	// actual bytes — so ReturnedBytesEst − ReturnedBytes is the round's
-	// aggregate pricing error on a like-for-like population (a cancelled
-	// straggler's forecast, with no payload to compare to, is excluded).
+	// ReturnedBytesEst is retired and always zero, kept for the same
+	// reason as Dispatch.GotBytesEst.
 	ReturnedBytesEst int64
 	// TrainSkipped counts dispatches whose local training was skipped
 	// because the result was provably unobservable (see
@@ -246,13 +232,6 @@ func (st *RoundStats) Add(d Dispatch) {
 		return
 	}
 	st.ReturnedBytes += d.GotBytes
-	if d.GotBytes > 0 {
-		// Estimates accumulate only when an actual upload exists to
-		// compare against: a cancelled straggler was priced by its
-		// estimate but produced no payload, and counting its forecast
-		// would turn the pricing-error audit into noise.
-		st.ReturnedBytesEst += d.GotBytesEst
-	}
 	if d.Rejected {
 		// The payload crossed the wire (bytes counted above) but was
 		// refused: no parameters did useful work.
@@ -518,10 +497,7 @@ type localResult struct {
 	failed    bool
 	sentBytes int64
 	gotBytes  int64
-	// gotBytesEst is the plan's uplink-size forecast (estimate mode); it
-	// rides along into the ledger so priced-vs-actual stays auditable.
-	gotBytesEst int64
-	codec       string
+	codec     string
 	// skipped marks a result finalised from the flight's plan without
 	// training (the dropout was sealed before training could be observed).
 	skipped bool
@@ -619,15 +595,10 @@ func (f *Flight) finalised() bool {
 // deadline straggler), the view derives from planResult — identical,
 // field for field, to what the executed result would report for an
 // outcome that discards the trained weights, with TrainSkipped false
-// because whether the worker had already started is timing noise. A
-// *cancelled* flight whose plan priced the uplink (estimate mode) always
-// reports the plan view, even if a worker happened to finish first:
-// there the executed view carries the actual encoded upload length, so
-// whether the ledger showed it would otherwise depend on worker timing —
-// the one field the two views do not share.
+// because whether the worker had already started is timing noise.
 func (f *Flight) Dispatch() Dispatch {
 	var res localResult
-	if f.plan != nil && (!f.finalised() || (f.cancelled.Load() && f.plan.UpBytesKnown)) {
+	if f.plan != nil && !f.finalised() {
 		// res must not be touched here: a cancelled worker may still be
 		// writing it.
 		res = f.planResult(false)
@@ -637,8 +608,7 @@ func (f *Flight) Dispatch() Dispatch {
 	return Dispatch{Client: f.Slot.Client, Sent: f.Slot.Sent, Got: res.got,
 		Failed: res.failed, Codec: res.codec, DownPath: f.downPath,
 		SentBytes: res.sentBytes, GotBytes: res.gotBytes,
-		GotBytesEst: res.gotBytesEst, TrainSkipped: res.skipped,
-		Rejected: res.rejected}
+		TrainSkipped: res.skipped, Rejected: res.rejected}
 }
 
 // PlanSlots runs Algorithm 1's selection phase for up to k dispatches over
@@ -806,16 +776,6 @@ type FlightPlan struct {
 	SentBytes int64
 	// Codec is the wire codec tag ("" without a codec).
 	Codec string
-	// UpBytesKnown reports that the uplink size is derivable without
-	// training: true on the parameter-estimate path and in estimate mode
-	// (Config.EstimateUpBytes), false with a codec pricing actual bytes
-	// (the encoded upload length depends on the trained values).
-	UpBytesKnown bool
-	// UpBytesEst is the codec's uplink-size forecast (estimate mode; 0
-	// otherwise). The scheduler prices the upload phase with it, so the
-	// flight's whole timeline is knowable at launch and its training can
-	// stay lazy.
-	UpBytesEst int64
 }
 
 // Plan resolves an in-process flight's on-device pruning decision ahead
@@ -830,7 +790,7 @@ func (s *Server) Plan(trainer Trainer, f *Flight) (*FlightPlan, error) {
 	}
 	client := s.pop.Client(f.Slot.Client)
 	got, fit := s.pool.LargestFit(f.Slot.Sent, client.Device.Capacity())
-	pl := &FlightPlan{Got: got, Failed: !fit, UpBytesKnown: s.cfg.Codec == nil}
+	pl := &FlightPlan{Got: got, Failed: !fit}
 	if !fit {
 		pl.Got = f.Slot.Sent
 	}
@@ -841,15 +801,6 @@ func (s *Server) Plan(trainer Trainer, f *Flight) (*FlightPlan, error) {
 			return nil, err
 		}
 		pl.SentBytes = int64(len(art.Bytes))
-		if s.cfg.EstimateUpBytes && !pl.Failed {
-			// Forecast the uplink from the member the device will train:
-			// the flight becomes fully priceable at launch, at the cost of
-			// charging estimated rather than actual wire seconds (the
-			// ledger keeps both sizes). Failed dispatches answer with no
-			// state; the cost model already charges them the sent size.
-			pl.UpBytesKnown = true
-			pl.UpBytesEst = wire.EstimateSize(s.cfg.Codec, pl.Got.Size)
-		}
 	}
 	f.plan = pl
 	return pl, nil
@@ -873,8 +824,8 @@ func (s *Server) SkipFlight(f *Flight) {
 func (f *Flight) planResult(skipped bool) localResult {
 	pl := f.plan
 	return localResult{failed: pl.Failed, got: pl.Got,
-		sentBytes: pl.SentBytes, gotBytesEst: pl.UpBytesEst,
-		codec: pl.Codec, skipped: skipped && !pl.Failed}
+		sentBytes: pl.SentBytes, codec: pl.Codec,
+		skipped: skipped && !pl.Failed}
 }
 
 // Execute runs the flight's local training (Steps 4-5 of Algorithm 1)
@@ -1079,7 +1030,6 @@ func (s *Server) FlightSpan(f *Flight, d Dispatch, oc Outcome) obs.Span {
 		DownBytes:    d.SentBytes,
 		DownPath:     d.DownPath,
 		UpBytes:      d.GotBytes,
-		UpBytesEst:   d.GotBytesEst,
 		TrainSkipped: d.TrainSkipped,
 		Outcome:      SpanOutcome(oc, d),
 	}
@@ -1283,7 +1233,7 @@ func (s *Server) trainPlanned(f *Flight) localResult {
 		return localResult{err: err}
 	}
 	res := localResult{samples: client.Data.Len(), got: pl.Got, sentBytes: pl.SentBytes,
-		gotBytes: int64(len(up)), gotBytesEst: pl.UpBytesEst, codec: pl.Codec}
+		gotBytes: int64(len(up)), codec: pl.Codec}
 	if s.cfg.Codec != nil {
 		// The uplink reference is the decoded dispatched state — the same
 		// tensor a device agent diffs against. A garbage payload still

@@ -43,8 +43,8 @@ func TestWireTotalsEmpty(t *testing.T) {
 }
 
 // TestRoundStatsAdd pins the per-dispatch folding rules: which outcomes
-// count returned parameters, when byte estimates accumulate, and how the
-// skip/reuse counters move.
+// count returned parameters and bytes, and how the skip/reuse counters
+// move.
 func TestRoundStatsAdd(t *testing.T) {
 	cases := []struct {
 		name string
@@ -53,33 +53,28 @@ func TestRoundStatsAdd(t *testing.T) {
 	}{
 		{
 			name: "merged",
-			d:    Dispatch{Sent: sub(100), Got: sub(40), SentBytes: 800, GotBytes: 320, GotBytesEst: 300},
-			want: RoundStats{SentParams: 100, ReturnedParams: 40, SentBytes: 800, ReturnedBytes: 320, ReturnedBytesEst: 300},
+			d:    Dispatch{Sent: sub(100), Got: sub(40), SentBytes: 800, GotBytes: 320},
+			want: RoundStats{SentParams: 100, ReturnedParams: 40, SentBytes: 800, ReturnedBytes: 320},
 		},
 		{
 			name: "failed wastes the full sent size",
-			d:    Dispatch{Sent: sub(100), Got: sub(40), Failed: true, SentBytes: 800, GotBytes: 320, GotBytesEst: 300},
+			d:    Dispatch{Sent: sub(100), Got: sub(40), Failed: true, SentBytes: 800, GotBytes: 320},
 			want: RoundStats{SentParams: 100, SentBytes: 800},
 		},
 		{
 			name: "dropped returns nothing",
-			d:    Dispatch{Sent: sub(100), Got: sub(40), Dropped: true, GotBytesEst: 300},
+			d:    Dispatch{Sent: sub(100), Got: sub(40), Dropped: true},
 			want: RoundStats{SentParams: 100},
 		},
 		{
 			name: "late discarded counts bytes but no params",
-			d:    Dispatch{Sent: sub(100), Got: sub(40), Late: true, GotBytes: 320, GotBytesEst: 300},
-			want: RoundStats{SentParams: 100, ReturnedBytes: 320, ReturnedBytesEst: 300},
+			d:    Dispatch{Sent: sub(100), Got: sub(40), Late: true, GotBytes: 320},
+			want: RoundStats{SentParams: 100, ReturnedBytes: 320},
 		},
 		{
 			name: "late reused counts params as useful work",
 			d:    Dispatch{Sent: sub(100), Got: sub(40), Late: true, LateReused: true, GotBytes: 320},
 			want: RoundStats{SentParams: 100, ReturnedParams: 40, ReturnedBytes: 320, LateReused: 1},
-		},
-		{
-			name: "estimate without actual bytes is excluded from the audit",
-			d:    Dispatch{Sent: sub(100), Got: sub(40), GotBytesEst: 300},
-			want: RoundStats{SentParams: 100, ReturnedParams: 40},
 		},
 		{
 			name: "train skipped still moves its bytes",
@@ -117,6 +112,5 @@ func statsEqual(a, b RoundStats) bool {
 	return a.Round == b.Round &&
 		a.SentParams == b.SentParams && a.ReturnedParams == b.ReturnedParams &&
 		a.SentBytes == b.SentBytes && a.ReturnedBytes == b.ReturnedBytes &&
-		a.ReturnedBytesEst == b.ReturnedBytesEst &&
 		a.TrainSkipped == b.TrainSkipped && a.LateReused == b.LateReused
 }

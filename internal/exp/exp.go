@@ -48,10 +48,6 @@ type Scale struct {
 	// sched.ParseTrace: "always", "straggler:…", "churn:…"). Empty means
 	// every client is always available at nominal speed.
 	Trace string
-	// EstimateUp prices scheduled codec uplinks from the codec's size
-	// estimate instead of the actual encoded length
-	// (core.Config.EstimateUpBytes), letting codec flights train lazily.
-	EstimateUp bool
 	// Agg names the server-side aggregation policy ("trim:frac=0.25",
 	// "krum:frac=0.3,m=2", "clip:tau=5+trim", … — see agg.ParsePolicy).
 	// Empty keeps the exact weighted prefix mean.

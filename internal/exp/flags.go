@@ -20,19 +20,18 @@ import (
 // to, which flags require each other) stays in the command.
 type Flags struct {
 	// Register
-	ScaleName    string
-	Par          int
-	Codec        string
-	Sched        string
-	Trace        string
-	Agg          string
-	Adversary    string
-	WireEstimate bool
-	TraceOut     string
-	LedgerOut    string
-	MetricsAddr  string
-	Pprof        bool
-	Progress     bool
+	ScaleName   string
+	Par         int
+	Codec       string
+	Sched       string
+	Trace       string
+	Agg         string
+	Adversary   string
+	TraceOut    string
+	LedgerOut   string
+	MetricsAddr string
+	Pprof       bool
+	Progress    bool
 
 	// RegisterOverrides
 	Rounds  int
@@ -50,7 +49,6 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Trace, "trace", "", "availability trace for scheduled runs: always|straggler[:slow=,prob=,on=]|churn[:on=,off=,...]; an adversary spec may ride after a ';'")
 	fs.StringVar(&f.Agg, "agg", "", "server aggregation policy: mean|trim[:frac=]|krum[:frac=,m=]|clip[:tau=], '+'-composable (empty = exact weighted mean)")
 	fs.StringVar(&f.Adversary, "adversary", "", "compromise a deterministic client fraction (core.ParseAdversary grammar, e.g. signflip:frac=0.3 or mix:frac=0.3,signflip=1,scale=1)")
-	fs.BoolVar(&f.WireEstimate, "wire-estimate", false, "price scheduled codec uplinks from the codec's size estimate (lazy codec flights; requires -codec)")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "stream every span of the run to this file as JSON lines (bounded memory; see docs/OBS.md)")
 	fs.StringVar(&f.LedgerOut, "ledger-out", "", "write the run's ledger summary JSON here (the `fltrace audit` cross-check target)")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve Prometheus metrics at this address's /metrics while the run is live (e.g. 127.0.0.1:9090)")
@@ -92,9 +90,6 @@ func (f *Flags) Validate() error {
 			return err
 		}
 	}
-	if f.WireEstimate && f.Codec == "" {
-		return fmt.Errorf("-wire-estimate requires -codec (the parameter estimate already prices codec-less flights)")
-	}
 	return nil
 }
 
@@ -121,9 +116,6 @@ func (f *Flags) Scale() (Scale, error) {
 	}
 	if f.Par > 0 {
 		sc.Parallelism = f.Par
-	}
-	if f.WireEstimate {
-		sc.EstimateUp = true
 	}
 	return sc, nil
 }

@@ -32,7 +32,7 @@ func TestGoldenPopSimHierarchy(t *testing.T) {
 		t.Errorf("run:\n got %s\nwant %s", got, want)
 	}
 	if got, want := fmt.Sprintf("%+v", *res.Ledger), "{Policy:semiasync Commits:26 Dispatches:225 Merged:26 Late:0 LateReused:0 Dropped:199 Failed:0 TrainSkipped:199 "+
-		"Rejected:0 Clipped:0 DownEncodedOnce:0 DownReserved:0 DownNotModified:0 SentBytes:0 ReturnedBytes:0 ReturnedBytesEst:0 "+
+		"Rejected:0 Clipped:0 DownEncodedOnce:0 DownReserved:0 DownNotModified:0 SentBytes:0 ReturnedBytes:0 "+
 		"SentParams:2528588 ReturnedParams:164504 HasDiscounts:true StalenessExp:0.5 DiscountSum:26 GlobalCommits:23 "+
 		"GlobalStalenessExp:0.5 GlobalDiscountSum:12.655583592916015 HasLRU:false LRULive:0 LRUMade:0}"; got != want {
 		t.Errorf("ledger:\n got %s\nwant %s", got, want)

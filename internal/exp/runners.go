@@ -60,7 +60,6 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 			Parallelism:     sc.Parallelism,
 			Trainer:         sc.Trainer,
 			Codec:           codec,
-			EstimateUpBytes: sc.EstimateUp,
 			Observer:        sc.Observer,
 			Agg:             sc.Agg,
 			Adversary:       adv,

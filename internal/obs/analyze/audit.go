@@ -44,7 +44,7 @@ type Auditor struct {
 	merged, late, lateReused           int64
 	dropped, failed, trainSkipped      int64
 	rejected, clipped                  int64
-	down, up, upEst                    int64
+	down, up                           int64
 	downOnce, downReserved, downNotMod int64
 	discountSum                        float64
 	globalVersion                      int
@@ -184,13 +184,9 @@ func (a *Auditor) addFlight(sp obs.Span) {
 		a.violatef("flight %d client %d: unknown outcome %q", sp.Flight, sp.Client, sp.Outcome)
 	}
 	// Byte conservation mirrors core.RoundStats.Add: failed and dropped
-	// dispatches return nothing, and an uplink estimate only counts when
-	// an actual payload exists to compare it against.
+	// dispatches return nothing.
 	if sp.Outcome != obs.OutcomeFailed && sp.Outcome != obs.OutcomeDropped {
 		a.up += sp.UpBytes
-		if sp.UpBytes > 0 {
-			a.upEst += sp.UpBytesEst
-		}
 	}
 	if sp.Outcome == obs.OutcomeMerged || sp.Outcome == obs.OutcomeClipped || sp.Outcome == obs.OutcomeLateReused {
 		// Staleness replay: the span's anchor version plus its recorded
@@ -281,7 +277,6 @@ func (a *Auditor) Finish() []string {
 	checkInt("down not-modified", a.downNotMod, int64(l.DownNotModified))
 	checkInt("sent bytes", a.down, l.SentBytes)
 	checkInt("returned bytes", a.up, l.ReturnedBytes)
-	checkInt("returned bytes est", a.upEst, l.ReturnedBytesEst)
 	if l.HasDiscounts && !closeEnough(a.discountSum, l.DiscountSum) {
 		a.violatef("discount sum: trace replays %.12g != ledger %.12g (α=%g)",
 			a.discountSum, l.DiscountSum, l.StalenessExp)

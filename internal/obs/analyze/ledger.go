@@ -56,13 +56,11 @@ type LedgerSummary struct {
 	DownNotModified int `json:"down_not_modified,omitempty"`
 
 	// Wire and parameter totals (core.RoundStats semantics: failed and
-	// dropped dispatches return nothing; estimates count only beside an
-	// actual payload).
-	SentBytes        int64 `json:"sent_bytes"`
-	ReturnedBytes    int64 `json:"returned_bytes"`
-	ReturnedBytesEst int64 `json:"returned_bytes_est"`
-	SentParams       int64 `json:"sent_params"`
-	ReturnedParams   int64 `json:"returned_params"`
+	// dropped dispatches return nothing).
+	SentBytes      int64 `json:"sent_bytes"`
+	ReturnedBytes  int64 `json:"returned_bytes"`
+	SentParams     int64 `json:"sent_params"`
+	ReturnedParams int64 `json:"returned_params"`
 
 	// Engine staleness accounting (sched.Engine.DiscountSum): present when
 	// HasDiscounts, summed across edge engines in a hierarchy run.
@@ -94,7 +92,6 @@ func SummarizeStats(stats []core.RoundStats) LedgerSummary {
 		s.TrainSkipped += st.TrainSkipped
 		s.SentBytes += st.SentBytes
 		s.ReturnedBytes += st.ReturnedBytes
-		s.ReturnedBytesEst += st.ReturnedBytesEst
 		s.SentParams += st.SentParams
 		s.ReturnedParams += st.ReturnedParams
 		s.DownEncodedOnce += st.DownEncodedOnce
@@ -142,7 +139,6 @@ func (s *LedgerSummary) AddStats(stats []core.RoundStats) {
 	s.DownNotModified += o.DownNotModified
 	s.SentBytes += o.SentBytes
 	s.ReturnedBytes += o.ReturnedBytes
-	s.ReturnedBytesEst += o.ReturnedBytesEst
 	s.SentParams += o.SentParams
 	s.ReturnedParams += o.ReturnedParams
 }

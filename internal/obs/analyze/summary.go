@@ -76,7 +76,7 @@ type pendingFlight struct {
 // outcome, client).
 type byteAgg struct {
 	flights            int64
-	down, up, upEst    int64
+	down, up           int64
 	wastedDown, wasted int64 // bytes on flights that never merged
 }
 
@@ -84,7 +84,6 @@ func (a *byteAgg) add(sp obs.Span) {
 	a.flights++
 	a.down += sp.DownBytes
 	a.up += sp.UpBytes
-	a.upEst += sp.UpBytesEst
 	if sp.Outcome == obs.OutcomeDropped || sp.Outcome == obs.OutcomeFailed || sp.Outcome == obs.OutcomeLate {
 		a.wastedDown += sp.DownBytes
 		a.wasted += sp.DownBytes + sp.UpBytes
@@ -128,7 +127,7 @@ type Summary struct {
 	kinds    map[string]int64
 	outcomes map[string]int64
 
-	down, up, upEst          int64
+	down, up                 int64
 	wastedDown, wastedUp     int64
 	downPaths                map[string]int64 // flights by serving path (empty path omitted)
 	trainSkipped             int64
@@ -243,7 +242,6 @@ func (s *Summary) addFlight(sp obs.Span) {
 	s.outcomes[sp.Outcome]++
 	s.down += sp.DownBytes
 	s.up += sp.UpBytes
-	s.upEst += sp.UpBytesEst
 	if sp.DownPath != "" {
 		s.downPaths[sp.DownPath]++
 	}
@@ -380,10 +378,10 @@ func writeAggTable(w io.Writer, title, keyName string, m map[string]*byteAgg) {
 		return
 	}
 	fmt.Fprintf(w, "\n== %s ==\n", title)
-	fmt.Fprintf(w, "%-14s %9s %14s %14s %14s %14s\n", keyName, "flights", "down_bytes", "up_bytes", "up_bytes_est", "wasted_bytes")
+	fmt.Fprintf(w, "%-14s %9s %14s %14s %14s\n", keyName, "flights", "down_bytes", "up_bytes", "wasted_bytes")
 	for _, k := range sortedKeys(m) {
 		a := m[k]
-		fmt.Fprintf(w, "%-14s %9d %14d %14d %14d %14d\n", k, a.flights, a.down, a.up, a.upEst, a.wasted)
+		fmt.Fprintf(w, "%-14s %9d %14d %14d %14d\n", k, a.flights, a.down, a.up, a.wasted)
 	}
 }
 
@@ -409,13 +407,10 @@ func (s *Summary) Write(w io.Writer, topClients int) {
 	}
 
 	fmt.Fprintf(w, "\n== bytes ==\n")
-	fmt.Fprintf(w, "down %d  up %d  up_est %d\n", s.down, s.up, s.upEst)
+	fmt.Fprintf(w, "down %d  up %d\n", s.down, s.up)
 	if s.down > 0 {
 		fmt.Fprintf(w, "wasted down %d (%.1f%%)  wasted up %d\n",
 			s.wastedDown, 100*float64(s.wastedDown)/float64(s.down), s.wastedUp)
-	}
-	if s.upEst > 0 && s.up > 0 {
-		fmt.Fprintf(w, "estimate error (est-actual) %d\n", s.upEst-s.up)
 	}
 	if len(s.downPaths) > 0 {
 		// Down bytes are the logical artifact size on every path; only

@@ -153,7 +153,6 @@ type Metrics struct {
 	TrainSkipped   Counter     // fl_flights_train_skipped_total
 	DownBytes      *counterVec // fl_down_bytes_total{path=...}
 	UpBytes        Counter     // fl_up_bytes_total
-	UpBytesEst     Counter     // fl_up_bytes_est_total
 	Commits        *counterVec // fl_commits_total{kind=...}
 	MergedUpdates  Counter     // fl_merged_updates_total
 	Staleness      *Histogram  // fl_staleness
@@ -206,7 +205,6 @@ func (m *Metrics) applySpan(s Span) {
 		}
 		m.DownBytes.with(path).Add(s.DownBytes)
 		m.UpBytes.Add(s.UpBytes)
-		m.UpBytesEst.Add(s.UpBytesEst)
 		if s.Outcome == OutcomeMerged || s.Outcome == OutcomeLateReused {
 			m.Staleness.Observe(float64(s.Staleness))
 			m.Reward.Observe(s.Reward)
@@ -259,7 +257,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	writeCounter(bw, "fl_flights_train_skipped_total", "Flights whose local training was lazily skipped.", &m.TrainSkipped)
 	writeCounterVec(bw, "fl_down_bytes_total", "Downlink payload bytes dispatched (logical artifact size), by serving path.", "path", m.DownBytes)
 	writeCounter(bw, "fl_up_bytes_total", "Uplink payload bytes received (actual).", &m.UpBytes)
-	writeCounter(bw, "fl_up_bytes_est_total", "Uplink payload bytes as estimated for pricing.", &m.UpBytesEst)
 	writeCounterVec(bw, "fl_commits_total", "Aggregation events, by tier/kind.", "kind", m.Commits)
 	writeCounter(bw, "fl_merged_updates_total", "Client/edge updates folded into aggregations.", &m.MergedUpdates)
 	writeHistogram(bw, "fl_staleness", "Aggregation distance of merged updates (versions).", "", "", m.Staleness)

@@ -137,8 +137,7 @@ type Span struct {
 	Ver    int   `json:"ver,omitempty"`
 
 	// Flight payload facts: the dispatched and returned pool members (the
-	// width decision), the negotiated codec, and the bytes that crossed —
-	// estimated (pricing) and actual.
+	// width decision), the negotiated codec, and the bytes that crossed.
 	Sent      string `json:"sent,omitempty"`
 	Got       string `json:"got,omitempty"`
 	Codec     string `json:"codec,omitempty"`
@@ -147,9 +146,8 @@ type Span struct {
 	// Down* constants). Empty on runs without an artifact store, which
 	// metrics fold into the encoded-once series — the pre-store behaviour
 	// where every dispatch paid its own encode.
-	DownPath   string `json:"down_path,omitempty"`
-	UpBytes    int64  `json:"up_bytes,omitempty"`
-	UpBytesEst int64  `json:"up_bytes_est,omitempty"`
+	DownPath string `json:"down_path,omitempty"`
+	UpBytes  int64  `json:"up_bytes,omitempty"`
 
 	// Staleness is the aggregation distance the update was merged at;
 	// Reward the RL selection reward R(got, client) after the table

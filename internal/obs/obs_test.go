@@ -14,7 +14,7 @@ func sampleFlight() Span {
 	return Span{
 		Kind: KindFlight, Time: 182.5, Start: 0, DownEnd: 12.5, TrainEnd: 170,
 		End: 182.5, Client: 3, Sent: "M2", Got: "M2", Codec: "q8",
-		DownBytes: 40000, UpBytes: 11000, UpBytesEst: 11000,
+		DownBytes: 40000, UpBytes: 11000,
 		Staleness: 1, Reward: 0.8, Outcome: OutcomeMerged,
 	}
 }

@@ -30,11 +30,7 @@ func (p *ProgressSink) Span(s Span) {
 	case KindFlight:
 		p.flights++
 		p.down += s.DownBytes
-		up := s.UpBytes
-		if up == 0 {
-			up = s.UpBytesEst
-		}
-		p.up += up
+		p.up += s.UpBytes
 	case KindCommit:
 		fmt.Fprintf(p.w, "[t=%9.1fs] commit r=%d merged=%d failed=%d late=%d reused=%d dropped=%d flights=%d down=%s up=%s\n",
 			s.Time, s.Round, s.Merged, s.Failed, s.Late, s.Reused, s.Dropped,

@@ -314,22 +314,33 @@ func (e *Engine) trainEnd(c int, t, work float64) (end float64, dropped bool) {
 //     training phases from the plan alone. If the client drops before the
 //     upload, the fate is sealed and training is skipped entirely — the
 //     eager engine used to train these and discard the result unread.
-//   - With the upload priceable too (parameter estimate, or a failed
-//     dispatch echoing the sent size), the completion event is queued
-//     immediately and training runs lazily in the background; the event
-//     that consumes the result joins it (Engine.join).
+//   - With the upload priceable too (a codec-less flight's parameter
+//     estimate, or a failed dispatch echoing the sent size), the
+//     completion event is queued immediately and training runs lazily in
+//     the background; the event that consumes the result joins it
+//     (Engine.join).
 //   - A codec-sized upload of a surviving flight depends on the trained
 //     values, so those flights (and flights of unplannable trainers,
 //     which own the pruning decision) are joined here, after every
 //     flight's training has been enqueued — the joins overlap across the
 //     burst instead of serialising it.
 //
-// Events are pushed and dispatch lines logged in slot order, so the event
-// log is bit-identical to the eager engine's.
-func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*flight, error) {
+// Events are pushed and dispatch lines logged in slot order once every
+// join has returned, so the event log is bit-identical to the eager
+// engine's. On error no flight of the burst stays open: its enqueued
+// trainings are waited for and every flight is released.
+func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) (_ []*flight, err error) {
+	defer func() {
+		if err != nil {
+			for _, cf := range open {
+				cf.Wait()
+				e.srv.Release(cf)
+				delete(e.busy, cf.Slot.Client)
+			}
+		}
+	}()
 	fls := make([]*flight, len(open))
 	plans := make([]*core.FlightPlan, len(open))
-	needJoin := make([]bool, len(open))
 	uploadAt := make([]float64, len(open))
 	downAt := make([]float64, len(open))
 	for i, cf := range open {
@@ -340,7 +351,6 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*fl
 		plans[i] = pl
 		if pl == nil {
 			e.srv.ExecuteAsync(e.exec, trainer, cf)
-			needJoin[i] = true
 			continue
 		}
 		d := cf.Dispatch() // the plan view: training has not run
@@ -359,7 +369,7 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*fl
 		case dropped:
 			e.srv.SkipFlight(cf)
 			fls[i] = &flight{f: cf, eta: t, drops: true, t0: e.clock, downT: downEnd}
-		case pl.Failed || pl.UpBytesKnown:
+		case pl.Failed || pl.Codec == "":
 			t2, dropped2 := e.transferEnd(c, t, up)
 			if dropped2 || pl.Failed {
 				e.srv.SkipFlight(cf)
@@ -370,7 +380,6 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*fl
 				t0: e.clock, downT: downEnd, trainT: trainDone}
 		default:
 			e.srv.ExecuteAsync(e.exec, trainer, cf)
-			needJoin[i] = true
 			uploadAt[i] = t
 			downAt[i] = downEnd
 		}
@@ -379,36 +388,38 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) ([]*fl
 		}
 	}
 	for i, cf := range open {
-		if needJoin[i] {
-			if err := e.join(cf, cf.Slot.Client); err != nil {
-				return nil, err
-			}
-			d := cf.Dispatch()
-			cl := e.srv.ClientAt(d.Client)
-			down, train, up := e.cost.DispatchTimes(cl.Device.Class, d, cl.Data.Len(), e.cfg.Epochs)
-			var t, downEnd, trainDone float64
-			var dropped bool
-			if plans[i] != nil {
-				// Download and training were priced in the first pass; the
-				// join only supplied the upload size.
-				downEnd, trainDone = downAt[i], uploadAt[i]
-				t, dropped = e.transferEnd(d.Client, uploadAt[i], up)
-			} else {
-				t, dropped = e.transferEnd(d.Client, e.clock, down)
-				if !dropped {
-					downEnd = t
-					if t, dropped = e.trainEnd(d.Client, t, train); !dropped {
-						trainDone = t
-					}
-				}
-				if !dropped {
-					t, dropped = e.transferEnd(d.Client, t, up)
-				}
-			}
-			fls[i] = &flight{f: cf, d: d, eta: t, drops: dropped,
-				t0: e.clock, downT: downEnd, trainT: trainDone}
+		if fls[i] != nil {
+			continue
 		}
-		fl := fls[i]
+		if err := e.join(cf, cf.Slot.Client); err != nil {
+			return nil, err
+		}
+		d := cf.Dispatch()
+		cl := e.srv.ClientAt(d.Client)
+		down, train, up := e.cost.DispatchTimes(cl.Device.Class, d, cl.Data.Len(), e.cfg.Epochs)
+		var t, downEnd, trainDone float64
+		var dropped bool
+		if plans[i] != nil {
+			// Download and training were priced in the first pass; the
+			// join only supplied the upload size.
+			downEnd, trainDone = downAt[i], uploadAt[i]
+			t, dropped = e.transferEnd(d.Client, uploadAt[i], up)
+		} else {
+			t, dropped = e.transferEnd(d.Client, e.clock, down)
+			if !dropped {
+				downEnd = t
+				if t, dropped = e.trainEnd(d.Client, t, train); !dropped {
+					trainDone = t
+				}
+			}
+			if !dropped {
+				t, dropped = e.transferEnd(d.Client, t, up)
+			}
+		}
+		fls[i] = &flight{f: cf, d: d, eta: t, drops: dropped,
+			t0: e.clock, downT: downEnd, trainT: trainDone}
+	}
+	for _, fl := range fls {
 		e.busy[fl.d.Client] = true
 		kind := evArrive
 		if fl.drops {

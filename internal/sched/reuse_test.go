@@ -201,88 +201,18 @@ func TestStalenessDiscount(t *testing.T) {
 	}
 }
 
-// buildCodecServer is buildServer with the in-process wire codec (and
-// optionally estimate-mode uplink pricing) configured.
-func buildCodecServer(t *testing.T, n, k int, seed int64, codec wire.Codec, estimate bool) *core.Server {
-	t.Helper()
-	return buildServerCfg(t, n, k, seed, func(cfg *core.Config) {
-		cfg.Codec = codec
-		cfg.EstimateUpBytes = estimate
-	})
-}
-
-// TestEstimateModeMatchesActualWeights: under the sync policy the
-// aggregation order is slot order, so pricing the uplink from the codec's
-// size estimate (full laziness) instead of the actual encoded length must
-// change simulated times but not a single weight — and the ledger must
-// carry both the estimate and the actual bytes.
-func TestEstimateModeMatchesActualWeights(t *testing.T) {
-	rounds := 2
-	run := func(estimate bool) (*sched.Engine, *core.Server) {
-		srv := buildCodecServer(t, 6, 3, 41, wire.Q8{}, estimate)
-		eng, err := sched.New(srv, testSim(t), sched.AlwaysOn{}, sched.Config{
-			Policy: sched.Sync, K: 3, Epochs: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Run(rounds, nil); err != nil {
-			t.Fatal(err)
-		}
-		return eng, srv
-	}
-	_, actual := run(false)
-	engEst, est := run(true)
-
-	sumsA, sumsE := globalSums(actual), globalSums(est)
-	for name, v := range sumsA {
-		if sumsE[name] != v {
-			t.Fatalf("parameter %q differs between actual-bytes and estimate pricing", name)
-		}
-	}
-	for _, st := range est.Stats() {
-		if st.ReturnedBytesEst <= 0 {
-			t.Fatalf("round %d: estimate mode recorded no estimated uplink bytes", st.Round)
-		}
-		for _, d := range st.Dispatches {
-			if d.Failed {
-				continue
-			}
-			if d.GotBytesEst <= 0 {
-				t.Fatalf("round %d: dispatch priced without an estimate: %+v", st.Round, d)
-			}
-			if d.GotBytes <= 0 {
-				t.Fatalf("round %d: merged dispatch lost its actual bytes: %+v", st.Round, d)
-			}
-		}
-		if st.ReturnedBytes == st.ReturnedBytesEst {
-			t.Logf("round %d: estimate exactly matched actual (%d B) — suspicious but not wrong", st.Round, st.ReturnedBytes)
-		}
-	}
-	for _, st := range actual.Stats() {
-		if st.ReturnedBytesEst != 0 {
-			t.Fatalf("actual-bytes run recorded estimated bytes: %+v", st)
-		}
-	}
-	if engEst.Clock() <= 0 {
-		t.Fatal("virtual clock did not advance")
-	}
-}
-
-// TestEstimateModeCancelDeterministic: a deadline round closing on
-// estimate-priced stragglers cancels trainings that may or may not have
-// already run, and the two states' ledger views differ in exactly one
-// field (the executed view knows the actual encoded upload length). The
-// ledger must not depend on that race: serial and wide runs produce
-// identical stats and logs, and cancelled lates ledger the estimate, not
-// a timing-dependent actual.
-func TestEstimateModeCancelDeterministic(t *testing.T) {
+// TestCodecStragglersLedgerActualBytes: a deadline round closing on codec
+// stragglers cancels them, but a codec flight was joined at launch to
+// price its upload, so its ledger view is the executed one whatever the
+// worker timing. Serial and wide runs produce identical logs and ledgers,
+// and every late dispatch ledgers the actual upload it trained.
+func TestCodecStragglersLedgerActualBytes(t *testing.T) {
 	commits := 3
 	if testing.Short() {
 		commits = 2
 	}
 	run := func(par int) ([]string, []core.RoundStats) {
-		srv := buildCodecServer(t, 6, 3, 43, wire.Q8{}, true)
+		srv := buildServerCfg(t, 6, 3, 43, func(cfg *core.Config) { cfg.Codec = wire.Q8{} })
 		trace := &sched.RandomTrace{Seed: 99, MeanOn: 40, MeanOff: 5, SlowProb: 0.5, SlowFactor: 10}
 		eng, err := sched.New(srv, testSim(t), trace, sched.Config{
 			Policy: sched.Deadline, K: 3, Extra: 2, Epochs: 1, Parallelism: par,
@@ -311,25 +241,21 @@ func TestEstimateModeCancelDeterministic(t *testing.T) {
 				continue
 			}
 			lates++
-			if d.GotBytes != 0 {
-				t.Fatalf("cancelled late dispatch ledgered a timing-dependent actual upload: %+v", d)
-			}
-			if d.GotBytesEst <= 0 {
-				t.Fatalf("cancelled late dispatch lost its pricing estimate: %+v", d)
+			if d.GotBytes <= 0 || d.TrainSkipped {
+				t.Fatalf("late codec dispatch did not ledger its trained upload: %+v", d)
 			}
 		}
 	}
 	if lates == 0 {
-		t.Fatal("no late dispatches — the cancellation race was not exercised, pick another seed")
+		t.Fatal("no late dispatches — the straggler path was not exercised, pick another seed")
 	}
 }
 
-// TestEstimateModeSkipsDroppedTraining: the estimate's whole point — with
-// a codec active, a churny trace's sealed dropouts must skip training
-// (TrainSkipped), which the actual-bytes path cannot do because it needs
-// the trained payload to price the uplink.
-func TestEstimateModeSkipsDroppedTraining(t *testing.T) {
-	srv := buildCodecServer(t, 6, 3, 53, wire.Q8{}, true)
+// TestCodecSealedDropsSkipTraining: a codec flight whose drop is sealed
+// before its upload is never trained, the same as a codec-less one; only
+// a drop during the upload needs the trained payload to be priced.
+func TestCodecSealedDropsSkipTraining(t *testing.T) {
+	srv := buildServerCfg(t, 6, 3, 53, func(cfg *core.Config) { cfg.Codec = wire.Q8{} })
 	trace := &sched.RandomTrace{Seed: 2, MeanOn: 2, MeanOff: 3, SlowProb: 0.6, SlowFactor: 10}
 	eng, err := sched.New(srv, testSim(t), trace, sched.Config{
 		Policy: sched.SemiAsync, K: 3, Buffer: 2, Epochs: 1,
@@ -344,19 +270,18 @@ func TestEstimateModeSkipsDroppedTraining(t *testing.T) {
 	if err := eng.Run(commits, nil); err != nil {
 		t.Fatal(err)
 	}
-	drops, skips := 0, 0
+	skips := 0
 	for _, st := range srv.Stats() {
-		skips += st.TrainSkipped
 		for _, d := range st.Dispatches {
-			if d.Dropped && !d.Failed {
-				drops++
+			if d.TrainSkipped {
+				skips++
+				if !d.Dropped || d.Failed || d.GotBytes != 0 {
+					t.Fatalf("skipped dispatch is not a sealed drop: %+v", d)
+				}
 			}
 		}
 	}
-	if drops == 0 {
-		t.Fatal("churn trace produced no drops — pick another seed")
-	}
 	if skips == 0 {
-		t.Fatalf("codec run with estimate pricing skipped no trainings for %d drops", drops)
+		t.Fatal("no codec flight skipped its training — pick another seed")
 	}
 }

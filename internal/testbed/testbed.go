@@ -90,22 +90,16 @@ func (s *Sim) TransferTimeBytes(class core.DeviceClass, downBytes, upBytes int64
 // DispatchTimes prices the three phases of one dispatch for the
 // event-driven scheduler (internal/sched's CostModel): seconds to move the
 // dispatched model down, train it locally, and move the result back up.
-// Dispatches carrying real encoded byte counts are charged those bytes; a
-// dispatch priced before training (codec estimate mode) carries the
-// codec's uplink forecast in GotBytesEst instead, and the BytesPerParam ×
-// params estimate covers the rest. Failed dispatches mirror RoundTime's
-// accounting: no training, and the estimate path's full round trip
-// (d.Got = d.Sent there) becomes an uplink of the sent size.
+// Dispatches carrying real encoded byte counts are charged those bytes,
+// and the BytesPerParam × params estimate covers the rest. Failed
+// dispatches mirror RoundTime's accounting: no training, and the estimate
+// path's full round trip (d.Got = d.Sent there) becomes an uplink of the
+// sent size.
 func (s *Sim) DispatchTimes(class core.DeviceClass, d core.Dispatch, samples, epochs int) (down, train, up float64) {
 	sp := s.specs[class]
 	if d.SentBytes > 0 {
 		down = float64(d.SentBytes) / sp.Bandwidth
 		upBytes := d.GotBytes
-		if upBytes == 0 && d.GotBytesEst > 0 {
-			// Pre-training pricing: the trained payload does not exist yet,
-			// so the plan's size forecast stands in for it.
-			upBytes = d.GotBytesEst
-		}
 		if d.Failed {
 			upBytes = d.SentBytes
 		}

@@ -40,10 +40,6 @@ func (Raw) Decode(data []byte, _ nn.State) (nn.State, error) {
 	return st, nil
 }
 
-// EstimateSize implements SizeEstimator: 8 bytes per float64 value (gzip
-// buys almost nothing on trained-weight mantissas) plus header headroom.
-func (Raw) EstimateSize(params int64) int64 { return 8*params + estimateHeadroom }
-
 // F32 truncates every value to float32. Error per value is half a
 // float32 ulp: |err| ≤ |v|·2⁻²⁴.
 type F32 struct{}
@@ -53,14 +49,6 @@ func (F32) Tag() string { return TagF32 }
 
 // UsesRef implements Codec.
 func (F32) UsesRef() bool { return false }
-
-// EstimateSize implements SizeEstimator: the sign+exponent plane of
-// trained weights deflates to about a third of a byte per value and the
-// three mantissa planes not at all, so a value costs ~3.4 bytes.
-func (F32) EstimateSize(params int64) int64 { return f32WireBytes(params) + estimateHeadroom }
-
-// f32WireBytes is the framed size of n float32 values, 3.4 bytes each.
-func f32WireBytes(n int64) int64 { return n * 17 / 5 }
 
 // Encode implements Codec.
 func (F32) Encode(st, _ nn.State) ([]byte, error) {
@@ -87,11 +75,6 @@ func (Q8) Tag() string { return TagQ8 }
 
 // UsesRef implements Codec.
 func (Q8) UsesRef() bool { return false }
-
-// EstimateSize implements SizeEstimator: one byte per quantized value
-// (gzip's win on near-zero levels varies too much with the values to
-// forecast, so the estimate is the uncompressed level stream).
-func (Q8) EstimateSize(params int64) int64 { return params + estimateHeadroom }
 
 // Encode implements Codec. A level travels as the signed level biased by
 // +128, one byte per value.
@@ -214,23 +197,6 @@ func (DeltaTopK) Tag() string { return TagDelta }
 
 // UsesRef implements Codec.
 func (DeltaTopK) UsesRef() bool { return true }
-
-// EstimateSize implements SizeEstimator: Density of the values kept, each
-// a one-byte index gap (gaps average 1/Density, below 128 for any density
-// above ~1%) plus a float32 delta, capped at the dense-float32 fallback
-// the encoder switches to when sparsity would not pay.
-func (d DeltaTopK) EstimateSize(params int64) int64 {
-	density := d.Density
-	if density <= 0 || density > 1 {
-		density = 1
-	}
-	kept := int64(math.Ceil(density * float64(params)))
-	sparse := kept + f32WireBytes(kept)
-	if dense := f32WireBytes(params); sparse > dense {
-		sparse = dense
-	}
-	return sparse + estimateHeadroom
-}
 
 // Encode implements Codec.
 func (d DeltaTopK) Encode(st, ref nn.State) ([]byte, error) {

@@ -22,14 +22,7 @@ func Timed(c Codec, rec CodecRecorder) Codec {
 	if rec == nil || c == nil {
 		return c
 	}
-	t := timedCodec{inner: c, rec: rec}
-	if se, ok := c.(SizeEstimator); ok {
-		// Only claim SizeEstimator when the wrapped codec does: EstimateSize
-		// dispatches on the interface, and a false claim would change which
-		// estimate path prices flights.
-		return timedSizerCodec{timedCodec: t, se: se}
-	}
-	return t
+	return timedCodec{inner: c, rec: rec}
 }
 
 type timedCodec struct {
@@ -57,10 +50,3 @@ func (t timedCodec) Decode(data []byte, ref nn.State) (nn.State, error) {
 	}
 	return st, err
 }
-
-type timedSizerCodec struct {
-	timedCodec
-	se SizeEstimator
-}
-
-func (t timedSizerCodec) EstimateSize(params int64) int64 { return t.se.EstimateSize(params) }

@@ -91,38 +91,6 @@ const (
 	TagDelta = "delta"
 )
 
-// SizeEstimator is an optional Codec capability: a codec that can forecast
-// its encoded size from a trainable-parameter count alone implements it.
-// The forecast is what lets a scheduler price an uplink *before* local
-// training has produced the actual payload (internal/sched's estimate
-// mode), so it must be a pure function of the parameter count — no state,
-// no randomness — or estimate-mode runs lose their determinism.
-//
-// Estimates are deliberately coarse (they price a typical trained-weight
-// value, not the particular values, and the per-tensor header overhead
-// only as a flat allowance); the round ledger records the
-// estimated-vs-actual delta so a run can audit how much pricing fidelity
-// the laziness cost.
-type SizeEstimator interface {
-	// EstimateSize forecasts Encode's output length for a state dict of
-	// the given total trainable-parameter count.
-	EstimateSize(params int64) int64
-}
-
-// estimateHeadroom is the flat per-payload allowance the built-in
-// estimators add for the name/shape header and container overhead.
-const estimateHeadroom = 256
-
-// EstimateSize forecasts c's encoded size for a parameter count,
-// delegating to the codec's own estimator when it has one and falling
-// back to the raw codec's 8 bytes per float64 value otherwise.
-func EstimateSize(c Codec, params int64) int64 {
-	if se, ok := c.(SizeEstimator); ok {
-		return se.EstimateSize(params)
-	}
-	return 8*params + estimateHeadroom
-}
-
 func init() {
 	Register(Raw{})
 	Register(F32{})
