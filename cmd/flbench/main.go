@@ -38,7 +38,7 @@ func main() {
 	var (
 		expName   = flag.String("exp", "all", "experiment to run: table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|sched|byzantine|all")
 		datasets  = flag.String("datasets", "cifar10,cifar100,femnist", "Table 2 datasets (comma separated)")
-		archs     = flag.String("archs", "vgg16,resnet18", "Table 2 architectures (comma separated)")
+		archs     = flag.String("archs", "vgg16,resnet18", "Table 1 and Table 2 architectures (comma separated; table1 also takes mobilenetv2)")
 		dists     = flag.String("dists", "iid,dir0.6,dir0.3", "Table 2 distributions (comma separated)")
 		popSpec   = flag.String("pop", "", "parametric population spec (core.ParsePopulation grammar, e.g. 'mix:n=1000000,weak=0.6,churn=30'); runs a lazy-population simulation instead of the experiment tables")
 		edges     = flag.Int("edges", 1, "with -pop: number of edge aggregators in the two-tier hierarchy (1 = flat)")
@@ -104,7 +104,7 @@ func main() {
 	want := func(name string) bool { return *expName == "all" || *expName == name }
 
 	if want("table1") {
-		run("table1", func() error { return exp.Table1(w) })
+		run("table1", func() error { return exp.Table1(w, archList(*archs)) })
 	}
 	if want("table2") {
 		cells := table2Cells(*datasets, *archs, *dists)
@@ -161,8 +161,7 @@ func table2Cells(datasets, archs, dists string) []exp.Cell {
 		if ds == "" {
 			continue
 		}
-		for _, a := range strings.Split(archs, ",") {
-			arch := models.Arch(strings.TrimSpace(a))
+		for _, arch := range archList(archs) {
 			if ds == "femnist" {
 				// FEMNIST is naturally non-IID; it has a single setting.
 				cells = append(cells, exp.Cell{Dataset: ds, Arch: arch, Dist: exp.Natural})
@@ -174,6 +173,15 @@ func table2Cells(datasets, archs, dists string) []exp.Cell {
 		}
 	}
 	return cells
+}
+
+// archList parses the comma-separated -archs value.
+func archList(archs string) []models.Arch {
+	var out []models.Arch
+	for _, a := range strings.Split(archs, ",") {
+		out = append(out, models.Arch(strings.TrimSpace(a)))
+	}
+	return out
 }
 
 // runPopSim parses a population spec and drives it through the lazy

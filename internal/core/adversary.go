@@ -272,11 +272,6 @@ func (a AdversarySpec) Mutate(b Behavior, trained, sent nn.State) nn.State {
 	return trained
 }
 
-// PoisonState clones the trained state with a NaN written into every
-// tensor — the codec-less Corrupt behavior. The server's record-time
-// finiteness guard must turn this into a ledgered rejection.
-func PoisonState(st nn.State) nn.State { return poisonState(st) }
-
 // scaleUpdate returns ref + k·(trained − ref), where ref is the
 // got-shaped prefix of the dispatched state — the update-direction
 // transform behind sign flips (k = −1), scale attacks (k = K) and free

@@ -227,12 +227,12 @@ func TestPoisonStateRejectedByGuard(t *testing.T) {
 	if !StateFinite(st) {
 		t.Fatal("clean state flagged non-finite")
 	}
-	poisoned := PoisonState(st)
+	poisoned := poisonState(st)
 	if StateFinite(poisoned) {
 		t.Fatal("poisoned state passed the finiteness guard")
 	}
 	if !StateFinite(st) {
-		t.Fatal("PoisonState mutated its input")
+		t.Fatal("poisonState mutated its input")
 	}
 	if StateFinite(stateOf(t, []float64{1, math.Inf(-1)})) {
 		t.Fatal("Inf passed the finiteness guard")

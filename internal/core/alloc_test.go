@@ -44,6 +44,9 @@ func trainStep(a *trainArena, model *models.Model, params []*nn.Param, opt *nn.S
 	opt.Step(params)
 }
 
+// paperTrainConfig is the paper's local-training setup.
+var paperTrainConfig = TrainConfig{LocalEpochs: 5, BatchSize: 50, LR: 0.01, Momentum: 0.5}
+
 // TestTrainStepAllocBudget is the step-allocation budget: once an arena
 // has run one batch of a model, every further batch takes its activations,
 // gradients, column blocks and views from the arena's slab. What is left
@@ -59,7 +62,7 @@ func TestTrainStepAllocBudget(t *testing.T) {
 	for _, arch := range []models.Arch{models.ResNet18, models.MobileNetV2} {
 		mcfg := quickModel(arch)
 		a := newTrainArena()
-		model, params, opt, err := a.modelFor(mcfg, nil, DefaultTrainConfig())
+		model, params, opt, err := a.modelFor(mcfg, nil, paperTrainConfig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +124,7 @@ func TestArenaOneSlab(t *testing.T) {
 	x := tensor.Randn(rng, 1, quickBatch, 3, 32, 32)
 	labels := make([]int, quickBatch)
 	step := func(a *trainArena, widths []int) {
-		model, params, opt, err := a.modelFor(mcfg, widths, DefaultTrainConfig())
+		model, params, opt, err := a.modelFor(mcfg, widths, paperTrainConfig)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,11 +22,6 @@ type TrainConfig struct {
 	WeightDecay float64
 }
 
-// DefaultTrainConfig returns the paper's local-training setup.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{LocalEpochs: 5, BatchSize: 50, LR: 0.01, Momentum: 0.5}
-}
-
 // Validate rejects a configuration local training cannot run: no epochs, a
 // batch size below one, or a non-positive learning rate.
 func (tc *TrainConfig) Validate() error {

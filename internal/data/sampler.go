@@ -31,9 +31,6 @@ func NewWriterSampler(cfg SynthConfig) (*WriterSampler, error) {
 	return &WriterSampler{cfg: cfg, protos: prototypes(rng, cfg)}, nil
 }
 
-// Config returns the sampler's dataset configuration.
-func (ws *WriterSampler) Config() SynthConfig { return ws.cfg }
-
 // Shard generates one writer's dataset from the writer's own seed: a
 // private affine style (gain, offset), a class subset of classesPer
 // classes, and samples noisy shifted prototype copies — the same non-IID
@@ -63,22 +60,4 @@ func (ws *WriterSampler) Shard(seed int64, samples, classesPer int, styleGain, s
 		sampleInto(rng, d.X.Data[i*sz:(i+1)*sz], pickProto(rng, ws.protos, cfg, c), cfg, gain, offset)
 	}
 	return d, nil
-}
-
-// TestSet generates a style-free balanced test set from its own seed.
-func (ws *WriterSampler) TestSet(n int, seed int64) *Dataset {
-	cfg := ws.cfg
-	rng := rand.New(rand.NewSource(seed))
-	test := &Dataset{
-		X:          tensor.New(n, cfg.Channels, cfg.Size, cfg.Size),
-		Labels:     make([]int, n),
-		NumClasses: cfg.Classes,
-	}
-	sz := cfg.Channels * cfg.Size * cfg.Size
-	for i := 0; i < n; i++ {
-		c := i % cfg.Classes
-		test.Labels[i] = c
-		sampleInto(rng, test.X.Data[i*sz:(i+1)*sz], pickProto(rng, ws.protos, cfg, c), cfg, 1, 0)
-	}
-	return test
 }

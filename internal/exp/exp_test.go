@@ -187,7 +187,7 @@ func TestRunCellProducesCurve(t *testing.T) {
 
 func TestTable1Output(t *testing.T) {
 	var sb strings.Builder
-	if err := Table1(&sb); err != nil {
+	if err := Table1(&sb, []models.Arch{models.VGG16}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -195,6 +195,19 @@ func TestTable1Output(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table1 output missing %q:\n%s", want, out)
 		}
+	}
+	// Any other architecture prints the same rows without the paper
+	// columns, one table per architecture.
+	sb.Reset()
+	if err := Table1(&sb, []models.Arch{models.ResNet18, models.MobileNetV2}); err != nil {
+		t.Fatal(err)
+	}
+	out = sb.String()
+	if strings.Count(out, "Table 1 — split settings") != 2 || strings.Count(out, "\nS3 ") != 2 || strings.Contains(out, "paper") {
+		t.Fatalf("Table1 for resnet18,mobilenetv2:\n%s", out)
+	}
+	if err := Table1(&sb, []models.Arch{"bogus"}); err == nil {
+		t.Fatal("Table1 accepted an unknown architecture")
 	}
 }
 

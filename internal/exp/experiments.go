@@ -12,33 +12,46 @@ import (
 	"adaptivefl/internal/testbed"
 )
 
-// Table1 regenerates the paper's Table 1: the split settings of full-scale
-// VGG16 with p = 3, with the published values printed alongside.
-func Table1(w io.Writer) error {
-	mcfg := models.Config{Arch: models.VGG16, NumClasses: 10}
-	pool, err := prune.BuildPool(mcfg, prune.Config{P: 3})
-	if err != nil {
-		return err
-	}
+// Table1 regenerates the paper's Table 1 for each architecture: the
+// split settings of the full-scale model with p = 3 (params, MACs and
+// size ratio per pool member). VGG16, the paper's own table, prints the
+// published values alongside.
+func Table1(w io.Writer, archs []models.Arch) error {
 	paper := map[string][2]float64{
 		"L1": {33.65, 333.22}, "M1": {16.81, 272.17}, "M2": {15.41, 239.95},
 		"M3": {14.84, 203.41}, "S1": {8.39, 239.00}, "S2": {6.48, 191.31}, "S3": {5.67, 139.07},
 	}
-	full := float64(pool.Largest().Size)
-	fmt.Fprintln(w, "Table 1 — split settings for VGG16 (p=3)")
-	fmt.Fprintln(w, "level  r_w    I   params(M)  paper  MACs(M)  paper   ratio")
-	for i := len(pool.Members) - 1; i >= 0; i-- {
-		m := pool.Members[i]
-		iStr := fmt.Sprintf("%3d", m.I)
-		if m.Level == prune.LevelL {
-			iStr = "N/A"
+	for ai, arch := range archs {
+		pool, err := prune.BuildPool(models.Config{Arch: arch, NumClasses: 10}, prune.Config{P: 3})
+		if err != nil {
+			return err
 		}
-		p := paper[m.Name()]
-		fmt.Fprintf(w, "%-5s  %.2f  %s  %9.2f  %5.2f  %7.2f  %6.2f  %.2f\n",
-			m.Name(), m.Rw, iStr,
-			float64(m.Size)/1e6, p[0],
-			float64(m.MACs)/1e6, p[1],
-			float64(m.Size)/full)
+		withPaper := arch == models.VGG16
+		if ai > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "Table 1 — split settings for %s (p=3)\n", arch)
+		if withPaper {
+			fmt.Fprintln(w, "level  r_w    I   params(M)  paper  MACs(M)  paper   ratio")
+		} else {
+			fmt.Fprintln(w, "level  r_w    I   params(M)  MACs(M)   ratio")
+		}
+		full := float64(pool.Largest().Size)
+		for i := len(pool.Members) - 1; i >= 0; i-- {
+			m := pool.Members[i]
+			iStr := fmt.Sprintf("%3d", m.I)
+			if m.Level == prune.LevelL {
+				iStr = "N/A"
+			}
+			params, macs, ratio := float64(m.Size)/1e6, float64(m.MACs)/1e6, float64(m.Size)/full
+			if withPaper {
+				p := paper[m.Name()]
+				fmt.Fprintf(w, "%-5s  %.2f  %s  %9.2f  %5.2f  %7.2f  %6.2f  %.2f\n",
+					m.Name(), m.Rw, iStr, params, p[0], macs, p[1], ratio)
+			} else {
+				fmt.Fprintf(w, "%-5s  %.2f  %s  %9.2f  %7.2f  %.2f\n", m.Name(), m.Rw, iStr, params, macs, ratio)
+			}
+		}
 	}
 	return nil
 }

@@ -8,8 +8,8 @@
 // (internal/wire), so a dispatch is one POST /train round trip. Requests
 // carry the codec tag the server chose for this agent — negotiated via
 // GET /train, which lists the agent's supported codecs — and the agent
-// answers in the same encoding. An untagged request means the raw persist
-// v1 format, so pre-codec peers interoperate. Device-side resource-aware
+// answers in the same encoding. An untagged request means the raw codec's
+// format, so pre-codec peers interoperate. Device-side resource-aware
 // pruning happens inside the agent, exactly as in the paper: the server
 // never sees the device's capacity, only which model size came back.
 package fednet
@@ -75,7 +75,7 @@ type TrainRequest struct {
 	// SentIndex identifies the dispatched pool member.
 	SentIndex int `json:"sent_index"`
 	// Codec tags the encoding of State (and of the expected upload).
-	// Empty means raw, the pre-codec persist v1 format.
+	// Empty means raw, the pre-codec format.
 	Codec string `json:"codec,omitempty"`
 	// State is the codec-encoded weight slice of the dispatched model
 	// (empty on a NotModified dispatch — the agent already holds it).

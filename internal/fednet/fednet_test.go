@@ -12,7 +12,6 @@ import (
 	"adaptivefl/internal/data"
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
-	"adaptivefl/internal/persist"
 	"adaptivefl/internal/prune"
 	"adaptivefl/internal/wire"
 )
@@ -339,8 +338,8 @@ func buildGlobal(t *testing.T, mcfg models.Config) nn.State {
 	return nn.StateDict(m)
 }
 
-// encodeState wraps persist.EncodeToBytes for tests.
-func encodeState(st nn.State) ([]byte, error) { return persist.EncodeToBytes(st) }
+// encodeState is the raw codec's encoding, the body an untagged peer sends.
+func encodeState(st nn.State) ([]byte, error) { return wire.Raw{}.Encode(st, nil) }
 
 // countingCodec wraps a codec and counts Decode calls; embedding keeps the
 // tag, so agents resolve the real codec from the registry while the

@@ -99,9 +99,6 @@ type Sequential struct {
 // NewSequential builds a Sequential from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Append adds more layers to the end of the chain.
-func (s *Sequential) Append(layers ...Layer) { s.Layers = append(s.Layers, layers...) }
-
 // Forward runs the layers in order.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range s.Layers {

@@ -244,34 +244,3 @@ func ExtractForModel(global nn.State, target ParamHolder) (nn.State, error) {
 	}
 	return out, nil
 }
-
-// ResourceAwareSearch is the paper's continuous on-device pruning
-// objective: argmax over (r_w, I) of model size subject to
-// size ≤ capacity and I ≥ τ. rwGrid is the candidate ratio set (it should
-// include the received model's own ratio); maxI caps I at the received
-// model's starting layer so the result stays derivable.
-func ResourceAwareSearch(mcfg models.Config, rwGrid []float64, maxRw float64, maxI int, capacity int64) (rw float64, i int, widths []int, ok bool) {
-	spec := mcfg.Spec()
-	if maxI > len(spec.FullWidths) {
-		maxI = len(spec.FullWidths)
-	}
-	grid := append([]float64(nil), rwGrid...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(grid)))
-	var bestSize int64 = -1
-	// Descending iteration with a strict improvement test prefers larger
-	// r_w and larger I on size ties (at I = n every ratio yields the full
-	// model; report it as r_w = maxRw rather than an arbitrary grid entry).
-	for _, r := range grid {
-		if r > maxRw {
-			continue
-		}
-		for cand := maxI; cand >= spec.Tau; cand-- {
-			w := PlanWidths(spec.FullWidths, r, cand)
-			size := models.CountStats(mcfg, w).Params
-			if size <= capacity && size > bestSize {
-				bestSize, rw, i, widths, ok = size, r, cand, w, true
-			}
-		}
-	}
-	return rw, i, widths, ok
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
@@ -282,57 +281,6 @@ func TestExtractFullIsIdentity(t *testing.T) {
 		if math.Abs(ya.Data[i]-yb.Data[i]) > 1e-12 {
 			t.Fatal("full-extraction round trip changed the model")
 		}
-	}
-}
-
-func TestResourceAwareSearch(t *testing.T) {
-	cfg := vggFull()
-	grid := []float64{0.40, 0.66, 1.0}
-	full := models.CountStats(cfg, nil).Params
-	// With full capacity the search keeps everything.
-	rw, i, _, ok := ResourceAwareSearch(cfg, grid, 1.0, 15, full)
-	if !ok || rw != 1.0 || i != 15 {
-		t.Fatalf("search(full cap) = (%.2f,%d,%v), want (1.0,15,true)", rw, i, ok)
-	}
-	// Capacity at 50%: Table 1 says M1 = (0.66, I=8) is the best fit.
-	rw, i, widths, ok := ResourceAwareSearch(cfg, grid, 1.0, 15, full/2)
-	if !ok {
-		t.Fatal("search(half cap) failed")
-	}
-	if rw != 0.66 || i != 8 {
-		t.Fatalf("search(half cap) = (%.2f,%d), want (0.66,8)", rw, i)
-	}
-	if got := models.CountStats(cfg, widths).Params; got > full/2 {
-		t.Fatalf("search result size %d exceeds capacity %d", got, full/2)
-	}
-	// Impossible capacity.
-	if _, _, _, ok := ResourceAwareSearch(cfg, grid, 1.0, 15, 10); ok {
-		t.Fatal("search with absurd capacity should fail")
-	}
-}
-
-func TestResourceAwareSearchMonotoneProperty(t *testing.T) {
-	// Property: the best-fit size is monotone non-decreasing in capacity.
-	cfg := models.Config{Arch: models.ResNet18, NumClasses: 10, WidthScale: 0.25}
-	grid := []float64{0.40, 0.66, 1.0}
-	full := models.CountStats(cfg, nil).Params
-	f := func(aRaw, bRaw uint32) bool {
-		a := int64(aRaw)%full + 1
-		b := int64(bRaw)%full + 1
-		if a > b {
-			a, b = b, a
-		}
-		sizeAt := func(cap int64) int64 {
-			_, _, w, ok := ResourceAwareSearch(cfg, grid, 1.0, 4, cap)
-			if !ok {
-				return 0
-			}
-			return models.CountStats(cfg, w).Params
-		}
-		return sizeAt(a) <= sizeAt(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

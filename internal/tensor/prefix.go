@@ -43,7 +43,7 @@ func CopyPrefixInto(dst, src *Tensor) {
 	if !PrefixFits(src, dst) {
 		panic(fmt.Sprintf("tensor: prefix shape %v does not fit in %v", src.Shape, dst.Shape))
 	}
-	scatterPrefix(dst.Data, src.Data, src.Shape, dst.Strides(), src.Strides(), func(d *float64, s, _ float64) { *d = s })
+	copyPrefix(dst.Data, src.Data, src.Shape, src.Strides(), dst.Strides())
 }
 
 // AccumulatePrefix adds weight*src into dst's prefix block and adds weight
@@ -68,22 +68,6 @@ func copyPrefix(dst, src []float64, shape, srcStr, dstStr []int) {
 	}
 	for i := 0; i < shape[0]; i++ {
 		copyPrefix(dst[i*dstStr[0]:], src[i*srcStr[0]:], shape[1:], srcStr[1:], dstStr[1:])
-	}
-}
-
-func scatterPrefix(dst, src []float64, shape, dstStr, srcStr []int, op func(*float64, float64, float64)) {
-	if len(shape) == 0 {
-		op(&dst[0], src[0], 0)
-		return
-	}
-	if len(shape) == 1 {
-		for i := 0; i < shape[0]; i++ {
-			op(&dst[i], src[i], 0)
-		}
-		return
-	}
-	for i := 0; i < shape[0]; i++ {
-		scatterPrefix(dst[i*dstStr[0]:], src[i*srcStr[0]:], shape[1:], dstStr[1:], srcStr[1:], op)
 	}
 }
 

@@ -70,20 +70,8 @@ func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	return t
 }
 
-// Uniform returns a tensor with elements drawn from U[lo, hi) using rng.
-func Uniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return t
-}
-
 // Numel reports the number of elements.
 func (t *Tensor) Numel() int { return len(t.Data) }
-
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
@@ -172,34 +160,11 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element of t to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // AddInPlace adds o to t element-wise. Shapes must match.
 func (t *Tensor) AddInPlace(o *Tensor) {
 	mustSameLen(t, o)
 	for i, v := range o.Data {
 		t.Data[i] += v
-	}
-}
-
-// SubInPlace subtracts o from t element-wise.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	mustSameLen(t, o)
-	for i, v := range o.Data {
-		t.Data[i] -= v
-	}
-}
-
-// MulInPlace multiplies t by o element-wise.
-func (t *Tensor) MulInPlace(o *Tensor) {
-	mustSameLen(t, o)
-	for i, v := range o.Data {
-		t.Data[i] *= v
 	}
 }
 

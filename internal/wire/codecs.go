@@ -1,17 +1,38 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
+	"compress/gzip"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 
 	"adaptivefl/internal/nn"
-	"adaptivefl/internal/persist"
+	"adaptivefl/internal/tensor"
 )
 
-// Raw is the compatibility baseline: the persist v1 gzip/gob float64
-// envelope, bit-exact. Peers that predate codec negotiation speak exactly
-// this format.
+// Raw is the compatibility baseline: every value as float64, bit-exact,
+// in a gzip-compressed gob of rawPayload. Peers that predate codec
+// negotiation speak exactly this format, and payloads from every earlier
+// build still decode.
 type Raw struct{}
+
+// rawVersion is the only rawPayload version. Earlier builds also wrote a
+// version 2 that wrapped another codec's payload; it is refused.
+const rawVersion = 1
+
+// rawPayload is raw's container: the state's names in sorted order, so
+// the encoding is deterministic, with each tensor's shape and values.
+// Older builds encoded two more fields, which gob skips because it
+// matches fields by name.
+type rawPayload struct {
+	Version int
+	Names   []string
+	Shapes  [][]int
+	Data    [][]float64
+}
 
 // Tag implements Codec.
 func (Raw) Tag() string { return TagRaw }
@@ -20,22 +41,73 @@ func (Raw) Tag() string { return TagRaw }
 func (Raw) UsesRef() bool { return false }
 
 // Encode implements Codec.
-func (Raw) Encode(st, _ nn.State) ([]byte, error) { return persist.EncodeToBytes(st) }
+func (Raw) Encode(st, _ nn.State) ([]byte, error) {
+	p := rawPayload{Version: rawVersion, Names: st.Names()}
+	for _, name := range p.Names {
+		p.Shapes = append(p.Shapes, st[name].Shape)
+		p.Data = append(p.Data, st[name].Data)
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := gob.NewEncoder(zw).Encode(p); err != nil {
+		return nil, fmt.Errorf("wire: raw: %w", err)
+	}
+	if err := zw.Close(); err != nil {
+		return nil, fmt.Errorf("wire: raw: %w", err)
+	}
+	return buf.Bytes(), nil
+}
 
-// Decode implements Codec. The envelope is untrusted wire data: a NaN or
-// Inf that slipped in (corruption, or a diverged peer) must surface here,
-// not poison the aggregate downstream.
+// Decode implements Codec. The payload is untrusted wire data: names and
+// shapes pass the frame's header validation, every tensor must hold
+// exactly its shape's element count, the gzip checksum must hold, and a
+// NaN or Inf that slipped in (corruption, or a diverged peer) must surface
+// here, not poison the aggregate downstream.
 func (Raw) Decode(data []byte, _ nn.State) (nn.State, error) {
-	st, err := persist.DecodeFromBytes(data)
+	st, err := decodeRaw(data)
+	if err != nil {
+		return nil, fmt.Errorf("wire: raw: %w", err)
+	}
+	return st, nil
+}
+
+func decodeRaw(data []byte) (nn.State, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("gzip: %w", err)
+	}
+	br := bufio.NewReader(zr)
+	var p rawPayload
+	if err := gob.NewDecoder(br).Decode(&p); err != nil {
+		return nil, fmt.Errorf("gob: %w", err)
+	}
+	// Reading past the gob message verifies the gzip trailer.
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("trailing data after the payload")
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("gzip: %w", err)
+	}
+	if p.Version != rawVersion {
+		return nil, fmt.Errorf("payload version %d, want %d", p.Version, rawVersion)
+	}
+	counts, err := header{names: p.Names, shapes: p.Shapes}.validate()
 	if err != nil {
 		return nil, err
 	}
-	for name, t := range st {
-		for j, v := range t.Data {
+	if len(p.Data) != len(p.Names) {
+		return nil, fmt.Errorf("corrupt payload (%d names, %d tensors)", len(p.Names), len(p.Data))
+	}
+	st := make(nn.State, len(p.Names))
+	for i, name := range p.Names {
+		if len(p.Data[i]) != counts[i] {
+			return nil, fmt.Errorf("%q has %d values for shape %v", name, len(p.Data[i]), p.Shapes[i])
+		}
+		for j, v := range p.Data[i] {
 			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return nil, fmt.Errorf("wire: raw %q has non-finite value at index %d", name, j)
+				return nil, fmt.Errorf("%q has non-finite value at index %d", name, j)
 			}
 		}
+		st[name] = tensor.FromSlice(p.Data[i], p.Shapes[i]...)
 	}
 	return st, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"adaptivefl/internal/nn"
@@ -126,10 +127,17 @@ func TestHeaderRejectsOverflowShapes(t *testing.T) {
 		{1 << 20, 1 << 20},
 		{1 << 31, 1 << 31, 1 << 31},
 		{maxWireElems + 1},
+		{1 << 32, 1 << 32}, // the product wraps to 0, matching no values
 	} {
 		h := header{names: []string{"w"}, shapes: [][]int{shape}}
 		if _, err := h.validate(); err == nil {
 			t.Fatalf("shape %v passed validation", shape)
+		}
+		// Raw validates through the same header, so an empty tensor
+		// declaring the shape is refused too.
+		p := rawPayload{Version: rawVersion, Names: h.names, Shapes: h.shapes, Data: [][]float64{{}}}
+		if _, err := (Raw{}).Decode(rawBytes(t, p), nil); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("raw shape %v: err = %v", shape, err)
 		}
 	}
 	h := header{names: []string{"w"}, shapes: [][]int{{16, 3, 3, 3}}}
@@ -139,11 +147,13 @@ func TestHeaderRejectsOverflowShapes(t *testing.T) {
 }
 
 // FuzzDecoders is the go-native fuzz entry: any byte string through any
-// codec must error or produce finite values — never panic. The seed
-// corpus covers valid payloads of each codec so mutation starts from
-// structurally interesting bytes. (Mutations of a whole payload rarely
-// survive the gzip checksum; TestFrameRejections and
-// TestFrameTruncatedEverywhere reach the parser behind it.)
+// codec must error or produce finite values, each tensor holding exactly
+// its shape's element count — never panic. The seed corpus covers valid
+// payloads of each codec so mutation starts from structurally interesting
+// bytes. (Mutations of a whole payload rarely survive the gzip checksum;
+// TestFrameRejections and TestFrameTruncatedEverywhere reach the parser
+// behind it, and TestRawDecodeGarbage and TestRawDecodeRejectsBadShapes
+// raw's.)
 func FuzzDecoders(f *testing.F) {
 	ref := randState(21)
 	st := perturb(ref, 22, 0.01)
@@ -172,6 +182,8 @@ func FuzzDecoders(f *testing.F) {
 	for ci := range allCodecs() {
 		f.Add(ci, gobPayload(f))
 	}
+	// A raw payload whose shape's element count overflows to 0.
+	f.Add(0, rawBytes(f, rawPayload{Version: rawVersion, Names: []string{"w"}, Shapes: [][]int{{1 << 32, 1 << 32}}, Data: [][]float64{{}}}))
 	f.Fuzz(func(t *testing.T, ci int, payload []byte) {
 		codecs := allCodecs()
 		if ci < 0 {
@@ -183,6 +195,18 @@ func FuzzDecoders(f *testing.F) {
 			return
 		}
 		for name, v := range dec {
+			// A float64 product cannot wrap around, and the NaN a
+			// negative dimension leaves matches no length.
+			n := 1.0
+			for _, d := range v.Shape {
+				if d < 0 {
+					n = math.NaN()
+				}
+				n *= float64(d)
+			}
+			if float64(len(v.Data)) != n {
+				t.Fatalf("%s: decode accepted %q with %d values for shape %v", c.Tag(), name, len(v.Data), v.Shape)
+			}
 			for j, x := range v.Data {
 				if math.IsNaN(x) || math.IsInf(x, 0) {
 					t.Fatalf("%s: decode accepted non-finite %q[%d] = %v", c.Tag(), name, j, x)

@@ -4,8 +4,8 @@
 // into wire bytes and back, trading accuracy for size along a documented
 // error bound. Four codecs ship:
 //
-//   - raw   — the persist v1 gzip/gob float64 envelope, bit-exact; the
-//     compatibility baseline every peer understands.
+//   - raw   — every value as float64 in a gzip-compressed gob, bit-exact;
+//     the compatibility baseline every peer understands.
 //   - f32   — float32 truncation; |err| ≤ |v|·2⁻²⁴ per value, ~0.41× raw.
 //   - q8    — per-tensor symmetric int8 quantization with a stored scale;
 //     |err| ≤ max|v|/254 per tensor, ~0.10× raw.
@@ -24,18 +24,17 @@
 //
 // Codecs are registered by tag so transports can negotiate: the server
 // stamps each request with the codec tag and the device answers in kind.
-// See docs/WIRE.md for the envelope and frame formats and the
-// compatibility rules.
+// Raw keeps its own container (codecs.go) but validates names and shapes
+// through the frame's header check, so both formats refuse the same
+// corrupt shapes. See docs/WIRE.md for both formats and the compatibility
+// rules.
 package wire
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 	"sort"
 
 	"adaptivefl/internal/nn"
-	"adaptivefl/internal/persist"
 )
 
 // Codec serialises a state dict. ref, when non-nil, is the reference
@@ -96,60 +95,4 @@ func init() {
 	Register(F32{})
 	Register(Q8{})
 	Register(NewDeltaTopK())
-}
-
-// EncodeEnvelope wraps st in the persist container: raw emits the v1
-// format unchanged (so old readers still load it), any other codec is
-// carried in a v2 envelope stamped with its tag.
-func EncodeEnvelope(c Codec, st, ref nn.State) ([]byte, error) {
-	payload, err := c.Encode(st, ref)
-	if err != nil {
-		return nil, err
-	}
-	if c.Tag() == TagRaw {
-		return payload, nil // raw's payload is the v1 envelope itself
-	}
-	var buf bytes.Buffer
-	if err := persist.EncodeStateV2(&buf, c.Tag(), payload); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeEnvelope reads either envelope version: v1 decodes inline, a v2
-// envelope routes its payload to the codec registered under the stored
-// tag. ref is forwarded to delta codecs; a nil ref works only because a
-// ref-less Encode falls back to dense tensors — decoding a payload with
-// sparse tensors and no ref is an error, never a silent zero baseline.
-func DecodeEnvelope(b []byte, ref nn.State) (nn.State, error) {
-	return persist.DecodeStateAny(bytes.NewReader(b), func(tag string, payload []byte) (nn.State, error) {
-		c, err := ByTag(tag)
-		if err != nil {
-			return nil, err
-		}
-		return c.Decode(payload, ref)
-	})
-}
-
-// SaveState checkpoints st at path through the codec (tmp file + rename,
-// like persist.SaveState). Raw writes a v1 checkpoint.
-func SaveState(path string, c Codec, st nn.State) error {
-	b, err := EncodeEnvelope(c, st, nil)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadState reads a checkpoint written by SaveState or persist.SaveState.
-func LoadState(path string) (nn.State, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeEnvelope(b, nil)
 }

@@ -2,14 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"testing"
 
+	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
-	"adaptivefl/internal/persist"
 	"adaptivefl/internal/tensor"
 )
 
@@ -64,9 +67,67 @@ func maxAbsDiff(a, b nn.State, t *testing.T) float64 {
 	return worst
 }
 
+// TestRawRoundTripExact: raw decodes every state to the same bits.
 func TestRawRoundTripExact(t *testing.T) {
-	st := randState(1)
-	b, err := Raw{}.Encode(st, nil)
+	for _, tc := range []struct {
+		name string
+		st   nn.State
+	}{
+		{"mixed ranks", randState(1)},
+		{"empty", nn.State{}},
+	} {
+		b, err := Raw{}.Encode(tc.st, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := Raw{}.Decode(b, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := maxAbsDiff(tc.st, got, t); d != 0 {
+			t.Fatalf("%s: raw round trip not exact: max diff %g", tc.name, d)
+		}
+	}
+}
+
+// rawFixtureState is the state testdata/raw_v1.gz holds: random weights
+// plus a tensor of edge-case values (signed zeros, the smallest
+// subnormal, the most negative finite float64).
+func rawFixtureState() nn.State {
+	rng := rand.New(rand.NewSource(27))
+	return nn.State{
+		"conv.weight":    tensor.Randn(rng, 0.2, 4, 3, 3, 3),
+		"conv.bias":      tensor.FromSlice([]float64{0, math.Copysign(0, -1), 5e-324, -math.MaxFloat64}, 4),
+		"bn.running_var": tensor.Full(1, 4),
+		"head.weight":    tensor.Randn(rng, 0.3, 10, 4),
+	}
+}
+
+// requireSameBits fails unless got holds want's tensors with want's
+// shapes and bit patterns (so -0 and 0 differ).
+func requireSameBits(t *testing.T, got, want nn.State) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d tensors, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g := got[name]
+		if g == nil || !tensor.SameShape(g, w) {
+			t.Fatalf("%q: decoded %v, want shape %v", name, g, w.Shape)
+		}
+		for i := range w.Data {
+			if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
+				t.Fatalf("%q[%d] = %v, want %v", name, i, g.Data[i], w.Data[i])
+			}
+		}
+	}
+}
+
+// TestRawEncodeDecodeRoundTrip: every bit pattern survives raw, signed
+// zeros and subnormals included.
+func TestRawEncodeDecodeRoundTrip(t *testing.T) {
+	want := rawFixtureState()
+	b, err := Raw{}.Encode(want, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +135,130 @@ func TestRawRoundTripExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := maxAbsDiff(st, got, t); d != 0 {
-		t.Fatalf("raw round trip not exact: max diff %g", d)
+	requireSameBits(t, got, want)
+}
+
+// TestRawEncodeDeterministic: equal states encode to equal bytes, however
+// the map iterates (names are written sorted).
+func TestRawEncodeDeterministic(t *testing.T) {
+	for _, st := range []nn.State{randState(2), rawFixtureState()} {
+		first, err := Raw{}.Encode(st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			again, err := Raw{}.Encode(st.Clone(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, again) {
+				t.Fatalf("encoding %d of %d tensors differs from the first", i+1, len(st))
+			}
+		}
 	}
+}
+
+// TestRawFullModelCheckpoint: a model's state dict through raw restores a
+// twin that computes the same outputs bit for bit.
+func TestRawFullModelCheckpoint(t *testing.T) {
+	cfg := models.Config{Arch: models.MobileNetV2, NumClasses: 5, WidthScale: 0.125, Seed: 4}
+	m := models.MustBuild(cfg, nil)
+	b, err := Raw{}.Encode(nn.StateDict(m), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Raw{}.Decode(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := models.MustBuild(models.Config{Arch: cfg.Arch, NumClasses: cfg.NumClasses, WidthScale: cfg.WidthScale, Seed: cfg.Seed + 1}, nil)
+	if err := nn.LoadState(twin, back); err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Randn(rand.New(rand.NewSource(5)), 1, 1, 3, 32, 32)
+	ya, yb := m.Forward(x, false), twin.Forward(x, false)
+	for i := range ya.Data {
+		if math.Float64bits(ya.Data[i]) != math.Float64bits(yb.Data[i]) {
+			t.Fatalf("restored model output[%d] = %v, want %v", i, yb.Data[i], ya.Data[i])
+		}
+	}
+}
+
+// TestRawDecodesOldPayload: testdata/raw_v1.gz was written by the raw
+// encoder of an earlier build, whose container carried two more fields
+// (Codec, Payload). It must still decode to the same bits.
+func TestRawDecodesOldPayload(t *testing.T) {
+	b, err := os.ReadFile("testdata/raw_v1.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Raw{}.Decode(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, got, rawFixtureState())
+}
+
+// rawBytes encodes a hand-built raw container, bypassing Encode's
+// invariants.
+func rawBytes(t testing.TB, p rawPayload) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := gob.NewEncoder(zw).Encode(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rawRejection is a payload the raw decoder must refuse with an error
+// that mentions want.
+type rawRejection struct {
+	name    string
+	payload []byte
+	want    string
+}
+
+func requireRawRejects(t *testing.T, cases []rawRejection) {
+	t.Helper()
+	for _, tc := range cases {
+		if _, err := (Raw{}).Decode(tc.payload, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRawDecodeGarbage: bytes that are not one intact version-1 raw
+// container are refused.
+func TestRawDecodeGarbage(t *testing.T) {
+	valid, err := Raw{}.Encode(nn.State{"w": tensor.Full(1, 2, 2)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-5] ^= 1 // the gzip trailer's CRC-32
+	requireRawRejects(t, []rawRejection{
+		{"garbage", []byte("not a checkpoint"), "gzip"},
+		{"empty", nil, "gzip"},
+		{"checksum", flipped, "checksum"},
+		{"trailing data", append(append([]byte(nil), valid...), valid...), "trailing"},
+		{"version 2 envelope", rawBytes(t, rawPayload{Version: 2}), "version 2"},
+	})
+}
+
+// TestRawDecodeRejectsBadShapes: a well-formed container whose names,
+// shapes and values disagree is refused.
+func TestRawDecodeRejectsBadShapes(t *testing.T) {
+	four := [][]float64{{1, 2, 3, 4}}
+	requireRawRejects(t, []rawRejection{
+		{"bad shape", rawBytes(t, rawPayload{Version: 1, Names: []string{"w"}, Shapes: [][]int{{2, 3}}, Data: four}), "4 values for shape"},
+		{"negative dimension", rawBytes(t, rawPayload{Version: 1, Names: []string{"w"}, Shapes: [][]int{{-2, -2}}, Data: four}), "negative dimension"},
+		{"unsorted names", rawBytes(t, rawPayload{Version: 1, Names: []string{"b", "a"}, Shapes: [][]int{{1}, {1}}, Data: [][]float64{{1}, {2}}}), "not sorted"},
+		{"missing tensor", rawBytes(t, rawPayload{Version: 1, Names: []string{"a", "b"}, Shapes: [][]int{{1}, {1}}, Data: [][]float64{{1}}}), "2 names, 1 tensors"},
+	})
 }
 
 // TestF32RoundTrip checks the documented bound: every decoded value is
@@ -363,84 +545,6 @@ func TestByTag(t *testing.T) {
 	}
 	if _, err := ByTag("zstd"); err == nil {
 		t.Fatal("unknown tag accepted")
-	}
-}
-
-// TestEnvelopeRawIsV1 guarantees backward compatibility: a raw envelope
-// is the persist v1 format, loadable by the pre-codec reader.
-func TestEnvelopeRawIsV1(t *testing.T) {
-	st := randState(11)
-	b, err := EncodeEnvelope(Raw{}, st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := persist.DecodeState(bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("persist v1 reader rejected a raw envelope: %v", err)
-	}
-	if d := maxAbsDiff(st, got, t); d != 0 {
-		t.Fatalf("raw envelope via persist differs: %g", d)
-	}
-	// And the wire reader accepts genuine v1 bytes.
-	v1, err := persist.EncodeToBytes(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := DecodeEnvelope(v1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(st, got2, t); d != 0 {
-		t.Fatalf("v1 bytes via wire differ: %g", d)
-	}
-}
-
-// TestEnvelopeV2RoundTrip covers the non-raw codecs through the persist
-// v2 container, plus the v1-only reader's error message.
-func TestEnvelopeV2RoundTrip(t *testing.T) {
-	st := randState(12)
-	for _, c := range []Codec{F32{}, Q8{}, NewDeltaTopK()} {
-		b, err := EncodeEnvelope(c, st, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeEnvelope(b, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Tag(), err)
-		}
-		if len(got) != len(st) {
-			t.Fatalf("%s: decoded %d tensors, want %d", c.Tag(), len(got), len(st))
-		}
-		if _, err := persist.DecodeState(bytes.NewReader(b)); err == nil {
-			t.Fatalf("%s: v1-only reader accepted a v2 envelope", c.Tag())
-		} else if !strings.Contains(err.Error(), "wire") {
-			t.Fatalf("%s: v2 error should point at internal/wire, got: %v", c.Tag(), err)
-		}
-	}
-}
-
-func TestSaveLoadState(t *testing.T) {
-	st := randState(13)
-	for _, c := range []Codec{Raw{}, Q8{}} {
-		path := t.TempDir() + "/" + c.Tag() + ".ckpt"
-		if err := SaveState(path, c, st); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadState(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(st) {
-			t.Fatalf("%s: loaded %d tensors, want %d", c.Tag(), len(got), len(st))
-		}
-	}
-	// A v1 checkpoint written by persist.SaveState still loads.
-	path := t.TempDir() + "/v1.ckpt"
-	if err := persist.SaveState(path, st); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadState(path); err != nil {
-		t.Fatalf("v1 checkpoint failed to load through wire: %v", err)
 	}
 }
 
