@@ -468,8 +468,9 @@ func seqInts(n int) []int {
 
 // --- scheduler benchmarks ---
 
-// benchSchedServer mirrors the sched test federation at bench scale.
-func benchSchedServer(b *testing.B, n, k int) *core.Server {
+// benchSchedServer mirrors the sched test federation at bench scale, with
+// an executor par wide.
+func benchSchedServer(b *testing.B, n, k, par int) *core.Server {
 	b.Helper()
 	mcfg := models.Config{Arch: models.ResNet18, NumClasses: 4, WidthScale: 0.07, Seed: 3}
 	pool, err := prune.BuildPool(mcfg, prune.Config{P: 3})
@@ -489,7 +490,7 @@ func benchSchedServer(b *testing.B, n, k int) *core.Server {
 	srv, err := core.NewServer(core.Config{
 		Model: mcfg, Pool: prune.Config{P: 3}, ClientsPerRound: k,
 		Train: core.TrainConfig{LocalEpochs: 1, BatchSize: 6, LR: 0.05, Momentum: 0.5},
-		Seed:  41, Parallelism: k,
+		Seed:  41, Parallelism: par,
 	}, clients)
 	if err != nil {
 		b.Fatal(err)
@@ -504,14 +505,14 @@ func benchSchedServer(b *testing.B, n, k int) *core.Server {
 func benchSchedRound(b *testing.B, policy sched.Policy) {
 	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			srv := benchSchedServer(b, 10, 4)
+			srv := benchSchedServer(b, 10, 4, par)
 			sim, err := testbed.NewSim(testbed.Table5Platform())
 			if err != nil {
 				b.Fatal(err)
 			}
 			trace := &sched.RandomTrace{Seed: 7, MeanOn: 1e9, SlowProb: 0.3, SlowFactor: 3}
 			eng, err := sched.New(srv, sim, trace, sched.Config{
-				Policy: policy, K: 4, Extra: 2, Buffer: 2, Epochs: 1, Parallelism: par,
+				Policy: policy, K: 4, Extra: 2, Buffer: 2, Epochs: 1,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -124,10 +124,9 @@ func schedRunner(a *baselines.Adaptive, fed *Federation, sc Scale) (baselines.Ru
 		return nil, err
 	}
 	eng, err := sched.New(a.Srv, sim, trace, sched.Config{
-		Policy:      policy,
-		K:           sc.K,
-		Epochs:      sc.LocalEpochs,
-		Parallelism: sc.Parallelism,
+		Policy: policy,
+		K:      sc.K,
+		Epochs: sc.LocalEpochs,
 	})
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,21 +10,6 @@ import (
 	"adaptivefl/internal/obs"
 )
 
-// evKind classifies queue events.
-type evKind int
-
-const (
-	evArrive evKind = iota // the flight's upload reaches the server
-	evDrop                 // the client goes offline before finishing
-)
-
-func (k evKind) String() string {
-	if k == evDrop {
-		return "drop"
-	}
-	return "arrive"
-}
-
 // flight wraps one open core.Flight with its simulation fate.
 type flight struct {
 	f   *core.Flight
@@ -34,11 +18,11 @@ type flight struct {
 	// t0 / downT / trainT are the flight's virtual trace segments for
 	// observability: dispatch cut, downlink completion, local-training
 	// completion. downT/trainT stay zero when the phase never completed
-	// (dropout mid-phase) or the flight was priced in one piece (an
-	// unplannable trainer exposes only its end). eta closes the span.
+	// (dropout mid-phase). eta closes the span.
 	t0, downT, trainT float64
-	// drops is the flight's fate, known at launch: the client's
-	// availability window ends before the upload would complete.
+	// drops is the flight's fate, known once it is priced: the client's
+	// availability window ends before the upload would complete. Its
+	// queue event is a drop instead of an arrival.
 	drops bool
 	// collected marks a flight whose completion event fired before its
 	// round closed (deadline policy: it made the cut).
@@ -48,34 +32,12 @@ type flight struct {
 	recorded bool
 }
 
-// event is one entry of the virtual-time queue, ordered by (t, seq) so
-// simultaneous events resolve in issue order, deterministically.
-type event struct {
-	t    float64
-	seq  int64
-	kind evKind
-	fl   *flight
-}
-
-// eventHeap implements container/heap over events.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// kind names the flight's queue event.
+func (fl *flight) kind() string {
+	if fl.drops {
+		return "drop"
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return "arrive"
 }
 
 // Engine is the discrete-event federated-training driver.
@@ -95,7 +57,7 @@ type Engine struct {
 
 	clock  float64
 	seq    int64
-	events eventHeap
+	events queue[*flight]
 	busy   map[int]bool // client id → has an open flight
 
 	// sampled marks a population too large to scan per decision (it
@@ -109,16 +71,15 @@ type Engine struct {
 
 	log     []string
 	commits []Commit
-	// obs is the resolved observer (Config.Observer, falling back to the
-	// server's). Nil when observability is off; always safe to call.
+	// obs is the server's observer. Nil when observability is off; always
+	// safe to call.
 	obs *obs.Observer
 	// spanEdge tags every span this engine emits with an edge index, so a
 	// hierarchy's shared trace stays groupable per tier (0 — the flat-run
 	// default — marshals away, matching the global tier's spans).
 	spanEdge int
 	// discountSum accumulates StalenessDiscount over every update this
-	// engine appended to an aggregation (fresh merges count 1.0). It is the
-	// ledger-side anchor for the trace auditor's discount reconciliation.
+	// engine appended to an aggregation (see settle).
 	discountSum float64
 
 	// semiasync stream state, persisted across Steps.
@@ -146,20 +107,9 @@ func New(srv *core.Server, cost CostModel, trace Trace, cfg Config) (*Engine, er
 	if cfg.K > srv.NumClients() {
 		return nil, fmt.Errorf("sched: K=%d exceeds population %d", cfg.K, srv.NumClients())
 	}
-	exec := srv.Executor()
-	if cfg.Parallelism > 0 {
-		exec = core.NewExecutor(cfg.Parallelism)
-	}
 	_, sampled := srv.Population().(core.CandidateSampler)
-	observer := cfg.Observer
-	if observer == nil {
-		observer = srv.Observer()
-	}
-	if observer.Enabled() {
-		exec.SetObserver(observer)
-	}
-	return &Engine{cfg: cfg, srv: srv, cost: cost, trace: trace, exec: exec,
-		busy: map[int]bool{}, sampled: sampled, obs: observer,
+	return &Engine{cfg: cfg, srv: srv, cost: cost, trace: trace, exec: srv.Executor(),
+		busy: map[int]bool{}, sampled: sampled, obs: srv.Observer(),
 		probe: rand.New(rand.NewSource(0x5851f42d4c957f2d))}, nil
 }
 
@@ -185,16 +135,31 @@ func (e *Engine) emitFlight(fl *flight, d core.Dispatch, oc core.Outcome) {
 // separable; flat runs keep the zero default.
 func (e *Engine) SetSpanEdge(id int) { e.spanEdge = id }
 
-// noteMerge accrues the staleness discount of one update entering an
-// aggregation. Called exactly where an update is appended (fresh merges
-// have stale=0 and count 1.0), so DiscountSum is the ground truth the
-// trace auditor reconciles Σ StalenessDiscount(span.stale, α) against.
-func (e *Engine) noteMerge(stale int) {
-	e.discountSum += StalenessDiscount(stale, e.cfg.StalenessExp)
+// settle finalises a flight with outcome oc. It is the one path every
+// policy records through: the dispatch is ledgered into stats, its update
+// (if any) joins to under the staleness discount 1/(1+s)^α anchored to the
+// version the dispatch was cut from, and its span closes. A fresh merge
+// has s = 0, so its factor is exactly 1 and its weight keeps its bits.
+// DiscountSum accrues the factor of every update appended: the ground
+// truth the trace auditor reconciles Σ StalenessDiscount(span.stale, α)
+// against.
+func (e *Engine) settle(fl *flight, oc core.Outcome, stats *core.RoundStats, to *[]agg.Update) (core.Dispatch, int) {
+	fl.recorded = true
+	stale := e.srv.Staleness(fl.f)
+	d, u := e.srv.Record(fl.f, oc)
+	stats.Add(d)
+	if u != nil {
+		f := StalenessDiscount(stale, e.cfg.StalenessExp)
+		u.Weight *= f
+		e.discountSum += f
+		*to = append(*to, *u)
+	}
+	e.emitFlight(fl, d, oc)
+	return d, stale
 }
 
 // DiscountSum returns the accumulated staleness discount over every
-// update this engine merged (see noteMerge).
+// update this engine merged (see settle).
 func (e *Engine) DiscountSum() float64 { return e.discountSum }
 
 // StalenessExp returns the normalized staleness exponent α the engine
@@ -216,12 +181,13 @@ func (e *Engine) logf(format string, args ...any) {
 	e.log = append(e.log, fmt.Sprintf(format, args...))
 }
 
-func (e *Engine) push(t float64, kind evKind, fl *flight) {
-	e.seq++
-	heap.Push(&e.events, &event{t: t, seq: e.seq, kind: kind, fl: fl})
+// pop advances the clock to the earliest queued event and returns its
+// flight.
+func (e *Engine) pop() *flight {
+	t, fl := e.events.pop()
+	e.clock = t
+	return fl
 }
-
-func (e *Engine) pop() *event { return heap.Pop(&e.events).(*event) }
 
 // eligible reports whether client c can receive a dispatch now.
 func (e *Engine) eligible(c int) bool {
@@ -236,27 +202,32 @@ func (e *Engine) eligible(c int) bool {
 // inspects per eligibility or window scan.
 const probeCount = 64
 
-// anyEligible reports whether some client can receive a dispatch now. On
-// a sampled population it probes probeCount random clients instead of
-// scanning the fleet — with any realistic on-share, missing every up
-// client 64 times in a row is negligible, and a miss only delays the
-// dispatch to the next wake-up, never corrupts state.
-func (e *Engine) anyEligible() bool {
+// scan calls visit on every client, or on a sampled population on
+// probeCount random ones drawn from the probe stream, until visit
+// returns false.
+func (e *Engine) scan(visit func(c int) bool) {
 	if e.sampled {
 		n := e.srv.NumClients()
-		for i := 0; i < probeCount; i++ {
-			if e.eligible(e.probe.Intn(n)) {
-				return true
-			}
+		for i := 0; i < probeCount && visit(e.probe.Intn(n)); i++ {
 		}
-		return false
+		return
 	}
-	for c := 0; c < e.srv.NumClients(); c++ {
-		if e.eligible(c) {
-			return true
-		}
+	for c := 0; c < e.srv.NumClients() && visit(c); c++ {
 	}
-	return false
+}
+
+// anyEligible reports whether some client can receive a dispatch now. On
+// a sampled population it probes instead of scanning the fleet — with any
+// realistic on-share, missing every up client 64 times in a row is
+// negligible, and a miss only delays the dispatch to the next wake-up,
+// never corrupts state.
+func (e *Engine) anyEligible() bool {
+	found := false
+	e.scan(func(c int) bool {
+		found = e.eligible(c)
+		return !found
+	})
+	return found
 }
 
 // nextOffline returns the first time in [t, horizon) at which client c is
@@ -306,24 +277,42 @@ func (e *Engine) trainEnd(c int, t, work float64) (end float64, dropped bool) {
 	return t, false
 }
 
+// price walks a flight's download, training and, when upload is set,
+// upload phases over its client's trace from the current clock, costing
+// each phase from the flight's ledger view fl.d. It sets the flight's
+// trace segments and fate; a dropout ends the walk.
+func (e *Engine) price(fl *flight, upload bool) {
+	c := fl.d.Client
+	cl := e.srv.ClientAt(c)
+	down, train, up := e.cost.DispatchTimes(cl.Device.Class, fl.d, cl.Data.Len(), e.cfg.Epochs)
+	fl.t0, fl.downT, fl.trainT = e.clock, 0, 0
+	t, dropped := e.transferEnd(c, e.clock, down)
+	if !dropped {
+		fl.downT = t
+		if t, dropped = e.trainEnd(c, t, train); !dropped {
+			fl.trainT = t
+			if upload {
+				t, dropped = e.transferEnd(c, t, up)
+			}
+		}
+	}
+	fl.eta, fl.drops = t, dropped
+}
+
 // launchFlights prices and lazily executes a burst of opened flights, in
-// slot order, at the current virtual time. Pricing is staged around what
-// is knowable without the trained result:
+// slot order, at the current virtual time:
 //
-//   - A planned flight (in-process execution) prices its download and
-//     training phases from the plan alone. If the client drops before the
-//     upload, the fate is sealed and training is skipped entirely — the
-//     eager engine used to train these and discard the result unread.
-//   - With the upload priceable too (a codec-less flight's parameter
-//     estimate, or a failed dispatch echoing the sent size), the
-//     completion event is queued immediately and training runs lazily in
-//     the background; the event that consumes the result joins it
-//     (Engine.join).
-//   - A codec-sized upload of a surviving flight depends on the trained
-//     values, so those flights (and flights of unplannable trainers,
-//     which own the pruning decision) are joined here, after every
-//     flight's training has been enqueued — the joins overlap across the
-//     burst instead of serialising it.
+//   - A planned flight (in-process execution) is priced from its plan. If
+//     the client drops before the upload, or the device fits no member,
+//     its fate is sealed and training is skipped entirely.
+//   - A surviving planned flight trains lazily on the executor; the event
+//     that consumes the result joins it (Engine.join). Its upload is
+//     priced from the plan too, unless a codec sizes it from the trained
+//     values.
+//   - Codec flights that survive their training, and flights of
+//     unplannable trainers (which own the pruning decision), are joined
+//     here once every flight of the burst is enqueued, so the joins
+//     overlap, and are re-priced from the clock with the executed view.
 //
 // Events are pushed and dispatch lines logged in slot order once every
 // join has returned, so the event log is bit-identical to the eager
@@ -340,92 +329,42 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) (_ []*
 		}
 	}()
 	fls := make([]*flight, len(open))
-	plans := make([]*core.FlightPlan, len(open))
-	uploadAt := make([]float64, len(open))
-	downAt := make([]float64, len(open))
+	var joins []*flight
 	for i, cf := range open {
 		pl, err := e.srv.Plan(trainer, cf)
 		if err != nil {
 			return nil, fmt.Errorf("sched: t=%.3f %w", e.clock, err)
 		}
-		plans[i] = pl
+		fl := &flight{f: cf, d: cf.Dispatch()} // the plan view: training has not run
+		fls[i] = fl
 		if pl == nil {
 			e.srv.ExecuteAsync(e.exec, trainer, cf)
+			joins = append(joins, fl)
 			continue
 		}
-		d := cf.Dispatch() // the plan view: training has not run
-		c := d.Client
-		cl := e.srv.ClientAt(c)
-		down, train, up := e.cost.DispatchTimes(cl.Device.Class, d, cl.Data.Len(), e.cfg.Epochs)
-		var downEnd, trainDone float64
-		t, dropped := e.transferEnd(c, e.clock, down)
-		if !dropped {
-			downEnd = t
-			if t, dropped = e.trainEnd(c, t, train); !dropped {
-				trainDone = t
-			}
-		}
-		switch {
-		case dropped:
+		upload := pl.Failed || pl.Codec == ""
+		e.price(fl, upload)
+		if fl.drops || pl.Failed {
 			e.srv.SkipFlight(cf)
-			fls[i] = &flight{f: cf, eta: t, drops: true, t0: e.clock, downT: downEnd}
-		case pl.Failed || pl.Codec == "":
-			t2, dropped2 := e.transferEnd(c, t, up)
-			if dropped2 || pl.Failed {
-				e.srv.SkipFlight(cf)
-			} else {
-				e.srv.ExecuteAsync(e.exec, trainer, cf)
-			}
-			fls[i] = &flight{f: cf, eta: t2, drops: dropped2,
-				t0: e.clock, downT: downEnd, trainT: trainDone}
-		default:
+		} else {
 			e.srv.ExecuteAsync(e.exec, trainer, cf)
-			uploadAt[i] = t
-			downAt[i] = downEnd
+			if !upload {
+				joins = append(joins, fl)
+			}
 		}
-		if fls[i] != nil {
-			fls[i].d = cf.Dispatch()
-		}
+		fl.d = cf.Dispatch()
 	}
-	for i, cf := range open {
-		if fls[i] != nil {
-			continue
-		}
-		if err := e.join(cf, cf.Slot.Client); err != nil {
+	for _, fl := range joins {
+		if err := e.join(fl); err != nil {
 			return nil, err
 		}
-		d := cf.Dispatch()
-		cl := e.srv.ClientAt(d.Client)
-		down, train, up := e.cost.DispatchTimes(cl.Device.Class, d, cl.Data.Len(), e.cfg.Epochs)
-		var t, downEnd, trainDone float64
-		var dropped bool
-		if plans[i] != nil {
-			// Download and training were priced in the first pass; the
-			// join only supplied the upload size.
-			downEnd, trainDone = downAt[i], uploadAt[i]
-			t, dropped = e.transferEnd(d.Client, uploadAt[i], up)
-		} else {
-			t, dropped = e.transferEnd(d.Client, e.clock, down)
-			if !dropped {
-				downEnd = t
-				if t, dropped = e.trainEnd(d.Client, t, train); !dropped {
-					trainDone = t
-				}
-			}
-			if !dropped {
-				t, dropped = e.transferEnd(d.Client, t, up)
-			}
-		}
-		fls[i] = &flight{f: cf, d: d, eta: t, drops: dropped,
-			t0: e.clock, downT: downEnd, trainT: trainDone}
+		fl.d = fl.f.Dispatch()
+		e.price(fl, true)
 	}
 	for _, fl := range fls {
 		e.busy[fl.d.Client] = true
-		kind := evArrive
-		if fl.drops {
-			kind = evDrop
-		}
-		e.push(fl.eta, kind, fl)
+		e.seq++
+		e.events.push(fl.eta, e.seq, fl)
 		e.logf("%.3f dispatch c%d %s eta=%.3f%s",
 			e.clock, fl.d.Client, fl.d.Sent.Name(), fl.eta, map[bool]string{true: " will-drop"}[fl.drops])
 	}
@@ -437,13 +376,13 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) (_ []*
 // trained result call it before recording; it is the engine's only wait
 // on a flight, and it yields first when the engine runs under a
 // Hierarchy.
-func (e *Engine) join(f *core.Flight, client int) error {
+func (e *Engine) join(fl *flight) error {
 	if e.yield != nil {
 		e.yield()
 	}
-	f.Wait()
-	if err := f.Err(); err != nil {
-		return fmt.Errorf("sched: t=%.3f client %d: %w", e.clock, client, err)
+	fl.f.Wait()
+	if err := fl.f.Err(); err != nil {
+		return fmt.Errorf("sched: t=%.3f client %d: %w", e.clock, fl.f.Slot.Client, err)
 	}
 	return nil
 }
@@ -461,27 +400,15 @@ func (e *Engine) release(fl *flight) {
 // is preserved whenever the fleet is mostly offline.
 func (e *Engine) nextWindowOpen() float64 {
 	open := math.Inf(1)
-	if e.sampled {
-		n := e.srv.NumClients()
-		for i := 0; i < probeCount; i++ {
-			c := e.probe.Intn(n)
-			if e.busy[c] {
-				continue
-			}
-			if up, _, until := e.trace.Window(c, e.clock); !up && until < open {
-				open = until
-			}
-		}
-		return open
-	}
-	for c := 0; c < e.srv.NumClients(); c++ {
+	e.scan(func(c int) bool {
 		if e.busy[c] {
-			continue
+			return true
 		}
 		if up, _, until := e.trace.Window(c, e.clock); !up && until < open {
 			open = until
 		}
-	}
+		return true
+	})
 	return open
 }
 
@@ -490,10 +417,7 @@ func (e *Engine) nextWindowOpen() float64 {
 // closed rounds release their clients — or bank their uploads — here). It
 // fails if nothing can ever become eligible again.
 func (e *Engine) waitEligible() error {
-	for {
-		if e.anyEligible() {
-			return nil
-		}
+	for !e.anyEligible() {
 		tNext := math.Inf(1)
 		if len(e.events) > 0 {
 			tNext = e.events[0].t
@@ -507,68 +431,43 @@ func (e *Engine) waitEligible() error {
 			return fmt.Errorf("sched: stalled at t=%.3f — no client can become available", e.clock)
 		}
 		if len(e.events) > 0 && e.events[0].t <= tNext {
-			ev := e.pop()
-			e.clock = ev.t
-			if err := e.settleResidual(ev); err != nil {
+			if err := e.settleResidual(e.pop()); err != nil {
 				return err
 			}
 			continue
 		}
 		e.clock = tNext
 	}
-}
-
-// settleResidual handles an event for a flight from an already-closed
-// round. A flight finalised at close time only releases its client
-// (finishResidual); a deadline-reuse straggler — left open at close
-// precisely so its upload could still be observed — banks its result for
-// the next aggregation instead.
-func (e *Engine) settleResidual(ev *event) error {
-	if !ev.fl.recorded && ev.kind == evArrive {
-		return e.bankResidual(ev.fl)
-	}
-	e.finishResidual(ev)
 	return nil
 }
 
-// finishResidual handles an event for a flight that was already finalised
-// when its round closed: the client is released and the outcome logged,
-// but ledger and tables were settled at close time.
-func (e *Engine) finishResidual(ev *event) {
-	e.release(ev.fl)
-	e.logf("%.3f late-%s c%d %s", e.clock, ev.kind, ev.fl.d.Client, ev.fl.d.Got.Name())
-}
-
-// bankResidual collects a deadline-reuse straggler whose upload just
-// arrived: the training is joined, the dispatch is ledgered LateReused
-// (recorded exactly once — the flag flips here, so a banked flight can
-// never be settled again), and the update joins the bank for the next
-// aggregation, weighted by the staleness discount 1/(1+s)^α anchored to
-// the version the dispatch was cut from.
-func (e *Engine) bankResidual(fl *flight) error {
-	if err := e.join(fl.f, fl.d.Client); err != nil {
+// settleResidual handles the event of a flight from an already-closed
+// round. A flight finalised at close only releases its client and logs
+// its outcome. A deadline-reuse straggler, left open at close precisely so
+// its upload could still be observed, is joined and ledgered LateReused
+// (recorded exactly once: settle marks it), and its update joins the bank
+// for the next aggregation.
+func (e *Engine) settleResidual(fl *flight) error {
+	if fl.recorded || fl.drops {
+		e.release(fl)
+		e.logf("%.3f late-%s c%d %s", e.clock, fl.kind(), fl.d.Client, fl.d.Got.Name())
+		return nil
+	}
+	if err := e.join(fl); err != nil {
 		return err
 	}
 	e.release(fl)
-	fl.recorded = true
-	stale := e.srv.Staleness(fl.f)
-	d, u := e.srv.Record(fl.f, core.LateReused)
-	e.accum.Add(d)
-	if d.Failed {
+	d, stale := e.settle(fl, core.LateReused, &e.accum, &e.bank)
+	switch {
+	case d.Failed:
 		// A capacity failure that also straggled: nothing to reuse, the
 		// ledger entry is plain waste.
 		e.logf("%.3f late-failed c%d %s", e.clock, d.Client, d.Got.Name())
-	} else if d.Rejected {
+	case d.Rejected:
 		e.logf("%.3f late-rejected c%d %s", e.clock, d.Client, d.Got.Name())
-	} else {
+	default:
 		e.logf("%.3f late-reuse c%d %s stale=%d", e.clock, d.Client, d.Got.Name(), stale)
 	}
-	if u != nil {
-		u.Weight *= StalenessDiscount(stale, e.cfg.StalenessExp)
-		e.noteMerge(stale)
-		e.bank = append(e.bank, *u)
-	}
-	e.emitFlight(fl, d, core.LateReused)
 	return nil
 }
 
@@ -631,71 +530,29 @@ func (e *Engine) commitRecorded(round int, stats core.RoundStats, updates []agg.
 	return c, nil
 }
 
-// stepSync runs one barrier round: plan K dispatches among the available
-// clients, wait for every one of them to arrive or drop, then aggregate in
-// slot order — the legacy synchronous semantics on the virtual clock.
-func (e *Engine) stepSync() (Commit, error) {
+// stepDeadline runs one round: dispatch K+extra, close as soon as K
+// responses are in (or, with a positive limit, once limit virtual seconds
+// have passed with at least one). At close, stragglers are finalised as
+// Late/Dropped waste — or, with reuse (the deadline-reuse policy), left
+// open so their uploads can be banked when they eventually arrive and
+// merged into a later aggregation under the staleness discount, alongside
+// any bank the previous rounds accumulated. Sync is this loop with
+// extra = 0 and no limit: the round waits for every dispatched client and
+// aggregates in slot order, the legacy synchronous semantics on the
+// virtual clock.
+func (e *Engine) stepDeadline(extra int, limit float64, reuse bool) (Commit, error) {
 	if err := e.waitEligible(); err != nil {
 		return Commit{}, err
 	}
 	round := e.srv.NextRound()
-	slots := e.srv.PlanSlots(e.cfg.K, e.eligible)
-	fls, err := e.launchBatch(slots)
+	fls, err := e.launchBatch(e.srv.PlanSlots(e.cfg.K+extra, e.eligible))
 	if err != nil {
 		return Commit{}, err
 	}
-	for remaining := len(fls); remaining > 0; remaining-- {
-		ev := e.pop()
-		e.clock = ev.t
-		if err := e.join(ev.fl.f, ev.fl.d.Client); err != nil {
-			return Commit{}, err
-		}
-		e.release(ev.fl)
-		e.logf("%.3f %s c%d %s", e.clock, ev.kind, ev.fl.d.Client, ev.fl.d.Got.Name())
-	}
-	stats := core.RoundStats{}
-	var updates []agg.Update
-	for _, fl := range fls {
-		oc := core.Merged
-		if fl.drops {
-			oc = core.Dropped
-		}
-		stale := e.srv.Staleness(fl.f)
-		d, u := e.srv.Record(fl.f, oc)
-		stats.Add(d)
-		if u != nil {
-			e.noteMerge(stale)
-			updates = append(updates, *u)
-		}
-		e.emitFlight(fl, d, oc)
-	}
-	return e.commitRecorded(round, stats, updates)
-}
-
-// stepDeadline runs one over-provisioned round: dispatch K+Δ, close as
-// soon as K responses are in (or the absolute deadline passes with at
-// least one). At close, stragglers are finalised as Late/Dropped waste —
-// or, with reuse (the deadline-reuse policy), left open so their uploads
-// can be banked when they eventually arrive and merged into a later
-// aggregation under the staleness discount, alongside any bank the
-// previous rounds accumulated.
-func (e *Engine) stepDeadline(reuse bool) (Commit, error) {
-	if err := e.waitEligible(); err != nil {
-		return Commit{}, err
-	}
-	round := e.srv.NextRound()
-	slots := e.srv.PlanSlots(e.cfg.K+e.cfg.Extra, e.eligible)
-	fls, err := e.launchBatch(slots)
-	if err != nil {
-		return Commit{}, err
-	}
-	target := e.cfg.K
-	if target > len(fls) {
-		target = len(fls)
-	}
+	target := min(e.cfg.K, len(fls))
 	deadline := math.Inf(1)
-	if e.cfg.Deadline > 0 {
-		deadline = e.clock + e.cfg.Deadline
+	if limit > 0 {
+		deadline = e.clock + limit
 	}
 	thisRound := make(map[*flight]bool, len(fls))
 	for _, fl := range fls {
@@ -718,24 +575,23 @@ func (e *Engine) stepDeadline(reuse bool) (Commit, error) {
 			e.logf("%.3f deadline round=%d arrived=%d", e.clock, round, arrived)
 			break
 		}
-		ev := e.pop()
-		e.clock = ev.t
-		if !thisRound[ev.fl] {
+		fl := e.pop()
+		if !thisRound[fl] {
 			// A prior round's flight: its client releases either way; a
 			// reuse straggler additionally banks its upload.
-			if err := e.settleResidual(ev); err != nil {
+			if err := e.settleResidual(fl); err != nil {
 				return Commit{}, err
 			}
 			continue
 		}
-		if err := e.join(ev.fl.f, ev.fl.d.Client); err != nil {
+		if err := e.join(fl); err != nil {
 			return Commit{}, err
 		}
-		e.release(ev.fl)
-		e.logf("%.3f %s c%d %s", e.clock, ev.kind, ev.fl.d.Client, ev.fl.d.Got.Name())
+		e.release(fl)
+		e.logf("%.3f %s c%d %s", e.clock, fl.kind(), fl.d.Client, fl.d.Got.Name())
 		pending--
-		ev.fl.collected = true
-		if ev.kind == evArrive {
+		fl.collected = true
+		if !fl.drops {
 			arrived++
 		}
 	}
@@ -749,12 +605,11 @@ func (e *Engine) stepDeadline(reuse bool) (Commit, error) {
 		e.accum, e.bank = core.RoundStats{}, nil
 	}
 	for _, fl := range fls {
-		var oc core.Outcome
+		oc := core.Merged
 		switch {
-		case fl.collected && !fl.drops:
-			oc = core.Merged
 		case fl.drops:
 			oc = core.Dropped
+		case fl.collected:
 		case reuse:
 			// The straggler's upload is still in flight and will be banked
 			// at its arrival event; its ledger entry lands with the
@@ -768,15 +623,7 @@ func (e *Engine) stepDeadline(reuse bool) (Commit, error) {
 			oc = core.Late
 			fl.f.Cancel()
 		}
-		fl.recorded = true
-		stale := e.srv.Staleness(fl.f)
-		d, u := e.srv.Record(fl.f, oc)
-		stats.Add(d)
-		if u != nil {
-			e.noteMerge(stale)
-			updates = append(updates, *u)
-		}
-		e.emitFlight(fl, d, oc)
+		e.settle(fl, oc, &stats, &updates)
 	}
 	return e.commitRecorded(round, stats, updates)
 }
@@ -834,32 +681,20 @@ func (e *Engine) stepSemiAsync() (Commit, error) {
 				continue
 			}
 		}
-		ev := e.pop()
-		e.clock = ev.t
-		e.release(ev.fl)
-		if ev.kind == evDrop {
-			d, _ := e.srv.Record(ev.fl.f, core.Dropped)
-			e.accum.Add(d)
-			e.logf("%.3f drop c%d %s", e.clock, ev.fl.d.Client, ev.fl.d.Sent.Name())
-			e.emitFlight(ev.fl, d, core.Dropped)
+		fl := e.pop()
+		e.release(fl)
+		if fl.drops {
+			e.settle(fl, core.Dropped, &e.accum, &e.buffer)
+			e.logf("%.3f drop c%d %s", e.clock, fl.d.Client, fl.d.Sent.Name())
 			continue
 		}
-		if err := e.join(ev.fl.f, ev.fl.d.Client); err != nil {
+		if err := e.join(fl); err != nil {
 			return Commit{}, err
 		}
-		stale := e.srv.Staleness(ev.fl.f)
-		d, u := e.srv.Record(ev.fl.f, core.Merged)
-		e.accum.Add(d)
+		d, stale := e.settle(fl, core.Merged, &e.accum, &e.buffer)
 		e.logf("%.3f arrive c%d %s stale=%d", e.clock, d.Client, d.Got.Name(), stale)
-		e.emitFlight(ev.fl, d, core.Merged)
-		if u != nil {
-			u.Weight *= StalenessDiscount(stale, e.cfg.StalenessExp)
-			e.noteMerge(stale)
-			e.buffer = append(e.buffer, *u)
-		}
 		if len(e.buffer) >= e.cfg.Buffer {
-			round := e.srv.NextRound()
-			c, err := e.commitRecorded(round, e.accum, e.buffer)
+			c, err := e.commitRecorded(e.srv.NextRound(), e.accum, e.buffer)
 			if err != nil {
 				return Commit{}, err
 			}
@@ -885,11 +720,9 @@ func (e *Engine) Step() (Commit, error) {
 	}
 	switch e.cfg.Policy {
 	case Sync:
-		return e.stepSync()
-	case Deadline:
-		return e.stepDeadline(false)
-	case DeadlineReuse:
-		return e.stepDeadline(true)
+		return e.stepDeadline(0, 0, false)
+	case Deadline, DeadlineReuse:
+		return e.stepDeadline(e.cfg.Extra, e.cfg.Deadline, e.cfg.Policy == DeadlineReuse)
 	case SemiAsync:
 		return e.stepSemiAsync()
 	}

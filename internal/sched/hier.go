@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -64,34 +63,13 @@ type GlobalCommit struct {
 	Merged int     // edge updates aggregated
 }
 
-// arrival is one edge commit in transit to the global tier.
+// arrival is one edge commit in transit to the global tier, queued at
+// its arrival time.
 type arrival struct {
-	t      float64
-	seq    int64
 	edge   int
 	state  nn.State
 	weight float64
 	anchor int
-}
-
-type arrivalHeap []*arrival
-
-func (h arrivalHeap) Len() int { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(*arrival)) }
-func (h *arrivalHeap) Pop() any {
-	old := *h
-	n := len(old)
-	a := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return a
 }
 
 // Hierarchy is the two-tier federated topology: N edge aggregators, each
@@ -126,9 +104,8 @@ type Hierarchy struct {
 	global   nn.State
 	version  int
 	clock    float64
-	arrivals arrivalHeap
+	arrivals queue[arrival]
 	buffer   []agg.Update
-	buffered int // edge commits currently in the buffer
 
 	log     []string
 	commits []GlobalCommit
@@ -293,8 +270,8 @@ func (h *Hierarchy) finish(ed *Edge) error {
 	c := ed.commit
 	if c.Merged > 0 {
 		at := ed.Eng.Clock() + h.uplinkTime(ed)
-		heap.Push(&h.arrivals, &arrival{t: at, seq: ord, edge: ed.id,
-			state: ed.Srv.Global(), weight: float64(c.Merged), anchor: ed.anchor})
+		h.arrivals.push(at, ord, arrival{edge: ed.id, state: ed.Srv.Global(),
+			weight: float64(c.Merged), anchor: ed.anchor})
 		h.logf("%.3f edge-commit edge=%d round=%d merged=%d arrive=%.3f",
 			ed.Eng.Clock(), ed.id, c.Round, c.Merged, at)
 		if h.cfg.Observer.Enabled() {
@@ -367,21 +344,18 @@ func (h *Hierarchy) Step() (gc GlobalCommit, err error) {
 func (h *Hierarchy) fold() (GlobalCommit, bool, error) {
 	safe := h.minClock()
 	for len(h.arrivals) > 0 && h.arrivals[0].t <= safe {
-		a := heap.Pop(&h.arrivals).(*arrival)
-		h.clock = a.t
+		t, a := h.arrivals.pop()
+		h.clock = t
 		stale := h.version - a.anchor
-		h.buffer = append(h.buffer, agg.Update{
-			State:  a.state,
-			Weight: a.weight * StalenessDiscount(stale, h.cfg.StalenessExp),
-		})
-		h.discountSum += StalenessDiscount(stale, h.cfg.StalenessExp)
-		h.buffered++
-		h.logf("%.3f global-arrive edge=%d stale=%d", a.t, a.edge, stale)
+		f := StalenessDiscount(stale, h.cfg.StalenessExp)
+		h.buffer = append(h.buffer, agg.Update{State: a.state, Weight: a.weight * f})
+		h.discountSum += f
+		h.logf("%.3f global-arrive edge=%d stale=%d", t, a.edge, stale)
 		if h.cfg.Observer.Enabled() {
 			h.cfg.Observer.Span(obs.Span{Kind: obs.KindGlobalArrive,
-				Time: a.t, Client: -1, Edge: a.edge, Staleness: stale})
+				Time: t, Client: -1, Edge: a.edge, Staleness: stale})
 		}
-		if h.buffered < h.cfg.GlobalBuffer {
+		if len(h.buffer) < h.cfg.GlobalBuffer {
 			continue
 		}
 		next, err := agg.Aggregate(h.global, h.buffer)
@@ -390,8 +364,8 @@ func (h *Hierarchy) fold() (GlobalCommit, bool, error) {
 		}
 		h.global = next
 		h.version++
-		gc := GlobalCommit{Round: h.version, Time: h.clock, Merged: h.buffered}
-		h.buffer, h.buffered = nil, 0
+		gc := GlobalCommit{Round: h.version, Time: h.clock, Merged: len(h.buffer)}
+		h.buffer = nil
 		for _, e := range h.edges {
 			e.pendingSync = true
 		}

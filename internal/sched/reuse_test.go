@@ -212,10 +212,13 @@ func TestCodecStragglersLedgerActualBytes(t *testing.T) {
 		commits = 2
 	}
 	run := func(par int) ([]string, []core.RoundStats) {
-		srv := buildServerCfg(t, 6, 3, 43, func(cfg *core.Config) { cfg.Codec = wire.Q8{} })
+		srv := buildServerCfg(t, 6, 3, 43, func(cfg *core.Config) {
+			cfg.Codec = wire.Q8{}
+			cfg.Parallelism = par
+		})
 		trace := &sched.RandomTrace{Seed: 99, MeanOn: 40, MeanOff: 5, SlowProb: 0.5, SlowFactor: 10}
 		eng, err := sched.New(srv, testSim(t), trace, sched.Config{
-			Policy: sched.Deadline, K: 3, Extra: 2, Epochs: 1, Parallelism: par,
+			Policy: sched.Deadline, K: 3, Extra: 2, Epochs: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

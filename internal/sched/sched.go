@@ -6,22 +6,26 @@
 // in-flight set, priced by a cost model (internal/testbed), and collected
 // by a pluggable aggregation policy:
 //
-//   - sync     — barrier on every dispatched client; under the AlwaysOn
-//     trace this reproduces the legacy synchronous Round bit-identically,
-//     and is the baseline the other policies are measured against.
 //   - deadline — over-select K+Δ clients and close the round as soon as K
 //     responses are in (or an absolute per-round deadline passes); late
 //     uploads still cross the wire but are discarded and ledgered as
 //     communication waste.
+//   - sync     — the deadline loop with Δ = 0 and no cap: a barrier on
+//     every dispatched client. Under the AlwaysOn trace it reproduces the
+//     legacy synchronous Round bit-identically, and is the baseline the
+//     other policies are measured against.
 //   - semiasync — FedBuff-style buffered aggregation: updates merge as
 //     soon as B of them arrive, each weighted by a staleness discount
 //     1/(1+s)^α, and a new dispatch is cut immediately whenever a client
 //     frees up, so fast Xavier boards never idle behind a straggling Pi.
 //
 // Everything is deterministic for a fixed (seed, trace, cost model):
-// events are ordered by (virtual time, issue sequence) and every random
-// draw flows from the server's seeded rng or the trace's seeded streams.
-// See docs/SCHED.md for the event model and the policy semantics.
+// events are ordered by (virtual time, issue sequence) on one queue type
+// that the two-tier Hierarchy's global tier shares, and every random draw
+// flows from the server's seeded rng or the trace's seeded streams. The
+// engine trains on its server's executor and reports to its server's
+// observer. See docs/SCHED.md for the event model and the policy
+// semantics.
 package sched
 
 import (
@@ -29,7 +33,6 @@ import (
 	"math"
 
 	"adaptivefl/internal/core"
-	"adaptivefl/internal/obs"
 )
 
 // Policy names an aggregation policy.
@@ -90,18 +93,6 @@ type Config struct {
 	StalenessExp float64
 	// Epochs is the local-epoch count the cost model charges training at.
 	Epochs int
-	// Parallelism bounds concurrent local-training executions on the
-	// engine's worker pool (flights of every policy train lazily off the
-	// event loop and are joined at their completion events). 0 shares the
-	// server's executor, whose default width is GOMAXPROCS. Results are
-	// bit-identical at any setting; only wall-clock changes.
-	Parallelism int
-	// Observer receives flight and commit spans from the engine
-	// (internal/obs). Nil falls back to the server's observer; spans are a
-	// pure read of state the engine computed anyway, so the event log,
-	// ledger, RL tables and weights are bit-identical with or without one
-	// (pinned by TestObserverBitIdentity).
-	Observer *obs.Observer
 }
 
 func (c *Config) validate() error {

@@ -27,7 +27,7 @@ func buildServer(t *testing.T, n, k int, seed int64) *core.Server {
 }
 
 // buildServerCfg is buildServer with a final say over the server config
-// (codec, estimate mode, …) before construction.
+// (codec, trainer, executor width, …) before construction.
 func buildServerCfg(t *testing.T, n, k int, seed int64, mutate func(*core.Config)) *core.Server {
 	t.Helper()
 	pool, err := prune.BuildPool(testModelCfg(), prune.Config{P: 3})
@@ -308,7 +308,7 @@ func TestChurnTraceCompletes(t *testing.T) {
 }
 
 // TestSerialParallelBitIdentity is the executor's determinism bar: a
-// serial engine (Parallelism=1) and a wide one (Parallelism=8) must
+// serial server (Parallelism=1) and a wide one (Parallelism=8) must
 // produce identical event logs, ledgers, RL tables and global weights for
 // every policy under a churny trace — parallel lazy execution may only
 // change wall-clock, never results. Run with -race, this also shakes out
@@ -320,10 +320,10 @@ func TestSerialParallelBitIdentity(t *testing.T) {
 	}
 	for _, policy := range []sched.Policy{sched.Sync, sched.Deadline, sched.DeadlineReuse, sched.SemiAsync} {
 		run := func(par int) ([]string, map[string]float64, []core.RoundStats, *core.Server) {
-			srv := buildServer(t, 6, 3, 43)
+			srv := buildServerCfg(t, 6, 3, 43, func(cfg *core.Config) { cfg.Parallelism = par })
 			trace := &sched.RandomTrace{Seed: 99, MeanOn: 40, MeanOff: 5, SlowProb: 0.5, SlowFactor: 10}
 			eng, err := sched.New(srv, testSim(t), trace, sched.Config{
-				Policy: policy, K: 3, Extra: 2, Buffer: 2, Epochs: 1, Parallelism: par,
+				Policy: policy, K: 3, Extra: 2, Buffer: 2, Epochs: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -380,10 +380,11 @@ func TestSerialParallelBitIdentityRobustAgg(t *testing.T) {
 			srv := buildServerCfg(t, 6, 3, 43, func(cfg *core.Config) {
 				cfg.Agg = aggSpec
 				cfg.Adversary = adv
+				cfg.Parallelism = par
 			})
 			trace := &sched.RandomTrace{Seed: 99, MeanOn: 40, MeanOff: 5, SlowProb: 0.5, SlowFactor: 10}
 			eng, err := sched.New(srv, testSim(t), trace, sched.Config{
-				Policy: sched.DeadlineReuse, K: 3, Extra: 2, Buffer: 2, Epochs: 1, Parallelism: par,
+				Policy: sched.DeadlineReuse, K: 3, Extra: 2, Buffer: 2, Epochs: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
