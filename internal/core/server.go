@@ -118,6 +118,15 @@ type Trainer interface {
 	Train(req TrainRequest) (TrainResult, error)
 }
 
+// DownlinkSizer is a Trainer that can name, before training, a lower
+// bound on a dispatch's downlink size: whatever codec the dispatch ends
+// on, the SentBytes it ledgers is at least the returned size. Zero makes
+// no promise. state supplies the dispatched weights; it is called at most
+// once, and only when the size is not already known.
+type DownlinkSizer interface {
+	DownlinkBytes(req TrainRequest, state func() (nn.State, error)) (int64, error)
+}
+
 // Dispatch records one slot of one round, for communication accounting.
 type Dispatch struct {
 	Client    int
@@ -804,6 +813,19 @@ func (s *Server) Plan(trainer Trainer, f *Flight) (*FlightPlan, error) {
 	}
 	f.plan = pl
 	return pl, nil
+}
+
+// SentBytesBound returns the downlink size an unplannable flight's
+// trainer promises at launch (see DownlinkSizer), or 0 when the trainer
+// makes no promise.
+func (s *Server) SentBytesBound(trainer Trainer, f *Flight) (int64, error) {
+	ds, ok := trainer.(DownlinkSizer)
+	if !ok {
+		return 0, nil
+	}
+	return ds.DownlinkBytes(f.request(nil), func() (nn.State, error) {
+		return s.pool.ExtractState(f.global, f.Slot.Sent)
+	})
 }
 
 // SkipFlight finalises a planned flight without training — lazy

@@ -1,11 +1,14 @@
 package fednet
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 
 	"adaptivefl/internal/core"
+	"adaptivefl/internal/obs"
+	"adaptivefl/internal/obs/analyze"
 	"adaptivefl/internal/prune"
 	"adaptivefl/internal/sched"
 	"adaptivefl/internal/testbed"
@@ -277,5 +280,98 @@ func TestClusterAgentRestartUnderEngine(t *testing.T) {
 	}
 	if !sawClient0 {
 		t.Skip("seed never selected client 0 — restart path not exercised")
+	}
+}
+
+// TestClusterAgentRestartUnderSemiAsync runs the restart scenario of
+// TestClusterAgentRestartUnderEngine under semiasync with churn, where
+// flights launch under a lower bound named from the trainer's downlink
+// size. The trainer negotiates f32 (preferred over q8); agent 1 restarts
+// speaking only q8, so its dispatches re-negotiate onto an artifact
+// smaller than the one negotiated at their launch, and agent 2 restarts
+// speaking only raw. The run must finish with no bound error and a clean
+// audit.
+func TestClusterAgentRestartUnderSemiAsync(t *testing.T) {
+	mcfg := testModelCfg()
+	pcfg := prune.Config{P: 3}
+	clients := buildClients(t, 4)
+
+	cluster, err := NewCluster(clients, mcfg, pcfg, quickTrain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cluster.Trainer.Negotiate(wire.F32{}, wire.Q8{})
+	for i, tags := range map[int][]string{1: {wire.TagQ8}, 2: {wire.TagRaw}} {
+		restarted, err := NewAgent(clients[i], mcfg, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restarted.Codecs = tags
+		cluster.servers[i].Handler = restarted
+	}
+
+	var buf bytes.Buffer
+	jw := obs.NewJSONLWriter(&buf)
+	srv, err := core.NewServer(core.Config{
+		Model: mcfg, Pool: pcfg, ClientsPerRound: 2,
+		Train: quickTrain(), Seed: 71, Trainer: cluster.Trainer,
+		Observer: obs.NewObserver(nil, jw),
+	}, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := testbed.NewSim(testbed.Table5Platform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Transfers dominate the flight time, so a bound sized from the
+	// artifact negotiated at launch rather than the smallest the flight
+	// can end on lands above the flight's event time.
+	sim.TrainPassFactor /= 100
+	trace := &sched.RandomTrace{Seed: 5, MeanOn: 0.015, MeanOff: 0.002, SlowProb: 0.5, SlowFactor: 4}
+	eng, err := sched.New(srv, sim, trace, sched.Config{Policy: sched.SemiAsync, K: 4, Buffer: 2, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(8, nil); err != nil {
+		t.Fatalf("semiasync run across agent restarts: %v", err)
+	}
+	eng.Log() // joins the flights still in the air before the cluster closes
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[int]string{0: wire.TagF32, 1: wire.TagQ8, 2: wire.TagRaw, 3: wire.TagF32}
+	seen, dropped := map[int]bool{}, 0
+	for _, st := range srv.Stats() {
+		for _, d := range st.Dispatches {
+			seen[d.Client] = true
+			if d.Dropped {
+				dropped++
+			}
+			if d.Codec != want[d.Client] {
+				t.Fatalf("client %d dispatched with codec %q, want %q", d.Client, d.Codec, want[d.Client])
+			}
+		}
+	}
+	if !seen[1] {
+		t.Fatal("client 1 was never dispatched: the re-negotiation onto a smaller artifact was not exercised")
+	}
+	if dropped == 0 {
+		t.Fatal("no flight dropped: the churn was not exercised")
+	}
+
+	ledger := analyze.SummarizeStats(srv.Stats())
+	ledger.Policy = string(sched.SemiAsync)
+	ledger.HasDiscounts = true
+	ledger.StalenessExp = eng.StalenessExp()
+	ledger.DiscountSum = eng.DiscountSum()
+	violations, err := analyze.Audit(bytes.NewReader(buf.Bytes()), &ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(violations) != 0 {
+		t.Fatalf("audit violations:\n%s", strings.Join(violations, "\n"))
 	}
 }

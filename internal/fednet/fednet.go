@@ -658,6 +658,52 @@ func (t *HTTPTrainer) Train(req core.TrainRequest) (core.TrainResult, error) {
 	return res, err
 }
 
+// DownlinkBytes implements core.DownlinkSizer: at launch, before the
+// dispatch runs, it names a lower bound on the downlink bytes the flight
+// will ledger. The dispatch goes out in the client's negotiated codec, and
+// a 415 re-negotiation can move it onto any preferred codec, so the bound
+// is the smallest of those artifacts, each encoded once per (snapshot,
+// member, codec) in the store the dispatch itself is served from. A
+// re-negotiation that finds no preferred codec falls back to raw, the
+// bit-exact float64 baseline, which is taken to be no smaller than a
+// compact codec's artifact and is not encoded for the bound (docs/WIRE.md,
+// "Launch-time downlink size"). Without a snapshot hash there is no key to
+// size, and the bound is 0.
+func (t *HTTPTrainer) DownlinkBytes(req core.TrainRequest, state func() (nn.State, error)) (int64, error) {
+	if req.Snapshot == 0 || req.Client < 0 || req.Client >= len(t.URLs) {
+		return 0, nil
+	}
+	codecs := []wire.Codec{t.codecFor(req.Client)}
+	t.mu.Lock()
+	for _, c := range t.preferred {
+		if c.Tag() != codecs[0].Tag() {
+			codecs = append(codecs, c)
+		}
+	}
+	t.mu.Unlock()
+	var st nn.State
+	stateOnce := func() (nn.State, error) {
+		if st != nil {
+			return st, nil
+		}
+		var err error
+		st, err = state()
+		return st, err
+	}
+	least := int64(-1)
+	for _, c := range codecs {
+		key := wire.ArtifactKey{Snapshot: req.Snapshot, Member: req.Sent.Index, Codec: c.Tag()}
+		art, err := t.artStore().Get(key, c, stateOnce)
+		if err != nil {
+			return 0, err
+		}
+		if n := int64(len(art.Bytes)); least < 0 || n < least {
+			least = n
+		}
+	}
+	return least, nil
+}
+
 // dispatchOnce performs one POST round trip with the currently negotiated
 // codec, returning the HTTP status for the retry decision. The downlink
 // body comes from the artifact store — one encode per (snapshot, member,

@@ -13,7 +13,9 @@ package prune
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
@@ -119,6 +121,20 @@ type Pool struct {
 	P       int
 	Spec    models.Spec
 	Model   models.Config
+
+	// layouts caches, per member index, the parameter layout of a model
+	// built at that member's widths (see ExtractState); filled lazily.
+	layouts sync.Map // int → *layout
+}
+
+// layout is the (name, shape) list of a model's parameters in Params
+// order, with the widths it was built at and its total element count.
+type layout struct {
+	widths []int
+	names  []string
+	shapes []tensor.Tensor // Shape only; Data stays nil
+	numel  int
+	rank   int // Σ len(shape)
 }
 
 // BuildPool splits an architecture into the 2p+1 pool members.
@@ -213,13 +229,70 @@ func (p *Pool) LargestFit(received Submodel, capacity int64) (Submodel, bool) {
 
 // ExtractState slices the submodel's parameters out of a full-width global
 // state dict: every tensor is the prefix block matching the shapes of a
-// model built at the submodel's widths.
+// model built at the submodel's widths. The shapes come from the member's
+// cached layout, so a model is built at most once per member, and the
+// tensors share one value slab and one shape slab.
 func (p *Pool) ExtractState(global nn.State, sub Submodel) (nn.State, error) {
+	l, err := p.layout(sub)
+	if err != nil {
+		return nil, err
+	}
+	out := make(nn.State, len(l.names))
+	ts := make([]tensor.Tensor, len(l.names))
+	data := make([]float64, l.numel)
+	dims := make([]int, 0, l.rank)
+	for i, name := range l.names {
+		want := &l.shapes[i]
+		g, ok := global[name]
+		if !ok {
+			return nil, fmt.Errorf("prune: global state missing %q", name)
+		}
+		if !tensor.PrefixFits(want, g) {
+			return nil, fmt.Errorf("prune: %q shape %v does not fit global %v", name, want.Shape, g.Shape)
+		}
+		n := len(dims)
+		dims = append(dims, want.Shape...)
+		t := &ts[i]
+		t.Shape = dims[n:len(dims):len(dims)]
+		size := 1
+		for _, d := range t.Shape {
+			size *= d
+		}
+		t.Data, data = data[:size:size], data[size:]
+		tensor.ExtractPrefixInto(t, g)
+		out[name] = t
+	}
+	return out, nil
+}
+
+// layout returns sub's parameter layout, building a model at its widths
+// the first time a member is asked for. A submodel whose widths differ
+// from the cached member's (one not of this pool) gets an uncached
+// layout.
+func (p *Pool) layout(sub Submodel) (*layout, error) {
+	if v, ok := p.layouts.Load(sub.Index); ok {
+		if l := v.(*layout); slices.Equal(l.widths, sub.Widths) {
+			return l, nil
+		}
+	}
 	target, err := models.Build(p.Model, sub.Widths)
 	if err != nil {
 		return nil, err
 	}
-	return ExtractForModel(global, target)
+	params := target.Params()
+	l := &layout{widths: slices.Clone(sub.Widths), names: make([]string, len(params)),
+		shapes: make([]tensor.Tensor, len(params))}
+	for i, param := range params {
+		l.names[i] = param.Name
+		l.shapes[i].Shape = slices.Clone(param.Val.Shape)
+		l.numel += len(param.Val.Data)
+		l.rank += len(param.Val.Shape)
+	}
+	if sub.Index >= 0 && sub.Index < len(p.Members) && slices.Equal(p.Members[sub.Index].Widths, sub.Widths) {
+		v, _ := p.layouts.LoadOrStore(sub.Index, l)
+		l = v.(*layout)
+	}
+	return l, nil
 }
 
 // ParamHolder is anything exposing named parameters — *models.Model, a

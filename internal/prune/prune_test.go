@@ -3,6 +3,7 @@ package prune
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adaptivefl/internal/models"
@@ -306,6 +307,56 @@ func TestPoolMembersLoadableAcrossArchs(t *testing.T) {
 			y := sub.Forward(x, false)
 			if y.Shape[1] != cfg.NumClasses {
 				t.Fatalf("%s/%s: bad output shape %v", arch, m.Name(), y.Shape)
+			}
+		}
+	}
+}
+
+// TestExtractStateBuildsNoModel pins the cached-layout extraction: once a
+// member's layout is warm, ExtractState allocates a small constant (the
+// map, one shape slab, one value slab, one tensor slab) plus at most one
+// object per tensor, so no model is built per call; and every member of
+// every architecture extracts bit-equal to building the member's model
+// and slicing its parameters out with ExtractForModel.
+func TestExtractStateBuildsNoModel(t *testing.T) {
+	for _, arch := range []models.Arch{models.VGG16, models.ResNet18, models.MobileNetV2} {
+		cfg := models.Config{Arch: arch, NumClasses: 5, WidthScale: 0.125, Seed: 3}
+		pool, err := BuildPool(cfg, Config{P: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		global := nn.StateDict(models.MustBuild(cfg, nil))
+		for _, m := range pool.Members {
+			got, err := pool.ExtractState(global, m)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", arch, m.Name(), err)
+			}
+			want, err := ExtractForModel(global, models.MustBuild(cfg, m.Widths))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: %d tensors, want %d", arch, m.Name(), len(got), len(want))
+			}
+			for name, w := range want {
+				g := got[name]
+				if g == nil || !slices.Equal(g.Shape, w.Shape) {
+					t.Fatalf("%s/%s/%s: shape %v, want %v", arch, m.Name(), name, g, w.Shape)
+				}
+				for i := range w.Data {
+					if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
+						t.Fatalf("%s/%s/%s: value %d differs", arch, m.Name(), name, i)
+					}
+				}
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := pool.ExtractState(global, m); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if limit := float64(len(want) + 8); allocs > limit {
+				t.Errorf("%s/%s: %.0f allocations per warm extraction of %d tensors, want ≤ %.0f",
+					arch, m.Name(), allocs, len(want), limit)
 			}
 		}
 	}

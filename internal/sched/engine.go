@@ -15,6 +15,15 @@ type flight struct {
 	f   *core.Flight
 	d   core.Dispatch // priced ledger view of the executed dispatch
 	eta float64       // virtual completion (or dropout) time
+	// pending marks a flight queued under bound, a lower bound on its
+	// event time: it is joined and priced exactly when it reaches the
+	// queue head (resolve). seq is its launch seq, the queue tie-break it
+	// keeps when re-queued, and line its dispatch line in the event log,
+	// reserved at launch and filled once eta is known.
+	pending bool
+	bound   float64
+	seq     int64
+	line    int
 	// t0 / downT / trainT are the flight's virtual trace segments for
 	// observability: dispatch cut, downlink completion, local-training
 	// completion. downT/trainT stay zero when the phase never completed
@@ -171,8 +180,15 @@ func (e *Engine) Clock() float64 { return e.clock }
 
 // Log returns the event log: one line per dispatch, arrival, drop and
 // commit, in virtual-time order. Two runs with the same seed, trace and
-// cost model produce identical logs.
-func (e *Engine) Log() []string { return e.log }
+// cost model produce identical logs. Dispatch lines of flights still
+// pending are filled first, which joins their trainings; it never yields
+// to a Hierarchy, since a yield from outside an edge step would deadlock.
+func (e *Engine) Log() []string {
+	for _, en := range e.events {
+		e.fill(en.v)
+	}
+	return e.log
+}
 
 // Commits returns the aggregations performed so far.
 func (e *Engine) Commits() []Commit { return e.commits }
@@ -181,12 +197,38 @@ func (e *Engine) logf(format string, args ...any) {
 	e.log = append(e.log, fmt.Sprintf(format, args...))
 }
 
+// head returns the time of the earliest queued event (+Inf on an empty
+// queue). A pending flight at the head is resolved first and re-queued at
+// its exact time under its launch seq. Every other queued key is at most
+// its flight's event time, so the first resolved head is the event an
+// engine that priced every flight at launch would process next.
+func (e *Engine) head() (float64, error) {
+	for len(e.events) > 0 {
+		top := e.events[0]
+		fl := top.v
+		if fl.pending {
+			if err := e.resolve(fl, true); err != nil {
+				return 0, err
+			}
+		}
+		if top.t == fl.eta {
+			return top.t, nil
+		}
+		e.events.pop()
+		e.events.push(fl.eta, top.seq, fl)
+	}
+	return math.Inf(1), nil
+}
+
 // pop advances the clock to the earliest queued event and returns its
 // flight.
-func (e *Engine) pop() *flight {
+func (e *Engine) pop() (*flight, error) {
+	if _, err := e.head(); err != nil {
+		return nil, err
+	}
 	t, fl := e.events.pop()
 	e.clock = t
-	return fl
+	return fl, nil
 }
 
 // eligible reports whether client c can receive a dispatch now.
@@ -278,15 +320,15 @@ func (e *Engine) trainEnd(c int, t, work float64) (end float64, dropped bool) {
 }
 
 // price walks a flight's download, training and, when upload is set,
-// upload phases over its client's trace from the current clock, costing
-// each phase from the flight's ledger view fl.d. It sets the flight's
-// trace segments and fate; a dropout ends the walk.
-func (e *Engine) price(fl *flight, upload bool) {
+// upload phases over its client's trace from start, costing each phase
+// from the flight's ledger view fl.d. It sets the flight's trace segments
+// and fate; a dropout ends the walk.
+func (e *Engine) price(fl *flight, start float64, upload bool) {
 	c := fl.d.Client
 	cl := e.srv.ClientAt(c)
 	down, train, up := e.cost.DispatchTimes(cl.Device.Class, fl.d, cl.Data.Len(), e.cfg.Epochs)
-	fl.t0, fl.downT, fl.trainT = e.clock, 0, 0
-	t, dropped := e.transferEnd(c, e.clock, down)
+	fl.t0, fl.downT, fl.trainT = start, 0, 0
+	t, dropped := e.transferEnd(c, start, down)
 	if !dropped {
 		fl.downT = t
 		if t, dropped = e.trainEnd(c, t, train); !dropped {
@@ -299,25 +341,54 @@ func (e *Engine) price(fl *flight, upload bool) {
 	fl.eta, fl.drops = t, dropped
 }
 
+// launchBound is a lower bound on the event time of a flight whose
+// trainer owns the pruning decision, launched now with sent promised
+// downlink bytes. It is price's walk over minimum durations: the download
+// at the promised size, then the earlier of two outcomes, training the
+// cheapest member derivable from the sent one (its upload takes ≥ 0) and
+// a failed return, which uploads the sent size. transferEnd and trainEnd
+// are monotone in both their start and their duration, so under any trace
+// no outcome of the flight ends earlier; a cost model must likewise charge
+// no less for more bytes or MACs. With no promise (sent = 0) the download
+// and the failed return take ≥ 0, and the bound is the launch time.
+func (e *Engine) launchBound(fl *flight, sent int64) float64 {
+	if sent == 0 {
+		return e.clock
+	}
+	cheapest := fl.d.Sent
+	for _, m := range e.srv.Pool().Members {
+		if m.MACs < cheapest.MACs && m.DerivableFrom(fl.d.Sent) {
+			cheapest = m
+		}
+	}
+	trained := &flight{d: core.Dispatch{Client: fl.d.Client, Sent: fl.d.Sent, Got: cheapest, SentBytes: sent}}
+	e.price(trained, e.clock, false)
+	failed := &flight{d: core.Dispatch{Client: fl.d.Client, Sent: fl.d.Sent, Got: fl.d.Sent, Failed: true, SentBytes: sent}}
+	e.price(failed, e.clock, true)
+	return min(trained.eta, failed.eta)
+}
+
 // launchFlights prices and lazily executes a burst of opened flights, in
-// slot order, at the current virtual time:
+// slot order, at the current virtual time. Every flight is queued under a
+// lower bound on its event time and keeps its launch seq; a flight whose
+// bound is not its exact time is joined and re-priced when it reaches the
+// queue head (head, resolve):
 //
 //   - A planned flight (in-process execution) is priced from its plan. If
 //     the client drops before the upload, or the device fits no member,
 //     its fate is sealed and training is skipped entirely.
 //   - A surviving planned flight trains lazily on the executor; the event
 //     that consumes the result joins it (Engine.join). Its upload is
-//     priced from the plan too, unless a codec sizes it from the trained
-//     values.
-//   - Codec flights that survive their training, and flights of
-//     unplannable trainers (which own the pruning decision), are joined
-//     here once every flight of the burst is enqueued, so the joins
-//     overlap, and are re-priced from the clock with the executed view.
+//     priced from the plan too, so its time is exact, unless a codec sizes
+//     the upload from the trained values: then its bound is the end of its
+//     training.
+//   - A flight of an unplannable trainer (which owns the pruning decision)
+//     trains lazily under launchBound.
 //
-// Events are pushed and dispatch lines logged in slot order once every
-// join has returned, so the event log is bit-identical to the eager
-// engine's. On error no flight of the burst stays open: its enqueued
-// trainings are waited for and every flight is released.
+// Dispatch lines are reserved in slot order and filled once a flight's
+// time is known, so the event log is bit-identical to pricing every
+// flight at launch. On error no flight of the burst stays open: its
+// enqueued trainings are waited for and every flight is released.
 func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) (_ []*flight, err error) {
 	defer func() {
 		if err != nil {
@@ -329,7 +400,6 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) (_ []*
 		}
 	}()
 	fls := make([]*flight, len(open))
-	var joins []*flight
 	for i, cf := range open {
 		pl, err := e.srv.Plan(trainer, cf)
 		if err != nil {
@@ -338,46 +408,84 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) (_ []*
 		fl := &flight{f: cf, d: cf.Dispatch()} // the plan view: training has not run
 		fls[i] = fl
 		if pl == nil {
+			sent, err := e.srv.SentBytesBound(trainer, cf)
+			if err != nil {
+				return nil, fmt.Errorf("sched: t=%.3f %w", e.clock, err)
+			}
 			e.srv.ExecuteAsync(e.exec, trainer, cf)
-			joins = append(joins, fl)
+			fl.t0, fl.eta, fl.pending = e.clock, e.launchBound(fl, sent), true
 			continue
 		}
 		upload := pl.Failed || pl.Codec == ""
-		e.price(fl, upload)
+		e.price(fl, e.clock, upload)
 		if fl.drops || pl.Failed {
 			e.srv.SkipFlight(cf)
 		} else {
 			e.srv.ExecuteAsync(e.exec, trainer, cf)
-			if !upload {
-				joins = append(joins, fl)
-			}
+			fl.pending = !upload
 		}
 		fl.d = cf.Dispatch()
-	}
-	for _, fl := range joins {
-		if err := e.join(fl); err != nil {
-			return nil, err
-		}
-		fl.d = fl.f.Dispatch()
-		e.price(fl, true)
 	}
 	for _, fl := range fls {
 		e.busy[fl.d.Client] = true
 		e.seq++
-		e.events.push(fl.eta, e.seq, fl)
-		e.logf("%.3f dispatch c%d %s eta=%.3f%s",
-			e.clock, fl.d.Client, fl.d.Sent.Name(), fl.eta, map[bool]string{true: " will-drop"}[fl.drops])
+		fl.seq, fl.bound, fl.line = e.seq, fl.eta, len(e.log)
+		e.events.push(fl.eta, fl.seq, fl)
+		e.log = append(e.log, "")
+		if !fl.pending {
+			e.logDispatch(fl)
+		}
 	}
 	return fls, nil
+}
+
+// logDispatch fills a flight's reserved dispatch line.
+func (e *Engine) logDispatch(fl *flight) {
+	e.log[fl.line] = fmt.Sprintf("%.3f dispatch c%d %s eta=%.3f%s",
+		fl.t0, fl.d.Client, fl.d.Sent.Name(), fl.eta, map[bool]string{true: " will-drop"}[fl.drops])
+}
+
+// resolve joins a pending flight and prices it exactly from its launch
+// time with its executed ledger view (bit for bit the walk a join at
+// launch made, as long as the trace still holds the flight's segments:
+// see Step), then fills its dispatch line. It does not re-queue the
+// flight; head does that when its entry surfaces. An event time below the
+// bound it was queued under would mean events past it may already have
+// run, so it is an error naming the flight, never clamped.
+func (e *Engine) resolve(fl *flight, yield bool) error {
+	if err := e.join(fl, yield); err != nil {
+		return err
+	}
+	fl.d = fl.f.Dispatch()
+	e.price(fl, fl.t0, true)
+	if fl.eta < fl.bound {
+		return fmt.Errorf("sched: flight %d (client %d, %s) priced at t=%.6f, below its launch bound %.6f",
+			fl.f.ID, fl.d.Client, fl.d.Sent.Name(), fl.eta, fl.bound)
+	}
+	fl.pending = false
+	e.logDispatch(fl)
+	return nil
+}
+
+// fill resolves a pending flight without yielding, for callers outside a
+// step (Log, abandon); a flight that cannot be resolved logs its error in
+// its dispatch line and stays pending, so the next step reports it.
+func (e *Engine) fill(fl *flight) {
+	if !fl.pending {
+		return
+	}
+	if err := e.resolve(fl, false); err != nil {
+		e.log[fl.line] = fmt.Sprintf("%.3f dispatch c%d %s error: %v", fl.t0, fl.d.Client, fl.d.Sent.Name(), err)
+	}
 }
 
 // join waits for a flight's pending training (a no-op for skipped or
 // already-joined flights) and surfaces its error. Events that consume the
 // trained result call it before recording; it is the engine's only wait
-// on a flight, and it yields first when the engine runs under a
-// Hierarchy.
-func (e *Engine) join(fl *flight) error {
-	if e.yield != nil {
+// on a flight, and, when yield is set, it yields first when the engine
+// runs under a Hierarchy.
+func (e *Engine) join(fl *flight, yield bool) error {
+	if yield && e.yield != nil {
 		e.yield()
 	}
 	fl.f.Wait()
@@ -385,6 +493,17 @@ func (e *Engine) join(fl *flight) error {
 		return fmt.Errorf("sched: t=%.3f client %d: %w", e.clock, fl.f.Slot.Client, err)
 	}
 	return nil
+}
+
+// abandon runs after a failed step: every queued flight's training is
+// waited for and the flight released, so none stays open.
+func (e *Engine) abandon() {
+	for len(e.events) > 0 {
+		_, fl := e.events.pop()
+		fl.f.Wait()
+		e.fill(fl)
+		e.release(fl)
+	}
 }
 
 // release hands the flight's client back to the selectable pool.
@@ -418,20 +537,22 @@ func (e *Engine) nextWindowOpen() float64 {
 // fails if nothing can ever become eligible again.
 func (e *Engine) waitEligible() error {
 	for !e.anyEligible() {
-		tNext := math.Inf(1)
-		if len(e.events) > 0 {
-			tNext = e.events[0].t
+		tEvent, err := e.head()
+		if err != nil {
+			return err
 		}
 		// A down client's window end is the other signal that can change
 		// eligibility.
-		if open := e.nextWindowOpen(); open < tNext {
-			tNext = open
-		}
+		tNext := min(tEvent, e.nextWindowOpen())
 		if math.IsInf(tNext, 1) {
 			return fmt.Errorf("sched: stalled at t=%.3f — no client can become available", e.clock)
 		}
-		if len(e.events) > 0 && e.events[0].t <= tNext {
-			if err := e.settleResidual(e.pop()); err != nil {
+		if tEvent <= tNext {
+			fl, err := e.pop()
+			if err != nil {
+				return err
+			}
+			if err := e.settleResidual(fl); err != nil {
 				return err
 			}
 			continue
@@ -453,10 +574,11 @@ func (e *Engine) settleResidual(fl *flight) error {
 		e.logf("%.3f late-%s c%d %s", e.clock, fl.kind(), fl.d.Client, fl.d.Got.Name())
 		return nil
 	}
-	if err := e.join(fl); err != nil {
+	err := e.join(fl, true)
+	e.release(fl)
+	if err != nil {
 		return err
 	}
-	e.release(fl)
 	d, stale := e.settle(fl, core.LateReused, &e.accum, &e.bank)
 	switch {
 	case d.Failed:
@@ -558,24 +680,31 @@ func (e *Engine) stepDeadline(extra int, limit float64, reuse bool) (Commit, err
 	for _, fl := range fls {
 		thisRound[fl] = true
 	}
-	// pending counts this round's flights still in the queue: once they
-	// are exhausted (everything else dropped) the round closes with what
-	// it has — prior rounds' residual events must not extend the wait.
-	pending := len(fls)
+	// left counts this round's flights still in the queue: once they are
+	// exhausted (everything else dropped) the round closes with what it
+	// has — prior rounds' residual events must not extend the wait.
+	left := len(fls)
 	arrived := 0
-	for arrived < target && pending > 0 {
+	for arrived < target && left > 0 {
+		t, err := e.head()
+		if err != nil {
+			return Commit{}, err
+		}
 		// Past the deadline with something in hand: stop waiting. (With an
 		// empty hand the round stays open until the first response, which
 		// may itself land past the deadline — the clock only ever moves
 		// forward, so the close time is the later of the two.)
-		if arrived >= 1 && e.events[0].t > deadline {
+		if arrived >= 1 && t > deadline {
 			if e.clock < deadline {
 				e.clock = deadline
 			}
 			e.logf("%.3f deadline round=%d arrived=%d", e.clock, round, arrived)
 			break
 		}
-		fl := e.pop()
+		fl, err := e.pop()
+		if err != nil {
+			return Commit{}, err
+		}
 		if !thisRound[fl] {
 			// A prior round's flight: its client releases either way; a
 			// reuse straggler additionally banks its upload.
@@ -584,12 +713,13 @@ func (e *Engine) stepDeadline(extra int, limit float64, reuse bool) (Commit, err
 			}
 			continue
 		}
-		if err := e.join(fl); err != nil {
+		err = e.join(fl, true)
+		e.release(fl)
+		if err != nil {
 			return Commit{}, err
 		}
-		e.release(fl)
 		e.logf("%.3f %s c%d %s", e.clock, fl.kind(), fl.d.Client, fl.d.Got.Name())
-		pending--
+		left--
 		fl.collected = true
 		if !fl.drops {
 			arrived++
@@ -605,6 +735,14 @@ func (e *Engine) stepDeadline(extra int, limit float64, reuse bool) (Commit, err
 		e.accum, e.bank = core.RoundStats{}, nil
 	}
 	for _, fl := range fls {
+		// A straggler still pending is priced now: its fate (a drop, or a
+		// late upload of its executed size) is settled at this close, or,
+		// with reuse, when its event fires.
+		if fl.pending {
+			if err := e.resolve(fl, true); err != nil {
+				return Commit{}, err
+			}
+		}
 		oc := core.Merged
 		switch {
 		case fl.drops:
@@ -676,19 +814,26 @@ func (e *Engine) stepSemiAsync() (Commit, error) {
 		// the dispatch immediately instead of letting the client idle
 		// until an unrelated arrival happens to wake the loop.
 		if e.srv.InFlight() < e.cfg.K {
-			if open := e.nextWindowOpen(); open < e.events[0].t {
+			t, err := e.head()
+			if err != nil {
+				return Commit{}, err
+			}
+			if open := e.nextWindowOpen(); open < t {
 				e.clock = open
 				continue
 			}
 		}
-		fl := e.pop()
+		fl, err := e.pop()
+		if err != nil {
+			return Commit{}, err
+		}
 		e.release(fl)
 		if fl.drops {
 			e.settle(fl, core.Dropped, &e.accum, &e.buffer)
 			e.logf("%.3f drop c%d %s", e.clock, fl.d.Client, fl.d.Sent.Name())
 			continue
 		}
-		if err := e.join(fl); err != nil {
+		if err := e.join(fl, true); err != nil {
 			return Commit{}, err
 		}
 		d, stale := e.settle(fl, core.Merged, &e.accum, &e.buffer)
@@ -707,16 +852,30 @@ func (e *Engine) stepSemiAsync() (Commit, error) {
 // Compactor is implemented by traces that can discard timeline state
 // wholly behind a time bound (RandomTrace's generated segments). The
 // engine's clock is monotonic and every trace query it issues is at or
-// after the current clock, so Step retires everything behind the clock
-// before advancing — without this, generated timelines grow O(time).
+// after the current clock or a pending flight's launch time (resolve
+// re-prices from there), so Step retires everything behind the earlier of
+// the two before advancing — without this, generated timelines grow
+// O(time).
 type Compactor interface {
 	Retire(t float64)
 }
 
 // Step advances the schedule until the next aggregation and returns it.
-func (e *Engine) Step() (Commit, error) {
+// A failed step leaves no flight open (see abandon).
+func (e *Engine) Step() (_ Commit, err error) {
+	defer func() {
+		if err != nil {
+			e.abandon()
+		}
+	}()
 	if c, ok := e.trace.(Compactor); ok {
-		c.Retire(e.clock)
+		t := e.clock
+		for _, en := range e.events {
+			if en.v.pending {
+				t = min(t, en.v.t0)
+			}
+		}
+		c.Retire(t)
 	}
 	switch e.cfg.Policy {
 	case Sync:

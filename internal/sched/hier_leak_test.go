@@ -63,8 +63,9 @@ func settles(t *testing.T, before int) {
 }
 
 // TestHierarchyStepErrorLeavesNoGoroutines fails edge 1's third dispatch.
-// Edge 1 is unplannable (a remote trainer), so it joins at its launch
-// time and fails while edge 2's step sits suspended at a later join: Step
+// Edge 1 is unplannable (a remote trainer) and promises no downlink size,
+// so its flights are queued under their launch time and fail at the queue
+// head while edge 2's step sits suspended at a later join: Step
 // must return the wrapped error, run the suspended step out, and leave
 // no goroutine behind.
 func TestHierarchyStepErrorLeavesNoGoroutines(t *testing.T) {

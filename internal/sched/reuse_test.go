@@ -202,9 +202,9 @@ func TestStalenessDiscount(t *testing.T) {
 }
 
 // TestCodecStragglersLedgerActualBytes: a deadline round closing on codec
-// stragglers cancels them, but a codec flight was joined at launch to
-// price its upload, so its ledger view is the executed one whatever the
-// worker timing. Serial and wide runs produce identical logs and ledgers,
+// stragglers cancels them, but a codec flight still pending at the close
+// is joined and priced first, so its ledger view is the executed one
+// whatever the worker timing. Serial and wide runs produce identical logs and ledgers,
 // and every late dispatch ledgers the actual upload it trained.
 func TestCodecStragglersLedgerActualBytes(t *testing.T) {
 	commits := 3

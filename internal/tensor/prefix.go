@@ -29,11 +29,30 @@ func PrefixFits(small, big *Tensor) bool {
 // freshly allocated tensor. shape must be elementwise <= src.Shape.
 func ExtractPrefix(src *Tensor, shape []int) *Tensor {
 	dst := New(shape...)
-	if !PrefixFits(dst, src) {
-		panic(fmt.Sprintf("tensor: prefix shape %v does not fit in %v", shape, src.Shape))
-	}
-	copyPrefix(dst.Data, src.Data, dst.Shape, src.Strides(), dst.Strides())
+	ExtractPrefixInto(dst, src)
 	return dst
+}
+
+// ExtractPrefixInto copies the prefix block of src with dst's shape into
+// dst. dst.Shape must be elementwise <= src.Shape.
+func ExtractPrefixInto(dst, src *Tensor) {
+	if !PrefixFits(dst, src) {
+		panic(fmt.Sprintf("tensor: prefix shape %v does not fit in %v", dst.Shape, src.Shape))
+	}
+	// Layer tensors have rank ≤ 4: the strides live on the stack.
+	var srcBuf, dstBuf [4]int
+	copyPrefix(dst.Data, src.Data, dst.Shape, stridesInto(srcBuf[:0], src.Shape), stridesInto(dstBuf[:0], dst.Shape))
+}
+
+// stridesInto appends the row-major strides of shape to buf.
+func stridesInto(buf, shape []int) []int {
+	buf = append(buf, shape...)
+	acc := 1
+	for i := len(shape) - 1; i >= 0; i-- {
+		buf[i] = acc
+		acc *= shape[i]
+	}
+	return buf
 }
 
 // CopyPrefixInto writes src into the prefix block of dst. src.Shape must be
