@@ -555,6 +555,9 @@ type Flight struct {
 	// plan, when non-nil, is the pre-training forecast of the dispatch's
 	// ledger shape (Server.Plan).
 	plan *FlightPlan
+	// sent is the dispatched state when SentBytesBound already extracted
+	// it; trainRemote trains from it instead of extracting again.
+	sent nn.State
 	// done is closed when an async execution (or a cancellation skip)
 	// finalises res; nil for synchronously executed flights.
 	done      chan struct{}
@@ -824,7 +827,9 @@ func (s *Server) SentBytesBound(trainer Trainer, f *Flight) (int64, error) {
 		return 0, nil
 	}
 	return ds.DownlinkBytes(f.request(nil), func() (nn.State, error) {
-		return s.pool.ExtractState(f.global, f.Slot.Sent)
+		st, err := s.pool.ExtractState(f.global, f.Slot.Sent)
+		f.sent = st
+		return st, err
 	})
 }
 
@@ -1203,9 +1208,13 @@ func (f *Flight) request(st nn.State) TrainRequest {
 // train on the weights they were cut from even if later aggregations have
 // moved the server's state on.
 func (s *Server) trainRemote(trainer Trainer, f *Flight) localResult {
-	st, err := s.pool.ExtractState(f.global, f.Slot.Sent)
-	if err != nil {
-		return localResult{err: err}
+	st := f.sent
+	f.sent = nil
+	if st == nil {
+		var err error
+		if st, err = s.pool.ExtractState(f.global, f.Slot.Sent); err != nil {
+			return localResult{err: err}
+		}
 	}
 	res, err := trainer.Train(f.request(st))
 	if err != nil {

@@ -92,12 +92,19 @@ func (cl *Cluster) SetMetrics(server *obs.Metrics, agents func(i int) *obs.Metri
 // keyed by the Fednet-Flight header so `fltrace join` can reunite them
 // with the deterministic flight spans. JSONLWriter serialises internally,
 // so one writer is safe across all agents and concurrent dispatches.
+//
+// SetWallLog may be called while flights are training: it waits for the
+// trainer's dispatches in flight to finish and holds new ones back while
+// it attaches the writer, so every dispatch is recorded on both sides or
+// on neither.
 func (cl *Cluster) SetWallLog(w *obs.JSONLWriter) {
 	if cl.Trainer != nil {
-		cl.Trainer.Wall = w
+		cl.Trainer.trains.Lock()
+		defer cl.Trainer.trains.Unlock()
+		cl.Trainer.wall.Store(w)
 	}
 	for _, a := range cl.Agents {
-		a.Wall = w
+		a.wall.Store(w)
 	}
 }
 

@@ -375,3 +375,72 @@ func TestClusterAgentRestartUnderSemiAsync(t *testing.T) {
 		t.Fatalf("audit violations:\n%s", strings.Join(violations, "\n"))
 	}
 }
+
+// TestSetWallLogWhileFlightsTrain attaches the wall log between semiasync
+// commits, while the flights launched by the last refill are still open
+// (and typically still training over HTTP). Under -race this catches an
+// unsynchronised attach; in any build every train round trip must be
+// recorded on both sides or on neither.
+func TestSetWallLogWhileFlightsTrain(t *testing.T) {
+	mcfg := testModelCfg()
+	pcfg := prune.Config{P: 3}
+	clients := buildClients(t, 4)
+	cluster, err := NewCluster(clients, mcfg, pcfg, quickTrain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	srv, err := core.NewServer(core.Config{
+		Model: mcfg, Pool: pcfg, ClientsPerRound: 2,
+		Train: quickTrain(), Seed: 71, Trainer: cluster.Trainer,
+	}, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := testbed.NewSim(testbed.Table5Platform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sched.New(srv, sim, nil, sched.Config{Policy: sched.SemiAsync, K: 4, Buffer: 2, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if srv.InFlight() == 0 {
+		t.Fatal("no flight open at the attach: the scenario was not exercised")
+	}
+	var buf bytes.Buffer
+	wall := obs.NewJSONLWriter(&buf)
+	cluster.SetWallLog(wall)
+	if err := eng.Run(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Log() // joins the flights still in the air before the log is read
+	if err := wall.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sides := map[int64]map[string]int{}
+	err = analyze.ForEachWall(&buf, func(r obs.WallRecord) error {
+		if r.Route == "train" {
+			if sides[r.Flight] == nil {
+				sides[r.Flight] = map[string]int{}
+			}
+			sides[r.Flight][r.Side]++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sides) == 0 {
+		t.Fatal("no train round trip recorded after the attach")
+	}
+	for id, n := range sides {
+		if n["server"] != n["agent"] {
+			t.Errorf("flight %d: %d server and %d agent train records", id, n["server"], n["agent"])
+		}
+	}
+}

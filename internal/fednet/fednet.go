@@ -138,15 +138,16 @@ type Agent struct {
 	// Pprof additionally mounts net/http/pprof under /debug/pprof/ on
 	// this agent (opt-in; requires Metrics).
 	Pprof bool
-	// Wall, when set, appends one obs.WallRecord per served train/negotiate
-	// request (side "agent"), keyed by the Fednet-Flight header so the
-	// handler time joins the deterministic flight span in `fltrace join`.
-	Wall *obs.JSONLWriter
 	// Adversary, when enabled, makes this agent act out its client's
 	// deterministic behavior draw (core.AdversarySpec.BehaviorOf) — the
 	// HTTP mirror of the in-process injection, tampering bit-identically.
 	Adversary core.AdversarySpec
 
+	// wall, when set (Cluster.SetWallLog), receives one obs.WallRecord per
+	// served train/negotiate request (side "agent"), keyed by the
+	// Fednet-Flight header so the handler time joins the deterministic
+	// flight span in `fltrace join`. Each request loads it once.
+	wall atomic.Pointer[obs.JSONLWriter]
 	// instance identifies this agent construction; a restarted agent gets
 	// a fresh ID, which is how the server notices its negotiation is stale.
 	instance string
@@ -276,7 +277,8 @@ func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if a.Metrics == nil && a.Wall == nil {
+	wall := a.wall.Load()
+	if a.Metrics == nil && wall == nil {
 		a.serveTrain(w, r)
 		return
 	}
@@ -291,13 +293,13 @@ func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if a.Metrics != nil {
 		a.Metrics.HTTPRequest(route, secs, r.ContentLength, cw.n)
 	}
-	if a.Wall != nil {
+	if wall != nil {
 		flight, _ := strconv.ParseInt(r.Header.Get(FlightHeader), 10, 64)
 		reqBytes := r.ContentLength
 		if reqBytes < 0 {
 			reqBytes = 0 // chunked: length unknown at the header
 		}
-		_ = a.Wall.Record(obs.WallRecord{
+		_ = wall.Record(obs.WallRecord{
 			Kind: obs.WallKind, Flight: flight, Side: "agent", Route: route,
 			Client: -1, Instance: a.instance, Seconds: secs,
 			ReqBytes: reqBytes, RespBytes: cw.n,
@@ -430,10 +432,6 @@ type HTTPTrainer struct {
 	// the server-side view of the fleet's HTTP traffic. Wall-clock only,
 	// so it never perturbs the simulation's virtual-time determinism.
 	Metrics *obs.Metrics
-	// Wall, when set, appends one obs.WallRecord per dispatch round trip
-	// (side "server"), keyed by the request's flight ID. Like Metrics, it
-	// observes wall time only and never perturbs virtual-time determinism.
-	Wall *obs.JSONLWriter
 	// FullDownlinks disables If-None-Match revalidation: every dispatch
 	// carries the full encoded body even when the agent should already
 	// hold the artifact. The artifact store still serves the bytes
@@ -441,6 +439,15 @@ type HTTPTrainer struct {
 	// Parity and debugging knob — a full-body run must be bit-identical
 	// to a revalidating one. Set before training starts.
 	FullDownlinks bool
+
+	// wall, when set (Cluster.SetWallLog), receives one obs.WallRecord per
+	// dispatch round trip (side "server"), keyed by the request's flight
+	// ID. Like Metrics, it observes wall time only and never perturbs
+	// virtual-time determinism. Each round trip loads it once, before sending.
+	wall atomic.Pointer[obs.JSONLWriter]
+	// trains is held shared by every Train call, so the wall log can be
+	// attached while no dispatch is in flight.
+	trains sync.RWMutex
 
 	// mu guards the negotiation state below; dispatches to different
 	// clients run concurrently and may re-negotiate mid-round.
@@ -642,6 +649,8 @@ func (t *HTTPTrainer) Train(req core.TrainRequest) (core.TrainResult, error) {
 	if req.Client < 0 || req.Client >= len(t.URLs) {
 		return core.TrainResult{}, fmt.Errorf("fednet: no agent URL for client %d", req.Client)
 	}
+	t.trains.RLock()
+	defer t.trains.RUnlock()
 	if req.Snapshot == 0 {
 		req.Snapshot = nn.HashState(req.State)
 	}
@@ -743,24 +752,25 @@ func (t *HTTPTrainer) dispatchOnce(req core.TrainRequest, allowCond bool) (core.
 	if req.Flight > 0 {
 		httpReq.Header.Set(FlightHeader, strconv.FormatInt(req.Flight, 10))
 	}
+	wall := t.wall.Load()
 	start := time.Now()
 	httpResp, err := t.HTTPClient.Do(httpReq)
 	if err != nil {
 		return core.TrainResult{}, 0, fmt.Errorf("fednet: dispatch to client %d: %w", clientID, err)
 	}
 	defer httpResp.Body.Close()
-	if t.Metrics != nil || t.Wall != nil {
+	if t.Metrics != nil || wall != nil {
 		defer func() {
 			secs := time.Since(start).Seconds()
 			if t.Metrics != nil {
 				t.Metrics.HTTPRequest("dispatch", secs, int64(len(reqBody)), httpResp.ContentLength)
 			}
-			if t.Wall != nil {
+			if wall != nil {
 				respBytes := httpResp.ContentLength
 				if respBytes < 0 {
 					respBytes = 0 // chunked: length unknown at the header
 				}
-				_ = t.Wall.Record(obs.WallRecord{
+				_ = wall.Record(obs.WallRecord{
 					Kind: obs.WallKind, Flight: req.Flight, Side: "server", Route: "train",
 					Client: clientID, Instance: httpResp.Header.Get(instanceHeader),
 					Seconds: secs, ReqBytes: int64(len(reqBody)),

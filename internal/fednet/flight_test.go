@@ -48,8 +48,8 @@ func TestFlightHeaderRoundTrip(t *testing.T) {
 
 	var wallBuf bytes.Buffer
 	wall := obs.NewJSONLWriter(&wallBuf)
-	trainer.Wall = wall
-	agent.Wall = wall
+	trainer.wall.Store(wall)
+	agent.wall.Store(wall)
 
 	global := buildGlobal(t, mcfg)
 	if _, err := trainer.Train(core.TrainRequest{Flight: 7, Client: 0, Sent: pool.Members[0], State: global, Seed: 99}); err != nil {

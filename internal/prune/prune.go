@@ -128,9 +128,8 @@ type Pool struct {
 }
 
 // layout is the (name, shape) list of a model's parameters in Params
-// order, with the widths it was built at and its total element count.
+// order, with its total element count and rank.
 type layout struct {
-	widths []int
 	names  []string
 	shapes []tensor.Tensor // Shape only; Data stays nil
 	numel  int
@@ -229,14 +228,54 @@ func (p *Pool) LargestFit(received Submodel, capacity int64) (Submodel, bool) {
 
 // ExtractState slices the submodel's parameters out of a full-width global
 // state dict: every tensor is the prefix block matching the shapes of a
-// model built at the submodel's widths. The shapes come from the member's
-// cached layout, so a model is built at most once per member, and the
-// tensors share one value slab and one shape slab.
+// model built at the submodel's widths. A pool member's layout is cached,
+// so a model is built at most once per member.
 func (p *Pool) ExtractState(global nn.State, sub Submodel) (nn.State, error) {
-	l, err := p.layout(sub)
+	member := sub.Index >= 0 && sub.Index < len(p.Members) && slices.Equal(p.Members[sub.Index].Widths, sub.Widths)
+	if member {
+		if v, ok := p.layouts.Load(sub.Index); ok {
+			return v.(*layout).extract(global)
+		}
+	}
+	target, err := models.Build(p.Model, sub.Widths)
 	if err != nil {
 		return nil, err
 	}
+	l := newLayout(target.Params())
+	if member {
+		v, _ := p.layouts.LoadOrStore(sub.Index, l)
+		l = v.(*layout)
+	}
+	return l.extract(global)
+}
+
+// ParamHolder is anything exposing named parameters — *models.Model, a
+// plain nn.Layer, or composite wrappers like ScaleFL's multi-exit nets.
+type ParamHolder interface {
+	Params() []*nn.Param
+}
+
+// ExtractForModel slices, for each parameter of target, the prefix block
+// of the same name from the global state.
+func ExtractForModel(global nn.State, target ParamHolder) (nn.State, error) {
+	return newLayout(target.Params()).extract(global)
+}
+
+// newLayout records the names and shapes of params.
+func newLayout(params []*nn.Param) *layout {
+	l := &layout{names: make([]string, len(params)), shapes: make([]tensor.Tensor, len(params))}
+	for i, param := range params {
+		l.names[i] = param.Name
+		l.shapes[i].Shape = slices.Clone(param.Val.Shape)
+		l.numel += len(param.Val.Data)
+		l.rank += len(param.Val.Shape)
+	}
+	return l
+}
+
+// extract slices the layout's prefix blocks out of global. The tensors
+// share one value slab and one shape slab.
+func (l *layout) extract(global nn.State) (nn.State, error) {
 	out := make(nn.State, len(l.names))
 	ts := make([]tensor.Tensor, len(l.names))
 	data := make([]float64, l.numel)
@@ -261,59 +300,6 @@ func (p *Pool) ExtractState(global nn.State, sub Submodel) (nn.State, error) {
 		t.Data, data = data[:size:size], data[size:]
 		tensor.ExtractPrefixInto(t, g)
 		out[name] = t
-	}
-	return out, nil
-}
-
-// layout returns sub's parameter layout, building a model at its widths
-// the first time a member is asked for. A submodel whose widths differ
-// from the cached member's (one not of this pool) gets an uncached
-// layout.
-func (p *Pool) layout(sub Submodel) (*layout, error) {
-	if v, ok := p.layouts.Load(sub.Index); ok {
-		if l := v.(*layout); slices.Equal(l.widths, sub.Widths) {
-			return l, nil
-		}
-	}
-	target, err := models.Build(p.Model, sub.Widths)
-	if err != nil {
-		return nil, err
-	}
-	params := target.Params()
-	l := &layout{widths: slices.Clone(sub.Widths), names: make([]string, len(params)),
-		shapes: make([]tensor.Tensor, len(params))}
-	for i, param := range params {
-		l.names[i] = param.Name
-		l.shapes[i].Shape = slices.Clone(param.Val.Shape)
-		l.numel += len(param.Val.Data)
-		l.rank += len(param.Val.Shape)
-	}
-	if sub.Index >= 0 && sub.Index < len(p.Members) && slices.Equal(p.Members[sub.Index].Widths, sub.Widths) {
-		v, _ := p.layouts.LoadOrStore(sub.Index, l)
-		l = v.(*layout)
-	}
-	return l, nil
-}
-
-// ParamHolder is anything exposing named parameters — *models.Model, a
-// plain nn.Layer, or composite wrappers like ScaleFL's multi-exit nets.
-type ParamHolder interface {
-	Params() []*nn.Param
-}
-
-// ExtractForModel slices, for each parameter of target, the prefix block
-// of the same name from the global state.
-func ExtractForModel(global nn.State, target ParamHolder) (nn.State, error) {
-	out := make(nn.State)
-	for _, param := range target.Params() {
-		g, ok := global[param.Name]
-		if !ok {
-			return nil, fmt.Errorf("prune: global state missing %q", param.Name)
-		}
-		if !tensor.PrefixFits(param.Val, g) {
-			return nil, fmt.Errorf("prune: %q shape %v does not fit global %v", param.Name, param.Val.Shape, g.Shape)
-		}
-		out[param.Name] = tensor.ExtractPrefix(g, param.Val.Shape)
 	}
 	return out, nil
 }

@@ -181,8 +181,9 @@ func (e *Engine) Clock() float64 { return e.clock }
 // Log returns the event log: one line per dispatch, arrival, drop and
 // commit, in virtual-time order. Two runs with the same seed, trace and
 // cost model produce identical logs. Dispatch lines of flights still
-// pending are filled first, which joins their trainings; it never yields
-// to a Hierarchy, since a yield from outside an edge step would deadlock.
+// pending are filled first: Log blocks until every queued flight's
+// training has finished. It never yields to a Hierarchy, since a yield
+// from outside an edge step would deadlock.
 func (e *Engine) Log() []string {
 	for _, en := range e.events {
 		e.fill(en.v)

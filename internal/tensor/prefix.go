@@ -44,17 +44,6 @@ func ExtractPrefixInto(dst, src *Tensor) {
 	copyPrefix(dst.Data, src.Data, dst.Shape, stridesInto(srcBuf[:0], src.Shape), stridesInto(dstBuf[:0], dst.Shape))
 }
 
-// stridesInto appends the row-major strides of shape to buf.
-func stridesInto(buf, shape []int) []int {
-	buf = append(buf, shape...)
-	acc := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		buf[i] = acc
-		acc *= shape[i]
-	}
-	return buf
-}
-
 // CopyPrefixInto writes src into the prefix block of dst. src.Shape must be
 // elementwise <= dst.Shape. Elements of dst outside the block are left
 // untouched.

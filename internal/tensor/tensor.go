@@ -110,13 +110,19 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 
 // Strides returns row-major strides for the tensor's shape.
 func (t *Tensor) Strides() []int {
-	s := make([]int, len(t.Shape))
+	return stridesInto(make([]int, 0, len(t.Shape)), t.Shape)
+}
+
+// stridesInto appends the row-major strides of shape to buf.
+func stridesInto(buf, shape []int) []int {
+	n := len(buf)
+	buf = append(buf, shape...)
 	acc := 1
-	for i := len(t.Shape) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= t.Shape[i]
+	for i := len(shape) - 1; i >= 0; i-- {
+		buf[n+i] = acc
+		acc *= shape[i]
 	}
-	return s
+	return buf
 }
 
 // At returns the element at the given multi-index.
