@@ -173,10 +173,6 @@ type Dispatch struct {
 	// moved models through a wire codec (0 otherwise). testbed.Sim
 	// prefers these over parameter-count estimates.
 	SentBytes, GotBytes int64
-	// GotBytesEst is retired and always zero. It stays only because
-	// TestGoldenHierarchy digests the ledger's %+v text, which names
-	// every field; it goes when that golden is next re-recorded.
-	GotBytesEst int64
 }
 
 // RoundStats aggregates one round's communication ledger.
@@ -190,9 +186,6 @@ type RoundStats struct {
 	// SentBytes / ReturnedBytes sum the encoded payload sizes (0 when no
 	// codec was in play).
 	SentBytes, ReturnedBytes int64
-	// ReturnedBytesEst is retired and always zero, kept for the same
-	// reason as Dispatch.GotBytesEst.
-	ReturnedBytesEst int64
 	// TrainSkipped counts dispatches whose local training was skipped
 	// because the result was provably unobservable (see
 	// Dispatch.TrainSkipped).

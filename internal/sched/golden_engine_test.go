@@ -73,7 +73,7 @@ func goldenEngineServer(t *testing.T, mutate func(*core.Config)) *core.Server {
 
 // ledgerDigest digests the ledger field by field, by name, so a field
 // added to or retired from core.Dispatch or core.RoundStats leaves it
-// alone; the two retired estimate fields are left out.
+// alone.
 func ledgerDigest(stats []core.RoundStats) uint64 {
 	var lines []string
 	for _, st := range stats {
