@@ -185,7 +185,7 @@ func main() {
 	}
 	if ok {
 		fmt.Printf("communication waste: %.2f%%\n", adaptive.Waste()*100)
-		if sc.Agg != "" || sc.Adversary != "" || strings.Contains(sc.Trace, ";") {
+		if sc.Agg != "" || sc.Adversary != "" {
 			rej, clipped := 0, 0
 			for _, st := range adaptive.Srv.Stats() {
 				rej += st.Rejected

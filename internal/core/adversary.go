@@ -239,22 +239,6 @@ func (a AdversarySpec) String() string {
 	return b.String()
 }
 
-// CutAdversary splits a composite "trace;adversary" spec: the part after
-// the first ';' parses as an adversary spec, the rest is returned for the
-// trace (or population) grammar. Specs without a ';' come back unchanged
-// with the zero AdversarySpec.
-func CutAdversary(composite string) (string, AdversarySpec, error) {
-	rest, advStr, found := strings.Cut(composite, ";")
-	if !found {
-		return composite, AdversarySpec{}, nil
-	}
-	a, err := ParseAdversary(strings.TrimSpace(advStr))
-	if err != nil {
-		return "", AdversarySpec{}, err
-	}
-	return strings.TrimSpace(rest), a, nil
-}
-
 // Mutate applies the stateless update transforms (sign flip, scale,
 // free ride) to a trained state against its dispatched reference. The
 // stateful behaviors — StaleReplay (needs a per-client cache) and Corrupt

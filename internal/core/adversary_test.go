@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"adaptivefl/internal/nn"
@@ -89,26 +90,6 @@ func TestAdversarySpecRoundTrip(t *testing.T) {
 		if back != a {
 			t.Fatalf("round trip %q -> %q: %+v vs %+v", spec, a.String(), back, a)
 		}
-	}
-}
-
-func TestCutAdversary(t *testing.T) {
-	rest, a, err := CutAdversary("poisson:rate=0.1 ; signflip:frac=0.3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rest != "poisson:rate=0.1" {
-		t.Fatalf("trace part = %q", rest)
-	}
-	if a.Frac != 0.3 || a.Weights[SignFlip-1] != 1 {
-		t.Fatalf("adversary part = %+v", a)
-	}
-	rest, a, err = CutAdversary("flaky:p=0.2")
-	if err != nil || rest != "flaky:p=0.2" || a.Enabled() {
-		t.Fatalf("spec without ';' changed: %q %+v %v", rest, a, err)
-	}
-	if _, _, err := CutAdversary("trace;bogus"); err == nil {
-		t.Fatal("bad adversary part accepted")
 	}
 }
 
@@ -239,36 +220,19 @@ func TestPoisonStateRejectedByGuard(t *testing.T) {
 	}
 }
 
-func TestParsePopulationAdversary(t *testing.T) {
-	s, err := ParsePopulation("mix:n=100,adv=scale,advfrac=0.25,advk=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := AdversarySpec{Frac: 0.25, Weights: [numBehaviors]float64{0, 1, 0, 0, 0}, K: 4}
-	if s.Adversary != want {
-		t.Fatalf("population adversary = %+v, want %+v", s.Adversary, want)
-	}
-	back, err := ParsePopulation(s.String())
-	if err != nil {
-		t.Fatalf("reparse %q: %v", s.String(), err)
-	}
-	if back.Adversary != want {
-		t.Fatalf("round trip lost the adversary: %+v", back.Adversary)
-	}
-	if s, err = ParsePopulation("mix:n=10,adv=mix"); err != nil {
-		t.Fatal(err)
-	} else if s.Adversary.Frac != 0.2 || s.Adversary.Weights[SignFlip-1] != 1 {
-		t.Fatalf("default adv mix = %+v", s.Adversary)
-	}
+// TestParsePopulationRejectsAdversaryKeys pins that the population
+// grammar names no adversary: the retired adv=/advfrac=/advk= keys are
+// unknown params like any other, so -adversary is the only way in.
+func TestParsePopulationRejectsAdversaryKeys(t *testing.T) {
 	for _, spec := range []string{
-		"mix:n=10,advfrac=0.3",         // advfrac without adv
-		"mix:n=10,advk=5",              // advk without adv
-		"mix:n=10,adv=bogus",           // unknown behavior
-		"mix:n=10,adv=",                // empty behavior
-		"mix:n=10,adv=scale,advfrac=2", // frac > 1
+		"mix:n=100,adv=scale,advfrac=0.25,advk=4",
+		"mix:n=10,adv=mix",
+		"mix:n=10,advfrac=0.3",
+		"mix:n=10,advk=5",
 	} {
-		if _, err := ParsePopulation(spec); err == nil {
-			t.Fatalf("ParsePopulation(%q) accepted", spec)
+		_, err := ParsePopulation(spec)
+		if err == nil || !strings.Contains(err.Error(), "unknown population param") {
+			t.Fatalf("ParsePopulation(%q) = %v, want an unknown-param error", spec, err)
 		}
 	}
 }

@@ -102,12 +102,6 @@ type PopulationSpec struct {
 	Classes int
 	// Dataset names the synthetic data family ("widar", "cifar10", …).
 	Dataset string
-	// Adversary describes the adversarial sub-population (zero = all
-	// honest). The grammar expresses single-behavior specs and the default
-	// mix via adv=/advfrac=/advk=; richer mixes go through Config.Adversary
-	// directly. Its Seed is not set by the parser — consumers copy the
-	// population Seed in (cf. popServer).
-	Adversary AdversarySpec
 	// Seed drives every per-client derivation. Not part of the spec
 	// string; callers set it the way ParseTrace takes a seed argument.
 	Seed int64
@@ -148,13 +142,6 @@ func ParsePopulation(popSpec string) (PopulationSpec, error) {
 		}
 		s.Dataset = v
 	}
-	advName := ""
-	if v, raw, ok := args.Take("adv"); ok {
-		if v == "" {
-			return PopulationSpec{}, fmt.Errorf("core: population param %q needs a behavior name", raw)
-		}
-		advName = v
-	}
 	s.N = args.Int("n", s.N)
 	s.Weak = args.NonNeg("weak", s.Weak)
 	s.Medium = args.NonNeg("medium", s.Medium)
@@ -165,29 +152,8 @@ func ParsePopulation(popSpec string) (PopulationSpec, error) {
 	s.SlowProb = args.NonNeg("slowprob", s.SlowProb)
 	s.Samples = args.Int("samples", s.Samples)
 	s.Classes = args.Int("classes", s.Classes)
-	advFrac := args.NonNeg("advfrac", -1)
-	advK := args.NonNeg("advk", -1)
 	if err := args.Finish(); err != nil {
 		return PopulationSpec{}, err
-	}
-	if advName == "" && (advFrac >= 0 || advK >= 0) {
-		return PopulationSpec{}, fmt.Errorf("core: population params advfrac/advk need adv=<behavior>")
-	}
-	if advName != "" {
-		// Delegate to the adversary grammar so validation and defaults stay
-		// in one place.
-		b := spec.NewBuilder(advName)
-		if advFrac >= 0 {
-			b.Float("frac", advFrac)
-		}
-		if advK >= 0 {
-			b.Float("k", advK)
-		}
-		a, err := ParseAdversary(b.String())
-		if err != nil {
-			return PopulationSpec{}, err
-		}
-		s.Adversary = a
 	}
 	if err := s.normalise(); err != nil {
 		return PopulationSpec{}, err
@@ -223,29 +189,14 @@ func (s *PopulationSpec) normalise() error {
 // String renders the canonical spec string; ParsePopulation round-trips it
 // (Seed excepted — it is not part of the grammar).
 func (s PopulationSpec) String() string {
-	b := spec.NewBuilder("mix").
+	return spec.NewBuilder("mix").
 		Int("n", s.N).
 		Float("weak", s.Weak).Float("medium", s.Medium).Float("strong", s.Strong).
 		Float("on", s.MeanOn).Float("churn", s.MeanOff).
 		Float("slow", s.SlowFactor).Float("slowprob", s.SlowProb).
 		Int("samples", s.Samples).Int("classes", s.Classes).
-		Str("data", s.Dataset)
-	if a := s.Adversary; a.Enabled() {
-		// Single-behavior specs and the default mix round-trip; bespoke
-		// mix weights collapse to the default mix (grammar limitation).
-		name := "mix"
-		single, nonzero := -1, 0
-		for i, w := range a.Weights {
-			if w > 0 {
-				single, nonzero = i, nonzero+1
-			}
-		}
-		if nonzero == 1 && a.Weights[single] == 1 {
-			name = behaviorNames[single]
-		}
-		b.Str("adv", name).Float("advfrac", a.Frac).Float("advk", a.K)
-	}
-	return b.String()
+		Str("data", s.Dataset).
+		String()
 }
 
 // Class salts for the spec's independent hash streams. sched.PopTrace owns

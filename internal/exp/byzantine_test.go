@@ -101,27 +101,3 @@ func TestTableByzantineOutput(t *testing.T) {
 		}
 	}
 }
-
-// TestScaleAdversaryConflict verifies the two adversary channels
-// (Scale.Adversary and a ';adversary' trace suffix) cannot disagree
-// silently.
-func TestScaleAdversaryConflict(t *testing.T) {
-	sc := byzScale()
-	sc.Adversary = "signflip:frac=0.3"
-	sc.Trace = "always;scale:frac=0.2"
-	fed, err := BuildFederation(models.ResNet18, "cifar10", IID, DefaultProportions, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRunner("AdaptiveFL", fed, sc); err == nil {
-		t.Fatal("conflicting adversary specs accepted")
-	}
-	sc.Adversary = ""
-	if _, err := NewRunner("AdaptiveFL", fed, sc); err != nil {
-		t.Fatalf("trace-borne adversary rejected: %v", err)
-	}
-	sc.Trace = "always;sign-flip:frac=bogus"
-	if _, err := NewRunner("AdaptiveFL", fed, sc); err == nil {
-		t.Fatal("malformed trace-borne adversary accepted")
-	}
-}

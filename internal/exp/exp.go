@@ -53,10 +53,10 @@ type Scale struct {
 	// Empty keeps the exact weighted prefix mean.
 	Agg string
 	// Adversary describes a Byzantine sub-population
-	// (core.ParseAdversary: "signflip:frac=0.3", "mix:…"). An adversary can
-	// also ride after a ';' in Trace; setting both is an error. The
-	// adversary seed is derived from Seed, so two same-seed runs realize
-	// the identical attacker set.
+	// (core.ParseAdversary: "signflip:frac=0.3", "mix:…"); it is the one
+	// way to name an adversary, for flat, scheduled and population runs
+	// alike. The adversary seed is derived from Seed, so two same-seed runs
+	// realize the identical attacker set.
 	Adversary string
 	// Trainer, when set, overrides how AdaptiveFL dispatches execute —
 	// cmd/adaptivefl wires a fednet.Cluster's HTTPTrainer here for real
@@ -239,26 +239,17 @@ func BuildFederation(arch models.Arch, dataset string, dist Dist, proportions [3
 	return &Federation{Clients: clients, Test: test, Model: mcfg, Pool: pool}, nil
 }
 
-// SplitAdversary resolves the scale's adversary — Scale.Adversary or a
-// ';'-suffix of Trace, never both — and returns the trace spec with the
-// adversary part stripped plus the parsed spec, its Seed already derived
-// from Scale.Seed (the same offset ParseTrace uses, so a (Seed, spec)
-// pair fixes the attacker set bit-reproducibly on every path).
+// SplitAdversary returns the scale's trace spec, unchanged, and its
+// parsed Scale.Adversary (zero when empty), its Seed already derived from
+// Scale.Seed (the same offset ParseTrace uses, so a (Seed, spec) pair
+// fixes the attacker set bit-reproducibly on every path).
 func (sc Scale) SplitAdversary() (string, core.AdversarySpec, error) {
-	trace, adv, err := core.CutAdversary(sc.Trace)
+	adv, err := core.ParseAdversary(sc.Adversary)
 	if err != nil {
 		return "", core.AdversarySpec{}, err
 	}
-	if sc.Adversary != "" {
-		if adv.Enabled() {
-			return "", core.AdversarySpec{}, fmt.Errorf("exp: adversary set both in Scale.Adversary and the trace spec")
-		}
-		if adv, err = core.ParseAdversary(sc.Adversary); err != nil {
-			return "", core.AdversarySpec{}, err
-		}
-	}
 	adv.Seed = sc.Seed + 909
-	return trace, adv, nil
+	return sc.Trace, adv, nil
 }
 
 // TrainConfig converts a Scale into local-training hyperparameters.

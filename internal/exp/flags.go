@@ -46,7 +46,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Par, "par", 0, "training parallelism override (0 = the scale's default)")
 	fs.StringVar(&f.Codec, "codec", "", "wire codec for AdaptiveFL model transport: raw|f32|q8|delta (empty = exact in-memory)")
 	fs.StringVar(&f.Sched, "sched", "", "aggregation policy for AdaptiveFL runs: sync|deadline|deadline-reuse|semiasync (empty = legacy synchronous loop)")
-	fs.StringVar(&f.Trace, "trace", "", "availability trace for scheduled runs: always|straggler[:slow=,prob=,on=]|churn[:on=,off=,...]; an adversary spec may ride after a ';'")
+	fs.StringVar(&f.Trace, "trace", "", "availability trace for scheduled runs: always|straggler[:slow=,prob=,on=]|churn[:on=,off=,...]")
 	fs.StringVar(&f.Agg, "agg", "", "server aggregation policy: mean|trim[:frac=]|krum[:frac=,m=]|clip[:tau=], '+'-composable (empty = exact weighted mean)")
 	fs.StringVar(&f.Adversary, "adversary", "", "compromise a deterministic client fraction (core.ParseAdversary grammar, e.g. signflip:frac=0.3 or mix:frac=0.3,signflip=1,scale=1)")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "stream every span of the run to this file as JSON lines (bounded memory; see docs/OBS.md)")

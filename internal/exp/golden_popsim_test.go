@@ -38,3 +38,39 @@ func TestGoldenPopSimHierarchy(t *testing.T) {
 		t.Errorf("ledger:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestGoldenPopSimAdversary pins Scale.Adversary reaching RunPopSim, flat
+// and two-tier: a 25 % scale-attack sub-population on a 2000-client churny
+// fleet. The hashes were recorded while the population spec still named
+// the attack itself (adv=scale,advfrac=0.25,advk=4); the adversary seed is
+// still the population seed, plus i on edge i. The honest run pins that
+// the attack moves the weights. amd64 only, as TestGoldenRoundHashes.
+func TestGoldenPopSimAdversary(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden hashes are recorded for amd64's unfused multiply-add")
+	}
+	spec, err := core.ParsePopulation("mix:n=2000,weak=0.5,churn=30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		adversary string
+		edges     int
+		want      uint64
+	}{
+		{"", 1, 0xc344c873feaead46},
+		{"scale:frac=0.25,k=4", 1, 0x86fe5582642431af},
+		{"scale:frac=0.25,k=4", 2, 0xa0e01efb4ff145a4},
+	} {
+		sc := QuickScale()
+		sc.Sched = "semiasync"
+		sc.Adversary = c.adversary
+		res, err := RunPopSim(nil, spec, sc, c.edges, 3000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WeightsHash != c.want {
+			t.Errorf("adversary %q, %d edges: weights %016x, want %016x", c.adversary, c.edges, res.WeightsHash, c.want)
+		}
+	}
+}

@@ -123,7 +123,7 @@ func popCost(sim sched.CostModel, pool *prune.Pool, spec core.PopulationSpec, ep
 }
 
 // popServer builds one server over pop with the scale's model and
-// training setup. seed differentiates edges; adv is the spec's
+// training setup. seed differentiates edges; adv is the scale's
 // adversarial sub-population with its seed already set (shards remap
 // client ids locally, so edges carry offset adversary seeds and draw
 // independent — but deterministic — attacker subsets).
@@ -146,7 +146,8 @@ func popServer(mcfg models.Config, pop core.Population, sc Scale, k int, seed in
 // simSeconds of virtual time: spec describes the fleet (size, capability
 // mix, churn, data family), edges > 1 shards it across a two-tier
 // hierarchy (each edge running sc.Sched over its shard, feeding the
-// global semiasync tier), and sc supplies model scale, policy and seeds.
+// global semiasync tier), and sc supplies model scale, policy, robust
+// aggregation (Scale.Agg), adversary (Scale.Adversary) and seeds.
 // timeScale multiplies every priced duration (0 = auto-calibrate to a
 // realistic fleet cadence; see popCost). The run is deterministic: same
 // (spec, sc, edges, timeScale) ⇒ identical weights hash and event logs.
@@ -162,6 +163,11 @@ func RunPopSim(w io.Writer, spec core.PopulationSpec, sc Scale, edges int, simSe
 		return nil, fmt.Errorf("exp: %d edges for %d clients", edges, spec.N)
 	}
 	spec.Seed = sc.Seed + 977
+	adv, err := core.ParseAdversary(sc.Adversary)
+	if err != nil {
+		return nil, err
+	}
+	adv.Seed = spec.Seed
 	mcfg, err := ModelConfig(models.MobileNetV2, spec.Dataset, sc)
 	if err != nil {
 		return nil, err
@@ -193,8 +199,6 @@ func RunPopSim(w io.Writer, spec core.PopulationSpec, sc Scale, edges int, simSe
 	}
 	weak := func(c int) bool { return spec.ClassOf(c) == core.Weak }
 	baseTrace := sched.PopTrace{Spec: spec, SlowOnly: weak}
-	adv := spec.Adversary
-	adv.Seed = spec.Seed
 
 	res := &PopSimResult{Clients: spec.N, Edges: edges, Mix: spec.MixCounts(min(spec.N, 10_000))}
 	// Engines train on their server's executor (sc.Parallelism wide); a

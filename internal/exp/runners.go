@@ -34,7 +34,7 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 				return nil, err
 			}
 		}
-		trace, adv, err := sc.SplitAdversary()
+		_, adv, err := sc.SplitAdversary()
 		if err != nil {
 			return nil, err
 		}
@@ -67,11 +67,7 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 		if err != nil || sc.Sched == "" {
 			return a, err
 		}
-		// The engine parses the trace itself — hand it the spec with the
-		// adversary part already stripped.
-		s := sc
-		s.Trace = trace
-		return schedRunner(a, fed, s)
+		return schedRunner(a, fed, sc)
 	}
 	adaptive := func(mode rl.Mode, greedy bool, p int, label string) (baselines.Runner, error) {
 		return adaptiveRL(mode, greedy, p, rl.Config{}, label)

@@ -495,6 +495,25 @@ func TestParseTrace(t *testing.T) {
 	}
 }
 
+// TestParseTraceRejectsAdversarySuffix pins that a trace spec carries no
+// adversary: the retired "trace;adversary" spelling fails in the trace
+// grammar with its one-line error, so -adversary is the only way in.
+func TestParseTraceRejectsAdversarySuffix(t *testing.T) {
+	for _, bad := range []string{
+		"straggler;signflip:frac=0.3",
+		"churn:on=40;signflip:frac=0.3",
+		"poisson:rate=0.1 ; signflip:frac=0.3",
+	} {
+		_, err := sched.ParseTrace(bad, 1, nil)
+		if err == nil {
+			t.Fatalf("spec %q accepted", bad)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "sched: ") || strings.Contains(msg, "\n") {
+			t.Fatalf("spec %q: error %q is not a one-line sched error", bad, msg)
+		}
+	}
+}
+
 // TestConfigValidation covers engine construction errors and defaults.
 func TestConfigValidation(t *testing.T) {
 	srv := buildServer(t, 4, 2, 61)
