@@ -168,9 +168,8 @@ func main() {
 	fmt.Printf("best full: %.2f%%  best avg: %.2f%%  (wall %v)\n",
 		exp.BestOf(curve, "full")*100, exp.BestOf(curve, "avg")*100,
 		time.Since(start).Round(time.Millisecond))
-	adaptive, ok := runner.(*baselines.Adaptive)
+	adaptive, ok := baselines.AdaptiveOf(runner)
 	if sa, isSched := runner.(*baselines.SchedAdaptive); isSched {
-		adaptive, ok = sa.Adaptive, true
 		commits := sa.Eng.Commits()
 		reused := 0
 		for _, c := range commits {

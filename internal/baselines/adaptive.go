@@ -29,6 +29,19 @@ func NewAdaptive(cfg core.Config, clients []*core.Client, label string) (*Adapti
 	return &Adaptive{Srv: srv, Label: label}, nil
 }
 
+// AdaptiveOf returns the AdaptiveFL runner behind r, whether it runs the
+// synchronous loop or the event engine (SchedAdaptive), and false for a
+// baseline.
+func AdaptiveOf(r Runner) (*Adaptive, bool) {
+	switch a := r.(type) {
+	case *Adaptive:
+		return a, true
+	case *SchedAdaptive:
+		return a.Adaptive, true
+	}
+	return nil, false
+}
+
 // Name implements Runner.
 func (a *Adaptive) Name() string { return a.Label }
 

@@ -101,3 +101,27 @@ func TestTableByzantineOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestByzantineRowScheduled pins that a scheduled AdaptiveFL runner
+// reports its ledger and weights like the synchronous one: under the sync
+// policy the engine reproduces the legacy round bit for bit
+// (TestSyncPolicyMatchesLegacyRound), so the rows must be equal, with a
+// non-zero hash.
+func TestByzantineRowScheduled(t *testing.T) {
+	cell := Cell{"cifar10", models.ResNet18, IID}
+	var rows [2]ByzantineRow
+	for i, policy := range []string{"", "sync"} {
+		sc := tinyScale()
+		sc.Sched = policy
+		rows[i] = ByzantineRow{Agg: "clip:tau=0.5+trim:frac=0.2", Adversary: "scale:frac=0.5,k=10"}
+		if err := runByzantineRow(cell, sc, &rows[i]); err != nil {
+			t.Fatalf("sched %q: %v", policy, err)
+		}
+	}
+	if rows[0].Hash == 0 {
+		t.Fatal("legacy row reports hash 0")
+	}
+	if rows[0] != rows[1] {
+		t.Fatalf("rows differ:\nlegacy %+v\nsync   %+v", rows[0], rows[1])
+	}
+}

@@ -316,7 +316,7 @@ func Figure5(w io.Writer, sc Scale) error {
 			return err
 		}
 		waste := 0.0
-		if a, ok := r.(*baselines.Adaptive); ok {
+		if a, ok := baselines.AdaptiveOf(r); ok {
 			waste = a.Waste()
 		}
 		fmt.Fprintf(w, "%-18s  %8.2f  %11.2f  %12.2f\n",
@@ -358,10 +358,14 @@ func Figure6(w io.Writer, sc Scale) error {
 			if err := r.Round(); err != nil {
 				return err
 			}
-			if a, ok := r.(*baselines.Adaptive); ok {
+			switch a := r.(type) {
+			case *baselines.SchedAdaptive:
+				// The engine priced every flight on the same platform.
+				simRun.Advance(a.SimTime() - simRun.Clock())
+			case *baselines.Adaptive:
 				stats := a.Srv.Stats()
 				simRun.Advance(simRun.RoundTime(stats[len(stats)-1], classOf, samplesOf, s.LocalEpochs))
-			} else {
+			default:
 				simRun.Advance(staticRoundTime(simRun, fedRun, alg, s))
 			}
 			if round%s.EvalEvery == 0 || round == s.Rounds {
@@ -452,7 +456,7 @@ func runByzantineRow(cell Cell, sc Scale, row *ByzantineRow) error {
 	if n := len(curve.Points); n > 0 {
 		row.Full = curve.Points[n-1].Acc["full"]
 	}
-	if a, ok := r.(*baselines.Adaptive); ok {
+	if a, ok := baselines.AdaptiveOf(r); ok {
 		row.Hash = HashState(a.Srv.Global())
 		for _, st := range a.Srv.Stats() {
 			row.Rejected += st.Rejected
