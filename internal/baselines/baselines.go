@@ -9,7 +9,6 @@ package baselines
 
 import (
 	"fmt"
-	"sync"
 
 	"adaptivefl/internal/core"
 	"adaptivefl/internal/data"
@@ -50,23 +49,4 @@ type Runner interface {
 // mean of the per-level submodel accuracies present.
 func AvgOf(acc map[string]float64) float64 {
 	return eval.MeanOf(acc, "L1", "M1", "S1")
-}
-
-// runParallel executes fn(0..k-1) on at most par goroutines.
-func runParallel(k, par int, fn func(i int)) {
-	if par <= 0 || par > k {
-		par = k
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
 }

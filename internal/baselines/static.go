@@ -12,6 +12,7 @@ import (
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
+	"adaptivefl/internal/tensor"
 )
 
 // level is one row of a baseline's level table: the submodel a device
@@ -140,7 +141,11 @@ func (r *Static) Round() error {
 	}
 	states := make([]nn.State, len(sel))
 	errs := make([]error, len(sel))
-	runParallel(len(sel), r.setup.Parallelism, func(i int) {
+	width := r.setup.Parallelism
+	if width <= 0 {
+		width = len(sel) // Setup.Parallelism 0 means K; ForEach reads 0 as serial
+	}
+	tensor.ForEach(len(sel), width, func(i int) {
 		states[i], errs[i] = r.train(r.setup, lvls[i], r.globals[lvls[i].global], clients[sel[i]].Data, seeds[i])
 	})
 	updates := make([][]agg.Update, len(r.globals))

@@ -13,11 +13,15 @@ import (
 	"adaptivefl/internal/prune"
 )
 
+// successCap caps the resource reward R_s in Reward at the paper's 50 %
+// (§3.3). R_s estimates how likely a client is to train a member; past an
+// even chance the client counts as able, and choosing among able clients
+// is left to curiosity, so well-resourced clients cannot monopolise
+// selection.
+const successCap = 0.5
+
 // Config tunes the selection strategy.
 type Config struct {
-	// SuccessCap is the upper success rate beyond which selection is
-	// driven purely by curiosity (paper: 0.5). Zero means 0.5.
-	SuccessCap float64
 	// LiteralL1Bonus applies Algorithm 1 line 18 exactly as printed
 	// (T_r[L_1] += p−1 after an unpruned return). The default false uses
 	// the symmetric reading T_r[m] += p−1, which preserves the capacity
@@ -81,9 +85,6 @@ func NewSparseTables(cfg Config, p, poolSize, numClients int) *Tables {
 }
 
 func newTables(cfg Config, p, poolSize, numClients int) *Tables {
-	if cfg.SuccessCap == 0 {
-		cfg.SuccessCap = 0.5
-	}
 	return &Tables{cfg: cfg, p: p, pool: poolSize, n: numClients}
 }
 
@@ -242,7 +243,7 @@ func (t *Tables) CuriosityReward(m prune.Submodel, c int) float64 {
 // Reward combines the two: R = min(cap, R_s) · R_c (paper's 50% success
 // cap keeps well-resourced clients from monopolising selection).
 func (t *Tables) Reward(m prune.Submodel, pool *prune.Pool, c int) float64 {
-	rs := math.Min(t.cfg.SuccessCap, t.ResourceReward(m, pool, c))
+	rs := math.Min(successCap, t.ResourceReward(m, pool, c))
 	return rs * t.CuriosityReward(m, c)
 }
 
