@@ -73,10 +73,8 @@ func run(args []string, w io.Writer) error {
 	sc.Observer = obsv
 	sc.Sched, sc.Agg, sc.Adversary = shared.Sched, shared.Agg, shared.Adversary
 	if *popSpec != "" {
-		// A population run has no codec path, and its churn comes from the
-		// population spec.
 		if shared.Codec != "" {
-			return fmt.Errorf("-codec does not apply to -pop")
+			return fmt.Errorf("-codec does not apply to -pop (a population run has no codec path)")
 		}
 		if shared.Trace != "" {
 			return fmt.Errorf("-trace does not apply to -pop (churn comes from the population spec)")
