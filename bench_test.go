@@ -348,6 +348,27 @@ func BenchmarkConv2DStage4Backward(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DStage1 measures one train-mode forward and backward of a
+// ResNet-18 stage-1 convolution at quick scale (6→6 channels, 3×3, on
+// 32×32 planes, batch 10) bound to a workspace that is reset per step, as
+// a training arena runs it: the stride-1 shape whose unfold is read in
+// place from the padded plane.
+func BenchmarkConv2DStage1(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	conv := nn.NewConv2D(rng, "c", 6, 6, 3, 1, 1, false)
+	ws := &tensor.Workspace{}
+	conv.SetWorkspace(ws)
+	x := tensor.Randn(rng, 1, 10, 6, 32, 32)
+	grad := tensor.Randn(rng, 1, 10, 6, 32, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.Reset()
+		conv.Forward(x, true)
+		conv.Backward(grad)
+	}
+}
+
 // BenchmarkDepthwiseForward measures the tap-vectorized depthwise kernel
 // on a MobileNetV2-like block.
 func BenchmarkDepthwiseForward(b *testing.B) {

@@ -10,16 +10,24 @@ import (
 	"adaptivefl/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution with square kernels, implemented as
-// im2col + GEMM over per-sample column blocks: each sample's [InC*K*K,
-// OH*OW] block feeds one GEMM whose destination is a view straight into
-// the [N, OutC, OH, OW] output, so no scatter copy reorders the result
-// (and backward's gradient gather disappears symmetrically — the grad's
-// per-sample [OutC, OH*OW] blocks are already GEMM-shaped). A pointwise
-// convolution (1×1, stride 1, no padding) skips the unfolding altogether:
-// a sample's [InC, H*W] plane already is its column block, and backward
-// writes the column gradient straight into dX. Weight layout is [OutC,
-// InC, K, K]; input batches are [N, InC, H, W].
+// Conv2D is a 2-D convolution with square kernels, computed one sample
+// at a time as a GEMM whose destination is a view straight into the [N,
+// OutC, OH, OW] output, so no scatter copy reorders the result (and
+// backward's gradient gather disappears symmetrically — the grad's
+// per-sample [OutC, OH*OW] blocks are already GEMM-shaped). How a
+// sample's [InC*K*K, OH*OW] unfold reaches the GEMM depends on the shape:
+//   - stride 1, K×K, output rows a multiple of 4 wide: it is read in
+//     place from the sample copied into a zero-padded plane [InC, H+2P,
+//     W+2P] (the input itself when P is 0), and backward adds each row of
+//     its gradient into dX as soon as it is summed (tensor.ConvPlane and
+//     friends);
+//   - pointwise (1×1, stride 1, no padding): the sample's [InC, H*W] plane
+//     already is the unfold, and backward writes its gradient straight
+//     into dX;
+//   - otherwise (stride 2, narrow or odd-width stride-1 outputs): Im2Col
+//     writes it out as a column block, and Col2Im folds its gradient back.
+//
+// Weight layout is [OutC, InC, K, K]; input batches are [N, InC, H, W].
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 	UseBias                   bool
@@ -29,9 +37,9 @@ type Conv2D struct {
 
 	// forward cache, set by train-mode forwards only: an eval-mode
 	// forward clears it, so inference pins neither the input nor the
-	// column blocks and a Backward after it fails loudly.
+	// unfold operands and a Backward after it fails loudly.
 	in     *tensor.Tensor
-	cols   []float64 // N column blocks of InC*K*K × OH*OW; in.Data when pointwise
+	saved  []float64 // N per-sample unfold operands: padded planes, column blocks, or in.Data
 	oh, ow int
 }
 
@@ -50,6 +58,27 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int, bias 
 
 func (c *Conv2D) pointwise() bool { return c.K == 1 && c.Stride == 1 && c.Pad == 0 }
 
+// implicit reports whether the unfold is read in place from a padded
+// plane: at stride 1, when the output rows are a multiple of 4 wide, so
+// that the row kernels' 4-wide loads never straddle two of them. (At
+// 14×14, 7×7 and 2×2 outputs the in-place kernels lose to Im2Col by 2–5×;
+// see docs/BENCH.md.) It reads the output width of the last Forward.
+func (c *Conv2D) implicit() bool { return c.Stride == 1 && !c.pointwise() && c.ow%4 == 0 }
+
+// operand returns the size of one sample's unfold operand for an input
+// of h×w, and whether that operand is the sample's own slice of the
+// input.
+func (c *Conv2D) operand(h, w int) (size int, inPlace bool) {
+	switch {
+	case c.pointwise():
+		return c.InC * h * w, true
+	case c.implicit():
+		return c.InC * (h + 2*c.Pad) * (w + 2*c.Pad), c.Pad == 0
+	default:
+		return c.InC * c.K * c.K * c.oh * c.ow, false
+	}
+}
+
 // Forward computes the convolution over a batch.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, ci, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -59,61 +88,72 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.oh = tensor.ConvOutSize(h, c.K, c.Stride, c.Pad)
 	c.ow = tensor.ConvOutSize(w, c.K, c.Stride, c.Pad)
 	spatial, rows := c.oh*c.ow, c.InC*c.K*c.K
-	inSz, colSz, outSz := ci*h*w, rows*spatial, c.OutC*spatial
-	pointwise := c.pointwise()
+	inSz, outSz := ci*h*w, c.OutC*spatial
+	opSz, inPlace := c.operand(h, w)
+	implicit := c.implicit()
 
-	// Samples touch disjoint column and output blocks, so up to Parallelism
-	// workers take them one at a time off a shared counter (each element
-	// is still computed by exactly one fixed code path, so results stay
-	// bitwise independent of who computed it). Everything the workers
-	// need is taken from the workspace here, before they start: it serves
-	// one goroutine at a time.
+	// Samples touch disjoint operand and output blocks, so up to
+	// Parallelism workers take them one at a time off a shared counter
+	// (each element is still computed by exactly one fixed code path, so
+	// results stay bitwise independent of who computed it). Everything the
+	// workers need is taken from the workspace here, before they start: it
+	// serves one goroutine at a time.
 	par := max(1, min(tensor.Parallelism(), n))
 	out := c.ws.Alloc(n, c.OutC, c.oh, c.ow)
-	var cols []float64
+	var ops []float64
 	switch {
-	case pointwise:
-		cols = x.Data
+	case inPlace:
+		ops = x.Data
 	case train:
-		cols = c.kept(n * colSz) // for Backward
+		ops = c.kept(n * opSz) // for Backward
 	default:
-		cols = c.kept(par * colSz) // one block per worker
+		ops = c.kept(par * opSz) // one block per worker
 	}
-	c.in, c.cols = nil, nil
+	c.in, c.saved = nil, nil
 	if train {
-		c.in, c.cols = x, cols
+		c.in, c.saved = x, ops
 	}
 	if n > 0 {
-		// One GEMM per sample, written straight into the sample's [OutC,
-		// spatial] block of the output — the GEMM destination IS the
-		// final layout. A worker re-points its three views per sample.
+		// A worker of the Im2Col and pointwise paths re-points its three
+		// views per sample; the implicit path works on slices.
 		wm := c.ws.View(c.weight.Val.Data, c.OutC, rows)
-		type views struct{ x, cols, out *tensor.Tensor }
-		workers := make([]views, par)
-		for i := range workers {
-			workers[i] = views{
-				cols: c.ws.View(cols[:colSz], rows, spatial),
-				out:  c.ws.View(out.Data[:outSz], c.OutC, spatial),
-			}
-			if !pointwise {
-				workers[i].x = c.ws.View(x.Data[:inSz], ci, h, w)
+		type views struct{ x, op, out *tensor.Tensor }
+		var workers []views
+		if !implicit {
+			workers = make([]views, par)
+			for i := range workers {
+				workers[i] = views{
+					op:  c.ws.View(ops[:opSz], rows, spatial),
+					out: c.ws.View(out.Data[:outSz], c.OutC, spatial),
+				}
+				if !inPlace {
+					workers[i].x = c.ws.View(x.Data[:inSz], ci, h, w)
+				}
 			}
 		}
 		var next atomic.Int64
 		run := func(wk int) {
-			v := workers[wk]
 			for s := int(next.Add(1)) - 1; s < n; s = int(next.Add(1)) - 1 {
 				block := s
-				if !train && !pointwise {
+				if !train && !inPlace {
 					block = wk
 				}
-				v.cols.Data = cols[block*colSz : (block+1)*colSz]
-				if !pointwise {
+				op := ops[block*opSz : (block+1)*opSz]
+				if implicit {
+					if !inPlace {
+						tensor.PadPlane(op, x.Data[s*inSz:(s+1)*inSz], ci, h, w, c.Pad)
+					}
+					tensor.ConvPlane(c.weight.Val.Data, c.OutC, op, ci, h+2*c.Pad, w+2*c.Pad, c.K, out.Data[s*outSz:(s+1)*outSz])
+					continue
+				}
+				v := workers[wk]
+				v.op.Data = op
+				if !inPlace {
 					v.x.Data = x.Data[s*inSz : (s+1)*inSz]
-					tensor.Im2Col(v.x, c.K, c.K, c.Stride, c.Pad, v.cols)
+					tensor.Im2Col(v.x, c.K, c.K, c.Stride, c.Pad, v.op)
 				}
 				v.out.Data = out.Data[s*outSz : (s+1)*outSz]
-				tensor.Gemm(false, false, 1, wm, v.cols, 0, v.out)
+				tensor.Gemm(false, false, 1, wm, v.op, 0, v.out)
 			}
 		}
 		var wg sync.WaitGroup
@@ -151,44 +191,66 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Shape[0]
 	spatial, rows := c.oh*c.ow, c.InC*c.K*c.K
 	h, w := c.in.Shape[2], c.in.Shape[3]
-	inSz, colSz, outSz := c.InC*h*w, rows*spatial, c.OutC*spatial
-	pointwise := c.pointwise()
+	inSz, outSz := c.InC*h*w, c.OutC*spatial
+	opSz, _ := c.operand(h, w)
+	pointwise, implicit := c.pointwise(), c.implicit()
 
-	// dX needs no zero fill: Col2Im clears each sample's plane before it
-	// folds into it, and the pointwise GEMM (beta 0) overwrites it.
+	// dX needs no zero fill: every path writes each sample's plane whole
+	// (ConvPlaneInputGrad and Col2Im clear it before they fold into it,
+	// and the pointwise GEMM has beta 0).
 	dx := c.ws.Alloc(n, c.InC, h, w)
 	if n == 0 {
 		return dx
 	}
-	dwm := c.ws.View(c.weight.Grad.Data, c.OutC, rows)
-	wm := c.ws.View(c.weight.Val.Data, c.OutC, rows)
-	gS := c.ws.View(grad.Data[:outSz], c.OutC, spatial)
-	colsS := c.ws.View(c.cols[:colSz], rows, spatial)
-	var dcols, dxS *tensor.Tensor
-	if pointwise {
+	var scratch, wt []float64
+	var dwm, wm, gS, opS, dcols, dxS *tensor.Tensor
+	switch {
+	case implicit:
+		if c.Pad > 0 {
+			scratch = c.ws.Alloc(opSz).Data // the padded dX plane
+		}
+		wt = c.ws.Alloc(rows * c.OutC).Data // Wᵀ, one row per unfold row
+		for o, wo := range c.weight.Val.Data {
+			wt[(o%rows)*c.OutC+o/rows] = wo
+		}
+	case pointwise:
 		dcols = c.ws.View(dx.Data[:inSz], rows, spatial)
-	} else {
+	default:
 		dcols = c.ws.Alloc(rows, spatial)
 		dxS = c.ws.View(dx.Data[:inSz], c.InC, h, w)
 	}
+	if !implicit {
+		dwm = c.ws.View(c.weight.Grad.Data, c.OutC, rows)
+		wm = c.ws.View(c.weight.Val.Data, c.OutC, rows)
+		gS = c.ws.View(grad.Data[:outSz], c.OutC, spatial)
+		opS = c.ws.View(c.saved[:opSz], rows, spatial)
+	}
 	for s := 0; s < n; s++ {
-		gS.Data = grad.Data[s*outSz : (s+1)*outSz]
-		colsS.Data = c.cols[s*colSz : (s+1)*colSz]
-		// dW += g_s · cols_sᵀ
-		tensor.Gemm(false, true, 1, gS, colsS, 1, dwm)
-		// dcols_s = Wᵀ · g_s: the sample's dX plane itself when pointwise,
-		// folded back into it otherwise.
-		if pointwise {
-			dcols.Data = dx.Data[s*inSz : (s+1)*inSz]
-		}
-		tensor.Gemm(true, false, 1, wm, gS, 0, dcols)
-		if !pointwise {
-			dxS.Data = dx.Data[s*inSz : (s+1)*inSz]
-			tensor.Col2Im(dcols, c.InC, h, w, c.K, c.K, c.Stride, c.Pad, dxS)
+		g := grad.Data[s*outSz : (s+1)*outSz]
+		op := c.saved[s*opSz : (s+1)*opSz]
+		switch {
+		case implicit:
+			ph, pw := h+2*c.Pad, w+2*c.Pad
+			tensor.ConvPlaneFilterGrad(g, c.OutC, op, c.InC, ph, pw, c.K, c.weight.Grad.Data)
+			tensor.ConvPlaneInputGrad(wt, g, c.OutC, c.InC, h, w, c.K, c.Pad, scratch, dx.Data[s*inSz:(s+1)*inSz])
+		default:
+			gS.Data, opS.Data = g, op
+			// dW += g_s · op_sᵀ
+			tensor.Gemm(false, true, 1, gS, opS, 1, dwm)
+			// dcols_s = Wᵀ · g_s: the sample's dX plane itself when
+			// pointwise, folded back into it otherwise.
+			if pointwise {
+				dcols.Data = dx.Data[s*inSz : (s+1)*inSz]
+			}
+			tensor.Gemm(true, false, 1, wm, gS, 0, dcols)
+			if !pointwise {
+				dxS.Data = dx.Data[s*inSz : (s+1)*inSz]
+				tensor.Col2Im(dcols, c.InC, h, w, c.K, c.K, c.Stride, c.Pad, dxS)
+			}
 		}
 		if c.UseBias {
 			for o := 0; o < c.OutC; o++ {
-				row := gS.Data[o*spatial : (o+1)*spatial]
+				row := g[o*spatial : (o+1)*spatial]
 				acc := 0.0
 				for _, v := range row {
 					acc += v

@@ -9,8 +9,8 @@ import (
 	"adaptivefl/internal/tensor"
 )
 
-// naiveConv2D is the direct 7-loop reference convolution the batched
-// im2col+GEMM path is checked against.
+// naiveConv2D is the direct 7-loop reference convolution the GEMM paths
+// are checked against.
 func naiveConv2D(x, weight *tensor.Tensor, bias []float64, stride, pad int) *tensor.Tensor {
 	n, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outC, k := weight.Shape[0], weight.Shape[2]
@@ -84,7 +84,7 @@ func naiveDepthwise(x, weight *tensor.Tensor, bias []float64, stride, pad int) *
 	return out
 }
 
-// TestConv2DBatchedMatchesNaive checks the batched im2col+GEMM forward
+// TestConv2DBatchedMatchesNaive checks the per-sample GEMM forward
 // against the direct convolution to 1e-9, in both train and eval mode.
 func TestConv2DBatchedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -158,19 +158,19 @@ func TestDepthwiseMatchesNaive(t *testing.T) {
 }
 
 // TestConvEvalReleasesCache pins the memory contract: an eval-mode forward
-// must not retain the input or the im2col buffer, and a train-mode forward
-// must (Backward needs them).
+// must not retain the input or the unfold operands (padded planes here),
+// and a train-mode forward must (Backward needs them).
 func TestConvEvalReleasesCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	conv := NewConv2D(rng, "c", 2, 3, 3, 1, 1, false)
 	x := tensor.Randn(rng, 1, 2, 2, 6, 6)
 
 	conv.Forward(x, true)
-	if conv.in == nil || conv.cols == nil {
+	if conv.in == nil || conv.saved == nil {
 		t.Fatal("train forward must retain the backward cache")
 	}
 	conv.Forward(x, false)
-	if conv.in != nil || conv.cols != nil {
+	if conv.in != nil || conv.saved != nil {
 		t.Fatal("eval forward must release the backward cache")
 	}
 
@@ -186,19 +186,19 @@ func TestConvEvalReleasesCache(t *testing.T) {
 }
 
 // TestConvEvalScratchReuse: repeated eval-mode forwards of an unbound layer
-// must not grow a fresh column matrix per call — the layer recycles its
-// own column buffer, so steady-state inference allocates only the output.
+// must not grow a fresh unfold operand per call — the layer recycles its
+// own buffer, so steady-state inference allocates only the output.
 func TestConvEvalScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates per-call heap bytes past the threshold")
 	}
 	rng := rand.New(rand.NewSource(46))
-	conv := NewConv2D(rng, "c", 4, 8, 3, 1, 1, false)
-	x := tensor.Randn(rng, 1, 2, 4, 8, 8)
+	conv := NewConv2D(rng, "c", 16, 2, 3, 1, 1, false)
+	x := tensor.Randn(rng, 1, 2, 16, 8, 8)
 	want := conv.Forward(x, false)
-	// Warm the scratch, then measure steady-state allocated bytes. The column
-	// matrix (4·3·3 × 2·8·8 = 4608 floats ≈ 37 KB) dwarfs the 8 KB output
-	// tensor, so reuse shows up as a large drop in bytes per call.
+	// Warm the scratch, then measure steady-state allocated bytes. One
+	// worker's padded plane (16 × 10·10 floats ≈ 13 KB) dwarfs the 2 KB
+	// output tensor, so reuse shows up as a large drop in bytes per call.
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -208,10 +208,10 @@ func TestConvEvalScratchReuse(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perCall := (m1.TotalAlloc - m0.TotalAlloc) / calls
-	// The output tensor plus headers is ~9 KB; without the scratch the column
-	// matrix and GEMM buffer add another ~38 KB every call.
-	if perCall > 20000 {
-		t.Fatalf("eval forward allocates %d bytes per call; column scratch not engaged", perCall)
+	// The output tensor plus headers and worker bookkeeping is ~3 KB;
+	// without the scratch every call adds at least one 13 KB plane.
+	if perCall > 8000 {
+		t.Fatalf("eval forward allocates %d bytes per call; unfold scratch not engaged", perCall)
 	}
 	got := conv.Forward(x, false)
 	for i := range want.Data {

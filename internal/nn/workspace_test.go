@@ -12,6 +12,10 @@ import (
 // ones that accumulate into their result and so depend on Zeros: a
 // bias-free depthwise convolution, both pooling backward passes, and a
 // pointwise convolution whose backward writes dX without a column buffer.
+// c1 and c3 read their unfold in place from padded planes 10 and 6 wide
+// (c3's 4-wide output rows go four to a kernel strip); c4 widens its 4×4
+// input to a 6×6 output, a stride-1 convolution whose rows are not a
+// multiple of 4 wide and so keeps its column block.
 func stepNet(seed int64) *Sequential {
 	rng := rand.New(rand.NewSource(seed))
 	return NewSequential(
@@ -21,6 +25,8 @@ func stepNet(seed int64) *Sequential {
 		NewDepthwiseConv2D(rng, "dw", 6, 3, 1, 1, false),
 		NewReLU6(),
 		NewMaxPool2D(2, 2),
+		NewConv2D(rng, "c3", 6, 6, 3, 1, 1, false),
+		NewConv2D(rng, "c4", 6, 6, 3, 1, 2, false),
 		NewConv2D(rng, "pw", 6, 8, 1, 1, 0, true),
 		NewAvgPool2D(2, 2),
 		NewDropout(rand.New(rand.NewSource(seed+1)), 0.25),

@@ -1,11 +1,12 @@
 package tensor
 
-// Row kernels behind the blocked GEMM. A kernel owns its inner loops: one
-// call covers a whole k-panel for a pair of C rows (axpyRows, the NN and
-// TN cases) or every B row of a column span against a pair of A rows
-// (dotRows, the NT case), so narrow operands — the 6-to-51-channel
-// convolutions of width-pruned submodels — spend their time inside the
-// kernel rather than entering it.
+// Row kernels behind the blocked GEMM and the implicit-unfold convolution.
+// A kernel owns its inner loops: one call covers a whole k-panel for a
+// pair of C rows (axpyRows, the NN and TN cases) or every B row of a
+// column span against a pair of A rows (dotRows and dotPanel, the NT
+// case), so narrow operands — the 6-to-51-channel convolutions of
+// width-pruned submodels — spend their time inside the kernel rather than
+// entering it.
 //
 // Each kernel has an amd64/AVX implementation (axpy_amd64.s) and the
 // portable Go twin below, which is the bitwise reference: the AVX code
@@ -14,36 +15,97 @@ package tensor
 // — only how fast it is produced. Build with -tags purego to run the Go
 // twins on amd64.
 
-// axpyRows2 accumulates one k-panel into the C row pair c0, c1. u0 and u1
-// hold the panel's scaled A coefficients for the two rows (alpha*A[i,p]),
-// b starts at the panel's first B row and the span's first column, and
-// ldb is B's row stride. Per element, over len(u0) k steps taken in
-// pairs with a single trailing step when the count is odd:
+// panel is the B operand of a row-kernel call, read in place, and the
+// layout of the C rows it is multiplied into: row p of segment r is the n
+// elements from b[taps[p] + r*ldb], and segment r of a C row is the n
+// elements from c[r*ldc]. A stride-1 convolution reads its zero-padded
+// input plane with one segment per output row and a tap at each
+// (channel, ki, kj) window corner (convTaps); taps are non-negative and
+// ascending. A GEMM panel is dense: no taps, one segment, and row p at
+// b[p*ldb].
+type panel struct {
+	b        []float64
+	taps     []int
+	ldb, ldc int
+	segs, n  int
+}
+
+// cmode says what a row kernel does with the C elements it computes.
+type cmode int
+
+const (
+	// addTo accumulates into C, pair by pair.
+	addTo cmode = iota
+	// writeTo starts from +0 instead of C's contents: the bits a cleared
+	// C gives, without the pass that clears it.
+	writeTo
+	// foldInto forms the sum from +0 and then adds it to C once, as a
+	// col2im fold adds a column block's finished element.
+	foldInto
+)
+
+// axpyRows2 multiplies one k-panel into the C row pair c0, c1. u0 and u1
+// hold the panel's scaled A coefficients for the two rows (alpha*A[i,p]).
+// Per element, over len(u0) k steps taken in pairs with a single trailing
+// step when the count is odd, the sum
 //
-//	c0[j] += u0[p]*b[p][j] + u0[p+1]*b[p+1][j]
-//	c1[j] += u1[p]*b[p][j] + u1[p+1]*b[p+1][j]
-func axpyRows2(u0, u1, b []float64, ldb int, c0, c1 []float64) {
-	if j := axpyRows2Accel(u0, u1, b, ldb, c0, c1); j < len(c0) {
-		axpyRows2Generic(u0, u1, b[j:], ldb, c0[j:], c1[j:])
+//	s0[j] = u0[p]*B[p][j] + u0[p+1]*B[p+1][j] + …
+//	s1[j] = u1[p]*B[p][j] + u1[p+1]*B[p+1][j] + …
+//
+// joins C as mode says.
+func axpyRows2(u0, u1 []float64, pn *panel, c0, c1 []float64, mode cmode) {
+	j := axpyRows2Accel(u0, u1, pn, c0, c1, mode)
+	if j == pn.n {
+		return
+	}
+	for r := 0; r < pn.segs; r++ {
+		lo, hi := r*pn.ldc+j, r*pn.ldc+pn.n
+		axpyRows2Generic(u0, u1, pn.b[r*pn.ldb+j:], pn.taps, pn.ldb, c0[lo:hi], c1[lo:hi], mode)
 	}
 }
 
 // axpyRows1 is axpyRows2 for a single C row. It keeps the identical
 // 2-wise k grouping, so a row's accumulation order does not depend on
 // whether it was processed as half of a pair or alone.
-func axpyRows1(u0, b []float64, ldb int, c0 []float64) {
-	if j := axpyRows1Accel(u0, b, ldb, c0); j < len(c0) {
-		axpyRows1Generic(u0, b[j:], ldb, c0[j:])
+func axpyRows1(u0 []float64, pn *panel, c0 []float64, mode cmode) {
+	j := axpyRows1Accel(u0, pn, c0, mode)
+	if j == pn.n {
+		return
+	}
+	for r := 0; r < pn.segs; r++ {
+		axpyRows1Generic(u0, pn.b[r*pn.ldb+j:], pn.taps, pn.ldb, c0[r*pn.ldc+j:r*pn.ldc+pn.n], mode)
 	}
 }
 
-func axpyRows2Generic(u0, u1, b []float64, ldb int, c0, c1 []float64) {
+// tap returns where B row p of a segment starts: taps[p], or p·ldb in a
+// dense panel.
+func tap(taps []int, ldb, p int) int {
+	if taps == nil {
+		return p * ldb
+	}
+	return taps[p]
+}
+
+// axpyRows2Generic is the Go twin for one segment: B row p is b[tap(p):].
+func axpyRows2Generic(u0, u1, b []float64, taps []int, ldb int, c0, c1 []float64, mode cmode) {
 	nj := len(c0)
 	c1 = c1[:nj]
+	if mode == foldInto {
+		for j := range c0 {
+			s0, s1 := axpyCol(u0, b, taps, ldb, j), axpyCol(u1, b, taps, ldb, j)
+			c0[j] += s0
+			c1[j] += s1
+		}
+		return
+	}
+	if mode == writeTo {
+		clear(c0)
+		clear(c1)
+	}
 	p := 0
 	for ; p+2 <= len(u0); p += 2 {
 		s0, s1, t0, t1 := u0[p], u0[p+1], u1[p], u1[p+1]
-		b0, b1 := b[p*ldb:][:nj], b[(p+1)*ldb:][:nj]
+		b0, b1 := b[tap(taps, ldb, p):][:nj], b[tap(taps, ldb, p+1):][:nj]
 		for j := range c0 {
 			bv0, bv1 := b0[j], b1[j]
 			c0[j] += s0*bv0 + s1*bv1
@@ -52,7 +114,7 @@ func axpyRows2Generic(u0, u1, b []float64, ldb int, c0, c1 []float64) {
 	}
 	if p < len(u0) {
 		s, t := u0[p], u1[p]
-		bp := b[p*ldb:][:nj]
+		bp := b[tap(taps, ldb, p):][:nj]
 		for j := range c0 {
 			bv := bp[j]
 			c0[j] += s * bv
@@ -61,63 +123,122 @@ func axpyRows2Generic(u0, u1, b []float64, ldb int, c0, c1 []float64) {
 	}
 }
 
-func axpyRows1Generic(u0, b []float64, ldb int, c0 []float64) {
+func axpyRows1Generic(u0, b []float64, taps []int, ldb int, c0 []float64, mode cmode) {
 	nj := len(c0)
+	if mode == foldInto {
+		for j := range c0 {
+			c0[j] += axpyCol(u0, b, taps, ldb, j)
+		}
+		return
+	}
+	if mode == writeTo {
+		clear(c0)
+	}
 	p := 0
 	for ; p+2 <= len(u0); p += 2 {
 		s0, s1 := u0[p], u0[p+1]
-		b0, b1 := b[p*ldb:][:nj], b[(p+1)*ldb:][:nj]
+		b0, b1 := b[tap(taps, ldb, p):][:nj], b[tap(taps, ldb, p+1):][:nj]
 		for j := range c0 {
 			c0[j] += s0*b0[j] + s1*b1[j]
 		}
 	}
 	if p < len(u0) {
 		s := u0[p]
-		bp := b[p*ldb:][:nj]
+		bp := b[tap(taps, ldb, p):][:nj]
 		for j := range c0 {
 			c0[j] += s * bp[j]
 		}
 	}
 }
 
+// axpyCol is one column's sum of the row kernels, from +0.
+func axpyCol(u, b []float64, taps []int, ldb, j int) float64 {
+	var s float64
+	p := 0
+	for ; p+2 <= len(u); p += 2 {
+		s += u[p]*b[tap(taps, ldb, p)+j] + u[p+1]*b[tap(taps, ldb, p+1)+j]
+	}
+	if p < len(u) {
+		s += u[p] * b[tap(taps, ldb, p)+j]
+	}
+	return s
+}
+
 // dotRows2 computes c0[j] += alpha*dot(a0, b_j) and c1[j] += alpha*dot(a1,
-// b_j) for the len(c0) consecutive rows b_j of b, each len(a0) long.
-func dotRows2(a0, a1, b []float64, alpha float64, c0, c1 []float64) {
-	if dotRows2Accel(a0, a1, b, alpha, c0, c1) {
+// b_j) for the len(c0) consecutive rows b_j of b, each len(a0) long. With
+// first set, c0 and c1 start from +0 instead of their contents.
+func dotRows2(a0, a1, b []float64, alpha float64, c0, c1 []float64, first bool) {
+	if dotRows2Accel(a0, a1, b, alpha, c0, c1, first) {
 		return
+	}
+	if first {
+		clear(c0)
+		clear(c1[:len(c0)])
 	}
 	k := len(a0)
 	for j := range c0 {
 		bj := b[j*k : j*k+k]
-		c0[j] += alpha * dot(a0, bj)
-		c1[j] += alpha * dot(a1, bj)
+		c0[j] += alpha * dot(a0, bj, k, k)
+		c1[j] += alpha * dot(a1, bj, k, k)
 	}
 }
 
 // dotRows1 is dotRows2 for a single A row.
-func dotRows1(a0, b []float64, alpha float64, c0 []float64) {
-	if dotRows1Accel(a0, b, alpha, c0) {
+func dotRows1(a0, b []float64, alpha float64, c0 []float64, first bool) {
+	if dotRows1Accel(a0, b, alpha, c0, first) {
 		return
+	}
+	if first {
+		clear(c0)
 	}
 	k := len(a0)
 	for j := range c0 {
-		c0[j] += alpha * dot(a0, b[j*k:j*k+k])
+		c0[j] += alpha * dot(a0, b[j*k:j*k+k], k, k)
 	}
 }
 
-// dot computes the inner product of a and b with a fixed reduction tree:
-// 16 partial sums striped by index mod 16, folded lanewise to
-// t[l] = (s[l] + s[l+4]) + (s[l+8] + s[l+12]), then ((t0+t1)+(t2+t3)),
-// with a sequential tail for the remainder. The tree is a function of
-// len(a) alone, so serial, pooled, and AVX execution all agree bitwise.
-func dot(a, b []float64) float64 {
+// dotPanel2 computes c0[j] += dot(a0, B_j) and c1[j] += dot(a1, B_j) for
+// the len(c0) rows B_j of the panel pn, each pn.segs·pn.n long and read
+// in place (element q of B_j is b[taps[j] + (q/n)*ldb + q%n]): the NT
+// product of a convolution's filter gradient, against the unfold it
+// never materialises.
+func dotPanel2(a0, a1 []float64, pn *panel, c0, c1 []float64) {
+	if dotPanel2Accel(a0, a1, pn, c0, c1) {
+		return
+	}
+	for j := range c0 {
+		bj := pn.b[pn.taps[j]:]
+		c0[j] += dot(a0, bj, pn.n, pn.ldb)
+		c1[j] += dot(a1, bj, pn.n, pn.ldb)
+	}
+}
+
+// dotPanel1 is dotPanel2 for a single A row.
+func dotPanel1(a0 []float64, pn *panel, c0 []float64) {
+	if dotPanel1Accel(a0, pn, c0) {
+		return
+	}
+	for j := range c0 {
+		c0[j] += dot(a0, pn.b[pn.taps[j]:], pn.n, pn.ldb)
+	}
+}
+
+// dot computes the inner product of a with a vector of b laid out in
+// segments of n elements ldb apart (element q is b[(q/n)*ldb + q%n]; a
+// contiguous vector is one segment), with a fixed reduction tree: 16
+// partial sums striped by index mod 16, folded lanewise to t[l] = (s[l] +
+// s[l+4]) + (s[l+8] + s[l+12]), then ((t0+t1)+(t2+t3)), with a sequential
+// tail for the remainder. The tree is a function of len(a) alone, so
+// serial, pooled, and AVX execution all agree bitwise, and so do a
+// column block and the plane it was unfolded from.
+func dot(a, b []float64, n, ldb int) float64 {
 	n16 := len(a) &^ 15
 	var s [16]float64
-	for p := 0; p < n16; p += 16 {
-		aa := a[p : p+16]
-		bb := b[p : p+16]
-		for l := 0; l < 16; l++ {
-			s[l] += aa[l] * bb[l]
+	q, row, col := 0, 0, 0
+	for ; q < n16; q++ {
+		s[q&15] += a[q] * b[row+col]
+		if col++; col == n {
+			row, col = row+ldb, 0
 		}
 	}
 	var t [4]float64
@@ -125,8 +246,11 @@ func dot(a, b []float64) float64 {
 		t[l] = (s[l] + s[l+4]) + (s[l+8] + s[l+12])
 	}
 	sum := (t[0] + t[1]) + (t[2] + t[3])
-	for p := n16; p < len(a); p++ {
-		sum += a[p] * b[p]
+	for ; q < len(a); q++ {
+		sum += a[q] * b[row+col]
+		if col++; col == n {
+			row, col = row+ldb, 0
+		}
 	}
 	return sum
 }

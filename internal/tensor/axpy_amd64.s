@@ -24,22 +24,39 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // The row kernels below use only AVX1 instructions, with separate
 // VMULPD/VADDPD (no FMA contraction) in exactly the association of their
 // Go twins in axpy.go, so they are bitwise interchangeable with them.
+// Their inner loops start on 32-byte boundaries (PCALIGN), so that an
+// edit elsewhere in the file does not move a loop's branches across the
+// boundaries some cores' decoders penalise.
 
 // Register use shared by the two axpyRows kernels:
 //   SI, DI   u0, u1 (scaled A coefficients of the two C rows)
 //   CX       kp, the number of k steps
-//   BX       B at the current column strip, row 0 of the panel
-//   DX       B's row stride in bytes
+//   DX       taps, the element offset of each B row from a segment's base;
+//            for a dense panel (taps nil), B's row stride in bytes
+//   R11      B at the current segment's base
+//   BX       B at the current column strip of the segment
 //   R8, R9   c0, c1 at the current strip
-//   R10      columns left
-//   R11      B cursor (row p of the strip), AX = p, R12 = pairs left
+//   R10      columns left in the segment
+//   AX = p, R12 = pairs left, R13 and R14 = B rows p and p+1 at the strip
 //   Y8, Y9   u0[p], u0[p+1] broadcast;  Y10, Y11  u1[p], u1[p+1]
+
+// ROWS2AT points R13 and R14 at B rows p and p+1 of the strip whose
+// base is in base; ROW1AT points R13 at row p.
+#define ROWS2AT(base) \
+	MOVQ 0(DX)(AX*8), R13; \
+	MOVQ 8(DX)(AX*8), R14; \
+	LEAQ (base)(R13*8), R13; \
+	LEAQ (base)(R14*8), R14
+
+#define ROW1AT(base) \
+	MOVQ 0(DX)(AX*8), R13; \
+	LEAQ (base)(R13*8), R13
 
 // PAIR2 adds one k pair to four columns of both rows:
 // a0 += u0[p]*b[p] + u0[p+1]*b[p+1];  a1 += u1[p]*b[p] + u1[p+1]*b[p+1].
 #define PAIR2(off, a0, a1) \
-	VMOVUPD off(R11), Y12; \
-	VMOVUPD off(R11)(DX*1), Y13; \
+	VMOVUPD off(R13), Y12; \
+	VMOVUPD off(R14), Y13; \
 	VMULPD  Y12, Y8, Y14; \
 	VMULPD  Y13, Y9, Y15; \
 	VADDPD  Y15, Y14, Y14; \
@@ -51,7 +68,7 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 
 // LAST2 adds the single trailing k step: a0 += u0[p]*b[p]; a1 += u1[p]*b[p].
 #define LAST2(off, a0, a1) \
-	VMOVUPD off(R11), Y12; \
+	VMOVUPD off(R13), Y12; \
 	VMULPD  Y12, Y8, Y14; \
 	VADDPD  Y14, a0, a0; \
 	VMULPD  Y12, Y10, Y14; \
@@ -59,38 +76,80 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 
 // PAIR1 and LAST1 are the one-row forms.
 #define PAIR1(off, a0) \
-	VMOVUPD off(R11), Y12; \
-	VMOVUPD off(R11)(DX*1), Y13; \
+	VMOVUPD off(R13), Y12; \
+	VMOVUPD off(R14), Y13; \
 	VMULPD  Y12, Y8, Y14; \
 	VMULPD  Y13, Y9, Y15; \
 	VADDPD  Y15, Y14, Y14; \
 	VADDPD  Y14, a0, a0
 
 #define LAST1(off, a0) \
-	VMOVUPD off(R11), Y12; \
+	VMOVUPD off(R13), Y12; \
 	VMULPD  Y12, Y8, Y14; \
 	VADDPD  Y14, a0, a0
 
-// func axpyRows2AVX(u0, u1 *float64, kp int, b *float64, ldb int, c0, c1 *float64, n int)
+// PAIR2M and LAST2M are PAIR2 and LAST2 with B's four columns loaded from
+// m0 (row p) and m1 (row p+1).
+#define PAIR2M(m0, m1, a0, a1) \
+	VMOVUPD m0, Y12; \
+	VMOVUPD m1, Y13; \
+	VMULPD  Y12, Y8, Y14; \
+	VMULPD  Y13, Y9, Y15; \
+	VADDPD  Y15, Y14, Y14; \
+	VADDPD  Y14, a0, a0; \
+	VMULPD  Y12, Y10, Y14; \
+	VMULPD  Y13, Y11, Y15; \
+	VADDPD  Y15, Y14, Y14; \
+	VADDPD  Y14, a1, a1
+
+#define LAST2M(m0, a0, a1) \
+	VMOVUPD m0, Y12; \
+	VMULPD  Y12, Y8, Y14; \
+	VADDPD  Y14, a0, a0; \
+	VMULPD  Y12, Y10, Y14; \
+	VADDPD  Y14, a1, a1
+
+// func axpyRows2AVX(u0, u1 *float64, kp int, b *float64, taps *int, ldb int, c0, c1 *float64, ldc, n, segs, mode int)
 //
-// For j in [0,n), n a multiple of 4: c0[j] and c1[j] each accumulate the
-// whole k panel — pairs (p, p+1) in order, then the single trailing step
-// when kp is odd — with the C strip held in registers across k: sixteen
-// columns per strip while they last, then four.
-TEXT ·axpyRows2AVX(SB), NOSPLIT, $0-64
+// For each of segs segments — B's ldb elements after the previous one,
+// C's ldc — and j in [0,n), n a multiple of 4: c0[j] and c1[j] each
+// take the whole k panel — pairs (p, p+1) in order, then the single
+// trailing step when kp is odd — with the strip held in registers across
+// k: sixteen columns per strip while they last, then four. Segments of 8
+// or 4 columns go two or four to a strip instead, while that many
+// remain, so that each broadcast coefficient still meets four vectors of
+// B. mode is a cmode: addTo (0) starts the strip from C, writeTo (1) from
+// +0, and foldInto (2) from +0 and adds C to it before the store.
+TEXT ·axpyRows2AVX(SB), NOSPLIT, $0-96
 	MOVQ u0+0(FP), SI
 	MOVQ u1+8(FP), DI
 	MOVQ kp+16(FP), CX
-	MOVQ b+24(FP), BX
-	MOVQ ldb+32(FP), DX
+	MOVQ b+24(FP), R11
+	MOVQ taps+32(FP), DX
+	MOVQ c0+48(FP), R8
+	MOVQ c1+56(FP), R9
+	TESTQ DX, DX
+	JNZ  r2tapped
+	MOVQ ldb+40(FP), DX
 	SHLQ $3, DX
-	MOVQ c0+40(FP), R8
-	MOVQ c1+48(FP), R9
-	MOVQ n+56(FP), R10
+	JMP  r2seg
+
+r2tapped:
+	MOVQ n+72(FP), R10
+	CMPQ R10, $8
+	JEQ  r2n8
+	CMPQ R10, $4
+	JEQ  r2n4
+
+r2seg:
+	MOVQ R11, BX
+	MOVQ n+72(FP), R10
 
 r2strip16:
 	CMPQ R10, $16
 	JLT  r2strip4
+	CMPQ mode+88(FP), $0
+	JNE  r2zero16
 	VMOVUPD 0(R8), Y0
 	VMOVUPD 32(R8), Y1
 	VMOVUPD 64(R8), Y2
@@ -99,23 +158,40 @@ r2strip16:
 	VMOVUPD 32(R9), Y5
 	VMOVUPD 64(R9), Y6
 	VMOVUPD 96(R9), Y7
-	MOVQ BX, R11
+	JMP  r2k16
+
+r2zero16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+r2k16:
 	XORQ AX, AX
 	MOVQ CX, R12
 	SHRQ $1, R12
+	CMPQ taps+32(FP), $0
+	JEQ  r2d16
+	TESTQ R12, R12
 	JZ   r2last16
+
+	PCALIGN $32
 
 r2pair16:
 	VBROADCASTSD 0(SI)(AX*8), Y8
 	VBROADCASTSD 8(SI)(AX*8), Y9
 	VBROADCASTSD 0(DI)(AX*8), Y10
 	VBROADCASTSD 8(DI)(AX*8), Y11
+	ROWS2AT(BX)
 	PAIR2(0, Y0, Y4)
 	PAIR2(32, Y1, Y5)
 	PAIR2(64, Y2, Y6)
 	PAIR2(96, Y3, Y7)
 	ADDQ $2, AX
-	LEAQ (R11)(DX*2), R11
 	DECQ R12
 	JNZ  r2pair16
 
@@ -124,12 +200,25 @@ r2last16:
 	JZ    r2store16
 	VBROADCASTSD 0(SI)(AX*8), Y8
 	VBROADCASTSD 0(DI)(AX*8), Y10
+	ROW1AT(BX)
 	LAST2(0, Y0, Y4)
 	LAST2(32, Y1, Y5)
 	LAST2(64, Y2, Y6)
 	LAST2(96, Y3, Y7)
 
 r2store16:
+	CMPQ mode+88(FP), $2
+	JNE  r2put16
+	VADDPD 0(R8), Y0, Y0
+	VADDPD 32(R8), Y1, Y1
+	VADDPD 64(R8), Y2, Y2
+	VADDPD 96(R8), Y3, Y3
+	VADDPD 0(R9), Y4, Y4
+	VADDPD 32(R9), Y5, Y5
+	VADDPD 64(R9), Y6, Y6
+	VADDPD 96(R9), Y7, Y7
+
+r2put16:
 	VMOVUPD Y0, 0(R8)
 	VMOVUPD Y1, 32(R8)
 	VMOVUPD Y2, 64(R8)
@@ -146,23 +235,36 @@ r2store16:
 
 r2strip4:
 	CMPQ R10, $4
-	JLT  r2done
+	JLT  r2segend
+	CMPQ mode+88(FP), $0
+	JNE  r2zero4
 	VMOVUPD 0(R8), Y0
 	VMOVUPD 0(R9), Y4
-	MOVQ BX, R11
+	JMP  r2k4
+
+r2zero4:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+
+r2k4:
 	XORQ AX, AX
 	MOVQ CX, R12
 	SHRQ $1, R12
+	CMPQ taps+32(FP), $0
+	JEQ  r2d4
+	TESTQ R12, R12
 	JZ   r2last4
+
+	PCALIGN $32
 
 r2pair4:
 	VBROADCASTSD 0(SI)(AX*8), Y8
 	VBROADCASTSD 8(SI)(AX*8), Y9
 	VBROADCASTSD 0(DI)(AX*8), Y10
 	VBROADCASTSD 8(DI)(AX*8), Y11
+	ROWS2AT(BX)
 	PAIR2(0, Y0, Y4)
 	ADDQ $2, AX
-	LEAQ (R11)(DX*2), R11
 	DECQ R12
 	JNZ  r2pair4
 
@@ -171,9 +273,16 @@ r2last4:
 	JZ    r2store4
 	VBROADCASTSD 0(SI)(AX*8), Y8
 	VBROADCASTSD 0(DI)(AX*8), Y10
+	ROW1AT(BX)
 	LAST2(0, Y0, Y4)
 
 r2store4:
+	CMPQ mode+88(FP), $2
+	JNE  r2put4
+	VADDPD 0(R8), Y0, Y0
+	VADDPD 0(R9), Y4, Y4
+
+r2put4:
 	VMOVUPD Y0, 0(R8)
 	VMOVUPD Y4, 0(R9)
 	ADDQ $32, BX
@@ -182,44 +291,328 @@ r2store4:
 	SUBQ $4, R10
 	JMP  r2strip4
 
+// A dense panel (no taps): B row p is p rows of DX bytes past the strip.
+r2d16:
+	MOVQ BX, R13
+	TESTQ R12, R12
+	JZ   r2d16last
+
+	PCALIGN $32
+
+r2d16pair:
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 8(SI)(AX*8), Y9
+	VBROADCASTSD 0(DI)(AX*8), Y10
+	VBROADCASTSD 8(DI)(AX*8), Y11
+	LEAQ (R13)(DX*1), R14
+	PAIR2(0, Y0, Y4)
+	PAIR2(32, Y1, Y5)
+	PAIR2(64, Y2, Y6)
+	PAIR2(96, Y3, Y7)
+	ADDQ $2, AX
+	LEAQ (R13)(DX*2), R13
+	DECQ R12
+	JNZ  r2d16pair
+
+r2d16last:
+	TESTQ $1, CX
+	JZ    r2store16
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 0(DI)(AX*8), Y10
+	LAST2(0, Y0, Y4)
+	LAST2(32, Y1, Y5)
+	LAST2(64, Y2, Y6)
+	LAST2(96, Y3, Y7)
+	JMP   r2store16
+
+r2d4:
+	MOVQ BX, R13
+	TESTQ R12, R12
+	JZ   r2d4last
+
+	PCALIGN $32
+
+r2d4pair:
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 8(SI)(AX*8), Y9
+	VBROADCASTSD 0(DI)(AX*8), Y10
+	VBROADCASTSD 8(DI)(AX*8), Y11
+	LEAQ (R13)(DX*1), R14
+	PAIR2(0, Y0, Y4)
+	ADDQ $2, AX
+	LEAQ (R13)(DX*2), R13
+	DECQ R12
+	JNZ  r2d4pair
+
+r2d4last:
+	TESTQ $1, CX
+	JZ    r2store4
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 0(DI)(AX*8), Y10
+	LAST2(0, Y0, Y4)
+	JMP   r2store4
+
+r2segend:
+	// C steps over the segment's columns past n, B to its next segment.
+	MOVQ ldc+64(FP), R12
+	SUBQ n+72(FP), R12
+	LEAQ (R8)(R12*8), R8
+	LEAQ (R9)(R12*8), R9
+	MOVQ ldb+40(FP), R12
+	LEAQ (R11)(R12*8), R11
+	DECQ segs+80(FP)
+	JNZ  r2seg
+
 r2done:
 	VZEROUPPER
 	RET
 
-// func axpyRows1AVX(u0 *float64, kp int, b *float64, ldb int, c0 *float64, n int)
+// Two 8-column segments per strip: R10 = B's segment stride in bytes,
+// R13 C's outside the k loop.
+r2n8:
+	CMPQ segs+80(FP), $2
+	JLT  r2seg
+	MOVQ ldb+40(FP), R10
+	SHLQ $3, R10
+	MOVQ ldc+64(FP), R13
+	SHLQ $3, R13
+	CMPQ mode+88(FP), $0
+	JNE  r2n8zero
+	VMOVUPD 0(R8), Y0
+	VMOVUPD 32(R8), Y1
+	VMOVUPD (R8)(R13*1), Y2
+	VMOVUPD 32(R8)(R13*1), Y3
+	VMOVUPD 0(R9), Y4
+	VMOVUPD 32(R9), Y5
+	VMOVUPD (R9)(R13*1), Y6
+	VMOVUPD 32(R9)(R13*1), Y7
+	JMP  r2n8k
+
+r2n8zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+r2n8k:
+	XORQ AX, AX
+	MOVQ CX, R12
+	SHRQ $1, R12
+	JZ   r2n8last
+
+	PCALIGN $32
+
+r2n8pair:
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 8(SI)(AX*8), Y9
+	VBROADCASTSD 0(DI)(AX*8), Y10
+	VBROADCASTSD 8(DI)(AX*8), Y11
+	ROWS2AT(R11)
+	PAIR2M(0(R13), 0(R14), Y0, Y4)
+	PAIR2M(32(R13), 32(R14), Y1, Y5)
+	PAIR2M((R13)(R10*1), (R14)(R10*1), Y2, Y6)
+	PAIR2M(32(R13)(R10*1), 32(R14)(R10*1), Y3, Y7)
+	ADDQ $2, AX
+	DECQ R12
+	JNZ  r2n8pair
+
+r2n8last:
+	TESTQ $1, CX
+	JZ    r2n8store
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 0(DI)(AX*8), Y10
+	ROW1AT(R11)
+	LAST2M(0(R13), Y0, Y4)
+	LAST2M(32(R13), Y1, Y5)
+	LAST2M((R13)(R10*1), Y2, Y6)
+	LAST2M(32(R13)(R10*1), Y3, Y7)
+
+r2n8store:
+	MOVQ ldc+64(FP), R13
+	SHLQ $3, R13
+	CMPQ mode+88(FP), $2
+	JNE  r2n8put
+	VADDPD 0(R8), Y0, Y0
+	VADDPD 32(R8), Y1, Y1
+	VADDPD (R8)(R13*1), Y2, Y2
+	VADDPD 32(R8)(R13*1), Y3, Y3
+	VADDPD 0(R9), Y4, Y4
+	VADDPD 32(R9), Y5, Y5
+	VADDPD (R9)(R13*1), Y6, Y6
+	VADDPD 32(R9)(R13*1), Y7, Y7
+
+r2n8put:
+	VMOVUPD Y0, 0(R8)
+	VMOVUPD Y1, 32(R8)
+	VMOVUPD Y2, (R8)(R13*1)
+	VMOVUPD Y3, 32(R8)(R13*1)
+	VMOVUPD Y4, 0(R9)
+	VMOVUPD Y5, 32(R9)
+	VMOVUPD Y6, (R9)(R13*1)
+	VMOVUPD Y7, 32(R9)(R13*1)
+	LEAQ (R8)(R13*2), R8
+	LEAQ (R9)(R13*2), R9
+	LEAQ (R11)(R10*2), R11
+	SUBQ $2, segs+80(FP)
+	JNZ  r2n8
+	JMP  r2done
+
+// Four 4-column segments per strip: R10 and BX = B's segment stride and
+// three times it, in bytes; R13 and R14 C's outside the k loop.
+r2n4:
+	CMPQ segs+80(FP), $4
+	JLT  r2seg
+	MOVQ ldb+40(FP), R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), BX
+	MOVQ ldc+64(FP), R13
+	SHLQ $3, R13
+	LEAQ (R13)(R13*2), R14
+	CMPQ mode+88(FP), $0
+	JNE  r2n4zero
+	VMOVUPD 0(R8), Y0
+	VMOVUPD (R8)(R13*1), Y1
+	VMOVUPD (R8)(R13*2), Y2
+	VMOVUPD (R8)(R14*1), Y3
+	VMOVUPD 0(R9), Y4
+	VMOVUPD (R9)(R13*1), Y5
+	VMOVUPD (R9)(R13*2), Y6
+	VMOVUPD (R9)(R14*1), Y7
+	JMP  r2n4k
+
+r2n4zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+r2n4k:
+	XORQ AX, AX
+	MOVQ CX, R12
+	SHRQ $1, R12
+	JZ   r2n4last
+
+	PCALIGN $32
+
+r2n4pair:
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 8(SI)(AX*8), Y9
+	VBROADCASTSD 0(DI)(AX*8), Y10
+	VBROADCASTSD 8(DI)(AX*8), Y11
+	ROWS2AT(R11)
+	PAIR2M(0(R13), 0(R14), Y0, Y4)
+	PAIR2M((R13)(R10*1), (R14)(R10*1), Y1, Y5)
+	PAIR2M((R13)(R10*2), (R14)(R10*2), Y2, Y6)
+	PAIR2M((R13)(BX*1), (R14)(BX*1), Y3, Y7)
+	ADDQ $2, AX
+	DECQ R12
+	JNZ  r2n4pair
+
+r2n4last:
+	TESTQ $1, CX
+	JZ    r2n4store
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 0(DI)(AX*8), Y10
+	ROW1AT(R11)
+	LAST2M(0(R13), Y0, Y4)
+	LAST2M((R13)(R10*1), Y1, Y5)
+	LAST2M((R13)(R10*2), Y2, Y6)
+	LAST2M((R13)(BX*1), Y3, Y7)
+
+r2n4store:
+	MOVQ ldc+64(FP), R13
+	SHLQ $3, R13
+	LEAQ (R13)(R13*2), R14
+	CMPQ mode+88(FP), $2
+	JNE  r2n4put
+	VADDPD 0(R8), Y0, Y0
+	VADDPD (R8)(R13*1), Y1, Y1
+	VADDPD (R8)(R13*2), Y2, Y2
+	VADDPD (R8)(R14*1), Y3, Y3
+	VADDPD 0(R9), Y4, Y4
+	VADDPD (R9)(R13*1), Y5, Y5
+	VADDPD (R9)(R13*2), Y6, Y6
+	VADDPD (R9)(R14*1), Y7, Y7
+
+r2n4put:
+	VMOVUPD Y0, 0(R8)
+	VMOVUPD Y1, (R8)(R13*1)
+	VMOVUPD Y2, (R8)(R13*2)
+	VMOVUPD Y3, (R8)(R14*1)
+	VMOVUPD Y4, 0(R9)
+	VMOVUPD Y5, (R9)(R13*1)
+	VMOVUPD Y6, (R9)(R13*2)
+	VMOVUPD Y7, (R9)(R14*1)
+	LEAQ (R8)(R13*4), R8
+	LEAQ (R9)(R13*4), R9
+	LEAQ (R11)(R10*4), R11
+	SUBQ $4, segs+80(FP)
+	JNZ  r2n4
+	JMP  r2done
+
+// func axpyRows1AVX(u0 *float64, kp int, b *float64, taps *int, ldb int, c0 *float64, ldc, n, segs, mode int)
 //
 // The one-row form of axpyRows2AVX, for the last row of an odd block.
-TEXT ·axpyRows1AVX(SB), NOSPLIT, $0-48
+TEXT ·axpyRows1AVX(SB), NOSPLIT, $0-80
 	MOVQ u0+0(FP), SI
 	MOVQ kp+8(FP), CX
-	MOVQ b+16(FP), BX
-	MOVQ ldb+24(FP), DX
+	MOVQ b+16(FP), R11
+	MOVQ taps+24(FP), DX
+	MOVQ c0+40(FP), R8
+	TESTQ DX, DX
+	JNZ  r1seg
+	MOVQ ldb+32(FP), DX
 	SHLQ $3, DX
-	MOVQ c0+32(FP), R8
-	MOVQ n+40(FP), R10
+
+r1seg:
+	MOVQ R11, BX
+	MOVQ n+56(FP), R10
 
 r1strip16:
 	CMPQ R10, $16
 	JLT  r1strip4
+	CMPQ mode+72(FP), $0
+	JNE  r1zero16
 	VMOVUPD 0(R8), Y0
 	VMOVUPD 32(R8), Y1
 	VMOVUPD 64(R8), Y2
 	VMOVUPD 96(R8), Y3
-	MOVQ BX, R11
+	JMP  r1k16
+
+r1zero16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+r1k16:
 	XORQ AX, AX
 	MOVQ CX, R12
 	SHRQ $1, R12
+	CMPQ taps+24(FP), $0
+	JEQ  r1d16
+	TESTQ R12, R12
 	JZ   r1last16
+
+	PCALIGN $32
 
 r1pair16:
 	VBROADCASTSD 0(SI)(AX*8), Y8
 	VBROADCASTSD 8(SI)(AX*8), Y9
+	ROWS2AT(BX)
 	PAIR1(0, Y0)
 	PAIR1(32, Y1)
 	PAIR1(64, Y2)
 	PAIR1(96, Y3)
 	ADDQ $2, AX
-	LEAQ (R11)(DX*2), R11
 	DECQ R12
 	JNZ  r1pair16
 
@@ -227,12 +620,21 @@ r1last16:
 	TESTQ $1, CX
 	JZ    r1store16
 	VBROADCASTSD 0(SI)(AX*8), Y8
+	ROW1AT(BX)
 	LAST1(0, Y0)
 	LAST1(32, Y1)
 	LAST1(64, Y2)
 	LAST1(96, Y3)
 
 r1store16:
+	CMPQ mode+72(FP), $2
+	JNE  r1put16
+	VADDPD 0(R8), Y0, Y0
+	VADDPD 32(R8), Y1, Y1
+	VADDPD 64(R8), Y2, Y2
+	VADDPD 96(R8), Y3, Y3
+
+r1put16:
 	VMOVUPD Y0, 0(R8)
 	VMOVUPD Y1, 32(R8)
 	VMOVUPD Y2, 64(R8)
@@ -244,20 +646,32 @@ r1store16:
 
 r1strip4:
 	CMPQ R10, $4
-	JLT  r1done
+	JLT  r1segend
+	CMPQ mode+72(FP), $0
+	JNE  r1zero4
 	VMOVUPD 0(R8), Y0
-	MOVQ BX, R11
+	JMP  r1k4
+
+r1zero4:
+	VXORPD Y0, Y0, Y0
+
+r1k4:
 	XORQ AX, AX
 	MOVQ CX, R12
 	SHRQ $1, R12
+	CMPQ taps+24(FP), $0
+	JEQ  r1d4
+	TESTQ R12, R12
 	JZ   r1last4
+
+	PCALIGN $32
 
 r1pair4:
 	VBROADCASTSD 0(SI)(AX*8), Y8
 	VBROADCASTSD 8(SI)(AX*8), Y9
+	ROWS2AT(BX)
 	PAIR1(0, Y0)
 	ADDQ $2, AX
-	LEAQ (R11)(DX*2), R11
 	DECQ R12
 	JNZ  r1pair4
 
@@ -265,16 +679,83 @@ r1last4:
 	TESTQ $1, CX
 	JZ    r1store4
 	VBROADCASTSD 0(SI)(AX*8), Y8
+	ROW1AT(BX)
 	LAST1(0, Y0)
 
 r1store4:
+	CMPQ mode+72(FP), $2
+	JNE  r1put4
+	VADDPD 0(R8), Y0, Y0
+
+r1put4:
 	VMOVUPD Y0, 0(R8)
 	ADDQ $32, BX
 	ADDQ $32, R8
 	SUBQ $4, R10
 	JMP  r1strip4
 
-r1done:
+r1d16:
+	MOVQ BX, R13
+	TESTQ R12, R12
+	JZ   r1d16last
+
+	PCALIGN $32
+
+r1d16pair:
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 8(SI)(AX*8), Y9
+	LEAQ (R13)(DX*1), R14
+	PAIR1(0, Y0)
+	PAIR1(32, Y1)
+	PAIR1(64, Y2)
+	PAIR1(96, Y3)
+	ADDQ $2, AX
+	LEAQ (R13)(DX*2), R13
+	DECQ R12
+	JNZ  r1d16pair
+
+r1d16last:
+	TESTQ $1, CX
+	JZ    r1store16
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	LAST1(0, Y0)
+	LAST1(32, Y1)
+	LAST1(64, Y2)
+	LAST1(96, Y3)
+	JMP   r1store16
+
+r1d4:
+	MOVQ BX, R13
+	TESTQ R12, R12
+	JZ   r1d4last
+
+	PCALIGN $32
+
+r1d4pair:
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	VBROADCASTSD 8(SI)(AX*8), Y9
+	LEAQ (R13)(DX*1), R14
+	PAIR1(0, Y0)
+	ADDQ $2, AX
+	LEAQ (R13)(DX*2), R13
+	DECQ R12
+	JNZ  r1d4pair
+
+r1d4last:
+	TESTQ $1, CX
+	JZ    r1store4
+	VBROADCASTSD 0(SI)(AX*8), Y8
+	LAST1(0, Y0)
+	JMP   r1store4
+
+r1segend:
+	MOVQ ldc+48(FP), R12
+	SUBQ n+56(FP), R12
+	LEAQ (R8)(R12*8), R8
+	MOVQ ldb+32(FP), R12
+	LEAQ (R11)(R12*8), R11
+	DECQ segs+64(FP)
+	JNZ  r1seg
 	VZEROUPPER
 	RET
 
@@ -282,6 +763,7 @@ r1done:
 //   SI, DI   a0, a1 (the two A rows)      CX   k      R12  k &^ 15
 //   BX       the current B row            R11  k*8    R10  B rows left
 //   R8, R9   c0, c1 at the current B row  X14  alpha  AX   p
+//   X13      what a result is added to when first is set: +0
 
 // STRIPE2 adds four products to one of the four striped partial sums of
 // each A row; STRIPE1 is the one-row form.
@@ -309,13 +791,14 @@ r1done:
 	VUNPCKHPD xa, xa, xt; \
 	VADDSD xt, xa, xa
 
-// func dotRows2AVX(a0, a1 *float64, k int, b *float64, nb int, alpha float64, c0, c1 *float64)
+// func dotRows2AVX(a0, a1 *float64, k int, b *float64, nb int, alpha float64, c0, c1 *float64, first int)
 //
 // For each of the nb rows b_j of B (k elements apiece, contiguous):
 // c0[j] += alpha*dot(a0, b_j) and c1[j] += alpha*dot(a1, b_j), where dot
 // is the fixed reduction tree of the Go twin: 16 striped partials folded
-// to one scalar, then the k%16 tail added sequentially.
-TEXT ·dotRows2AVX(SB), NOSPLIT, $0-64
+// to one scalar, then the k%16 tail added sequentially. When first is set
+// the products are added to +0 instead of C.
+TEXT ·dotRows2AVX(SB), NOSPLIT, $0-72
 	MOVQ a0+0(FP), SI
 	MOVQ a1+8(FP), DI
 	MOVQ k+16(FP), CX
@@ -328,6 +811,7 @@ TEXT ·dotRows2AVX(SB), NOSPLIT, $0-64
 	ANDQ $-16, R12
 	MOVQ CX, R11
 	SHLQ $3, R11
+	VXORPD X13, X13, X13
 
 d2row:
 	VXORPD Y0, Y0, Y0
@@ -341,6 +825,8 @@ d2row:
 	XORQ AX, AX
 	CMPQ AX, R12
 	JGE  d2fold
+
+	PCALIGN $32
 
 d2loop:
 	STRIPE2(0, Y0, Y4)
@@ -369,10 +855,19 @@ d2tail:
 
 d2out:
 	VMULSD X14, X0, X0
-	VADDSD (R8), X0, X0
-	VMOVSD X0, (R8)
 	VMULSD X14, X4, X4
+	CMPQ first+64(FP), $0
+	JNE  d2first
+	VADDSD (R8), X0, X0
 	VADDSD (R9), X4, X4
+	JMP  d2store
+
+d2first:
+	VADDSD X13, X0, X0
+	VADDSD X13, X4, X4
+
+d2store:
+	VMOVSD X0, (R8)
 	VMOVSD X4, (R9)
 	ADDQ R11, BX
 	ADDQ $8, R8
@@ -382,10 +877,10 @@ d2out:
 	VZEROUPPER
 	RET
 
-// func dotRows1AVX(a0 *float64, k int, b *float64, nb int, alpha float64, c0 *float64)
+// func dotRows1AVX(a0 *float64, k int, b *float64, nb int, alpha float64, c0 *float64, first int)
 //
 // The one-row form of dotRows2AVX.
-TEXT ·dotRows1AVX(SB), NOSPLIT, $0-48
+TEXT ·dotRows1AVX(SB), NOSPLIT, $0-56
 	MOVQ a0+0(FP), SI
 	MOVQ k+8(FP), CX
 	MOVQ b+16(FP), BX
@@ -396,6 +891,7 @@ TEXT ·dotRows1AVX(SB), NOSPLIT, $0-48
 	ANDQ $-16, R12
 	MOVQ CX, R11
 	SHLQ $3, R11
+	VXORPD X13, X13, X13
 
 d1row:
 	VXORPD Y0, Y0, Y0
@@ -405,6 +901,8 @@ d1row:
 	XORQ AX, AX
 	CMPQ AX, R12
 	JGE  d1fold
+
+	PCALIGN $32
 
 d1loop:
 	STRIPE1(0, Y0)
@@ -430,11 +928,390 @@ d1tail:
 
 d1out:
 	VMULSD X14, X0, X0
+	CMPQ first+48(FP), $0
+	JNE  d1first
 	VADDSD (R8), X0, X0
+	JMP  d1store
+
+d1first:
+	VADDSD X13, X0, X0
+
+d1store:
 	VMOVSD X0, (R8)
 	ADDQ R11, BX
 	ADDQ $8, R8
 	DECQ R10
 	JNZ  d1row
+	VZEROUPPER
+	RET
+
+// The dotPanel kernels are dotRows with B read in place from a panel:
+// B_j starts at taps[j] elements into b and runs in segments of n
+// elements, skip elements apart. A B cursor walks the segments, and the
+// count of elements left in the current segment says when it jumps; n is
+// a multiple of 4 or there is one segment, so no load of four straddles a
+// jump. The stripe loop checks for a jump after every group of four, or
+// — when n is 4, 8 or a multiple of 16 — once per block of sixteen.
+//
+// Register use:
+//   SI, DI   a0, a1                       CX   k      R12  k &^ 15
+//   R11      b                            DX   taps   R10  B rows left
+//   BX       the B cursor                 R13  elements left in its segment
+//   R8, R9   c0, c1 at the current B row  AX   p      R14  scratch
+
+// GROUP2 adds the four products at the B cursor to the striped partial
+// sums s0, s1 and moves the cursor on by four; GROUP1 is the one-row
+// form. Each is followed by NEXTSEG, which jumps the cursor to the next
+// segment when the current one is used up.
+#define GROUP2(off, s0, s1) \
+	VMOVUPD (BX), Y8; \
+	VMULPD  off(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, s0, s0; \
+	VMULPD  off(DI)(AX*8), Y8, Y10; \
+	VADDPD  Y10, s1, s1; \
+	ADDQ    $32, BX; \
+	SUBQ    $4, R13
+
+#define GROUP1(off, s0) \
+	VMOVUPD (BX), Y8; \
+	VMULPD  off(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, s0, s0; \
+	ADDQ    $32, BX; \
+	SUBQ    $4, R13
+
+#define NEXTSEG(skip, n) \
+	MOVQ skip, R14; \
+	LEAQ (BX)(R14*8), BX; \
+	MOVQ n, R13
+
+// BLOCK2 adds the sixteen products of one stripe block to the partial
+// sums of both A rows, B's four groups of four loaded from m0…m3 — the
+// loads of a block that lies in one segment (n a multiple of 16) or
+// spans two or four whole ones (n = 8 or 4), where its groups sit at
+// fixed offsets from the cursor. BLOCK1 is the one-row form.
+#define BLOCK2(m0, m1, m2, m3) \
+	VMOVUPD m0, Y8; \
+	VMULPD  0(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, Y0, Y0; \
+	VMULPD  0(DI)(AX*8), Y8, Y10; \
+	VADDPD  Y10, Y4, Y4; \
+	VMOVUPD m1, Y8; \
+	VMULPD  32(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, Y1, Y1; \
+	VMULPD  32(DI)(AX*8), Y8, Y10; \
+	VADDPD  Y10, Y5, Y5; \
+	VMOVUPD m2, Y8; \
+	VMULPD  64(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, Y2, Y2; \
+	VMULPD  64(DI)(AX*8), Y8, Y10; \
+	VADDPD  Y10, Y6, Y6; \
+	VMOVUPD m3, Y8; \
+	VMULPD  96(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, Y3, Y3; \
+	VMULPD  96(DI)(AX*8), Y8, Y10; \
+	VADDPD  Y10, Y7, Y7
+
+#define BLOCK1(m0, m1, m2, m3) \
+	VMOVUPD m0, Y8; \
+	VMULPD  0(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, Y0, Y0; \
+	VMOVUPD m1, Y8; \
+	VMULPD  32(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, Y1, Y1; \
+	VMOVUPD m2, Y8; \
+	VMULPD  64(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, Y2, Y2; \
+	VMOVUPD m3, Y8; \
+	VMULPD  96(SI)(AX*8), Y8, Y9; \
+	VADDPD  Y9, Y3, Y3
+
+// func dotPanel2AVX(a0, a1 *float64, k int, b *float64, taps *int, nb, n, skip int, c0, c1 *float64)
+//
+// For each of the nb rows B_j of the panel: c0[j] += dot(a0, B_j) and
+// c1[j] += dot(a1, B_j), in dotRows2AVX's reduction tree.
+TEXT ·dotPanel2AVX(SB), NOSPLIT, $0-80
+	MOVQ a0+0(FP), SI
+	MOVQ a1+8(FP), DI
+	MOVQ k+16(FP), CX
+	MOVQ b+24(FP), R11
+	MOVQ taps+32(FP), DX
+	MOVQ nb+40(FP), R10
+	MOVQ c0+64(FP), R8
+	MOVQ c1+72(FP), R9
+	MOVQ CX, R12
+	ANDQ $-16, R12
+
+p2row:
+	MOVQ (DX), R14
+	LEAQ (R11)(R14*8), BX
+	ADDQ $8, DX
+	MOVQ n+48(FP), R13
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ AX, AX
+	CMPQ AX, R12
+	JGE  p2fold
+	MOVQ n+48(FP), R14
+	CMPQ R14, $4
+	JEQ  p2n4
+	CMPQ R14, $8
+	JEQ  p2n8
+	TESTQ $15, R14
+	JZ   p2n16
+	JMP  p2loop
+
+	PCALIGN $32
+
+p2n16:
+	BLOCK2(0(BX), 32(BX), 64(BX), 96(BX))
+	ADDQ $128, BX
+	SUBQ $16, R13
+	JNZ  p2n16next
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+p2n16next:
+	ADDQ $16, AX
+	CMPQ AX, R12
+	JLT  p2n16
+	JMP  p2fold
+
+p2n8:
+	// R14 = the segment stride in bytes; a block is two segments.
+	MOVQ skip+56(FP), R14
+	ADDQ $8, R14
+	SHLQ $3, R14
+
+	PCALIGN $32
+
+p2n8loop:
+	BLOCK2((BX), 32(BX), (BX)(R14*1), 32(BX)(R14*1))
+	LEAQ (BX)(R14*2), BX
+	ADDQ $16, AX
+	CMPQ AX, R12
+	JLT  p2n8loop
+	MOVQ n+48(FP), R13
+	JMP  p2fold
+
+p2n4:
+	// R14 = the segment stride in bytes; a block is four segments.
+	MOVQ skip+56(FP), R14
+	ADDQ $4, R14
+	SHLQ $3, R14
+
+	PCALIGN $32
+
+p2n4loop:
+	LEAQ (BX)(R14*2), R13
+	BLOCK2((BX), (BX)(R14*1), (R13), (R13)(R14*1))
+	LEAQ (R13)(R14*2), BX
+	ADDQ $16, AX
+	CMPQ AX, R12
+	JLT  p2n4loop
+	MOVQ n+48(FP), R13
+	JMP  p2fold
+
+	PCALIGN $32
+
+p2loop:
+	GROUP2(0, Y0, Y4)
+	JNZ  p2g1
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+p2g1:
+	GROUP2(32, Y1, Y5)
+	JNZ  p2g2
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+p2g2:
+	GROUP2(64, Y2, Y6)
+	JNZ  p2g3
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+p2g3:
+	GROUP2(96, Y3, Y7)
+	JNZ  p2next
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+p2next:
+	ADDQ $16, AX
+	CMPQ AX, R12
+	JLT  p2loop
+
+p2fold:
+	FOLD(Y0, Y1, Y2, Y3, X0, X8)
+	FOLD(Y4, Y5, Y6, Y7, X4, X8)
+	CMPQ AX, CX
+	JGE  p2out
+
+p2tail:
+	VMOVSD (BX), X8
+	VMULSD (SI)(AX*8), X8, X9
+	VADDSD X9, X0, X0
+	VMULSD (DI)(AX*8), X8, X9
+	VADDSD X9, X4, X4
+	ADDQ $8, BX
+	DECQ R13
+	JNZ  p2tnext
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+p2tnext:
+	INCQ AX
+	CMPQ AX, CX
+	JLT  p2tail
+
+p2out:
+	VADDSD (R8), X0, X0
+	VMOVSD X0, (R8)
+	VADDSD (R9), X4, X4
+	VMOVSD X4, (R9)
+	ADDQ $8, R8
+	ADDQ $8, R9
+	DECQ R10
+	JNZ  p2row
+	VZEROUPPER
+	RET
+
+// func dotPanel1AVX(a0 *float64, k int, b *float64, taps *int, nb, n, skip int, c0 *float64)
+//
+// The one-row form of dotPanel2AVX.
+TEXT ·dotPanel1AVX(SB), NOSPLIT, $0-64
+	MOVQ a0+0(FP), SI
+	MOVQ k+8(FP), CX
+	MOVQ b+16(FP), R11
+	MOVQ taps+24(FP), DX
+	MOVQ nb+32(FP), R10
+	MOVQ c0+56(FP), R8
+	MOVQ CX, R12
+	ANDQ $-16, R12
+
+p1row:
+	MOVQ (DX), R14
+	LEAQ (R11)(R14*8), BX
+	ADDQ $8, DX
+	MOVQ n+40(FP), R13
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX
+	CMPQ AX, R12
+	JGE  p1fold
+	MOVQ n+40(FP), R14
+	CMPQ R14, $4
+	JEQ  p1n4
+	CMPQ R14, $8
+	JEQ  p1n8
+	TESTQ $15, R14
+	JZ   p1n16
+	JMP  p1loop
+
+	PCALIGN $32
+
+p1n16:
+	BLOCK1(0(BX), 32(BX), 64(BX), 96(BX))
+	ADDQ $128, BX
+	SUBQ $16, R13
+	JNZ  p1n16next
+	NEXTSEG(skip+48(FP), n+40(FP))
+
+p1n16next:
+	ADDQ $16, AX
+	CMPQ AX, R12
+	JLT  p1n16
+	JMP  p1fold
+
+p1n8:
+	// R14 = the segment stride in bytes; a block is two segments.
+	MOVQ skip+48(FP), R14
+	ADDQ $8, R14
+	SHLQ $3, R14
+
+	PCALIGN $32
+
+p1n8loop:
+	BLOCK1((BX), 32(BX), (BX)(R14*1), 32(BX)(R14*1))
+	LEAQ (BX)(R14*2), BX
+	ADDQ $16, AX
+	CMPQ AX, R12
+	JLT  p1n8loop
+	MOVQ n+40(FP), R13
+	JMP  p1fold
+
+p1n4:
+	// R14 = the segment stride in bytes; a block is four segments.
+	MOVQ skip+48(FP), R14
+	ADDQ $4, R14
+	SHLQ $3, R14
+
+	PCALIGN $32
+
+p1n4loop:
+	LEAQ (BX)(R14*2), R13
+	BLOCK1((BX), (BX)(R14*1), (R13), (R13)(R14*1))
+	LEAQ (R13)(R14*2), BX
+	ADDQ $16, AX
+	CMPQ AX, R12
+	JLT  p1n4loop
+	MOVQ n+40(FP), R13
+	JMP  p1fold
+
+	PCALIGN $32
+
+p1loop:
+	GROUP1(0, Y0)
+	JNZ  p1g1
+	NEXTSEG(skip+48(FP), n+40(FP))
+
+p1g1:
+	GROUP1(32, Y1)
+	JNZ  p1g2
+	NEXTSEG(skip+48(FP), n+40(FP))
+
+p1g2:
+	GROUP1(64, Y2)
+	JNZ  p1g3
+	NEXTSEG(skip+48(FP), n+40(FP))
+
+p1g3:
+	GROUP1(96, Y3)
+	JNZ  p1next
+	NEXTSEG(skip+48(FP), n+40(FP))
+
+p1next:
+	ADDQ $16, AX
+	CMPQ AX, R12
+	JLT  p1loop
+
+p1fold:
+	FOLD(Y0, Y1, Y2, Y3, X0, X8)
+	CMPQ AX, CX
+	JGE  p1out
+
+p1tail:
+	VMOVSD (BX), X8
+	VMULSD (SI)(AX*8), X8, X9
+	VADDSD X9, X0, X0
+	ADDQ $8, BX
+	DECQ R13
+	JNZ  p1tnext
+	NEXTSEG(skip+48(FP), n+40(FP))
+
+p1tnext:
+	INCQ AX
+	CMPQ AX, CX
+	JLT  p1tail
+
+p1out:
+	VADDSD (R8), X0, X0
+	VMOVSD X0, (R8)
+	ADDQ $8, R8
+	DECQ R10
+	JNZ  p1row
 	VZEROUPPER
 	RET

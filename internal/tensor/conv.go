@@ -173,3 +173,177 @@ func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int, dst *Tensor) {
 	}
 	col2im(cols, 1, c, h, w, kh, kw, stride, pad, dst.Data)
 }
+
+// A stride-1 convolution reads its unfold in place. The unfold U of a
+// sample, [c·k·k, oh·ow], has row p = (ch, ki, kj) and column (oi, oj)
+// equal to the sample's input at (ch, oi−pad+ki, oj−pad+kj), +0 outside
+// it. On the zero-padded plane [c, h+2·pad, w+2·pad] (PadPlane) that row
+// is oh windows of ow elements, one per output row, ph·pw apart per
+// channel: the row kernels read them through a panel whose taps are the
+// window corners (convTaps), so U is never written out. Each function
+// below produces the bits of the column-matrix GEMM it replaces —
+// the operands only come from other addresses.
+
+// PadPlane copies the sample x [c, h, w] into dst [c, h+2·pad, w+2·pad]
+// inside a border of +0.
+func PadPlane(dst, x []float64, c, h, w, pad int) {
+	ph, pw := h+2*pad, w+2*pad
+	for ch := 0; ch < c; ch++ {
+		d := dst[ch*ph*pw : (ch+1)*ph*pw]
+		clear(d[:pad*pw])
+		clear(d[(pad+h)*pw:])
+		for i := 0; i < h; i++ {
+			row := d[(pad+i)*pw : (pad+i+1)*pw]
+			clear(row[:pad])
+			copy(row[pad:pad+w], x[(ch*h+i)*w:(ch*h+i+1)*w])
+			clear(row[pad+w:])
+		}
+	}
+}
+
+// convTaps fills taps with the plane offsets of unfold rows p0, p0+1, …
+// of a k×k convolution over planes of ph×pw: the corners of their first
+// windows.
+func convTaps(taps []int, p0, k, ph, pw int) []int {
+	ch, t := p0/(k*k), p0%(k*k)
+	ki, kj := t/k, t%k
+	for i := range taps {
+		taps[i] = ch*ph*pw + ki*pw + kj
+		if kj++; kj == k {
+			if kj, ki = 0, ki+1; ki == k {
+				ki, ch = 0, ch+1
+			}
+		}
+	}
+	return taps
+}
+
+// convParallel reports whether the backward products of a convolution
+// clear the serialThreshold at which Gemm fans out; their output rows then
+// go to up to Parallelism workers. Results do not depend on it.
+func convParallel(outC, c, ph, pw, k int) bool {
+	return 2*outC*c*k*k*(ph-k+1)*(pw-k+1) >= serialThreshold && Parallelism() > 1
+}
+
+// ConvPlane writes one sample's stride-1 k×k convolution out [outC,
+// oh·ow] = W·U, W being [outC, c·k·k] and U the unfold of the padded
+// plane [c, ph, pw]: the bits of Im2Col followed by Gemm(false, false, 1,
+// W, U, 0, out). It runs on the calling goroutine: Conv2D.Forward fans
+// its samples out.
+func ConvPlane(w []float64, outC int, plane []float64, c, ph, pw, k int, out []float64) {
+	oh, ow, rows := ph-k+1, pw-k+1, c*k*k
+	sp := oh * ow
+	var taps [kTile]int
+	pn := panel{b: plane, ldb: pw, segs: oh, n: ow, ldc: ow}
+	for p0 := 0; p0 < rows; p0 += kTile {
+		kp := min(kTile, rows-p0)
+		pn.taps = convTaps(taps[:kp], p0, k, ph, pw)
+		mode := addTo
+		if p0 == 0 {
+			mode = writeTo
+		}
+		o := 0
+		for ; o+2 <= outC; o += 2 {
+			axpyRows2(w[o*rows+p0:][:kp], w[(o+1)*rows+p0:][:kp], &pn, out[o*sp:][:sp], out[(o+1)*sp:][:sp], mode)
+		}
+		if o < outC {
+			axpyRows1(w[o*rows+p0:][:kp], &pn, out[o*sp:][:sp], mode)
+		}
+	}
+}
+
+// ConvPlaneFilterGrad adds one sample's filter gradient to dw [outC,
+// c·k·k]: dw += g·Uᵀ for the output gradient g [outC, oh·ow] and the
+// unfold U of the padded plane [c, ph, pw] — the bits of Gemm(false,
+// true, 1, g, U, 1, dw).
+func ConvPlaneFilterGrad(g []float64, outC int, plane []float64, c, ph, pw, k int, dw []float64) {
+	if !convParallel(outC, c, ph, pw, k) {
+		filterGradRows(g, outC, plane, c, ph, pw, k, dw, 0, outC)
+		return
+	}
+	fanOut((outC+1)/2, Parallelism(), func(lo, hi int) {
+		filterGradRows(g, outC, plane, c, ph, pw, k, dw, 2*lo, min(2*hi, outC))
+	})
+}
+
+// filterGradRows is ConvPlaneFilterGrad for the dw rows [lo, hi), lo
+// even.
+func filterGradRows(g []float64, outC int, plane []float64, c, ph, pw, k int, dw []float64, lo, hi int) {
+	oh, ow, rows := ph-k+1, pw-k+1, c*k*k
+	sp := oh * ow
+	var taps [kTile]int
+	pn := panel{b: plane, ldb: pw, segs: oh, n: ow}
+	for p0 := 0; p0 < rows; p0 += kTile {
+		kp := min(kTile, rows-p0)
+		pn.taps = convTaps(taps[:kp], p0, k, ph, pw)
+		o := lo
+		for ; o+2 <= hi; o += 2 {
+			dotPanel2(g[o*sp:][:sp], g[(o+1)*sp:][:sp], &pn, dw[o*rows+p0:][:kp], dw[(o+1)*rows+p0:][:kp])
+		}
+		if o < hi {
+			dotPanel1(g[o*sp:][:sp], &pn, dw[o*rows+p0:][:kp])
+		}
+	}
+}
+
+// ConvPlaneInputGrad writes one sample's input gradient dx [c, h, w] of
+// a stride-1 k×k convolution with padding pad: the unfold's gradient D =
+// Wᵀ·g (wt = Wᵀ [c·k·k, outC], g [outC, oh·ow]) folded back onto the
+// input. D is never stored: each of its rows is summed in registers, one
+// output-row segment at a time, and added at once to the plane its tap
+// covers — dx itself when pad is 0, else the zero-padded plane scratch
+// [c, h+2·pad, w+2·pad], whose interior is then copied out. The bits are
+// those of Gemm(true, false, 1, W, g, 0, D) followed by Col2Im(D): every
+// D element sums its o pairs from +0, and every dx element its taps in
+// (ki, kj) order from +0. Two rows of D go through a kernel call
+// together only when they belong to different channels, whose planes do
+// not overlap.
+func ConvPlaneInputGrad(wt, g []float64, outC, c, h, wd, k, pad int, scratch, dx []float64) {
+	ph, pw := h+2*pad, wd+2*pad
+	acc := dx
+	if pad > 0 {
+		acc = scratch[:c*ph*pw]
+	}
+	clear(acc)
+	if !convParallel(outC, c, ph, pw, k) {
+		inputGradChannels(wt, g, outC, 0, c, ph, pw, k, acc)
+	} else {
+		fanOut((c+1)/2, Parallelism(), func(lo, hi int) {
+			inputGradChannels(wt, g, outC, 2*lo, min(2*hi, c), ph, pw, k, acc)
+		})
+	}
+	if pad > 0 {
+		for ch := 0; ch < c; ch++ {
+			for i := 0; i < h; i++ {
+				copy(dx[(ch*h+i)*wd:(ch*h+i+1)*wd], acc[(ch*ph+pad+i)*pw+pad:])
+			}
+		}
+	}
+}
+
+// inputGradChannels is ConvPlaneInputGrad's fold for the channels [lo,
+// hi), lo even, into the planes acc [c, ph, pw].
+func inputGradChannels(wt, g []float64, outC, lo, hi, ph, pw, k int, acc []float64) {
+	oh, ow, kk := ph-k+1, pw-k+1, k*k
+	var buf [2 * kTile]int
+	gtaps := buf[:0]
+	if outC > len(buf) {
+		gtaps = make([]int, 0, outC)
+	}
+	for o := 0; o < outC; o++ {
+		gtaps = append(gtaps, o*oh*ow)
+	}
+	pn := panel{b: g, taps: gtaps, ldb: ow, ldc: pw, segs: oh, n: ow}
+	for t := 0; t < kk; t++ {
+		off := (t/k)*pw + t%k
+		ch := lo
+		for ; ch+2 <= hi; ch += 2 {
+			p := ch*kk + t
+			axpyRows2(wt[p*outC:][:outC], wt[(p+kk)*outC:][:outC], &pn,
+				acc[ch*ph*pw+off:(ch+1)*ph*pw], acc[(ch+1)*ph*pw+off:(ch+2)*ph*pw], foldInto)
+		}
+		if ch < hi {
+			axpyRows1(wt[(ch*kk+t)*outC:][:outC], &pn, acc[ch*ph*pw+off:(ch+1)*ph*pw], foldInto)
+		}
+	}
+}

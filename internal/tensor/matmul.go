@@ -11,8 +11,11 @@ import (
 // process-wide knob rather than a per-call argument.
 var parallelism int64 = int64(runtime.GOMAXPROCS(0))
 
-// SetParallelism caps the number of workers used by a single GEMM call.
-// n < 1 resets to GOMAXPROCS. It returns the previous value.
+// SetParallelism caps the number of workers one operation fans out to: a
+// single GEMM call, a convolution's backward kernel call
+// (ConvPlaneFilterGrad, ConvPlaneInputGrad), and Conv2D.Forward's sample
+// fan-out. n < 1 resets to GOMAXPROCS. It returns
+// the previous value.
 func SetParallelism(n int) int {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
@@ -20,7 +23,7 @@ func SetParallelism(n int) int {
 	return int(atomic.SwapInt64(&parallelism, int64(n)))
 }
 
-// Parallelism reports the current GEMM worker cap.
+// Parallelism reports the current worker cap.
 func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
 
 // ForEach calls fn(i) for every i in [0, n) on up to width goroutines,
@@ -46,13 +49,39 @@ func ForEach(n, width int, fn func(i int)) {
 	wg.Wait()
 }
 
+// fanOut runs body(lo, hi) over [0, n) cut into up to width contiguous
+// chunks: the last on the calling goroutine, the others on the GEMM
+// worker pool (inline when every worker is busy). It returns when every
+// chunk has run.
+func fanOut(n, width int, body func(lo, hi int)) {
+	var wg sync.WaitGroup
+	chunk := (n + width - 1) / width
+	for lo := 0; lo < n; lo += chunk {
+		lo, hi := lo, min(lo+chunk, n)
+		if hi == n {
+			body(lo, hi)
+			break
+		}
+		wg.Add(1)
+		task := func() {
+			defer wg.Done()
+			body(lo, hi)
+		}
+		if !trySubmit(task) {
+			task()
+		}
+	}
+	wg.Wait()
+}
+
 // serialThreshold is the FLOP count below which GEMM stays single-threaded:
 // handing a chunk to the pool costs a goroutine wake-up, tens of
 // microseconds when the other core is idle, and the row kernels get
 // through a million FLOPs in about 70 µs — below that the caller waits for
 // the wake-up longer than the chunk would have taken it. (The per-sample
-// GEMMs of a quick-scale convolution, ≤ 0.7 MFLOP, sit under it; their
-// parallelism is the sample fan-out of Conv2D.Forward.)
+// products of a quick-scale convolution, ≤ 0.75 MFLOP, sit under it, in
+// the convolution kernels as in Gemm; their parallelism is the sample
+// fan-out of Conv2D.Forward.)
 const serialThreshold = 1 << 20
 
 // Gemm used to spawn fresh goroutines on every call, which dominated the
@@ -89,7 +118,7 @@ func trySubmit(task func()) bool {
 // Tiling parameters for the blocked kernel (NN and TN). One row-kernel
 // call covers a kTile×nTile panel of B for a pair of C rows: the k-panel
 // bounds the slab of B streamed per row pair (and the coefficient buffer
-// gemmBlock keeps on its stack), the j-panel how much of B must stay cache
+// gemmPanels keeps on its stack), the j-panel how much of B must stay cache
 // resident while the row pairs take their turns over it. kTile is even,
 // so k is grouped into the same pairs whatever the panel; panel boundaries
 // are fixed by matrix shape alone, so the floating-point accumulation
@@ -143,25 +172,32 @@ func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Ten
 	}
 	m, k, n := am, ak, bn
 
-	if beta == 0 {
-		c.Zero()
-	} else if beta != 1 {
-		c.Scale(beta)
-	}
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
+		// Nothing to add: C is only scaled, and beta 0 leaves +0 in every
+		// element, whatever it held.
+		if beta == 0 {
+			c.Zero()
+		} else if beta != 1 {
+			c.Scale(beta)
+		}
 		return
+	}
+	// With beta 0 the row kernels write C on the first k-panel, each
+	// element starting from +0, so C needs no pass that clears it first.
+	first := beta == 0
+	if !first && beta != 1 {
+		c.Scale(beta)
 	}
 
 	workers := Parallelism()
 	if 2*m*n*k < serialThreshold || workers <= 1 {
-		gemmBlock(transA, transB, alpha, a, b, c, 0, m, 0, n, k)
+		gemmPanels(transA, transB, alpha, a, b, c, 0, m, 0, n, k, first)
 		return
 	}
 
 	// Partition C into a rows × cols grid of chunks. Row splitting alone
-	// starves the pool on the skinny-m/huge-n GEMMs batched conv produces
-	// (a VGG block's forward is [OutC, InC·K²] × [InC·K², N·OH·OW] with
-	// OutC as small as 8), so leftover workers split the j dimension too.
+	// starves the pool on skinny-m/huge-n GEMMs (a [8, 72] × [72, 16384]
+	// product), so leftover workers split the j dimension too.
 	// Every C element's accumulation order over k is fixed by the matrix
 	// shapes alone — never by the chunk a worker owns — so the result
 	// stays bitwise identical to the serial kernel for any grid.
@@ -197,14 +233,14 @@ func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Ten
 				// Run the final chunk on the calling goroutine: the caller
 				// would otherwise idle in Wait while its work sits queued
 				// behind other callers' chunks.
-				gemmBlock(transA, transB, alpha, a, b, c, lo, hi, jLo, jHi, k)
+				gemmPanels(transA, transB, alpha, a, b, c, lo, hi, jLo, jHi, k, first)
 				break
 			}
 			wg.Add(1)
 			task := func(lo, hi, jLo, jHi int) func() {
 				return func() {
 					defer wg.Done()
-					gemmBlock(transA, transB, alpha, a, b, c, lo, hi, jLo, jHi, k)
+					gemmPanels(transA, transB, alpha, a, b, c, lo, hi, jLo, jHi, k, first)
 				}
 			}(lo, hi, jLo, jHi)
 			if !trySubmit(task) {
@@ -215,14 +251,15 @@ func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Ten
 	wg.Wait()
 }
 
-// gemmBlock accumulates the C block rows [lo,hi) × columns [jLo,jHi)
-// with the row kernels of axpy.go. The per-element accumulation order —
-// k taken in pairs with a single trailing step for NN and TN, the fixed
-// 16-stripe tree for NT — depends only on the matrix shapes, never on the
-// block bounds or on which kernel form (pair or single row) processed the
+// gemmPanels accumulates the C block rows [lo,hi) × columns [jLo,jHi)
+// with the row kernels of axpy.go — or, with first set, writes it, each
+// element starting from +0. The per-element accumulation order — k taken
+// in pairs with a single trailing step for NN and TN, the fixed 16-stripe
+// tree for NT — depends only on the matrix shapes, never on the block
+// bounds or on which kernel form (pair or single row) processed the
 // element, so any grid partition of C reproduces the serial result
 // bitwise.
-func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo, jHi, k int) {
+func gemmPanels(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo, jHi, k int, first bool) {
 	m, n := c.Shape[0], c.Shape[1]
 	ad, bd, cd := a.Data, b.Data, c.Data
 	switch {
@@ -239,7 +276,11 @@ func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo,
 			for p0 := 0; p0 < k; p0 += kTile {
 				kp := min(kTile, k-p0)
 				u0, u1 := ubuf[:kp], ubuf[kTile:kTile+kp]
-				bp := bd[p0*n+j0:]
+				pn := panel{b: bd[p0*n+j0:], ldb: n, segs: 1, n: nj, ldc: nj}
+				mode := addTo
+				if first && p0 == 0 {
+					mode = writeTo
+				}
 				i := lo
 				for ; i+2 <= hi; i += 2 {
 					if transA {
@@ -253,7 +294,7 @@ func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo,
 							u0[p], u1[p] = alpha*a0[p], alpha*a1[p]
 						}
 					}
-					axpyRows2(u0, u1, bp, n, cd[i*n+j0:][:nj], cd[(i+1)*n+j0:][:nj])
+					axpyRows2(u0, u1, &pn, cd[i*n+j0:][:nj], cd[(i+1)*n+j0:][:nj], mode)
 				}
 				if i < hi {
 					if transA {
@@ -266,7 +307,7 @@ func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo,
 							u0[p] = alpha * ai[p]
 						}
 					}
-					axpyRows1(u0, bp, n, cd[i*n+j0:][:nj])
+					axpyRows1(u0, &pn, cd[i*n+j0:][:nj], mode)
 				}
 			}
 		}
@@ -278,10 +319,10 @@ func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo,
 		bs := bd[jLo*k : jHi*k]
 		i := lo
 		for ; i+2 <= hi; i += 2 {
-			dotRows2(ad[i*k:][:k], ad[(i+1)*k:][:k], bs, alpha, cd[i*n+jLo:][:nj], cd[(i+1)*n+jLo:][:nj])
+			dotRows2(ad[i*k:][:k], ad[(i+1)*k:][:k], bs, alpha, cd[i*n+jLo:][:nj], cd[(i+1)*n+jLo:][:nj], first)
 		}
 		if i < hi {
-			dotRows1(ad[i*k:][:k], bs, alpha, cd[i*n+jLo:][:nj])
+			dotRows1(ad[i*k:][:k], bs, alpha, cd[i*n+jLo:][:nj], first)
 		}
 	default: // transA && transB
 		for i := lo; i < hi; i++ {
@@ -290,6 +331,9 @@ func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo,
 				s := 0.0
 				for p := 0; p < k; p++ {
 					s += ad[p*m+i] * bd[j*k+p]
+				}
+				if first {
+					ci[j] = 0
 				}
 				ci[j] += alpha * s
 			}

@@ -1,10 +1,17 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 )
+
+// gemmBlock accumulates a block of C with the row kernels, as Gemm does
+// when beta is not 0.
+func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo, jHi, k int) {
+	gemmPanels(transA, transB, alpha, a, b, c, lo, hi, jLo, jHi, k, false)
+}
 
 // gemmOperands builds operands for one (m,k,n, transA, transB) combo.
 func gemmOperands(rng *rand.Rand, m, k, n int, transA, transB bool) (a, b *Tensor) {
@@ -163,7 +170,8 @@ func TestGemmAccelMatchesGeneric(t *testing.T) {
 }
 
 // TestRowKernelsMatchTwins runs each accelerated row kernel against its
-// Go twin directly, at lengths around every strip and stripe boundary.
+// Go twin directly, at lengths around every strip and stripe boundary,
+// accumulating and (first set) writing over a NaN-poisoned C.
 func TestRowKernelsMatchTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, kp := range []int{1, 2, 3, 16, 17, 33} {
@@ -171,19 +179,35 @@ func TestRowKernelsMatchTwins(t *testing.T) {
 			ldb := nj + 5
 			u0, u1 := Randn(rng, 1, kp).Data, Randn(rng, 1, kp).Data
 			b := Randn(rng, 1, kp*ldb).Data
-			base0, base1 := Randn(rng, 1, nj).Data, Randn(rng, 1, nj).Data
-
-			got0, got1 := append([]float64(nil), base0...), append([]float64(nil), base1...)
-			want0, want1 := append([]float64(nil), base0...), append([]float64(nil), base1...)
-			axpyRows2(u0, u1, b, ldb, got0, got1)
-			axpyRows2Generic(u0, u1, b, ldb, want0, want1)
-			got := append([]float64(nil), base0...)
-			want := append([]float64(nil), base0...)
-			axpyRows1(u0, b, ldb, got)
-			axpyRows1Generic(u0, b, ldb, want)
-			for j := 0; j < nj; j++ {
-				if got0[j] != want0[j] || got1[j] != want1[j] || got[j] != want[j] {
-					t.Fatalf("axpyRows kp=%d nj=%d differs at column %d", kp, nj, j)
+			pn := &panel{b: b, ldb: ldb, segs: 1, n: nj, ldc: nj}
+			for _, mode := range []cmode{addTo, writeTo, foldInto} {
+				base0, base1 := Randn(rng, 1, nj).Data, Randn(rng, 1, nj).Data
+				if mode == writeTo {
+					base0[0], base1[nj-1] = math.NaN(), math.NaN()
+				}
+				got0, got1 := append([]float64(nil), base0...), append([]float64(nil), base1...)
+				want0, want1 := append([]float64(nil), base0...), append([]float64(nil), base1...)
+				axpyRows2(u0, u1, pn, got0, got1, mode)
+				axpyRows2Generic(u0, u1, b, nil, ldb, want0, want1, mode)
+				got := append([]float64(nil), base0...)
+				want := append([]float64(nil), base0...)
+				axpyRows1(u0, pn, got, mode)
+				axpyRows1Generic(u0, b, nil, ldb, want, mode)
+				for j := 0; j < nj; j++ {
+					if !sameBits(got0[j], want0[j]) || !sameBits(got1[j], want1[j]) || !sameBits(got[j], want[j]) {
+						t.Fatalf("axpyRows kp=%d nj=%d mode=%d differs at column %d", kp, nj, mode, j)
+					}
+				}
+				if mode == foldInto {
+					// The fold adds the finished sum: compare with writing
+					// it and adding it.
+					s0 := make([]float64, nj)
+					axpyRows1Generic(u0, b, nil, ldb, s0, writeTo)
+					for j := range s0 {
+						if !sameBits(got[j], base0[j]+s0[j]) {
+							t.Fatalf("foldInto kp=%d nj=%d: column %d is not C + (+0 + Σ)", kp, nj, j)
+						}
+					}
 				}
 			}
 
@@ -194,20 +218,87 @@ func TestRowKernelsMatchTwins(t *testing.T) {
 				a0, a1 := Randn(rng, 1, k).Data, Randn(rng, 1, k).Data
 				bm := Randn(rng, 1, nb*k).Data
 				c := Randn(rng, 1, nb).Data
-				g0, g1, g := append([]float64(nil), c...), append([]float64(nil), c...), append([]float64(nil), c...)
-				dotRows2(a0, a1, bm, -0.5, g0, g1)
-				dotRows1(a0, bm, -0.5, g)
-				for j := 0; j < nb; j++ {
-					bj := bm[j*k : j*k+k]
-					w0, w1 := c[j]+-0.5*dot(a0, bj), c[j]+-0.5*dot(a1, bj)
-					if g0[j] != w0 || g1[j] != w1 || g[j] != w0 {
-						t.Fatalf("dotRows k=%d nb=%d differs at row %d", k, nb, j)
+				for _, first := range []bool{false, true} {
+					g0, g1, g := append([]float64(nil), c...), append([]float64(nil), c...), append([]float64(nil), c...)
+					dotRows2(a0, a1, bm, -0.5, g0, g1, first)
+					dotRows1(a0, bm, -0.5, g, first)
+					for j := 0; j < nb; j++ {
+						bj := bm[j*k : j*k+k]
+						c0 := c[j]
+						if first {
+							c0 = 0
+						}
+						w0, w1 := c0+-0.5*refDot(a0, bj), c0+-0.5*refDot(a1, bj)
+						if !sameBits(g0[j], w0) || !sameBits(g1[j], w1) || !sameBits(g[j], w0) {
+							t.Fatalf("dotRows k=%d nb=%d first=%v differs at row %d", k, nb, first, j)
+						}
 					}
 				}
 			}
 		}
 	}
 }
+
+// TestPanelKernelsMatchTwins runs the segmented forms of the row kernels
+// — B rows read in place from a plane through taps, one segment per
+// output row — against their Go twins and, for the dot, against the
+// frozen dot of a gathered contiguous row, at segment widths that are and
+// are not multiples of 4.
+func TestPanelKernelsMatchTwins(t *testing.T) {
+	rng := rand.New(rand.NewSource(102))
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 20, 32} {
+		for _, segs := range []int{1, 2, 3, 5, 8} {
+			for _, kp := range []int{1, 2, 9, 27} {
+				ldb := n + 2
+				taps := make([]int, kp)
+				for p := range taps {
+					taps[p] = p*(ldb+1) + p%3
+				}
+				b := Randn(rng, 1, taps[kp-1]+segs*ldb+n).Data
+				// C segments n+1 apart, so the kernels must step over a gap.
+				ldc := n + 1
+				pn := &panel{b: b, taps: taps, ldb: ldb, segs: segs, n: n, ldc: ldc}
+				u0, u1 := Randn(rng, 1, kp).Data, Randn(rng, 1, kp).Data
+				for _, mode := range []cmode{addTo, writeTo, foldInto} {
+					c0, c1 := Randn(rng, 1, segs*ldc).Data, Randn(rng, 1, segs*ldc).Data
+					got0, got1 := append([]float64(nil), c0...), append([]float64(nil), c1...)
+					want0, want1 := append([]float64(nil), c0...), append([]float64(nil), c1...)
+					axpyRows2(u0, u1, pn, got0, got1, mode)
+					got := append([]float64(nil), c0...)
+					axpyRows1(u0, pn, got, mode)
+					for r := 0; r < segs; r++ {
+						axpyRows2Generic(u0, u1, b[r*ldb:], taps, ldb, want0[r*ldc:r*ldc+n], want1[r*ldc:r*ldc+n], mode)
+					}
+					for j := range want0 {
+						if !sameBits(got0[j], want0[j]) || !sameBits(got1[j], want1[j]) || !sameBits(got[j], want0[j]) {
+							t.Fatalf("axpyRows n=%d segs=%d kp=%d mode=%d differs at %d", n, segs, kp, mode, j)
+						}
+					}
+				}
+
+				// The dot: kp B rows of segs·n elements each.
+				k := segs * n
+				a0, a1 := Randn(rng, 1, k).Data, Randn(rng, 1, k).Data
+				c := Randn(rng, 1, kp).Data
+				g0, g1, g := append([]float64(nil), c...), append([]float64(nil), c...), append([]float64(nil), c...)
+				dotPanel2(a0, a1, pn, g0, g1)
+				dotPanel1(a0, pn, g)
+				row := make([]float64, k)
+				for j := 0; j < kp; j++ {
+					for r := 0; r < segs; r++ {
+						copy(row[r*n:(r+1)*n], b[taps[j]+r*ldb:])
+					}
+					w0, w1 := c[j]+refDot(a0, row), c[j]+refDot(a1, row)
+					if !sameBits(g0[j], w0) || !sameBits(g1[j], w1) || !sameBits(g[j], w0) {
+						t.Fatalf("dotPanel n=%d segs=%d kp=%d differs at row %d", n, segs, kp, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestMatMulEmpty pins the MatMul wrapper on degenerate shapes.
 func TestMatMulEmpty(t *testing.T) {

@@ -1,6 +1,7 @@
 // Package tensor provides dense, row-major, float64 tensors and the small
 // set of linear-algebra kernels a CPU deep-learning stack needs: GEMM with
-// optional transposes, im2col/col2im for convolutions, element-wise
+// optional transposes, convolution kernels that read a stride-1 unfold in
+// place from a padded plane, im2col/col2im for the other strides, element-wise
 // arithmetic, N-dimensional prefix-block copies (the primitive behind
 // AdaptiveFL's width-wise pruning and heterogeneous aggregation), and a
 // bump-allocated Workspace for the tensors a training step creates and

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,6 +190,48 @@ func TestGemmAlphaBeta(t *testing.T) {
 	for i := range c.Data {
 		if !almostEq(c.Data[i], 2*want.Data[i]+3, 1e-10) {
 			t.Fatalf("alpha/beta mismatch at %d", i)
+		}
+	}
+
+	// beta 0 never reads C: a NaN-poisoned C comes out +0 everywhere when
+	// there is nothing to add (k 0, alpha 0), and a sum of -0 products
+	// comes out +0 — the first k-panel writes (+0) + Σ, exactly what
+	// adding into a cleared C gave. Three rows and five columns take the
+	// kernels' row pair and single row, vector strip and scalar edge.
+	poisoned := func(m, n int) *Tensor {
+		c := New(m, n)
+		for i := range c.Data {
+			c.Data[i] = math.NaN()
+		}
+		return c
+	}
+	wantPlusZero := func(what string, c *Tensor) {
+		t.Helper()
+		for i, v := range c.Data {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: C[%d] = %v, want +0", what, i, v)
+			}
+		}
+	}
+	for _, tr := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		transA, transB := tr[0], tr[1]
+		op := func(rows, cols int, trans bool, v float64) *Tensor {
+			if trans {
+				rows, cols = cols, rows
+			}
+			return Full(v, rows, cols)
+		}
+		name := fmt.Sprintf("transA=%v transB=%v", transA, transB)
+		c := poisoned(3, 5)
+		Gemm(transA, transB, 1, op(3, 0, transA, 1), op(0, 5, transB, 1), 0, c)
+		wantPlusZero(name+" k=0", c)
+		c = poisoned(3, 5)
+		Gemm(transA, transB, 0, op(3, 4, transA, 1), op(4, 5, transB, 1), 0, c)
+		wantPlusZero(name+" alpha=0", c)
+		for _, k := range []int{2, 3} { // a pair; a pair and a trailing step
+			c = poisoned(3, 5)
+			Gemm(transA, transB, 1, op(3, k, transA, 1), op(k, 5, transB, math.Copysign(0, -1)), 0, c)
+			wantPlusZero(fmt.Sprintf("%s k=%d, -0 products", name, k), c)
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // Workspace is a bump allocator for the tensors one training or inference
-// step creates and drops together: layer outputs, input gradients, im2col
-// blocks, masks, loss temporaries and the per-sample views a convolution
-// builds. Every tensor it hands out — data and header — stays valid until
+// step creates and drops together: layer outputs, input gradients, the
+// padded planes and column blocks a convolution unfolds its input into,
+// masks, loss temporaries and the per-sample views a convolution builds. Every tensor it hands out — data and header — stays valid until
 // the next Reset, which makes all of them reusable at once.
 //
 // The slab sizes itself: a step that needs more than the slab holds takes
@@ -44,7 +44,7 @@ func (w *Workspace) header(shape []int) *Tensor {
 
 // Alloc returns a tensor of the given shape with undefined contents: slab
 // memory is dirty, so the caller must overwrite every element (Gemm with
-// beta 0, Im2Col and Col2Im do). Use Zeros where code accumulates into
+// beta 0, Im2Col, Col2Im, PadPlane and ConvPlane do). Use Zeros where code accumulates into
 // the result.
 func (w *Workspace) Alloc(shape ...int) *Tensor {
 	if w == nil {
