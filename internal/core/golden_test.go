@@ -61,3 +61,43 @@ func TestGoldenTrainingHashes(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenTrainingHashesMobileNetCIFAR pins one quick-scale local epoch
+// of MobileNetV2 on CIFAR-shaped data, with the training settings of
+// TestGoldenTrainingHashes, at full width and at the pool's smallest
+// member. Its Widar-shaped cell there trains the depthwise layers on 20,
+// 10, 5 and 3 wide planes; this one reaches the 32, 16, 8 and 4 wide
+// planes (stride 1 and 2) that the population workloads train on. The
+// constants were recorded before the whole-plane and vectorised depthwise
+// kernels, and must never be edited.
+func TestGoldenTrainingHashesMobileNetCIFAR(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden hashes are recorded for amd64's unfused multiply-add")
+	}
+	ds := data.CIFAR10Like(20, 4, 1)
+	mcfg := models.Config{Arch: models.MobileNetV2, NumClasses: ds.Classes, InChannels: ds.Channels,
+		InputSize: ds.Size, WidthScale: 0.10, Seed: 1}
+	pool, err := prune.BuildPool(mcfg, prune.Config{P: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := nn.StateDict(models.MustBuild(mcfg, nil))
+	train, _ := data.Generate(ds)
+	tc := TrainConfig{LocalEpochs: 1, BatchSize: 10, LR: 0.10, Momentum: 0.5}
+	for _, run := range []struct {
+		name   string
+		widths []int
+		want   uint64
+	}{
+		{"full", nil, 0xaddfe0405771bd92},
+		{pool.Smallest().Name(), pool.Smallest().Widths, 0xd4162f980007cb34},
+	} {
+		st, err := TrainLocal(mcfg, run.widths, global, train, tc, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := nn.HashState(st); got != run.want {
+			t.Errorf("%s: weights hash %016x, want %016x", run.name, got, run.want)
+		}
+	}
+}
