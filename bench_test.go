@@ -369,8 +369,9 @@ func BenchmarkConv2DStage1(b *testing.B) {
 	}
 }
 
-// BenchmarkDepthwiseForward measures the tap-vectorized depthwise kernel
-// on a MobileNetV2-like block.
+// BenchmarkDepthwiseForward measures an unbound 3×3 depthwise forward
+// (32 channels on 16×16 planes, batch 8), whose output is allocated per
+// call.
 func BenchmarkDepthwiseForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	conv := nn.NewDepthwiseConv2D(rng, "d", 32, 3, 1, 1, false)
@@ -378,6 +379,48 @@ func BenchmarkDepthwiseForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv.Forward(x, true)
+	}
+}
+
+// BenchmarkDepthwiseStages measures the 3×3 depthwise layers of the
+// quick-scale MobileNetV2 (batch 10) one plane shape at a time, forward
+// and backward apart, on a workspace that is reset per step as a training
+// arena runs them: the CIFAR-shaped model's 32×32 planes at stride 1 and
+// 2, its 16×16, 8×8 and 4×4 planes at stride 1, and the Widar-shaped
+// model's 10×10 planes.
+func BenchmarkDepthwiseStages(b *testing.B) {
+	for _, sh := range []struct{ c, hw, stride int }{
+		{12, 32, 1}, {12, 32, 2}, {18, 16, 1}, {36, 8, 1}, {96, 4, 1}, {18, 10, 1},
+	} {
+		rng := rand.New(rand.NewSource(2))
+		conv := nn.NewDepthwiseConv2D(rng, "d", sh.c, 3, sh.stride, 1, false)
+		ws := &tensor.Workspace{}
+		conv.SetWorkspace(ws)
+		x := tensor.Randn(rng, 1, 10, sh.c, sh.hw, sh.hw)
+		ohw := tensor.ConvOutSize(sh.hw, 3, sh.stride, 1)
+		grad := tensor.Randn(rng, 1, 10, sh.c, ohw, ohw)
+		name := fmt.Sprintf("%d@%dx%ds%d", sh.c, sh.hw, sh.hw, sh.stride)
+		b.Run(name+"/fwd", func(b *testing.B) {
+			ws.Reset()
+			conv.Forward(x, true)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Reset()
+				conv.Forward(x, true)
+			}
+		})
+		b.Run(name+"/bwd", func(b *testing.B) {
+			ws.Reset()
+			conv.Forward(x, true)
+			conv.Backward(grad)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Reset()
+				conv.Backward(grad)
+			}
+		})
 	}
 }
 

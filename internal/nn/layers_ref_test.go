@@ -360,16 +360,19 @@ func TestBatchNormMatchesReference(t *testing.T) {
 }
 
 // TestDepthwiseMatchesReference covers strides 1 and 2, kernel sizes
-// whose padding leaves edge taps out, 1×1, 2×2 and odd planes and batch
-// size 1, with special values in the input, the gradient and the filter,
-// and filter gradients that start at −0.
+// whose padding leaves edge taps out, 1×1, 2×2 and odd planes, the planes
+// MobileNetV2 trains on (32, 20, 16, 10, 8, 5, 4 and 3 wide), widths on
+// either side of a 4-lane boundary and batch sizes 1 to 3, with special
+// values in the input, the gradient and the filter, and filter gradients
+// that start at −0.
 func TestDepthwiseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for _, cfg := range []struct{ k, stride, pad int }{
 		{3, 1, 1}, {3, 2, 1}, {3, 1, 0}, {3, 2, 0}, {1, 1, 0}, {5, 1, 2}, {5, 2, 1}, {2, 1, 1}, {3, 3, 2},
 	} {
-		for _, plane := range [][2]int{{1, 1}, {2, 2}, {3, 3}, {5, 5}, {4, 7}, {8, 8}} {
-			for _, n := range []int{1, 2} {
+		for _, plane := range [][2]int{{1, 1}, {2, 2}, {3, 3}, {5, 5}, {4, 7}, {8, 8},
+			{32, 32}, {16, 16}, {20, 20}, {10, 10}, {4, 4}, {6, 9}, {7, 13}} {
+			for _, n := range []int{1, 2, 3} {
 				for _, bias := range []bool{false, true} {
 					h, w := plane[0], plane[1]
 					if tensor.ConvOutSize(h, cfg.k, cfg.stride, cfg.pad) < 1 || tensor.ConvOutSize(w, cfg.k, cfg.stride, cfg.pad) < 1 {
