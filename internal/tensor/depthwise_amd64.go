@@ -2,16 +2,18 @@
 
 package tensor
 
+import "unsafe"
+
 // Implemented in depthwise_amd64.s.
 
 //go:noescape
-func dw3PlaneAVX(y, x, k *float64, init float64, h, w, flip int, masks *[2][3][4]uint64)
+func dw3PlaneAVX(y, x, k *float64, init float64, h, w, flip int, masks *[2][3][4]uint64, plain int)
 
 //go:noescape
 func dw3ForwardS2AVX(y, x, k *float64, init float64, w, ow, rows, groups int)
 
 //go:noescape
-func dw3FilterAVX(acc *[12]float64, gr, x *float64, h, w, oh, ow, stride, colHi int, masks *[3][4]uint64)
+func dw3FilterAVX(acc *[12]float64, gr, x *float64, h, w, oh, ow, stride, colHi int, masks *[3][4]uint64, plain int)
 
 // dw3PlaneAccel runs the AVX stride-1 plane kernel, forward or (flip) for
 // the input gradient; it reports whether it did.
@@ -20,7 +22,9 @@ func dw3PlaneAccel(y, x, k []float64, init float64, h, w int, flip bool, masks *
 		return false
 	}
 	_, _, _ = y[h*w-1], x[h*w-1], k[8]
-	dw3PlaneAVX(&y[0], &x[0], &k[0], init, h, w, b2i(flip), masks)
+	// The edge vectors read one element before a row and up to four
+	// after it.
+	dw3PlaneAVX(&y[0], &x[0], &k[0], init, h, w, b2i(flip), masks, b2i(pageSafe(x, 4)))
 	return true
 }
 
@@ -32,7 +36,9 @@ func dw3FilterAccel(acc, g, x []float64, p *DepthwisePlane) bool {
 	}
 	_, _, _ = acc[8], g[p.OH*p.OW-1], x[p.H*p.W-1]
 	var rows [12]float64
-	dw3FilterAVX(&rows, &g[0], &x[0], p.H, p.W, p.OH, p.OW, p.Stride, p.colHi, &p.colMask)
+	// The edge columns read one element before a row and up to two after
+	// it.
+	dw3FilterAVX(&rows, &g[0], &x[0], p.H, p.W, p.OH, p.OW, p.Stride, p.colHi, &p.colMask, b2i(pageSafe(x, 2)))
 	copy(acc[0:3], rows[0:3])
 	copy(acc[3:6], rows[4:7])
 	copy(acc[6:9], rows[8:11])
@@ -52,4 +58,15 @@ func dw3ForwardS2Accel(y, x, k []float64, init float64, h, w int) int {
 	_, _, _ = y[rows*ow+4*groups], x[(2*rows+1)*w+8*groups+2], k[8]
 	dw3ForwardS2AVX(&y[ow+1], &x[w+1], &k[0], init, w, ow, rows, groups)
 	return groups
+}
+
+// pageSafe reports whether the element before s and the after elements
+// past its end lie on the pages of its first and last elements, so that
+// a kernel may load them (and ignore what it read): memory is mapped and
+// protected a 4 KiB page at a time.
+func pageSafe(s []float64, after int) bool {
+	const page = 4096
+	lo := uintptr(unsafe.Pointer(&s[0])) % page
+	hi := (uintptr(unsafe.Pointer(&s[len(s)-1])) + 8) % page
+	return lo >= 8 && hi != 0 && hi+uintptr(after)*8 <= page
 }

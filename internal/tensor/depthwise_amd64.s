@@ -6,9 +6,13 @@
 // row kernels in axpy_amd64.s they use only AVX1, with a separate
 // VMULPD and VADDPD per tap, so that each lane does the arithmetic of
 // the tap loops in depthwise.go bit for bit. A tap that falls off the
-// plane is never added: the vectors at the edges of a row load through
-// VMASKMOVPD, which reads nothing in a masked lane, and VBLENDVPD keeps
-// the old sum in every lane the tap misses.
+// plane is never added: VBLENDVPD keeps the old sum in every lane of an
+// edge vector that the tap misses. The loads of those lanes read the
+// neighbouring row, or up to a few elements before or after the plane
+// when plain is set: the caller sets it when those stay on the pages of
+// the plane's first and last elements. Otherwise the edge vectors load
+// through VMASKMOVPD, which reads nothing in a masked lane (but takes a
+// slow assist when a masked lane lies on another page).
 
 // MTAP adds one tap to the lanes of the accumulator Y10 that mask
 // selects: Y10 += kw·[addr] where mask is set.
@@ -17,6 +21,13 @@
 	VMULPD     Y11, kw, Y11; \
 	VADDPD     Y11, Y10, Y12; \
 	VBLENDVPD  mask, Y12, Y10, Y10
+
+// PMTAP is MTAP with a plain load: the lanes outside mask read memory
+// the caller knows to be readable.
+#define PMTAP(addr, mask, kw) \
+	VMULPD    addr, kw, Y11; \
+	VADDPD    Y11, Y10, Y12; \
+	VBLENDVPD mask, Y12, Y10, Y10
 
 // PTAP2 adds one tap to two adjacent vectors, Y10 (at m0) and Y13 (at
 // m1, 32 bytes on).
@@ -42,7 +53,7 @@
 	PTAP1((rp), kb); \
 	PTAP1((rp)(R9*1), kc)
 
-// func dw3PlaneAVX(y, x, k *float64, init float64, h, w, flip int, masks *[2][3][4]uint64)
+// func dw3PlaneAVX(y, x, k *float64, init float64, h, w, flip int, masks *[2][3][4]uint64, plain int)
 //
 // A stride-1 h×w plane: y[r, c] = init + Σ k[ki, kj]·x[r+(ki−1)s, c+(kj−1)s]
 // over the taps inside x, in (ki, kj) order, with s = 1 (the forward) or
@@ -51,8 +62,9 @@
 // vector of a row take their lanes from masks[0] and masks[1] (one mask
 // per kernel column; the one of kernel column 1 is also the lanes inside
 // the row, which the store is masked to); the vectors between them read
-// every tap inside the row. On the first and the last row the kernel row
-// that reads off the plane is skipped.
+// every tap inside the row (kernel column 1 needs no blend: its lanes
+// outside the row are not stored). On the first and the last row the
+// kernel row that reads off the plane is skipped.
 //
 // Registers: Y0–Y8 the taps, Y9 init, Y10 and Y13 accumulators, Y11 and
 // Y12 products, Y13–Y15 the masks of an edge vector; DI and SI the row r
@@ -61,7 +73,7 @@
 // current vector, AX the vector in y, BX the kernel rows live on this row
 // (bit 0: row 0, bit 2: row 2), CX the vectors left between the edge
 // vectors, DX the rows left, R10 the masks, R15 the edge vector's masks.
-TEXT ·dw3PlaneAVX(SB), NOSPLIT, $0-64
+TEXT ·dw3PlaneAVX(SB), NOSPLIT, $0-72
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ k+16(FP), AX
@@ -131,6 +143,8 @@ pedge:
 	VMOVUPD 32(R15), Y14
 	VMOVUPD 64(R15), Y15
 	VMOVUPD Y9, Y10
+	CMPQ plain+64(FP), $0
+	JNE  pplain
 	TESTQ $1, BX
 	JZ   pedge1
 	MTAP((R11)(R14*1), Y13, Y0)
@@ -146,6 +160,24 @@ pedge1:
 	MTAP((R13)(R14*1), Y13, Y6)
 	MTAP((R13), Y14, Y7)
 	MTAP((R13)(R9*1), Y15, Y8)
+	JMP  pedgestore
+
+pplain:
+	TESTQ $1, BX
+	JZ   pplain1
+	PMTAP((R11)(R14*1), Y13, Y0)
+	PTAP1((R11), Y1)
+	PMTAP((R11)(R9*1), Y15, Y2)
+
+pplain1:
+	PMTAP((R12)(R14*1), Y13, Y3)
+	PTAP1((R12), Y4)
+	PMTAP((R12)(R9*1), Y15, Y5)
+	TESTQ $4, BX
+	JZ   pedgestore
+	PMTAP((R13)(R14*1), Y13, Y6)
+	PTAP1((R13), Y7)
+	PMTAP((R13)(R9*1), Y15, Y8)
 
 pedgestore:
 	VMASKMOVPD Y10, Y14, (AX)
@@ -223,14 +255,20 @@ pnext:
 	VMULPD addr, Y3, Y4; \
 	VADDPD Y4, acc, acc
 
-// FMTAP is FTAP in the lanes of the mask Y6 only.
+// FMTAP is FTAP in the lanes of the mask Y6 only, reading nothing in
+// the others; FPMTAP reads them with a plain load.
 #define FMTAP(addr, acc) \
 	VMASKMOVPD addr, Y6, Y4; \
 	VMULPD     Y4, Y3, Y4; \
 	VADDPD     Y4, acc, Y5; \
 	VBLENDVPD  Y6, Y5, acc, acc
 
-// func dw3FilterAVX(acc *[12]float64, gr, x *float64, h, w, oh, ow, stride, colHi int, masks *[3][4]uint64)
+#define FPMTAP(addr, acc) \
+	VMULPD    addr, Y3, Y4; \
+	VADDPD    Y4, acc, Y5; \
+	VBLENDVPD Y6, Y5, acc, acc
+
+// func dw3FilterAVX(acc *[12]float64, gr, x *float64, h, w, oh, ow, stride, colHi int, masks *[3][4]uint64, plain int)
 //
 // The filter gradient of one plane: kernel row ki's accumulator holds
 // taps (ki, 0), (ki, 1) and (ki, 2) in lanes 0–2, and each lane sums
@@ -239,6 +277,7 @@ pnext:
 // columns from colHi on take their lanes from masks[0], masks[1] and
 // masks[2] in turn; the columns between read four input columns inside
 // the row (lane 3 is never used). A kernel row off the plane is skipped.
+// plain is dw3PlaneAVX's.
 //
 // Registers: Y0–Y2 the accumulators of kernel rows 0–2, Y3 the gradient,
 // Y4 and Y5 products and sums, Y6 an edge column's mask; SI the gradient,
@@ -247,7 +286,7 @@ pnext:
 // kernel rows live (bit 0: row 0, bit 2: row 2), DX the rows left, R8
 // the input row in bytes, R9 the stride in bytes, R10 the masks, R14
 // colHi, R15 the next edge column's mask.
-TEXT ·dw3FilterAVX(SB), NOSPLIT, $0-80
+TEXT ·dw3FilterAVX(SB), NOSPLIT, $0-88
 	MOVQ gr+8(FP), SI
 	MOVQ oh+40(FP), DX
 	MOVQ w+32(FP), R8
@@ -288,6 +327,8 @@ frowcols:
 fedge:
 	VMOVUPD (R15), Y6
 	VBROADCASTSD (SI), Y3
+	CMPQ plain+80(FP), $0
+	JNE  fplain
 	TESTQ $1, BX
 	JZ   fedge1
 	FMTAP((R11)(CX*1), Y0)
@@ -297,6 +338,18 @@ fedge1:
 	TESTQ $4, BX
 	JZ   fedgenext
 	FMTAP((R13)(CX*1), Y2)
+	JMP  fedgenext
+
+fplain:
+	TESTQ $1, BX
+	JZ   fplain1
+	FPMTAP((R11)(CX*1), Y0)
+
+fplain1:
+	FPMTAP((R12)(CX*1), Y1)
+	TESTQ $4, BX
+	JZ   fedgenext
+	FPMTAP((R13)(CX*1), Y2)
 
 fedgenext:
 	ADDQ $32, R15
