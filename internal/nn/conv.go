@@ -278,7 +278,8 @@ func (c *Conv2D) Params() []*Param {
 // stride-1 forward and input gradient sweep four adjacent columns of a
 // row per vector, the filter gradient keeps each of its nine tap sums in
 // a lane of its own at any stride, and the stride-2 forward and input
-// gradient run in Go; other shapes run tap loops. Every output and
+// gradient run in Go around AVX kernels for their interiors; other shapes
+// run tap loops. Every output and
 // input-gradient element still sums its taps in (ki, kj) order, starting
 // from the bias or from +0, and every filter tap its products in (oi, oj)
 // order — the arithmetic of a tap-by-tap loop.

@@ -124,8 +124,8 @@ func TestConv2DBatchedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestDepthwiseMatchesNaive checks the tap-vectorized depthwise kernel
-// against the direct reference to 1e-9.
+// TestDepthwiseMatchesNaive checks DepthwiseConv2D's forward against the
+// direct per-channel reference to 1e-9.
 func TestDepthwiseMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, cfg := range []struct {

@@ -18,9 +18,11 @@ package tensor
 // the three taps of a kernel row in the lanes of one vector, so that each
 // of the nine chains keeps a lane of its own; the vectors at the edges of
 // a row blend the taps that fall off the plane out. Stride-2 forwards and
-// input gradients run whole-plane Go kernels. Everything else — and every
-// path under the purego tag — runs the tap loops below, which are the
-// twins the AVX kernels are tested against.
+// input gradients run whole-plane Go kernels, which hand the outputs
+// (input columns) that take all their taps to AVX kernels, four (eight)
+// at a time. Everything else — and every path under the purego tag —
+// runs the tap loops below, which are the twins the AVX kernels are
+// tested against.
 type DepthwisePlane struct {
 	K, Stride, Pad int
 	H, W, OH, OW   int
@@ -262,14 +264,21 @@ func tap3(acc float64, x []float64, j int, k0, k1, k2 float64, left, right bool)
 // way.
 func dw3InputS2(dx, g, k []float64, h, w int) {
 	oh, ow := (h+1)/2, (w+1)/2
+	// The AVX kernel may have written the columns [0, 8·groups) of the
+	// rows [0, 2·(oh−1)).
+	groups := dw3InputS2Accel(dx, g, k, h, w)
 	var zero float64
 	for ii := 0; ii < h; ii++ {
 		a := ii / 2
 		dr := dx[ii*w : (ii+1)*w]
 		gb := g[a*ow : (a+1)*ow]
+		from := 0
+		if a+1 < oh {
+			from = 4 * groups
+		}
 		if ii%2 == 0 {
 			k3, k4, k5 := k[3], k[4], k[5]
-			for b := 0; 2*b < w; b++ {
+			for b := from; 2*b < w; b++ {
 				dr[2*b] = zero + gb[b]*k4
 				if 2*b+1 < w {
 					acc := zero
@@ -286,7 +295,7 @@ func dw3InputS2(dx, g, k []float64, h, w int) {
 			ga = g[(a+1)*ow : (a+2)*ow]
 		}
 		k0, k1, k2, k6, k7, k8 := k[0], k[1], k[2], k[6], k[7], k[8]
-		for b := 0; 2*b < w; b++ {
+		for b := from; 2*b < w; b++ {
 			acc := zero
 			if ga != nil {
 				acc += ga[b] * k1

@@ -13,6 +13,9 @@ func dw3PlaneAVX(y, x, k *float64, init float64, h, w, flip int, masks *[2][3][4
 func dw3ForwardS2AVX(y, x, k *float64, init float64, w, ow, rows, groups int)
 
 //go:noescape
+func dw3InputS2AVX(dx, gr, k *float64, w, ow, pairs, groups int)
+
+//go:noescape
 func dw3FilterAVX(acc *[12]float64, gr, x *float64, h, w, oh, ow, stride, colHi int, masks *[3][4]uint64, plain int)
 
 // dw3PlaneAccel runs the AVX stride-1 plane kernel, forward or (flip) for
@@ -57,6 +60,21 @@ func dw3ForwardS2Accel(y, x, k []float64, init float64, h, w int) int {
 	groups := (w-11)/8 + 1
 	_, _, _ = y[rows*ow+4*groups], x[(2*rows+1)*w+8*groups+2], k[8]
 	dw3ForwardS2AVX(&y[ow+1], &x[w+1], &k[0], init, w, ow, rows, groups)
+	return groups
+}
+
+// dw3InputS2Accel runs the AVX stride-2 input gradient over the input
+// rows [0, 2·(oh−1)), whose output rows a and a+1 both exist, and their
+// columns [0, 8·groups), whose kernel column 0 taps land inside the
+// output row. It returns groups.
+func dw3InputS2Accel(dx, g, k []float64, h, w int) int {
+	oh, ow := (h+1)/2, (w+1)/2
+	pairs, groups := oh-1, (ow-1)/4
+	if !useAVX || pairs < 1 || groups < 1 {
+		return 0
+	}
+	_, _, _ = dx[(2*pairs-1)*w+8*groups-1], g[pairs*ow+4*groups], k[8]
+	dw3InputS2AVX(&dx[0], &g[0], &k[0], w, ow, pairs, groups)
 	return groups
 }
 

@@ -469,3 +469,86 @@ s2group:
 	JNZ  s2row
 	VZEROUPPER
 	RET
+
+// S2STORE interleaves the even-column sums Y10 and the odd-column sums
+// Y11 of four column pairs and stores the eight columns at dst.
+#define S2STORE(dst) \
+	VUNPCKLPD  Y11, Y10, Y13; \
+	VUNPCKHPD  Y11, Y10, Y14; \
+	VPERM2F128 $0x20, Y14, Y13, Y10; \
+	VPERM2F128 $0x31, Y14, Y13, Y11; \
+	VMOVUPD    Y10, 0(dst); \
+	VMOVUPD    Y11, 32(dst)
+
+// func dw3InputS2AVX(dx, gr, k *float64, w, ow, pairs, groups int)
+//
+// The stride-2 input gradient on pairs of input rows 2a and 2a+1 whose
+// output rows a and a+1 both exist, and groups groups of eight columns,
+// 2b and 2b+1 for four adjacent b, whose kernel column 0 taps all land
+// inside the output row. From +0 and in (ki, kj) order, with G = g[a] and
+// H = g[a+1]:
+//   dx[2a, 2b]     = G[b]·k4
+//   dx[2a, 2b+1]   = G[b+1]·k3 + G[b]·k5
+//   dx[2a+1, 2b]   = H[b]·k1 + G[b]·k7
+//   dx[2a+1, 2b+1] = H[b+1]·k0 + H[b]·k2 + G[b+1]·k6 + G[b]·k8
+// dx and gr point at the first pair's row 2a and row a.
+TEXT ·dw3InputS2AVX(SB), NOSPLIT, $0-56
+	MOVQ dx+0(FP), DI
+	MOVQ gr+8(FP), SI
+	MOVQ k+16(FP), AX
+	VBROADCASTSD 0(AX), Y0
+	VBROADCASTSD 8(AX), Y1
+	VBROADCASTSD 16(AX), Y2
+	VBROADCASTSD 24(AX), Y3
+	VBROADCASTSD 32(AX), Y4
+	VBROADCASTSD 40(AX), Y5
+	VBROADCASTSD 48(AX), Y6
+	VBROADCASTSD 56(AX), Y7
+	VBROADCASTSD 64(AX), Y8
+	VXORPD Y9, Y9, Y9
+	MOVQ w+24(FP), R8
+	SHLQ $3, R8
+	MOVQ ow+32(FP), R9
+	SHLQ $3, R9
+	MOVQ pairs+40(FP), DX
+
+di2pair:
+	MOVQ DI, R10
+	LEAQ (DI)(R8*1), R12
+	MOVQ SI, R13
+	LEAQ (SI)(R9*1), R11
+	MOVQ groups+48(FP), CX
+
+di2group:
+	VMULPD (R13), Y4, Y12
+	VADDPD Y12, Y9, Y10
+	VMULPD 8(R13), Y3, Y12
+	VADDPD Y12, Y9, Y11
+	VMULPD (R13), Y5, Y12
+	VADDPD Y12, Y11, Y11
+	S2STORE(R10)
+	VMULPD (R11), Y1, Y12
+	VADDPD Y12, Y9, Y10
+	VMULPD (R13), Y7, Y12
+	VADDPD Y12, Y10, Y10
+	VMULPD 8(R11), Y0, Y12
+	VADDPD Y12, Y9, Y11
+	VMULPD (R11), Y2, Y12
+	VADDPD Y12, Y11, Y11
+	VMULPD 8(R13), Y6, Y12
+	VADDPD Y12, Y11, Y11
+	VMULPD (R13), Y8, Y12
+	VADDPD Y12, Y11, Y11
+	S2STORE(R12)
+	ADDQ $64, R10
+	ADDQ $64, R12
+	ADDQ $32, R13
+	ADDQ $32, R11
+	DECQ CX
+	JNZ  di2group
+	LEAQ (DI)(R8*2), DI
+	ADDQ R9, SI
+	DECQ DX
+	JNZ  di2pair
+	VZEROUPPER
+	RET

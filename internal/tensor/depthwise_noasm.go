@@ -11,3 +11,5 @@ func dw3PlaneAccel(y, x, k []float64, init float64, h, w int, flip bool, masks *
 func dw3FilterAccel(acc, g, x []float64, p *DepthwisePlane) bool { return false }
 
 func dw3ForwardS2Accel(y, x, k []float64, init float64, h, w int) int { return 0 }
+
+func dw3InputS2Accel(dx, g, k []float64, h, w int) int { return 0 }
