@@ -279,10 +279,10 @@ func (c *Conv2D) Params() []*Param {
 // row per vector, the filter gradient keeps each of its nine tap sums in
 // a lane of its own at any stride, and the stride-2 forward and input
 // gradient run in Go around AVX kernels for their interiors; other shapes
-// run tap loops. Every output and
-// input-gradient element still sums its taps in (ki, kj) order, starting
-// from the bias or from +0, and every filter tap its products in (oi, oj)
-// order — the arithmetic of a tap-by-tap loop.
+// run tap loops. Every output and input-gradient element still sums its
+// taps in (ki, kj) order, starting from the bias or from +0, and every
+// filter tap its products in (oi, oj) order — the arithmetic of a
+// tap-by-tap loop.
 type DepthwiseConv2D struct {
 	C, K, Stride, Pad int
 	UseBias           bool
