@@ -216,7 +216,8 @@ func BenchmarkFigure5_RLSelection(b *testing.B) {
 }
 
 // BenchmarkFigure6_TestbedRound measures one simulated test-bed round
-// (MobileNetV2, Widar-like, Table 5 platform).
+// (MobileNetV2, Widar-like, Table 5 platform, which the runner's engine
+// prices every dispatch on).
 func BenchmarkFigure6_TestbedRound(b *testing.B) {
 	sc := benchScale()
 	sc.Clients = 17
@@ -229,21 +230,7 @@ func BenchmarkFigure6_TestbedRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim, err := testbed.NewSim(testbed.Table5Platform())
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := r.(*baselines.Adaptive)
-	classOf := func(id int) core.DeviceClass { return fed.Clients[id].Device.Class }
-	samplesOf := func(id int) int { return fed.Clients[id].Data.Len() }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.Round(); err != nil {
-			b.Fatal(err)
-		}
-		stats := a.Srv.Stats()
-		sim.Advance(sim.RoundTime(stats[len(stats)-1], classOf, samplesOf, sc.LocalEpochs))
-	}
+	benchRounds(b, r)
 }
 
 // --- substrate micro-benchmarks ---

@@ -67,17 +67,14 @@ func main() {
 	// baselines keep their own synchronous loops and exact means.
 	requireAdaptive("codec", shared.Codec)
 	requireAdaptive("sched", shared.Sched)
+	requireAdaptive("trace", shared.Trace)
 	requireAdaptive("agg", shared.Agg)
 	requireAdaptive("adversary", shared.Adversary)
 	sc.Codec = shared.Codec
+	sc.Sched = shared.Sched
+	sc.Trace = shared.Trace
 	sc.Agg = shared.Agg
 	sc.Adversary = shared.Adversary
-	if shared.Sched != "" {
-		sc.Sched = shared.Sched
-		sc.Trace = shared.Trace
-	} else if shared.Trace != "" {
-		fatal(fmt.Errorf("-trace requires -sched"))
-	}
 
 	if *wallOut != "" && !*useFednet {
 		fatal(fmt.Errorf("-wall-out requires -fednet (wall records time real HTTP round trips)"))
@@ -168,21 +165,18 @@ func main() {
 	fmt.Printf("best full: %.2f%%  best avg: %.2f%%  (wall %v)\n",
 		exp.BestOf(curve, "full")*100, exp.BestOf(curve, "avg")*100,
 		time.Since(start).Round(time.Millisecond))
-	adaptive, ok := baselines.AdaptiveOf(runner)
-	if sa, isSched := runner.(*baselines.SchedAdaptive); isSched {
-		commits := sa.Eng.Commits()
+	if adaptive, ok := baselines.AdaptiveOf(runner); ok {
+		commits := adaptive.Eng.Commits()
 		reused := 0
 		for _, c := range commits {
 			reused += c.LateReused
 		}
 		fmt.Printf("simulated wall-clock (policy=%s, trace=%q): %.1fs over %d aggregations",
-			sc.Sched, sc.Trace, sa.SimTime(), len(commits))
+			adaptive.Eng.Policy(), sc.Trace, adaptive.SimTime(), len(commits))
 		if reused > 0 {
 			fmt.Printf(", %d late uploads reused", reused)
 		}
 		fmt.Println()
-	}
-	if ok {
 		fmt.Printf("communication waste: %.2f%%\n", adaptive.Waste()*100)
 		if sc.Agg != "" || sc.Adversary != "" {
 			rej, clipped := 0, 0
@@ -199,13 +193,10 @@ func main() {
 		}
 		if *ledgerOut != "" {
 			ledger := analyze.SummarizeStats(adaptive.Srv.Stats())
-			ledger.Policy = "legacy"
-			if sa, isSched := runner.(*baselines.SchedAdaptive); isSched {
-				ledger.Policy = sc.Sched
-				ledger.HasDiscounts = true
-				ledger.StalenessExp = sa.Eng.StalenessExp()
-				ledger.DiscountSum = sa.Eng.DiscountSum()
-			}
+			ledger.Policy = string(adaptive.Eng.Policy())
+			ledger.HasDiscounts = true
+			ledger.StalenessExp = adaptive.Eng.StalenessExp()
+			ledger.DiscountSum = adaptive.Eng.DiscountSum()
 			if err := ledger.WriteFile(*ledgerOut); err != nil {
 				fatal(err)
 			}

@@ -14,6 +14,8 @@ import (
 	"adaptivefl/internal/eval"
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/prune"
+	"adaptivefl/internal/sched"
+	"adaptivefl/internal/testbed"
 )
 
 func main() {
@@ -61,9 +63,21 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// 6. The round loop: the scheduler engine's sync policy, one barrier
+	// round per Step, priced on the simulated Table 5 devices (a nil trace
+	// keeps every client online).
+	sim, err := testbed.NewSim(testbed.Table5Platform())
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, err := sched.New(srv, sim, nil, sched.Config{Policy: sched.Sync, K: perRound, Epochs: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Println("\nround  full%   S1%    M1%    L1%")
 	for r := 1; r <= rounds; r++ {
-		if err := srv.Round(); err != nil {
+		if _, err := eng.Step(); err != nil {
 			log.Fatal(err)
 		}
 		if r%3 != 0 {

@@ -7,31 +7,23 @@ import (
 	"adaptivefl/internal/data"
 	"adaptivefl/internal/eval"
 	"adaptivefl/internal/prune"
+	"adaptivefl/internal/sched"
 )
 
 // Adaptive adapts core.Server (AdaptiveFL itself) to the Runner interface
-// so the experiment harness can sweep it alongside the baselines.
+// so the experiment harness can sweep it alongside the baselines. Eng, the
+// event-driven engine around Srv, runs every round: each Round() advances
+// it by one aggregation (a barrier round for the sync and deadline
+// policies, a buffer commit for semiasync).
 type Adaptive struct {
 	Srv *core.Server
+	Eng *sched.Engine
 	// Label overrides Name() for ablation variants (e.g. "AdaptiveFL+C").
 	Label string
 }
 
-// NewAdaptive builds an AdaptiveFL runner from a server configuration.
-func NewAdaptive(cfg core.Config, clients []*core.Client, label string) (*Adaptive, error) {
-	srv, err := core.NewServer(cfg, clients)
-	if err != nil {
-		return nil, err
-	}
-	if label == "" {
-		label = "AdaptiveFL"
-	}
-	return &Adaptive{Srv: srv, Label: label}, nil
-}
-
-// AdaptiveOf returns the AdaptiveFL runner behind r, whether it runs the
-// synchronous loop or the event engine (SchedAdaptive), and false for a
-// baseline.
+// AdaptiveOf returns the AdaptiveFL runner behind r, whether or not it
+// names its policy (SchedAdaptive), and false for a baseline.
 func AdaptiveOf(r Runner) (*Adaptive, bool) {
 	switch a := r.(type) {
 	case *Adaptive:
@@ -45,8 +37,14 @@ func AdaptiveOf(r Runner) (*Adaptive, bool) {
 // Name implements Runner.
 func (a *Adaptive) Name() string { return a.Label }
 
-// Round implements Runner.
-func (a *Adaptive) Round() error { return a.Srv.Round() }
+// Round implements Runner: one engine aggregation.
+func (a *Adaptive) Round() error {
+	_, err := a.Eng.Step()
+	return err
+}
+
+// SimTime returns the simulated wall-clock seconds consumed so far.
+func (a *Adaptive) SimTime() float64 { return a.Eng.Clock() }
 
 // fullIsL1 reports whether the pool's L1 member is the unpruned model: the
 // same widths as the global model, hence the same weights once extracted.

@@ -11,7 +11,9 @@ import (
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
+	"adaptivefl/internal/sched"
 	"adaptivefl/internal/tensor"
+	"adaptivefl/internal/testbed"
 )
 
 func testModelCfg() models.Config {
@@ -240,15 +242,31 @@ func TestScaleFLGlobalIncludesExitHeads(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRunner(t *testing.T) {
-	setup, _, test := testSetup(t, 6)
-	a, err := NewAdaptive(core.Config{
+// newAdaptive builds an AdaptiveFL runner on the sync engine, priced on
+// the Table 5 platform.
+func newAdaptive(t *testing.T, setup Setup) *Adaptive {
+	t.Helper()
+	srv, err := core.NewServer(core.Config{
 		Model: setup.Model, Pool: prune.Config{P: 3},
 		ClientsPerRound: setup.K, Train: setup.Train, Seed: setup.Seed,
-	}, setup.Clients, "")
+	}, setup.Clients)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim, err := testbed.NewSim(testbed.Table5Platform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sched.New(srv, sim, nil, sched.Config{Policy: sched.Sync, K: setup.K, Epochs: setup.Train.LocalEpochs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Adaptive{Srv: srv, Eng: eng, Label: "AdaptiveFL"}
+}
+
+func TestAdaptiveRunner(t *testing.T) {
+	setup, _, test := testSetup(t, 6)
+	a := newAdaptive(t, setup)
 	if a.Name() != "AdaptiveFL" {
 		t.Fatalf("Name = %s", a.Name())
 	}
@@ -275,13 +293,7 @@ func TestAdaptiveRunner(t *testing.T) {
 // separately (the previous behaviour) returns.
 func TestAdaptiveEvaluateFullOnce(t *testing.T) {
 	setup, _, test := testSetup(t, 6)
-	a, err := NewAdaptive(core.Config{
-		Model: setup.Model, Pool: prune.Config{P: 3},
-		ClientsPerRound: setup.K, Train: setup.Train, Seed: setup.Seed,
-	}, setup.Clients, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newAdaptive(t, setup)
 	if err := a.Round(); err != nil {
 		t.Fatal(err)
 	}

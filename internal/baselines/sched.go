@@ -1,38 +1,15 @@
 package baselines
 
-import (
-	"fmt"
+import "fmt"
 
-	"adaptivefl/internal/sched"
-)
-
-// SchedAdaptive drives an AdaptiveFL server through internal/sched's
-// event-driven engine instead of the synchronous Round loop: each Round()
-// advances the schedule by one aggregation (a barrier round for the sync
-// and deadline policies, a buffer commit for semiasync), so the experiment
-// harness can sweep scheduling policies exactly like algorithms — with the
-// virtual clock exposed for accuracy-versus-simulated-time curves.
+// SchedAdaptive is an Adaptive runner whose name carries its engine's
+// aggregation policy ("AdaptiveFL[semiasync]"), for runs that chose one
+// explicitly.
 type SchedAdaptive struct {
 	*Adaptive
-	Eng    *sched.Engine
-	policy sched.Policy
-}
-
-// NewSchedAdaptive wraps an Adaptive runner with its scheduler engine.
-func NewSchedAdaptive(a *Adaptive, eng *sched.Engine, policy sched.Policy) *SchedAdaptive {
-	return &SchedAdaptive{Adaptive: a, Eng: eng, policy: policy}
 }
 
 // Name implements Runner.
 func (s *SchedAdaptive) Name() string {
-	return fmt.Sprintf("%s[%s]", s.Adaptive.Name(), s.policy)
+	return fmt.Sprintf("%s[%s]", s.Adaptive.Name(), s.Eng.Policy())
 }
-
-// Round implements Runner: one scheduler aggregation.
-func (s *SchedAdaptive) Round() error {
-	_, err := s.Eng.Step()
-	return err
-}
-
-// SimTime returns the simulated wall-clock seconds consumed so far.
-func (s *SchedAdaptive) SimTime() float64 { return s.Eng.Clock() }

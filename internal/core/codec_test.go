@@ -1,50 +1,31 @@
-package core
+package core_test
 
 import (
-	"math/rand"
 	"testing"
 
-	"adaptivefl/internal/data"
+	"adaptivefl/internal/core"
 	"adaptivefl/internal/eval"
 	"adaptivefl/internal/prune"
 	"adaptivefl/internal/wire"
 )
-
-// codecTestClients mirrors testClients with a much larger test split, so
-// a 2-point accuracy comparison is not drowned by evaluation noise (at 80
-// test samples one flipped prediction already moves 1.25 points).
-func codecTestClients(t *testing.T, n int, pool *prune.Pool) ([]*Client, *data.Dataset) {
-	t.Helper()
-	cfg := data.SynthConfig{Name: "t", Classes: 4, Channels: 3, Size: 32,
-		Train: n * 24, Test: 400, Noise: 0.3, MaxShift: 1, Seed: 11}
-	train, test := data.Generate(cfg)
-	rng := rand.New(rand.NewSource(5))
-	parts := data.PartitionIID(rng, train.Len(), n)
-	devices := NewPopulation(rng, n, [3]float64{4, 3, 3}, pool, DefaultDeviceModel())
-	clients := make([]*Client, n)
-	for i := range clients {
-		clients[i] = &Client{ID: i, Data: train.Subset(parts[i]), Device: devices[i]}
-	}
-	return clients, test
-}
 
 // runWithCodec executes a small synthetic federation with the given wire
 // codec and returns the final full-model accuracy plus the byte totals
 // from the round ledger (real encoded sizes, not estimates).
 func runWithCodec(t *testing.T, codec wire.Codec, rounds int) (acc float64, sent, back int64) {
 	t.Helper()
-	pool := testPool(t)
-	clients, test := codecTestClients(t, 8, pool)
-	srv, err := NewServer(Config{
-		Model: testModelCfg(), Pool: prune.Config{P: 3},
+	pool := core.FixturePool(t)
+	clients, test := core.FixtureCodecClients(t, 8, pool)
+	srv, err := core.NewServer(core.Config{
+		Model: core.FixtureModel(), Pool: prune.Config{P: 3},
 		ClientsPerRound: 4,
-		Train:           TrainConfig{LocalEpochs: 2, BatchSize: 12, LR: 0.12, Momentum: 0.5},
+		Train:           core.TrainConfig{LocalEpochs: 2, BatchSize: 12, LR: 0.12, Momentum: 0.5},
 		Seed:            31, Codec: codec,
 	}, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Run(rounds, nil); err != nil {
+	if err := syncEngine(t, srv).Run(rounds, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range srv.Stats() {
@@ -52,7 +33,7 @@ func runWithCodec(t *testing.T, codec wire.Codec, rounds int) (acc float64, sent
 			t.Fatalf("round %d recorded no encoded bytes", st.Round)
 		}
 	}
-	sent, back = TotalWireBytes(srv.Stats())
+	sent, back = core.TotalWireBytes(srv.Stats())
 	m, err := srv.GlobalModel()
 	if err != nil {
 		t.Fatal(err)

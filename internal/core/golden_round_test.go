@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,13 +6,14 @@ import (
 	"strings"
 	"testing"
 
+	"adaptivefl/internal/core"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/wire"
 )
 
 // roundCensus renders a ledger entry compactly: the round totals, then
 // one client:sent>got token per dispatch with its outcome flags.
-func roundCensus(st RoundStats) string {
+func roundCensus(st core.RoundStats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "r%d sentP=%d retP=%d sentB=%d retB=%d rej=%d clip=%d down=%d/%d/%d",
 		st.Round, st.SentParams, st.ReturnedParams, st.SentBytes, st.ReturnedBytes,
@@ -29,12 +30,13 @@ func roundCensus(st RoundStats) string {
 	return b.String()
 }
 
-// TestGoldenRoundHashes pins two synchronous Server.Round() rounds of a
-// small federation under an adversary mix that includes stale replay,
-// corruption and sign flips, with no codec and with q8: the final global
-// weights hash and the ledger census of each round. The constants were
-// recorded before the in-process dispatch path was unified with the
-// planned one, and must never be edited. The parity tests compare two
+// TestGoldenRoundHashes pins two synchronous rounds (the engine's sync
+// policy) of a small federation under an adversary mix that includes
+// stale replay, corruption and sign flips, with no codec and with q8: the
+// final global weights hash and the ledger census of each round. The
+// constants were recorded on the server's own round loop, before the
+// in-process dispatch path was unified with the planned one and before
+// every round moved onto the engine, and must never be edited. The parity tests compare two
 // paths at one commit, so they miss both paths moving together; this pin
 // does not. amd64 only, as TestGoldenTrainingHashes.
 func TestGoldenRoundHashes(t *testing.T) {
@@ -58,10 +60,8 @@ func TestGoldenRoundHashes(t *testing.T) {
 	}
 	for _, c := range cells {
 		srv := advServer(t, 54, "mix:frac=0.7,signflip=1,stale-replay=1,corrupt=1", "", c.codec)
-		for r := 0; r < 2; r++ {
-			if err := srv.Round(); err != nil {
-				t.Fatalf("%s round %d: %v", c.name, r+1, err)
-			}
+		if err := syncEngine(t, srv).Run(2, nil); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		if got := nn.HashState(srv.Global()); got != c.hash {
 			t.Errorf("%s: weights hash %016x, want %016x", c.name, got, c.hash)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"adaptivefl/internal/data"
-	"adaptivefl/internal/prune"
 )
 
 // stubShards is a ShardGen that records which (client, seed) pairs were
@@ -235,72 +234,5 @@ func TestShardPopulationRemap(t *testing.T) {
 		if _, err := NewShardPopulation(pop, bad[0], bad[1]); err == nil {
 			t.Errorf("shard [%d,+%d) accepted", bad[0], bad[1])
 		}
-	}
-}
-
-// plainPop hides the eager slice behind the bare Population interface, so
-// NewServerPopulation takes the sparse-tables path while selection still
-// runs the same full permutation eager populations use.
-type plainPop []*Client
-
-func (p plainPop) Len() int             { return len(p) }
-func (p plainPop) Client(c int) *Client { return p[c] }
-
-// TestEagerSparseSelectionBitIdentity is the rl allocation audit: backing
-// the RL tables with lazily allocated columns must not move a single
-// selection or weight — same seed, same clients, bit-identical run.
-func TestEagerSparseSelectionBitIdentity(t *testing.T) {
-	pool := testPool(t)
-	cfg := Config{
-		Model: testModelCfg(), Pool: prune.Config{P: 3},
-		ClientsPerRound: 3,
-		Train:           quickTrain(),
-		Seed:            29, Parallelism: 3,
-	}
-	rounds := 2
-
-	eagerClients, _ := testClients(t, 6, pool)
-	eager, err := NewServer(cfg, eagerClients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eager.Run(rounds, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	sparseClients, _ := testClients(t, 6, pool)
-	sparse, err := NewServerPopulation(cfg, plainPop(sparseClients))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sparse.Tables().Sparse() {
-		t.Fatal("non-eager population did not get sparse tables")
-	}
-	if err := sparse.Run(rounds, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(eager.Stats(), sparse.Stats()) {
-		t.Fatalf("dispatch ledgers differ:\neager  %+v\nsparse %+v", eager.Stats(), sparse.Stats())
-	}
-	for name, v := range eager.Global() {
-		if got := sparse.Global()[name].Sum(); got != v.Sum() {
-			t.Fatalf("parameter %q differs between eager and sparse runs", name)
-		}
-	}
-	// Every reward the selection loop can read must agree bit-for-bit.
-	et, st := eager.Tables(), sparse.Tables()
-	for c := 0; c < 6; c++ {
-		for _, m := range pool.Members {
-			if a, b := et.ResourceReward(m, pool, c), st.ResourceReward(m, pool, c); a != b {
-				t.Fatalf("resource reward (%s, %d): %v vs %v", m.Name(), c, a, b)
-			}
-			if a, b := et.CuriosityReward(m, c), st.CuriosityReward(m, c); a != b {
-				t.Fatalf("curiosity reward (%s, %d): %v vs %v", m.Name(), c, a, b)
-			}
-		}
-	}
-	if st.Rows() > 6 {
-		t.Fatalf("sparse tables allocated %d columns for 6 clients", st.Rows())
 	}
 }

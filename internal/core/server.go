@@ -27,7 +27,10 @@ type Config struct {
 	// Greedy dispatches the unpruned L_1 to every slot instead of random
 	// pool members (the "AdaptiveFL+Greedy" ablation).
 	Greedy bool
-	// ClientsPerRound is K, the number of dispatches per round.
+	// ClientsPerRound is K, the number of dispatches per round. NewServer
+	// checks it against the population; the engine that drives the server
+	// takes its own K (sched.Config.K), which callers set to the same
+	// value.
 	ClientsPerRound int
 	Train           TrainConfig
 	Seed            int64
@@ -291,8 +294,8 @@ type Server struct {
 	nextID   int64
 	mu       sync.Mutex
 
-	// exec bounds this server's concurrent local trainings; Round and (by
-	// default) the event-driven scheduler both execute through it.
+	// exec bounds this server's concurrent local trainings; the
+	// event-driven scheduler executes through it by default.
 	exec *Executor
 
 	// aggPolicy/clip are the parsed Config.Agg policy (nil = the exact
@@ -519,10 +522,11 @@ type Slot struct {
 
 // Flight is one in-flight dispatch: issued via OpenFlight, executed via
 // Execute (synchronously) or ExecuteAsync (on an Executor, joined via
-// Wait), and finalised via Release/Record. The synchronous Round barriers
-// on a whole round of flights; the event-driven scheduler (internal/sched)
-// keeps flights open across virtual time, executes them lazily while the
-// virtual clock advances, and aggregates them out of order.
+// Wait), and finalised via Release/Record. The event-driven scheduler
+// (internal/sched), which runs every round, keeps flights open across
+// virtual time, executes them lazily while the virtual clock advances,
+// and records them in slot order at a barrier (sync) or out of order
+// (the asynchronous policies).
 type Flight struct {
 	ID   int64
 	Slot Slot
@@ -619,10 +623,10 @@ func (f *Flight) Dispatch() Dispatch {
 // PlanSlots runs Algorithm 1's selection phase for up to k dispatches over
 // the clients for which eligible returns true (nil means everyone): random
 // model selection, RL client selection with shrinking candidates, and one
-// training seed per slot. On an eager population it consumes the server
-// rng in exactly the order the synchronous Round always has, so an
-// event-driven replay of the sync policy is bit-identical; a
-// CandidateSampler population draws a bounded candidate sample instead
+// training seed per slot. On an eager population it permutes every
+// client, drawing only from the server rng, so a run is fixed by the seed
+// and the sequence of calls; a CandidateSampler population draws a
+// bounded candidate sample instead
 // (still purely from the server rng, so still deterministic) because
 // permuting a million-client fleet per selection is the O(N) cost this
 // refactor removes. Fewer than k slots come back when fewer clients are
@@ -1035,8 +1039,8 @@ func SpanOutcome(oc Outcome, d Dispatch) string {
 
 // FlightSpan builds the observability span for a recorded flight: the
 // ledger facts plus the RL reward read back from the updated tables.
-// Callers that own a virtual clock (internal/sched) fill the timing
-// fields; the synchronous Round path leaves them zero. Call only with an
+// The caller, which owns the virtual clock (internal/sched), fills the
+// timing fields. Call only with an
 // enabled observer — member names and the reward read are work the
 // disabled path must not do.
 func (s *Server) FlightSpan(f *Flight, d Dispatch, oc Outcome) obs.Span {
@@ -1102,92 +1106,10 @@ func (s *Server) NextRound() int {
 	return s.round
 }
 
-// PushStats appends a completed ledger entry. The synchronous Round does
-// this itself; event-driven schedulers push one entry per aggregation.
+// PushStats appends a completed ledger entry: the scheduler pushes one
+// per aggregation.
 func (s *Server) PushStats(st RoundStats) {
 	s.stats = append(s.stats, st)
-}
-
-// Round executes one FL round of Algorithm 1: split (the pool is static —
-// weights are sliced per dispatch), random model selection, RL client
-// selection, parallel local training with on-device pruning, RL table
-// updates, and heterogeneous aggregation. It is the synchronous
-// composition of the reentrant steps above: select, open, plan, execute
-// in parallel, then collect at a barrier in slot order.
-func (s *Server) Round() error {
-	round := s.NextRound()
-	slots := s.PlanSlots(s.cfg.ClientsPerRound, nil)
-	trainer, err := s.RoundTrainer(slots)
-	if err != nil {
-		return fmt.Errorf("core: round %d %w", round, err)
-	}
-	flights := make([]*Flight, len(slots))
-	for i, sl := range slots {
-		flights[i] = s.OpenFlight(sl)
-	}
-	for _, f := range flights {
-		if _, err := s.Plan(trainer, f); err != nil {
-			for _, f := range flights {
-				s.Release(f)
-			}
-			return fmt.Errorf("core: round %d %w", round, err)
-		}
-	}
-	for _, f := range flights {
-		s.ExecuteAsync(s.exec, trainer, f)
-	}
-
-	// Collect — RL table updates, ledger, aggregation, in slot order. On a
-	// training error, keep draining: every flight must still be joined and
-	// released so no execution outlives Round (a leftover worker would race
-	// the next round's capacity draws) and the in-flight set empties.
-	stats := RoundStats{Round: round}
-	var updates []agg.Update
-	var firstErr error
-	for _, f := range flights {
-		f.Wait()
-		s.Release(f)
-		if firstErr != nil {
-			continue
-		}
-		if err := f.Err(); err != nil {
-			firstErr = fmt.Errorf("core: round %d client %d: %w", round, f.Slot.Client, err)
-			continue
-		}
-		d, u := s.Record(f, Merged)
-		stats.Add(d)
-		if u != nil {
-			updates = append(updates, *u)
-		}
-		if s.cfg.Observer.Enabled() {
-			s.cfg.Observer.Span(s.FlightSpan(f, d, Merged))
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	s.stats = append(s.stats, stats)
-	if err := s.ApplyUpdates(updates); err != nil {
-		return fmt.Errorf("core: round %d aggregate: %w", round, err)
-	}
-	if s.cfg.Observer.Enabled() {
-		sp := obs.Span{Kind: obs.KindCommit, Client: -1, Round: round, Merged: len(updates)}
-		for _, d := range stats.Dispatches {
-			if d.Failed || d.Dropped {
-				sp.Failed++
-				continue
-			}
-			if d.Rejected {
-				sp.Rejected++
-				continue
-			}
-			if d.Clipped {
-				sp.Clipped++
-			}
-		}
-		s.cfg.Observer.Span(sp)
-	}
-	return nil
 }
 
 // request builds the flight's TrainRequest around its dispatched state.
@@ -1270,20 +1192,6 @@ func (s *Server) trainPlanned(f *Flight) localResult {
 	}
 	res.state = trained
 	return res
-}
-
-// Run executes rounds and invokes cb (if non-nil) after each; cb returning
-// false stops early.
-func (s *Server) Run(rounds int, cb func(round int) bool) error {
-	for r := 0; r < rounds; r++ {
-		if err := s.Round(); err != nil {
-			return err
-		}
-		if cb != nil && !cb(s.round) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // TotalWireBytes sums the encoded payload sizes across the recorded

@@ -102,10 +102,9 @@ func TestTableByzantineOutput(t *testing.T) {
 	}
 }
 
-// TestByzantineRowScheduled pins that a scheduled AdaptiveFL runner
-// reports its ledger and weights like the synchronous one: under the sync
-// policy the engine reproduces the legacy round bit for bit
-// (TestSyncPolicyMatchesLegacyRound), so the rows must be equal, with a
+// TestByzantineRowScheduled pins that an AdaptiveFL runner that names
+// its policy reports its ledger and weights like the default one: an
+// empty -sched is the sync policy, so the rows must be equal, with a
 // non-zero hash.
 func TestByzantineRowScheduled(t *testing.T) {
 	cell := Cell{"cifar10", models.ResNet18, IID}
@@ -119,9 +118,9 @@ func TestByzantineRowScheduled(t *testing.T) {
 		}
 	}
 	if rows[0].Hash == 0 {
-		t.Fatal("legacy row reports hash 0")
+		t.Fatal("default row reports hash 0")
 	}
 	if rows[0] != rows[1] {
-		t.Fatalf("rows differ:\nlegacy %+v\nsync   %+v", rows[0], rows[1])
+		t.Fatalf("rows differ:\ndefault %+v\nsync    %+v", rows[0], rows[1])
 	}
 }

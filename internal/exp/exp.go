@@ -39,12 +39,12 @@ type Scale struct {
 	// keeps the exact in-memory float64 path.
 	Codec string
 	// Sched names the aggregation policy the AdaptiveFL server runs under
-	// ("sync", "deadline", "semiasync" — see internal/sched). Empty keeps
-	// the legacy synchronous Round loop; any policy drives training
-	// through the event-driven engine on the Table 5 cost model, with each
-	// Runner.Round advancing one aggregation.
+	// ("sync", "deadline", "semiasync" — see internal/sched). Every policy
+	// drives training through the event-driven engine on the Table 5 cost
+	// model, with each Runner.Round advancing one aggregation. Empty means
+	// sync, under a runner whose name carries no policy.
 	Sched string
-	// Trace names the availability trace for scheduled runs (see
+	// Trace names the availability trace for AdaptiveFL runs (see
 	// sched.ParseTrace: "always", "straggler:…", "churn:…"). Empty means
 	// every client is always available at nominal speed.
 	Trace string

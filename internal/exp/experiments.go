@@ -352,20 +352,14 @@ func Figure6(w io.Writer, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		classOf := func(id int) core.DeviceClass { return fedRun.Clients[id].Device.Class }
-		samplesOf := func(id int) int { return fedRun.Clients[id].Data.Len() }
 		for round := 1; round <= s.Rounds; round++ {
 			if err := r.Round(); err != nil {
 				return err
 			}
-			switch a := r.(type) {
-			case *baselines.SchedAdaptive:
+			if a, ok := baselines.AdaptiveOf(r); ok {
 				// The engine priced every flight on the same platform.
 				simRun.Advance(a.SimTime() - simRun.Clock())
-			case *baselines.Adaptive:
-				stats := a.Srv.Stats()
-				simRun.Advance(simRun.RoundTime(stats[len(stats)-1], classOf, samplesOf, s.LocalEpochs))
-			default:
+			} else {
 				simRun.Advance(staticRoundTime(simRun, fedRun, alg, s))
 			}
 			if round%s.EvalEvery == 0 || round == s.Rounds {

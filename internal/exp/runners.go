@@ -48,7 +48,7 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 			// registry only — the span stream and the simulation never see it.
 			codec = wire.Timed(codec, m)
 		}
-		a, err := baselines.NewAdaptive(core.Config{
+		srv, err := core.NewServer(core.Config{
 			Model:           fed.Model,
 			Pool:            prune.Config{P: p},
 			RL:              rlCfg,
@@ -63,11 +63,11 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 			Observer:        sc.Observer,
 			Agg:             sc.Agg,
 			Adversary:       adv,
-		}, fed.Clients, label)
-		if err != nil || sc.Sched == "" {
-			return a, err
+		}, fed.Clients)
+		if err != nil {
+			return nil, err
 		}
-		return schedRunner(a, fed, sc)
+		return schedRunner(srv, label, fed, sc)
 	}
 	adaptive := func(mode rl.Mode, greedy bool, p int, label string) (baselines.Runner, error) {
 		return adaptiveRL(mode, greedy, p, rl.Config{}, label)
@@ -101,14 +101,19 @@ func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error)
 	return nil, fmt.Errorf("exp: unknown algorithm %q", name)
 }
 
-// schedRunner wraps an AdaptiveFL runner with the event-driven scheduler:
-// the Table 5 platform prices every dispatch, sc.Trace shapes per-client
-// availability (weak-class devices are the straggler spec's targets), and
-// sc.Sched picks the aggregation policy.
-func schedRunner(a *baselines.Adaptive, fed *Federation, sc Scale) (baselines.Runner, error) {
-	policy, err := sched.ParsePolicy(sc.Sched)
-	if err != nil {
-		return nil, err
+// schedRunner puts an AdaptiveFL server on the event-driven engine, the
+// one path every AdaptiveFL round takes: the Table 5 platform prices every
+// dispatch, sc.Trace shapes per-client availability (weak-class devices
+// are the straggler spec's targets; empty means always on), and sc.Sched
+// picks the aggregation policy (empty means sync). A run that names its
+// policy gets a runner whose name carries it.
+func schedRunner(srv *core.Server, label string, fed *Federation, sc Scale) (baselines.Runner, error) {
+	policy := sched.Sync
+	if sc.Sched != "" {
+		var err error
+		if policy, err = sched.ParsePolicy(sc.Sched); err != nil {
+			return nil, err
+		}
 	}
 	sim, err := testbed.NewSim(testbed.Table5Platform())
 	if err != nil {
@@ -119,7 +124,7 @@ func schedRunner(a *baselines.Adaptive, fed *Federation, sc Scale) (baselines.Ru
 	if err != nil {
 		return nil, err
 	}
-	eng, err := sched.New(a.Srv, sim, trace, sched.Config{
+	eng, err := sched.New(srv, sim, trace, sched.Config{
 		Policy: policy,
 		K:      sc.K,
 		Epochs: sc.LocalEpochs,
@@ -127,7 +132,11 @@ func schedRunner(a *baselines.Adaptive, fed *Federation, sc Scale) (baselines.Ru
 	if err != nil {
 		return nil, err
 	}
-	return baselines.NewSchedAdaptive(a, eng, policy), nil
+	a := &baselines.Adaptive{Srv: srv, Eng: eng, Label: label}
+	if sc.Sched == "" {
+		return a, nil
+	}
+	return &baselines.SchedAdaptive{Adaptive: a}, nil
 }
 
 // RunCurve advances a runner for the scale's rounds, evaluating every

@@ -51,9 +51,9 @@ func TableSched(w io.Writer, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		sa, ok := r.(*baselines.SchedAdaptive)
+		sa, ok := baselines.AdaptiveOf(r)
 		if !ok {
-			return fmt.Errorf("exp: %s runner is not scheduler-driven", policy)
+			return fmt.Errorf("exp: %s runner is not AdaptiveFL", policy)
 		}
 		for round := 1; round <= run.Rounds; round++ {
 			if err := r.Round(); err != nil {

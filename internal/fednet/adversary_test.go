@@ -61,7 +61,7 @@ func TestRoundCompletesWithCorruptAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Round(); err != nil {
+	if err := syncEngine(t, srv, 3).Run(1, nil); err != nil {
 		t.Fatalf("round with a corrupt agent must complete: %v", err)
 	}
 	st := srv.Stats()[0]
@@ -146,7 +146,7 @@ func TestHTTPAdversaryParityWithInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.Run(2, nil); err != nil {
+		if err := syncEngine(t, srv, 3).Run(2, nil); err != nil {
 			t.Fatal(err)
 		}
 		sums := map[string]float64{}

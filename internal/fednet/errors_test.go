@@ -165,7 +165,7 @@ func TestRoundFailsWhenAgentDiesMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = srv.Round()
+	err = syncEngine(t, srv, 3).Run(1, nil)
 	if err == nil {
 		t.Fatal("round succeeded with a dead agent")
 	}

@@ -13,6 +13,8 @@ import (
 	"adaptivefl/internal/models"
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
+	"adaptivefl/internal/sched"
+	"adaptivefl/internal/testbed"
 	"adaptivefl/internal/wire"
 )
 
@@ -39,6 +41,22 @@ func buildClients(t *testing.T, n int) []*core.Client {
 	return clients
 }
 
+// syncEngine puts srv on the scheduler engine's sync policy at width k,
+// which runs every AdaptiveFL round, priced on the Table 5 platform with
+// every client always online.
+func syncEngine(t *testing.T, srv *core.Server, k int) *sched.Engine {
+	t.Helper()
+	sim, err := testbed.NewSim(testbed.Table5Platform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sched.New(srv, sim, nil, sched.Config{Policy: sched.Sync, K: k, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func quickTrain() core.TrainConfig {
 	return core.TrainConfig{LocalEpochs: 1, BatchSize: 8, LR: 0.05, Momentum: 0.5}
 }
@@ -63,7 +81,7 @@ func TestFederatedOverHTTPMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.Run(2, nil); err != nil {
+		if err := syncEngine(t, srv, 3).Run(2, nil); err != nil {
 			t.Fatal(err)
 		}
 		sums := map[string]float64{}
@@ -96,7 +114,7 @@ func TestFederatedOverHTTPMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.Run(2, nil); err != nil {
+		if err := syncEngine(t, srv, 3).Run(2, nil); err != nil {
 			t.Fatal(err)
 		}
 		sums := map[string]float64{}
@@ -228,7 +246,7 @@ func TestFederatedOverHTTPWithCodecMatchesLocal(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := srv.Run(2, nil); err != nil {
+				if err := syncEngine(t, srv, 3).Run(2, nil); err != nil {
 					t.Fatal(err)
 				}
 				sums := map[string]float64{}

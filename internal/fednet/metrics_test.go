@@ -102,7 +102,8 @@ func TestAgentMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := srv.Run(1, nil); err != nil {
+	eng := syncEngine(t, srv, 2)
+	if err := eng.Run(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	mid := parsePrometheus(t, scrape(t, cluster.MetricsURL(0)))
@@ -119,7 +120,7 @@ func TestAgentMetrics(t *testing.T) {
 			mid[trainKey], mid[dispatchKey])
 	}
 
-	if err := srv.Run(1, nil); err != nil {
+	if err := eng.Run(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	end := parsePrometheus(t, scrape(t, cluster.MetricsURL(1)))

@@ -81,7 +81,8 @@ func TestAgentRestartRenegotiates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Round(); err != nil {
+	eng := syncEngine(t, srv, 1)
+	if _, err := eng.Step(); err != nil {
 		t.Fatal(err)
 	}
 	d := srv.Stats()[0].Dispatches[0]
@@ -100,7 +101,7 @@ func TestAgentRestartRenegotiates(t *testing.T) {
 	}
 	holder.swap(second)
 
-	if err := srv.Round(); err != nil {
+	if _, err := eng.Step(); err != nil {
 		t.Fatalf("dispatch after restart: %v", err)
 	}
 	d = srv.Stats()[1].Dispatches[0]

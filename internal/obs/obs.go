@@ -106,8 +106,7 @@ const (
 type Span struct {
 	Kind string `json:"kind"`
 	// Time is the emitting tier's virtual clock when the span closed
-	// (seconds). Zero for spans outside virtual time (KindLRU, and the
-	// legacy synchronous Round path).
+	// (seconds). Zero for spans outside virtual time (KindLRU).
 	Time float64 `json:"t"`
 	// Start / DownEnd / TrainEnd / End are a flight's trace segments in
 	// virtual seconds: dispatch cut, downlink done, local training done,

@@ -193,12 +193,43 @@ func (sizedFailTrainer) DownlinkBytes(core.TrainRequest, func() (nn.State, error
 	return 1, nil
 }
 
-// TestResolveErrorLeavesNoFlightOpen fails a semiasync refill flight
-// (flight 5, past the initial burst of four) that is resolved only at the
-// queue head, while the refills after it still train. The step must
-// return the error with every training finished, no flight open and no
-// goroutine behind.
+// TestResolveErrorLeavesNoFlightOpen fails a flight that is resolved
+// only at the queue head while the flights after it still train: a
+// semiasync refill flight (flight 5, past the initial burst of four), and
+// the second flight of a sync barrier round (flight 6, in round 2 of
+// four-wide rounds). The step must return the error with every training
+// finished, no flight open, no log line unfilled and no goroutine behind.
 func TestResolveErrorLeavesNoFlightOpen(t *testing.T) {
+	t.Run("sync-barrier", func(t *testing.T) {
+		var active atomic.Int32
+		before := runtime.NumGoroutine()
+		srv := buildServerCfg(t, 6, 4, 90, func(c *core.Config) {
+			c.Trainer = slowFailTrainer{fail: 6, active: &active}
+		})
+		eng, err := sched.New(srv, testSim(t), nil, sched.Config{Policy: sched.Sync, K: 4, Epochs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = eng.Run(3, nil)
+		if !errors.Is(err, errDispatch) {
+			t.Fatalf("Run returned %v, want %v", err, errDispatch)
+		}
+		if n := len(eng.Commits()); n != 1 {
+			t.Fatalf("%d rounds committed, want 1 before the failing one", n)
+		}
+		if n := active.Load(); n != 0 {
+			t.Fatalf("%d trainings still running after the failed step returned", n)
+		}
+		if n := srv.InFlight(); n != 0 {
+			t.Fatalf("%d flights left open", n)
+		}
+		for i, line := range eng.Log() {
+			if line == "" {
+				t.Fatalf("log line %d left unfilled", i)
+			}
+		}
+		settles(t, before)
+	})
 	t.Run("semiasync-refill", func(t *testing.T) {
 		var active atomic.Int32
 		before := runtime.NumGoroutine()

@@ -171,6 +171,9 @@ func (e *Engine) settle(fl *flight, oc core.Outcome, stats *core.RoundStats, to 
 // update this engine merged (see settle).
 func (e *Engine) DiscountSum() float64 { return e.discountSum }
 
+// Policy returns the aggregation policy the engine runs.
+func (e *Engine) Policy() Policy { return e.cfg.Policy }
+
 // StalenessExp returns the normalized staleness exponent α the engine
 // discounts with.
 func (e *Engine) StalenessExp() float64 { return e.cfg.StalenessExp }
@@ -661,7 +664,7 @@ func (e *Engine) commitRecorded(round int, stats core.RoundStats, updates []agg.
 // merged into a later aggregation under the staleness discount, alongside
 // any bank the previous rounds accumulated. Sync is this loop with
 // extra = 0 and no limit: the round waits for every dispatched client and
-// aggregates in slot order, the legacy synchronous semantics on the
+// aggregates in slot order, Algorithm 1's synchronous round on the
 // virtual clock.
 func (e *Engine) stepDeadline(extra int, limit float64, reuse bool) (Commit, error) {
 	if err := e.waitEligible(); err != nil {

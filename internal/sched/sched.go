@@ -11,9 +11,9 @@
 //     uploads still cross the wire but are discarded and ledgered as
 //     communication waste.
 //   - sync     — the deadline loop with Δ = 0 and no cap: a barrier on
-//     every dispatched client. Under the AlwaysOn trace it reproduces the
-//     legacy synchronous Round bit-identically, and is the baseline the
-//     other policies are measured against.
+//     every dispatched client, aggregated in slot order. It is Algorithm
+//     1's synchronous round, the default for every AdaptiveFL run, and the
+//     baseline the other policies are measured against.
 //   - semiasync — FedBuff-style buffered aggregation: updates merge as
 //     soon as B of them arrive, each weighted by a staleness discount
 //     1/(1+s)^α, and a new dispatch is cut immediately whenever a client

@@ -77,48 +77,6 @@ func globalSums(srv *core.Server) map[string]float64 {
 	return sums
 }
 
-// TestSyncPolicyMatchesLegacyRound is the tentpole's compatibility bar:
-// the event-driven sync policy under the AlwaysOn trace must reproduce the
-// legacy synchronous Round loop bit-identically — same global weights,
-// same ledger, same RL tables.
-func TestSyncPolicyMatchesLegacyRound(t *testing.T) {
-	rounds := 3
-	if testing.Short() {
-		rounds = 2
-	}
-	legacy := buildServer(t, 6, 3, 41)
-	if err := legacy.Run(rounds, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := buildServer(t, 6, 3, 41)
-	eng, err := sched.New(srv, testSim(t), sched.AlwaysOn{}, sched.Config{
-		Policy: sched.Sync, K: 3, Epochs: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(rounds, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	want, got := globalSums(legacy), globalSums(srv)
-	for name, v := range want {
-		if got[name] != v {
-			t.Fatalf("parameter %q differs between legacy Round and sync policy", name)
-		}
-	}
-	if !reflect.DeepEqual(legacy.Stats(), srv.Stats()) {
-		t.Fatalf("ledgers differ:\nlegacy %+v\nsched  %+v", legacy.Stats(), srv.Stats())
-	}
-	if !reflect.DeepEqual(legacy.Tables().Tr, srv.Tables().Tr) || !reflect.DeepEqual(legacy.Tables().Tc, srv.Tables().Tc) {
-		t.Fatal("RL tables differ between legacy Round and sync policy")
-	}
-	if eng.Clock() <= 0 {
-		t.Fatal("virtual clock did not advance")
-	}
-}
-
 // TestSchedulerDeterministic is the determinism property: for every
 // policy, the same seed and trace must yield an identical event log and an
 // identical final global state.

@@ -23,8 +23,8 @@ type Trace interface {
 }
 
 // AlwaysOn is the trivial trace: every client reachable at nominal speed
-// forever. The sync policy under AlwaysOn reproduces the legacy
-// synchronous Round bit-identically.
+// forever. It is the default trace, and under it the sync policy never
+// drops a flight: every dispatched client reaches the barrier.
 type AlwaysOn struct{}
 
 // Window implements Trace.
