@@ -22,51 +22,15 @@ func NewReLU() *ReLU { return &ReLU{} }
 // NewReLU6 returns the MobileNet-style clipped rectifier.
 func NewReLU6() *ReLU { return &ReLU{ClampAt: 6} }
 
-// rectifier is a ReLU's upper bound as float bits: those of the clamp, or
-// of +Inf when there is none. Its pass test is one unsigned compare,
-// bits(v)−1 < hi: on non-negative floats the bit order is the value
-// order, +0 wraps to the top, and every sign-bit pattern and every NaN
-// lands at or above hi — so exactly the strictly positive values up to
-// the bound pass, and no branch depends on the data.
-type rectifier uint64
-
-func (r *ReLU) rectifier() rectifier {
-	if r.ClampAt > 0 {
-		return rectifier(math.Float64bits(r.ClampAt))
-	}
-	return rectifier(math.Float64bits(math.Inf(1)))
-}
-
-// mask is all ones where the rectifier is the identity at v, zero
-// elsewhere.
-func (hi rectifier) mask(v float64) uint64 {
-	var m uint64
-	if math.Float64bits(v)-1 < uint64(hi) {
-		m = ^uint64(0)
-	}
-	return m
-}
-
-// apply rectifies v: v where it passes, the clamp above it, +0 everywhere
-// else. On the strictly positive non-NaN floats — bits(v)−1 < bits(+Inf) —
-// the result is the smaller of v and the bound, compared as bits.
-func (hi rectifier) apply(v float64) float64 {
-	u := math.Float64bits(v)
-	out := min(u, uint64(hi))
-	if u-1 >= infBits {
-		out = 0
-	}
-	return math.Float64frombits(out)
-}
-
-const infBits = 0x7ff0000000000000
+// rectifier returns the ReLU as a tensor.Rectifier.
+func (r *ReLU) rectifier() tensor.Rectifier { return tensor.NewRectifier(r.ClampAt) }
 
 // Forward applies the rectifier element-wise, in one pass over the input.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := r.ws.Alloc(x.Shape...)
 	hi := r.rectifier()
 	for i, v := range x.Data {
-		out.Data[i] = hi.apply(v)
+		out.Data[i] = hi.Apply(v)
 	}
 	r.in = nil
 	if train {
@@ -84,7 +48,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	hi := r.rectifier()
 	g := grad.Data[:len(r.in.Data)]
 	for i, v := range r.in.Data {
-		out.Data[i] = math.Float64frombits(math.Float64bits(g[i]) & hi.mask(v))
+		out.Data[i] = math.Float64frombits(math.Float64bits(g[i]) & hi.Mask(v))
 	}
 	return out
 }

@@ -6,7 +6,10 @@
 // Layers operate on batches: convolutional layers take [N,C,H,W] tensors,
 // dense layers take [N,F]. A layer caches whatever its Backward pass needs
 // during Forward, so the usual usage is strictly
-// Forward → Backward → optimizer step.
+// Forward → Backward → optimizer step. Some layers (ReLU, BatchNorm2D)
+// keep a reference to their input rather than a copy, so a tensor given
+// to a train-mode Forward must not change until that layer's Backward has
+// run.
 //
 // Every tensor a step creates — outputs, input gradients, im2col blocks,
 // masks, views — comes from the tensor.Workspace the layer is bound to
@@ -45,7 +48,9 @@ func newBuffer(name string, val *tensor.Tensor) *Param {
 
 // Layer is a differentiable module. Forward consumes a batch and returns
 // the output batch; Backward consumes dLoss/dOutput and returns
-// dLoss/dInput, accumulating parameter gradients along the way.
+// dLoss/dInput, accumulating parameter gradients along the way. Backward
+// may read the tensor given to the last train-mode Forward, which the
+// caller leaves unchanged in between.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -64,7 +69,7 @@ func (a *stepAlloc) SetWorkspace(ws *tensor.Workspace) { a.ws, a.own = ws, nil }
 
 // kept returns n elements, contents undefined, for what a Forward keeps
 // inside the layer for its Backward and never hands to a caller: column
-// blocks, normalised activations, argmax tables. A bound layer takes them
+// blocks, per-channel statistics, argmax tables. A bound layer takes them
 // from ws like everything else. An unbound layer owes its callers fresh
 // tensors, but these it may recycle, so it keeps one buffer of its own —
 // an unbound training loop (a test, a probe) should not pay for a

@@ -299,10 +299,20 @@ func TestReLUMatchesReference(t *testing.T) {
 // reference rectifier: train and eval outputs, running statistics, dX,
 // and the γ and β gradients, bit for bit. Channels with γ = 0 put β —
 // each of the special values in turn — straight onto the rectifier's
-// pass test; an odd channel count leaves a channel without a pair.
+// pass test; channel counts that are not a multiple of four leave a
+// short last channel group. The planes MobileNetV2 trains on (32×32 down
+// to 4×4, and 2×2) and a ragged 7×13 plane follow at n = 1, 3 and 6, with
+// 7, 5 and 6 channels — group remainders of 3, 1 and 2 — so that every
+// vector path of the kernels, their plane tails and every group size run.
 func TestBatchNormMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for _, shape := range [][4]int{{2, 3, 1, 1}, {1, 5, 2, 2}, {2, 4, 3, 5}, {3, len(specials), 4, 4}, {1, 7, 5, 5}} {
+	shapes := [][4]int{{2, 3, 1, 1}, {1, 5, 2, 2}, {2, 4, 3, 5}, {3, len(specials), 4, 4}, {1, 7, 5, 5}}
+	for _, p := range [][2]int{{32, 32}, {16, 16}, {8, 8}, {4, 4}, {2, 2}, {7, 13}} {
+		for i, n := range []int{1, 3, 6} {
+			shapes = append(shapes, [4]int{n, []int{7, 5, 6}[i], p[0], p[1]})
+		}
+	}
+	for _, shape := range shapes {
 		n, c, h, w := shape[0], shape[1], shape[2], shape[3]
 		for _, act := range []*ReLU{nil, NewReLU(), NewReLU6()} {
 			name := fmt.Sprintf("%v/bare", shape)

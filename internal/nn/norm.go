@@ -12,9 +12,13 @@ import (
 // aggregation can average them alongside the weights (width pruning slices
 // them like any other channel-indexed tensor).
 //
-// Channels are swept in pairs: the statistics of two channels accumulate
-// in one pass, so their add chains overlap, while each channel still sums
-// in sample-major order.
+// A train-mode Forward keeps a reference to its input, as ReLU does, and
+// each channel's mean and 1/σ; every pass recomputes x̂ = (x − μ)·inv from
+// them with the same two operations, so no x̂ as large as the batch is
+// kept. Backward therefore reads the tensor given to the last train-mode
+// Forward, which must not change in between. The passes run on
+// tensor.BNGroup, four channels at a time, each group's two passes back
+// to back so that the second reads what the first left in cache.
 type BatchNorm2D struct {
 	C        int
 	Eps      float64
@@ -22,12 +26,12 @@ type BatchNorm2D struct {
 
 	gamma, beta             *Param
 	runningMean, runningVar *Param
-	rect                    rectifier // fused by Rectify; zero when there is none
+	rect                    tensor.Rectifier // fused by Rectify; zero when there is none
 	stepAlloc
 
 	// forward cache, set by train-mode forwards only
-	xhat   []float64
-	invStd []float64
+	in        *tensor.Tensor
+	mean, inv []float64
 }
 
 // NewBatchNorm2D builds a batch-norm layer with gamma=1, beta=0.
@@ -44,20 +48,20 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 // returns it. A model calls it wherever a batch norm feeds a rectifier,
 // in place of the separate ReLU layer, and gets the same bits without the
 // rectifier's two passes: Forward rectifies in its normalise pass, and
-// Backward masks the incoming gradient inside the pass that sums Σdy and
-// Σdy·x̂, recomputing the pass test from γ·x̂+β — the same two operations
-// the forward rectified.
+// Backward masks the incoming gradient inside its passes, recomputing the
+// pass test from γ·x̂+β — the same operations the forward rectified, on
+// the input the last train-mode Forward was given.
 func (b *BatchNorm2D) Rectify(r *ReLU) *BatchNorm2D {
 	b.rect = r.rectifier()
 	return b
 }
 
-// pairs calls f for the channels two at a time; an odd last channel comes
-// as its own twin.
-func pairs(c int, f func(c0, c1 int)) {
-	for ch := 0; ch < c; ch += 2 {
-		f(ch, min(ch+1, c-1))
-	}
+// group moves g, a group of the layer's channels, to the channels c0 …
+// c0+3 (fewer at the end) and their γ and β.
+func (b *BatchNorm2D) group(g *tensor.BNGroup, c0 int) {
+	g.C0, g.Len = c0, min(4, b.C-c0)
+	copy(g.Gamma[:g.Len], b.gamma.Val.Data[c0:])
+	copy(g.Beta[:g.Len], b.beta.Val.Data[c0:])
 }
 
 // Forward normalises with batch statistics in training mode and running
@@ -70,162 +74,66 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := b.ws.Alloc(n, c, h, w) // every element is written below
 	spatial := h * w
 
-	b.xhat, b.invStd = nil, nil
-	if train {
-		buf := b.kept(len(x.Data) + c)
-		b.xhat, b.invStd = buf[:len(x.Data)], buf[len(x.Data):]
-		pairs(c, func(c0, c1 int) {
-			s0, q0, s1, q1 := sums2(x.Data, n, c*spatial, c0*spatial, c1*spatial, spatial)
-			b.normalise(x.Data, out.Data, n, c0, spatial, s0, q0)
-			if c1 != c0 {
-				b.normalise(x.Data, out.Data, n, c1, spatial, s1, q1)
+	b.in, b.mean, b.inv = nil, nil, nil
+	g := tensor.BNGroup{N: n, C: c, Spatial: spatial, Rect: b.rect}
+	if !train {
+		for c0 := 0; c0 < c; c0 += 4 {
+			b.group(&g, c0)
+			for k := 0; k < g.Len; k++ {
+				g.Mean[k] = b.runningMean.Val.Data[c0+k]
+				g.Inv[k] = 1 / math.Sqrt(b.runningVar.Val.Data[c0+k]+b.Eps)
 			}
-		})
+			g.NormaliseEval(out.Data, x.Data)
+		}
 		return out
 	}
 
-	hi := b.rect
-	for ch := 0; ch < c; ch++ {
-		inv := 1 / math.Sqrt(b.runningVar.Val.Data[ch]+b.Eps)
-		mean := b.runningMean.Val.Data[ch]
-		g, bt := b.gamma.Val.Data[ch], b.beta.Val.Data[ch]
-		for s := 0; s < n; s++ {
-			base := (s*c + ch) * spatial
-			xs, o := x.Data[base:base+spatial], out.Data[base:base+spatial]
-			if hi == 0 {
-				for i, v := range xs {
-					o[i] = g*(v-mean)*inv + bt
-				}
-			} else {
-				for i, v := range xs {
-					o[i] = hi.apply(g*(v-mean)*inv + bt)
-				}
+	buf := b.kept(2 * c)
+	b.in, b.mean, b.inv = x, buf[:c], buf[c:]
+	m := float64(n * spatial)
+	for c0 := 0; c0 < c; c0 += 4 {
+		b.group(&g, c0)
+		sum, sq := g.Sums(x.Data)
+		for k := 0; k < g.Len; k++ {
+			ch := c0 + k
+			mean := sum[k] / m
+			variance := sq[k]/m - mean*mean
+			if variance < 0 {
+				variance = 0
 			}
+			g.Mean[k], g.Inv[k] = mean, 1/math.Sqrt(variance+b.Eps)
+			b.mean[ch], b.inv[ch] = g.Mean[k], g.Inv[k]
+			b.runningMean.Val.Data[ch] = (1-b.Momentum)*b.runningMean.Val.Data[ch] + b.Momentum*mean
+			b.runningVar.Val.Data[ch] = (1-b.Momentum)*b.runningVar.Val.Data[ch] + b.Momentum*variance
 		}
+		g.Normalise(out.Data, x.Data)
 	}
 	return out
 }
 
-// sums2 returns Σv and Σv² over the planes of two channels — the planes
-// start at offsets a and b of every sample's block of the given stride —
-// each summed in sample-major order, their four add chains overlapped.
-func sums2(x []float64, n, stride, a, b, spatial int) (s0, q0, s1, q1 float64) {
-	for s := 0; s < n; s++ {
-		x0 := x[s*stride+a : s*stride+a+spatial]
-		x1 := x[s*stride+b : s*stride+b+spatial]
-		x1 = x1[:len(x0)]
-		for i, v := range x0 {
-			u := x1[i]
-			s0 += v
-			q0 += v * v
-			s1 += u
-			q1 += u * u
-		}
-	}
-	return
-}
-
-// normalise turns one channel's batch sums into its statistics, writes
-// x̂ and the (rectified) output, and moves the running statistics.
-func (b *BatchNorm2D) normalise(x, out []float64, n, ch, spatial int, sum, sq float64) {
-	m := float64(n * spatial)
-	mean := sum / m
-	variance := sq/m - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	inv := 1 / math.Sqrt(variance+b.Eps)
-	b.invStd[ch] = inv
-	g, bt, hi := b.gamma.Val.Data[ch], b.beta.Val.Data[ch], b.rect
-	for s := 0; s < n; s++ {
-		base := (s*b.C + ch) * spatial
-		xs, xh, o := x[base:base+spatial], b.xhat[base:base+spatial], out[base:base+spatial]
-		xh, o = xh[:len(xs)], o[:len(xs)]
-		if hi == 0 {
-			for i, v := range xs {
-				h := (v - mean) * inv
-				xh[i] = h
-				o[i] = g*h + bt
-			}
-		} else {
-			for i, v := range xs {
-				h := (v - mean) * inv
-				xh[i] = h
-				o[i] = hi.apply(g*h + bt)
-			}
-		}
-	}
-	b.runningMean.Val.Data[ch] = (1-b.Momentum)*b.runningMean.Val.Data[ch] + b.Momentum*mean
-	b.runningVar.Val.Data[ch] = (1-b.Momentum)*b.runningVar.Val.Data[ch] + b.Momentum*variance
-}
-
 // Backward implements the standard batch-norm gradient, through the fused
-// rectifier when there is one.
+// rectifier when there is one, from the input of the last train-mode
+// Forward.
 func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if b.xhat == nil {
+	if b.in == nil {
 		panic(fmt.Sprintf("nn: batchnorm %s Backward without a train-mode Forward", b.gamma.Name))
 	}
 	n, c, h, w := grad.Shape[0], grad.Shape[1], grad.Shape[2], grad.Shape[3]
 	spatial := h * w
-	// The sum pass writes each masked dy into dx, and the closing pass
-	// turns it into dX in place.
-	dx := b.ws.Alloc(n, c, h, w)
-	pairs(c, func(c0, c1 int) {
-		d0, e0, d1, e1 := b.gradSums2(grad.Data, dx.Data, n, c0, c1, spatial)
-		b.inputGrad(dx.Data, n, c0, spatial, d0, e0)
-		if c1 != c0 {
-			b.inputGrad(dx.Data, n, c1, spatial, d1, e1)
+	dx := b.ws.Alloc(n, c, h, w) // every element is written below
+	g := tensor.BNGroup{N: n, C: c, Spatial: spatial, Rect: b.rect}
+	for c0 := 0; c0 < c; c0 += 4 {
+		b.group(&g, c0)
+		copy(g.Mean[:g.Len], b.mean[c0:])
+		copy(g.Inv[:g.Len], b.inv[c0:])
+		dsum, dxsum := g.GradSums(grad.Data, b.in.Data)
+		for k := 0; k < g.Len; k++ {
+			b.beta.Grad.Data[c0+k] += dsum[k]
+			b.gamma.Grad.Data[c0+k] += dxsum[k]
 		}
-	})
+		g.InputGrad(dx.Data, grad.Data, b.in.Data, dsum, dxsum)
+	}
 	return dx
-}
-
-// gradSums2 returns Σdy and Σdy·x̂ of two channels, each summed in
-// sample-major order, and leaves dy in dx. dy is the incoming gradient,
-// zeroed — as +0, like a ReLU layer's Backward — wherever the fused
-// rectifier did not pass γ·x̂+β.
-func (b *BatchNorm2D) gradSums2(grad, dx []float64, n, c0, c1, spatial int) (d0, e0, d1, e1 float64) {
-	g0, bt0 := b.gamma.Val.Data[c0], b.beta.Val.Data[c0]
-	g1, bt1 := b.gamma.Val.Data[c1], b.beta.Val.Data[c1]
-	hi, keep := b.rect, uint64(0)
-	if hi == 0 {
-		keep = ^uint64(0)
-	}
-	for s := 0; s < n; s++ {
-		o0, o1 := (s*b.C+c0)*spatial, (s*b.C+c1)*spatial
-		gy0, xh0, dy0 := grad[o0:o0+spatial], b.xhat[o0:o0+spatial], dx[o0:o0+spatial]
-		gy1, xh1, dy1 := grad[o1:o1+spatial], b.xhat[o1:o1+spatial], dx[o1:o1+spatial]
-		xh0, dy0 = xh0[:len(gy0)], dy0[:len(gy0)]
-		gy1, xh1, dy1 = gy1[:len(gy0)], xh1[:len(gy0)], dy1[:len(gy0)]
-		for i, v := range gy0 {
-			x0, x1 := xh0[i], xh1[i]
-			v0 := math.Float64frombits(math.Float64bits(v) & (keep | hi.mask(g0*x0+bt0)))
-			v1 := math.Float64frombits(math.Float64bits(gy1[i]) & (keep | hi.mask(g1*x1+bt1)))
-			dy0[i], dy1[i] = v0, v1
-			d0 += v0
-			e0 += v0 * x0
-			d1 += v1
-			e1 += v1 * x1
-		}
-	}
-	return
-}
-
-// inputGrad accumulates one channel's γ and β gradients and turns its dy,
-// left in dx by gradSums2, into dX.
-func (b *BatchNorm2D) inputGrad(dx []float64, n, ch, spatial int, sumDy, sumDyXhat float64) {
-	b.beta.Grad.Data[ch] += sumDy
-	b.gamma.Grad.Data[ch] += sumDyXhat
-	m := float64(n * spatial)
-	k1 := b.gamma.Val.Data[ch] * b.invStd[ch] / m
-	for s := 0; s < n; s++ {
-		base := (s*b.C + ch) * spatial
-		d, xh := dx[base:base+spatial], b.xhat[base:base+spatial]
-		xh = xh[:len(d)]
-		for i, dy := range d {
-			d[i] = k1 * (m*dy - sumDy - xh[i]*sumDyXhat)
-		}
-	}
 }
 
 // Params returns gamma, beta and the running-statistic buffers.
