@@ -411,6 +411,51 @@ func BenchmarkDepthwiseStages(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchNormStages measures the batch norms of the quick-scale
+// MobileNetV2 (batch 10) one plane shape at a time — bare, as after a
+// projection, and fused with ReLU6 — forward and backward apart, on a
+// workspace that is reset per step as a training arena runs them: the
+// stem's 3 channels and the 12 hidden channels of the 32×32 planes, and
+// the hidden channels of the 16×16, 8×8 and 4×4 planes.
+func BenchmarkBatchNormStages(b *testing.B) {
+	for _, sh := range []struct{ c, hw int }{{3, 32}, {12, 32}, {18, 16}, {36, 8}, {96, 4}} {
+		for _, relu6 := range []bool{false, true} {
+			bn := nn.NewBatchNorm2D("bn", sh.c)
+			name := fmt.Sprintf("%d@%dx%d/bare", sh.c, sh.hw, sh.hw)
+			if relu6 {
+				bn.Rectify(nn.NewReLU6())
+				name = fmt.Sprintf("%d@%dx%d/relu6", sh.c, sh.hw, sh.hw)
+			}
+			ws := &tensor.Workspace{}
+			bn.SetWorkspace(ws)
+			rng := rand.New(rand.NewSource(2))
+			x := tensor.Randn(rng, 1, 10, sh.c, sh.hw, sh.hw)
+			grad := tensor.Randn(rng, 1, 10, sh.c, sh.hw, sh.hw)
+			b.Run(name+"/fwd", func(b *testing.B) {
+				ws.Reset()
+				bn.Forward(x, true)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ws.Reset()
+					bn.Forward(x, true)
+				}
+			})
+			b.Run(name+"/bwd", func(b *testing.B) {
+				ws.Reset()
+				bn.Forward(x, true)
+				bn.Backward(grad)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ws.Reset()
+					bn.Backward(grad)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkGemmTiled measures the blocked GEMM kernel at sizes that span
 // one and several cache panels.
 func BenchmarkGemmTiled(b *testing.B) {
