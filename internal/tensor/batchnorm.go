@@ -176,35 +176,29 @@ func (g *BNGroup) NormaliseEval(y, x []float64) {
 }
 
 // normaliseGo is Normalise (eval: NormaliseEval) over the elements of
-// every plane from lo on.
+// every plane from lo on. γ·x̂ is ((x − μ)·inv)·γ and the evaluation
+// output's γ·(x − μ) is (x − μ)·γ: a multiply's result does not depend on
+// its operands' order.
 func (g *BNGroup) normaliseGo(y, x []float64, lo int, eval bool) {
 	if lo == g.Spatial {
 		return
 	}
 	r := g.Rect
 	for k := 0; k < g.Len; k++ {
-		mean, inv, gm, bt := g.Mean[k], g.Inv[k], g.Gamma[k], g.Beta[k]
+		mean, a, b, bt := g.Mean[k], g.Inv[k], g.Gamma[k], g.Beta[k]
+		if eval {
+			a, b = b, a
+		}
 		for s := 0; s < g.N; s++ {
 			xs, ys := g.plane(x, s, k, lo), g.plane(y, s, k, lo)
 			ys = ys[:len(xs)]
-			switch {
-			case eval && r == 0:
+			if r == 0 {
 				for i, v := range xs {
-					ys[i] = gm*(v-mean)*inv + bt
+					ys[i] = (v-mean)*a*b + bt
 				}
-			case eval:
+			} else {
 				for i, v := range xs {
-					ys[i] = r.Apply(gm*(v-mean)*inv + bt)
-				}
-			case r == 0:
-				for i, v := range xs {
-					h := (v - mean) * inv
-					ys[i] = gm*h + bt
-				}
-			default:
-				for i, v := range xs {
-					h := (v - mean) * inv
-					ys[i] = r.Apply(gm*h + bt)
+					ys[i] = r.Apply((v-mean)*a*b + bt)
 				}
 			}
 		}

@@ -60,7 +60,7 @@ func bnNormAccel(g *BNGroup, y, x []float64, eval bool) int {
 	var l bnLanes
 	var off [4]int
 	g.lanes(&l, &off)
-	if eval { // (γ·(x − mean))·inv: γ multiplies first
+	if eval { // ((x − μ)·γ)·inv
 		l[bnInv], l[bnGamma] = l[bnGamma], l[bnInv]
 	}
 	hi, rect := g.hi()
