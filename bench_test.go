@@ -456,6 +456,27 @@ func BenchmarkBatchNormStages(b *testing.B) {
 	}
 }
 
+// BenchmarkWriterSamplerShard measures cutting one lazy client's shard
+// the way a popsim run does at its first training: 20 samples over a
+// third of the classes, Widar-shaped (1×20×20) and CIFAR-10-shaped
+// (3×32×32). Allocations per shard are the dataset's own buffers.
+func BenchmarkWriterSamplerShard(b *testing.B) {
+	for _, cfg := range []data.SynthConfig{data.WidarLike(0, 0, 1), data.CIFAR10Like(0, 0, 1)} {
+		ws, err := data.NewWriterSampler(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(cfg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.Shard(int64(i), 20, cfg.Classes/3, 0.15, 0.15); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGemmTiled measures the blocked GEMM kernel at sizes that span
 // one and several cache panels.
 func BenchmarkGemmTiled(b *testing.B) {

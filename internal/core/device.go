@@ -75,11 +75,36 @@ func (d *Device) Capacity() int64 {
 	return int64(float64(d.Base) * f)
 }
 
-// Client couples a local dataset with a device.
+// Client couples a local dataset with a device. An eager client carries
+// its shard in Data. A client a LazyPopulation materialises leaves Data
+// nil and cuts its shard at the first Shard call, so a client whose
+// flights never train never builds one.
 type Client struct {
 	ID     int
 	Data   *data.Dataset
 	Device *Device
+
+	samples int                           // a lazy client's spec sample count
+	cut     func() (*data.Dataset, error) // a lazy client's once-only shard cut; nil on an eager client
+}
+
+// Samples returns the client's shard size. It never cuts a lazy client's
+// shard: a lazy client reports its population spec's Samples.
+func (c *Client) Samples() int {
+	if c.cut == nil {
+		return c.Data.Len()
+	}
+	return c.samples
+}
+
+// Shard returns the client's data shard: Data on an eager client. A lazy
+// client's shard is cut at the first call, on the calling goroutine, and
+// concurrent first calls cut it once.
+func (c *Client) Shard() (*data.Dataset, error) {
+	if c.cut == nil {
+		return c.Data, nil
+	}
+	return c.cut()
 }
 
 // anchorSizes returns the capacity anchors (largest member per level).

@@ -15,9 +15,10 @@ import (
 // Population abstracts the server's client fleet. The legacy path is an
 // eager slice of fully-built clients; at AIoT fleet scale (the paper's
 // massive resource-constrained deployments) the population is a parametric
-// generator that materialises a client's device and data shard only when a
-// dispatch first touches it, so server memory is O(active flights) instead
-// of O(clients).
+// generator that builds a client's device when a dispatch first touches it
+// and the client's data shard when one of its flights first trains, so
+// server memory is O(active flights) instead of O(clients), and dropouts
+// and capacity failures never cut a shard.
 type Population interface {
 	// Len is the population size.
 	Len() int
@@ -227,11 +228,16 @@ func (s PopulationSpec) ClientSeed(c int) int64 {
 }
 
 // ShardGen generates one client's data shard from its deterministic seed.
-// internal/exp wires data.WriterSampler here; tests can supply a stub.
+// It runs at a lazy client's first training, on the executor worker that
+// trains it, so it must be safe for concurrent calls; the shard must hold
+// the spec's Samples samples. internal/exp wires data.WriterSampler here;
+// tests can supply a stub.
 type ShardGen func(c int, seed int64) *data.Dataset
 
 // LazyPopulation materialises clients on first dispatch from a
-// PopulationSpec and keeps at most Cap of them alive in an LRU. Clients
+// PopulationSpec and keeps at most Cap of them alive in an LRU. A
+// materialised client holds its device; its shard is cut at its first
+// training (Client.Shard) and lives as long as the client does. Clients
 // with open flights are pinned outside the LRU (never evicted), so worker
 // goroutines reading a flight's client can never race an eviction, and
 // eviction order stays a pure function of the event loop's deterministic
@@ -390,24 +396,34 @@ func (p *LazyPopulation) evictLocked() {
 	}
 }
 
-// materialise builds client c from its deterministic per-client streams.
-// Re-materialising after an eviction yields a bit-identical device and
-// shard, with the device's capacity-jitter rng reset to the stream start;
-// since eviction order is itself deterministic (pinning keeps worker
-// accesses off the LRU), whole runs stay reproducible.
+// materialise builds client c's device from its deterministic per-client
+// streams and leaves the shard to its first Shard call, where a shard
+// whose length differs from the spec's Samples is an error naming the
+// client. Re-materialising after an eviction yields a bit-identical device
+// and shard, with the device's capacity-jitter rng reset to the stream
+// start; since eviction order is itself deterministic (pinning keeps
+// worker accesses off the LRU), whole runs stay reproducible.
 func (p *LazyPopulation) materialise(c int) *Client {
 	seed := p.spec.ClientSeed(c)
 	class := p.spec.ClassOf(c)
+	gen, samples := p.datagen, p.spec.Samples
 	p.made++
 	return &Client{
-		ID:   c,
-		Data: p.datagen(c, seed),
+		ID: c,
 		Device: &Device{
 			Class:  class,
 			Base:   p.bases[class],
 			Jitter: p.jitter,
 			rng:    rand.New(rand.NewSource(seed)),
 		},
+		samples: samples,
+		cut: sync.OnceValues(func() (*data.Dataset, error) {
+			d := gen(c, seed)
+			if n := d.Len(); n != samples {
+				return nil, fmt.Errorf("core: shard generator cut %d samples for client %d, spec has %d", n, c, samples)
+			}
+			return d, nil
+		}),
 	}
 }
 

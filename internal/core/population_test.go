@@ -3,20 +3,38 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"adaptivefl/internal/data"
 )
 
-// stubShards is a ShardGen that records which (client, seed) pairs were
-// cut, returning a tiny distinct dataset per call so pointer identity can
-// distinguish materialisations.
-func stubShards(calls *[][2]int64) ShardGen {
+// shardLog records which (client, seed) pairs a stub generator cut; it
+// is safe for the concurrent calls executor workers make.
+type shardLog struct {
+	mu    sync.Mutex
+	calls [][2]int64
+}
+
+func (l *shardLog) snapshot() [][2]int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([][2]int64(nil), l.calls...)
+}
+
+// stubShards is a ShardGen that records its calls in log (when non-nil)
+// and returns a label-only dataset of samples samples, a fresh one per
+// call so pointer identity can distinguish cuts.
+func stubShards(log *shardLog, samples int) ShardGen {
 	return func(c int, seed int64) *data.Dataset {
-		if calls != nil {
-			*calls = append(*calls, [2]int64{int64(c), seed})
+		if log != nil {
+			log.mu.Lock()
+			log.calls = append(log.calls, [2]int64{int64(c), seed})
+			log.mu.Unlock()
 		}
-		return &data.Dataset{Labels: []int{c}, NumClasses: 1}
+		return &data.Dataset{Labels: make([]int, samples), NumClasses: 1}
 	}
 }
 
@@ -141,8 +159,8 @@ func TestLazyPopulationRematerialisesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Seed = 11
-	var calls [][2]int64
-	pop, err := NewLazyPopulation(spec, pool, DefaultDeviceModel(), stubShards(&calls), 4)
+	var log shardLog
+	pop, err := NewLazyPopulation(spec, pool, DefaultDeviceModel(), stubShards(&log, spec.Samples), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +169,12 @@ func TestLazyPopulationRematerialisesIdentically(t *testing.T) {
 	for c := 10; c < 20; c++ {
 		pop.Client(c)
 	}
+	if calls := log.snapshot(); len(calls) != 0 {
+		t.Fatalf("materialising alone cut shards: %v", calls)
+	}
+	if _, err := first.Shard(); err != nil {
+		t.Fatal(err)
+	}
 	second := pop.Client(3)
 	if first == second {
 		t.Fatal("client 3 was not evicted by the LRU flood")
@@ -158,7 +182,11 @@ func TestLazyPopulationRematerialisesIdentically(t *testing.T) {
 	if first.Device.Class != second.Device.Class || first.Device.Base != second.Device.Base {
 		t.Fatalf("re-materialised device differs: %+v vs %+v", first.Device, second.Device)
 	}
+	if _, err := second.Shard(); err != nil {
+		t.Fatal(err)
+	}
 	// The shard generator saw the same deterministic seed both times.
+	calls := log.snapshot()
 	var seeds []int64
 	for _, call := range calls {
 		if call[0] == 3 {
@@ -168,8 +196,75 @@ func TestLazyPopulationRematerialisesIdentically(t *testing.T) {
 	if len(seeds) != 2 || seeds[0] != seeds[1] {
 		t.Fatalf("shard seeds for client 3: %v, want two identical", seeds)
 	}
-	if live, total := pop.Materialized(); live > 4+1 || total != int64(len(calls)) {
-		t.Fatalf("audit live=%d total=%d calls=%d", live, total, len(calls))
+	if live, total := pop.Materialized(); live > 4+1 || total != 12 || len(calls) != 2 {
+		t.Fatalf("audit live=%d total=%d calls=%d, want total 12 and 2 calls", live, total, len(calls))
+	}
+}
+
+// TestLazyShardCutOnce pins Client.Shard's contract on a lazy client: the
+// sample count comes from the spec without a cut, two goroutines reading
+// the shard at once cut it exactly once, and a generator that cuts the
+// wrong size fails naming the client, once.
+func TestLazyShardCutOnce(t *testing.T) {
+	pool := testPool(t)
+	spec, err := ParsePopulation("mix:n=20,samples=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed = 14
+	var log shardLog
+	stub := stubShards(&log, spec.Samples)
+	slow := func(c int, seed int64) *data.Dataset {
+		time.Sleep(5 * time.Millisecond) // hold the cut open while the other reader arrives
+		return stub(c, seed)
+	}
+	pop, err := NewLazyPopulation(spec, pool, DefaultDeviceModel(), slow, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := pop.Client(5)
+	if n := cl.Samples(); n != 6 {
+		t.Fatalf("Samples() = %d, want the spec's 6", n)
+	}
+	if calls := log.snapshot(); len(calls) != 0 {
+		t.Fatalf("Samples() cut shards: %v", calls)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	got := make([]*data.Dataset, 2)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			d, err := cl.Shard()
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = d
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if calls := log.snapshot(); len(calls) != 1 || calls[0] != [2]int64{5, spec.ClientSeed(5)} {
+		t.Fatalf("concurrent reads cut %v, want one cut of client 5 at its seed", calls)
+	}
+	if got[0] == nil || got[0] != got[1] || got[0].Len() != 6 {
+		t.Fatalf("concurrent reads returned %p and %p", got[0], got[1])
+	}
+
+	bad, err := NewLazyPopulation(spec, pool, DefaultDeviceModel(), stubShards(&log, 5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(log.snapshot())
+	for i := 0; i < 2; i++ {
+		if _, err := bad.Client(7).Shard(); err == nil || !strings.Contains(err.Error(), "client 7") {
+			t.Fatalf("a 5-sample cut of a 6-sample spec gave %v, want an error naming client 7", err)
+		}
+	}
+	if n := len(log.snapshot()) - before; n != 1 {
+		t.Fatalf("a failed cut ran the generator %d times, want 1", n)
 	}
 }
 
@@ -180,7 +275,7 @@ func TestLazyPopulationPinSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Seed = 12
-	pop, err := NewLazyPopulation(spec, pool, DefaultDeviceModel(), stubShards(nil), 2)
+	pop, err := NewLazyPopulation(spec, pool, DefaultDeviceModel(), stubShards(nil, spec.Samples), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +308,7 @@ func TestShardPopulationRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Seed = 13
-	pop, err := NewLazyPopulation(spec, pool, DefaultDeviceModel(), stubShards(nil), 0)
+	pop, err := NewLazyPopulation(spec, pool, DefaultDeviceModel(), stubShards(nil, spec.Samples), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -738,9 +738,10 @@ func (s *Server) artifact(snap uint64, global nn.State, sub prune.Submodel) (*wi
 // staleness to the current global version. Flight IDs are assigned in call
 // order, so open flights deterministically (single goroutine) and Execute
 // them concurrently. On a pinning population the client is pinned for the
-// flight's lifetime: it is materialised here, on the opener's goroutine,
-// so worker-side reads never influence (or race) the population's
-// eviction order.
+// flight's lifetime: its device is materialised here, on the opener's
+// goroutine, so worker-side reads never influence (or race) the
+// population's eviction order. Its shard is cut later, at the flight's
+// first training, on the executor worker (Client.Shard).
 func (s *Server) OpenFlight(sl Slot) *Flight {
 	if p, ok := s.pop.(Pinner); ok {
 		p.Pin(sl.Client)
@@ -1158,6 +1159,10 @@ func (s *Server) trainPlanned(f *Flight) localResult {
 	if pl.Failed {
 		return localResult{failed: true, got: f.Slot.Sent, sentBytes: pl.SentBytes, codec: pl.Codec}
 	}
+	shard, err := s.pop.Client(f.Slot.Client).Shard()
+	if err != nil {
+		return localResult{err: err}
+	}
 	var sentState nn.State
 	if s.cfg.Codec != nil {
 		art, err := s.artifact(f.snap, f.global, f.Slot.Sent)
@@ -1165,20 +1170,16 @@ func (s *Server) trainPlanned(f *Flight) localResult {
 			return localResult{err: err}
 		}
 		sentState = art.State
-	} else {
-		var err error
-		if sentState, err = s.pool.ExtractState(f.global, f.Slot.Sent); err != nil {
-			return localResult{err: err}
-		}
+	} else if sentState, err = s.pool.ExtractState(f.global, f.Slot.Sent); err != nil {
+		return localResult{err: err}
 	}
-	client := s.pop.Client(f.Slot.Client)
 	step := DeviceStep{Model: s.cfg.Model, Train: s.cfg.Train, Adversary: s.cfg.Adversary,
 		Codec: s.cfg.Codec, Replays: &s.replays}
-	trained, up, err := step.Run(f.request(sentState), pl.Got, client.Data)
+	trained, up, err := step.Run(f.request(sentState), pl.Got, shard)
 	if err != nil {
 		return localResult{err: err}
 	}
-	res := localResult{samples: client.Data.Len(), got: pl.Got, sentBytes: pl.SentBytes,
+	res := localResult{samples: shard.Len(), got: pl.Got, sentBytes: pl.SentBytes,
 		gotBytes: int64(len(up)), codec: pl.Codec}
 	if s.cfg.Codec != nil {
 		// The uplink reference is the decoded dispatched state — the same

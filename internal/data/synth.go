@@ -125,13 +125,14 @@ func sampleInto(rng *rand.Rand, dst []float64, proto *tensor.Tensor, cfg SynthCo
 	}
 	i := 0
 	for ch := 0; ch < c; ch++ {
+		plane := proto.Data[ch*h*w : (ch+1)*h*w]
 		for y := 0; y < h; y++ {
 			sy := y + dy
 			for x := 0; x < w; x++ {
 				sx := x + dx
 				v := 0.0
 				if sy >= 0 && sy < h && sx >= 0 && sx < w {
-					v = proto.At(ch, sy, sx)
+					v = plane[sy*w+sx]
 				}
 				dst[i] = gain*v + offset + cfg.Noise*rng.NormFloat64()
 				i++

@@ -51,8 +51,9 @@ func HashState(st nn.State) uint64 { return nn.HashState(st) }
 
 // popShardGen builds the lazy population's shard generator from the
 // spec's data-distribution family: a WriterSampler whose prototype bank
-// is shared across the fleet and whose per-client shards derive from each
-// client's own seed.
+// is shared read-only across the fleet and whose per-client shards derive
+// from each client's own seed, so executor workers may cut shards
+// concurrently.
 func popShardGen(spec core.PopulationSpec, sc Scale) (core.ShardGen, error) {
 	dcfg, err := DatasetConfig(spec.Dataset, sc)
 	if err != nil {
@@ -69,12 +70,15 @@ func popShardGen(spec core.PopulationSpec, sc Scale) (core.ShardGen, error) {
 			classesPer = 2
 		}
 	}
+	if classesPer > dcfg.Classes {
+		return nil, fmt.Errorf("exp: population classes=%d exceeds the %s family's %d classes", classesPer, spec.Dataset, dcfg.Classes)
+	}
 	samples := spec.Samples
 	return func(c int, seed int64) *data.Dataset {
 		d, err := ws.Shard(seed, samples, classesPer, 0.15, 0.15)
 		if err != nil {
-			// The parameters were validated when the first shard was cut;
-			// a later failure would be a programming error.
+			// The parameters were checked above and shards are cut on
+			// executor workers, so a failure is a programming error.
 			panic(fmt.Sprintf("exp: shard for client %d: %v", c, err))
 		}
 		return d

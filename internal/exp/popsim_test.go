@@ -3,6 +3,7 @@ package exp
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adaptivefl/internal/core"
@@ -91,5 +92,18 @@ func TestRunPopSimHierarchyDeterministic(t *testing.T) {
 	}
 	if flat.WeightsHash == a.WeightsHash {
 		t.Fatal("flat and hierarchical runs produced identical weights; the topology had no effect")
+	}
+}
+
+// TestRunPopSimRejectsClassesBeyondDataset pins that the shard parameters
+// are checked before the run: shards are cut on executor workers, where a
+// bad class count could only panic.
+func TestRunPopSimRejectsClassesBeyondDataset(t *testing.T) {
+	spec, err := core.ParsePopulation("mix:n=50,classes=23")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunPopSim(nil, spec, popTestScale(), 1, 10, 0); err == nil || !strings.Contains(err.Error(), "classes=23") {
+		t.Fatalf("classes=23 on the 22-class widar family gave %v, want an error naming it", err)
 	}
 }

@@ -330,7 +330,7 @@ func (e *Engine) trainEnd(c int, t, work float64) (end float64, dropped bool) {
 func (e *Engine) price(fl *flight, start float64, upload bool) {
 	c := fl.d.Client
 	cl := e.srv.ClientAt(c)
-	down, train, up := e.cost.DispatchTimes(cl.Device.Class, fl.d, cl.Data.Len(), e.cfg.Epochs)
+	down, train, up := e.cost.DispatchTimes(cl.Device.Class, fl.d, cl.Samples(), e.cfg.Epochs)
 	fl.t0, fl.downT, fl.trainT = start, 0, 0
 	t, dropped := e.transferEnd(c, start, down)
 	if !dropped {

@@ -3,9 +3,12 @@ package sched_test
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"adaptivefl/internal/core"
+	"adaptivefl/internal/data"
+	"adaptivefl/internal/prune"
 	"adaptivefl/internal/sched"
 )
 
@@ -210,6 +213,110 @@ func TestHierarchyProgression(t *testing.T) {
 	for _, ed := range h.Edges() {
 		if len(ed.Eng.Commits()) == 0 {
 			t.Fatal("an edge never committed")
+		}
+	}
+}
+
+// TestLazyShardsCutOnlyWhenFlightsTrain runs a small lazy population
+// through the engine under churn and counts the shard generator's calls:
+// the engine prices flights from the spec's sample count, so a shard is
+// cut only for a client one of whose flights trained, once (the LRU holds
+// the whole population here), while sealed dropouts and capacity failures
+// cut none.
+func TestLazyShardsCutOnlyWhenFlightsTrain(t *testing.T) {
+	spec, err := core.ParsePopulation("mix:n=60,weak=0.6,on=0.05,churn=0.05,samples=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed = 21
+	pool, err := prune.BuildPool(testModelCfg(), prune.Config{P: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := data.NewWriterSampler(data.SynthConfig{Name: "t", Classes: 4, Channels: 3, Size: 32,
+		Noise: 0.3, MaxShift: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	cuts := map[int]int{}
+	gen := func(c int, seed int64) *data.Dataset {
+		mu.Lock()
+		cuts[c]++
+		mu.Unlock()
+		d, err := ws.Shard(seed, spec.Samples, 2, 0.15, 0.15)
+		if err != nil {
+			panic(err)
+		}
+		return d
+	}
+	// Weak devices at a fifth of the largest S-level member's size fit no
+	// member of this pool, so every flight to one fails its capacity draw.
+	dm := core.DefaultDeviceModel()
+	dm.WeakFactor = 0.2
+	pop, err := core.NewLazyPopulation(spec, pool, dm, gen, spec.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := core.NewServerPopulation(core.Config{
+		Model: testModelCfg(), Pool: prune.Config{P: 3}, ClientsPerRound: 4,
+		Train: core.TrainConfig{LocalEpochs: 1, BatchSize: 6, LR: 0.02, Momentum: 0.5},
+		Seed:  32, Parallelism: 2,
+	}, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sched.New(srv, testSim(t), sched.PopTrace{Spec: spec}, sched.Config{Policy: sched.Sync, K: 4, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(8, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Log() // joins any flight still training
+	if n := srv.InFlight(); n != 0 {
+		t.Fatalf("%d flights still open after the sync rounds", n)
+	}
+	trained := map[int]bool{}
+	idle := map[int]bool{} // clients with a failed or sealed-dropout dispatch
+	var failed, skipped int
+	for _, st := range srv.Stats() {
+		for _, d := range st.Dispatches {
+			switch {
+			case d.Failed:
+				failed++
+				idle[d.Client] = true
+			case d.TrainSkipped:
+				skipped++
+				idle[d.Client] = true
+			default:
+				trained[d.Client] = true
+			}
+		}
+	}
+	if failed == 0 || skipped == 0 || len(trained) == 0 {
+		t.Fatalf("the run needs failed, skipped and trained flights: failed=%d skipped=%d trained clients=%d",
+			failed, skipped, len(trained))
+	}
+	untrained := 0
+	for c := range idle {
+		if !trained[c] {
+			untrained++
+		}
+	}
+	if untrained == 0 {
+		t.Fatal("every failed or skipped client also trained; the run shows nothing")
+	}
+	// Sync rounds cancel no training, so every client that trained cut
+	// its shard, and no other client did.
+	for c, n := range cuts {
+		if n != 1 || !trained[c] {
+			t.Errorf("client %d: %d shard cuts, trained=%v; want one cut, for a client that trained", c, n, trained[c])
+		}
+	}
+	for c := range trained {
+		if cuts[c] == 0 {
+			t.Errorf("client %d trained without cutting its shard", c)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense row-major array of float64 values.
@@ -139,7 +140,9 @@ func (t *Tensor) offset(idx []int) int {
 	off, acc := 0, 1
 	for i := len(t.Shape) - 1; i >= 0; i-- {
 		if idx[i] < 0 || idx[i] >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
+			// Format a copy: handing idx itself to Sprintf would make every
+			// At/Set caller heap-allocate its variadic index.
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", slices.Clone(idx), t.Shape))
 		}
 		off += idx[i] * acc
 		acc *= t.Shape[i]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,26 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	New(2, 2).At(2, 0)
+}
+
+// TestAtSetDoNotAllocate pins that the variadic index stays on the
+// caller's stack: only the out-of-range panic formats it, from a copy.
+func TestAtSetDoNotAllocate(t *testing.T) {
+	x := New(2, 3, 4)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i = (i + 1) % 4
+		x.Set(x.At(1, 2, i)+1, 0, 1, i)
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Set allocate %v times per call pair, want 0", allocs)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "index [1 3 0] out of range for shape [2 3 4]") {
+			t.Fatalf("out-of-range panic %q does not name the index", msg)
+		}
+	}()
+	x.Set(1, 1, 3, 0)
 }
 
 func TestReshapeSharesData(t *testing.T) {
