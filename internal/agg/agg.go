@@ -83,7 +83,7 @@ func perTensor(global nn.State, updates []Update, merge func(g *tensor.Tensor, c
 	slices.SortStableFunc(names, func(a, b string) int { return cmp.Compare(len(global[b].Data), len(global[a].Data)) })
 	outs := make([]*tensor.Tensor, len(names))
 	errs := make([]*admitErr, len(names))
-	tensor.ForEach(len(names), tensor.Parallelism(), func(i int) {
+	tensor.ForEach(len(names), tensor.Parallelism(), func(_, i int) {
 		outs[i], errs[i] = admitTensor(names[i], global[names[i]], updates, merge)
 	})
 

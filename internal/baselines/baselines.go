@@ -18,12 +18,11 @@ import (
 
 // Setup is the experiment context shared by every algorithm.
 type Setup struct {
-	Model       models.Config
-	Clients     []*core.Client
-	K           int // clients per round
-	Train       core.TrainConfig
-	Seed        int64
-	Parallelism int // concurrent local trainers; 0 = K
+	Model   models.Config
+	Clients []*core.Client
+	K       int // clients per round
+	Train   core.TrainConfig
+	Seed    int64
 }
 
 func (s *Setup) validate() error {

@@ -6,6 +6,7 @@ import (
 
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
+	"adaptivefl/internal/tensor"
 )
 
 // globalsOf returns every global state a runner holds, in level order.
@@ -13,9 +14,9 @@ func globalsOf(r Runner) []nn.State { return r.(*Static).globals }
 
 // TestGoldenBaselineRounds pins the bits of two rounds of each Table 2
 // baseline on an 8-client setup: the hash of every global it holds and
-// the exact Evaluate map. Each baseline runs at Parallelism 1 and 3
-// against the same constants, so local training must also be independent
-// of how many trainers run at once. The constants were recorded before
+// the exact Evaluate map. Each baseline runs at tensor parallelism 1 and
+// 3 against the same constants, so local training must also be
+// independent of how many trainers run at once. The constants were recorded before
 // the four baseline round loops were folded into one runner, and must
 // never be edited. amd64 only: elsewhere the compiler may fuse x*y+z into
 // one FMA, which rounds differently.
@@ -40,10 +41,11 @@ func TestGoldenBaselineRounds(t *testing.T) {
 			[]uint64{0x400a100235066408},
 			map[string]float64{"S1": 0.25, "M1": 0.6, "L1": 0.48333333333333334, "full": 0.48333333333333334}},
 	}
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
 	for _, c := range cases {
 		for _, par := range []int{1, 3} {
 			setup, pool, test := testSetup(t, 8)
-			setup.Parallelism = par
+			tensor.SetParallelism(par)
 			r, err := c.build(setup, pool)
 			if err != nil {
 				t.Fatal(err)

@@ -129,7 +129,9 @@ func (r *Static) Name() string { return r.name }
 
 // Round selects K clients uniformly; each trains its class's level, and
 // each global takes the data-weighted mean of the updates of the levels
-// that train it.
+// that train it. The trainings go to tensor.ForEach at
+// tensor.Parallelism; each writes only its own state, so the globals do
+// not depend on the width.
 func (r *Static) Round() error {
 	clients := r.setup.Clients
 	sel := r.rng.Perm(len(clients))[:r.setup.K]
@@ -141,11 +143,7 @@ func (r *Static) Round() error {
 	}
 	states := make([]nn.State, len(sel))
 	errs := make([]error, len(sel))
-	width := r.setup.Parallelism
-	if width <= 0 {
-		width = len(sel) // Setup.Parallelism 0 means K; ForEach reads 0 as serial
-	}
-	tensor.ForEach(len(sel), width, func(i int) {
+	tensor.ForEach(len(sel), tensor.Parallelism(), func(_, i int) {
 		states[i], errs[i] = r.train(r.setup, lvls[i], r.globals[lvls[i].global], clients[sel[i]].Data, seeds[i])
 	})
 	updates := make([][]agg.Update, len(r.globals))

@@ -11,13 +11,13 @@ import (
 	"adaptivefl/internal/tensor"
 )
 
-// Executor bounds concurrent local-training executions. The synchronous
-// Round and the event-driven scheduler (internal/sched) both push flight
-// executions through one of these, so a whole process shares the same
-// notion of training parallelism — and, through the arena pool below, the
-// same recycled training state. An Executor is cheap (a semaphore): the
-// expensive reusable state lives in the process-wide arena pool, not in
-// the executor itself.
+// Executor bounds concurrent local-training executions. Every flight the
+// event-driven scheduler (internal/sched) launches runs through its
+// server's Executor (the edges of a two-tier hierarchy share one), so a
+// whole process shares the same notion of training parallelism — and,
+// through the arena pool below, the same recycled training state. An
+// Executor is cheap (a semaphore): the expensive reusable state lives in
+// the process-wide arena pool, not in the executor itself.
 type Executor struct {
 	sem      chan struct{}
 	executed atomic.Int64

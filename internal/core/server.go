@@ -707,7 +707,7 @@ func (s *Server) RoundTrainer(slots []Slot) (Trainer, error) {
 	}
 	order = append(order, repeats...)
 	errs := make([]error, len(slots))
-	tensor.ForEach(len(order), s.exec.Width(), func(n int) {
+	tensor.ForEach(len(order), s.exec.Width(), func(_, n int) {
 		_, errs[order[n]] = s.artifact(s.snap, s.global, slots[order[n]].Sent)
 	})
 	for _, err := range errs {

@@ -8,6 +8,7 @@ import (
 	"adaptivefl/internal/core"
 	"adaptivefl/internal/eval"
 	"adaptivefl/internal/models"
+	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
 	"adaptivefl/internal/testbed"
 )
@@ -391,7 +392,7 @@ type ByzantineRow struct {
 	// Rejected / Clipped sum the run's ledgered rejections and clips.
 	Rejected int
 	Clipped  int
-	// Hash fingerprints the final global weights (HashState); two
+	// Hash fingerprints the final global weights (nn.HashState); two
 	// same-seed runs of the same row must agree bit-for-bit.
 	Hash uint64
 }
@@ -451,7 +452,7 @@ func runByzantineRow(cell Cell, sc Scale, row *ByzantineRow) error {
 		row.Full = curve.Points[n-1].Acc["full"]
 	}
 	if a, ok := baselines.AdaptiveOf(r); ok {
-		row.Hash = HashState(a.Srv.Global())
+		row.Hash = nn.HashState(a.Srv.Global())
 		for _, st := range a.Srv.Stats() {
 			row.Rejected += st.Rejected
 			row.Clipped += st.Clipped

@@ -43,12 +43,6 @@ type PopSimResult struct {
 	Ledger *analyze.LedgerSummary
 }
 
-// HashState fingerprints a state dict: FNV-64a over sorted tensor names
-// and raw float64 bits, so any single-bit weight divergence changes it.
-// It is nn.HashState, re-exported where the result tables historically
-// lived.
-func HashState(st nn.State) uint64 { return nn.HashState(st) }
-
 // popShardGen builds the lazy population's shard generator from the
 // spec's data-distribution family: a WriterSampler whose prototype bank
 // is shared read-only across the fleet and whose per-client shards derive
@@ -229,7 +223,7 @@ func RunPopSim(w io.Writer, spec core.PopulationSpec, sc Scale, edges int, simSe
 			progress(w, eng.Clock(), simSeconds, res.Commits, pop)
 		}
 		res.SimTime = eng.Clock()
-		res.WeightsHash = HashState(srv.Global())
+		res.WeightsHash = nn.HashState(srv.Global())
 		res.RLRows = srv.Tables().Rows()
 		res.Live, res.TotalMade = pop.Materialized()
 		ledger := analyze.SummarizeStats(srv.Stats())
@@ -290,7 +284,7 @@ func RunPopSim(w io.Writer, spec core.PopulationSpec, sc Scale, edges int, simSe
 		progress(w, hier.Clock(), simSeconds, res.Commits, pop)
 	}
 	res.SimTime = hier.Clock()
-	res.WeightsHash = HashState(hier.Global())
+	res.WeightsHash = nn.HashState(hier.Global())
 	var ledger analyze.LedgerSummary
 	ledger.Policy = policy
 	ledger.HasDiscounts = true

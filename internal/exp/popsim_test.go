@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"adaptivefl/internal/core"
-	"adaptivefl/internal/nn"
-	"adaptivefl/internal/tensor"
 )
 
 func popTestScale() Scale {
@@ -24,24 +21,6 @@ func popTestSpec(t *testing.T) core.PopulationSpec {
 		t.Fatal(err)
 	}
 	return spec
-}
-
-func TestHashStateDetectsSingleBit(t *testing.T) {
-	mk := func() nn.State {
-		st := nn.State{}
-		a := tensor.New(4)
-		copy(a.Data, []float64{1, 2, 3, 4})
-		st["w"] = a
-		return st
-	}
-	a, b := mk(), mk()
-	if HashState(a) != HashState(b) {
-		t.Fatal("identical states hash differently")
-	}
-	b["w"].Data[2] = math.Nextafter(b["w"].Data[2], math.Inf(1)) // one ulp
-	if HashState(a) == HashState(b) {
-		t.Fatal("single-bit divergence not detected")
-	}
 }
 
 // TestRunPopSimDeterministic pins the flat generated-population run: two

@@ -19,12 +19,11 @@ import (
 // Table 4 coarse variant AdaptiveFL-Coarse.
 func NewRunner(name string, fed *Federation, sc Scale) (baselines.Runner, error) {
 	setup := baselines.Setup{
-		Model:       fed.Model,
-		Clients:     fed.Clients,
-		K:           sc.K,
-		Train:       sc.TrainConfig(),
-		Seed:        sc.Seed + 101,
-		Parallelism: sc.Parallelism,
+		Model:   fed.Model,
+		Clients: fed.Clients,
+		K:       sc.K,
+		Train:   sc.TrainConfig(),
+		Seed:    sc.Seed + 101,
 	}
 	adaptiveRL := func(mode rl.Mode, greedy bool, p int, rlCfg rl.Config, label string) (baselines.Runner, error) {
 		var codec wire.Codec

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"adaptivefl/internal/tensor"
 )
@@ -92,12 +90,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	opSz, inPlace := c.operand(h, w)
 	implicit := c.implicit()
 
-	// Samples touch disjoint operand and output blocks, so up to
-	// Parallelism workers take them one at a time off a shared counter
-	// (each element is still computed by exactly one fixed code path, so
-	// results stay bitwise independent of who computed it). Everything the
-	// workers need is taken from the workspace here, before they start: it
-	// serves one goroutine at a time.
+	// Samples touch disjoint operand and output blocks, so tensor.ForEach
+	// hands them to up to Parallelism workers (each element is still
+	// computed by exactly one fixed code path, so results stay bitwise
+	// independent of who computed it). A worker's number w picks its views
+	// and, in eval mode, its operand block. Everything the workers need is
+	// taken from the workspace here, before they start: it serves one
+	// goroutine at a time.
 	par := max(1, min(tensor.Parallelism(), n))
 	out := c.ws.Alloc(n, c.OutC, c.oh, c.ow)
 	var ops []float64
@@ -131,41 +130,28 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
-		var next atomic.Int64
-		run := func(wk int) {
-			for s := int(next.Add(1)) - 1; s < n; s = int(next.Add(1)) - 1 {
-				block := s
-				if !train && !inPlace {
-					block = wk
-				}
-				op := ops[block*opSz : (block+1)*opSz]
-				if implicit {
-					if !inPlace {
-						tensor.PadPlane(op, x.Data[s*inSz:(s+1)*inSz], ci, h, w, c.Pad)
-					}
-					tensor.ConvPlane(c.weight.Val.Data, c.OutC, op, ci, h+2*c.Pad, w+2*c.Pad, c.K, out.Data[s*outSz:(s+1)*outSz])
-					continue
-				}
-				v := workers[wk]
-				v.op.Data = op
-				if !inPlace {
-					v.x.Data = x.Data[s*inSz : (s+1)*inSz]
-					tensor.Im2Col(v.x, c.K, c.K, c.Stride, c.Pad, v.op)
-				}
-				v.out.Data = out.Data[s*outSz : (s+1)*outSz]
-				tensor.Gemm(false, false, 1, wm, v.op, 0, v.out)
+		tensor.ForEach(n, par, func(wk, s int) {
+			block := s
+			if !train && !inPlace {
+				block = wk
 			}
-		}
-		var wg sync.WaitGroup
-		for wk := 1; wk < par; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				run(wk)
-			}(wk)
-		}
-		run(0)
-		wg.Wait()
+			op := ops[block*opSz : (block+1)*opSz]
+			if implicit {
+				if !inPlace {
+					tensor.PadPlane(op, x.Data[s*inSz:(s+1)*inSz], ci, h, w, c.Pad)
+				}
+				tensor.ConvPlane(c.weight.Val.Data, c.OutC, op, ci, h+2*c.Pad, w+2*c.Pad, c.K, out.Data[s*outSz:(s+1)*outSz])
+				return
+			}
+			v := workers[wk]
+			v.op.Data = op
+			if !inPlace {
+				v.x.Data = x.Data[s*inSz : (s+1)*inSz]
+				tensor.Im2Col(v.x, c.K, c.K, c.Stride, c.Pad, v.op)
+			}
+			v.out.Data = out.Data[s*outSz : (s+1)*outSz]
+			tensor.Gemm(false, false, 1, wm, v.op, 0, v.out)
+		})
 	}
 	if c.UseBias {
 		for s := 0; s < n; s++ {

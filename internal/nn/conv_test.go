@@ -248,7 +248,7 @@ func TestConvEvalWorkspaceReuse(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	// The output alone is 8 KB; what remains is the worker bookkeeping
-	// (views, closure, WaitGroup).
+	// (views, closure).
 	if perCall := (m1.TotalAlloc - m0.TotalAlloc) / calls; perCall > 1024 {
 		t.Fatalf("eval forward allocates %d bytes per call with a workspace", perCall)
 	}

@@ -400,3 +400,21 @@ func TestTrainingLearnsSeparableData(t *testing.T) {
 		t.Fatalf("training accuracy %v, want >= 0.9", acc)
 	}
 }
+
+func TestHashStateDetectsSingleBit(t *testing.T) {
+	mk := func() State {
+		st := State{}
+		a := tensor.New(4)
+		copy(a.Data, []float64{1, 2, 3, 4})
+		st["w"] = a
+		return st
+	}
+	a, b := mk(), mk()
+	if HashState(a) != HashState(b) {
+		t.Fatal("identical states hash differently")
+	}
+	b["w"].Data[2] = math.Nextafter(b["w"].Data[2], math.Inf(1)) // one ulp
+	if HashState(a) == HashState(b) {
+		t.Fatal("single-bit divergence not detected")
+	}
+}

@@ -219,8 +219,9 @@ func convTaps(taps []int, p0, k, ph, pw int) []int {
 }
 
 // convParallel reports whether the backward products of a convolution
-// clear the serialThreshold at which Gemm fans out; their output rows then
-// go to up to Parallelism workers. Results do not depend on it.
+// clear the serialThreshold at which Gemm fans out; their output-row or
+// channel pairs then go to ForEach at Parallelism. Results do not depend
+// on it.
 func convParallel(outC, c, ph, pw, k int) bool {
 	return 2*outC*c*k*k*(ph-k+1)*(pw-k+1) >= serialThreshold && Parallelism() > 1
 }
@@ -261,8 +262,8 @@ func ConvPlaneFilterGrad(g []float64, outC int, plane []float64, c, ph, pw, k in
 		filterGradRows(g, outC, plane, c, ph, pw, k, dw, 0, outC)
 		return
 	}
-	fanOut((outC+1)/2, Parallelism(), func(lo, hi int) {
-		filterGradRows(g, outC, plane, c, ph, pw, k, dw, 2*lo, min(2*hi, outC))
+	ForEach((outC+1)/2, Parallelism(), func(_, pair int) {
+		filterGradRows(g, outC, plane, c, ph, pw, k, dw, 2*pair, min(2*pair+2, outC))
 	})
 }
 
@@ -308,8 +309,8 @@ func ConvPlaneInputGrad(wt, g []float64, outC, c, h, wd, k, pad int, scratch, dx
 	if !convParallel(outC, c, ph, pw, k) {
 		inputGradChannels(wt, g, outC, 0, c, ph, pw, k, acc)
 	} else {
-		fanOut((c+1)/2, Parallelism(), func(lo, hi int) {
-			inputGradChannels(wt, g, outC, 2*lo, min(2*hi, c), ph, pw, k, acc)
+		ForEach((c+1)/2, Parallelism(), func(_, pair int) {
+			inputGradChannels(wt, g, outC, 2*pair, min(2*pair+2, c), ph, pw, k, acc)
 		})
 	}
 	if pad > 0 {

@@ -1,119 +1,14 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// parallelism is the number of workers GEMM may fan out to. FL rounds
-// train many clients concurrently, so the per-operation parallelism is a
-// process-wide knob rather than a per-call argument.
-var parallelism int64 = int64(runtime.GOMAXPROCS(0))
-
-// SetParallelism caps the number of workers one operation fans out to: a
-// single GEMM call, a convolution's backward kernel call
-// (ConvPlaneFilterGrad, ConvPlaneInputGrad), and Conv2D.Forward's sample
-// fan-out. n < 1 resets to GOMAXPROCS. It returns
-// the previous value.
-func SetParallelism(n int) int {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return int(atomic.SwapInt64(&parallelism, int64(n)))
-}
-
-// Parallelism reports the current worker cap.
-func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
-
-// ForEach calls fn(i) for every i in [0, n) on up to width goroutines,
-// the caller's included, which take indices in order off a shared
-// counter; it returns when every call has. A caller whose calls write
-// only their own index's results gets the same results at any width.
-func ForEach(n, width int, fn func(i int)) {
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(width, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
-// fanOut runs body(lo, hi) over [0, n) cut into up to width contiguous
-// chunks: the last on the calling goroutine, the others on the GEMM
-// worker pool (inline when every worker is busy). It returns when every
-// chunk has run.
-func fanOut(n, width int, body func(lo, hi int)) {
-	var wg sync.WaitGroup
-	chunk := (n + width - 1) / width
-	for lo := 0; lo < n; lo += chunk {
-		lo, hi := lo, min(lo+chunk, n)
-		if hi == n {
-			body(lo, hi)
-			break
-		}
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			body(lo, hi)
-		}
-		if !trySubmit(task) {
-			task()
-		}
-	}
-	wg.Wait()
-}
-
-// serialThreshold is the FLOP count below which GEMM stays single-threaded:
-// handing a chunk to the pool costs a goroutine wake-up, tens of
-// microseconds when the other core is idle, and the row kernels get
-// through a million FLOPs in about 70 µs — below that the caller waits for
-// the wake-up longer than the chunk would have taken it. (The per-sample
-// products of a quick-scale convolution, ≤ 0.75 MFLOP, sit under it, in
-// the convolution kernels as in Gemm; their parallelism is the sample
-// fan-out of Conv2D.Forward.)
+// serialThreshold is the FLOP count below which GEMM and the convolution
+// backward kernels stay on the calling goroutine: waking a pool helper
+// costs tens of microseconds when the other core is idle, and the row
+// kernels get through a million FLOPs in about 70 µs, so below it the
+// caller would wait for the helper longer than the work would have taken
+// it. (The per-sample products of a quick-scale convolution, ≤ 0.75
+// MFLOP, sit under it; their parallelism is Conv2D.Forward's ForEach over
+// samples.)
 const serialThreshold = 1 << 20
-
-// Gemm used to spawn fresh goroutines on every call, which dominated the
-// cost of the many small batched GEMMs a training step issues. Work is now
-// handed to a persistent pool of GOMAXPROCS workers; submission never
-// blocks — if every worker is busy (e.g. nested GEMMs inside concurrently
-// training clients) the caller runs the chunk inline, so the pool cannot
-// deadlock.
-var (
-	poolOnce  sync.Once
-	poolTasks chan func()
-)
-
-func trySubmit(task func()) bool {
-	poolOnce.Do(func() {
-		workers := runtime.GOMAXPROCS(0)
-		poolTasks = make(chan func(), 4*workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for f := range poolTasks {
-					f()
-				}
-			}()
-		}
-	})
-	select {
-	case poolTasks <- task:
-		return true
-	default:
-		return false
-	}
-}
 
 // Tiling parameters for the blocked kernel (NN and TN). One row-kernel
 // call covers a kTile×nTile panel of B for a pair of C rows: the k-panel
@@ -147,9 +42,10 @@ func MatMul(a, b *Tensor) *Tensor {
 //
 // The work is done by the row kernels of axpy.go, two C rows per call
 // (one for the last row of an odd block, in the identical k grouping),
-// with large operands tiled into kTile×nTile panels. Rows of C are
-// partitioned across the persistent worker pool; each row is owned by
-// exactly one worker and accumulated in a fixed order, so results are
+// with large operands tiled into kTile×nTile panels. Above
+// serialThreshold, C is cut into a grid of row × column chunks that
+// ForEach hands to up to Parallelism workers; each element is owned by
+// exactly one chunk and accumulated in a fixed order, so results are
 // bitwise independent of the parallelism setting. Any future kernel
 // variant must preserve the per-element accumulation grouping (2-wise
 // over k for NN/TN, the 16-stripe tree for NT) or the serial/parallel/
@@ -201,10 +97,7 @@ func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Ten
 	// Every C element's accumulation order over k is fixed by the matrix
 	// shapes alone — never by the chunk a worker owns — so the result
 	// stays bitwise identical to the serial kernel for any grid.
-	rows := workers
-	if rows > m {
-		rows = m
-	}
+	rows := min(workers, m)
 	cols := 1
 	if rows < workers && n >= 2*minJChunk {
 		cols = (workers + rows - 1) / rows
@@ -218,37 +111,12 @@ func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Ten
 	jChunk := (n + cols - 1) / cols
 	jChunk = (jChunk + 7) &^ 7
 
-	var wg sync.WaitGroup
-	for lo := 0; lo < m; lo += rowChunk {
-		hi := lo + rowChunk
-		if hi > m {
-			hi = m
-		}
-		for jLo := 0; jLo < n; jLo += jChunk {
-			jHi := jLo + jChunk
-			if jHi > n {
-				jHi = n
-			}
-			if hi == m && jHi == n {
-				// Run the final chunk on the calling goroutine: the caller
-				// would otherwise idle in Wait while its work sits queued
-				// behind other callers' chunks.
-				gemmPanels(transA, transB, alpha, a, b, c, lo, hi, jLo, jHi, k, first)
-				break
-			}
-			wg.Add(1)
-			task := func(lo, hi, jLo, jHi int) func() {
-				return func() {
-					defer wg.Done()
-					gemmPanels(transA, transB, alpha, a, b, c, lo, hi, jLo, jHi, k, first)
-				}
-			}(lo, hi, jLo, jHi)
-			if !trySubmit(task) {
-				task()
-			}
-		}
-	}
-	wg.Wait()
+	rowChunks := (m + rowChunk - 1) / rowChunk
+	colChunks := (n + jChunk - 1) / jChunk
+	ForEach(rowChunks*colChunks, workers, func(_, chunk int) {
+		lo, jLo := chunk/colChunks*rowChunk, chunk%colChunks*jChunk
+		gemmPanels(transA, transB, alpha, a, b, c, lo, min(lo+rowChunk, m), jLo, min(jLo+jChunk, n), k, first)
+	})
 }
 
 // gemmPanels accumulates the C block rows [lo,hi) × columns [jLo,jHi)

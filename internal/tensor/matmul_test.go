@@ -3,8 +3,11 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // gemmBlock accumulates a block of C with the row kernels, as Gemm does
@@ -310,16 +313,72 @@ func TestMatMulEmpty(t *testing.T) {
 	}
 }
 
+// TestForEachCallsEveryIndexOnce pins ForEach's contract: every index
+// is called once, every worker number is below the width, and no two
+// calls running at once share a worker number.
 func TestForEachCallsEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64} {
 		for _, width := range []int{0, 1, 2, 4, 100} {
 			calls := make([]atomic.Int32, n)
-			ForEach(n, width, func(i int) { calls[i].Add(1) })
+			busy := make([]atomic.Int32, max(width, 1))
+			var bad atomic.Int32
+			ForEach(n, width, func(w, i int) {
+				if w < 0 || w >= len(busy) {
+					bad.Store(1)
+					return
+				}
+				if busy[w].Add(1) != 1 {
+					bad.Store(1)
+				}
+				runtime.Gosched()
+				busy[w].Add(-1)
+				calls[i].Add(1)
+			})
+			if bad.Load() != 0 {
+				t.Fatalf("n=%d width=%d: a worker number out of range or shared by two running calls", n, width)
+			}
 			for i := range calls {
 				if got := calls[i].Load(); got != 1 {
 					t.Fatalf("n=%d width=%d: index %d called %d times", n, width, i, got)
 				}
 			}
+		}
+	}
+}
+
+// TestForEachReturnsWhilePoolBlocked: with every pool worker busy, the
+// helpers a ForEach queues cannot start, so the caller must run every
+// index itself as worker 0 and return without waiting on them.
+func TestForEachReturnsWhilePoolBlocked(t *testing.T) {
+	workers := cap(pool) / 4
+	release := make(chan struct{})
+	var blocked sync.WaitGroup
+	blocked.Add(workers)
+	blocker := &job{n: workers, fn: func(_, _ int) { blocked.Done(); <-release }}
+	for w := 1; w <= workers; w++ {
+		pool <- helper{blocker, w}
+	}
+	blocked.Wait()
+	defer close(release)
+
+	const n = 8
+	var ws [n]atomic.Int32
+	for i := range ws {
+		ws[i].Store(-1)
+	}
+	done := make(chan struct{})
+	go func() {
+		ForEach(n, 3, func(w, i int) { ws[i].Store(int32(w)) })
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ForEach waits on helpers still queued behind a busy pool")
+	}
+	for i := range ws {
+		if w := ws[i].Load(); w != 0 {
+			t.Fatalf("index %d ran as worker %d, want 0", i, w)
 		}
 	}
 }
