@@ -127,6 +127,13 @@ func NewDecoupled(s Setup, pool *prune.Pool) (*Static, error) {
 // Name implements Runner.
 func (r *Static) Name() string { return r.name }
 
+// Level returns the layer widths a device class trains (nil: the full
+// model) and the early exits its level keeps (ScaleFL only; 0 otherwise).
+func (r *Static) Level(class core.DeviceClass) (widths []int, exits int) {
+	lv := r.levels[class]
+	return lv.widths, lv.exits
+}
+
 // Round selects K clients uniformly; each trains its class's level, and
 // each global takes the data-weighted mean of the updates of the levels
 // that train it. The trainings go to tensor.ForEach at

@@ -314,12 +314,10 @@ func NewServer(cfg Config, clients []*Client) (*Server, error) {
 	return NewServerPopulation(cfg, EagerPopulation(clients))
 }
 
-// NewServerPopulation is NewServer over an abstract Population. An eager
-// population keeps the legacy dense RL tables and permutation-based
-// selection bit-identically; any other population (the lazy generator, a
-// shard view) gets sparse RL tables whose rows allocate on first touch,
-// so server memory scales with the set of clients ever selected rather
-// than the population.
+// NewServerPopulation is NewServer over an abstract Population. Its RL
+// tables allocate a client's column at the client's first dispatch, so
+// server memory scales with the set of clients ever selected rather than
+// the population, eager or generated.
 func NewServerPopulation(cfg Config, pop Population) (*Server, error) {
 	if pop == nil || pop.Len() == 0 {
 		return nil, fmt.Errorf("core: no clients")
@@ -341,14 +339,10 @@ func NewServerPopulation(cfg Config, pop Population) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	tables := rl.NewTables(cfg.RL, pool.P, len(pool.Members), pop.Len())
-	if _, eager := pop.(EagerPopulation); !eager {
-		tables = rl.NewSparseTables(cfg.RL, pool.P, len(pool.Members), pop.Len())
-	}
 	s := &Server{
 		cfg:      cfg,
 		pool:     pool,
-		tables:   tables,
+		tables:   rl.NewTables(cfg.RL, pool.P, len(pool.Members), pop.Len()),
 		pop:      pop,
 		global:   nn.StateDict(full),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),

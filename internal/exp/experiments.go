@@ -361,7 +361,7 @@ func Figure6(w io.Writer, sc Scale) error {
 				// The engine priced every flight on the same platform.
 				simRun.Advance(a.SimTime() - simRun.Clock())
 			} else {
-				simRun.Advance(staticRoundTime(simRun, fedRun, alg, s))
+				simRun.Advance(staticRoundTime(simRun, fedRun, r.(*baselines.Static), s))
 			}
 			if round%s.EvalEvery == 0 || round == s.Rounds {
 				acc, err := r.Evaluate(fedRun.Test, 64)
@@ -492,37 +492,17 @@ func TableByzantine(w io.Writer, sc Scale) error {
 // staticRoundTime approximates a baseline's synchronous round time: the
 // slowest device class trains its statically assigned model every round
 // (with K=10 of 17 devices, every class is almost always selected).
-func staticRoundTime(sim *testbed.Sim, fed *Federation, alg string, sc Scale) float64 {
-	spec := fed.Model.Spec()
-	sizes := map[core.DeviceClass][2]int64{} // params, MACs
-	switch alg {
-	case "HeteroFL":
-		for class, rate := range map[core.DeviceClass]float64{core.Weak: 0.5, core.Medium: 0.7071, core.Strong: 1.0} {
-			widths := prune.PlanWidths(spec.FullWidths, rate, 0)
-			st := models.CountStats(fed.Model, widths)
-			sizes[class] = [2]int64{st.Params, st.MACs}
-		}
-	case "ScaleFL":
-		// Width rates per level; depth truncation roughly halves/thirds
-		// the MACs on top — approximate with the width-scaled backbone
-		// scaled by the level's depth fraction.
-		for class, cfg := range map[core.DeviceClass][2]float64{
-			core.Weak: {0.60, 0.33}, core.Medium: {0.80, 0.67}, core.Strong: {1.0, 1.0},
-		} {
-			widths := prune.PlanWidths(spec.FullWidths, cfg[0], 0)
-			st := models.CountStats(fed.Model, widths)
-			sizes[class] = [2]int64{int64(float64(st.Params) * cfg[1]), int64(float64(st.MACs) * cfg[1])}
-		}
-	default:
-		st := models.CountStats(fed.Model, nil)
-		for _, class := range []core.DeviceClass{core.Weak, core.Medium, core.Strong} {
-			sizes[class] = [2]int64{st.Params, st.MACs}
-		}
-	}
+// ScaleFL's levels also truncate depth, to 1, 2 or 3 of its exits;
+// approximate that with the width-scaled backbone scaled by the level's
+// depth fraction.
+func staticRoundTime(sim *testbed.Sim, fed *Federation, r *baselines.Static, sc Scale) float64 {
+	depth := [...]float64{1, 0.33, 0.67, 1.0} // by exits kept; 0 = no exits
 	worst := 0.0
-	samples := sc.SamplesPerClient
-	for class, sz := range sizes {
-		t := sim.TransferTime(class, sz[0], sz[0]) + sim.TrainTime(class, sz[1], samples, sc.LocalEpochs)
+	for _, class := range []core.DeviceClass{core.Weak, core.Medium, core.Strong} {
+		widths, exits := r.Level(class)
+		st := models.CountStats(fed.Model, widths)
+		params, macs := int64(float64(st.Params)*depth[exits]), int64(float64(st.MACs)*depth[exits])
+		t := sim.TransferTime(class, params, params) + sim.TrainTime(class, macs, sc.SamplesPerClient, sc.LocalEpochs)
 		if t > worst {
 			worst = t
 		}

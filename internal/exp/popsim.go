@@ -30,7 +30,7 @@ type PopSimResult struct {
 	// materialised (total − distinct ≈ regeneration churn).
 	Live      int
 	TotalMade int64
-	// RLRows counts allocated sparse RL columns, summed over servers.
+	// RLRows counts allocated RL client columns, summed over servers.
 	RLRows int
 	// WeightsHash fingerprints the final global weights; two same-seed
 	// runs must agree bit-for-bit.

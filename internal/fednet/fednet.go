@@ -401,16 +401,20 @@ func (a *Agent) Train(req TrainRequest) (TrainResponse, error) {
 			a.holdArtifact(req.ETag, st)
 		}
 	}
+	shard, err := a.Client.Shard()
+	if err != nil {
+		return TrainResponse{}, err
+	}
 	// The upload diffs against the dispatched state as this device
 	// decoded it — the reference the server reconstructs the same way.
 	step := core.DeviceStep{Model: a.Model, Train: req.Train, Adversary: a.Adversary,
 		Codec: codec, Replays: &a.replays}
 	_, up, err := step.Run(core.TrainRequest{Client: a.Client.ID, Sent: sent, State: st, Seed: req.Seed},
-		got, a.Client.Data)
+		got, shard)
 	if err != nil {
 		return TrainResponse{}, err
 	}
-	return TrainResponse{GotIndex: got.Index, Codec: codec.Tag(), State: up, Samples: a.Client.Data.Len()}, nil
+	return TrainResponse{GotIndex: got.Index, Codec: codec.Tag(), State: up, Samples: a.Client.Samples()}, nil
 }
 
 // HTTPTrainer implements core.Trainer by POSTing dispatches to per-client

@@ -201,6 +201,55 @@ func TestAgentReportsFailure(t *testing.T) {
 	}
 }
 
+// TestAgentTrainsLazyClient runs an agent over a lazily materialised
+// client, whose Data stays nil: the agent trains on the shard the client
+// cuts at its first training and reports the spec's sample count.
+func TestAgentTrainsLazyClient(t *testing.T) {
+	mcfg := testModelCfg()
+	pool, err := prune.BuildPool(mcfg, prune.Config{P: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := core.ParsePopulation("mix:n=4,samples=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := 0
+	gen := func(c int, seed int64) *data.Dataset {
+		cuts++
+		ds, _ := data.Generate(data.SynthConfig{Name: "t", Classes: 4, Channels: 3, Size: 32,
+			Train: 8, Test: 1, Noise: 0.3, Seed: seed})
+		return ds
+	}
+	pop, err := core.NewLazyPopulation(spec, pool, core.DefaultDeviceModel(), gen, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := pop.Client(2)
+	client.Device.Base = pool.Largest().Size // everything fits
+	client.Device.Jitter = 0
+	agent, err := NewAgent(client, mcfg, prune.Config{P: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1 := pool.Largest()
+	st, err := pool.ExtractState(buildGlobal(t, mcfg), l1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := encodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := agent.Train(TrainRequest{SentIndex: l1.Index, State: body, Train: quickTrain(), Seed: 66})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Failed || resp.Samples != 8 || cuts != 1 {
+		t.Fatalf("failed=%v samples=%d cuts=%d, want a trained upload of 8 samples from one cut", resp.Failed, resp.Samples, cuts)
+	}
+}
+
 func TestAgentRejectsBadIndex(t *testing.T) {
 	mcfg := testModelCfg()
 	clients := buildClients(t, 1)

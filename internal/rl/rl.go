@@ -2,7 +2,8 @@
 // selection (paper §3.3): a curiosity table T_c counting how often each
 // client was touched per size level, a resource table T_r scoring each
 // (pool member, client) pair from dispatch/return history, the resource
-// and curiosity rewards, and the sampling distribution P(m, c).
+// and curiosity rewards, and the sampling distribution P(m, c). Both tables
+// are kept per client, in one column allocated at its first dispatch.
 package rl
 
 import (
@@ -29,121 +30,70 @@ type Config struct {
 	LiteralL1Bonus bool
 }
 
+// maxPool bounds the pool size, so ResourceReward can keep its suffix sums
+// on the stack; a pool has 2p+1 members, p at most an architecture's
+// I-choices (three for every model here).
+const maxPool = 64
+
 // Tables holds the two RL tables for a fixed pool and client population.
-// The dense layout allocates both tables up front (the legacy path, and
-// what the exported fields expose); NewSparseTables instead backs the same
-// arithmetic with a per-client column store allocated on first touch, so
-// million-client populations pay for the clients ever selected rather
-// than the population. Every table entry starts at 1 either way, so a
-// never-touched sparse column reads exactly as a fresh dense one.
+// Each client's entries of both tables live in one column, allocated at the
+// client's first RecordDispatch, so a million-client population pays for
+// the clients ever dispatched rather than the population. Every table
+// entry starts at 1 (Algorithm 1 lines 1-2), so an untouched client reads
+// the shared all-ones column.
 type Tables struct {
 	cfg  Config
 	p    int
 	pool int // pool size (2p+1)
 	n    int // client population size
-	// Tc[level][client] — selection counts per size level (3 rows). Nil in
-	// sparse mode.
-	Tc [][]float64
-	// Tr[member][client] — training scores per pool member, rows in
-	// ascending pool order. Nil in sparse mode.
-	Tr [][]float64
-	// cols is the sparse per-client column store (nil in dense mode): each
-	// column holds one client's Tc and Tr entries. All table arithmetic is
-	// column-local, which is what makes the sparse form bit-identical.
-	cols map[int]*col
+	// cols maps a client to its column: T_c by level, then T_r by pool
+	// member in ascending pool order. All table arithmetic is
+	// column-local.
+	cols map[int][]float64
+	// fresh is the all-ones column untouched clients read; never written.
+	fresh []float64
 }
 
-// col is one client's column of both tables.
-type col struct {
-	tc []float64 // by level
-	tr []float64 // by pool member
-}
-
-// NewTables initialises both tables to 1, as Algorithm 1 lines 1-2 do.
+// NewTables builds tables whose entries all read 1, as Algorithm 1 lines
+// 1-2 initialise them; no client's column is allocated yet.
 func NewTables(cfg Config, p, poolSize, numClients int) *Tables {
-	t := newTables(cfg, p, poolSize, numClients)
-	t.Tc = make([][]float64, prune.NumLevels)
-	for i := range t.Tc {
-		t.Tc[i] = ones(numClients)
+	if poolSize > maxPool {
+		panic(fmt.Sprintf("rl: pool of %d members exceeds %d", poolSize, maxPool))
 	}
-	t.Tr = make([][]float64, poolSize)
-	for i := range t.Tr {
-		t.Tr[i] = ones(numClients)
+	fresh := make([]float64, prune.NumLevels+poolSize)
+	for i := range fresh {
+		fresh[i] = 1
 	}
-	return t
+	return &Tables{cfg: cfg, p: p, pool: poolSize, n: numClients, cols: map[int][]float64{}, fresh: fresh}
 }
 
-// NewSparseTables builds map-backed tables whose per-client columns
-// allocate on first write. Reads of untouched clients see the same
-// all-ones initial state dense tables start from, and every update and
-// reward is column-local, so selection under a fixed rng stream is
-// bit-identical to the dense form (the allocation audit test pins this).
+// NewSparseTables is NewTables. It is kept for the bench module's RL
+// probe, which still calls it by this name.
 func NewSparseTables(cfg Config, p, poolSize, numClients int) *Tables {
-	t := newTables(cfg, p, poolSize, numClients)
-	t.cols = map[int]*col{}
-	return t
-}
-
-func newTables(cfg Config, p, poolSize, numClients int) *Tables {
-	return &Tables{cfg: cfg, p: p, pool: poolSize, n: numClients}
-}
-
-func ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
+	return NewTables(cfg, p, poolSize, numClients)
 }
 
 // NumClients returns the client population size the tables cover.
 func (t *Tables) NumClients() int { return t.n }
 
-// Sparse reports whether the tables use the lazily allocated column store.
-func (t *Tables) Sparse() bool { return t.cols != nil }
+// Rows returns the number of allocated client columns, the clients ever
+// dispatched (the memory-envelope stat the million-client smoke checks).
+func (t *Tables) Rows() int { return len(t.cols) }
 
-// Rows returns the number of allocated client columns: the population in
-// dense mode, the touched-client count in sparse mode (the memory-envelope
-// stat the million-client smoke checks).
-func (t *Tables) Rows() int {
-	if t.cols != nil {
-		return len(t.cols)
-	}
-	return t.n
-}
-
-// colFor returns client c's mutable column, allocating the initial
-// all-ones column on first write. Dense mode never calls it.
-func (t *Tables) colFor(c int) *col {
-	cl, ok := t.cols[c]
-	if !ok {
-		cl = &col{tc: ones(prune.NumLevels), tr: ones(t.pool)}
-		t.cols[c] = cl
-	}
-	return cl
-}
-
-// tcAt / trAt read one table entry in either mode; absent sparse columns
-// read the initial 1.
-func (t *Tables) tcAt(level prune.Level, c int) float64 {
-	if t.Tc != nil {
-		return t.Tc[level][c]
-	}
+// column returns client c's column for reading: the shared all-ones
+// column if c was never dispatched.
+func (t *Tables) column(c int) []float64 {
 	if cl, ok := t.cols[c]; ok {
-		return cl.tc[level]
+		return cl
 	}
-	return 1
+	return t.fresh
 }
 
-func (t *Tables) trAt(i, c int) float64 {
-	if t.Tr != nil {
-		return t.Tr[i][c]
-	}
-	if cl, ok := t.cols[c]; ok {
-		return cl.tr[i]
-	}
-	return 1
-}
+// Tc returns T_c[level][c], client c's selection count at a size level.
+func (t *Tables) Tc(level prune.Level, c int) float64 { return t.column(c)[level] }
+
+// Tr returns T_r[i][c], client c's training score for pool member i.
+func (t *Tables) Tr(i, c int) float64 { return t.column(c)[prune.NumLevels+i] }
 
 // RecordDispatch applies Algorithm 1 lines 12-26 after client c was sent
 // submodel sent and returned submodel got (got == sent when the device did
@@ -152,60 +102,37 @@ func (t *Tables) RecordDispatch(sent, got prune.Submodel, c int) {
 	if c < 0 || c >= t.NumClients() {
 		panic(fmt.Sprintf("rl: client %d out of range", c))
 	}
-	// Resolve client c's mutable column in either mode. The dense rows are
-	// laid out [row][client], so the "column" here is a pair of tiny
-	// accessor closures; the arithmetic below is shared verbatim.
-	tc, tr := t.Tc, t.Tr
-	var cc *col
-	if t.cols != nil {
-		cc = t.colFor(c)
+	cl, ok := t.cols[c]
+	if !ok {
+		cl = append([]float64(nil), t.fresh...)
+		t.cols[c] = cl
 	}
-	addTc := func(level prune.Level, d float64) {
-		if cc != nil {
-			cc.tc[level] += d
-		} else {
-			tc[level][c] += d
-		}
-	}
-	addTr := func(i int, d float64) {
-		if cc != nil {
-			cc.tr[i] += d
-		} else {
-			tr[i][c] += d
-		}
-	}
-	setTr := func(i int, v float64) {
-		if cc != nil {
-			cc.tr[i] = v
-		} else {
-			tr[i][c] = v
-		}
-	}
-	addTc(sent.Level, 1)
-	addTc(got.Level, 1)
+	tc, tr := cl[:prune.NumLevels], cl[prune.NumLevels:]
+	tc[sent.Level]++
+	tc[got.Level]++
 	last := t.pool - 1
 	if got.Index == sent.Index {
 		// No local pruning: the client's capacity is at least size(sent),
 		// so every member from sent upward gains a point...
 		for i := sent.Index; i <= last; i++ {
-			addTr(i, 1)
+			tr[i]++
 		}
 		// ...and the trained member gets the p−1 bonus (or L_1, if the
 		// literal reading of line 18 is requested).
 		if t.cfg.LiteralL1Bonus {
-			addTr(last, float64(t.p-1))
+			tr[last] += float64(t.p - 1)
 		} else {
-			addTr(sent.Index, float64(t.p-1))
+			tr[sent.Index] += float64(t.p - 1)
 		}
 		return
 	}
 	// Local pruning happened: capacity sits between size(got) and the next
 	// larger member. Reward the returned member, progressively penalise
 	// everything above it (−0, −1, −2, …, floored at 0).
-	addTr(got.Index, float64(t.p))
+	tr[got.Index] += float64(t.p)
 	tau := 0.0
 	for i := got.Index; i <= last; i++ {
-		setTr(i, math.Max(t.trAt(i, c)-tau, 0))
+		tr[i] = math.Max(tr[i]-tau, 0)
 		tau++
 	}
 }
@@ -213,31 +140,34 @@ func (t *Tables) RecordDispatch(sent, got prune.Submodel, c int) {
 // ResourceReward computes R_s(m, c): the level-normalised share of the
 // client's training score mass at or above each member of m's level.
 func (t *Tables) ResourceReward(m prune.Submodel, pool *prune.Pool, c int) float64 {
+	tr := t.column(c)[prune.NumLevels:]
 	total := 0.0
-	for i := 0; i < t.pool; i++ {
-		total += t.trAt(i, c)
+	for _, v := range tr {
+		total += v
 	}
 	if total <= 0 {
 		return 0
 	}
-	// Suffix sums: tail[i] = Σ_{t=i}^{L_1} T_r[t][c].
+	// Suffix sums: tails[i] = Σ_{t=i}^{L_1} T_r[t][c].
+	var tails [maxPool]float64
 	tail := 0.0
-	tails := make([]float64, t.pool)
-	for i := t.pool - 1; i >= 0; i-- {
-		tail += t.trAt(i, c)
+	for i := len(tr) - 1; i >= 0; i-- {
+		tail += tr[i]
 		tails[i] = tail
 	}
-	levelMembers := pool.ByLevel(m.Level)
-	num := 0.0
-	for _, lm := range levelMembers {
-		num += tails[lm.Index]
+	num, k := 0.0, 0
+	for _, lm := range pool.Members {
+		if lm.Level == m.Level {
+			num += tails[lm.Index]
+			k++
+		}
 	}
-	return num / (float64(len(levelMembers)) * total)
+	return num / (float64(k) * total)
 }
 
 // CuriosityReward computes R_c(m, c) = 1/√T_c[level(m)][c] (MBIE-EB).
 func (t *Tables) CuriosityReward(m prune.Submodel, c int) float64 {
-	return 1 / math.Sqrt(t.tcAt(m.Level, c))
+	return 1 / math.Sqrt(t.Tc(m.Level, c))
 }
 
 // Reward combines the two: R = min(cap, R_s) · R_c (paper's 50% success

@@ -31,19 +31,14 @@ func member(t *testing.T, pool *prune.Pool, name string) prune.Submodel {
 
 func TestNewTablesInitialisedToOne(t *testing.T) {
 	tb := NewTables(Config{}, 3, 7, 5)
-	if len(tb.Tc) != 3 || len(tb.Tr) != 7 {
-		t.Fatalf("table dims %dx? %dx?", len(tb.Tc), len(tb.Tr))
-	}
-	for _, row := range tb.Tc {
-		for _, v := range row {
-			if v != 1 {
+	for c := 0; c < 5; c++ {
+		for l := prune.Level(0); l < prune.NumLevels; l++ {
+			if tb.Tc(l, c) != 1 {
 				t.Fatal("Tc not initialised to 1")
 			}
 		}
-	}
-	for _, row := range tb.Tr {
-		for _, v := range row {
-			if v != 1 {
+		for i := 0; i < 7; i++ {
+			if tb.Tr(i, c) != 1 {
 				t.Fatal("Tr not initialised to 1")
 			}
 		}
@@ -60,8 +55,8 @@ func TestRecordDispatchUnprunedReturn(t *testing.T) {
 	tb.RecordDispatch(m2, m2, 0)
 
 	// Curiosity: level M counted twice (sent and returned).
-	if tb.Tc[prune.LevelM][0] != 3 {
-		t.Fatalf("Tc[M][0] = %v, want 3", tb.Tc[prune.LevelM][0])
+	if tb.Tc(prune.LevelM, 0) != 3 {
+		t.Fatalf("Tc[M][0] = %v, want 3", tb.Tc(prune.LevelM, 0))
 	}
 	// Resource: +1 for every member from M2 upward, +p−1 extra on M2.
 	for _, m := range pool.Members {
@@ -72,7 +67,7 @@ func TestRecordDispatchUnprunedReturn(t *testing.T) {
 		if m.Index == m2.Index {
 			want = 2 + float64(pool.P-1)
 		}
-		if got := tb.Tr[m.Index][0]; got != want {
+		if got := tb.Tr(m.Index, 0); got != want {
 			t.Errorf("Tr[%s][0] = %v, want %v", m.Name(), got, want)
 		}
 	}
@@ -85,10 +80,10 @@ func TestRecordDispatchUnprunedLiteralL1(t *testing.T) {
 	tb.RecordDispatch(s1, s1, 1)
 	l1 := pool.Largest()
 	// Literal Alg.1 line 18: the L1 row takes the p−1 bonus.
-	if got := tb.Tr[l1.Index][1]; got != 1+1+float64(pool.P-1) {
+	if got := tb.Tr(l1.Index, 1); got != 1+1+float64(pool.P-1) {
 		t.Fatalf("Tr[L1] = %v, want %v", got, 1+1+float64(pool.P-1))
 	}
-	if got := tb.Tr[s1.Index][1]; got != 2 {
+	if got := tb.Tr(s1.Index, 1); got != 2 {
 		t.Fatalf("Tr[S1] = %v, want 2", got)
 	}
 }
@@ -101,12 +96,12 @@ func TestRecordDispatchPrunedReturn(t *testing.T) {
 	tb.RecordDispatch(l1, s2, 0)
 
 	// Curiosity: L and S levels each +1.
-	if tb.Tc[prune.LevelL][0] != 2 || tb.Tc[prune.LevelS][0] != 2 {
-		t.Fatalf("Tc rows = L:%v S:%v", tb.Tc[prune.LevelL][0], tb.Tc[prune.LevelS][0])
+	if tb.Tc(prune.LevelL, 0) != 2 || tb.Tc(prune.LevelS, 0) != 2 {
+		t.Fatalf("Tc rows = L:%v S:%v", tb.Tc(prune.LevelL, 0), tb.Tc(prune.LevelS, 0))
 	}
 	// Resource: S2 row net +p; members above S2 penalised by 1, 2, 3, …
 	// (floored at 0 from the initial value 1).
-	if got := tb.Tr[s2.Index][0]; got != 1+float64(pool.P) {
+	if got := tb.Tr(s2.Index, 0); got != 1+float64(pool.P) {
 		t.Fatalf("Tr[S2] = %v, want %v", got, 1+float64(pool.P))
 	}
 	for _, m := range pool.Members {
@@ -115,12 +110,12 @@ func TestRecordDispatchPrunedReturn(t *testing.T) {
 		}
 		tau := float64(m.Index - s2.Index)
 		want := math.Max(1-tau, 0)
-		if got := tb.Tr[m.Index][0]; got != want {
+		if got := tb.Tr(m.Index, 0); got != want {
 			t.Errorf("Tr[%s] = %v, want %v", m.Name(), got, want)
 		}
 	}
 	// Untouched client unchanged.
-	if tb.Tr[s2.Index][1] != 1 {
+	if tb.Tr(s2.Index, 1) != 1 {
 		t.Fatal("other client's row was modified")
 	}
 }

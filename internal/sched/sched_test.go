@@ -306,8 +306,8 @@ func TestSerialParallelBitIdentity(t *testing.T) {
 			t.Fatalf("%s: ledgers differ between serial and parallel runs:\nserial   %+v\nparallel %+v",
 				policy, statsS, statsP)
 		}
-		if !reflect.DeepEqual(srvS.Tables().Tr, srvP.Tables().Tr) || !reflect.DeepEqual(srvS.Tables().Tc, srvP.Tables().Tc) {
-			t.Fatalf("%s: RL tables differ between serial and parallel runs", policy)
+		if ts, tp := srvS.Tables(), srvP.Tables(); ts.Rows() == 0 || !reflect.DeepEqual(ts, tp) {
+			t.Fatalf("%s: RL tables differ between serial and parallel runs, or hold no column", policy)
 		}
 	}
 }
@@ -367,8 +367,8 @@ func TestSerialParallelBitIdentityRobustAgg(t *testing.T) {
 			t.Fatalf("%s: ledgers differ between serial and parallel runs:\nserial   %+v\nparallel %+v",
 				aggSpec, statsS, statsP)
 		}
-		if !reflect.DeepEqual(srvS.Tables().Tr, srvP.Tables().Tr) || !reflect.DeepEqual(srvS.Tables().Tc, srvP.Tables().Tc) {
-			t.Fatalf("%s: RL tables differ between serial and parallel runs", aggSpec)
+		if ts, tp := srvS.Tables(), srvP.Tables(); ts.Rows() == 0 || !reflect.DeepEqual(ts, tp) {
+			t.Fatalf("%s: RL tables differ between serial and parallel runs, or hold no column", aggSpec)
 		}
 		rejected := 0
 		for _, st := range statsS {
