@@ -42,10 +42,9 @@ const maxPool = 64
 // entry starts at 1 (Algorithm 1 lines 1-2), so an untouched client reads
 // the shared all-ones column.
 type Tables struct {
-	cfg  Config
-	p    int
-	pool int // pool size (2p+1)
-	n    int // client population size
+	cfg Config
+	p   int
+	n   int // client population size
 	// cols maps a client to its column: T_c by level, then T_r by pool
 	// member in ascending pool order. All table arithmetic is
 	// column-local.
@@ -64,7 +63,7 @@ func NewTables(cfg Config, p, poolSize, numClients int) *Tables {
 	for i := range fresh {
 		fresh[i] = 1
 	}
-	return &Tables{cfg: cfg, p: p, pool: poolSize, n: numClients, cols: map[int][]float64{}, fresh: fresh}
+	return &Tables{cfg: cfg, p: p, n: numClients, cols: map[int][]float64{}, fresh: fresh}
 }
 
 // NewSparseTables is NewTables. It is kept for the bench module's RL
@@ -110,7 +109,7 @@ func (t *Tables) RecordDispatch(sent, got prune.Submodel, c int) {
 	tc, tr := cl[:prune.NumLevels], cl[prune.NumLevels:]
 	tc[sent.Level]++
 	tc[got.Level]++
-	last := t.pool - 1
+	last := len(tr) - 1
 	if got.Index == sent.Index {
 		// No local pruning: the client's capacity is at least size(sent),
 		// so every member from sent upward gains a point...
