@@ -246,7 +246,8 @@ func TestRowKernelsMatchTwins(t *testing.T) {
 // — B rows read in place from a plane through taps, one segment per
 // output row — against their Go twins and, for the dot, against the
 // frozen dot of a gathered contiguous row, at segment widths that are and
-// are not multiples of 4.
+// are not multiples of 4; and the dot over dense one-segment panels, as
+// Gemm's NT case hands it B.
 func TestPanelKernelsMatchTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 20, 32} {
@@ -295,6 +296,32 @@ func TestPanelKernelsMatchTwins(t *testing.T) {
 					if !sameBits(g0[j], w0) || !sameBits(g1[j], w1) || !sameBits(g[j], w0) {
 						t.Fatalf("dotPanel n=%d segs=%d kp=%d differs at row %d", n, segs, kp, j)
 					}
+				}
+			}
+		}
+	}
+
+	// Dense one-segment panels, as Gemm's NT rows: B_j is the k
+	// contiguous elements at taps[j] = j·k. Row counts and k cross 4, 8
+	// and 16, with tails.
+	for _, k := range []int{1, 3, 4, 5, 8, 12, 15, 16, 17, 24, 31, 32, 33, 48, 100} {
+		for _, nb := range []int{1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 33} {
+			taps := make([]int, nb)
+			for j := range taps {
+				taps[j] = j * k
+			}
+			bm := Randn(rng, 1, nb*k).Data
+			pn := &panel{b: bm, taps: taps, ldb: k, segs: 1, n: k}
+			a0, a1 := Randn(rng, 1, k).Data, Randn(rng, 1, k).Data
+			c := Randn(rng, 1, nb).Data
+			g0, g1, g := append([]float64(nil), c...), append([]float64(nil), c...), append([]float64(nil), c...)
+			dotPanel2(a0, a1, pn, g0, g1)
+			dotPanel1(a0, pn, g)
+			for j := 0; j < nb; j++ {
+				bj := bm[j*k : j*k+k]
+				w0, w1 := c[j]+refDot(a0, bj), c[j]+refDot(a1, bj)
+				if !sameBits(g0[j], w0) || !sameBits(g1[j], w1) || !sameBits(g[j], w0) {
+					t.Fatalf("dense dotPanel k=%d nb=%d differs at row %d", k, nb, j)
 				}
 			}
 		}
