@@ -516,6 +516,43 @@ func BenchmarkGemmSkinny(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmNT times the NT products (C = A·Bᵀ, A [m,k], B [n,k])
+// training runs through Gemm, on the one dot kernel: a stride-2 3×3
+// convolution's filter gradient of ResNet-18 at 16×16, 8×8 and 4×4
+// output planes (k = 256, 64, 16) for output widths 13 and 51 (n = 9·inC),
+// a MobileNetV2 pointwise filter gradient with three output channels, a
+// Linear forward over a batch, and two lone-row shapes (odd m), whose
+// last A row goes through the kernel paired with itself.
+func BenchmarkGemmNT(b *testing.B) {
+	for _, sh := range []struct {
+		name    string
+		m, k, n int
+	}{
+		{"s2dw_k256_o13", 13, 256, 54},
+		{"s2dw_k256_o51", 51, 256, 234},
+		{"s2dw_k64_o13", 13, 64, 54},
+		{"s2dw_k64_o51", 51, 64, 234},
+		{"s2dw_k16_o13", 13, 16, 54},
+		{"s2dw_k16_o51", 51, 16, 234},
+		{"pwdw_k1024_o3", 3, 1024, 12},
+		{"linear_b32", 32, 64, 10},
+		{"lone_m3_k256_n108", 3, 256, 108},
+		{"lone_m1_k64_n64", 1, 64, 64},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x := tensor.Randn(rng, 1, sh.m, sh.k)
+			y := tensor.Randn(rng, 1, sh.n, sh.k)
+			c := tensor.New(sh.m, sh.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.Gemm(false, true, 1, x, y, 1, c)
+			}
+		})
+	}
+}
+
 // BenchmarkLocalTrainEpoch times one local epoch of a full-width ResNet-18
 // through a training arena, with its heap traffic.
 func BenchmarkLocalTrainEpoch(b *testing.B) { benchLocalTrainEpoch(b, models.ResNet18) }

@@ -51,8 +51,8 @@ type Config struct {
 	// real encoded byte counts. Nil keeps the exact float64 path.
 	Codec wire.Codec
 	// Agg selects the aggregation policy (agg.ParsePolicy grammar:
-	// mean|trim|krum|clip, clip composable via "+"). Empty keeps the
-	// paper's weighted prefix mean on the exact legacy path. Robust
+	// mean|trim|krum|clip, clip composable via "+"). Empty is "mean", the
+	// paper's weighted prefix mean, with no clipping. Robust
 	// policies tolerate Byzantine updates at commit time; clip bounds each
 	// update's influence at record time and ledgers it as Clipped.
 	Agg string
@@ -298,8 +298,9 @@ type Server struct {
 	// event-driven scheduler executes through it by default.
 	exec *Executor
 
-	// aggPolicy/clip are the parsed Config.Agg policy (nil = the exact
-	// legacy weighted-mean path with no per-update clipping).
+	// aggPolicy/clip are the parsed Config.Agg policy: aggPolicy is never
+	// nil (agg.Mean{} when Agg is empty); clip is nil without a "clip"
+	// term.
 	aggPolicy agg.Policy
 	clip      *agg.Clipper
 	// replays is the in-process stale-replay memory (fednet agents keep
@@ -339,22 +340,21 @@ func NewServerPopulation(cfg Config, pop Population) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:      cfg,
-		pool:     pool,
-		tables:   rl.NewTables(cfg.RL, pool.P, len(pool.Members), pop.Len()),
-		pop:      pop,
-		global:   nn.StateDict(full),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		inflight: map[int64]*Flight{},
-		exec:     NewExecutor(cfg.Parallelism),
+	aggPolicy, clip, err := agg.ParsePolicy(cfg.Agg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Agg != "" {
-		pol, clip, err := agg.ParsePolicy(cfg.Agg)
-		if err != nil {
-			return nil, err
-		}
-		s.aggPolicy, s.clip = pol, clip
+	s := &Server{
+		cfg:       cfg,
+		pool:      pool,
+		tables:    rl.NewTables(cfg.RL, pool.P, len(pool.Members), pop.Len()),
+		pop:       pop,
+		global:    nn.StateDict(full),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		inflight:  map[int64]*Flight{},
+		exec:      NewExecutor(cfg.Parallelism),
+		aggPolicy: aggPolicy,
+		clip:      clip,
 	}
 	if cfg.Observer.Enabled() {
 		s.exec.SetObserver(cfg.Observer)
@@ -1068,13 +1068,7 @@ func (s *Server) ApplyUpdates(updates []agg.Update) error {
 	if len(updates) == 0 {
 		return nil
 	}
-	var next nn.State
-	var err error
-	if s.aggPolicy != nil {
-		next, err = s.aggPolicy.Aggregate(s.global, updates)
-	} else {
-		next, err = agg.Aggregate(s.global, updates)
-	}
+	next, err := s.aggPolicy.Aggregate(s.global, updates)
 	if err != nil {
 		return err
 	}

@@ -2,11 +2,11 @@ package tensor
 
 // Row kernels behind the blocked GEMM and the implicit-unfold convolution.
 // A kernel owns its inner loops: one call covers a whole k-panel for a
-// pair of C rows (axpyRows, the NN and TN cases) or every B row of a
-// column span against a pair of A rows (dotRows and dotPanel, the NT
-// case), so narrow operands — the 6-to-51-channel convolutions of
-// width-pruned submodels — spend their time inside the kernel rather than
-// entering it.
+// pair of C rows (axpyRows2/1, the NN and TN cases) or every B row of a
+// panel against a pair of A rows (dotPanel2, the one NT kernel, dense
+// GEMM rows and convolution panels alike), so narrow operands — the
+// 6-to-51-channel convolutions of width-pruned submodels — spend their
+// time inside the kernel rather than entering it.
 //
 // Each kernel has an amd64/AVX implementation (axpy_amd64.s) and the
 // portable Go twin below, which is the bitwise reference: the AVX code
@@ -21,8 +21,9 @@ package tensor
 // elements from c[r*ldc]. A stride-1 convolution reads its zero-padded
 // input plane with one segment per output row and a tap at each
 // (channel, ki, kj) window corner (convTaps); taps are non-negative and
-// ascending. A GEMM panel is dense: no taps, one segment, and row p at
-// b[p*ldb].
+// ascending. An NN or TN GEMM panel is dense: no taps, one segment, and
+// row p at b[p*ldb]. Gemm's NT panel is one segment of n = k with taps
+// p·k.
 type panel struct {
 	b        []float64
 	taps     []int
@@ -164,62 +165,27 @@ func axpyCol(u, b []float64, taps []int, ldb, j int) float64 {
 	return s
 }
 
-// dotRows2 computes c0[j] += alpha*dot(a0, b_j) and c1[j] += alpha*dot(a1,
-// b_j) for the len(c0) consecutive rows b_j of b, each len(a0) long. With
-// first set, c0 and c1 start from +0 instead of their contents.
-func dotRows2(a0, a1, b []float64, alpha float64, c0, c1 []float64, first bool) {
-	if dotRows2Accel(a0, a1, b, alpha, c0, c1, first) {
+// dotPanel2 computes c0[j] += alpha*dot(a0, B_j) and c1[j] += alpha*dot(a1,
+// B_j) for the len(c0) rows B_j of the panel pn, each pn.segs·pn.n long
+// and read in place (element q of B_j is b[taps[j] + (q/n)*ldb + q%n]).
+// With first set, c0 and c1 start from +0 instead of their contents. It is
+// the one NT kernel: a convolution's filter gradient against the unfold it
+// never materialises, and Gemm's dense rows as a one-segment panel with
+// taps[j] = j·k. A lone A row goes as a pair with itself, its second
+// result into a spare: a row's tree depends on its length alone, so that
+// gives it the bits it has as half of a pair.
+func dotPanel2(a0, a1 []float64, pn *panel, alpha float64, c0, c1 []float64, first bool) {
+	if dotPanel2Accel(a0, a1, pn, alpha, c0, c1, first) {
 		return
 	}
 	if first {
 		clear(c0)
 		clear(c1[:len(c0)])
 	}
-	k := len(a0)
-	for j := range c0 {
-		bj := b[j*k : j*k+k]
-		c0[j] += alpha * dot(a0, bj, k, k)
-		c1[j] += alpha * dot(a1, bj, k, k)
-	}
-}
-
-// dotRows1 is dotRows2 for a single A row.
-func dotRows1(a0, b []float64, alpha float64, c0 []float64, first bool) {
-	if dotRows1Accel(a0, b, alpha, c0, first) {
-		return
-	}
-	if first {
-		clear(c0)
-	}
-	k := len(a0)
-	for j := range c0 {
-		c0[j] += alpha * dot(a0, b[j*k:j*k+k], k, k)
-	}
-}
-
-// dotPanel2 computes c0[j] += dot(a0, B_j) and c1[j] += dot(a1, B_j) for
-// the len(c0) rows B_j of the panel pn, each pn.segs·pn.n long and read
-// in place (element q of B_j is b[taps[j] + (q/n)*ldb + q%n]): the NT
-// product of a convolution's filter gradient, against the unfold it
-// never materialises.
-func dotPanel2(a0, a1 []float64, pn *panel, c0, c1 []float64) {
-	if dotPanel2Accel(a0, a1, pn, c0, c1) {
-		return
-	}
 	for j := range c0 {
 		bj := pn.b[pn.taps[j]:]
-		c0[j] += dot(a0, bj, pn.n, pn.ldb)
-		c1[j] += dot(a1, bj, pn.n, pn.ldb)
-	}
-}
-
-// dotPanel1 is dotPanel2 for a single A row.
-func dotPanel1(a0 []float64, pn *panel, c0 []float64) {
-	if dotPanel1Accel(a0, pn, c0) {
-		return
-	}
-	for j := range c0 {
-		c0[j] += dot(a0, pn.b[pn.taps[j]:], pn.n, pn.ldb)
+		c0[j] += alpha * dot(a0, bj, pn.n, pn.ldb)
+		c1[j] += alpha * dot(a1, bj, pn.n, pn.ldb)
 	}
 }
 

@@ -25,8 +25,8 @@ func detectAVX() bool {
 
 // Implemented in axpy_amd64.s. The kernels only read and write through
 // their pointers, so arguments (gemmPanels' coefficient buffer, the tap
-// tables) may live on the caller's stack. mode is a cmode; first is 0
-// or 1.
+// tables, a lone row's spare results) may live on the caller's stack.
+// mode is a cmode; first is 0 or 1.
 func cpuidex(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
@@ -37,16 +37,7 @@ func axpyRows2AVX(u0, u1 *float64, kp int, b *float64, taps *int, ldb int, c0, c
 func axpyRows1AVX(u0 *float64, kp int, b *float64, taps *int, ldb int, c0 *float64, ldc, n, segs, mode int)
 
 //go:noescape
-func dotRows2AVX(a0, a1 *float64, k int, b *float64, nb int, alpha float64, c0, c1 *float64, first int)
-
-//go:noescape
-func dotRows1AVX(a0 *float64, k int, b *float64, nb int, alpha float64, c0 *float64, first int)
-
-//go:noescape
-func dotPanel2AVX(a0, a1 *float64, k int, b *float64, taps *int, nb, n, skip int, c0, c1 *float64)
-
-//go:noescape
-func dotPanel1AVX(a0 *float64, k int, b *float64, taps *int, nb, n, skip int, c0 *float64)
+func dotPanel2AVX(a0, a1 *float64, k int, b *float64, taps *int, nb, n, skip int, alpha float64, c0, c1 *float64, first int)
 
 func b2i(v bool) int {
 	if v {
@@ -90,54 +81,19 @@ func axpyRows1Accel(u0 []float64, pn *panel, c0 []float64, mode cmode) int {
 	return n4
 }
 
-// dotRows2Accel runs the AVX kernel over every B row; it reports whether
-// it did.
-func dotRows2Accel(a0, a1, b []float64, alpha float64, c0, c1 []float64, first bool) bool {
-	k, nb := len(a0), len(c0)
-	if !useAVX || k == 0 || nb == 0 {
-		return false
-	}
-	_, _, _ = a1[k-1], b[nb*k-1], c1[nb-1]
-	dotRows2AVX(&a0[0], &a1[0], k, &b[0], nb, alpha, &c0[0], &c1[0], b2i(first))
-	return true
-}
-
-// dotRows1Accel is the one-row form of dotRows2Accel.
-func dotRows1Accel(a0, b []float64, alpha float64, c0 []float64, first bool) bool {
-	k, nb := len(a0), len(c0)
-	if !useAVX || k == 0 || nb == 0 {
-		return false
-	}
-	_ = b[nb*k-1]
-	dotRows1AVX(&a0[0], k, &b[0], nb, alpha, &c0[0], b2i(first))
-	return true
-}
-
 // panelVectors reports whether the AVX dot can load B_j four elements at
 // a time: no group of four straddles two segments.
 func panelVectors(pn *panel) bool { return pn.n%4 == 0 || pn.segs == 1 }
 
 // dotPanel2Accel runs the AVX kernel over every B row of the panel; it
 // reports whether it did.
-func dotPanel2Accel(a0, a1 []float64, pn *panel, c0, c1 []float64) bool {
+func dotPanel2Accel(a0, a1 []float64, pn *panel, alpha float64, c0, c1 []float64, first bool) bool {
 	k, nb := len(a0), len(c0)
 	if !useAVX || k == 0 || nb == 0 || !panelVectors(pn) || k != pn.segs*pn.n {
 		return false
 	}
 	_, _, _ = a1[k-1], c1[nb-1], pn.taps[nb-1]
 	_ = pn.b[pn.taps[nb-1]+(pn.segs-1)*pn.ldb+pn.n-1]
-	dotPanel2AVX(&a0[0], &a1[0], k, &pn.b[0], &pn.taps[0], nb, pn.n, pn.ldb-pn.n, &c0[0], &c1[0])
-	return true
-}
-
-// dotPanel1Accel is the one-row form of dotPanel2Accel.
-func dotPanel1Accel(a0 []float64, pn *panel, c0 []float64) bool {
-	k, nb := len(a0), len(c0)
-	if !useAVX || k == 0 || nb == 0 || !panelVectors(pn) || k != pn.segs*pn.n {
-		return false
-	}
-	_ = pn.taps[nb-1]
-	_ = pn.b[pn.taps[nb-1]+(pn.segs-1)*pn.ldb+pn.n-1]
-	dotPanel1AVX(&a0[0], k, &pn.b[0], &pn.taps[0], nb, pn.n, pn.ldb-pn.n, &c0[0])
+	dotPanel2AVX(&a0[0], &a1[0], k, &pn.b[0], &pn.taps[0], nb, pn.n, pn.ldb-pn.n, alpha, &c0[0], &c1[0], b2i(first))
 	return true
 }

@@ -759,210 +759,29 @@ r1segend:
 	VZEROUPPER
 	RET
 
-// Register use shared by the two dotRows kernels:
-//   SI, DI   a0, a1 (the two A rows)      CX   k      R12  k &^ 15
-//   BX       the current B row            R11  k*8    R10  B rows left
-//   R8, R9   c0, c1 at the current B row  X14  alpha  AX   p
-//   X13      what a result is added to when first is set: +0
-
-// STRIPE2 adds four products to one of the four striped partial sums of
-// each A row; STRIPE1 is the one-row form.
-#define STRIPE2(off, s0, s1) \
-	VMOVUPD off(BX)(AX*8), Y8; \
-	VMULPD  off(SI)(AX*8), Y8, Y9; \
-	VADDPD  Y9, s0, s0; \
-	VMULPD  off(DI)(AX*8), Y8, Y10; \
-	VADDPD  Y10, s1, s1
-
-#define STRIPE1(off, s0) \
-	VMOVUPD off(BX)(AX*8), Y8; \
-	VMULPD  off(SI)(AX*8), Y8, Y9; \
-	VADDPD  Y9, s0, s0
-
-// FOLD reduces the 16 striped partials held lanewise in a, b, c, d to the
-// scalar ((t0+t1)+(t2+t3)) with t[l] = (s[l]+s[l+4]) + (s[l+8]+s[l+12]),
-// left in the low lane of a's X register (xa); xt is a temporary.
-#define FOLD(a, b, c, d, xa, xt) \
-	VADDPD b, a, a; \
-	VADDPD d, c, c; \
-	VADDPD c, a, a; \
-	VEXTRACTF128 $1, a, xt; \
-	VHADDPD xt, xa, xa; \
-	VUNPCKHPD xa, xa, xt; \
-	VADDSD xt, xa, xa
-
-// func dotRows2AVX(a0, a1 *float64, k int, b *float64, nb int, alpha float64, c0, c1 *float64, first int)
-//
-// For each of the nb rows b_j of B (k elements apiece, contiguous):
-// c0[j] += alpha*dot(a0, b_j) and c1[j] += alpha*dot(a1, b_j), where dot
-// is the fixed reduction tree of the Go twin: 16 striped partials folded
-// to one scalar, then the k%16 tail added sequentially. When first is set
-// the products are added to +0 instead of C.
-TEXT ·dotRows2AVX(SB), NOSPLIT, $0-72
-	MOVQ a0+0(FP), SI
-	MOVQ a1+8(FP), DI
-	MOVQ k+16(FP), CX
-	MOVQ b+24(FP), BX
-	MOVQ nb+32(FP), R10
-	VMOVSD alpha+40(FP), X14
-	MOVQ c0+48(FP), R8
-	MOVQ c1+56(FP), R9
-	MOVQ CX, R12
-	ANDQ $-16, R12
-	MOVQ CX, R11
-	SHLQ $3, R11
-	VXORPD X13, X13, X13
-
-d2row:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	XORQ AX, AX
-	CMPQ AX, R12
-	JGE  d2fold
-
-	PCALIGN $32
-
-d2loop:
-	STRIPE2(0, Y0, Y4)
-	STRIPE2(32, Y1, Y5)
-	STRIPE2(64, Y2, Y6)
-	STRIPE2(96, Y3, Y7)
-	ADDQ $16, AX
-	CMPQ AX, R12
-	JLT  d2loop
-
-d2fold:
-	FOLD(Y0, Y1, Y2, Y3, X0, X8)
-	FOLD(Y4, Y5, Y6, Y7, X4, X8)
-	CMPQ AX, CX
-	JGE  d2out
-
-d2tail:
-	VMOVSD (BX)(AX*8), X8
-	VMULSD (SI)(AX*8), X8, X9
-	VADDSD X9, X0, X0
-	VMULSD (DI)(AX*8), X8, X9
-	VADDSD X9, X4, X4
-	INCQ AX
-	CMPQ AX, CX
-	JLT  d2tail
-
-d2out:
-	VMULSD X14, X0, X0
-	VMULSD X14, X4, X4
-	CMPQ first+64(FP), $0
-	JNE  d2first
-	VADDSD (R8), X0, X0
-	VADDSD (R9), X4, X4
-	JMP  d2store
-
-d2first:
-	VADDSD X13, X0, X0
-	VADDSD X13, X4, X4
-
-d2store:
-	VMOVSD X0, (R8)
-	VMOVSD X4, (R9)
-	ADDQ R11, BX
-	ADDQ $8, R8
-	ADDQ $8, R9
-	DECQ R10
-	JNZ  d2row
-	VZEROUPPER
-	RET
-
-// func dotRows1AVX(a0 *float64, k int, b *float64, nb int, alpha float64, c0 *float64, first int)
-//
-// The one-row form of dotRows2AVX.
-TEXT ·dotRows1AVX(SB), NOSPLIT, $0-56
-	MOVQ a0+0(FP), SI
-	MOVQ k+8(FP), CX
-	MOVQ b+16(FP), BX
-	MOVQ nb+24(FP), R10
-	VMOVSD alpha+32(FP), X14
-	MOVQ c0+40(FP), R8
-	MOVQ CX, R12
-	ANDQ $-16, R12
-	MOVQ CX, R11
-	SHLQ $3, R11
-	VXORPD X13, X13, X13
-
-d1row:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	XORQ AX, AX
-	CMPQ AX, R12
-	JGE  d1fold
-
-	PCALIGN $32
-
-d1loop:
-	STRIPE1(0, Y0)
-	STRIPE1(32, Y1)
-	STRIPE1(64, Y2)
-	STRIPE1(96, Y3)
-	ADDQ $16, AX
-	CMPQ AX, R12
-	JLT  d1loop
-
-d1fold:
-	FOLD(Y0, Y1, Y2, Y3, X0, X8)
-	CMPQ AX, CX
-	JGE  d1out
-
-d1tail:
-	VMOVSD (BX)(AX*8), X8
-	VMULSD (SI)(AX*8), X8, X9
-	VADDSD X9, X0, X0
-	INCQ AX
-	CMPQ AX, CX
-	JLT  d1tail
-
-d1out:
-	VMULSD X14, X0, X0
-	CMPQ first+48(FP), $0
-	JNE  d1first
-	VADDSD (R8), X0, X0
-	JMP  d1store
-
-d1first:
-	VADDSD X13, X0, X0
-
-d1store:
-	VMOVSD X0, (R8)
-	ADDQ R11, BX
-	ADDQ $8, R8
-	DECQ R10
-	JNZ  d1row
-	VZEROUPPER
-	RET
-
-// The dotPanel kernels are dotRows with B read in place from a panel:
-// B_j starts at taps[j] elements into b and runs in segments of n
-// elements, skip elements apart. A B cursor walks the segments, and the
-// count of elements left in the current segment says when it jumps; n is
-// a multiple of 4 or there is one segment, so no load of four straddles a
-// jump. The stripe loop checks for a jump after every group of four, or
-// — when n is 4, 8 or a multiple of 16 — once per block of sixteen.
+// dotPanel2AVX is the one dot kernel. B_j starts at taps[j] elements
+// into b and runs in segments of n elements, skip elements apart; a dense
+// GEMM row is one segment of n = k. A B cursor walks the segments, and
+// the count of elements left in the current segment says when it jumps;
+// n is a multiple of 4 or there is one segment, so no load of four
+// straddles a jump. The stripe loop is chosen once per call, by n, and
+// each has its own row loop: blocks of sixteen at fixed offsets from the
+// cursor when a block lies in one segment (n a multiple of 16, or one
+// segment) or spans two or four whole ones (n = 8 or 4); otherwise groups
+// of four, with a jump check after each.
 //
 // Register use:
 //   SI, DI   a0, a1                       CX   k      R12  k &^ 15
 //   R11      b                            DX   taps   R10  B rows left
 //   BX       the B cursor                 R13  elements left in its segment
 //   R8, R9   c0, c1 at the current B row  AX   p      R14  scratch
+//   R15      B's segment stride in bytes  X14  alpha
+//   X13      the mask C is added through: all ones, or +0 when first is set
 
 // GROUP2 adds the four products at the B cursor to the striped partial
-// sums s0, s1 and moves the cursor on by four; GROUP1 is the one-row
-// form. Each is followed by NEXTSEG, which jumps the cursor to the next
-// segment when the current one is used up.
+// sums s0, s1 and moves the cursor on by four. It is followed by
+// NEXTSEG, which jumps the cursor to the next segment when the current
+// one is used up.
 #define GROUP2(off, s0, s1) \
 	VMOVUPD (BX), Y8; \
 	VMULPD  off(SI)(AX*8), Y8, Y9; \
@@ -972,23 +791,13 @@ d1store:
 	ADDQ    $32, BX; \
 	SUBQ    $4, R13
 
-#define GROUP1(off, s0) \
-	VMOVUPD (BX), Y8; \
-	VMULPD  off(SI)(AX*8), Y8, Y9; \
-	VADDPD  Y9, s0, s0; \
-	ADDQ    $32, BX; \
-	SUBQ    $4, R13
-
 #define NEXTSEG(skip, n) \
 	MOVQ skip, R14; \
 	LEAQ (BX)(R14*8), BX; \
 	MOVQ n, R13
 
 // BLOCK2 adds the sixteen products of one stripe block to the partial
-// sums of both A rows, B's four groups of four loaded from m0…m3 — the
-// loads of a block that lies in one segment (n a multiple of 16) or
-// spans two or four whole ones (n = 8 or 4), where its groups sit at
-// fixed offsets from the cursor. BLOCK1 is the one-row form.
+// sums of both A rows, B's four groups of four loaded from m0…m3.
 #define BLOCK2(m0, m1, m2, m3) \
 	VMOVUPD m0, Y8; \
 	VMULPD  0(SI)(AX*8), Y8, Y9; \
@@ -1011,307 +820,196 @@ d1store:
 	VMULPD  96(DI)(AX*8), Y8, Y10; \
 	VADDPD  Y10, Y7, Y7
 
-#define BLOCK1(m0, m1, m2, m3) \
-	VMOVUPD m0, Y8; \
-	VMULPD  0(SI)(AX*8), Y8, Y9; \
-	VADDPD  Y9, Y0, Y0; \
-	VMOVUPD m1, Y8; \
-	VMULPD  32(SI)(AX*8), Y8, Y9; \
-	VADDPD  Y9, Y1, Y1; \
-	VMOVUPD m2, Y8; \
-	VMULPD  64(SI)(AX*8), Y8, Y9; \
-	VADDPD  Y9, Y2, Y2; \
-	VMOVUPD m3, Y8; \
-	VMULPD  96(SI)(AX*8), Y8, Y9; \
-	VADDPD  Y9, Y3, Y3
+// FOLD reduces the 16 striped partials held lanewise in a, b, c, d to the
+// scalar ((t0+t1)+(t2+t3)) with t[l] = (s[l]+s[l+4]) + (s[l+8]+s[l+12]),
+// left in the low lane of a's X register (xa); xt is a temporary.
+#define FOLD(a, b, c, d, xa, xt) \
+	VADDPD b, a, a; \
+	VADDPD d, c, c; \
+	VADDPD c, a, a; \
+	VEXTRACTF128 $1, a, xt; \
+	VHADDPD xt, xa, xa; \
+	VUNPCKHPD xa, xa, xt; \
+	VADDSD xt, xa, xa
 
-// func dotPanel2AVX(a0, a1 *float64, k int, b *float64, taps *int, nb, n, skip int, c0, c1 *float64)
+// ROWINIT starts a B row: the cursor at B_j, n elements left in its
+// segment, the partial sums and p cleared; with no stripe block (k < 16)
+// it goes straight to fin.
+#define ROWINIT(n, fin) \
+	MOVQ (DX), R14; \
+	LEAQ (R11)(R14*8), BX; \
+	ADDQ $8, DX; \
+	MOVQ n, R13; \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7; \
+	XORQ AX, AX; \
+	CMPQ AX, R12; \
+	JGE  fin
+
+// FINISH folds both rows' partials, adds the k%16 tail one product at a
+// time, stores alpha·sum + C (C through the mask X13) to c0 and c1, and
+// goes on to the next B row at row, or returns. tail, tnext and out are
+// its labels.
+#define FINISH(skip, n, tail, tnext, out, row) \
+	FOLD(Y0, Y1, Y2, Y3, X0, X8); \
+	FOLD(Y4, Y5, Y6, Y7, X4, X8); \
+	CMPQ AX, CX; \
+	JGE  out; \
+tail: \
+	VMOVSD (BX), X8; \
+	VMULSD (SI)(AX*8), X8, X9; \
+	VADDSD X9, X0, X0; \
+	VMULSD (DI)(AX*8), X8, X9; \
+	VADDSD X9, X4, X4; \
+	ADDQ $8, BX; \
+	DECQ R13; \
+	JNZ  tnext; \
+	NEXTSEG(skip, n); \
+tnext: \
+	INCQ AX; \
+	CMPQ AX, CX; \
+	JLT  tail; \
+out: \
+	VMULSD X14, X0, X0; \
+	VMULSD X14, X4, X4; \
+	VMOVSD (R8), X8; \
+	VANDPD X13, X8, X8; \
+	VADDSD X8, X0, X0; \
+	VMOVSD X0, (R8); \
+	VMOVSD (R9), X8; \
+	VANDPD X13, X8, X8; \
+	VADDSD X8, X4, X4; \
+	VMOVSD X4, (R9); \
+	ADDQ $8, R8; \
+	ADDQ $8, R9; \
+	DECQ R10; \
+	JNZ  row; \
+	VZEROUPPER; \
+	RET
+
+// func dotPanel2AVX(a0, a1 *float64, k int, b *float64, taps *int, nb, n, skip int, alpha float64, c0, c1 *float64, first int)
 //
-// For each of the nb rows B_j of the panel: c0[j] += dot(a0, B_j) and
-// c1[j] += dot(a1, B_j), in dotRows2AVX's reduction tree.
-TEXT ·dotPanel2AVX(SB), NOSPLIT, $0-80
+// For each of the nb rows B_j of the panel: c0[j] += alpha*dot(a0, B_j)
+// and c1[j] += alpha*dot(a1, B_j), where dot is the fixed reduction tree
+// of the Go twin: 16 striped partials folded to one scalar, then the k%16
+// tail added sequentially. When first is set the products are added to
+// +0 instead of C.
+TEXT ·dotPanel2AVX(SB), NOSPLIT, $0-96
 	MOVQ a0+0(FP), SI
 	MOVQ a1+8(FP), DI
 	MOVQ k+16(FP), CX
 	MOVQ b+24(FP), R11
 	MOVQ taps+32(FP), DX
 	MOVQ nb+40(FP), R10
-	MOVQ c0+64(FP), R8
-	MOVQ c1+72(FP), R9
+	VMOVSD alpha+64(FP), X14
+	MOVQ c0+72(FP), R8
+	MOVQ c1+80(FP), R9
+	MOVQ first+88(FP), R14
+	DECQ R14
+	VMOVQ R14, X13
 	MOVQ CX, R12
 	ANDQ $-16, R12
-
-p2row:
-	MOVQ (DX), R14
-	LEAQ (R11)(R14*8), BX
-	ADDQ $8, DX
-	MOVQ n+48(FP), R13
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	XORQ AX, AX
-	CMPQ AX, R12
-	JGE  p2fold
 	MOVQ n+48(FP), R14
+	MOVQ skip+56(FP), R15
+	ADDQ R14, R15
+	SHLQ $3, R15
 	CMPQ R14, $4
-	JEQ  p2n4
+	JEQ  p4row
 	CMPQ R14, $8
-	JEQ  p2n8
+	JEQ  p8row
+	CMPQ R14, CX
+	JEQ  p16row
 	TESTQ $15, R14
-	JZ   p2n16
-	JMP  p2loop
+	JZ   p16row
+
+pgrow:
+	ROWINIT(n+48(FP), pgfin)
 
 	PCALIGN $32
 
-p2n16:
+pgloop:
+	GROUP2(0, Y0, Y4)
+	JNZ  pg1
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+pg1:
+	GROUP2(32, Y1, Y5)
+	JNZ  pg2
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+pg2:
+	GROUP2(64, Y2, Y6)
+	JNZ  pg3
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+pg3:
+	GROUP2(96, Y3, Y7)
+	JNZ  pgnext
+	NEXTSEG(skip+56(FP), n+48(FP))
+
+pgnext:
+	ADDQ $16, AX
+	CMPQ AX, R12
+	JLT  pgloop
+
+pgfin:
+	FINISH(skip+56(FP), n+48(FP), pgtail, pgtnext, pgout, pgrow)
+
+p16row:
+	ROWINIT(n+48(FP), p16fin)
+
+	PCALIGN $32
+
+p16loop:
 	BLOCK2(0(BX), 32(BX), 64(BX), 96(BX))
 	ADDQ $128, BX
 	SUBQ $16, R13
-	JNZ  p2n16next
+	JNZ  p16next
 	NEXTSEG(skip+56(FP), n+48(FP))
 
-p2n16next:
+p16next:
 	ADDQ $16, AX
 	CMPQ AX, R12
-	JLT  p2n16
-	JMP  p2fold
+	JLT  p16loop
 
-p2n8:
-	// R14 = the segment stride in bytes; a block is two segments.
-	MOVQ skip+56(FP), R14
-	ADDQ $8, R14
-	SHLQ $3, R14
+p16fin:
+	FINISH(skip+56(FP), n+48(FP), p16tail, p16tnext, p16out, p16row)
+
+// n = 8: a block is two segments, R15 bytes apart.
+p8row:
+	ROWINIT(n+48(FP), p8fin)
 
 	PCALIGN $32
 
-p2n8loop:
-	BLOCK2((BX), 32(BX), (BX)(R14*1), 32(BX)(R14*1))
-	LEAQ (BX)(R14*2), BX
+p8loop:
+	BLOCK2((BX), 32(BX), (BX)(R15*1), 32(BX)(R15*1))
+	LEAQ (BX)(R15*2), BX
 	ADDQ $16, AX
 	CMPQ AX, R12
-	JLT  p2n8loop
-	MOVQ n+48(FP), R13
-	JMP  p2fold
+	JLT  p8loop
 
-p2n4:
-	// R14 = the segment stride in bytes; a block is four segments.
-	MOVQ skip+56(FP), R14
-	ADDQ $4, R14
-	SHLQ $3, R14
+p8fin:
+	FINISH(skip+56(FP), n+48(FP), p8tail, p8tnext, p8out, p8row)
+
+// n = 4: a block is four segments.
+p4row:
+	ROWINIT(n+48(FP), p4fin)
 
 	PCALIGN $32
 
-p2n4loop:
-	LEAQ (BX)(R14*2), R13
-	BLOCK2((BX), (BX)(R14*1), (R13), (R13)(R14*1))
-	LEAQ (R13)(R14*2), BX
+p4loop:
+	LEAQ (BX)(R15*2), R14
+	BLOCK2((BX), (BX)(R15*1), (R14), (R14)(R15*1))
+	LEAQ (R14)(R15*2), BX
 	ADDQ $16, AX
 	CMPQ AX, R12
-	JLT  p2n4loop
-	MOVQ n+48(FP), R13
-	JMP  p2fold
+	JLT  p4loop
 
-	PCALIGN $32
-
-p2loop:
-	GROUP2(0, Y0, Y4)
-	JNZ  p2g1
-	NEXTSEG(skip+56(FP), n+48(FP))
-
-p2g1:
-	GROUP2(32, Y1, Y5)
-	JNZ  p2g2
-	NEXTSEG(skip+56(FP), n+48(FP))
-
-p2g2:
-	GROUP2(64, Y2, Y6)
-	JNZ  p2g3
-	NEXTSEG(skip+56(FP), n+48(FP))
-
-p2g3:
-	GROUP2(96, Y3, Y7)
-	JNZ  p2next
-	NEXTSEG(skip+56(FP), n+48(FP))
-
-p2next:
-	ADDQ $16, AX
-	CMPQ AX, R12
-	JLT  p2loop
-
-p2fold:
-	FOLD(Y0, Y1, Y2, Y3, X0, X8)
-	FOLD(Y4, Y5, Y6, Y7, X4, X8)
-	CMPQ AX, CX
-	JGE  p2out
-
-p2tail:
-	VMOVSD (BX), X8
-	VMULSD (SI)(AX*8), X8, X9
-	VADDSD X9, X0, X0
-	VMULSD (DI)(AX*8), X8, X9
-	VADDSD X9, X4, X4
-	ADDQ $8, BX
-	DECQ R13
-	JNZ  p2tnext
-	NEXTSEG(skip+56(FP), n+48(FP))
-
-p2tnext:
-	INCQ AX
-	CMPQ AX, CX
-	JLT  p2tail
-
-p2out:
-	VADDSD (R8), X0, X0
-	VMOVSD X0, (R8)
-	VADDSD (R9), X4, X4
-	VMOVSD X4, (R9)
-	ADDQ $8, R8
-	ADDQ $8, R9
-	DECQ R10
-	JNZ  p2row
-	VZEROUPPER
-	RET
-
-// func dotPanel1AVX(a0 *float64, k int, b *float64, taps *int, nb, n, skip int, c0 *float64)
-//
-// The one-row form of dotPanel2AVX.
-TEXT ·dotPanel1AVX(SB), NOSPLIT, $0-64
-	MOVQ a0+0(FP), SI
-	MOVQ k+8(FP), CX
-	MOVQ b+16(FP), R11
-	MOVQ taps+24(FP), DX
-	MOVQ nb+32(FP), R10
-	MOVQ c0+56(FP), R8
-	MOVQ CX, R12
-	ANDQ $-16, R12
-
-p1row:
-	MOVQ (DX), R14
-	LEAQ (R11)(R14*8), BX
-	ADDQ $8, DX
-	MOVQ n+40(FP), R13
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	XORQ AX, AX
-	CMPQ AX, R12
-	JGE  p1fold
-	MOVQ n+40(FP), R14
-	CMPQ R14, $4
-	JEQ  p1n4
-	CMPQ R14, $8
-	JEQ  p1n8
-	TESTQ $15, R14
-	JZ   p1n16
-	JMP  p1loop
-
-	PCALIGN $32
-
-p1n16:
-	BLOCK1(0(BX), 32(BX), 64(BX), 96(BX))
-	ADDQ $128, BX
-	SUBQ $16, R13
-	JNZ  p1n16next
-	NEXTSEG(skip+48(FP), n+40(FP))
-
-p1n16next:
-	ADDQ $16, AX
-	CMPQ AX, R12
-	JLT  p1n16
-	JMP  p1fold
-
-p1n8:
-	// R14 = the segment stride in bytes; a block is two segments.
-	MOVQ skip+48(FP), R14
-	ADDQ $8, R14
-	SHLQ $3, R14
-
-	PCALIGN $32
-
-p1n8loop:
-	BLOCK1((BX), 32(BX), (BX)(R14*1), 32(BX)(R14*1))
-	LEAQ (BX)(R14*2), BX
-	ADDQ $16, AX
-	CMPQ AX, R12
-	JLT  p1n8loop
-	MOVQ n+40(FP), R13
-	JMP  p1fold
-
-p1n4:
-	// R14 = the segment stride in bytes; a block is four segments.
-	MOVQ skip+48(FP), R14
-	ADDQ $4, R14
-	SHLQ $3, R14
-
-	PCALIGN $32
-
-p1n4loop:
-	LEAQ (BX)(R14*2), R13
-	BLOCK1((BX), (BX)(R14*1), (R13), (R13)(R14*1))
-	LEAQ (R13)(R14*2), BX
-	ADDQ $16, AX
-	CMPQ AX, R12
-	JLT  p1n4loop
-	MOVQ n+40(FP), R13
-	JMP  p1fold
-
-	PCALIGN $32
-
-p1loop:
-	GROUP1(0, Y0)
-	JNZ  p1g1
-	NEXTSEG(skip+48(FP), n+40(FP))
-
-p1g1:
-	GROUP1(32, Y1)
-	JNZ  p1g2
-	NEXTSEG(skip+48(FP), n+40(FP))
-
-p1g2:
-	GROUP1(64, Y2)
-	JNZ  p1g3
-	NEXTSEG(skip+48(FP), n+40(FP))
-
-p1g3:
-	GROUP1(96, Y3)
-	JNZ  p1next
-	NEXTSEG(skip+48(FP), n+40(FP))
-
-p1next:
-	ADDQ $16, AX
-	CMPQ AX, R12
-	JLT  p1loop
-
-p1fold:
-	FOLD(Y0, Y1, Y2, Y3, X0, X8)
-	CMPQ AX, CX
-	JGE  p1out
-
-p1tail:
-	VMOVSD (BX), X8
-	VMULSD (SI)(AX*8), X8, X9
-	VADDSD X9, X0, X0
-	ADDQ $8, BX
-	DECQ R13
-	JNZ  p1tnext
-	NEXTSEG(skip+48(FP), n+40(FP))
-
-p1tnext:
-	INCQ AX
-	CMPQ AX, CX
-	JLT  p1tail
-
-p1out:
-	VADDSD (R8), X0, X0
-	VMOVSD X0, (R8)
-	ADDQ $8, R8
-	DECQ R10
-	JNZ  p1row
-	VZEROUPPER
-	RET
+p4fin:
+	FINISH(skip+56(FP), n+48(FP), p4tail, p4tnext, p4out, p4row)

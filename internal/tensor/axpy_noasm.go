@@ -8,12 +8,6 @@ func axpyRows2Accel(u0, u1 []float64, pn *panel, c0, c1 []float64, mode cmode) i
 
 func axpyRows1Accel(u0 []float64, pn *panel, c0 []float64, mode cmode) int { return 0 }
 
-func dotRows2Accel(a0, a1, b []float64, alpha float64, c0, c1 []float64, first bool) bool {
+func dotPanel2Accel(a0, a1 []float64, pn *panel, alpha float64, c0, c1 []float64, first bool) bool {
 	return false
 }
-
-func dotRows1Accel(a0, b []float64, alpha float64, c0 []float64, first bool) bool { return false }
-
-func dotPanel2Accel(a0, a1 []float64, pn *panel, c0, c1 []float64) bool { return false }
-
-func dotPanel1Accel(a0 []float64, pn *panel, c0 []float64) bool { return false }

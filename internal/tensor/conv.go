@@ -268,7 +268,8 @@ func ConvPlaneFilterGrad(g []float64, outC int, plane []float64, c, ph, pw, k in
 }
 
 // filterGradRows is ConvPlaneFilterGrad for the dw rows [lo, hi), lo
-// even.
+// even. An odd last row goes as a pair with itself, its second result
+// into a spare that is declared, and cleared, only then.
 func filterGradRows(g []float64, outC int, plane []float64, c, ph, pw, k int, dw []float64, lo, hi int) {
 	oh, ow, rows := ph-k+1, pw-k+1, c*k*k
 	sp := oh * ow
@@ -277,12 +278,14 @@ func filterGradRows(g []float64, outC int, plane []float64, c, ph, pw, k int, dw
 	for p0 := 0; p0 < rows; p0 += kTile {
 		kp := min(kTile, rows-p0)
 		pn.taps = convTaps(taps[:kp], p0, k, ph, pw)
-		o := lo
-		for ; o+2 <= hi; o += 2 {
-			dotPanel2(g[o*sp:][:sp], g[(o+1)*sp:][:sp], &pn, dw[o*rows+p0:][:kp], dw[(o+1)*rows+p0:][:kp])
-		}
-		if o < hi {
-			dotPanel1(g[o*sp:][:sp], &pn, dw[o*rows+p0:][:kp])
+		for o := lo; o < hi; o += 2 {
+			g0, c0 := g[o*sp:][:sp], dw[o*rows+p0:][:kp]
+			if o+1 < hi {
+				dotPanel2(g0, g[(o+1)*sp:][:sp], &pn, 1, c0, dw[(o+1)*rows+p0:][:kp], false)
+			} else {
+				var spare [kTile]float64
+				dotPanel2(g0, g0, &pn, 1, c0, spare[:kp], false)
+			}
 		}
 	}
 }

@@ -29,31 +29,31 @@ const (
 // the row kernels on long contiguous runs.
 const minJChunk = 256
 
-// MatMul returns C = A·B for A of shape [m,k] and B of shape [k,n].
-func MatMul(a, b *Tensor) *Tensor {
-	c := New(a.Shape[0], b.Shape[1])
-	Gemm(false, false, 1, a, b, 0, c)
-	return c
-}
-
 // Gemm computes C = alpha*op(A)·op(B) + beta*C where op optionally
-// transposes its argument. A, B and C must be rank-2. Shapes after op must
-// satisfy op(A):[m,k], op(B):[k,n], C:[m,n].
+// transposes one of its arguments: the layers run A·B (NN), Aᵀ·B (TN)
+// and A·Bᵀ (NT), and Gemm panics on both transposed. A, B and C must be
+// rank-2. Shapes after op must satisfy op(A):[m,k], op(B):[k,n], C:[m,n].
 //
-// The work is done by the row kernels of axpy.go, two C rows per call
-// (one for the last row of an odd block, in the identical k grouping),
-// with large operands tiled into kTile×nTile panels. Above
-// serialThreshold, C is cut into a grid of row × column chunks that
-// ForEach hands to up to Parallelism workers; each element is owned by
-// exactly one chunk and accumulated in a fixed order, so results are
-// bitwise independent of the parallelism setting. Any future kernel
-// variant must preserve the per-element accumulation grouping (2-wise
-// over k for NN/TN, the 16-stripe tree for NT) or the serial/parallel/
-// AVX paths stop being bitwise identical — see
-// TestGemmSerialParallelBitwise and TestGemmAccelMatchesGeneric.
+// The work is done by the row kernels of axpy.go, two C rows per call.
+// NN and TN go through axpyRows2 (axpyRows1 for the last row of an odd
+// block, in the identical k grouping), with large operands tiled into
+// kTile×nTile panels. NT goes through dotPanel2, the one dot kernel, up
+// to kTile B rows per call as a dense one-segment panel, with the last
+// row of an odd block paired with itself. Above serialThreshold, C is cut
+// into a grid of row × column chunks that ForEach hands to up to
+// Parallelism workers; each element is owned by exactly one chunk and
+// accumulated in a fixed order, so results are bitwise independent of
+// the parallelism setting. Any future kernel variant must preserve the
+// per-element accumulation grouping (2-wise over k for NN/TN, the
+// 16-stripe tree for NT) or the serial/parallel/AVX paths stop being
+// bitwise identical — see TestGemmSerialParallelBitwise and
+// TestGemmAccelMatchesGeneric.
 func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Tensor) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(c.Shape) != 2 {
 		panic("tensor: Gemm requires rank-2 tensors")
+	}
+	if transA && transB {
+		panic("tensor: Gemm does not compute Aᵀ·Bᵀ (transA and transB both set)")
 	}
 	am, ak := a.Shape[0], a.Shape[1]
 	if transA {
@@ -124,8 +124,8 @@ func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Ten
 // element starting from +0. The per-element accumulation order — k taken
 // in pairs with a single trailing step for NN and TN, the fixed 16-stripe
 // tree for NT — depends only on the matrix shapes, never on the block
-// bounds or on which kernel form (pair or single row) processed the
-// element, so any grid partition of C reproduces the serial result
+// bounds or on whether an element's row went through a kernel paired or
+// alone, so any grid partition of C reproduces the serial result
 // bitwise.
 func gemmPanels(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo, jHi, k int, first bool) {
 	m, n := c.Shape[0], c.Shape[1]
@@ -179,31 +179,28 @@ func gemmPanels(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo
 				}
 			}
 		}
-	case !transA:
+	default: // !transA, transB
 		// C[i,j] += alpha * A[i,p] * B[j,p]: a dot of two rows with the
-		// fixed 16-stripe reduction tree (see dot). One kernel call takes
-		// every B row of the span against a pair of A rows.
-		nj := jHi - jLo
-		bs := bd[jLo*k : jHi*k]
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			dotRows2(ad[i*k:][:k], ad[(i+1)*k:][:k], bs, alpha, cd[i*n+jLo:][:nj], cd[(i+1)*n+jLo:][:nj], first)
+		// fixed 16-stripe reduction tree (see dot). The span's B rows go
+		// to dotPanel2 kTile at a time, a one-segment panel with row j at
+		// taps[j] = j·k, against each pair of A rows; the last row of an
+		// odd block goes as a pair with itself, its second result into a
+		// spare that is declared, and cleared, only then.
+		var taps [kTile]int
+		for j := range taps[:min(kTile, jHi-jLo)] {
+			taps[j] = j * k
 		}
-		if i < hi {
-			dotRows1(ad[i*k:][:k], bs, alpha, cd[i*n+jLo:][:nj], first)
-		}
-	default: // transA && transB
-		for i := lo; i < hi; i++ {
-			ci := cd[i*n : i*n+n]
-			for j := jLo; j < jHi; j++ {
-				s := 0.0
-				for p := 0; p < k; p++ {
-					s += ad[p*m+i] * bd[j*k+p]
+		for j0 := jLo; j0 < jHi; j0 += kTile {
+			nb := min(kTile, jHi-j0)
+			pn := panel{b: bd[j0*k : (j0+nb)*k], taps: taps[:nb], ldb: k, segs: 1, n: k}
+			for i := lo; i < hi; i += 2 {
+				a0, c0 := ad[i*k:][:k], cd[i*n+j0:][:nb]
+				if i+1 < hi {
+					dotPanel2(a0, ad[(i+1)*k:][:k], &pn, alpha, c0, cd[(i+1)*n+j0:][:nb], first)
+				} else {
+					var spare [kTile]float64
+					dotPanel2(a0, a0, &pn, alpha, c0, spare[:nb], first)
 				}
-				if first {
-					ci[j] = 0
-				}
-				ci[j] += alpha * s
 			}
 		}
 	}

@@ -130,17 +130,5 @@ func refGemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, j
 				}
 			}
 		}
-	default: // transA && transB
-		m := c.Shape[0]
-		for i := lo; i < hi; i++ {
-			ci := cd[i*n : i*n+n]
-			for j := jLo; j < jHi; j++ {
-				s := 0.0
-				for p := 0; p < k; p++ {
-					s += ad[p*m+i] * bd[j*k+p]
-				}
-				ci[j] += alpha * s
-			}
-		}
 	}
 }

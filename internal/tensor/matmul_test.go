@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -15,6 +16,10 @@ import (
 func gemmBlock(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo, jHi, k int) {
 	gemmPanels(transA, transB, alpha, a, b, c, lo, hi, jLo, jHi, k, false)
 }
+
+// gemmOps are the products Gemm computes: NN, TN and NT, as
+// {transA, transB}.
+var gemmOps = [][2]bool{{false, false}, {true, false}, {false, true}}
 
 // gemmOperands builds operands for one (m,k,n, transA, transB) combo.
 func gemmOperands(rng *rand.Rand, m, k, n int, transA, transB bool) (a, b *Tensor) {
@@ -56,25 +61,24 @@ func TestGemmSerialParallelBitwise(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
 	for _, sh := range shapes {
 		for _, ab := range cases {
-			for _, transA := range []bool{false, true} {
-				for _, transB := range []bool{false, true} {
-					rng := rand.New(rand.NewSource(int64(7*sh.m + 13*sh.k + 29*sh.n)))
-					a, b := gemmOperands(rng, sh.m, sh.k, sh.n, transA, transB)
-					cInit := Randn(rng, 1, sh.m, sh.n)
+			for _, op := range gemmOps {
+				transA, transB := op[0], op[1]
+				rng := rand.New(rand.NewSource(int64(7*sh.m + 13*sh.k + 29*sh.n)))
+				a, b := gemmOperands(rng, sh.m, sh.k, sh.n, transA, transB)
+				cInit := Randn(rng, 1, sh.m, sh.n)
 
-					SetParallelism(1)
-					serial := cInit.Clone()
-					Gemm(transA, transB, ab.alpha, a, b, ab.beta, serial)
+				SetParallelism(1)
+				serial := cInit.Clone()
+				Gemm(transA, transB, ab.alpha, a, b, ab.beta, serial)
 
-					SetParallelism(4)
-					par := cInit.Clone()
-					Gemm(transA, transB, ab.alpha, a, b, ab.beta, par)
+				SetParallelism(4)
+				par := cInit.Clone()
+				Gemm(transA, transB, ab.alpha, a, b, ab.beta, par)
 
-					for i := range serial.Data {
-						if serial.Data[i] != par.Data[i] {
-							t.Fatalf("m=%d k=%d n=%d transA=%v transB=%v alpha=%v beta=%v: parallel differs at %d: %v vs %v",
-								sh.m, sh.k, sh.n, transA, transB, ab.alpha, ab.beta, i, serial.Data[i], par.Data[i])
-						}
+				for i := range serial.Data {
+					if serial.Data[i] != par.Data[i] {
+						t.Fatalf("m=%d k=%d n=%d transA=%v transB=%v alpha=%v beta=%v: parallel differs at %d: %v vs %v",
+							sh.m, sh.k, sh.n, transA, transB, ab.alpha, ab.beta, i, serial.Data[i], par.Data[i])
 					}
 				}
 			}
@@ -97,25 +101,24 @@ func TestGemmGridBitwise(t *testing.T) {
 		if 2*sh.m*sh.k*sh.n < 2*serialThreshold {
 			t.Fatalf("m=%d k=%d n=%d no longer clears the fan-out threshold", sh.m, sh.k, sh.n)
 		}
-		for _, transA := range []bool{false, true} {
-			for _, transB := range []bool{false, true} {
-				rng := rand.New(rand.NewSource(int64(sh.m + sh.k + sh.n)))
-				a, b := gemmOperands(rng, sh.m, sh.k, sh.n, transA, transB)
-				cInit := Randn(rng, 1, sh.m, sh.n)
+		for _, op := range gemmOps {
+			transA, transB := op[0], op[1]
+			rng := rand.New(rand.NewSource(int64(sh.m + sh.k + sh.n)))
+			a, b := gemmOperands(rng, sh.m, sh.k, sh.n, transA, transB)
+			cInit := Randn(rng, 1, sh.m, sh.n)
 
-				SetParallelism(1)
-				serial := cInit.Clone()
-				Gemm(transA, transB, -1.25, a, b, 0.5, serial)
+			SetParallelism(1)
+			serial := cInit.Clone()
+			Gemm(transA, transB, -1.25, a, b, 0.5, serial)
 
-				SetParallelism(4)
-				par := cInit.Clone()
-				Gemm(transA, transB, -1.25, a, b, 0.5, par)
+			SetParallelism(4)
+			par := cInit.Clone()
+			Gemm(transA, transB, -1.25, a, b, 0.5, par)
 
-				for i := range serial.Data {
-					if serial.Data[i] != par.Data[i] {
-						t.Fatalf("m=%d k=%d n=%d transA=%v transB=%v: parallel differs at %d: %v vs %v",
-							sh.m, sh.k, sh.n, transA, transB, i, serial.Data[i], par.Data[i])
-					}
+			for i := range serial.Data {
+				if serial.Data[i] != par.Data[i] {
+					t.Fatalf("m=%d k=%d n=%d transA=%v transB=%v: parallel differs at %d: %v vs %v",
+						sh.m, sh.k, sh.n, transA, transB, i, serial.Data[i], par.Data[i])
 				}
 			}
 		}
@@ -126,7 +129,7 @@ func TestGemmGridBitwise(t *testing.T) {
 // replaced: identical bits, not just close values. Over the shapes
 // training issues (the 6-to-51-channel convolutions of a quick-scale
 // ResNet-18, their 16-to-1024-pixel planes, odd sizes that exercise every
-// pair/single and strip/tail path), all four transpose cases and three
+// pair/single and strip/tail path), the three products and three
 // alpha/beta settings, a block computed by gemmBlock — the AVX kernels
 // where the build has them, their Go twins under -tags purego — must
 // equal the frozen per-vector loops of matmul_ref_test.go, both for the
@@ -142,26 +145,25 @@ func TestGemmAccelMatchesGeneric(t *testing.T) {
 				if testing.Short() && m*k*n > 1<<20 {
 					continue
 				}
-				for _, transA := range []bool{false, true} {
-					for _, transB := range []bool{false, true} {
-						rng := rand.New(rand.NewSource(int64(7*m + 13*k + 29*n)))
-						a, b := gemmOperands(rng, m, k, n, transA, transB)
-						cInit := Randn(rng, 1, m, n)
-						for _, ab := range cases {
-							// Whole matrix, then the lower rows × columns
-							// [jLo,n) with jLo off the strip boundaries.
-							for _, span := range [][4]int{{0, m, 0, n}, {m / 2, m, n / 3, n}} {
-								lo, hi, jLo, jHi := span[0], span[1], span[2], span[3]
-								got, want := cInit.Clone(), cInit.Clone()
-								got.Scale(ab.beta)
-								want.Scale(ab.beta)
-								gemmBlock(transA, transB, ab.alpha, a, b, got, lo, hi, jLo, jHi, k)
-								refGemmBlock(transA, transB, ab.alpha, a, b, want, lo, hi, jLo, jHi, k)
-								for i := range want.Data {
-									if got.Data[i] != want.Data[i] {
-										t.Fatalf("m=%d k=%d n=%d transA=%v transB=%v alpha=%v beta=%v span=%v: differs at %d: %v vs %v",
-											m, k, n, transA, transB, ab.alpha, ab.beta, span, i, got.Data[i], want.Data[i])
-									}
+				for _, op := range gemmOps {
+					transA, transB := op[0], op[1]
+					rng := rand.New(rand.NewSource(int64(7*m + 13*k + 29*n)))
+					a, b := gemmOperands(rng, m, k, n, transA, transB)
+					cInit := Randn(rng, 1, m, n)
+					for _, ab := range cases {
+						// Whole matrix, then the lower rows × columns
+						// [jLo,n) with jLo off the strip boundaries.
+						for _, span := range [][4]int{{0, m, 0, n}, {m / 2, m, n / 3, n}} {
+							lo, hi, jLo, jHi := span[0], span[1], span[2], span[3]
+							got, want := cInit.Clone(), cInit.Clone()
+							got.Scale(ab.beta)
+							want.Scale(ab.beta)
+							gemmBlock(transA, transB, ab.alpha, a, b, got, lo, hi, jLo, jHi, k)
+							refGemmBlock(transA, transB, ab.alpha, a, b, want, lo, hi, jLo, jHi, k)
+							for i := range want.Data {
+								if got.Data[i] != want.Data[i] {
+									t.Fatalf("m=%d k=%d n=%d transA=%v transB=%v alpha=%v beta=%v span=%v: differs at %d: %v vs %v",
+										m, k, n, transA, transB, ab.alpha, ab.beta, span, i, got.Data[i], want.Data[i])
 								}
 							}
 						}
@@ -172,9 +174,10 @@ func TestGemmAccelMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestRowKernelsMatchTwins runs each accelerated row kernel against its
-// Go twin directly, at lengths around every strip and stripe boundary,
-// accumulating and (first set) writing over a NaN-poisoned C.
+// TestRowKernelsMatchTwins runs the accelerated axpy row kernels against
+// their Go twins directly, at lengths around every strip boundary, in all
+// three modes, writing over a NaN-poisoned C. (The dot kernel's cases are
+// in TestPanelKernelsMatchTwins.)
 func TestRowKernelsMatchTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, kp := range []int{1, 2, 3, 16, 17, 33} {
@@ -214,30 +217,6 @@ func TestRowKernelsMatchTwins(t *testing.T) {
 				}
 			}
 
-			// The same sizes as a dot: nj B rows of length kp... and the
-			// roles swapped, so both k and the row count cross 16.
-			for _, d := range [][2]int{{kp, nj}, {nj, kp}} {
-				k, nb := d[0], d[1]
-				a0, a1 := Randn(rng, 1, k).Data, Randn(rng, 1, k).Data
-				bm := Randn(rng, 1, nb*k).Data
-				c := Randn(rng, 1, nb).Data
-				for _, first := range []bool{false, true} {
-					g0, g1, g := append([]float64(nil), c...), append([]float64(nil), c...), append([]float64(nil), c...)
-					dotRows2(a0, a1, bm, -0.5, g0, g1, first)
-					dotRows1(a0, bm, -0.5, g, first)
-					for j := 0; j < nb; j++ {
-						bj := bm[j*k : j*k+k]
-						c0 := c[j]
-						if first {
-							c0 = 0
-						}
-						w0, w1 := c0+-0.5*refDot(a0, bj), c0+-0.5*refDot(a1, bj)
-						if !sameBits(g0[j], w0) || !sameBits(g1[j], w1) || !sameBits(g[j], w0) {
-							t.Fatalf("dotRows k=%d nb=%d first=%v differs at row %d", k, nb, first, j)
-						}
-					}
-				}
-			}
 		}
 	}
 }
@@ -283,20 +262,14 @@ func TestPanelKernelsMatchTwins(t *testing.T) {
 				// The dot: kp B rows of segs·n elements each.
 				k := segs * n
 				a0, a1 := Randn(rng, 1, k).Data, Randn(rng, 1, k).Data
-				c := Randn(rng, 1, kp).Data
-				g0, g1, g := append([]float64(nil), c...), append([]float64(nil), c...), append([]float64(nil), c...)
-				dotPanel2(a0, a1, pn, g0, g1)
-				dotPanel1(a0, pn, g)
-				row := make([]float64, k)
-				for j := 0; j < kp; j++ {
+				rows := make([][]float64, kp)
+				for j := range rows {
+					rows[j] = make([]float64, k)
 					for r := 0; r < segs; r++ {
-						copy(row[r*n:(r+1)*n], b[taps[j]+r*ldb:])
-					}
-					w0, w1 := c[j]+refDot(a0, row), c[j]+refDot(a1, row)
-					if !sameBits(g0[j], w0) || !sameBits(g1[j], w1) || !sameBits(g[j], w0) {
-						t.Fatalf("dotPanel n=%d segs=%d kp=%d differs at row %d", n, segs, kp, j)
+						copy(rows[j][r*n:(r+1)*n], b[taps[j]+r*ldb:])
 					}
 				}
+				checkDotPanel(t, fmt.Sprintf("dotPanel n=%d segs=%d kp=%d", n, segs, kp), rng, a0, a1, pn, rows)
 			}
 		}
 	}
@@ -313,30 +286,75 @@ func TestPanelKernelsMatchTwins(t *testing.T) {
 			bm := Randn(rng, 1, nb*k).Data
 			pn := &panel{b: bm, taps: taps, ldb: k, segs: 1, n: k}
 			a0, a1 := Randn(rng, 1, k).Data, Randn(rng, 1, k).Data
+			rows := make([][]float64, nb)
+			for j := range rows {
+				rows[j] = bm[j*k : j*k+k]
+			}
+			checkDotPanel(t, fmt.Sprintf("dense dotPanel k=%d nb=%d", k, nb), rng, a0, a1, pn, rows)
+		}
+	}
+}
+
+// checkDotPanel runs dotPanel2 over pn, whose B_j gathered into one
+// contiguous row is rows[j], against the frozen refDot: for alpha 1 and
+// −0.5, accumulating into C and (first set) writing over a NaN-poisoned
+// C, for a pair of A rows and for a0 paired with itself, its second
+// result into a spare.
+func checkDotPanel(t *testing.T, what string, rng *rand.Rand, a0, a1 []float64, pn *panel, rows [][]float64) {
+	t.Helper()
+	nb := len(rows)
+	for _, alpha := range []float64{1, -0.5} {
+		for _, first := range []bool{false, true} {
 			c := Randn(rng, 1, nb).Data
+			if first {
+				c[0], c[nb-1] = math.NaN(), math.NaN()
+			}
 			g0, g1, g := append([]float64(nil), c...), append([]float64(nil), c...), append([]float64(nil), c...)
-			dotPanel2(a0, a1, pn, g0, g1)
-			dotPanel1(a0, pn, g)
-			for j := 0; j < nb; j++ {
-				bj := bm[j*k : j*k+k]
-				w0, w1 := c[j]+refDot(a0, bj), c[j]+refDot(a1, bj)
+			dotPanel2(a0, a1, pn, alpha, g0, g1, first)
+			dotPanel2(a0, a0, pn, alpha, g, make([]float64, nb), first)
+			for j, bj := range rows {
+				cj := c[j]
+				if first {
+					cj = 0
+				}
+				w0, w1 := cj+alpha*refDot(a0, bj), cj+alpha*refDot(a1, bj)
 				if !sameBits(g0[j], w0) || !sameBits(g1[j], w1) || !sameBits(g[j], w0) {
-					t.Fatalf("dense dotPanel k=%d nb=%d differs at row %d", k, nb, j)
+					t.Fatalf("%s alpha=%v first=%v differs at row %d", what, alpha, first, j)
 				}
 			}
 		}
 	}
 }
 
+// TestNTProductsDoNotAllocate pins the stack tap table and the spare a
+// lone row's second result goes to: Gemm NT at odd m, over two kTile
+// blocks of B rows, and ConvPlaneFilterGrad at odd outC, over two kTile
+// panels of unfold rows, allocate nothing.
+func TestNTProductsDoNotAllocate(t *testing.T) {
+	defer SetParallelism(SetParallelism(1))
+	rng := rand.New(rand.NewSource(103))
+	a, b, c := Randn(rng, 1, 5, 40), Randn(rng, 1, kTile+44, 40), New(5, kTile+44)
+	if n := testing.AllocsPerRun(20, func() { Gemm(false, true, 1, a, b, 0, c) }); n != 0 {
+		t.Fatalf("Gemm NT at m=5 allocates %v times per call", n)
+	}
+	const outC, ch, ph, pw, k = 3, 30, 6, 6, 3
+	g := Randn(rng, 1, outC*(ph-k+1)*(pw-k+1)).Data
+	plane := Randn(rng, 1, ch*ph*pw).Data
+	dw := make([]float64, outC*ch*k*k)
+	if n := testing.AllocsPerRun(20, func() { ConvPlaneFilterGrad(g, outC, plane, ch, ph, pw, k, dw) }); n != 0 {
+		t.Fatalf("ConvPlaneFilterGrad at outC=3 allocates %v times per call", n)
+	}
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestMatMulEmpty pins the MatMul wrapper on degenerate shapes.
+// TestMatMulEmpty pins Gemm on an empty product: m = 0 leaves an empty
+// C alone.
 func TestMatMulEmpty(t *testing.T) {
-	a := New(0, 4)
-	b := New(4, 3)
-	c := MatMul(a, b)
+	c := New(0, 3)
+	Gemm(false, false, 1, New(0, 4), New(4, 3), 0, c)
 	if c.Shape[0] != 0 || c.Shape[1] != 3 || len(c.Data) != 0 {
-		t.Fatalf("MatMul empty result shape %v", c.Shape)
+		t.Fatalf("Gemm empty result shape %v", c.Shape)
 	}
 }
 

@@ -155,11 +155,12 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 7, 3}, {16, 16, 16}, {33, 17, 29}} {
 		a := Randn(rng, 1, dims[0], dims[1])
 		b := Randn(rng, 1, dims[1], dims[2])
-		got := MatMul(a, b)
+		got := New(dims[0], dims[2])
+		Gemm(false, false, 1, a, b, 0, got)
 		want := naiveMatMul(a, b)
 		for i := range got.Data {
 			if !almostEq(got.Data[i], want.Data[i], 1e-10) {
-				t.Fatalf("MatMul %v mismatch at %d: %v vs %v", dims, i, got.Data[i], want.Data[i])
+				t.Fatalf("Gemm %v mismatch at %d: %v vs %v", dims, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -198,7 +199,17 @@ func TestGemmTransposes(t *testing.T) {
 	check("NN", false, false, a, b)
 	check("TN", true, false, at, b)
 	check("NT", false, true, a, bt)
-	check("TT", true, true, at, bt)
+}
+
+// TestGemmBothTransposedPanics: no layer multiplies Aᵀ·Bᵀ, so Gemm has no
+// kernel for it and says so rather than computing it.
+func TestGemmBothTransposedPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "transA and transB") {
+			t.Fatalf("Gemm(true, true, …) recovered %v, want a panic naming transA and transB", r)
+		}
+	}()
+	Gemm(true, true, 1, New(3, 2), New(4, 3), 0, New(2, 4))
 }
 
 func TestGemmAlphaBeta(t *testing.T) {
@@ -234,7 +245,7 @@ func TestGemmAlphaBeta(t *testing.T) {
 			}
 		}
 	}
-	for _, tr := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+	for _, tr := range gemmOps {
 		transA, transB := tr[0], tr[1]
 		op := func(rows, cols int, trans bool, v float64) *Tensor {
 			if trans {
@@ -261,10 +272,11 @@ func TestGemmParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := Randn(rng, 1, 64, 48)
 	b := Randn(rng, 1, 48, 40)
+	serial, par := New(64, 40), New(64, 40)
 	prev := SetParallelism(1)
-	serial := MatMul(a, b)
+	Gemm(false, false, 1, a, b, 0, serial)
 	SetParallelism(8)
-	par := MatMul(a, b)
+	Gemm(false, false, 1, a, b, 0, par)
 	SetParallelism(prev)
 	for i := range serial.Data {
 		if !almostEq(serial.Data[i], par.Data[i], 1e-12) {
@@ -317,7 +329,9 @@ func TestIm2ColConvMatchesNaive(t *testing.T) {
 		cols := New(cfg.c*cfg.k*cfg.k, oh*ow)
 		Im2Col(x, cfg.k, cfg.k, cfg.stride, cfg.pad, cols)
 		wm := w.Reshape(cfg.oc, cfg.c*cfg.k*cfg.k)
-		y := MatMul(wm, cols).Reshape(cfg.oc, oh, ow)
+		y := New(cfg.oc, oh*ow)
+		Gemm(false, false, 1, wm, cols, 0, y)
+		y = y.Reshape(cfg.oc, oh, ow)
 		want := naiveConv(x, w, cfg.stride, cfg.pad)
 		for i := range y.Data {
 			if !almostEq(y.Data[i], want.Data[i], 1e-9) {
