@@ -24,6 +24,7 @@ import (
 	"adaptivefl/internal/sched"
 	"adaptivefl/internal/tensor"
 	"adaptivefl/internal/testbed"
+	"adaptivefl/internal/wire"
 )
 
 // benchScale is a miniature configuration so each FL-round iteration costs
@@ -581,6 +582,41 @@ func benchLocalTrainEpoch(b *testing.B, arch models.Arch) {
 		if _, err := core.TrainLocal(mcfg, nil, global, ds, sc.TrainConfig(), rng); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDeviceStep times one device's side of a dispatch on the
+// fanout VGG-16 (766k parameters, WidthScale 0.15, two samples, the
+// shape of bench's wire_fanout): local training through an arena, then
+// the upload encoded in the raw and the delta codec from the arena's
+// parameters. Its heap traffic is the frame plus bookkeeping; a copy of
+// the state would add 6.1 MB per op.
+func BenchmarkDeviceStep(b *testing.B) {
+	sc := exp.QuickScale()
+	sc.SamplesPerClient, sc.WidthScale = 2, 0.15
+	mcfg, err := exp.ModelConfig(models.VGG16, "cifar10", sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	global := nn.StateDict(models.MustBuild(mcfg, nil))
+	dcfg, err := exp.DatasetConfig("cifar10", sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	train, _ := data.Generate(dcfg)
+	shard := train.Subset(seqInts(sc.SamplesPerClient))
+	for _, codec := range []wire.Codec{wire.Raw{}, wire.NewDeltaTopK()} {
+		b.Run(codec.Tag(), func(b *testing.B) {
+			step := core.DeviceStep{Model: mcfg, Train: sc.TrainConfig(), Codec: codec}
+			req := core.TrainRequest{Client: 1, State: global, Seed: 3}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := step.Run(req, prune.Submodel{}, shard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

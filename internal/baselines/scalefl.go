@@ -212,11 +212,7 @@ func trainScaleFL(s Setup, lv level, global nn.State, ds *data.Dataset, seed int
 		return nil, err
 	}
 	wrapper := multiExitLayer{me}
-	st, err := prune.ExtractForModel(global, wrapper)
-	if err != nil {
-		return nil, err
-	}
-	if err := nn.LoadState(wrapper, st); err != nil {
+	if err := prune.LoadPrefix(wrapper, global); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))

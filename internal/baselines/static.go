@@ -174,7 +174,7 @@ func (r *Static) Round() error {
 	return nil
 }
 
-// Evaluate extracts each distinct level from its global and reports its
+// Evaluate loads each distinct level from its global and reports its
 // accuracy; "full" is the L1 level's.
 func (r *Static) Evaluate(test *data.Dataset, batch int) (map[string]float64, error) {
 	out := map[string]float64{}
@@ -186,11 +186,7 @@ func (r *Static) Evaluate(test *data.Dataset, batch int) (map[string]float64, er
 		if err != nil {
 			return nil, err
 		}
-		st, err := prune.ExtractForModel(r.globals[lv.global], m)
-		if err != nil {
-			return nil, err
-		}
-		if err := nn.LoadState(m, st); err != nil {
+		if err := prune.LoadPrefix(m, r.globals[lv.global]); err != nil {
 			return nil, err
 		}
 		out[lv.name] = eval.Accuracy(m, test, batch)

@@ -72,20 +72,30 @@ func (x *Executor) run(task func()) {
 // over. An arena keeps those structures alive between the dispatches a
 // worker executes, keyed by (model config, width vector): renting an
 // arena, training through it, and returning it leaves the weights fully
-// overwritten by LoadState, the gradients zeroed by the per-batch
+// overwritten by prune.LoadPrefix, the gradients zeroed by the per-batch
 // ZeroGrads, and the momentum zeroed by SGD.Reset — so reuse is
 // bit-identical to building from scratch (pinned by TestArenaReuseExact).
 //
 // What a training step creates and drops — layer outputs, gradients,
 // im2col blocks, masks — is not per model at all: the arena owns one
-// tensor.Workspace, binds every model it builds to it, and TrainLocal
-// resets it once per batch. An arena's resident step memory is therefore
-// one slab sized to the largest (model, batch) it has trained, however
-// many of its cached models were used.
+// tensor.Workspace, binds every model it builds to it, and the training
+// loop resets it once per batch. An arena's resident step memory is
+// therefore one slab sized to the largest (model, batch) it has trained,
+// however many of its cached models were used.
+//
+// Neither end of a training copies a state it does not keep. The
+// dispatched weights go straight from the global-shaped state into the
+// model's parameters (prune.LoadPrefix), and the trained weights come out
+// as the entry's view: a State built once with the entry whose tensors
+// are the parameters' own value tensors. The device step encodes its
+// upload from that view while it still holds the arena; only a state
+// that outlives the arena is copied (TrainLocal's result, DeviceStep's
+// codec-less result, a stale-replay snapshot).
 //
 // Arenas follow rent/return semantics: at most one goroutine owns an
-// arena (and so its workspace) at a time, and steady-state concurrency N
-// keeps N arenas alive, up to GOMAXPROCS of them idle (tensor.FreeList).
+// arena (and so its workspace and views) at a time, and steady-state
+// concurrency N keeps N arenas alive, up to GOMAXPROCS of them idle
+// (tensor.FreeList).
 
 // arenaKey identifies one model construction.
 type arenaKey struct {
@@ -93,12 +103,17 @@ type arenaKey struct {
 	widths string
 }
 
-// arenaEntry is one cached model with its recycled optimizer.
+// arenaEntry is one cached model with its recycled optimizer and its
+// view: each parameter's name mapped to the parameter's own value tensor.
 type arenaEntry struct {
 	model  *models.Model
 	params []*nn.Param
 	opt    *nn.SGD
+	view   nn.State
 }
+
+// Params returns the model's parameters, collected once with the entry.
+func (e *arenaEntry) Params() []*nn.Param { return e.params }
 
 // arenaMaxEntries bounds how many distinct model constructions one arena
 // retains (a p=3 pool has nine members; full-width paper models are tens
@@ -121,20 +136,30 @@ func widthsSig(widths []int) string {
 	return fmt.Sprint(widths)
 }
 
-// modelFor returns a model (and optimizer) for the given construction,
-// recycled when the arena has seen it before. The caller must load state
+// modelFor returns entry's model, parameters and optimizer; the arena
+// tests drive their training steps through it.
+func (a *trainArena) modelFor(cfg models.Config, widths []int, tc TrainConfig) (*models.Model, []*nn.Param, *nn.SGD, error) {
+	e, err := a.entry(cfg, widths, tc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return e.model, e.params, e.opt, nil
+}
+
+// entry returns the cached entry for the given construction, built (view
+// included) the first time the arena sees it. The caller must load state
 // before training; the optimizer comes hyperparameter-set and with zeroed
 // momentum.
-func (a *trainArena) modelFor(cfg models.Config, widths []int, tc TrainConfig) (*models.Model, []*nn.Param, *nn.SGD, error) {
+func (a *trainArena) entry(cfg models.Config, widths []int, tc TrainConfig) (*arenaEntry, error) {
 	key := arenaKey{cfg: cfg, widths: widthsSig(widths)}
 	if e, ok := a.entries[key]; ok {
 		e.opt.LR, e.opt.Momentum, e.opt.WeightDecay = tc.LR, tc.Momentum, tc.WeightDecay
 		e.opt.Reset()
-		return e.model, e.params, e.opt, nil
+		return e, nil
 	}
 	m, err := models.Build(cfg, widths)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	m.SetWorkspace(a.ws)
 	if len(a.entries) >= arenaMaxEntries {
@@ -144,8 +169,12 @@ func (a *trainArena) modelFor(cfg models.Config, widths []int, tc TrainConfig) (
 		}
 	}
 	e := &arenaEntry{model: m, params: m.Params(), opt: nn.NewSGD(tc.LR, tc.Momentum, tc.WeightDecay)}
+	e.view = make(nn.State, len(e.params))
+	for _, p := range e.params {
+		e.view[p.Name] = p.Val
+	}
 	a.entries[key] = e
-	return e.model, e.params, e.opt, nil
+	return e, nil
 }
 
 // arenas recycles training arenas process-wide.

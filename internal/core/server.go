@@ -471,15 +471,11 @@ func (s *Server) GlobalModel() (*models.Model, error) {
 func (s *Server) SubmodelByName(name string) (*models.Model, error) {
 	for _, mem := range s.pool.Members {
 		if mem.Name() == name {
-			st, err := s.pool.ExtractState(s.global, mem)
-			if err != nil {
-				return nil, err
-			}
 			m, err := models.Build(s.cfg.Model, mem.Widths)
 			if err != nil {
 				return nil, err
 			}
-			if err := nn.LoadState(m, st); err != nil {
+			if err := prune.LoadPrefix(m, s.global); err != nil {
 				return nil, err
 			}
 			return m, nil

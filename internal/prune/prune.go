@@ -256,9 +256,29 @@ type ParamHolder interface {
 }
 
 // ExtractForModel slices, for each parameter of target, the prefix block
-// of the same name from the global state.
+// of the same name from the global state. Loading a model goes through
+// LoadPrefix, which needs no intermediate state.
 func ExtractForModel(global nn.State, target ParamHolder) (nn.State, error) {
 	return newLayout(target.Params()).extract(global)
+}
+
+// LoadPrefix copies into each parameter of target the prefix block of the
+// same name from the global state, straight into the parameter's own
+// value tensor. It fails, as ExtractForModel does, on a name global lacks
+// or a parameter shape that does not fit its global tensor; parameters
+// before the failing one are then already loaded.
+func LoadPrefix(target ParamHolder, global nn.State) error {
+	for _, p := range target.Params() {
+		g, ok := global[p.Name]
+		if !ok {
+			return fmt.Errorf("prune: global state missing %q", p.Name)
+		}
+		if !tensor.PrefixFits(p.Val, g) {
+			return fmt.Errorf("prune: %q shape %v does not fit global %v", p.Name, p.Val.Shape, g.Shape)
+		}
+		tensor.ExtractPrefixInto(p.Val, g)
+	}
+	return nil
 }
 
 // newLayout records the names and shapes of params.

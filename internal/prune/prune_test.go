@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"adaptivefl/internal/models"
@@ -358,6 +359,59 @@ func TestExtractStateBuildsNoModel(t *testing.T) {
 				t.Errorf("%s/%s: %.0f allocations per warm extraction of %d tensors, want ≤ %.0f",
 					arch, m.Name(), allocs, len(want), limit)
 			}
+		}
+	}
+}
+
+// TestLoadPrefixMatchesExtractThenLoad pins LoadPrefix against the
+// two-step load it replaces, ExtractForModel then nn.LoadState, on every
+// pool member of each architecture, and its errors on a missing name and
+// on a global tensor too small for the parameter.
+func TestLoadPrefixMatchesExtractThenLoad(t *testing.T) {
+	for _, arch := range []models.Arch{models.VGG16, models.ResNet18, models.MobileNetV2} {
+		cfg := models.Config{Arch: arch, NumClasses: 5, WidthScale: 0.125, Seed: 3}
+		pool, err := BuildPool(cfg, Config{P: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		global := nn.StateDict(models.MustBuild(cfg, nil))
+		for _, m := range pool.Members {
+			want := models.MustBuild(cfg, m.Widths)
+			st, err := ExtractForModel(global, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nn.LoadState(want, st); err != nil {
+				t.Fatal(err)
+			}
+			got := models.MustBuild(models.Config{Arch: arch, NumClasses: 5, WidthScale: 0.125, Seed: 4}, m.Widths)
+			if err := LoadPrefix(got, global); err != nil {
+				t.Fatalf("%s/%s: %v", arch, m.Name(), err)
+			}
+			if nn.HashState(nn.StateDict(got)) != nn.HashState(nn.StateDict(want)) {
+				t.Fatalf("%s/%s: LoadPrefix loads other bits than ExtractForModel + LoadState", arch, m.Name())
+			}
+		}
+	}
+
+	cfg := vggTiny()
+	target := models.MustBuild(cfg, nil)
+	small := nn.StateDict(models.MustBuild(cfg, PlanWidths(cfg.Spec().FullWidths, 0.5, 0)))
+	name := target.Params()[0].Name
+	for _, tc := range []struct {
+		global nn.State
+		want   string
+	}{
+		{nn.State{}, `prune: global state missing "` + name + `"`},
+		{small, `prune: "` + name + `" shape`},
+	} {
+		err := LoadPrefix(target, tc.global)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("LoadPrefix error %v, want prefix %q", err, tc.want)
+		}
+		_, extractErr := ExtractForModel(tc.global, target)
+		if extractErr == nil || extractErr.Error() != err.Error() {
+			t.Errorf("LoadPrefix error %v, ExtractForModel's %v", err, extractErr)
 		}
 	}
 }

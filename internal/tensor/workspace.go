@@ -107,8 +107,9 @@ func (w *Workspace) Cap() int {
 	return len(w.slab)
 }
 
-// FreeList recycles the idle owners of step slabs — training arenas,
-// evaluation workspaces — between the calls that rent them. Get hands out
+// FreeList recycles the idle owners of reusable buffers — training arenas,
+// evaluation workspaces, wire frame writers and readers — between the
+// calls that rent them. Get hands out
 // the most recently returned value, or a new one; Put keeps at most
 // GOMAXPROCS idle values and drops the rest. Unlike a sync.Pool it keeps
 // them through garbage collection and hands any idle value to any

@@ -9,7 +9,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/tensor"
@@ -96,12 +95,13 @@ func (h header) validate() ([]int, error) {
 // decoder allocates the full dense tensor for a sparse payload).
 const maxWireElems = 1 << 28
 
-// frameWriter accumulates one frame's sections. Writers are pooled: an
-// encode reuses the section buffers, the deflate state and the quickselect
-// scratch of an earlier one, so a steady-state encode allocates only the
-// bytes it returns. Nothing pooled reaches the output except through
-// finish, which writes every section from the start — the bytes are a
-// pure function of the calls made since reset.
+// frameWriter accumulates one frame's sections. Writers are recycled on a
+// tensor.FreeList, which unlike a sync.Pool keeps them through garbage
+// collection: an encode reuses the section buffers, the deflate state and
+// the quickselect scratch of an earlier one, so a steady-state encode
+// allocates only the bytes it returns. Nothing recycled reaches the output
+// except through finish, which writes every section from the start — the
+// bytes are a pure function of the calls made since reset.
 type frameWriter struct {
 	tensors int
 	head    []byte    // per-tensor header entries
@@ -113,17 +113,17 @@ type frameWriter struct {
 	zw      *gzip.Writer
 }
 
-var frameWriters = sync.Pool{New: func() any {
+var frameWriters = tensor.FreeList[*frameWriter]{New: func() *frameWriter {
 	w := &frameWriter{}
 	// The level is a constant; NewWriterLevel fails only on an invalid one.
 	w.zw, _ = gzip.NewWriterLevel(&w.out, gzip.HuffmanOnly)
 	return w
 }}
 
-// encodeFrame runs fill against a pooled writer and returns the finished
+// encodeFrame runs fill against a recycled writer and returns the finished
 // frame.
 func encodeFrame(fill func(w *frameWriter) error) ([]byte, error) {
-	w := frameWriters.Get().(*frameWriter)
+	w := frameWriters.Get()
 	defer frameWriters.Put(w)
 	w.tensors = 0
 	w.head, w.gaps, w.levels = w.head[:0], w.gaps[:0], w.levels[:0]
@@ -238,22 +238,24 @@ func (w *frameWriter) finish() ([]byte, error) {
 	return append([]byte(nil), w.out.Bytes()...), nil
 }
 
-// frameReader holds the inflate state and buffer a decode reuses.
+// frameReader holds the inflate state and buffer a decode reuses; readers
+// are recycled like writers.
 type frameReader struct {
 	src bytes.Reader
 	zr  gzip.Reader
 	buf []byte
 }
 
-var frameReaders = sync.Pool{New: func() any { return new(frameReader) }}
+var frameReaders = tensor.FreeList[*frameReader]{New: func() *frameReader { return new(frameReader) }}
 
 // decodeFrame decodes a frame whose tensors all have a kind in the allow
 // mask (bit k = kind k). ref supplies the reference blocks of sparse
 // tensors. Errors carry the codec tag.
 func decodeFrame(tag string, data []byte, ref nn.State, allow uint) (nn.State, error) {
-	r := frameReaders.Get().(*frameReader)
+	r := frameReaders.Get()
 	defer frameReaders.Put(r)
 	st, err := r.decode(data, ref, allow)
+	r.src.Reset(nil) // an idle reader pins no payload
 	if err != nil {
 		return nil, fmt.Errorf("wire: %s: %w", tag, err)
 	}

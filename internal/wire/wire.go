@@ -45,6 +45,10 @@ type Codec interface {
 	// Tag is the codec's wire name, carried in envelopes and requests.
 	Tag() string
 	// Encode serialises st (diffed against ref when the codec uses one).
+	// It must neither retain nor write st or ref: it reads them while it
+	// runs and returns bytes of its own. st may be a view of a live
+	// model — the device step encodes its upload straight from the
+	// training arena's parameters, which the next training overwrites.
 	Encode(st, ref nn.State) ([]byte, error)
 	// Decode reconstructs a state dict from Encode's output.
 	Decode(data []byte, ref nn.State) (nn.State, error)
