@@ -170,11 +170,12 @@ func fanoutModel() models.Config {
 	return models.Config{Arch: models.VGG16, NumClasses: 10, InChannels: 3, InputSize: 32, WidthScale: 0.15, Seed: 1}
 }
 
-// TestDeviceStepAllocBudget pins the copy-free step: a warm delta-codec
-// DeviceStep.Run on the fanout VGG-16 (two samples) allocates its frame
-// and bookkeeping, but neither a sliced copy of the dispatched state nor
-// a copy of the trained one. Beyond the frame it must stay below one
-// state's bytes; each of those copies alone is that much.
+// TestDeviceStepAllocBudget pins the copy-free step: a warm DeviceStep.Run
+// on the fanout VGG-16 (two samples) allocates its frame and bookkeeping,
+// but neither a sliced copy of the dispatched state nor a copy of the
+// trained one. Beyond the frame it must stay below one state's bytes; each
+// of those copies alone is that much. It holds for the delta codec and for
+// raw, whose frame carries every value as 8 bytes.
 func TestDeviceStepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates heap accounting past the budget")
@@ -184,25 +185,28 @@ func TestDeviceStepAllocBudget(t *testing.T) {
 	dcfg := data.SynthConfig{Name: "f", Classes: 10, Channels: 3, Size: 32, Train: 2, Test: 1, Noise: 0.3, MaxShift: 1, Seed: 4}
 	shard, _ := data.Generate(dcfg)
 	full := prune.Submodel{Widths: nil}
-	d := DeviceStep{Model: mcfg, Train: TrainConfig{LocalEpochs: 1, BatchSize: 10, LR: 0.1, Momentum: 0.5},
-		Codec: wire.NewDeltaTopK()}
-	req := TrainRequest{Client: 1, State: global, Seed: 7}
-	var frame int
-	step := func() {
-		_, up, err := d.Run(req, full, shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame = len(up)
-	}
-	step() // builds the arena's model and sizes its slab and the frame writer
-	step()
 	stateBytes := uint64(8 * global.NumParams())
-	perCall, objects := heapPerCall(5, step)
-	beyond := perCall - uint64(frame)
-	t.Logf("%d bytes in %d objects per step (%d beyond the %d-byte frame); one state is %d bytes",
-		perCall, objects, beyond, frame, stateBytes)
-	if beyond >= stateBytes {
-		t.Errorf("a warm delta-codec device step allocates %d bytes beyond its frame; budget one state, %d bytes", beyond, stateBytes)
+	for _, codec := range []wire.Codec{wire.NewDeltaTopK(), wire.Raw{}} {
+		d := DeviceStep{Model: mcfg, Train: TrainConfig{LocalEpochs: 1, BatchSize: 10, LR: 0.1, Momentum: 0.5},
+			Codec: codec}
+		req := TrainRequest{Client: 1, State: global, Seed: 7}
+		var frame int
+		step := func() {
+			_, up, err := d.Run(req, full, shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame = len(up)
+		}
+		step() // builds the arena's model and sizes its slab and the frame writer
+		step()
+		perCall, objects := heapPerCall(5, step)
+		beyond := perCall - uint64(frame)
+		t.Logf("%s: %d bytes in %d objects per step (%d beyond the %d-byte frame); one state is %d bytes",
+			codec.Tag(), perCall, objects, beyond, frame, stateBytes)
+		if beyond >= stateBytes {
+			t.Errorf("a warm %s-codec device step allocates %d bytes beyond its frame; budget one state, %d bytes",
+				codec.Tag(), beyond, stateBytes)
+		}
 	}
 }

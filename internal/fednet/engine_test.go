@@ -34,7 +34,8 @@ func TestEngineHTTPParityWithInProcess(t *testing.T) {
 
 	codecs := []wire.Codec{wire.Q8{}}
 	if !testing.Short() {
-		codecs = append(codecs, wire.NewDeltaTopK()) // exercises the downlink-reference path
+		// delta exercises the downlink-reference path, raw the bit-exact frame.
+		codecs = append(codecs, wire.NewDeltaTopK(), wire.Raw{})
 	}
 	for _, codec := range codecs {
 		t.Run(codec.Tag(), func(t *testing.T) {
@@ -52,7 +53,7 @@ func TestEngineHTTPParityWithInProcess(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer cluster.Close()
-					cluster.Trainer.Codec = codec
+					cluster.Trainer.Negotiate(codec)
 					cfg.Trainer = cluster.Trainer
 				} else {
 					cfg.Codec = codec
@@ -158,7 +159,7 @@ func TestNotModifiedDownlinkParity(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer cluster.Close()
-					cluster.Trainer.Codec = codec
+					cluster.Trainer.Negotiate(codec)
 					cluster.Trainer.FullDownlinks = fullDownlinks
 					srv, err := core.NewServer(core.Config{
 						Model: mcfg, Pool: pcfg, ClientsPerRound: 3,

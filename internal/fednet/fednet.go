@@ -8,10 +8,12 @@
 // (internal/wire), so a dispatch is one POST /train round trip. Requests
 // carry the codec tag the server chose for this agent — negotiated via
 // GET /train, which lists the agent's supported codecs — and the agent
-// answers in the same encoding. An untagged request means the raw codec's
-// format, so pre-codec peers interoperate. Device-side resource-aware
-// pruning happens inside the agent, exactly as in the paper: the server
-// never sees the device's capacity, only which model size came back.
+// answers in the same encoding. An untagged request means raw. Every
+// payload, raw included, is a wire frame, which builds that predate the
+// frame cannot read, so agents and server upgrade together (docs/WIRE.md,
+// "Compatibility"). Device-side resource-aware pruning happens inside the
+// agent, exactly as in the paper: the server never sees the device's
+// capacity, only which model size came back.
 package fednet
 
 import (
@@ -75,7 +77,7 @@ type TrainRequest struct {
 	// SentIndex identifies the dispatched pool member.
 	SentIndex int `json:"sent_index"`
 	// Codec tags the encoding of State (and of the expected upload).
-	// Empty means raw, the pre-codec format.
+	// Empty means raw.
 	Codec string `json:"codec,omitempty"`
 	// State is the codec-encoded weight slice of the dispatched model
 	// (empty on a NotModified dispatch — the agent already holds it).
@@ -128,7 +130,7 @@ type Agent struct {
 	Model  models.Config
 	Pool   *prune.Pool
 	// Codecs restricts which wire codecs this agent accepts, in order of
-	// preference. Nil accepts every registered codec, preferring raw.
+	// preference. Nil accepts every wire codec, preferring raw.
 	Codecs []string
 	// Metrics, when set, times every served request (route, latency,
 	// payload bytes) and adds a GET /metrics endpoint to this agent in
@@ -428,9 +430,6 @@ type HTTPTrainer struct {
 	TrainConfig core.TrainConfig
 	// HTTPClient defaults to a client with a 5-minute timeout.
 	HTTPClient *http.Client
-	// Codec encodes dispatches (nil means raw). Negotiate can override it
-	// per client with what each agent actually supports.
-	Codec wire.Codec
 	// Metrics, when set, times every dispatch round trip (route
 	// "dispatch": wall-clock latency, downlink/uplink payload bytes) —
 	// the server-side view of the fleet's HTTP traffic. Wall-clock only,
@@ -550,16 +549,12 @@ func NewHTTPTrainer(urls []string, pool *prune.Pool, train core.TrainConfig) *HT
 	}
 }
 
-// codecFor resolves the codec for one client: negotiated first, then the
-// trainer default, then raw.
+// codecFor resolves the codec for one client: the negotiated one, else raw.
 func (t *HTTPTrainer) codecFor(clientID int) wire.Codec {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if c, ok := t.perClient[clientID]; ok {
 		return c
-	}
-	if t.Codec != nil {
-		return t.Codec
 	}
 	return wire.Raw{}
 }
@@ -568,12 +563,10 @@ func (t *HTTPTrainer) codecFor(clientID int) wire.Codec {
 // codecs and records, per client, the first of preferred that the agent
 // accepts. Clients whose agents support none of preferred — or whose
 // negotiation request fails — fall back to raw, the baseline every agent
-// speaks, NOT the trainer default (which the agent might reject and turn
-// a transient negotiation failure into a round-fatal dispatch error).
-// Negotiation is an optimisation, not a requirement, so per-agent errors
-// do not abort it. The preference ranking is remembered: when a later
-// dispatch detects that an agent restarted (new instance ID, or a 415
-// codec rejection), that one client is re-negotiated automatically.
+// speaks. Negotiation is an optimisation, not a requirement, so per-agent
+// errors do not abort it. The preference ranking is remembered: when a
+// later dispatch detects that an agent restarted (new instance ID, or a
+// 415 codec rejection), that one client is re-negotiated automatically.
 func (t *HTTPTrainer) Negotiate(preferred ...wire.Codec) {
 	t.mu.Lock()
 	t.preferred = preferred
@@ -678,10 +671,11 @@ func (t *HTTPTrainer) Train(req core.TrainRequest) (core.TrainResult, error) {
 // is the smallest of those artifacts, each encoded once per (snapshot,
 // member, codec) in the store the dispatch itself is served from. A
 // re-negotiation that finds no preferred codec falls back to raw, the
-// bit-exact float64 baseline, which is taken to be no smaller than a
-// compact codec's artifact and is not encoded for the bound (docs/WIRE.md,
-// "Launch-time downlink size"). Without a snapshot hash there is no key to
-// size, and the bound is 0.
+// bit-exact float64 baseline, which is not encoded for the bound:
+// TestRawNoSmallerThanCompactCodecs (internal/wire) holds it no smaller
+// than a compact codec's artifact (docs/WIRE.md, "Launch-time downlink
+// size"). Without a snapshot hash there is no key to size, and the bound
+// is 0.
 func (t *HTTPTrainer) DownlinkBytes(req core.TrainRequest, state func() (nn.State, error)) (int64, error) {
 	if req.Snapshot == 0 || req.Client < 0 || req.Client >= len(t.URLs) {
 		return 0, nil

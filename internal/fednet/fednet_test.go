@@ -328,7 +328,7 @@ func TestFederatedOverHTTPWithCodecMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			trainer := NewHTTPTrainer(urls, pool, quickTrain())
-			trainer.Codec = codec
+			trainer.Negotiate(codec)
 			remote := run(trainer, nil)
 
 			for name, v := range local {
@@ -454,7 +454,7 @@ func TestDownlinkRefCachedPerRound(t *testing.T) {
 	}
 	var decodes int32
 	tr := NewHTTPTrainer([]string{ts.URL}, pool, quickTrain())
-	tr.Codec = countingCodec{Codec: delta, decodes: &decodes}
+	tr.Negotiate(countingCodec{Codec: delta, decodes: &decodes})
 
 	global := buildGlobal(t, mcfg)
 	sent := pool.Smallest()

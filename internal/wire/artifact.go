@@ -21,17 +21,12 @@ type ArtifactKey struct {
 	Member int
 	// Codec is the wire codec tag the artifact is encoded with.
 	Codec string
-	// Ref is the reference-state hash for ref-diffed encodes. Downlink
-	// dispatch always encodes refless (Ref = 0); the field keys future
-	// delta downlinks, where the same snapshot diffed against different
-	// references yields different bytes.
-	Ref uint64
 }
 
 // ETag renders the key as a strong HTTP entity tag for the fednet
 // downlink. Distinct keys render distinct tags.
 func (k ArtifactKey) ETag() string {
-	return fmt.Sprintf("\"%016x-%d-%s-%016x\"", k.Snapshot, k.Member, k.Codec, k.Ref)
+	return fmt.Sprintf("\"%016x-%d-%s\"", k.Snapshot, k.Member, k.Codec)
 }
 
 // Artifact is one cached encode: the wire bytes plus their decoded
@@ -152,35 +147,10 @@ func encodeArtifact(key ArtifactKey, c Codec, stateFn func() (nn.State, error)) 
 	return &Artifact{Key: key, Bytes: b, State: dec}, nil
 }
 
-// Lookup returns the cached artifact for key without encoding on a miss.
-// A key whose encode is still in flight counts as a miss.
-func (s *ArtifactStore) Lookup(key ArtifactKey) (*Artifact, bool) {
-	s.mu.Lock()
-	el, ok := s.index[key]
-	if ok {
-		s.lru.MoveToFront(el)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*artEntry)
-	select {
-	case <-e.ready:
-	default:
-		return nil, false
-	}
-	if e.err != nil {
-		return nil, false
-	}
-	s.hits.Add(1)
-	return e.art, true
-}
-
 // Encodes reports how many artifacts the store has encoded (misses).
 func (s *ArtifactStore) Encodes() int64 { return s.encodes.Load() }
 
-// Hits reports how many Get/Lookup calls were served from cache.
+// Hits reports how many Get calls were served from cache.
 func (s *ArtifactStore) Hits() int64 { return s.hits.Load() }
 
 // Len reports the artifacts currently resident, counting those whose

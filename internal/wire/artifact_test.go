@@ -86,7 +86,7 @@ func TestArtifactEncodeOnce(t *testing.T) {
 	}
 }
 
-// Distinct (snapshot, member, codec, ref) keys are distinct artifacts and
+// Distinct (snapshot, member, codec) keys are distinct artifacts and
 // distinct ETags.
 func TestArtifactKeysAndETagsDistinct(t *testing.T) {
 	keys := []ArtifactKey{
@@ -94,7 +94,6 @@ func TestArtifactKeysAndETagsDistinct(t *testing.T) {
 		{Snapshot: 2, Member: 0, Codec: TagQ8},
 		{Snapshot: 1, Member: 1, Codec: TagQ8},
 		{Snapshot: 1, Member: 0, Codec: TagDelta},
-		{Snapshot: 1, Member: 0, Codec: TagQ8, Ref: 3},
 	}
 	seen := map[string]bool{}
 	for _, k := range keys {
@@ -110,10 +109,13 @@ func TestArtifactStoreEviction(t *testing.T) {
 	st := randState(9)
 	c, _ := ByTag(TagF32)
 	s := NewArtifactStore(2)
-	get := func(snap uint64) {
+	// get reports whether the Get of snap encoded, that is, missed.
+	get := func(snap uint64) bool {
+		before := s.Encodes()
 		if _, err := s.Get(artKey(snap, 0, TagF32), c, func() (nn.State, error) { return st, nil }); err != nil {
 			t.Fatal(err)
 		}
+		return s.Encodes() > before
 	}
 	get(1)
 	get(2)
@@ -121,19 +123,17 @@ func TestArtifactStoreEviction(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len() = %d, want 2", s.Len())
 	}
-	if _, ok := s.Lookup(artKey(1, 0, TagF32)); ok {
+	if !get(1) { // re-encode after eviction; evicts 2, the LRU victim
 		t.Fatal("evicted artifact still resident")
 	}
-	get(1) // re-encode after eviction
-	if s.Encodes() != 4 {
-		t.Fatalf("Encodes() = %d, want 4", s.Encodes())
+	if get(3) {
+		t.Fatal("recently used artifact evicted")
 	}
-	// 2 was the LRU victim of the re-encode of 1.
-	if _, ok := s.Lookup(artKey(2, 0, TagF32)); ok {
+	if !get(2) {
 		t.Fatal("LRU victim still resident")
 	}
-	if _, ok := s.Lookup(artKey(3, 0, TagF32)); !ok {
-		t.Fatal("recently used artifact evicted")
+	if s.Encodes() != 5 {
+		t.Fatalf("Encodes() = %d, want 5", s.Encodes())
 	}
 }
 
@@ -185,12 +185,13 @@ func TestArtifactStateFnError(t *testing.T) {
 	if _, err := s.Get(artKey(2, 0, TagQ8), q8, func() (nn.State, error) { return bad, nil }); err == nil {
 		t.Fatal("NaN state encoded")
 	}
-	if _, ok := s.Lookup(artKey(2, 0, TagQ8)); ok {
-		t.Fatal("failed encode is resident")
-	}
+	before := s.Encodes()
 	art, err := s.Get(artKey(2, 0, TagQ8), q8, func() (nn.State, error) { return randState(10), nil })
 	if err != nil || art == nil || len(art.Bytes) == 0 {
 		t.Fatalf("retry after failure: art = %v, err = %v", art, err)
+	}
+	if s.Encodes() != before+1 {
+		t.Fatal("failed encode is resident: the retry did not encode")
 	}
 }
 

@@ -103,7 +103,7 @@ func BenchmarkEncodedSize(b *testing.B) {
 func TestCodecSizeBudget(t *testing.T) {
 	fullRef, st := fanoutState(t)
 	params := float64(models.ParamCount(st))
-	budget := map[string]float64{"f32": 3.6, "q8": 0.90, "delta": 0.45, "delta/noref": 3.6}
+	budget := map[string]float64{"raw": 7.3, "f32": 3.6, "q8": 0.90, "delta": 0.45, "delta/noref": 3.6}
 	for _, bc := range benchCases() {
 		max, ok := budget[bc.name]
 		if !ok {
@@ -117,6 +117,43 @@ func TestCodecSizeBudget(t *testing.T) {
 			t.Errorf("%s: %.3f B/param, budget %.2f", bc.name, got, max)
 		} else {
 			t.Logf("%s: %.3f B/param (budget %.2f)", bc.name, got, max)
+		}
+	}
+}
+
+// TestRawNoSmallerThanCompactCodecs backs the launch-time downlink bound
+// (fednet's HTTPTrainer.DownlinkBytes), which leaves the raw fallback out
+// on the grounds that raw's refless encode is at least as large as every
+// compact codec's. It checks that on the fan-out state and on two twins
+// that favour raw most: all zeros, where deflate sees only runs, and every
+// value rounded to float32, where half of raw's words are nearly constant.
+func TestRawNoSmallerThanCompactCodecs(t *testing.T) {
+	full, _ := fanoutState(t)
+	zero, rounded := full.Clone(), full.Clone()
+	for _, name := range full.Names() {
+		zero[name].Zero()
+		for i, v := range rounded[name].Data {
+			rounded[name].Data[i] = float64(float32(v))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		st   nn.State
+	}{{"fan-out", full}, {"all-zero", zero}, {"float32-rounded", rounded}} {
+		raw, err := Raw{}.Encode(tc.st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []Codec{F32{}, Q8{}, NewDeltaTopK()} {
+			enc, err := c.Encode(tc.st, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(raw) < len(enc) {
+				t.Errorf("%s: raw is %d bytes, smaller than %s's %d", tc.name, len(raw), c.Tag(), len(enc))
+			} else {
+				t.Logf("%s: raw %d ≥ %s %d bytes", tc.name, len(raw), c.Tag(), len(enc))
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,19 +15,19 @@ import (
 )
 
 // Raw is the compatibility baseline: every value as float64, bit-exact,
-// in a gzip-compressed gob of rawPayload. Peers that predate codec
-// negotiation speak exactly this format, and payloads from every earlier
-// build still decode.
+// in a frame of kindF64 tensors. Its decoder also reads the
+// gzip(gob(rawPayload)) container earlier builds wrote, so their payloads
+// and checkpoints still decode.
 type Raw struct{}
 
 // rawVersion is the only rawPayload version. Earlier builds also wrote a
 // version 2 that wrapped another codec's payload; it is refused.
 const rawVersion = 1
 
-// rawPayload is raw's container: the state's names in sorted order, so
-// the encoding is deterministic, with each tensor's shape and values.
-// Older builds encoded two more fields, which gob skips because it
-// matches fields by name.
+// rawPayload is the container raw used before the frame: the state's
+// names in sorted order, with each tensor's shape and values. Older builds
+// encoded two more fields, which gob skips because it matches fields by
+// name.
 type rawPayload struct {
 	Version int
 	Names   []string
@@ -42,35 +43,32 @@ func (Raw) UsesRef() bool { return false }
 
 // Encode implements Codec.
 func (Raw) Encode(st, _ nn.State) ([]byte, error) {
-	p := rawPayload{Version: rawVersion, Names: st.Names()}
-	for _, name := range p.Names {
-		p.Shapes = append(p.Shapes, st[name].Shape)
-		p.Data = append(p.Data, st[name].Data)
-	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(p); err != nil {
-		return nil, fmt.Errorf("wire: raw: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("wire: raw: %w", err)
-	}
-	return buf.Bytes(), nil
+	return encodeFrame(func(w *frameWriter) error {
+		for _, name := range st.Names() {
+			w.f64(name, st[name])
+		}
+		return nil
+	})
 }
 
-// Decode implements Codec. The payload is untrusted wire data: names and
-// shapes pass the frame's header validation, every tensor must hold
-// exactly its shape's element count, the gzip checksum must hold, and a
-// NaN or Inf that slipped in (corruption, or a diverged peer) must surface
-// here, not poison the aggregate downstream.
+// Decode implements Codec. A frame may hold only kindF64 tensors; a payload
+// whose inflated first byte is not the frame format goes to the legacy gob
+// reader. Both refuse the same corrupt shapes and non-finite values.
 func (Raw) Decode(data []byte, _ nn.State) (nn.State, error) {
-	st, err := decodeRaw(data)
-	if err != nil {
+	st, err := decodeFrame(TagRaw, data, nil, 1<<kindF64)
+	if !errors.Is(err, errNotFrame) {
+		return st, err
+	}
+	if st, err = decodeRaw(data); err != nil {
 		return nil, fmt.Errorf("wire: raw: %w", err)
 	}
 	return st, nil
 }
 
+// decodeRaw reads the legacy container. The payload is untrusted wire
+// data: names and shapes pass the frame's header validation, every tensor
+// must hold exactly its shape's element count, the gzip checksum must
+// hold, and every value must be finite.
 func decodeRaw(data []byte) (nn.State, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {

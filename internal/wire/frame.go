@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,8 +15,8 @@ import (
 	"adaptivefl/internal/tensor"
 )
 
-// The payload frame shared by the f32, q8 and delta codecs (docs/WIRE.md,
-// "Payload frame"). One gzip member at gzip.HuffmanOnly wraps
+// The payload frame every codec writes (docs/WIRE.md, "Payload frame").
+// One gzip member at gzip.HuffmanOnly wraps
 //
 //	format byte | u32 header length | header | index gaps | q8 levels | value planes 0..3
 //
@@ -43,8 +44,13 @@ const (
 	kindDense  byte = iota // n float32 values in the value planes
 	kindQ8                 // float64 scale in the header, n bytes in the level section
 	kindSparse             // kept count in the header; kept index gaps, kept float32 deltas in the value planes
+	kindF64                // n float64 values bit-exact: n low 32-bit words, then n high words, in the value planes
 	numKinds
 )
+
+// errNotFrame marks a payload whose inflated first byte is not
+// frameFormat. Raw falls back to its legacy gob reader on it.
+var errNotFrame = errors.New("a gob payload from a build that predates the frame? upgrade agents and server together")
 
 // header is a frame's metadata, one entry per tensor in name order.
 type header struct {
@@ -107,7 +113,7 @@ type frameWriter struct {
 	head    []byte    // per-tensor header entries
 	gaps    []byte    // uvarint index gaps of the sparse tensors
 	levels  []byte    // biased levels of the q8 tensors
-	planes  [4][]byte // byte b of every float32 value, in value order
+	planes  [4][]byte // byte b of every 32-bit value word, in value order
 	mags    []float64 // DeltaTopK's quickselect scratch
 	out     bytes.Buffer
 	zw      *gzip.Writer
@@ -178,6 +184,22 @@ func (w *frameWriter) dense(name string, t *tensor.Tensor) {
 	for i, v := range t.Data {
 		b := math.Float32bits(float32(v))
 		p0[i], p1[i], p2[i], p3[i] = byte(b), byte(b>>8), byte(b>>16), byte(b>>24)
+	}
+}
+
+// f64 adds t bit-exact as two words per value: the n low words, then the
+// n high words. Kept apart, the high words' sign and exponent bytes fill
+// runs of planes 2 and 3 that Huffman coding finds nearly constant.
+func (w *frameWriter) f64(name string, t *tensor.Tensor) {
+	w.entry(name, t.Shape, kindF64)
+	n := len(t.Data)
+	at := w.values(2 * n)
+	p0, p1, p2, p3 := w.planes[0][at:at+2*n], w.planes[1][at:at+2*n], w.planes[2][at:at+2*n], w.planes[3][at:at+2*n]
+	for i, v := range t.Data {
+		b := math.Float64bits(v)
+		lo, hi := uint32(b), uint32(b>>32)
+		p0[i], p1[i], p2[i], p3[i] = byte(lo), byte(lo>>8), byte(lo>>16), byte(lo>>24)
+		p0[n+i], p1[n+i], p2[n+i], p3[n+i] = byte(hi), byte(hi>>8), byte(hi>>16), byte(hi>>24)
 	}
 }
 
@@ -279,7 +301,7 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 		return nil, fmt.Errorf("frame prefix: %w", err)
 	}
 	if pre[0] != frameFormat {
-		return nil, fmt.Errorf("payload format %#02x is not the flat frame %#02x (a gob payload from a build that predates the frame? upgrade agents and server together)", pre[0], frameFormat)
+		return nil, fmt.Errorf("payload format %#02x is not the flat frame %#02x (%w)", pre[0], frameFormat, errNotFrame)
 	}
 	headLen := int(binary.LittleEndian.Uint32(pre[1:5]))
 	if headLen > maxFrameHeader {
@@ -308,6 +330,8 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 			return nil, fmt.Errorf("%q has tensor kind %d, which this codec does not decode", name, kind)
 		case kind == kindDense:
 			nValues += int64(counts[i])
+		case kind == kindF64:
+			nValues += 2 * int64(counts[i])
 		case kind == kindQ8:
 			nLevels += int64(counts[i])
 			// Encode never produces a negative or non-finite scale, so either
@@ -359,6 +383,10 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 		bits := uint32(planes[0][at]) | uint32(planes[1][at])<<8 | uint32(planes[2][at])<<16 | uint32(planes[3][at])<<24
 		return float64(math.Float32frombits(bits)), bits&0x7f800000 != 0x7f800000
 	}
+	// word returns the 32-bit word in value slot at; kindF64 joins two.
+	word := func(at int) uint64 {
+		return uint64(planes[0][at]) | uint64(planes[1][at])<<8 | uint64(planes[2][at])<<16 | uint64(planes[3][at])<<24
+	}
 
 	st := make(nn.State, len(counts))
 	at := 0 // next value slot
@@ -375,6 +403,15 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 				vals[j] = v
 			}
 			at += n
+		case kindF64:
+			for j := range vals {
+				bits := word(at+n+j)<<32 | word(at+j)
+				if bits&0x7ff0000000000000 == 0x7ff0000000000000 {
+					return nil, fmt.Errorf("%q has non-finite value at index %d", name, j)
+				}
+				vals[j] = math.Float64frombits(bits)
+			}
+			at += 2 * n
 		case kindQ8:
 			scale := h.scales[i]
 			for j, b := range levels[:n] {

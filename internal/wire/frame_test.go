@@ -99,6 +99,12 @@ func TestFrameRejections(t *testing.T) {
 			}
 		})
 	}
+	// f64W is a frame holding "w" as one kindF64 tensor of vals.
+	f64W := func(vals ...float64) []byte {
+		return handFrame(t, func(w *frameWriter) { w.f64("w", tensor.FromSlice(vals, len(vals))) })
+	}
+	denseW := handFrame(t, func(w *frameWriter) { w.dense("w", tensor.Full(1, 2)) })
+	q8W := handFrame(t, func(w *frameWriter) { copy(w.q8("w", []int{2}, 1, 2), []byte{128, 129}) })
 	// reframe applies edit to the inflated bytes of a valid delta frame.
 	reframe := func(edit func(b []byte) []byte) []byte {
 		return gz(t, edit(gunzip(t, sparseW(2, 1, 3))))
@@ -121,7 +127,17 @@ func TestFrameRejections(t *testing.T) {
 		{"more gaps than kept", delta, sparseW(2, 1, 1, 1), ref, "no tensor uses"},
 		{"sparse without reference", delta, sparseW(2, 1, 3), nil, "reference state has no matching tensor"},
 		{"sparse to a codec without sparse", F32{}, sparseW(2, 1, 3), nil, "tensor kind 2"},
-		{"q8 to f32", F32{}, handFrame(t, func(w *frameWriter) { copy(w.q8("w", []int{2}, 1, 2), []byte{128, 129}) }), nil, "tensor kind 1"},
+		{"q8 to f32", F32{}, q8W, nil, "tensor kind 1"},
+		{"valid f64", Raw{}, f64W(1, -2), nil, ""},
+		{"f64 NaN", Raw{}, f64W(1, 2, math.NaN()), nil, `"w" has non-finite value at index 2`},
+		{"f64 +Inf", Raw{}, f64W(math.Inf(1), 0), nil, `"w" has non-finite value at index 0`},
+		{"f64 -Inf", Raw{}, f64W(0, math.Inf(-1)), nil, `"w" has non-finite value at index 1`},
+		{"dense to raw", Raw{}, denseW, nil, "tensor kind 0"},
+		{"q8 to raw", Raw{}, q8W, nil, "tensor kind 1"},
+		{"sparse to raw", Raw{}, sparseW(2, 1, 3), ref, "tensor kind 2"},
+		{"f64 to f32", F32{}, f64W(1), nil, "tensor kind 3"},
+		{"f64 to q8", Q8{}, f64W(1), nil, "tensor kind 3"},
+		{"f64 to delta", delta, f64W(1), ref, "tensor kind 3"},
 		{"unknown kind", F32{}, handFrame(t, func(w *frameWriter) { w.entry("w", []int{0}, 9) }), nil, "tensor kind 9"},
 		{"names not sorted", F32{}, handFrame(t, func(w *frameWriter) {
 			w.dense("b", tensor.New(1))
@@ -174,7 +190,8 @@ func TestFrameTruncatedEverywhere(t *testing.T) {
 			w.setValue(at, 0.25)
 			w.setValue(at+1, -0.25)
 		}),
-		"q8": handFrame(t, func(w *frameWriter) { copy(w.q8("w", []int{3}, 0.5, 3), []byte{1, 128, 255}) }),
+		"q8":  handFrame(t, func(w *frameWriter) { copy(w.q8("w", []int{3}, 0.5, 3), []byte{1, 128, 255}) }),
+		"raw": handFrame(t, func(w *frameWriter) { w.f64("w", tensor.FromSlice([]float64{1, -0.5, 3e300}, 3)) }),
 	}
 	for tag, frame := range frames {
 		c, err := ByTag(tag)
@@ -200,6 +217,7 @@ func TestFrameHugeDeclarationFailsBeforeAllocation(t *testing.T) {
 	ref := nn.State{"w": &tensor.Tensor{Shape: []int{1 << 14, 1 << 14}}} // shape only: a same-shape reference block is never read here
 	payloads := map[string][]byte{
 		"f32": handFrame(t, func(w *frameWriter) { w.entry("w", []int{maxWireElems}, kindDense) }),
+		"raw": handFrame(t, func(w *frameWriter) { w.entry("w", []int{maxWireElems}, kindF64) }),
 		"q8": handFrame(t, func(w *frameWriter) {
 			w.entry("w", []int{maxWireElems}, kindQ8)
 			w.head = append(w.head, make([]byte, 8)...)
@@ -314,6 +332,15 @@ func TestCodecValuesClosedForm(t *testing.T) {
 		}
 		return got
 	}
+
+	t.Run("raw", func(t *testing.T) {
+		exact := st.Clone() // plus float64 extremes
+		exact["extremes"] = tensor.FromSlice([]float64{-math.MaxFloat64, math.MaxFloat64, -5e-324, math.Copysign(0, -1)}, 4)
+		got := decode(t, Raw{}, exact, nil)
+		for name, v := range exact {
+			same(t, name, got[name].Data, v.Data)
+		}
+	})
 
 	t.Run("f32", func(t *testing.T) {
 		got := decode(t, F32{}, st, nil)

@@ -4,30 +4,27 @@
 // into wire bytes and back, trading accuracy for size along a documented
 // error bound. Four codecs ship:
 //
-//   - raw   — every value as float64 in a gzip-compressed gob, bit-exact;
-//     the compatibility baseline every peer understands.
-//   - f32   — float32 truncation; |err| ≤ |v|·2⁻²⁴ per value, ~0.41× raw.
+//   - raw   — every value as float64, bit-exact; the fallback when
+//     negotiation finds no shared codec.
+//   - f32   — float32 truncation; |err| ≤ |v|·2⁻²⁴ per value, ~0.47× raw.
 //   - q8    — per-tensor symmetric int8 quantization with a stored scale;
-//     |err| ≤ max|v|/254 per tensor, ~0.10× raw.
+//     |err| ≤ max|v|/254 per tensor, ~0.12× raw.
 //   - delta — sparse top-k of the change versus a reference state (the
 //     dispatched model), index-gap+value encoded; kept coordinates are
 //     exact to float32 rounding, dropped coordinates keep the reference
 //     value. Falls back to dense float32 when no reference is available or
 //     the kept fraction would not pay for the index overhead.
 //
-// The three non-raw codecs share one payload container (frame.go): a
-// format byte, a length-prefixed header, then flat little-endian sections
-// — float32 values split into four byte planes, q8 levels, uvarint index
-// gaps — in a single Huffman-only gzip member whose CRC-32 guards every
-// byte. The header fixes the inflated length, and a decoder reads exactly
-// that much.
+// Every codec writes one payload container (frame.go): a format byte, a
+// length-prefixed header, then flat little-endian sections — 32-bit value
+// words split into four byte planes, q8 levels, uvarint index gaps — in a
+// single Huffman-only gzip member whose CRC-32 guards every byte. The
+// header fixes the inflated length, and a decoder reads exactly that
+// much. Raw's decoder also reads the gob container earlier builds wrote.
 //
-// Codecs are registered by tag so transports can negotiate: the server
+// Codecs are reachable by tag so transports can negotiate: the server
 // stamps each request with the codec tag and the device answers in kind.
-// Raw keeps its own container (codecs.go) but validates names and shapes
-// through the frame's header check, so both formats refuse the same
-// corrupt shapes. See docs/WIRE.md for both formats and the compatibility
-// rules.
+// See docs/WIRE.md for the format and the compatibility rules.
 package wire
 
 import (
@@ -57,14 +54,12 @@ type Codec interface {
 }
 
 // registry holds the codecs reachable by tag.
-var registry = map[string]Codec{}
-
-// Register makes a codec reachable by its tag, replacing any previous
-// registration. Packages may register custom codecs at init time.
-func Register(c Codec) { registry[c.Tag()] = c }
+var registry = map[string]Codec{
+	TagRaw: Raw{}, TagF32: F32{}, TagQ8: Q8{}, TagDelta: NewDeltaTopK(),
+}
 
 // ByTag resolves a codec tag. The empty tag resolves to raw, the
-// compatibility baseline, so untagged (pre-codec) peers keep working.
+// compatibility baseline.
 func ByTag(tag string) (Codec, error) {
 	if tag == "" {
 		tag = TagRaw
@@ -76,7 +71,7 @@ func ByTag(tag string) (Codec, error) {
 	return c, nil
 }
 
-// Tags returns the registered codec tags, sorted.
+// Tags returns the codec tags, sorted.
 func Tags() []string {
 	tags := make([]string, 0, len(registry))
 	for t := range registry {
@@ -93,10 +88,3 @@ const (
 	TagQ8    = "q8"
 	TagDelta = "delta"
 )
-
-func init() {
-	Register(Raw{})
-	Register(F32{})
-	Register(Q8{})
-	Register(NewDeltaTopK())
-}

@@ -199,6 +199,26 @@ func TestRawDecodesOldPayload(t *testing.T) {
 	requireSameBits(t, got, rawFixtureState())
 }
 
+// TestRawDecodesFramePayload: testdata/raw_frame.gz is a kindF64 frame of
+// rawFixtureState(), written by this build's raw encoder. It must decode
+// to the same bits through the frame reader, not the legacy one. The test
+// pins the decode, not the encoded bytes, which deflate may change between
+// Go releases.
+func TestRawDecodesFramePayload(t *testing.T) {
+	b, err := os.ReadFile("testdata/raw_frame.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := gunzip(t, b)[0]; first != frameFormat {
+		t.Fatalf("fixture opens with %#02x, not the frame format", first)
+	}
+	got, err := Raw{}.Decode(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, got, rawFixtureState())
+}
+
 // rawBytes encodes a hand-built raw container, bypassing Encode's
 // invariants.
 func rawBytes(t testing.TB, p rawPayload) []byte {
