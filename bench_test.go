@@ -499,9 +499,9 @@ func BenchmarkGemmTiled(b *testing.B) {
 // BenchmarkGemmSkinny measures the skinny-m/huge-n shape batched conv
 // produces ([OutC, InC·K²] × [InC·K², N·OH·OW] with small OutC), where
 // row-only chunking would leave every worker but one idle; the j-split
-// grid is what keeps the pool busy here.
+// grid is what keeps the pool busy here. m3 ends on a lone row.
 func BenchmarkGemmSkinny(b *testing.B) {
-	for _, m := range []int{2, 8} {
+	for _, m := range []int{2, 3, 8} {
 		b.Run(fmt.Sprintf("m%d", m), func(b *testing.B) {
 			const k, n = 72, 16384
 			rng := rand.New(rand.NewSource(1))
@@ -549,6 +549,78 @@ func BenchmarkGemmNT(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tensor.Gemm(false, true, 1, x, y, 1, c)
+			}
+		})
+	}
+}
+
+// BenchmarkGemmLoneRow times per-sample NN and TN products of
+// width-pruned layers whose last C row goes through the row kernel
+// paired with itself (odd m): the explicit-path forward of ResNet-18's
+// stride-2 3×3 convolutions at quick scale, 6→13 channels onto a 16×16
+// plane and 26→51 onto 4×4 (W [outC, 9·inC] · U [9·inC, oh·ow]), a
+// MobileNetV2 projection 12→3 on 32×32 (pointwise forward) and the input
+// gradient of the expansion 3→18 that follows it (Wᵀ·g, TN).
+func BenchmarkGemmLoneRow(b *testing.B) {
+	for _, sh := range []struct {
+		name    string
+		transA  bool
+		m, k, n int
+	}{
+		{"s2fwd_o13", false, 13, 54, 256},
+		{"s2fwd_o51", false, 51, 234, 16},
+		{"pwfwd_o3", false, 3, 12, 1024},
+		{"pwdx_c3", true, 3, 18, 1024},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x := tensor.Randn(rng, 1, sh.m, sh.k)
+			if sh.transA {
+				x = tensor.Randn(rng, 1, sh.k, sh.m)
+			}
+			y := tensor.Randn(rng, 1, sh.k, sh.n)
+			c := tensor.New(sh.m, sh.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.Gemm(sh.transA, false, 1, x, y, 0, c)
+			}
+		})
+	}
+}
+
+// BenchmarkConvPlaneLoneRow times one sample's stride-1 3×3 convolution
+// read in place from its padded plane, at ResNet-18's odd quick-scale
+// widths, whose last output channel goes through the row kernel paired
+// with itself: the forward (ConvPlane) at 13→13 channels on 16×16 and
+// 51→51 on 4×4, and the input gradient (ConvPlaneInputGrad, odd input
+// channels) at 13→13 on 16×16.
+func BenchmarkConvPlaneLoneRow(b *testing.B) {
+	for _, sh := range []struct {
+		name  string
+		c, hw int
+		dx    bool
+	}{
+		{"fwd_13@16x16", 13, 16, false},
+		{"fwd_51@4x4", 51, 4, false},
+		{"dx_13@16x16", 13, 16, true},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			const k = 3
+			c, hw, p := sh.c, sh.hw, sh.hw+2
+			rng := rand.New(rand.NewSource(1))
+			w := tensor.Randn(rng, 1, c*c*k*k).Data
+			plane := tensor.Randn(rng, 1, c*p*p).Data
+			g := tensor.Randn(rng, 1, c*hw*hw).Data
+			out, scratch := make([]float64, c*hw*hw), make([]float64, c*p*p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if sh.dx {
+					tensor.ConvPlaneInputGrad(w, g, c, c, hw, hw, k, 1, scratch, out)
+				} else {
+					tensor.ConvPlane(w, c, plane, c, p, p, k, out)
+				}
 			}
 		})
 	}

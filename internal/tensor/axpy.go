@@ -2,8 +2,8 @@ package tensor
 
 // Row kernels behind the blocked GEMM and the implicit-unfold convolution.
 // A kernel owns its inner loops: one call covers a whole k-panel for a
-// pair of C rows (axpyRows2/1, the NN and TN cases) or every B row of a
-// panel against a pair of A rows (dotPanel2, the one NT kernel, dense
+// pair of C rows (axpyRows2, the one NN and TN kernel) or every B row of
+// a panel against a pair of A rows (dotPanel2, the one NT kernel, dense
 // GEMM rows and convolution panels alike), so narrow operands — the
 // 6-to-51-channel convolutions of width-pruned submodels — spend their
 // time inside the kernel rather than entering it.
@@ -53,7 +53,10 @@ const (
 //	s0[j] = u0[p]*B[p][j] + u0[p+1]*B[p+1][j] + …
 //	s1[j] = u1[p]*B[p][j] + u1[p+1]*B[p+1][j] + …
 //
-// joins C as mode says.
+// joins C as mode says. Both rows' C elements are read before either is
+// written, so a lone row goes as a pair with itself, in place
+// (axpyRows2(u, u, pn, c, c, mode)): both halves compute the same bits
+// and store them to the same place.
 func axpyRows2(u0, u1 []float64, pn *panel, c0, c1 []float64, mode cmode) {
 	j := axpyRows2Accel(u0, u1, pn, c0, c1, mode)
 	if j == pn.n {
@@ -62,19 +65,6 @@ func axpyRows2(u0, u1 []float64, pn *panel, c0, c1 []float64, mode cmode) {
 	for r := 0; r < pn.segs; r++ {
 		lo, hi := r*pn.ldc+j, r*pn.ldc+pn.n
 		axpyRows2Generic(u0, u1, pn.b[r*pn.ldb+j:], pn.taps, pn.ldb, c0[lo:hi], c1[lo:hi], mode)
-	}
-}
-
-// axpyRows1 is axpyRows2 for a single C row. It keeps the identical
-// 2-wise k grouping, so a row's accumulation order does not depend on
-// whether it was processed as half of a pair or alone.
-func axpyRows1(u0 []float64, pn *panel, c0 []float64, mode cmode) {
-	j := axpyRows1Accel(u0, pn, c0, mode)
-	if j == pn.n {
-		return
-	}
-	for r := 0; r < pn.segs; r++ {
-		axpyRows1Generic(u0, pn.b[r*pn.ldb+j:], pn.taps, pn.ldb, c0[r*pn.ldc+j:r*pn.ldc+pn.n], mode)
 	}
 }
 
@@ -88,73 +78,26 @@ func tap(taps []int, ldb, p int) int {
 }
 
 // axpyRows2Generic is the Go twin for one segment: B row p is b[tap(p):].
+// Each column's sums start from C (addTo) or +0, and foldInto adds C to
+// the finished sum; both C elements are read before either is written.
 func axpyRows2Generic(u0, u1, b []float64, taps []int, ldb int, c0, c1 []float64, mode cmode) {
-	nj := len(c0)
-	c1 = c1[:nj]
-	if mode == foldInto {
-		for j := range c0 {
-			s0, s1 := axpyCol(u0, b, taps, ldb, j), axpyCol(u1, b, taps, ldb, j)
-			c0[j] += s0
-			c1[j] += s1
+	c1 = c1[:len(c0)]
+	for j := range c0 {
+		x0, x1 := c0[j], c1[j]
+		var z0, z1 float64
+		if mode == addTo {
+			z0, z1 = x0, x1
 		}
-		return
-	}
-	if mode == writeTo {
-		clear(c0)
-		clear(c1)
-	}
-	p := 0
-	for ; p+2 <= len(u0); p += 2 {
-		s0, s1, t0, t1 := u0[p], u0[p+1], u1[p], u1[p+1]
-		b0, b1 := b[tap(taps, ldb, p):][:nj], b[tap(taps, ldb, p+1):][:nj]
-		for j := range c0 {
-			bv0, bv1 := b0[j], b1[j]
-			c0[j] += s0*bv0 + s1*bv1
-			c1[j] += t0*bv0 + t1*bv1
+		s0, s1 := axpyCol(u0, b, taps, ldb, j, z0), axpyCol(u1, b, taps, ldb, j, z1)
+		if mode == foldInto {
+			s0, s1 = x0+s0, x1+s1
 		}
-	}
-	if p < len(u0) {
-		s, t := u0[p], u1[p]
-		bp := b[tap(taps, ldb, p):][:nj]
-		for j := range c0 {
-			bv := bp[j]
-			c0[j] += s * bv
-			c1[j] += t * bv
-		}
+		c0[j], c1[j] = s0, s1
 	}
 }
 
-func axpyRows1Generic(u0, b []float64, taps []int, ldb int, c0 []float64, mode cmode) {
-	nj := len(c0)
-	if mode == foldInto {
-		for j := range c0 {
-			c0[j] += axpyCol(u0, b, taps, ldb, j)
-		}
-		return
-	}
-	if mode == writeTo {
-		clear(c0)
-	}
-	p := 0
-	for ; p+2 <= len(u0); p += 2 {
-		s0, s1 := u0[p], u0[p+1]
-		b0, b1 := b[tap(taps, ldb, p):][:nj], b[tap(taps, ldb, p+1):][:nj]
-		for j := range c0 {
-			c0[j] += s0*b0[j] + s1*b1[j]
-		}
-	}
-	if p < len(u0) {
-		s := u0[p]
-		bp := b[tap(taps, ldb, p):][:nj]
-		for j := range c0 {
-			c0[j] += s * bp[j]
-		}
-	}
-}
-
-// axpyCol is one column's sum of the row kernels, from +0.
-func axpyCol(u, b []float64, taps []int, ldb, j int) float64 {
-	var s float64
+// axpyCol is one column's sum of the row kernel, from s.
+func axpyCol(u, b []float64, taps []int, ldb, j int, s float64) float64 {
 	p := 0
 	for ; p+2 <= len(u); p += 2 {
 		s += u[p]*b[tap(taps, ldb, p)+j] + u[p+1]*b[tap(taps, ldb, p+1)+j]
@@ -171,21 +114,22 @@ func axpyCol(u, b []float64, taps []int, ldb, j int) float64 {
 // With first set, c0 and c1 start from +0 instead of their contents. It is
 // the one NT kernel: a convolution's filter gradient against the unfold it
 // never materialises, and Gemm's dense rows as a one-segment panel with
-// taps[j] = j·k. A lone A row goes as a pair with itself, its second
-// result into a spare: a row's tree depends on its length alone, so that
-// gives it the bits it has as half of a pair.
+// taps[j] = j·k. Both rows' C elements are read before either is
+// written, so a lone A row goes as a pair with itself, in place: a row's
+// tree depends on its length alone, so that gives it the bits it has as
+// half of a pair.
 func dotPanel2(a0, a1 []float64, pn *panel, alpha float64, c0, c1 []float64, first bool) {
 	if dotPanel2Accel(a0, a1, pn, alpha, c0, c1, first) {
 		return
 	}
-	if first {
-		clear(c0)
-		clear(c1[:len(c0)])
-	}
+	c1 = c1[:len(c0)]
 	for j := range c0 {
 		bj := pn.b[pn.taps[j]:]
-		c0[j] += alpha * dot(a0, bj, pn.n, pn.ldb)
-		c1[j] += alpha * dot(a1, bj, pn.n, pn.ldb)
+		x0, x1 := c0[j], c1[j]
+		if first {
+			x0, x1 = 0, 0
+		}
+		c0[j], c1[j] = x0+alpha*dot(a0, bj, pn.n, pn.ldb), x1+alpha*dot(a1, bj, pn.n, pn.ldb)
 	}
 }
 

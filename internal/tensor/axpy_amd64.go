@@ -25,16 +25,13 @@ func detectAVX() bool {
 
 // Implemented in axpy_amd64.s. The kernels only read and write through
 // their pointers, so arguments (gemmPanels' coefficient buffer, the tap
-// tables, a lone row's spare results) may live on the caller's stack.
+// tables) may live on the caller's stack.
 // mode is a cmode; first is 0 or 1.
 func cpuidex(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
 func axpyRows2AVX(u0, u1 *float64, kp int, b *float64, taps *int, ldb int, c0, c1 *float64, ldc, n, segs, mode int)
-
-//go:noescape
-func axpyRows1AVX(u0 *float64, kp int, b *float64, taps *int, ldb int, c0 *float64, ldc, n, segs, mode int)
 
 //go:noescape
 func dotPanel2AVX(a0, a1 *float64, k int, b *float64, taps *int, nb, n, skip int, alpha float64, c0, c1 *float64, first int)
@@ -66,18 +63,6 @@ func axpyRows2Accel(u0, u1 []float64, pn *panel, c0, c1 []float64, mode cmode) i
 	_, _, _ = u1[kp-1], c0[last], c1[last]
 	_ = pn.b[tap(pn.taps, pn.ldb, kp-1)+(pn.segs-1)*pn.ldb+n4-1]
 	axpyRows2AVX(&u0[0], &u1[0], kp, &pn.b[0], firstTap(pn), pn.ldb, &c0[0], &c1[0], pn.ldc, n4, pn.segs, int(mode))
-	return n4
-}
-
-// axpyRows1Accel is the one-row form of axpyRows2Accel.
-func axpyRows1Accel(u0 []float64, pn *panel, c0 []float64, mode cmode) int {
-	n4, kp := pn.n&^3, len(u0)
-	if !useAVX || n4 == 0 || kp == 0 {
-		return 0
-	}
-	_ = c0[(pn.segs-1)*pn.ldc+n4-1]
-	_ = pn.b[tap(pn.taps, pn.ldb, kp-1)+(pn.segs-1)*pn.ldb+n4-1]
-	axpyRows1AVX(&u0[0], kp, &pn.b[0], firstTap(pn), pn.ldb, &c0[0], pn.ldc, n4, pn.segs, int(mode))
 	return n4
 }
 

@@ -28,7 +28,7 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // edit elsewhere in the file does not move a loop's branches across the
 // boundaries some cores' decoders penalise.
 
-// Register use shared by the two axpyRows kernels:
+// Register use of axpyRows2AVX:
 //   SI, DI   u0, u1 (scaled A coefficients of the two C rows)
 //   CX       kp, the number of k steps
 //   DX       taps, the element offset of each B row from a segment's base;
@@ -41,7 +41,7 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 //   Y8, Y9   u0[p], u0[p+1] broadcast;  Y10, Y11  u1[p], u1[p+1]
 
 // ROWS2AT points R13 and R14 at B rows p and p+1 of the strip whose
-// base is in base; ROW1AT points R13 at row p.
+// base is in base; ROW1AT points R13 at row p, for the trailing k step.
 #define ROWS2AT(base) \
 	MOVQ 0(DX)(AX*8), R13; \
 	MOVQ 8(DX)(AX*8), R14; \
@@ -74,20 +74,6 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	VMULPD  Y12, Y10, Y14; \
 	VADDPD  Y14, a1, a1
 
-// PAIR1 and LAST1 are the one-row forms.
-#define PAIR1(off, a0) \
-	VMOVUPD off(R13), Y12; \
-	VMOVUPD off(R14), Y13; \
-	VMULPD  Y12, Y8, Y14; \
-	VMULPD  Y13, Y9, Y15; \
-	VADDPD  Y15, Y14, Y14; \
-	VADDPD  Y14, a0, a0
-
-#define LAST1(off, a0) \
-	VMOVUPD off(R13), Y12; \
-	VMULPD  Y12, Y8, Y14; \
-	VADDPD  Y14, a0, a0
-
 // PAIR2M and LAST2M are PAIR2 and LAST2 with B's four columns loaded from
 // m0 (row p) and m1 (row p+1).
 #define PAIR2M(m0, m1, a0, a1) \
@@ -119,7 +105,9 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // or 4 columns go two or four to a strip instead, while that many
 // remain, so that each broadcast coefficient still meets four vectors of
 // B. mode is a cmode: addTo (0) starts the strip from C, writeTo (1) from
-// +0, and foldInto (2) from +0 and adds C to it before the store.
+// +0, and foldInto (2) from +0 and adds C to it before the store. Every
+// strip loads (or adds) both rows' C before it stores either, so c0 = c1
+// with u0 = u1 is a lone row, paired with itself in place.
 TEXT ·axpyRows2AVX(SB), NOSPLIT, $0-96
 	MOVQ u0+0(FP), SI
 	MOVQ u1+8(FP), DI
@@ -558,207 +546,6 @@ r2n4put:
 	JNZ  r2n4
 	JMP  r2done
 
-// func axpyRows1AVX(u0 *float64, kp int, b *float64, taps *int, ldb int, c0 *float64, ldc, n, segs, mode int)
-//
-// The one-row form of axpyRows2AVX, for the last row of an odd block.
-TEXT ·axpyRows1AVX(SB), NOSPLIT, $0-80
-	MOVQ u0+0(FP), SI
-	MOVQ kp+8(FP), CX
-	MOVQ b+16(FP), R11
-	MOVQ taps+24(FP), DX
-	MOVQ c0+40(FP), R8
-	TESTQ DX, DX
-	JNZ  r1seg
-	MOVQ ldb+32(FP), DX
-	SHLQ $3, DX
-
-r1seg:
-	MOVQ R11, BX
-	MOVQ n+56(FP), R10
-
-r1strip16:
-	CMPQ R10, $16
-	JLT  r1strip4
-	CMPQ mode+72(FP), $0
-	JNE  r1zero16
-	VMOVUPD 0(R8), Y0
-	VMOVUPD 32(R8), Y1
-	VMOVUPD 64(R8), Y2
-	VMOVUPD 96(R8), Y3
-	JMP  r1k16
-
-r1zero16:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-
-r1k16:
-	XORQ AX, AX
-	MOVQ CX, R12
-	SHRQ $1, R12
-	CMPQ taps+24(FP), $0
-	JEQ  r1d16
-	TESTQ R12, R12
-	JZ   r1last16
-
-	PCALIGN $32
-
-r1pair16:
-	VBROADCASTSD 0(SI)(AX*8), Y8
-	VBROADCASTSD 8(SI)(AX*8), Y9
-	ROWS2AT(BX)
-	PAIR1(0, Y0)
-	PAIR1(32, Y1)
-	PAIR1(64, Y2)
-	PAIR1(96, Y3)
-	ADDQ $2, AX
-	DECQ R12
-	JNZ  r1pair16
-
-r1last16:
-	TESTQ $1, CX
-	JZ    r1store16
-	VBROADCASTSD 0(SI)(AX*8), Y8
-	ROW1AT(BX)
-	LAST1(0, Y0)
-	LAST1(32, Y1)
-	LAST1(64, Y2)
-	LAST1(96, Y3)
-
-r1store16:
-	CMPQ mode+72(FP), $2
-	JNE  r1put16
-	VADDPD 0(R8), Y0, Y0
-	VADDPD 32(R8), Y1, Y1
-	VADDPD 64(R8), Y2, Y2
-	VADDPD 96(R8), Y3, Y3
-
-r1put16:
-	VMOVUPD Y0, 0(R8)
-	VMOVUPD Y1, 32(R8)
-	VMOVUPD Y2, 64(R8)
-	VMOVUPD Y3, 96(R8)
-	ADDQ $128, BX
-	ADDQ $128, R8
-	SUBQ $16, R10
-	JMP  r1strip16
-
-r1strip4:
-	CMPQ R10, $4
-	JLT  r1segend
-	CMPQ mode+72(FP), $0
-	JNE  r1zero4
-	VMOVUPD 0(R8), Y0
-	JMP  r1k4
-
-r1zero4:
-	VXORPD Y0, Y0, Y0
-
-r1k4:
-	XORQ AX, AX
-	MOVQ CX, R12
-	SHRQ $1, R12
-	CMPQ taps+24(FP), $0
-	JEQ  r1d4
-	TESTQ R12, R12
-	JZ   r1last4
-
-	PCALIGN $32
-
-r1pair4:
-	VBROADCASTSD 0(SI)(AX*8), Y8
-	VBROADCASTSD 8(SI)(AX*8), Y9
-	ROWS2AT(BX)
-	PAIR1(0, Y0)
-	ADDQ $2, AX
-	DECQ R12
-	JNZ  r1pair4
-
-r1last4:
-	TESTQ $1, CX
-	JZ    r1store4
-	VBROADCASTSD 0(SI)(AX*8), Y8
-	ROW1AT(BX)
-	LAST1(0, Y0)
-
-r1store4:
-	CMPQ mode+72(FP), $2
-	JNE  r1put4
-	VADDPD 0(R8), Y0, Y0
-
-r1put4:
-	VMOVUPD Y0, 0(R8)
-	ADDQ $32, BX
-	ADDQ $32, R8
-	SUBQ $4, R10
-	JMP  r1strip4
-
-r1d16:
-	MOVQ BX, R13
-	TESTQ R12, R12
-	JZ   r1d16last
-
-	PCALIGN $32
-
-r1d16pair:
-	VBROADCASTSD 0(SI)(AX*8), Y8
-	VBROADCASTSD 8(SI)(AX*8), Y9
-	LEAQ (R13)(DX*1), R14
-	PAIR1(0, Y0)
-	PAIR1(32, Y1)
-	PAIR1(64, Y2)
-	PAIR1(96, Y3)
-	ADDQ $2, AX
-	LEAQ (R13)(DX*2), R13
-	DECQ R12
-	JNZ  r1d16pair
-
-r1d16last:
-	TESTQ $1, CX
-	JZ    r1store16
-	VBROADCASTSD 0(SI)(AX*8), Y8
-	LAST1(0, Y0)
-	LAST1(32, Y1)
-	LAST1(64, Y2)
-	LAST1(96, Y3)
-	JMP   r1store16
-
-r1d4:
-	MOVQ BX, R13
-	TESTQ R12, R12
-	JZ   r1d4last
-
-	PCALIGN $32
-
-r1d4pair:
-	VBROADCASTSD 0(SI)(AX*8), Y8
-	VBROADCASTSD 8(SI)(AX*8), Y9
-	LEAQ (R13)(DX*1), R14
-	PAIR1(0, Y0)
-	ADDQ $2, AX
-	LEAQ (R13)(DX*2), R13
-	DECQ R12
-	JNZ  r1d4pair
-
-r1d4last:
-	TESTQ $1, CX
-	JZ    r1store4
-	VBROADCASTSD 0(SI)(AX*8), Y8
-	LAST1(0, Y0)
-	JMP   r1store4
-
-r1segend:
-	MOVQ ldc+48(FP), R12
-	SUBQ n+56(FP), R12
-	LEAQ (R8)(R12*8), R8
-	MOVQ ldb+32(FP), R12
-	LEAQ (R11)(R12*8), R11
-	DECQ segs+64(FP)
-	JNZ  r1seg
-	VZEROUPPER
-	RET
-
 // dotPanel2AVX is the one dot kernel. B_j starts at taps[j] elements
 // into b and runs in segments of n elements, skip elements apart; a dense
 // GEMM row is one segment of n = k. A B cursor walks the segments, and
@@ -853,9 +640,10 @@ r1segend:
 	JGE  fin
 
 // FINISH folds both rows' partials, adds the k%16 tail one product at a
-// time, stores alpha·sum + C (C through the mask X13) to c0 and c1, and
-// goes on to the next B row at row, or returns. tail, tnext and out are
-// its labels.
+// time, stores alpha·sum + C (C through the mask X13) to c0 and c1, both
+// C elements loaded before either is stored so that c0 = c1 with a0 = a1
+// is a lone row paired with itself, and goes on to the next B row at
+// row, or returns. tail, tnext and out are its labels.
 #define FINISH(skip, n, tail, tnext, out, row) \
 	FOLD(Y0, Y1, Y2, Y3, X0, X8); \
 	FOLD(Y4, Y5, Y6, Y7, X4, X8); \
@@ -879,12 +667,12 @@ out: \
 	VMULSD X14, X0, X0; \
 	VMULSD X14, X4, X4; \
 	VMOVSD (R8), X8; \
+	VMOVSD (R9), X9; \
 	VANDPD X13, X8, X8; \
+	VANDPD X13, X9, X9; \
 	VADDSD X8, X0, X0; \
+	VADDSD X9, X4, X4; \
 	VMOVSD X0, (R8); \
-	VMOVSD (R9), X8; \
-	VANDPD X13, X8, X8; \
-	VADDSD X8, X4, X4; \
 	VMOVSD X4, (R9); \
 	ADDQ $8, R8; \
 	ADDQ $8, R9; \

@@ -229,8 +229,9 @@ func convParallel(outC, c, ph, pw, k int) bool {
 // ConvPlane writes one sample's stride-1 k×k convolution out [outC,
 // oh·ow] = W·U, W being [outC, c·k·k] and U the unfold of the padded
 // plane [c, ph, pw]: the bits of Im2Col followed by Gemm(false, false, 1,
-// W, U, 0, out). It runs on the calling goroutine: Conv2D.Forward fans
-// its samples out.
+// W, U, 0, out). An odd last output channel goes as a pair with itself,
+// in place. It runs on the calling goroutine: Conv2D.Forward fans its
+// samples out.
 func ConvPlane(w []float64, outC int, plane []float64, c, ph, pw, k int, out []float64) {
 	oh, ow, rows := ph-k+1, pw-k+1, c*k*k
 	sp := oh * ow
@@ -243,12 +244,9 @@ func ConvPlane(w []float64, outC int, plane []float64, c, ph, pw, k int, out []f
 		if p0 == 0 {
 			mode = writeTo
 		}
-		o := 0
-		for ; o+2 <= outC; o += 2 {
-			axpyRows2(w[o*rows+p0:][:kp], w[(o+1)*rows+p0:][:kp], &pn, out[o*sp:][:sp], out[(o+1)*sp:][:sp], mode)
-		}
-		if o < outC {
-			axpyRows1(w[o*rows+p0:][:kp], &pn, out[o*sp:][:sp], mode)
+		for o := 0; o < outC; o += 2 {
+			o1 := min(o+1, outC-1)
+			axpyRows2(w[o*rows+p0:][:kp], w[o1*rows+p0:][:kp], &pn, out[o*sp:][:sp], out[o1*sp:][:sp], mode)
 		}
 	}
 }
@@ -268,8 +266,7 @@ func ConvPlaneFilterGrad(g []float64, outC int, plane []float64, c, ph, pw, k in
 }
 
 // filterGradRows is ConvPlaneFilterGrad for the dw rows [lo, hi), lo
-// even. An odd last row goes as a pair with itself, its second result
-// into a spare that is declared, and cleared, only then.
+// even. An odd last row goes as a pair with itself, in place.
 func filterGradRows(g []float64, outC int, plane []float64, c, ph, pw, k int, dw []float64, lo, hi int) {
 	oh, ow, rows := ph-k+1, pw-k+1, c*k*k
 	sp := oh * ow
@@ -279,13 +276,8 @@ func filterGradRows(g []float64, outC int, plane []float64, c, ph, pw, k int, dw
 		kp := min(kTile, rows-p0)
 		pn.taps = convTaps(taps[:kp], p0, k, ph, pw)
 		for o := lo; o < hi; o += 2 {
-			g0, c0 := g[o*sp:][:sp], dw[o*rows+p0:][:kp]
-			if o+1 < hi {
-				dotPanel2(g0, g[(o+1)*sp:][:sp], &pn, 1, c0, dw[(o+1)*rows+p0:][:kp], false)
-			} else {
-				var spare [kTile]float64
-				dotPanel2(g0, g0, &pn, 1, c0, spare[:kp], false)
-			}
+			o1 := min(o+1, hi-1)
+			dotPanel2(g[o*sp:][:sp], g[o1*sp:][:sp], &pn, 1, dw[o*rows+p0:][:kp], dw[o1*rows+p0:][:kp], false)
 		}
 	}
 }
@@ -326,7 +318,8 @@ func ConvPlaneInputGrad(wt, g []float64, outC, c, h, wd, k, pad int, scratch, dx
 }
 
 // inputGradChannels is ConvPlaneInputGrad's fold for the channels [lo,
-// hi), lo even, into the planes acc [c, ph, pw].
+// hi), lo even, into the planes acc [c, ph, pw]. An odd last channel goes
+// as a pair with itself, in place.
 func inputGradChannels(wt, g []float64, outC, lo, hi, ph, pw, k int, acc []float64) {
 	oh, ow, kk := ph-k+1, pw-k+1, k*k
 	var buf [2 * kTile]int
@@ -340,14 +333,10 @@ func inputGradChannels(wt, g []float64, outC, lo, hi, ph, pw, k int, acc []float
 	pn := panel{b: g, taps: gtaps, ldb: ow, ldc: pw, segs: oh, n: ow}
 	for t := 0; t < kk; t++ {
 		off := (t/k)*pw + t%k
-		ch := lo
-		for ; ch+2 <= hi; ch += 2 {
-			p := ch*kk + t
-			axpyRows2(wt[p*outC:][:outC], wt[(p+kk)*outC:][:outC], &pn,
-				acc[ch*ph*pw+off:(ch+1)*ph*pw], acc[(ch+1)*ph*pw+off:(ch+2)*ph*pw], foldInto)
-		}
-		if ch < hi {
-			axpyRows1(wt[(ch*kk+t)*outC:][:outC], &pn, acc[ch*ph*pw+off:(ch+1)*ph*pw], foldInto)
+		for ch := lo; ch < hi; ch += 2 {
+			ch1 := min(ch+1, hi-1)
+			axpyRows2(wt[(ch*kk+t)*outC:][:outC], wt[(ch1*kk+t)*outC:][:outC], &pn,
+				acc[ch*ph*pw+off:(ch+1)*ph*pw], acc[ch1*ph*pw+off:(ch1+1)*ph*pw], foldInto)
 		}
 	}
 }

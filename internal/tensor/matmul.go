@@ -34,20 +34,19 @@ const minJChunk = 256
 // and A·Bᵀ (NT), and Gemm panics on both transposed. A, B and C must be
 // rank-2. Shapes after op must satisfy op(A):[m,k], op(B):[k,n], C:[m,n].
 //
-// The work is done by the row kernels of axpy.go, two C rows per call.
-// NN and TN go through axpyRows2 (axpyRows1 for the last row of an odd
-// block, in the identical k grouping), with large operands tiled into
-// kTile×nTile panels. NT goes through dotPanel2, the one dot kernel, up
-// to kTile B rows per call as a dense one-segment panel, with the last
-// row of an odd block paired with itself. Above serialThreshold, C is cut
+// The work is done by the row kernels of axpy.go, two C rows per call,
+// the last row of an odd block paired with itself in place. NN and TN go
+// through axpyRows2, with large operands tiled into kTile×nTile panels.
+// NT goes through dotPanel2, the one dot kernel, up to kTile B rows per
+// call as a dense one-segment panel. Above serialThreshold, C is cut
 // into a grid of row × column chunks that ForEach hands to up to
-// Parallelism workers; each element is owned by exactly one chunk and
-// accumulated in a fixed order, so results are bitwise independent of
-// the parallelism setting. Any future kernel variant must preserve the
-// per-element accumulation grouping (2-wise over k for NN/TN, the
-// 16-stripe tree for NT) or the serial/parallel/AVX paths stop being
-// bitwise identical — see TestGemmSerialParallelBitwise and
-// TestGemmAccelMatchesGeneric.
+// Parallelism workers, whole row pairs to a chunk; each element is owned
+// by exactly one chunk and accumulated in a fixed order, so results are
+// bitwise independent of the parallelism setting. Any future kernel
+// variant must preserve the per-element accumulation grouping (2-wise
+// over k for NN/TN, the 16-stripe tree for NT) or the serial/parallel/AVX
+// paths stop being bitwise identical — see TestGemmSerialParallelBitwise
+// and TestGemmAccelMatchesGeneric.
 func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Tensor) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(c.Shape) != 2 {
 		panic("tensor: Gemm requires rank-2 tensors")
@@ -91,26 +90,7 @@ func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Ten
 		return
 	}
 
-	// Partition C into a rows × cols grid of chunks. Row splitting alone
-	// starves the pool on skinny-m/huge-n GEMMs (a [8, 72] × [72, 16384]
-	// product), so leftover workers split the j dimension too.
-	// Every C element's accumulation order over k is fixed by the matrix
-	// shapes alone — never by the chunk a worker owns — so the result
-	// stays bitwise identical to the serial kernel for any grid.
-	rows := min(workers, m)
-	cols := 1
-	if rows < workers && n >= 2*minJChunk {
-		cols = (workers + rows - 1) / rows
-		if maxCols := n / minJChunk; cols > maxCols {
-			cols = maxCols
-		}
-	}
-	rowChunk := (m + rows - 1) / rows
-	// Round the j chunk up to a multiple of 8 (one 64-byte cache line of
-	// C) so adjacent workers do not false-share row segments.
-	jChunk := (n + cols - 1) / cols
-	jChunk = (jChunk + 7) &^ 7
-
+	rowChunk, jChunk := gemmGrid(m, n, workers)
 	rowChunks := (m + rowChunk - 1) / rowChunk
 	colChunks := (n + jChunk - 1) / jChunk
 	ForEach(rowChunks*colChunks, workers, func(_, chunk int) {
@@ -119,14 +99,33 @@ func Gemm(transA, transB bool, alpha float64, a, b *Tensor, beta float64, c *Ten
 	})
 }
 
+// gemmGrid partitions C [m, n] into a grid of chunks, rowChunk rows by
+// jChunk columns, for up to workers workers. Row splitting alone starves
+// the pool on skinny-m/huge-n GEMMs (a [8, 72] × [72, 16384] product), so
+// leftover workers split the j dimension too. Every C element's
+// accumulation order over k is fixed by the matrix shapes alone — never
+// by the chunk a worker owns — so the result stays bitwise identical to
+// the serial kernel for any grid. Rows are handed out in pairs, so that a
+// chunk ends on a lone row only at the bottom of C.
+func gemmGrid(m, n, workers int) (rowChunk, jChunk int) {
+	rows := min(workers, (m+1)/2)
+	cols := 1
+	if rows < workers && n >= 2*minJChunk {
+		cols = min((workers+rows-1)/rows, n/minJChunk)
+	}
+	// Round the j chunk up to a multiple of 8 (one 64-byte cache line of
+	// C) so adjacent workers do not false-share row segments.
+	return ((m+rows-1)/rows + 1) &^ 1, ((n+cols-1)/cols + 7) &^ 7
+}
+
 // gemmPanels accumulates the C block rows [lo,hi) × columns [jLo,jHi)
 // with the row kernels of axpy.go — or, with first set, writes it, each
 // element starting from +0. The per-element accumulation order — k taken
 // in pairs with a single trailing step for NN and TN, the fixed 16-stripe
 // tree for NT — depends only on the matrix shapes, never on the block
-// bounds or on whether an element's row went through a kernel paired or
-// alone, so any grid partition of C reproduces the serial result
-// bitwise.
+// bounds or on whether an element's row went through a kernel with
+// another row or paired with itself, so any grid partition of C
+// reproduces the serial result bitwise.
 func gemmPanels(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo, jHi, k int, first bool) {
 	m, n := c.Shape[0], c.Shape[1]
 	ad, bd, cd := a.Data, b.Data, c.Data
@@ -137,7 +136,8 @@ func gemmPanels(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo
 		// even, so the pairs are the same (0,1),(2,3),… whatever the
 		// panel. The panel's scaled A coefficients are gathered first —
 		// along a row of A, or down two adjacent columns when A is
-		// transposed — which is all that differs between NN and TN.
+		// transposed — which is all that differs between NN and TN. The
+		// last row of an odd block goes as a pair with itself, in place.
 		var ubuf [2 * kTile]float64
 		for j0 := jLo; j0 < jHi; j0 += nTile {
 			nj := min(nTile, jHi-j0)
@@ -149,33 +149,20 @@ func gemmPanels(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo
 				if first && p0 == 0 {
 					mode = writeTo
 				}
-				i := lo
-				for ; i+2 <= hi; i += 2 {
+				for i := lo; i < hi; i += 2 {
+					i1 := min(i+1, hi-1)
 					if transA {
 						for p := range u0 {
-							ap := ad[(p0+p)*m+i:][:2]
-							u0[p], u1[p] = alpha*ap[0], alpha*ap[1]
+							ap := ad[(p0+p)*m:]
+							u0[p], u1[p] = alpha*ap[i], alpha*ap[i1]
 						}
 					} else {
-						a0, a1 := ad[i*k+p0:][:kp], ad[(i+1)*k+p0:][:kp]
+						a0, a1 := ad[i*k+p0:][:kp], ad[i1*k+p0:][:kp]
 						for p := range u0 {
 							u0[p], u1[p] = alpha*a0[p], alpha*a1[p]
 						}
 					}
-					axpyRows2(u0, u1, &pn, cd[i*n+j0:][:nj], cd[(i+1)*n+j0:][:nj], mode)
-				}
-				if i < hi {
-					if transA {
-						for p := range u0 {
-							u0[p] = alpha * ad[(p0+p)*m+i]
-						}
-					} else {
-						ai := ad[i*k+p0:][:kp]
-						for p := range u0 {
-							u0[p] = alpha * ai[p]
-						}
-					}
-					axpyRows1(u0, &pn, cd[i*n+j0:][:nj], mode)
+					axpyRows2(u0, u1, &pn, cd[i*n+j0:][:nj], cd[i1*n+j0:][:nj], mode)
 				}
 			}
 		}
@@ -184,8 +171,7 @@ func gemmPanels(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo
 		// fixed 16-stripe reduction tree (see dot). The span's B rows go
 		// to dotPanel2 kTile at a time, a one-segment panel with row j at
 		// taps[j] = j·k, against each pair of A rows; the last row of an
-		// odd block goes as a pair with itself, its second result into a
-		// spare that is declared, and cleared, only then.
+		// odd block goes as a pair with itself, in place.
 		var taps [kTile]int
 		for j := range taps[:min(kTile, jHi-jLo)] {
 			taps[j] = j * k
@@ -194,13 +180,8 @@ func gemmPanels(transA, transB bool, alpha float64, a, b, c *Tensor, lo, hi, jLo
 			nb := min(kTile, jHi-j0)
 			pn := panel{b: bd[j0*k : (j0+nb)*k], taps: taps[:nb], ldb: k, segs: 1, n: k}
 			for i := lo; i < hi; i += 2 {
-				a0, c0 := ad[i*k:][:k], cd[i*n+j0:][:nb]
-				if i+1 < hi {
-					dotPanel2(a0, ad[(i+1)*k:][:k], &pn, alpha, c0, cd[(i+1)*n+j0:][:nb], first)
-				} else {
-					var spare [kTile]float64
-					dotPanel2(a0, a0, &pn, alpha, c0, spare[:nb], first)
-				}
+				i1 := min(i+1, hi-1)
+				dotPanel2(ad[i*k:][:k], ad[i1*k:][:k], &pn, alpha, cd[i*n+j0:][:nb], cd[i1*n+j0:][:nb], first)
 			}
 		}
 	}

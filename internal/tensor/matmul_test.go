@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,8 +90,16 @@ func TestGemmSerialParallelBitwise(t *testing.T) {
 // TestGemmGridBitwise repeats the serial/parallel contract on shapes whose
 // FLOP counts clear the fan-out threshold with room to spare, so that the
 // row split, the j-split and a ragged j-split are each exercised through
-// the pool whatever the threshold is tuned to.
+// the pool whatever the threshold is tuned to. The grid hands out whole
+// row pairs, so that only the bottom chunk of C ends on a lone row.
 func TestGemmGridBitwise(t *testing.T) {
+	for _, m := range []int{1, 2, 3, 5, 13, 51, 65} {
+		for workers := 2; workers <= 4; workers++ {
+			if rowChunk, _ := gemmGrid(m, 4099, workers); rowChunk%2 != 0 {
+				t.Fatalf("m=%d workers=%d: row chunks of %d rows", m, workers, rowChunk)
+			}
+		}
+	}
 	defer SetParallelism(SetParallelism(1))
 	for _, sh := range []struct{ m, k, n int }{
 		{65, 300, 129}, // row split, odd everything
@@ -174,10 +183,12 @@ func TestGemmAccelMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestRowKernelsMatchTwins runs the accelerated axpy row kernels against
-// their Go twins directly, at lengths around every strip boundary, in all
-// three modes, writing over a NaN-poisoned C. (The dot kernel's cases are
-// in TestPanelKernelsMatchTwins.)
+// TestRowKernelsMatchTwins runs the accelerated axpy row kernel against
+// its Go twin directly, at lengths around every strip boundary, in all
+// three modes, over a NaN-poisoned C: for a pair of rows, and for a lone
+// row paired with itself in place (c1 = c0, u1 = u0), which must give row
+// 0 of the pair. (The dot kernel's cases are in
+// TestPanelKernelsMatchTwins.)
 func TestRowKernelsMatchTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, kp := range []int{1, 2, 3, 16, 17, 33} {
@@ -188,27 +199,27 @@ func TestRowKernelsMatchTwins(t *testing.T) {
 			pn := &panel{b: b, ldb: ldb, segs: 1, n: nj, ldc: nj}
 			for _, mode := range []cmode{addTo, writeTo, foldInto} {
 				base0, base1 := Randn(rng, 1, nj).Data, Randn(rng, 1, nj).Data
-				if mode == writeTo {
-					base0[0], base1[nj-1] = math.NaN(), math.NaN()
-				}
-				got0, got1 := append([]float64(nil), base0...), append([]float64(nil), base1...)
-				want0, want1 := append([]float64(nil), base0...), append([]float64(nil), base1...)
+				base0[0], base1[nj-1] = math.NaN(), math.NaN()
+				got0, got1 := slices.Clone(base0), slices.Clone(base1)
+				want0, want1 := slices.Clone(base0), slices.Clone(base1)
 				axpyRows2(u0, u1, pn, got0, got1, mode)
 				axpyRows2Generic(u0, u1, b, nil, ldb, want0, want1, mode)
-				got := append([]float64(nil), base0...)
-				want := append([]float64(nil), base0...)
-				axpyRows1(u0, pn, got, mode)
-				axpyRows1Generic(u0, b, nil, ldb, want, mode)
+				got, twin := slices.Clone(base0), slices.Clone(base0)
+				axpyRows2(u0, u0, pn, got, got, mode)
+				axpyRows2Generic(u0, u0, b, nil, ldb, twin, twin, mode)
 				for j := 0; j < nj; j++ {
-					if !sameBits(got0[j], want0[j]) || !sameBits(got1[j], want1[j]) || !sameBits(got[j], want[j]) {
-						t.Fatalf("axpyRows kp=%d nj=%d mode=%d differs at column %d", kp, nj, mode, j)
+					if !sameBits(got0[j], want0[j]) || !sameBits(got1[j], want1[j]) {
+						t.Fatalf("axpyRows2 kp=%d nj=%d mode=%d differs at column %d", kp, nj, mode, j)
+					}
+					if !sameBits(got[j], want0[j]) || !sameBits(twin[j], want0[j]) {
+						t.Fatalf("axpyRows2 in place kp=%d nj=%d mode=%d: column %d is not row 0 of the pair", kp, nj, mode, j)
 					}
 				}
 				if mode == foldInto {
 					// The fold adds the finished sum: compare with writing
 					// it and adding it.
 					s0 := make([]float64, nj)
-					axpyRows1Generic(u0, b, nil, ldb, s0, writeTo)
+					axpyRows2Generic(u0, u0, b, nil, ldb, s0, s0, writeTo)
 					for j := range s0 {
 						if !sameBits(got[j], base0[j]+s0[j]) {
 							t.Fatalf("foldInto kp=%d nj=%d: column %d is not C + (+0 + Σ)", kp, nj, j)
@@ -216,7 +227,6 @@ func TestRowKernelsMatchTwins(t *testing.T) {
 					}
 				}
 			}
-
 		}
 	}
 }
@@ -244,17 +254,24 @@ func TestPanelKernelsMatchTwins(t *testing.T) {
 				u0, u1 := Randn(rng, 1, kp).Data, Randn(rng, 1, kp).Data
 				for _, mode := range []cmode{addTo, writeTo, foldInto} {
 					c0, c1 := Randn(rng, 1, segs*ldc).Data, Randn(rng, 1, segs*ldc).Data
-					got0, got1 := append([]float64(nil), c0...), append([]float64(nil), c1...)
-					want0, want1 := append([]float64(nil), c0...), append([]float64(nil), c1...)
+					c0[0], c1[segs*ldc-2] = math.NaN(), math.NaN()
+					got0, got1 := slices.Clone(c0), slices.Clone(c1)
+					want0, want1 := slices.Clone(c0), slices.Clone(c1)
 					axpyRows2(u0, u1, pn, got0, got1, mode)
-					got := append([]float64(nil), c0...)
-					axpyRows1(u0, pn, got, mode)
+					// A lone row, paired with itself in place.
+					got, twin := slices.Clone(c0), slices.Clone(c0)
+					axpyRows2(u0, u0, pn, got, got, mode)
 					for r := 0; r < segs; r++ {
 						axpyRows2Generic(u0, u1, b[r*ldb:], taps, ldb, want0[r*ldc:r*ldc+n], want1[r*ldc:r*ldc+n], mode)
+						tr := twin[r*ldc : r*ldc+n]
+						axpyRows2Generic(u0, u0, b[r*ldb:], taps, ldb, tr, tr, mode)
 					}
 					for j := range want0 {
-						if !sameBits(got0[j], want0[j]) || !sameBits(got1[j], want1[j]) || !sameBits(got[j], want0[j]) {
-							t.Fatalf("axpyRows n=%d segs=%d kp=%d mode=%d differs at %d", n, segs, kp, mode, j)
+						if !sameBits(got0[j], want0[j]) || !sameBits(got1[j], want1[j]) {
+							t.Fatalf("axpyRows2 n=%d segs=%d kp=%d mode=%d differs at %d", n, segs, kp, mode, j)
+						}
+						if !sameBits(got[j], want0[j]) || !sameBits(twin[j], want0[j]) {
+							t.Fatalf("axpyRows2 in place n=%d segs=%d kp=%d mode=%d: %d is not row 0 of the pair", n, segs, kp, mode, j)
 						}
 					}
 				}
@@ -298,8 +315,8 @@ func TestPanelKernelsMatchTwins(t *testing.T) {
 // checkDotPanel runs dotPanel2 over pn, whose B_j gathered into one
 // contiguous row is rows[j], against the frozen refDot: for alpha 1 and
 // −0.5, accumulating into C and (first set) writing over a NaN-poisoned
-// C, for a pair of A rows and for a0 paired with itself, its second
-// result into a spare.
+// C, for a pair of A rows and for a0 paired with itself in place (c1 =
+// c0), which must give row 0 of the pair.
 func checkDotPanel(t *testing.T, what string, rng *rand.Rand, a0, a1 []float64, pn *panel, rows [][]float64) {
 	t.Helper()
 	nb := len(rows)
@@ -309,9 +326,9 @@ func checkDotPanel(t *testing.T, what string, rng *rand.Rand, a0, a1 []float64, 
 			if first {
 				c[0], c[nb-1] = math.NaN(), math.NaN()
 			}
-			g0, g1, g := append([]float64(nil), c...), append([]float64(nil), c...), append([]float64(nil), c...)
+			g0, g1, g := slices.Clone(c), slices.Clone(c), slices.Clone(c)
 			dotPanel2(a0, a1, pn, alpha, g0, g1, first)
-			dotPanel2(a0, a0, pn, alpha, g, make([]float64, nb), first)
+			dotPanel2(a0, a0, pn, alpha, g, g, first)
 			for j, bj := range rows {
 				cj := c[j]
 				if first {
@@ -326,23 +343,43 @@ func checkDotPanel(t *testing.T, what string, rng *rand.Rand, a0, a1 []float64, 
 	}
 }
 
-// TestNTProductsDoNotAllocate pins the stack tap table and the spare a
-// lone row's second result goes to: Gemm NT at odd m, over two kTile
-// blocks of B rows, and ConvPlaneFilterGrad at odd outC, over two kTile
-// panels of unfold rows, allocate nothing.
+// TestNTProductsDoNotAllocate pins the stack tap tables and coefficient
+// buffer of the row kernels, and that a lone row pairs with itself in
+// place rather than through a spare, at the shapes that end on one: Gemm
+// NT at odd m, over two kTile blocks of B rows, Gemm NN and TN at odd m,
+// over two kTile panels of k, ConvPlaneFilterGrad and ConvPlane at odd
+// outC and ConvPlaneInputGrad at odd c, over two kTile panels of unfold
+// rows, allocate nothing.
 func TestNTProductsDoNotAllocate(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
 	rng := rand.New(rand.NewSource(103))
 	a, b, c := Randn(rng, 1, 5, 40), Randn(rng, 1, kTile+44, 40), New(5, kTile+44)
-	if n := testing.AllocsPerRun(20, func() { Gemm(false, true, 1, a, b, 0, c) }); n != 0 {
-		t.Fatalf("Gemm NT at m=5 allocates %v times per call", n)
-	}
+	an, at := Randn(rng, 1, 5, kTile+44), Randn(rng, 1, kTile+44, 5)
+	bn, cn := Randn(rng, 1, kTile+44, 24), New(5, 24)
 	const outC, ch, ph, pw, k = 3, 30, 6, 6, 3
 	g := Randn(rng, 1, outC*(ph-k+1)*(pw-k+1)).Data
 	plane := Randn(rng, 1, ch*ph*pw).Data
 	dw := make([]float64, outC*ch*k*k)
-	if n := testing.AllocsPerRun(20, func() { ConvPlaneFilterGrad(g, outC, plane, ch, ph, pw, k, dw) }); n != 0 {
-		t.Fatalf("ConvPlaneFilterGrad at outC=3 allocates %v times per call", n)
+	w := Randn(rng, 1, outC*ch*k*k).Data
+	out := make([]float64, outC*(ph-k+1)*(pw-k+1))
+	// wt is Wᵀ [c·k·k, outC] for an odd c = 29 input channels.
+	const c29 = 29
+	wt := Randn(rng, 1, c29*k*k*outC).Data
+	scratch, dx := make([]float64, c29*ph*pw), make([]float64, c29*(ph-2)*(pw-2))
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Gemm NT at m=5", func() { Gemm(false, true, 1, a, b, 0, c) }},
+		{"Gemm NN at m=5", func() { Gemm(false, false, 1, an, bn, 0, cn) }},
+		{"Gemm TN at m=5", func() { Gemm(true, false, 1, at, bn, 0, cn) }},
+		{"ConvPlaneFilterGrad at outC=3", func() { ConvPlaneFilterGrad(g, outC, plane, ch, ph, pw, k, dw) }},
+		{"ConvPlane at outC=3", func() { ConvPlane(w, outC, plane, ch, ph, pw, k, out) }},
+		{"ConvPlaneInputGrad at c=29", func() { ConvPlaneInputGrad(wt, g, outC, c29, ph-2, pw-2, k, 1, scratch, dx) }},
+	} {
+		if n := testing.AllocsPerRun(20, tc.f); n != 0 {
+			t.Fatalf("%s allocates %v times per call", tc.name, n)
+		}
 	}
 }
 
