@@ -151,7 +151,12 @@ func (r *Static) Round() error {
 	states := make([]nn.State, len(sel))
 	errs := make([]error, len(sel))
 	tensor.ForEach(len(sel), tensor.Parallelism(), func(_, i int) {
-		states[i], errs[i] = r.train(r.setup, lvls[i], r.globals[lvls[i].global], clients[sel[i]].Data, seeds[i])
+		shard, err := clients[sel[i]].Shard()
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		states[i], errs[i] = r.train(r.setup, lvls[i], r.globals[lvls[i].global], shard, seeds[i])
 	})
 	updates := make([][]agg.Update, len(r.globals))
 	for i, c := range sel {
@@ -159,7 +164,7 @@ func (r *Static) Round() error {
 			return errs[i]
 		}
 		g := lvls[i].global
-		updates[g] = append(updates[g], agg.Update{State: states[i], Weight: float64(clients[c].Data.Len())})
+		updates[g] = append(updates[g], agg.Update{State: states[i], Weight: float64(clients[c].Samples())})
 	}
 	for g, ups := range updates {
 		if len(ups) == 0 {

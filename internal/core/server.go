@@ -69,10 +69,14 @@ type Config struct {
 	Observer *obs.Observer
 }
 
-// TrainResult is the outcome of one dispatch: the trained submodel state,
-// the sample count used as the aggregation weight, which pool member the
-// device actually trained (after on-device pruning), and whether the
-// device failed to fit any derivable member.
+// TrainResult is a flight's one result record: the trained submodel
+// state, the sample count used as the aggregation weight, which pool
+// member the device actually trained (after on-device pruning), and
+// whether the device failed to fit any derivable member. Server.Plan
+// forecasts it before training (Got, Failed, SentBytes, CodecTag);
+// execution fills the rest. A failed result carries no upload: the server
+// ledgers it against the sent member and reads only SentBytes and
+// CodecTag.
 type TrainResult struct {
 	State   nn.State
 	Samples int
@@ -131,6 +135,9 @@ type DownlinkSizer interface {
 }
 
 // Dispatch records one slot of one round, for communication accounting.
+// Record sets its outcome flags; Label reads them into the dispatch's one
+// outcome, and every count of outcomes (RoundStats, sched's commits, the
+// ledger summary) reads that label.
 type Dispatch struct {
 	Client    int
 	Sent, Got prune.Submodel
@@ -178,7 +185,30 @@ type Dispatch struct {
 	SentBytes, GotBytes int64
 }
 
-// RoundStats aggregates one round's communication ledger.
+// Label returns the dispatch's outcome as an obs.Outcome* label, in the
+// precedence docs/ROBUST.md fixes: Dropped > Failed > Rejected >
+// LateReused > Late > Clipped > Merged. It is the one place that order is
+// decided; every dispatch wears exactly one label.
+func (d Dispatch) Label() string {
+	switch {
+	case d.Dropped:
+		return obs.OutcomeDropped
+	case d.Failed:
+		return obs.OutcomeFailed
+	case d.Rejected:
+		return obs.OutcomeRejected
+	case d.LateReused:
+		return obs.OutcomeLateReused
+	case d.Late:
+		return obs.OutcomeLate
+	case d.Clipped:
+		return obs.OutcomeClipped
+	}
+	return obs.OutcomeMerged
+}
+
+// RoundStats aggregates one round's communication ledger. Its outcome
+// counts census the dispatches by Label.
 type RoundStats struct {
 	Round      int
 	Dispatches []Dispatch
@@ -202,6 +232,10 @@ type RoundStats struct {
 	// Clipped counts merged updates whose delta was norm-clipped before
 	// aggregation (see Dispatch.Clipped).
 	Clipped int
+	// Merged counts fresh merges, clipped ones included (Clipped ⊆
+	// Merged); Late counts discarded late uploads; Dropped and Failed count
+	// dispatches that returned nothing.
+	Merged, Late, Dropped, Failed int
 	// DownEncodedOnce / DownReserved / DownNotModified census the
 	// dispatches by downlink serving path (see Dispatch.DownPath; all zero
 	// when the server is not hashing snapshots). DownEncodedOnce bounds
@@ -210,11 +244,12 @@ type RoundStats struct {
 	DownEncodedOnce, DownReserved, DownNotModified int
 }
 
-// Add appends d to the ledger and folds it into the round totals. Failed
-// and dropped dispatches waste the full sent size; late uploads moved
-// bytes over the wire but count no returned parameters (they were not
-// aggregated, so they are waste in the paper's metric) — unless they were
-// banked and reused, in which case the parameters did useful work.
+// Add appends d to the ledger, counts it under its Label and folds it into
+// the round totals. Failed and dropped dispatches waste the full sent
+// size; rejected and late uploads moved bytes over the wire but count no
+// returned parameters (they were not aggregated, so they are waste in the
+// paper's metric) — unless a late upload was banked and reused, in which
+// case the parameters did useful work.
 func (st *RoundStats) Add(d Dispatch) {
 	st.Dispatches = append(st.Dispatches, d)
 	st.SentParams += d.Sent.Size
@@ -230,26 +265,35 @@ func (st *RoundStats) Add(d Dispatch) {
 	if d.TrainSkipped {
 		st.TrainSkipped++
 	}
-	if d.LateReused {
-		st.LateReused++
-	}
-	if d.Failed || d.Dropped {
-		return
-	}
-	st.ReturnedBytes += d.GotBytes
-	if d.Rejected {
-		// The payload crossed the wire (bytes counted above) but was
-		// refused: no parameters did useful work.
+	returned, useful := true, false
+	switch d.Label() {
+	case obs.OutcomeDropped:
+		st.Dropped++
+		returned = false
+	case obs.OutcomeFailed:
+		st.Failed++
+		returned = false
+	case obs.OutcomeRejected:
 		st.Rejected++
-		return
-	}
-	if d.Late && !d.LateReused {
-		return
-	}
-	if d.Clipped {
+	case obs.OutcomeLate:
+		st.Late++
+	case obs.OutcomeLateReused:
+		st.LateReused++
+		useful = true
+	case obs.OutcomeClipped:
 		st.Clipped++
+		st.Merged++
+		useful = true
+	case obs.OutcomeMerged:
+		st.Merged++
+		useful = true
 	}
-	st.ReturnedParams += d.Got.Size
+	if returned {
+		st.ReturnedBytes += d.GotBytes
+	}
+	if useful {
+		st.ReturnedParams += d.Got.Size
+	}
 }
 
 // Server is the AdaptiveFL cloud server.
@@ -484,24 +528,6 @@ func (s *Server) SubmodelByName(name string) (*models.Model, error) {
 	return nil, fmt.Errorf("core: no pool member %q", name)
 }
 
-// localResult carries one slot's training outcome back to the server.
-type localResult struct {
-	state     nn.State
-	samples   int
-	got       prune.Submodel
-	failed    bool
-	sentBytes int64
-	gotBytes  int64
-	codec     string
-	// skipped marks a result finalised from the flight's plan without
-	// training (the dropout was sealed before training could be observed).
-	skipped bool
-	// rejected marks an upload whose payload failed to decode: the bytes
-	// are ledgered (gotBytes) but state is nil and must not aggregate.
-	rejected bool
-	err      error
-}
-
 // Slot is one planned dispatch: the selected client, the pool member to
 // send, and the local-training seed.
 type Slot struct {
@@ -510,9 +536,12 @@ type Slot struct {
 	Seed   int64
 }
 
-// Flight is one in-flight dispatch: issued via OpenFlight, executed via
-// Execute (synchronously) or ExecuteAsync (on an Executor, joined via
-// Wait), and finalised via Release/Record. The event-driven scheduler
+// Flight is one in-flight dispatch: issued via OpenFlight, planned via
+// Plan (in-process flights), executed via Execute (synchronously) or
+// ExecuteAsync (on an Executor, joined via Wait), and finalised via
+// Release/Record. Its plan and its executed result are both TrainResults;
+// beside them it keeps only its own training error and whether the plan
+// finalised it without training. The event-driven scheduler
 // (internal/sched), which runs every round, keeps flights open across
 // virtual time, executes them lazily while the virtual clock advances,
 // and records them in slot order at a barrier (sync) or out of order
@@ -523,7 +552,14 @@ type Flight struct {
 	// Version is the global-model version the dispatch was cut from; the
 	// difference to the version at merge time is the update's staleness.
 	Version int
-	res     localResult
+	// res is the executed result and err its training error; a flight
+	// finalised without training copies its plan into res.
+	res TrainResult
+	err error
+	// skipped marks a flight SkipFlight finalised from its plan: the
+	// dropout was sealed before training could be observed (ledgered as
+	// TrainSkipped unless the device fit no member).
+	skipped bool
 
 	// global is the state snapshot the dispatch trains from, captured at
 	// open time. Aggregation replaces the server's state rather than
@@ -540,8 +576,8 @@ type Flight struct {
 	// that already holds the artifact is a not-modified revalidation.
 	downPath string
 	// plan, when non-nil, is the pre-training forecast of the dispatch's
-	// ledger shape (Server.Plan).
-	plan *FlightPlan
+	// result (Server.Plan).
+	plan *TrainResult
 	// sent is the dispatched state when SentBytesBound already extracted
 	// it; trainRemote trains from it instead of extracting again.
 	sent nn.State
@@ -555,7 +591,7 @@ type Flight struct {
 }
 
 // Err reports the training error of an executed flight, if any.
-func (f *Flight) Err() error { return f.res.err }
+func (f *Flight) Err() error { return f.err }
 
 // Wait joins an asynchronous execution; it returns immediately for
 // synchronously executed or skip-finalised flights.
@@ -591,23 +627,21 @@ func (f *Flight) finalised() bool {
 // Dispatch returns the ledger view of a flight's outcome. The caller (or
 // Record) stamps Late/Dropped according to how the flight was finalised.
 // For a planned flight whose execution is still pending (a cancelled
-// deadline straggler), the view derives from planResult — identical,
-// field for field, to what the executed result would report for an
-// outcome that discards the trained weights, with TrainSkipped false
-// because whether the worker had already started is timing noise.
+// deadline straggler), the view derives from the plan — identical, field
+// for field, to what the executed result would report for an outcome that
+// discards the trained weights, with TrainSkipped false because whether
+// the worker had already started is timing noise.
 func (f *Flight) Dispatch() Dispatch {
-	var res localResult
+	res := &f.res
 	if f.plan != nil && !f.finalised() {
-		// res must not be touched here: a cancelled worker may still be
+		// f.res must not be touched here: a cancelled worker may still be
 		// writing it.
-		res = f.planResult(false)
-	} else {
-		res = f.res
+		res = f.plan
 	}
-	return Dispatch{Client: f.Slot.Client, Sent: f.Slot.Sent, Got: res.got,
-		Failed: res.failed, Codec: res.codec, DownPath: f.downPath,
-		SentBytes: res.sentBytes, GotBytes: res.gotBytes,
-		TrainSkipped: res.skipped, Rejected: res.rejected}
+	return Dispatch{Client: f.Slot.Client, Sent: f.Slot.Sent, Got: res.Got,
+		Failed: res.Failed, Codec: res.CodecTag, DownPath: f.downPath,
+		SentBytes: res.SentBytes, GotBytes: res.GotBytes,
+		TrainSkipped: f.skipped, Rejected: res.Rejected}
 }
 
 // PlanSlots runs Algorithm 1's selection phase for up to k dispatches over
@@ -762,40 +796,28 @@ func (s *Server) OpenFlight(sl Slot) *Flight {
 	return f
 }
 
-// FlightPlan is the pre-training forecast of a dispatch's ledger shape:
-// everything the cost model and the ledger can know before (or without)
-// running local training. In-process execution resolves it from the
-// device's capacity draw; networked trainers cannot (the pruning decision
-// happens on the device), so planning is an in-process capability.
-type FlightPlan struct {
-	// Got is the pool member the device will train after on-device
-	// pruning (Sent when Failed).
-	Got    prune.Submodel
-	Failed bool
-	// SentBytes is the encoded downlink size (0 without a codec).
-	SentBytes int64
-	// Codec is the wire codec tag ("" without a codec).
-	Codec string
-}
-
 // Plan resolves an in-process flight's on-device pruning decision ahead
 // of training: one capacity draw per dispatch, in dispatch order, on the
-// opener's goroutine. Execute trains the member the plan resolved, so
+// opener's goroutine. The plan is the flight's result as far as the cost
+// model and the ledger can know it before (or without) running local
+// training: Got (the sent member when Failed), Failed, and, with a codec,
+// SentBytes and CodecTag. Execute trains the member the plan resolved, so
 // every in-process flight must be planned before it executes. Returns
-// (nil, nil) for a custom trainer (RoundTrainer's non-nil result), which
-// owns the capacity draw.
-func (s *Server) Plan(trainer Trainer, f *Flight) (*FlightPlan, error) {
+// (nil, nil) for a custom trainer (RoundTrainer's non-nil result): the
+// pruning decision happens on the device, so planning is an in-process
+// capability.
+func (s *Server) Plan(trainer Trainer, f *Flight) (*TrainResult, error) {
 	if trainer != nil {
 		return nil, nil
 	}
 	client := s.pop.Client(f.Slot.Client)
 	got, fit := s.pool.LargestFit(f.Slot.Sent, client.Device.Capacity())
-	pl := &FlightPlan{Got: got, Failed: !fit}
+	pl := &TrainResult{Got: got, Failed: !fit}
 	if !fit {
 		pl.Got = f.Slot.Sent
 	}
 	if s.cfg.Codec != nil {
-		pl.Codec = s.cfg.Codec.Tag()
+		pl.CodecTag = s.cfg.Codec.Tag()
 		art, err := s.artifact(f.snap, f.global, f.Slot.Sent)
 		if err != nil {
 			return nil, err
@@ -827,20 +849,7 @@ func (s *Server) SentBytesBound(trainer Trainer, f *Flight) (int64, error) {
 // producing it. Capacity failures are finalised the same way (they never
 // trained) but are not counted as skips.
 func (s *Server) SkipFlight(f *Flight) {
-	f.res = f.planResult(true)
-	f.resolved = true
-}
-
-// planResult is the plan-derived localResult an unexecuted flight
-// finalises with — the single place the plan-view/res-view field equality
-// lives. skipped marks deterministic plan-time skips (ledgered); racy
-// cancellation skips pass false so timing never shows in the ledger.
-// Capacity failures never had training to skip either way.
-func (f *Flight) planResult(skipped bool) localResult {
-	pl := f.plan
-	return localResult{failed: pl.Failed, got: pl.Got,
-		sentBytes: pl.SentBytes, codec: pl.Codec,
-		skipped: skipped && !pl.Failed}
+	f.res, f.skipped, f.resolved = *f.plan, !f.plan.Failed, true
 }
 
 // Execute runs the flight's local training (Steps 4-5 of Algorithm 1)
@@ -849,22 +858,23 @@ func (f *Flight) planResult(skipped bool) localResult {
 // concurrently.
 func (s *Server) Execute(trainer Trainer, f *Flight) {
 	if trainer == nil {
-		f.res = s.trainPlanned(f)
+		f.res, f.err = s.trainPlanned(f)
 	} else {
-		f.res = s.trainRemote(trainer, f)
+		f.res, f.err = s.trainRemote(trainer, f)
 	}
 	f.resolved = true
 }
 
 // ExecuteAsync enqueues the flight's training on the executor; Wait joins
 // it. A flight cancelled before a worker picks it up skips training and
-// finalises from its plan.
+// finalises from its plan, unledgered as a skip: whether the worker had
+// already started is timing noise.
 func (s *Server) ExecuteAsync(x *Executor, trainer Trainer, f *Flight) {
 	f.done = make(chan struct{})
 	x.run(func() {
 		defer close(f.done)
 		if f.cancelled.Load() && f.plan != nil {
-			f.res = f.planResult(false)
+			f.res = *f.plan
 			x.skipped.Add(1)
 			return
 		}
@@ -963,7 +973,7 @@ func (s *Server) Record(f *Flight, oc Outcome) (Dispatch, *agg.Update) {
 	// smallest member so the selector learns to avoid the client.
 	rejected := d.Rejected
 	if !rejected && (oc == Merged || oc == LateReused) {
-		rejected = f.res.samples <= 0 || !StateFinite(f.res.state)
+		rejected = f.res.Samples <= 0 || !StateFinite(f.res.State)
 	}
 	if rejected {
 		d.Rejected = true
@@ -986,7 +996,7 @@ func (s *Server) Record(f *Flight, oc Outcome) (Dispatch, *agg.Update) {
 	// Merged (and late-reused) outcomes consume the trained state: the
 	// caller must have joined the execution (Wait) before recording, and
 	// applies any staleness discount to the update's weight.
-	state := f.res.state
+	state := f.res.State
 	if s.clip != nil && oc == Merged {
 		// Record-time norm clipping against the dispatched reference at
 		// the update's own width. Fresh merges only: late-reused updates
@@ -1000,36 +1010,13 @@ func (s *Server) Record(f *Flight, oc Outcome) (Dispatch, *agg.Update) {
 			}
 		}
 	}
-	return d, &agg.Update{State: state, Weight: float64(f.res.samples)}
-}
-
-// SpanOutcome maps a recorded dispatch to its span outcome label. The
-// precedence mirrors Record: dropped > failed > rejected > late-reused >
-// late > clipped > merged — every dispatch wears exactly one label.
-func SpanOutcome(oc Outcome, d Dispatch) string {
-	if d.Failed || d.Dropped {
-		if d.Dropped {
-			return obs.OutcomeDropped
-		}
-		return obs.OutcomeFailed
-	}
-	if d.Rejected {
-		return obs.OutcomeRejected
-	}
-	switch oc {
-	case Late:
-		return obs.OutcomeLate
-	case LateReused:
-		return obs.OutcomeLateReused
-	}
-	if d.Clipped {
-		return obs.OutcomeClipped
-	}
-	return obs.OutcomeMerged
+	return d, &agg.Update{State: state, Weight: float64(f.res.Samples)}
 }
 
 // FlightSpan builds the observability span for a recorded flight: the
-// ledger facts plus the RL reward read back from the updated tables.
+// ledger facts, d's Label as the outcome, and the RL reward read back from
+// the updated tables; oc, the outcome Record was given, decides whether
+// the span carries the update's staleness.
 // The caller, which owns the virtual clock (internal/sched), fills the
 // timing fields. Call only with an
 // enabled observer — member names and the reward read are work the
@@ -1046,7 +1033,7 @@ func (s *Server) FlightSpan(f *Flight, d Dispatch, oc Outcome) obs.Span {
 		DownPath:     d.DownPath,
 		UpBytes:      d.GotBytes,
 		TrainSkipped: d.TrainSkipped,
-		Outcome:      SpanOutcome(oc, d),
+		Outcome:      d.Label(),
 	}
 	if !d.Failed && !d.Dropped {
 		sp.Got = d.Got.Name()
@@ -1106,26 +1093,25 @@ func (f *Flight) request(st nn.State) TrainRequest {
 // trainRemote hands one dispatch to a custom Trainer. The dispatch state
 // comes from the flight's captured snapshot, so lazily executed flights
 // train on the weights they were cut from even if later aggregations have
-// moved the server's state on.
-func (s *Server) trainRemote(trainer Trainer, f *Flight) localResult {
+// moved the server's state on. The trainer's result passes through, with
+// a failed one ledgered against the sent member.
+func (s *Server) trainRemote(trainer Trainer, f *Flight) (TrainResult, error) {
 	st := f.sent
 	f.sent = nil
 	if st == nil {
 		var err error
 		if st, err = s.pool.ExtractState(f.global, f.Slot.Sent); err != nil {
-			return localResult{err: err}
+			return TrainResult{}, err
 		}
 	}
 	res, err := trainer.Train(f.request(st))
 	if err != nil {
-		return localResult{err: err}
+		return TrainResult{}, err
 	}
 	if res.Failed {
-		return localResult{failed: true, got: f.Slot.Sent, sentBytes: res.SentBytes, codec: res.CodecTag}
+		res.Got = f.Slot.Sent
 	}
-	return localResult{state: res.State, samples: res.Samples, got: res.Got,
-		sentBytes: res.SentBytes, gotBytes: res.GotBytes, codec: res.CodecTag,
-		rejected: res.Rejected}
+	return res, nil
 }
 
 // trainPlanned executes an in-process flight: the capacity draw already
@@ -1134,49 +1120,50 @@ func (s *Server) trainRemote(trainer Trainer, f *Flight) localResult {
 // round-trip through the wire encoding — the dispatch state is the
 // artifact's decode, shared by every flight of the member — so the run
 // trains on, and aggregates, exactly what a networked device would see,
-// and the ledger carries the real encoded sizes.
-func (s *Server) trainPlanned(f *Flight) localResult {
+// and the ledger carries the real encoded sizes. The result is the plan
+// completed by the training.
+func (s *Server) trainPlanned(f *Flight) (TrainResult, error) {
 	pl := f.plan
 	if pl == nil {
-		return localResult{err: fmt.Errorf("core: flight %d executed without a plan", f.ID)}
+		return TrainResult{}, fmt.Errorf("core: flight %d executed without a plan", f.ID)
 	}
 	if pl.Failed {
-		return localResult{failed: true, got: f.Slot.Sent, sentBytes: pl.SentBytes, codec: pl.Codec}
+		return *pl, nil
 	}
 	shard, err := s.pop.Client(f.Slot.Client).Shard()
 	if err != nil {
-		return localResult{err: err}
+		return TrainResult{}, err
 	}
 	var sentState nn.State
 	if s.cfg.Codec != nil {
 		art, err := s.artifact(f.snap, f.global, f.Slot.Sent)
 		if err != nil {
-			return localResult{err: err}
+			return TrainResult{}, err
 		}
 		sentState = art.State
 	} else if sentState, err = s.pool.ExtractState(f.global, f.Slot.Sent); err != nil {
-		return localResult{err: err}
+		return TrainResult{}, err
 	}
 	step := DeviceStep{Model: s.cfg.Model, Train: s.cfg.Train, Adversary: s.cfg.Adversary,
 		Codec: s.cfg.Codec, Replays: &s.replays}
 	trained, up, err := step.Run(f.request(sentState), pl.Got, shard)
 	if err != nil {
-		return localResult{err: err}
+		return TrainResult{}, err
 	}
-	res := localResult{samples: shard.Len(), got: pl.Got, sentBytes: pl.SentBytes,
-		gotBytes: int64(len(up)), codec: pl.Codec}
+	res := *pl
+	res.Samples, res.GotBytes = shard.Len(), int64(len(up))
 	if s.cfg.Codec != nil {
 		// The uplink reference is the decoded dispatched state — the same
 		// tensor a device agent diffs against. A garbage payload still
 		// crossed the uplink: the bytes are real, the update is not, so a
 		// decode failure is a ledgered rejection, not a run error.
 		if trained, err = s.cfg.Codec.Decode(up, sentState); err != nil {
-			res.rejected = true
-			return res
+			res.Rejected = true
+			return res, nil
 		}
 	}
-	res.state = trained
-	return res
+	res.State = trained
+	return res, nil
 }
 
 // TotalWireBytes sums the encoded payload sizes across the recorded

@@ -54,22 +54,22 @@ func TestRoundStatsAdd(t *testing.T) {
 		{
 			name: "merged",
 			d:    Dispatch{Sent: sub(100), Got: sub(40), SentBytes: 800, GotBytes: 320},
-			want: RoundStats{SentParams: 100, ReturnedParams: 40, SentBytes: 800, ReturnedBytes: 320},
+			want: RoundStats{SentParams: 100, ReturnedParams: 40, SentBytes: 800, ReturnedBytes: 320, Merged: 1},
 		},
 		{
 			name: "failed wastes the full sent size",
 			d:    Dispatch{Sent: sub(100), Got: sub(40), Failed: true, SentBytes: 800, GotBytes: 320},
-			want: RoundStats{SentParams: 100, SentBytes: 800},
+			want: RoundStats{SentParams: 100, SentBytes: 800, Failed: 1},
 		},
 		{
 			name: "dropped returns nothing",
 			d:    Dispatch{Sent: sub(100), Got: sub(40), Dropped: true},
-			want: RoundStats{SentParams: 100},
+			want: RoundStats{SentParams: 100, Dropped: 1},
 		},
 		{
 			name: "late discarded counts bytes but no params",
 			d:    Dispatch{Sent: sub(100), Got: sub(40), Late: true, GotBytes: 320},
-			want: RoundStats{SentParams: 100, ReturnedBytes: 320},
+			want: RoundStats{SentParams: 100, ReturnedBytes: 320, Late: 1},
 		},
 		{
 			name: "late reused counts params as useful work",
@@ -79,7 +79,22 @@ func TestRoundStatsAdd(t *testing.T) {
 		{
 			name: "train skipped still moves its bytes",
 			d:    Dispatch{Sent: sub(100), Got: sub(40), TrainSkipped: true, Dropped: true, SentBytes: 800},
-			want: RoundStats{SentParams: 100, SentBytes: 800, TrainSkipped: 1},
+			want: RoundStats{SentParams: 100, SentBytes: 800, TrainSkipped: 1, Dropped: 1},
+		},
+		{
+			name: "rejected counts bytes but no params",
+			d:    Dispatch{Sent: sub(100), Got: sub(40), Rejected: true, Late: true, GotBytes: 320},
+			want: RoundStats{SentParams: 100, ReturnedBytes: 320, Rejected: 1},
+		},
+		{
+			name: "clipped is a merge",
+			d:    Dispatch{Sent: sub(100), Got: sub(40), Clipped: true, GotBytes: 320},
+			want: RoundStats{SentParams: 100, ReturnedParams: 40, ReturnedBytes: 320, Clipped: 1, Merged: 1},
+		},
+		{
+			name: "failed and dropped counts as dropped",
+			d:    Dispatch{Sent: sub(100), Got: sub(100), Failed: true, Dropped: true, SentBytes: 800},
+			want: RoundStats{SentParams: 100, SentBytes: 800, Dropped: 1},
 		},
 	}
 	for _, tc := range cases {
@@ -98,8 +113,8 @@ func TestRoundStatsAdd(t *testing.T) {
 	st.Add(Dispatch{Sent: sub(10), Got: sub(5), Late: true, LateReused: true})
 	st.Add(Dispatch{Sent: sub(10), Got: sub(5), Late: true, LateReused: true})
 	st.Add(Dispatch{Sent: sub(10), Got: sub(5), TrainSkipped: true, Dropped: true})
-	if st.LateReused != 2 || st.TrainSkipped != 1 {
-		t.Fatalf("counters: LateReused=%d TrainSkipped=%d; want 2, 1", st.LateReused, st.TrainSkipped)
+	if st.LateReused != 2 || st.TrainSkipped != 1 || st.Dropped != 1 {
+		t.Fatalf("counters: LateReused=%d TrainSkipped=%d Dropped=%d; want 2, 1, 1", st.LateReused, st.TrainSkipped, st.Dropped)
 	}
 	if st.SentParams != 30 || st.ReturnedParams != 10 {
 		t.Fatalf("params: sent=%d returned=%d; want 30, 10", st.SentParams, st.ReturnedParams)
@@ -112,5 +127,7 @@ func statsEqual(a, b RoundStats) bool {
 	return a.Round == b.Round &&
 		a.SentParams == b.SentParams && a.ReturnedParams == b.ReturnedParams &&
 		a.SentBytes == b.SentBytes && a.ReturnedBytes == b.ReturnedBytes &&
-		a.TrainSkipped == b.TrainSkipped && a.LateReused == b.LateReused
+		a.TrainSkipped == b.TrainSkipped && a.LateReused == b.LateReused &&
+		a.Rejected == b.Rejected && a.Clipped == b.Clipped &&
+		a.Merged == b.Merged && a.Late == b.Late && a.Dropped == b.Dropped && a.Failed == b.Failed
 }

@@ -285,16 +285,20 @@ func RunPopSim(w io.Writer, spec core.PopulationSpec, sc Scale, edges int, simSe
 	}
 	res.SimTime = hier.Clock()
 	res.WeightsHash = nn.HashState(hier.Global())
-	var ledger analyze.LedgerSummary
-	ledger.Policy = policy
-	ledger.HasDiscounts = true
+	var stats []core.RoundStats
+	var discountSum, stalenessExp float64
 	for _, ed := range eds {
 		res.EdgeCommits += len(ed.Eng.Commits())
 		res.RLRows += ed.Srv.Tables().Rows()
-		ledger.AddStats(ed.Srv.Stats())
-		ledger.DiscountSum += ed.Eng.DiscountSum()
-		ledger.StalenessExp = ed.Eng.StalenessExp()
+		stats = append(stats, ed.Srv.Stats()...)
+		discountSum += ed.Eng.DiscountSum()
+		stalenessExp = ed.Eng.StalenessExp()
 	}
+	ledger := analyze.SummarizeStats(stats)
+	ledger.Policy = policy
+	ledger.HasDiscounts = true
+	ledger.DiscountSum = discountSum
+	ledger.StalenessExp = stalenessExp
 	ledger.GlobalCommits = len(hier.Commits())
 	ledger.GlobalStalenessExp = hier.StalenessExp()
 	ledger.GlobalDiscountSum = hier.DiscountSum()

@@ -244,22 +244,47 @@ func (a *Agent) acceptsCodec(tag string) bool {
 	return false
 }
 
-// countingWriter tallies response body bytes for the request metrics.
-type countingWriter struct {
-	http.ResponseWriter
-	n int64
+// reply is a train/negotiate response, built in full before any byte of
+// it is written, so the request's metrics land before the client can read
+// the response.
+type reply struct {
+	status int
+	ctype  string
+	body   []byte
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.ResponseWriter.Write(p)
-	c.n += int64(n)
-	return n, err
+// errReply is the reply http.Error would write.
+func errReply(err error, status int) reply {
+	return reply{status: status, ctype: "text/plain; charset=utf-8", body: []byte(err.Error() + "\n")}
+}
+
+// jsonReply encodes v as the 200 reply's JSON body.
+func jsonReply(v any) reply {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return errReply(err, http.StatusInternalServerError)
+	}
+	return reply{status: http.StatusOK, ctype: "application/json", body: buf.Bytes()}
+}
+
+// write sends the reply.
+func (rp reply) write(w http.ResponseWriter) {
+	h := w.Header()
+	h.Set("Content-Type", rp.ctype)
+	if rp.status != http.StatusOK {
+		h.Del("Content-Length")
+		h.Set("X-Content-Type-Options", "nosniff")
+	}
+	w.WriteHeader(rp.status)
+	w.Write(rp.body)
 }
 
 // ServeHTTP handles POST /train (a dispatch) and GET /train (codec
 // negotiation: the supported tag list). With Metrics set it additionally
 // serves GET /metrics (Prometheus text exposition), optionally the pprof
-// endpoints, and times every train/negotiate request.
+// endpoints, and times every train/negotiate request. A request is
+// recorded (metrics and wall log) before its response is written: the
+// latency covers reading and handling the request, not the body write.
 func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if a.Metrics != nil {
 		switch {
@@ -280,20 +305,16 @@ func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	wall := a.wall.Load()
-	if a.Metrics == nil && wall == nil {
-		a.serveTrain(w, r)
-		return
-	}
+	start := time.Now()
+	rp := a.serveTrain(w.Header(), r)
+	secs := time.Since(start).Seconds()
 	route := "train"
 	if r.Method == http.MethodGet {
 		route = "negotiate"
 	}
-	cw := &countingWriter{ResponseWriter: w}
-	start := time.Now()
-	a.serveTrain(cw, r)
-	secs := time.Since(start).Seconds()
+	respBytes := int64(len(rp.body))
 	if a.Metrics != nil {
-		a.Metrics.HTTPRequest(route, secs, r.ContentLength, cw.n)
+		a.Metrics.HTTPRequest(route, secs, r.ContentLength, respBytes)
 	}
 	if wall != nil {
 		flight, _ := strconv.ParseInt(r.Header.Get(FlightHeader), 10, 64)
@@ -304,63 +325,51 @@ func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		_ = wall.Record(obs.WallRecord{
 			Kind: obs.WallKind, Flight: flight, Side: "agent", Route: route,
 			Client: -1, Instance: a.instance, Seconds: secs,
-			ReqBytes: reqBytes, RespBytes: cw.n,
+			ReqBytes: reqBytes, RespBytes: respBytes,
 		})
 	}
+	rp.write(w)
 }
 
-// serveTrain is the train/negotiate handler body.
-func (a *Agent) serveTrain(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(instanceHeader, a.instance)
+// serveTrain is the train/negotiate handler body: it sets the correlation
+// headers and returns the reply to write.
+func (a *Agent) serveTrain(h http.Header, r *http.Request) reply {
+	h.Set(instanceHeader, a.instance)
 	if fl := r.Header.Get(FlightHeader); fl != "" {
 		// Echo the flight ID so the server can assert the correlation
 		// contract end to end.
-		w.Header().Set(FlightHeader, fl)
+		h.Set(FlightHeader, fl)
 	}
 	if r.Method == http.MethodGet {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(CodecList{Codecs: a.SupportedCodecs(), Instance: a.instance}); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
+		return jsonReply(CodecList{Codecs: a.SupportedCodecs(), Instance: a.instance})
 	}
 	if r.Method != http.MethodPost {
-		http.Error(w, "fednet: POST only", http.StatusMethodNotAllowed)
-		return
+		return errReply(errors.New("fednet: POST only"), http.StatusMethodNotAllowed)
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return errReply(err, http.StatusBadRequest)
 	}
 	var req TrainRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return errReply(err, http.StatusBadRequest)
 	}
 	resp, err := a.Train(req)
-	if err != nil {
+	switch {
+	case err == nil:
+		return jsonReply(resp)
+	case errors.Is(err, errCodecNotAccepted):
 		// A codec this agent does not speak is a negotiation problem, not a
 		// server error: 415 tells the trainer to re-negotiate and retry
 		// (the agent restarted with a different codec set).
-		if errors.Is(err, errCodecNotAccepted) {
-			http.Error(w, err.Error(), http.StatusUnsupportedMediaType)
-			return
-		}
+		return errReply(err, http.StatusUnsupportedMediaType)
+	case errors.Is(err, errArtifactNotHeld):
 		// A revalidation for an artifact this agent no longer holds is a
 		// cache-coherence problem, not a server error: 412 tells the
 		// trainer to forget the delivery and resend the full body.
-		if errors.Is(err, errArtifactNotHeld) {
-			http.Error(w, err.Error(), http.StatusPreconditionFailed)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return errReply(err, http.StatusPreconditionFailed)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	return errReply(err, http.StatusInternalServerError)
 }
 
 // Train executes one dispatch on this device: resource-aware pruning of

@@ -3,6 +3,7 @@ package fednet
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -157,5 +158,59 @@ func TestAgentMetrics(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("pprof served on an agent that did not opt in")
+	}
+}
+
+// recordingWriter checks, at the first body write, that the agent's
+// registry already counts the request being answered.
+type recordingWriter struct {
+	*httptest.ResponseRecorder
+	t       *testing.T
+	m       *obs.Metrics
+	key     string
+	want    float64
+	checked bool
+}
+
+func (w *recordingWriter) Write(p []byte) (int, error) {
+	if !w.checked {
+		w.checked = true
+		var buf strings.Builder
+		w.m.WritePrometheus(&buf)
+		if got := parsePrometheus(w.t, buf.String())[w.key]; got != w.want {
+			w.t.Errorf("%s = %v when the response body is written; want %v", w.key, got, w.want)
+		}
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestAgentRecordsBeforeResponding pins the order ServeHTTP keeps: a
+// served request is counted before any byte of its response is written,
+// so a client that has read the response and then scrapes sees it. It
+// drives a negotiation, a refused method and an undecodable dispatch.
+func TestAgentRecordsBeforeResponding(t *testing.T) {
+	m := obs.NewMetrics()
+	a := &Agent{Metrics: m, instance: "agent-test"}
+	reqs := []struct {
+		req    *http.Request
+		route  string
+		status int
+	}{
+		{httptest.NewRequest(http.MethodGet, "/train", nil), "negotiate", http.StatusOK},
+		{httptest.NewRequest(http.MethodPut, "/train", nil), "train", http.StatusMethodNotAllowed},
+		{httptest.NewRequest(http.MethodPost, "/train", strings.NewReader("{")), "train", http.StatusBadRequest},
+	}
+	served := map[string]float64{}
+	for _, rq := range reqs {
+		served[rq.route]++
+		w := &recordingWriter{ResponseRecorder: httptest.NewRecorder(), t: t, m: m,
+			key: `fl_http_requests_total{route="` + rq.route + `"}`, want: served[rq.route]}
+		a.ServeHTTP(w, rq.req)
+		if !w.checked {
+			t.Fatalf("%s %s: no response body written", rq.req.Method, rq.route)
+		}
+		if w.Code != rq.status {
+			t.Fatalf("%s %s: status %d; want %d", rq.req.Method, rq.route, w.Code, rq.status)
+		}
 	}
 }

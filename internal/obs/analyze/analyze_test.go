@@ -118,14 +118,18 @@ func hierarchyRun(t *testing.T) ([]byte, analyze.LedgerSummary) {
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var ledger analyze.LedgerSummary
+	var stats []core.RoundStats
+	var discountSum, stalenessExp float64
+	for _, ed := range h.Edges() {
+		stats = append(stats, ed.Srv.Stats()...)
+		discountSum += ed.Eng.DiscountSum()
+		stalenessExp = ed.Eng.StalenessExp()
+	}
+	ledger := analyze.SummarizeStats(stats)
 	ledger.Policy = "semiasync"
 	ledger.HasDiscounts = true
-	for _, ed := range h.Edges() {
-		ledger.AddStats(ed.Srv.Stats())
-		ledger.DiscountSum += ed.Eng.DiscountSum()
-		ledger.StalenessExp = ed.Eng.StalenessExp()
-	}
+	ledger.DiscountSum = discountSum
+	ledger.StalenessExp = stalenessExp
 	ledger.GlobalCommits = len(h.Commits())
 	ledger.GlobalStalenessExp = h.StalenessExp()
 	ledger.GlobalDiscountSum = h.DiscountSum()

@@ -81,14 +81,23 @@ type LedgerSummary struct {
 	LRUMade int64 `json:"lru_made,omitempty"`
 }
 
-// SummarizeStats folds a run's ledger entries into the summary's dispatch
-// and byte totals. Engine, hierarchy and LRU fields are the caller's to
-// fill — they live outside the ledger.
+// SummarizeStats adds up a run's ledger entries into the summary's
+// dispatch and byte totals: each entry's per-round counts (core.RoundStats
+// already censused its dispatches by Dispatch.Label). A hierarchy run
+// passes its edges' ledgers joined into one slice. Engine, hierarchy and
+// LRU fields are the caller's to fill — they live outside the ledger.
 func SummarizeStats(stats []core.RoundStats) LedgerSummary {
 	var s LedgerSummary
 	s.Commits = len(stats)
 	for _, st := range stats {
 		s.Dispatches += len(st.Dispatches)
+		s.Merged += st.Merged
+		s.Late += st.Late
+		s.LateReused += st.LateReused
+		s.Dropped += st.Dropped
+		s.Failed += st.Failed
+		s.Rejected += st.Rejected
+		s.Clipped += st.Clipped
 		s.TrainSkipped += st.TrainSkipped
 		s.SentBytes += st.SentBytes
 		s.ReturnedBytes += st.ReturnedBytes
@@ -97,50 +106,8 @@ func SummarizeStats(stats []core.RoundStats) LedgerSummary {
 		s.DownEncodedOnce += st.DownEncodedOnce
 		s.DownReserved += st.DownReserved
 		s.DownNotModified += st.DownNotModified
-		for _, d := range st.Dispatches {
-			switch {
-			case d.Dropped:
-				s.Dropped++
-			case d.Failed:
-				s.Failed++
-			case d.Rejected:
-				s.Rejected++
-			case d.LateReused:
-				s.LateReused++
-			case d.Late:
-				s.Late++
-			default:
-				if d.Clipped {
-					s.Clipped++
-				}
-				s.Merged++
-			}
-		}
 	}
 	return s
-}
-
-// AddStats folds further ledger entries into an existing summary (a
-// hierarchy run sums its edges' ledgers).
-func (s *LedgerSummary) AddStats(stats []core.RoundStats) {
-	o := SummarizeStats(stats)
-	s.Commits += o.Commits
-	s.Dispatches += o.Dispatches
-	s.Merged += o.Merged
-	s.Late += o.Late
-	s.LateReused += o.LateReused
-	s.Dropped += o.Dropped
-	s.Failed += o.Failed
-	s.Rejected += o.Rejected
-	s.Clipped += o.Clipped
-	s.TrainSkipped += o.TrainSkipped
-	s.DownEncodedOnce += o.DownEncodedOnce
-	s.DownReserved += o.DownReserved
-	s.DownNotModified += o.DownNotModified
-	s.SentBytes += o.SentBytes
-	s.ReturnedBytes += o.ReturnedBytes
-	s.SentParams += o.SentParams
-	s.ReturnedParams += o.ReturnedParams
 }
 
 // WriteFile serializes the summary as indented JSON.

@@ -269,7 +269,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	writeGauge(bw, "fl_exec_running", "Flight tasks currently executing.", &m.ExecRunning)
 	writeHistogramVec(bw, "fl_codec_seconds", "Wall-clock codec pass latency, by tag/op.", "op", m.CodecSeconds)
 	writeCounterVec(bw, "fl_codec_bytes_total", "Bytes through codec passes, by tag/op.", "op", m.CodecBytes)
-	writeHistogramVec(bw, "fl_http_request_seconds", "Wall-clock HTTP request latency, by route.", "route", m.HTTPSeconds)
+	writeHistogramVec(bw, "fl_http_request_seconds", "Wall-clock HTTP request latency, by route; an agent's latency excludes writing the response body.", "route", m.HTTPSeconds)
 	writeCounterVec(bw, "fl_http_requests_total", "HTTP requests served, by route.", "route", m.HTTPRequests)
 	writeCounter(bw, "fl_http_request_bytes_total", "HTTP request body bytes read.", &m.HTTPReqBytes)
 	writeCounter(bw, "fl_http_response_bytes_total", "HTTP response body bytes written.", &m.HTTPRespBytes)

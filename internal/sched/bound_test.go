@@ -81,10 +81,12 @@ func TestLaunchBoundBelowEvent(t *testing.T) {
 							dropTrain++
 						case w.Drops:
 							dropUp++
-						case d.Failed:
-							failed++
 						default:
-							trained++
+							if d.Failed {
+								failed++
+							} else {
+								trained++
+							}
 						}
 					}
 				}

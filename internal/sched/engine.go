@@ -420,7 +420,7 @@ func (e *Engine) launchFlights(trainer core.Trainer, open []*core.Flight) (_ []*
 			fl.t0, fl.eta, fl.pending = e.clock, e.launchBound(fl, sent), true
 			continue
 		}
-		upload := pl.Failed || pl.Codec == ""
+		upload := pl.Failed || pl.CodecTag == ""
 		e.price(fl, e.clock, upload)
 		if fl.drops || pl.Failed {
 			e.srv.SkipFlight(cf)
@@ -584,12 +584,12 @@ func (e *Engine) settleResidual(fl *flight) error {
 		return err
 	}
 	d, stale := e.settle(fl, core.LateReused, &e.accum, &e.bank)
-	switch {
-	case d.Failed:
+	switch d.Label() {
+	case obs.OutcomeFailed:
 		// A capacity failure that also straggled: nothing to reuse, the
 		// ledger entry is plain waste.
 		e.logf("%.3f late-failed c%d %s", e.clock, d.Client, d.Got.Name())
-	case d.Rejected:
+	case obs.OutcomeRejected:
 		e.logf("%.3f late-rejected c%d %s", e.clock, d.Client, d.Got.Name())
 	default:
 		e.logf("%.3f late-reuse c%d %s stale=%d", e.clock, d.Client, d.Got.Name(), stale)
@@ -612,32 +612,18 @@ func (e *Engine) launchBatch(slots []core.Slot) ([]*flight, error) {
 }
 
 // commitRecorded applies one aggregation from finalised dispatches and
-// logs it.
+// logs it. The commit's outcome counts are the ledger entry's own (stats
+// counts each dispatch under its Label as settle adds it); Merged counts
+// the updates applied, late-reused ones included.
 func (e *Engine) commitRecorded(round int, stats core.RoundStats, updates []agg.Update) (Commit, error) {
 	stats.Round = round
 	if err := e.srv.ApplyUpdates(updates); err != nil {
 		return Commit{}, fmt.Errorf("sched: t=%.3f round %d aggregate: %w", e.clock, round, err)
 	}
 	e.srv.PushStats(stats)
-	c := Commit{Round: round, Time: e.clock, Merged: len(updates)}
-	for _, d := range stats.Dispatches {
-		switch {
-		case d.Dropped:
-			c.Dropped++
-		case d.Failed:
-			c.Failed++
-		case d.Rejected:
-			c.Rejected++
-		case d.LateReused:
-			c.LateReused++
-		case d.Late:
-			c.Late++
-		default:
-			if d.Clipped {
-				c.Clipped++
-			}
-		}
-	}
+	c := Commit{Round: round, Time: e.clock, Merged: len(updates), Failed: stats.Failed,
+		Late: stats.Late, LateReused: stats.LateReused, Dropped: stats.Dropped,
+		Rejected: stats.Rejected, Clipped: stats.Clipped}
 	e.commits = append(e.commits, c)
 	// The rejected/clipped suffix appears only when nonzero: honest runs
 	// keep the pinned log line byte-identical to previous releases.

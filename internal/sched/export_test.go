@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"adaptivefl/internal/agg"
 	"adaptivefl/internal/core"
 	"adaptivefl/internal/prune"
 )
@@ -27,4 +28,10 @@ func (e *Engine) LaunchBoundAt(client int, sent prune.Submodel, sentBytes int64,
 	defer func() { e.clock = clock }()
 	e.clock = t0
 	return e.launchBound(&flight{d: core.Dispatch{Client: client, Sent: sent}}, sentBytes)
+}
+
+// CommitLedger is commitRecorded for a hand-built ledger entry: one
+// aggregation of updates, ledgered as stats under the next round number.
+func (e *Engine) CommitLedger(stats core.RoundStats, updates []agg.Update) (Commit, error) {
+	return e.commitRecorded(e.srv.NextRound(), stats, updates)
 }

@@ -282,14 +282,13 @@ func TestLazyShardsCutOnlyWhenFlightsTrain(t *testing.T) {
 	var failed, skipped int
 	for _, st := range srv.Stats() {
 		for _, d := range st.Dispatches {
-			switch {
-			case d.Failed:
+			if d.Failed {
 				failed++
 				idle[d.Client] = true
-			case d.TrainSkipped:
+			} else if d.TrainSkipped {
 				skipped++
 				idle[d.Client] = true
-			default:
+			} else {
 				trained[d.Client] = true
 			}
 		}
