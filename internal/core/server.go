@@ -128,8 +128,9 @@ type Trainer interface {
 // DownlinkSizer is a Trainer that can name, before training, a lower
 // bound on a dispatch's downlink size: whatever codec the dispatch ends
 // on, the SentBytes it ledgers is at least the returned size. Zero makes
-// no promise. state supplies the dispatched weights; it is called at most
-// once, and only when the size is not already known.
+// no promise. state supplies the dispatched weights, a fresh copy on
+// every call, which the sizer may keep or overwrite; it is called only
+// when the size is not already known.
 type DownlinkSizer interface {
 	DownlinkBytes(req TrainRequest, state func() (nn.State, error)) (int64, error)
 }
@@ -578,9 +579,6 @@ type Flight struct {
 	// plan, when non-nil, is the pre-training forecast of the dispatch's
 	// result (Server.Plan).
 	plan *TrainResult
-	// sent is the dispatched state when SentBytesBound already extracted
-	// it; trainRemote trains from it instead of extracting again.
-	sent nn.State
 	// done is closed when an async execution (or a cancellation skip)
 	// finalises res; nil for synchronously executed flights.
 	done      chan struct{}
@@ -745,7 +743,9 @@ func (s *Server) RoundTrainer(slots []Slot) (Trainer, error) {
 // artifact returns the dispatch artifact for a pool member of the given
 // snapshot from the server's content-addressed store, extracting and
 // encoding exactly once per (snapshot, member, codec) across all flights
-// and dispatch workers. Only valid with a codec configured.
+// and dispatch workers. The store owns the state each miss extracts and
+// rounds it in place into the artifact's State. Only valid with a codec
+// configured.
 func (s *Server) artifact(snap uint64, global nn.State, sub prune.Submodel) (*wire.Artifact, error) {
 	c := s.cfg.Codec
 	key := wire.ArtifactKey{Snapshot: snap, Member: sub.Index, Codec: c.Tag()}
@@ -837,9 +837,7 @@ func (s *Server) SentBytesBound(trainer Trainer, f *Flight) (int64, error) {
 		return 0, nil
 	}
 	return ds.DownlinkBytes(f.request(nil), func() (nn.State, error) {
-		st, err := s.pool.ExtractState(f.global, f.Slot.Sent)
-		f.sent = st
-		return st, err
+		return s.pool.ExtractState(f.global, f.Slot.Sent)
 	})
 }
 
@@ -1096,13 +1094,9 @@ func (f *Flight) request(st nn.State) TrainRequest {
 // moved the server's state on. The trainer's result passes through, with
 // a failed one ledgered against the sent member.
 func (s *Server) trainRemote(trainer Trainer, f *Flight) (TrainResult, error) {
-	st := f.sent
-	f.sent = nil
-	if st == nil {
-		var err error
-		if st, err = s.pool.ExtractState(f.global, f.Slot.Sent); err != nil {
-			return TrainResult{}, err
-		}
+	st, err := s.pool.ExtractState(f.global, f.Slot.Sent)
+	if err != nil {
+		return TrainResult{}, err
 	}
 	res, err := trainer.Train(f.request(st))
 	if err != nil {
@@ -1118,10 +1112,10 @@ func (s *Server) trainRemote(trainer Trainer, f *Flight) (TrainResult, error) {
 // happened at Plan time, so the device step goes straight to the resolved
 // member. With a codec configured, the dispatch and upload both
 // round-trip through the wire encoding — the dispatch state is the
-// artifact's decode, shared by every flight of the member — so the run
-// trains on, and aggregates, exactly what a networked device would see,
-// and the ledger carries the real encoded sizes. The result is the plan
-// completed by the training.
+// artifact's State, what its bytes decode to, shared by every flight of
+// the member — so the run trains on, and aggregates, exactly what a
+// networked device would see, and the ledger carries the real encoded
+// sizes. The result is the plan completed by the training.
 func (s *Server) trainPlanned(f *Flight) (TrainResult, error) {
 	pl := f.plan
 	if pl == nil {

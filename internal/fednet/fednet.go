@@ -678,9 +678,12 @@ func (t *HTTPTrainer) Train(req core.TrainRequest) (core.TrainResult, error) {
 // will ledger. The dispatch goes out in the client's negotiated codec, and
 // a 415 re-negotiation can move it onto any preferred codec, so the bound
 // is the smallest of those artifacts, each encoded once per (snapshot,
-// member, codec) in the store the dispatch itself is served from. A
-// re-negotiation that finds no preferred codec falls back to raw, the
-// bit-exact float64 baseline, which is not encoded for the bound:
+// member, codec) in the store the dispatch itself is served from. Each
+// artifact the store misses on is built from a state of its own, one call
+// of state per miss: the store rounds that state in place into the
+// artifact's State, so two codecs cannot share one. A re-negotiation that
+// finds no preferred codec falls back to raw, the bit-exact float64
+// baseline, which is not encoded for the bound:
 // TestRawNoSmallerThanCompactCodecs (internal/wire) holds it no smaller
 // than a compact codec's artifact (docs/WIRE.md, "Launch-time downlink
 // size"). Without a snapshot hash there is no key to size, and the bound
@@ -697,19 +700,10 @@ func (t *HTTPTrainer) DownlinkBytes(req core.TrainRequest, state func() (nn.Stat
 		}
 	}
 	t.mu.Unlock()
-	var st nn.State
-	stateOnce := func() (nn.State, error) {
-		if st != nil {
-			return st, nil
-		}
-		var err error
-		st, err = state()
-		return st, err
-	}
 	least := int64(-1)
 	for _, c := range codecs {
 		key := wire.ArtifactKey{Snapshot: req.Snapshot, Member: req.Sent.Index, Codec: c.Tag()}
-		art, err := t.artStore().Get(key, c, stateOnce)
+		art, err := t.artStore().Get(key, c, state)
 		if err != nil {
 			return 0, err
 		}
@@ -729,7 +723,10 @@ func (t *HTTPTrainer) dispatchOnce(req core.TrainRequest, allowCond bool) (core.
 	clientID := req.Client
 	codec := t.codecFor(clientID)
 	key := wire.ArtifactKey{Snapshot: req.Snapshot, Member: req.Sent.Index, Codec: codec.Tag()}
-	art, err := t.artStore().Get(key, codec, func() (nn.State, error) { return req.State, nil })
+	// The store rounds the state it is handed into the artifact's State,
+	// and a 415 re-negotiation re-encodes req.State, so a miss hands over
+	// a copy.
+	art, err := t.artStore().Get(key, codec, func() (nn.State, error) { return req.State.Clone(), nil })
 	if err != nil {
 		return core.TrainResult{}, 0, err
 	}

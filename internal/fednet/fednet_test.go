@@ -1,6 +1,9 @@
 package fednet
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +17,7 @@ import (
 	"adaptivefl/internal/nn"
 	"adaptivefl/internal/prune"
 	"adaptivefl/internal/sched"
+	"adaptivefl/internal/tensor"
 	"adaptivefl/internal/testbed"
 	"adaptivefl/internal/wire"
 )
@@ -423,10 +427,10 @@ func (c countingCodec) Decode(b []byte, ref nn.State) (nn.State, error) {
 
 // TestDownlinkRefCachedPerRound pins the artifact store behind the
 // downlink: with a reference-using codec (delta), repeated dispatches of
-// one member within one snapshot encode and decode the payload exactly
-// once (the artifact's round-trip), later dispatches revalidate bodyless
-// via If-None-Match, and a changed snapshot keys — and pays for — a fresh
-// artifact.
+// one member within one snapshot encode the payload exactly once and never
+// decode it (the artifact's State is built from the encoder's side), later
+// dispatches revalidate bodyless via If-None-Match, and a changed snapshot
+// keys — and pays for — a fresh artifact.
 func TestDownlinkRefCachedPerRound(t *testing.T) {
 	mcfg := testModelCfg()
 	clients := buildClients(t, 1)
@@ -467,8 +471,8 @@ func TestDownlinkRefCachedPerRound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := atomic.LoadInt32(&decodes); got != 1 {
-		t.Fatalf("snapshot decoded the downlink artifact %d times, want 1", got)
+	if got := atomic.LoadInt32(&decodes); got != 0 {
+		t.Fatalf("snapshot decoded the downlink artifact %d times, want 0", got)
 	}
 	if enc := tr.Artifacts().Encodes(); enc != 1 {
 		t.Fatalf("store encoded %d artifacts, want 1", enc)
@@ -496,10 +500,113 @@ func TestDownlinkRefCachedPerRound(t *testing.T) {
 	if _, err := tr.Train(core.TrainRequest{Client: 0, Sent: sent, State: st2, Seed: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt32(&decodes); got != 2 {
-		t.Fatalf("new snapshot did not re-decode (total %d decodes, want 2)", got)
+	if got := atomic.LoadInt32(&decodes); got != 0 {
+		t.Fatalf("new snapshot decoded the downlink artifact (total %d decodes, want 0)", got)
 	}
 	if enc := tr.Artifacts().Encodes(); enc != 2 {
 		t.Fatalf("store encoded %d artifacts after snapshot change, want 2", enc)
 	}
+}
+
+// requireSameBits fails unless got holds want's tensors with want's shapes
+// and bit patterns.
+func requireSameBits(t *testing.T, what string, got, want nn.State) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tensors, want %d", what, len(got), len(want))
+	}
+	for name, w := range want {
+		g := got[name]
+		if g == nil || !tensor.SameShape(g, w) {
+			t.Fatalf("%s: %q is %v, want shape %v", what, name, g, w.Shape)
+		}
+		for i := range w.Data {
+			if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
+				t.Fatalf("%s: %q[%d] = %v, want %v", what, name, i, g.Data[i], w.Data[i])
+			}
+		}
+	}
+}
+
+// TestDownlinkBytesStatePerCodec: the launch-time bound encodes an
+// artifact per preferred codec, and the store rounds each artifact's state
+// in place, so each codec must get a state of its own. Sharing one would
+// hand the second encode the first codec's rounding, and leave the first
+// artifact's State rounded by both.
+func TestDownlinkBytesStatePerCodec(t *testing.T) {
+	mcfg := testModelCfg()
+	clients := buildClients(t, 1)
+	agent, err := NewAgent(clients[0], mcfg, prune.Config{P: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(agent)
+	defer ts.Close()
+	tr := NewHTTPTrainer([]string{ts.URL}, agent.Pool, quickTrain())
+	codecs := []wire.Codec{wire.Q8{}, wire.F32{}}
+	tr.Negotiate(codecs...)
+
+	sent := agent.Pool.Smallest()
+	st, err := agent.Pool.ExtractState(buildGlobal(t, mcfg), sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := st.Clone()
+	calls := 0
+	req := core.TrainRequest{Client: 0, Sent: sent, Snapshot: nn.HashState(st)}
+	if _, err := tr.DownlinkBytes(req, func() (nn.State, error) { calls++; return st.Clone(), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(codecs) {
+		t.Fatalf("state called %d times for %d codec misses", calls, len(codecs))
+	}
+	requireSameBits(t, "the caller's state", st, orig)
+	for _, c := range codecs {
+		key := wire.ArtifactKey{Snapshot: req.Snapshot, Member: sent.Index, Codec: c.Tag()}
+		art, err := tr.Artifacts().Get(key, c, func() (nn.State, error) {
+			return nil, fmt.Errorf("%s artifact not resident", c.Tag())
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := c.Encode(orig, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(art.Bytes, direct) {
+			t.Fatalf("%s: artifact bytes differ from an encode of the dispatched state", c.Tag())
+		}
+		dec, err := c.Decode(art.Bytes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, c.Tag()+" artifact State", art.State, dec)
+	}
+}
+
+// TestTrainLeavesRequestState: a dispatch builds its artifact from a copy,
+// so the state the caller handed over comes back bit-identical — a 415
+// re-negotiation re-encodes it under another codec.
+func TestTrainLeavesRequestState(t *testing.T) {
+	mcfg := testModelCfg()
+	clients := buildClients(t, 1)
+	agent, err := NewAgent(clients[0], mcfg, prune.Config{P: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(agent)
+	defer ts.Close()
+	tr := NewHTTPTrainer([]string{ts.URL}, agent.Pool, quickTrain())
+	tr.Negotiate(wire.Q8{})
+
+	sent := agent.Pool.Smallest()
+	st, err := agent.Pool.ExtractState(buildGlobal(t, mcfg), sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := st.Clone()
+	if _, err := tr.Train(core.TrainRequest{Client: 0, Sent: sent, State: st, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, "req.State after Train", st, orig)
 }

@@ -29,8 +29,8 @@ func (k ArtifactKey) ETag() string {
 	return fmt.Sprintf("\"%016x-%d-%s\"", k.Snapshot, k.Member, k.Codec)
 }
 
-// Artifact is one cached encode: the wire bytes plus their decoded
-// round-trip. Both are shared across every consumer of the key —
+// Artifact is one cached encode: the wire bytes plus the state they
+// decode to. Both are shared across every consumer of the key —
 // read-only; a trainer that mutates State corrupts the cohort.
 type Artifact struct {
 	Key ArtifactKey
@@ -38,10 +38,12 @@ type Artifact struct {
 	// Codec.Encode of the extracted state would produce (the store pins
 	// this).
 	Bytes []byte
-	// State is the decoded round-trip of Bytes — exactly what a remote
-	// device would decode, so serving it to in-process trainers keeps
+	// State is, bit for bit, what Decode of Bytes returns — exactly what a
+	// remote device decodes, so serving it to in-process trainers keeps
 	// them bit-identical to HTTP ones. It is also the uplink reference
-	// both ends diff against for ref-using codecs.
+	// both ends diff against for ref-using codecs. The store computes it
+	// from the encoder's side, in the state stateFn returned, without
+	// inflating Bytes.
 	State nn.State
 }
 
@@ -85,7 +87,13 @@ func NewArtifactStore(capn int) *ArtifactStore {
 }
 
 // Get returns the artifact for key, encoding it at most once: on a miss,
-// stateFn supplies the state dict and c encodes it refless. Concurrent
+// stateFn supplies the state dict and c encodes it refless. The store owns
+// the state stateFn returns: it rounds its values in place to what the
+// bytes decode to and serves it as the artifact's State, so stateFn must
+// hand over a state no one else reads or writes. c may wrap a shipped
+// codec (a timing or fault-injecting wrapper): the round trip is that of
+// the shipped codec with c's tag, and a tag no shipped codec has is an
+// error. Concurrent
 // callers of the same key wait for the first one's artifact instead of
 // re-encoding, and share its error if it fails; a failed entry is dropped,
 // so the next Get tries again.
@@ -130,8 +138,13 @@ func (s *ArtifactStore) Get(key ArtifactKey, c Codec, stateFn func() (nn.State, 
 }
 
 // encodeArtifact builds the artifact for key: the refless encode of
-// stateFn's state and its decoded round-trip.
+// stateFn's state, which the shipped codec's round trip then turns into
+// the state the encode decodes to.
 func encodeArtifact(key ArtifactKey, c Codec, stateFn func() (nn.State, error)) (*Artifact, error) {
+	rt, ok := registry[c.Tag()]
+	if !ok {
+		return nil, fmt.Errorf("wire: codec %q is not shipped, so the artifact store cannot round-trip it", c.Tag())
+	}
 	st, err := stateFn()
 	if err != nil {
 		return nil, err
@@ -140,11 +153,10 @@ func encodeArtifact(key ArtifactKey, c Codec, stateFn func() (nn.State, error)) 
 	if err != nil {
 		return nil, err
 	}
-	dec, err := c.Decode(b, nil)
-	if err != nil {
+	if err := rt.roundTrip(st); err != nil {
 		return nil, err
 	}
-	return &Artifact{Key: key, Bytes: b, State: dec}, nil
+	return &Artifact{Key: key, Bytes: b, State: st}, nil
 }
 
 // Encodes reports how many artifacts the store has encoded (misses).

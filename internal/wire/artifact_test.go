@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -229,5 +230,176 @@ func TestArtifactDistinctKeysEncodeConcurrently(t *testing.T) {
 	wg.Wait()
 	if s.Encodes() != 2 || s.Len() != 2 {
 		t.Fatalf("Encodes() = %d, Len() = %d, want 2, 2", s.Encodes(), s.Len())
+	}
+}
+
+// encoderSide is what the artifact store serves for st: its refless
+// encode, then the shipped codec's round trip in place, on a copy.
+func encoderSide(c Codec, st nn.State) (nn.State, error) {
+	own := st.Clone()
+	if _, err := c.Encode(own, nil); err != nil {
+		return nil, err
+	}
+	if err := registry[c.Tag()].roundTrip(own); err != nil {
+		return nil, err
+	}
+	return own, nil
+}
+
+// decoderSide is what a device decodes from st's refless encode.
+func decoderSide(c Codec, st nn.State) (nn.State, error) {
+	b, err := c.Encode(st, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.Decode(b, nil)
+}
+
+// roundTripMismatch describes how the encoder-side state of st differs
+// from the decoder-side one under c, bit for bit and error for error, or
+// returns "" when they agree.
+func roundTripMismatch(c Codec, st nn.State) string {
+	got, gotErr := encoderSide(c, st)
+	want, wantErr := decoderSide(c, st)
+	if gotErr != nil || wantErr != nil {
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			return fmt.Sprintf("round trip err = %v, Decode err = %v", gotErr, wantErr)
+		}
+		return ""
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("round trip has %d tensors, Decode %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g := got[name]
+		if g == nil || !tensor.SameShape(g, w) {
+			return fmt.Sprintf("%q: round trip %v, Decode shape %v", name, g, w.Shape)
+		}
+		for i := range w.Data {
+			if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
+				return fmt.Sprintf("%q[%d]: round trip %v (%#016x), Decode %v (%#016x)",
+					name, i, g.Data[i], math.Float64bits(g.Data[i]), w.Data[i], math.Float64bits(w.Data[i]))
+			}
+		}
+	}
+	return ""
+}
+
+// roundTripCodecs is every shipped codec, delta at two densities: refless,
+// both must go dense.
+func roundTripCodecs() []Codec {
+	return append(allCodecs(), DeltaTopK{Density: 0.6, DenseCutoff: 0.9})
+}
+
+// roundTripEdgeStates are the values where a round trip computed beside
+// the decoder could drift from it, one case each.
+func roundTripEdgeStates() map[string]nn.State {
+	negZero := math.Copysign(0, -1)
+	vec := func(vals ...float64) *tensor.Tensor { return tensor.FromSlice(vals, len(vals)) }
+	nanPayload := math.Float64frombits(0x7ff0000000000001) // signalling, not the canonical NaN
+	return map[string]nn.State{
+		"empty state":  {},
+		"empty tensor": {"a": tensor.New(0, 4), "b": vec()},
+		"negative zero": {
+			"w": vec(negZero, 0, negZero, 1),
+			"z": vec(negZero, negZero),
+		},
+		// q8 rounds these to level −0; Decode's level is an int, so +0.
+		"q8 small negatives": {"w": vec(1, -1e-5, -0.003, -0.0039, negZero, 0.002)},
+		"subnormals": {
+			"w": vec(5e-324, -5e-324, 1e-310, -2.2e-308, 1e-45, -7e-46, 1.4e-45),
+		},
+		"q8 subnormal scale": {"tiny": vec(1e-321, -3e-322, 5e-324), "zero scale": vec(5e-324, -5e-324)},
+		"float32 overflow":   {"a": vec(1, 2), "b": vec(0.5, 1e300, -1e300)},
+		"float32 max":        {"w": vec(math.MaxFloat32, -math.MaxFloat32, 3.4028235677973366e38)},
+		"nan":                {"w": vec(1, math.NaN())},
+		"nan payload":        {"w": vec(nanPayload, 2), "x": vec(-math.Float64frombits(0x7ff8dead00000000))},
+		"inf":                {"a": vec(math.Inf(1)), "b": vec(1, math.Inf(-1))},
+		"errors in name order": {
+			"a": vec(1, 1e300), "b": vec(math.Inf(1)), "c": vec(math.NaN()),
+		},
+		"q8 scale limit": {"ok": vec(0.99*math.MaxFloat64, 1), "over": vec(-0.995 * math.MaxFloat64)},
+		"q8 max float":   {"w": vec(math.MaxFloat64, -math.MaxFloat64, 1)},
+		"q8 below limit": {"w": vec(0.99*math.MaxFloat64, -0.5*math.MaxFloat64, 3)},
+		"mixed ranks":    randState(31),
+	}
+}
+
+// TestRoundTripMatchesDecode: the state the artifact store computes from
+// the encoder's side is, for every shipped codec, Decode(Encode(x, nil),
+// nil) bit for bit, and fails with Decode's error where Decode fails — on
+// the fan-out VGG-16 and on every value that could make the two drift.
+func TestRoundTripMatchesDecode(t *testing.T) {
+	states := roundTripEdgeStates()
+	_, states["fan-out"] = fanoutState(t)
+	for name, st := range states {
+		for _, c := range roundTripCodecs() {
+			if msg := roundTripMismatch(c, st); msg != "" {
+				t.Errorf("%s, %s: %s", name, c.Tag(), msg)
+			}
+		}
+	}
+}
+
+// noDecode is a codec the store must never decode with.
+type noDecode struct {
+	Codec
+	t *testing.T
+}
+
+func (c noDecode) Decode([]byte, nn.State) (nn.State, error) {
+	c.t.Errorf("%s: the artifact store decoded", c.Tag())
+	return nil, fmt.Errorf("no decode")
+}
+
+// TestArtifactStateIsTheGivenState: the store decodes nothing and keeps no
+// second state: the artifact's State is the map stateFn returned, its
+// tensors the same tensors, rounded in place to what Bytes decode to.
+func TestArtifactStateIsTheGivenState(t *testing.T) {
+	for _, c := range roundTripCodecs() {
+		st := randState(32)
+		tensors := map[string]*tensor.Tensor{}
+		for name, ten := range st {
+			tensors[name] = ten
+		}
+		s := NewArtifactStore(0)
+		art, err := s.Get(artKey(1, 0, c.Tag()), noDecode{c, t}, func() (nn.State, error) { return st, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, ten := range tensors {
+			if art.State[name] != ten {
+				t.Fatalf("%s: %q is a second tensor, not the one stateFn returned", c.Tag(), name)
+			}
+		}
+		want, err := c.Decode(art.Bytes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nn.HashState(art.State) != nn.HashState(want) {
+			t.Fatalf("%s: artifact State differs from Decode of its bytes", c.Tag())
+		}
+	}
+}
+
+// unshipped is a codec whose tag no shipped codec has.
+type unshipped struct{ Raw }
+
+func (unshipped) Tag() string { return "custom" }
+
+// TestArtifactRefusesUnshippedCodec: the store round-trips through the
+// shipped codec of the tag, so a tag without one is an error, raised
+// before stateFn extracts anything.
+func TestArtifactRefusesUnshippedCodec(t *testing.T) {
+	s := NewArtifactStore(0)
+	_, err := s.Get(artKey(1, 0, "custom"), unshipped{}, func() (nn.State, error) {
+		t.Error("stateFn called for a codec the store cannot round-trip")
+		return randState(33), nil
+	})
+	if err == nil || !strings.Contains(err.Error(), `"custom"`) {
+		t.Fatalf("err = %v", err)
+	}
+	if s.Len() != 0 || s.Encodes() != 0 {
+		t.Fatal("refused codec left residue")
 	}
 }

@@ -87,6 +87,29 @@ func BenchmarkDecode(b *testing.B) {
 	})
 }
 
+// BenchmarkArtifact times a cold artifact store's Get of the fan-out
+// state, the downlink a dispatch encodes once per (snapshot, member,
+// codec): the refless encode and the state a device decodes from it. The
+// state stateFn hands over is copied with the timer stopped, as the
+// server's extraction is a cost of its own.
+func BenchmarkArtifact(b *testing.B) {
+	_, st := fanoutState(b)
+	for _, c := range allCodecs() {
+		b.Run(c.Tag(), func(b *testing.B) {
+			key := ArtifactKey{Snapshot: 1, Codec: c.Tag()}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				own, s := st.Clone(), NewArtifactStore(1)
+				b.StartTimer()
+				if _, err := s.Get(key, c, func() (nn.State, error) { return own, nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEncodedSize is not a timing benchmark: it reports bytes per
 // codec for one state so `go test -bench EncodedSize` doubles as a size
 // table.

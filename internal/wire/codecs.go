@@ -1,39 +1,15 @@
 package wire
 
 import (
-	"bufio"
-	"bytes"
-	"compress/gzip"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"adaptivefl/internal/nn"
-	"adaptivefl/internal/tensor"
 )
 
 // Raw is the compatibility baseline: every value as float64, bit-exact,
-// in a frame of kindF64 tensors. Its decoder also reads the
-// gzip(gob(rawPayload)) container earlier builds wrote, so their payloads
-// and checkpoints still decode.
+// in a frame of kindF64 tensors.
 type Raw struct{}
-
-// rawVersion is the only rawPayload version. Earlier builds also wrote a
-// version 2 that wrapped another codec's payload; it is refused.
-const rawVersion = 1
-
-// rawPayload is the container raw used before the frame: the state's
-// names in sorted order, with each tensor's shape and values. Older builds
-// encoded two more fields, which gob skips because it matches fields by
-// name.
-type rawPayload struct {
-	Version int
-	Names   []string
-	Shapes  [][]int
-	Data    [][]float64
-}
 
 // Tag implements Codec.
 func (Raw) Tag() string { return TagRaw }
@@ -51,63 +27,50 @@ func (Raw) Encode(st, _ nn.State) ([]byte, error) {
 	})
 }
 
-// Decode implements Codec. A frame may hold only kindF64 tensors; a payload
-// whose inflated first byte is not the frame format goes to the legacy gob
-// reader. Both refuse the same corrupt shapes and non-finite values.
+// Decode implements Codec. A frame may hold only kindF64 tensors, and
+// every value must be finite.
 func (Raw) Decode(data []byte, _ nn.State) (nn.State, error) {
-	st, err := decodeFrame(TagRaw, data, nil, 1<<kindF64)
-	if !errors.Is(err, errNotFrame) {
-		return st, err
-	}
-	if st, err = decodeRaw(data); err != nil {
-		return nil, fmt.Errorf("wire: raw: %w", err)
-	}
-	return st, nil
+	return decodeFrame(TagRaw, data, nil, 1<<kindF64)
 }
 
-// decodeRaw reads the legacy container. The payload is untrusted wire
-// data: names and shapes pass the frame's header validation, every tensor
-// must hold exactly its shape's element count, the gzip checksum must
-// hold, and every value must be finite.
-func decodeRaw(data []byte) (nn.State, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("gzip: %w", err)
-	}
-	br := bufio.NewReader(zr)
-	var p rawPayload
-	if err := gob.NewDecoder(br).Decode(&p); err != nil {
-		return nil, fmt.Errorf("gob: %w", err)
-	}
-	// Reading past the gob message verifies the gzip trailer.
-	if _, err := br.ReadByte(); err == nil {
-		return nil, fmt.Errorf("trailing data after the payload")
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("gzip: %w", err)
-	}
-	if p.Version != rawVersion {
-		return nil, fmt.Errorf("payload version %d, want %d", p.Version, rawVersion)
-	}
-	counts, err := header{names: p.Names, shapes: p.Shapes}.validate()
-	if err != nil {
-		return nil, err
-	}
-	if len(p.Data) != len(p.Names) {
-		return nil, fmt.Errorf("corrupt payload (%d names, %d tensors)", len(p.Names), len(p.Data))
-	}
-	st := make(nn.State, len(p.Names))
-	for i, name := range p.Names {
-		if len(p.Data[i]) != counts[i] {
-			return nil, fmt.Errorf("%q has %d values for shape %v", name, len(p.Data[i]), p.Shapes[i])
-		}
-		for j, v := range p.Data[i] {
+// roundTrip implements builtin: raw keeps every value and refuses the
+// non-finite ones Decode refuses.
+func (Raw) roundTrip(st nn.State) error {
+	return eachTensor(TagRaw, st, func(name string, d []float64) error {
+		for j, v := range d {
 			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return nil, fmt.Errorf("%q has non-finite value at index %d", name, j)
+				return nonFinite(name, j)
 			}
 		}
-		st[name] = tensor.FromSlice(p.Data[i], p.Shapes[i]...)
+		return nil
+	})
+}
+
+// eachTensor runs fn on the values of st's tensors in name order, the
+// order Decode reads them in, stopping at the first error, which it
+// prefixes as decodeFrame does.
+func eachTensor(tag string, st nn.State, fn func(name string, d []float64) error) error {
+	for _, name := range st.Names() {
+		if err := fn(name, st[name].Data); err != nil {
+			return fmt.Errorf("wire: %s: %w", tag, err)
+		}
 	}
-	return st, nil
+	return nil
+}
+
+// roundF32 rounds every value of st to float32 in place, as a dense frame
+// carries it, refusing the values that round to Inf or NaN.
+func roundF32(tag string, st nn.State) error {
+	return eachTensor(tag, st, func(name string, d []float64) error {
+		for j, v := range d {
+			f := float32(v)
+			if math.IsInf(float64(f), 0) || math.IsNaN(float64(f)) {
+				return nonFinite(name, j)
+			}
+			d[j] = float64(f)
+		}
+		return nil
+	})
 }
 
 // F32 truncates every value to float32. Error per value is half a
@@ -135,6 +98,9 @@ func (F32) Decode(data []byte, _ nn.State) (nn.State, error) {
 	return decodeFrame(TagF32, data, nil, 1<<kindDense)
 }
 
+// roundTrip implements builtin.
+func (F32) roundTrip(st nn.State) error { return roundF32(TagF32, st) }
+
 // Q8 applies per-tensor symmetric int8 quantization: each tensor stores
 // one float64 scale (max|v|/127) and one byte per value. Error per value
 // is half a quantization step: |err| ≤ max|v|/254 over the tensor.
@@ -152,44 +118,75 @@ func (Q8) Encode(st, _ nn.State) ([]byte, error) {
 	return encodeFrame(func(w *frameWriter) error {
 		for _, name := range st.Names() {
 			t := st[name]
-			maxAbs := 0.0
-			for j, v := range t.Data {
-				// Inf makes the scale infinite (the decoder rejects it as
-				// corruption) and NaN slips past the max (NaN compares false)
-				// into an unspecified int conversion — reject both here, where
-				// the error can name the diverged tensor.
-				if math.IsInf(v, 0) || math.IsNaN(v) {
-					return fmt.Errorf("wire: q8 %q: non-finite value at index %d (diverged state?)", name, j)
-				}
-				if a := math.Abs(v); a > maxAbs {
-					maxAbs = a
-				}
+			scale, err := q8Scale(name, t.Data)
+			if err != nil {
+				return err
 			}
-			scale := maxAbs / 127
 			row := w.q8(name, t.Shape, scale, len(t.Data))
-			if scale > 0 {
-				for j, v := range t.Data {
-					q := math.Round(v / scale)
-					if q > 127 {
-						q = 127
-					} else if q < -127 {
-						q = -127
-					}
-					row[j] = byte(int(q) + 128)
-				}
-			} else {
-				for j := range row {
-					row[j] = 128
-				}
+			for j, v := range t.Data {
+				row[j] = byte(q8Level(v, scale) + 128)
 			}
 		}
 		return nil
 	})
 }
 
+// q8Scale returns a tensor's quantization step, max|v|/127.
+func q8Scale(name string, d []float64) (float64, error) {
+	maxAbs := 0.0
+	for j, v := range d {
+		// Inf makes the scale infinite (the decoder rejects it as
+		// corruption) and NaN slips past the max (NaN compares false)
+		// into an unspecified int conversion — reject both here, where
+		// the error can name the diverged tensor.
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return 0, fmt.Errorf("wire: q8 %q: non-finite value at index %d (diverged state?)", name, j)
+		}
+		if a := math.Abs(v); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	return maxAbs / 127, nil
+}
+
+// q8Level returns the signed level, in [-127, 127], that v quantizes to at
+// scale; a zero scale quantizes every value to level 0.
+func q8Level(v, scale float64) int {
+	if scale <= 0 {
+		return 0
+	}
+	q := math.Round(v / scale)
+	if q > 127 {
+		q = 127
+	} else if q < -127 {
+		q = -127
+	}
+	return int(q)
+}
+
 // Decode implements Codec.
 func (Q8) Decode(data []byte, _ nn.State) (nn.State, error) {
 	return decodeFrame(TagQ8, data, nil, 1<<kindQ8)
+}
+
+// roundTrip implements builtin: each value becomes its level times the
+// scale, the product Decode forms. The level goes through int first, as
+// it does on the wire, so a small negative value comes back +0, not the
+// −0 that math.Round leaves.
+func (Q8) roundTrip(st nn.State) error {
+	return eachTensor(TagQ8, st, func(name string, d []float64) error {
+		scale, err := q8Scale(name, d)
+		if err != nil {
+			return err
+		}
+		if !q8ScaleValid(scale) {
+			return corruptScale(name, scale)
+		}
+		for j, v := range d {
+			d[j] = float64(q8Level(v, scale)) * scale
+		}
+		return nil
+	})
 }
 
 // DeltaTopK encodes the k largest-magnitude changes of each tensor versus
@@ -342,3 +339,7 @@ func (d DeltaTopK) Encode(st, ref nn.State) ([]byte, error) {
 func (d DeltaTopK) Decode(data []byte, ref nn.State) (nn.State, error) {
 	return decodeFrame(TagDelta, data, ref, 1<<kindDense|1<<kindSparse)
 }
+
+// roundTrip implements builtin. Without a reference every tensor travels
+// dense, as in f32.
+func (DeltaTopK) roundTrip(st nn.State) error { return roundF32(TagDelta, st) }

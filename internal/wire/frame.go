@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -47,10 +46,6 @@ const (
 	kindF64                // n float64 values bit-exact: n low 32-bit words, then n high words, in the value planes
 	numKinds
 )
-
-// errNotFrame marks a payload whose inflated first byte is not
-// frameFormat. Raw falls back to its legacy gob reader on it.
-var errNotFrame = errors.New("a gob payload from a build that predates the frame? upgrade agents and server together")
 
 // header is a frame's metadata, one entry per tensor in name order.
 type header struct {
@@ -301,7 +296,7 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 		return nil, fmt.Errorf("frame prefix: %w", err)
 	}
 	if pre[0] != frameFormat {
-		return nil, fmt.Errorf("payload format %#02x is not the flat frame %#02x (%w)", pre[0], frameFormat, errNotFrame)
+		return nil, fmt.Errorf("payload format %#02x is not the flat frame %#02x (a gob payload from a build that predates the frame? upgrade agents and server together)", pre[0], frameFormat)
 	}
 	headLen := int(binary.LittleEndian.Uint32(pre[1:5]))
 	if headLen > maxFrameHeader {
@@ -334,13 +329,8 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 			nValues += 2 * int64(counts[i])
 		case kind == kindQ8:
 			nLevels += int64(counts[i])
-			// Encode never produces a negative or non-finite scale, so either
-			// is wire corruption — and a NaN scale would otherwise decode the
-			// whole tensor to NaN with no diagnostic. A huge finite scale is
-			// equally corrupt: dequantising level ±128 against it overflows to
-			// Inf (Encode's scale is max|v|/127, far below this).
-			if s := h.scales[i]; s < 0 || math.IsInf(s, 0) || math.IsNaN(s) || s > math.MaxFloat64/128 {
-				return nil, fmt.Errorf("%q has corrupt scale %v", name, s)
+			if s := h.scales[i]; !q8ScaleValid(s) {
+				return nil, corruptScale(name, s)
 			}
 		case kind == kindSparse:
 			if h.kept[i] > counts[i] {
@@ -398,7 +388,7 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 			for j := range vals {
 				v, ok := value(at + j)
 				if !ok {
-					return nil, fmt.Errorf("%q has non-finite value at index %d", name, j)
+					return nil, nonFinite(name, j)
 				}
 				vals[j] = v
 			}
@@ -407,7 +397,7 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 			for j := range vals {
 				bits := word(at+n+j)<<32 | word(at+j)
 				if bits&0x7ff0000000000000 == 0x7ff0000000000000 {
-					return nil, fmt.Errorf("%q has non-finite value at index %d", name, j)
+					return nil, nonFinite(name, j)
 				}
 				vals[j] = math.Float64frombits(bits)
 			}
@@ -435,7 +425,7 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 				idx += int(gap)
 				v, ok := value(at + k)
 				if !ok {
-					return nil, fmt.Errorf("%q has non-finite value at index %d", name, idx)
+					return nil, nonFinite(name, idx)
 				}
 				vals[idx] = base[idx] + v
 			}
@@ -447,6 +437,27 @@ func (r *frameReader) decode(data []byte, ref nn.State, allow uint) (nn.State, e
 		return nil, fmt.Errorf("index section has %d bytes no tensor uses", len(gaps))
 	}
 	return st, nil
+}
+
+// nonFinite is the error for a value a decoder refuses: Inf or NaN, in
+// the frame or produced by dequantisation.
+func nonFinite(name string, j int) error {
+	return fmt.Errorf("%q has non-finite value at index %d", name, j)
+}
+
+// q8ScaleValid reports whether a decoder accepts a q8 scale. Encode never
+// produces a negative or non-finite scale, so either is wire corruption —
+// and a NaN scale would otherwise decode the whole tensor to NaN with no
+// diagnostic. A huge finite scale is refused too: dequantising level ±128
+// against it overflows to Inf. Encode's scale, max|v|/127, is that huge
+// only when some |v| is above 127/128 of MaxFloat64.
+func q8ScaleValid(s float64) bool {
+	return s >= 0 && s <= math.MaxFloat64/128 // false for NaN and ±Inf
+}
+
+// corruptScale is the error for a q8 scale q8ScaleValid refuses.
+func corruptScale(name string, s float64) error {
+	return fmt.Errorf("%q has corrupt scale %v", name, s)
 }
 
 // parseHeader decodes the header section. Every count it reads is checked

@@ -434,7 +434,7 @@ func TestGobPayloadNamesTheMismatch(t *testing.T) {
 	if first := gunzip(t, old)[0]; first >= 0x80 && first < 0xF8 {
 		t.Fatalf("gob stream opens with %#02x: frameFormat's range is no longer gob-proof", first)
 	}
-	for _, c := range []Codec{F32{}, Q8{}, NewDeltaTopK()} {
+	for _, c := range allCodecs() {
 		_, err := c.Decode(old, nil)
 		if err == nil || !strings.Contains(err.Error(), "gob") || !strings.Contains(err.Error(), "upgrade agents and server together") {
 			t.Fatalf("%s: err = %v", c.Tag(), err)

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -133,10 +135,11 @@ func TestHeaderRejectsOverflowShapes(t *testing.T) {
 		if _, err := h.validate(); err == nil {
 			t.Fatalf("shape %v passed validation", shape)
 		}
-		// Raw validates through the same header, so an empty tensor
-		// declaring the shape is refused too.
-		p := rawPayload{Version: rawVersion, Names: h.names, Shapes: h.shapes, Data: [][]float64{{}}}
-		if _, err := (Raw{}).Decode(rawBytes(t, p), nil); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		// A raw frame declaring the shape for an empty tensor is refused
+		// too: by the header parser when one dimension alone passes the
+		// cap, else by the same validation.
+		if _, err := (Raw{}).Decode(overflowFrame(t, shape), nil); err == nil ||
+			!strings.Contains(err.Error(), "exceeds") && !strings.Contains(err.Error(), "corrupt frame header (shape of w)") {
 			t.Fatalf("raw shape %v: err = %v", shape, err)
 		}
 	}
@@ -146,14 +149,19 @@ func TestHeaderRejectsOverflowShapes(t *testing.T) {
 	}
 }
 
+// overflowFrame is a raw frame whose one tensor "w" declares shape but
+// holds no values.
+func overflowFrame(t testing.TB, shape []int) []byte {
+	return handFrame(t, func(w *frameWriter) { w.f64("w", &tensor.Tensor{Shape: shape}) })
+}
+
 // FuzzDecoders is the go-native fuzz entry: any byte string through any
 // codec must error or produce finite values, each tensor holding exactly
 // its shape's element count — never panic. The seed corpus covers valid
 // payloads of each codec so mutation starts from structurally interesting
 // bytes. (Mutations of a whole payload rarely survive the gzip checksum;
-// TestFrameRejections and TestFrameTruncatedEverywhere reach the parser
-// behind it, and TestRawDecodeGarbage and TestRawDecodeRejectsBadShapes
-// raw's.)
+// TestFrameRejections, TestFrameTruncatedEverywhere, TestRawDecodeGarbage
+// and TestRawDecodeRejectsBadShapes reach the parser behind it.)
 func FuzzDecoders(f *testing.F) {
 	ref := randState(21)
 	st := perturb(ref, 22, 0.01)
@@ -166,7 +174,7 @@ func FuzzDecoders(f *testing.F) {
 	}
 	// The refless delta payload (all tensors dense), a frame that mixes
 	// dense and sparse tensors, and a payload in the gob container the
-	// codecs used before the frame.
+	// codecs used before the frame, which every codec refuses.
 	deltaAt := len(allCodecs()) - 1
 	noRef, err := NewDeltaTopK().Encode(st, nil)
 	if err != nil {
@@ -182,8 +190,8 @@ func FuzzDecoders(f *testing.F) {
 	for ci := range allCodecs() {
 		f.Add(ci, gobPayload(f))
 	}
-	// A raw payload whose shape's element count overflows to 0.
-	f.Add(0, rawBytes(f, rawPayload{Version: rawVersion, Names: []string{"w"}, Shapes: [][]int{{1 << 32, 1 << 32}}, Data: [][]float64{{}}}))
+	// A raw frame whose shape's element count overflows to 0.
+	f.Add(0, overflowFrame(f, []int{1 << 32, 1 << 32}))
 	f.Fuzz(func(t *testing.T, ci int, payload []byte) {
 		codecs := allCodecs()
 		if ci < 0 {
@@ -211,6 +219,61 @@ func FuzzDecoders(f *testing.F) {
 				if math.IsNaN(x) || math.IsInf(x, 0) {
 					t.Fatalf("%s: decode accepted non-finite %q[%d] = %v", c.Tag(), name, j, x)
 				}
+			}
+		}
+	})
+}
+
+// fuzzState reads data as little-endian float64 bit patterns — NaN
+// payloads, subnormals and values past float32's range included — cut
+// into two tensors at a position the first byte picks, beside an empty
+// one.
+func fuzzState(data []byte) nn.State {
+	vals := make([]float64, len(data)/8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	cut := 0
+	if len(data) > 0 {
+		cut = int(data[0]) % (len(vals) + 1)
+	}
+	return nn.State{
+		"a":     tensor.FromSlice(vals[:cut], cut),
+		"b":     tensor.FromSlice(vals[cut:], len(vals)-cut),
+		"empty": tensor.New(0, 3),
+	}
+}
+
+// FuzzArtifactRoundTrip: for any state, the artifact store's encoder-side
+// round trip equals Decode(Encode(x, nil), nil), bit for bit and error for
+// error, under every shipped codec.
+func FuzzArtifactRoundTrip(f *testing.F) {
+	le := func(vals ...float64) []byte {
+		b := make([]byte, 0, 8*len(vals))
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	edges := roundTripEdgeStates()
+	cases := make([]string, 0, len(edges))
+	for name := range edges {
+		cases = append(cases, name)
+	}
+	sort.Strings(cases) // seed order, and so the seeds' names, stay fixed
+	for _, name := range cases {
+		st := edges[name]
+		var vals []float64
+		for _, name := range st.Names() {
+			vals = append(vals, st[name].Data...)
+		}
+		f.Add(le(vals...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := fuzzState(data)
+		for _, c := range roundTripCodecs() {
+			if msg := roundTripMismatch(c, st); msg != "" {
+				t.Fatalf("%s: %s", c.Tag(), msg)
 			}
 		}
 	})

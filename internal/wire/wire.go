@@ -20,7 +20,8 @@
 // words split into four byte planes, q8 levels, uvarint index gaps — in a
 // single Huffman-only gzip member whose CRC-32 guards every byte. The
 // header fixes the inflated length, and a decoder reads exactly that
-// much. Raw's decoder also reads the gob container earlier builds wrote.
+// much. A payload in the gob container of builds that predate the frame is
+// refused by every codec, raw included.
 //
 // Codecs are reachable by tag so transports can negotiate: the server
 // stamps each request with the codec tag and the device answers in kind.
@@ -53,8 +54,21 @@ type Codec interface {
 	UsesRef() bool
 }
 
+// builtin is a shipped codec. Besides the Codec methods it computes, in
+// place, what a device decodes from its refless encode, so the downlink
+// artifact store never inflates bytes it has just deflated.
+type builtin interface {
+	Codec
+	// roundTrip overwrites every value of st with the value
+	// Decode(Encode(st, nil), nil) holds there, bit for bit, and fails
+	// where that Decode fails, with the same error. It is called only
+	// after Encode(st, nil) succeeded; on an error st is left part
+	// rewritten.
+	roundTrip(st nn.State) error
+}
+
 // registry holds the codecs reachable by tag.
-var registry = map[string]Codec{
+var registry = map[string]builtin{
 	TagRaw: Raw{}, TagF32: F32{}, TagQ8: Q8{}, TagDelta: NewDeltaTopK(),
 }
 

@@ -2,8 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"os"
@@ -90,9 +88,10 @@ func TestRawRoundTripExact(t *testing.T) {
 	}
 }
 
-// rawFixtureState is the state testdata/raw_v1.gz holds: random weights
-// plus a tensor of edge-case values (signed zeros, the smallest
-// subnormal, the most negative finite float64).
+// rawFixtureState is the state testdata/raw_frame.gz holds (and the
+// refused pre-frame testdata/raw_v1.gz): random weights plus a tensor of
+// edge-case values (signed zeros, the smallest subnormal, the most
+// negative finite float64).
 func rawFixtureState() nn.State {
 	rng := rand.New(rand.NewSource(27))
 	return nn.State{
@@ -185,18 +184,21 @@ func TestRawFullModelCheckpoint(t *testing.T) {
 }
 
 // TestRawDecodesOldPayload: testdata/raw_v1.gz was written by the raw
-// encoder of an earlier build, whose container carried two more fields
-// (Codec, Payload). It must still decode to the same bits.
+// encoder of a build that predates the frame, as gzip(gob(payload)). Raw
+// no longer reads that container: it refuses the payload with the error
+// every codec gives one from before the frame.
 func TestRawDecodesOldPayload(t *testing.T) {
 	b, err := os.ReadFile("testdata/raw_v1.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Raw{}.Decode(b, nil)
-	if err != nil {
-		t.Fatal(err)
+	if first := gunzip(t, b)[0]; first == frameFormat {
+		t.Fatalf("fixture opens with the frame format %#02x", first)
 	}
-	requireSameBits(t, got, rawFixtureState())
+	got, err := Raw{}.Decode(b, nil)
+	if err == nil || !strings.Contains(err.Error(), "gob") || !strings.Contains(err.Error(), "upgrade agents and server together") {
+		t.Fatalf("decoded %d tensors, err = %v", len(got), err)
+	}
 }
 
 // TestRawDecodesFramePayload: testdata/raw_frame.gz is a kindF64 frame of
@@ -219,21 +221,6 @@ func TestRawDecodesFramePayload(t *testing.T) {
 	requireSameBits(t, got, rawFixtureState())
 }
 
-// rawBytes encodes a hand-built raw container, bypassing Encode's
-// invariants.
-func rawBytes(t testing.TB, p rawPayload) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // rawRejection is a payload the raw decoder must refuse with an error
 // that mentions want.
 type rawRejection struct {
@@ -251,8 +238,8 @@ func requireRawRejects(t *testing.T, cases []rawRejection) {
 	}
 }
 
-// TestRawDecodeGarbage: bytes that are not one intact version-1 raw
-// container are refused.
+// TestRawDecodeGarbage: bytes that are not one intact raw frame are
+// refused.
 func TestRawDecodeGarbage(t *testing.T) {
 	valid, err := Raw{}.Encode(nn.State{"w": tensor.Full(1, 2, 2)}, nil)
 	if err != nil {
@@ -265,19 +252,31 @@ func TestRawDecodeGarbage(t *testing.T) {
 		{"empty", nil, "gzip"},
 		{"checksum", flipped, "checksum"},
 		{"trailing data", append(append([]byte(nil), valid...), valid...), "trailing"},
-		{"version 2 envelope", rawBytes(t, rawPayload{Version: 2}), "version 2"},
 	})
 }
 
-// TestRawDecodeRejectsBadShapes: a well-formed container whose names,
-// shapes and values disagree is refused.
+// TestRawDecodeRejectsBadShapes: a raw frame whose names, shapes and
+// values disagree is refused.
 func TestRawDecodeRejectsBadShapes(t *testing.T) {
-	four := [][]float64{{1, 2, 3, 4}}
+	four := []float64{1, 2, 3, 4}
 	requireRawRejects(t, []rawRejection{
-		{"bad shape", rawBytes(t, rawPayload{Version: 1, Names: []string{"w"}, Shapes: [][]int{{2, 3}}, Data: four}), "4 values for shape"},
-		{"negative dimension", rawBytes(t, rawPayload{Version: 1, Names: []string{"w"}, Shapes: [][]int{{-2, -2}}, Data: four}), "negative dimension"},
-		{"unsorted names", rawBytes(t, rawPayload{Version: 1, Names: []string{"b", "a"}, Shapes: [][]int{{1}, {1}}, Data: [][]float64{{1}, {2}}}), "not sorted"},
-		{"missing tensor", rawBytes(t, rawPayload{Version: 1, Names: []string{"a", "b"}, Shapes: [][]int{{1}, {1}}, Data: [][]float64{{1}}}), "2 names, 1 tensors"},
+		{"too few values", handFrame(t, func(w *frameWriter) {
+			w.f64("w", &tensor.Tensor{Shape: []int{2, 3}, Data: four})
+		}), "frame body"},
+		{"too many values", handFrame(t, func(w *frameWriter) {
+			w.f64("w", &tensor.Tensor{Shape: []int{3}, Data: four})
+		}), "trailing bytes"},
+		{"negative dimension", handFrame(t, func(w *frameWriter) {
+			w.f64("w", &tensor.Tensor{Shape: []int{-2, -2}, Data: four})
+		}), "shape of w"},
+		{"unsorted names", handFrame(t, func(w *frameWriter) {
+			w.f64("b", tensor.Full(1, 1))
+			w.f64("a", tensor.Full(2, 1))
+		}), "not sorted"},
+		{"missing tensor", handFrame(t, func(w *frameWriter) {
+			w.f64("a", tensor.Full(1, 1))
+			w.tensors++ // the header counts a second tensor it does not hold
+		}), "corrupt frame header (name)"},
 	})
 }
 
